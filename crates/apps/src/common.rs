@@ -43,9 +43,6 @@ pub struct AppConfig {
     /// Pending-notice count above which a barrier triggers the interval
     /// GC's validation flush (see `DsmConfig::gc_flush_pending_limit`).
     pub gc_flush_pending_limit: usize,
-    /// Execution substrate (threaded or event-driven).  A host-performance
-    /// knob only: results and statistics are bit-identical across engines.
-    pub engine: EngineKind,
     /// Interconnect shape: the ideal (infinite-bandwidth) default, a shared
     /// 10 Mbps bus, or a switched fabric with per-processor ports.  Changes
     /// modeled time only, never computed results or message counts.
@@ -71,7 +68,6 @@ impl AppConfig {
             sched: SchedConfig::default(),
             diff_timing: DiffTiming::default(),
             gc_flush_pending_limit: tdsm_core::config::DEFAULT_GC_FLUSH_PENDING_LIMIT,
-            engine: EngineKind::default(),
             topology: Topology::default(),
             aggregation: AggregationPolicy::default(),
             racecheck: false,
@@ -116,9 +112,10 @@ impl AppConfig {
         self
     }
 
-    /// Builder-style setter for the execution substrate.
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
+    /// No-op kept for the frozen `benchmark/` package, which still calls it
+    /// (there is one execution substrate); the next `benchmark` PR removes
+    /// the call site and then this method.
+    pub fn engine(self, _engine: EngineKind) -> Self {
         self
     }
 
@@ -151,7 +148,6 @@ impl AppConfig {
             sched: self.sched,
             diff_timing: self.diff_timing,
             gc_flush_pending_limit: self.gc_flush_pending_limit,
-            engine: self.engine,
             topology: self.topology,
             aggregation: self.aggregation,
             racecheck: self.racecheck,
@@ -305,19 +301,12 @@ mod tests {
         let cfg = AppConfig::with_procs(4)
             .unit(UnitPolicy::Static { pages: 2 })
             .protocol(ProtocolMode::home_based())
-            .sched(SchedConfig::seeded(0xfeed))
-            .engine(EngineKind::Threaded);
+            .sched(SchedConfig::seeded(0xfeed));
         let dsm = cfg.dsm_config();
         assert_eq!(dsm.nprocs, 4);
         assert_eq!(dsm.unit, UnitPolicy::Static { pages: 2 });
         assert_eq!(dsm.protocol, ProtocolMode::home_based());
         assert_eq!(dsm.sched, SchedConfig::seeded(0xfeed));
-        assert_eq!(dsm.engine, EngineKind::Threaded);
-        assert_eq!(
-            AppConfig::paper_default().engine,
-            EngineKind::EventDriven,
-            "the event engine is the default substrate"
-        );
         dsm.validate();
         assert_eq!(
             AppConfig::paper_default().protocol,

@@ -15,9 +15,8 @@
 //!
 //! Both are deterministic: under the fixed-seed scheduler the interleaving
 //! — and therefore the detector's race set, including the first-occurrence
-//! interval timestamps — reproduces bit-identically across reruns and
-//! across both execution engines (pinned by `tests/racecheck.rs`).  They
-//! are intentionally *not* part of the [`crate::suite`] registry, which
+//! interval timestamps — reproduces bit-identically across reruns (pinned
+//! by `tests/racecheck.rs`).  They are intentionally *not* part of the [`crate::suite`] registry, which
 //! enumerates exactly the paper's eight applications.
 
 use tdsm_core::{Align, Dsm};

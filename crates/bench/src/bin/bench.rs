@@ -3,8 +3,8 @@
 //!
 //! Usage:
 //! `cargo run -p tm-bench --release --bin bench -- [--quick] [--iters N]
-//! [--engine threaded|event] [--topology ideal|bus|switched] [--out FILE]
-//! [--baseline FILE] [--tolerance FRAC] [--reference-wall-ms MS]`
+//! [--topology ideal|bus|switched] [--out FILE] [--baseline FILE]
+//! [--tolerance FRAC] [--reference-wall-ms MS]`
 //!
 //! * with no flags, measures the full suite (micro medians + the canonical
 //!   `fig2 4 --scale large --app Jacobi` sweep) and prints the JSON document
@@ -48,7 +48,6 @@ fn parse_args() -> Result<Args, String> {
         reference_wall_ms: None,
     };
     let mut iters_override = None;
-    let mut engine_override = None;
     let mut topology_override = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -66,13 +65,6 @@ fn parse_args() -> Result<Args, String> {
                         .filter(|&n| (1..=1000).contains(&n))
                         .ok_or_else(|| format!("invalid --iters '{v}' (expected 1-1000)"))?,
                 );
-            }
-            "--engine" => {
-                let v = value("--engine")?;
-                engine_override =
-                    Some(v.parse::<tm_sched::EngineKind>().map_err(|_| {
-                        format!("unknown engine '{v}' (expected threaded or event)")
-                    })?);
             }
             "--topology" => {
                 let v = value("--topology")?;
@@ -103,9 +95,6 @@ fn parse_args() -> Result<Args, String> {
     if let Some(iters) = iters_override {
         out.opts.iters = iters;
     }
-    if let Some(engine) = engine_override {
-        out.opts.engine = engine;
-    }
     if let Some(topology) = topology_override {
         out.opts.topology = topology;
     }
@@ -118,9 +107,8 @@ fn main() {
         Err(msg) => {
             eprintln!(
                 "error: {msg}\nusage: bench [--quick] [--iters N] \
-                 [--engine threaded|event] [--topology ideal|bus|switched] \
-                 [--out FILE] [--baseline FILE] [--tolerance FRAC] \
-                 [--reference-wall-ms MS]"
+                 [--topology ideal|bus|switched] [--out FILE] [--baseline FILE] \
+                 [--tolerance FRAC] [--reference-wall-ms MS]"
             );
             std::process::exit(2);
         }

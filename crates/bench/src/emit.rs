@@ -32,11 +32,12 @@ use crate::{figure_panel_string, signature_string};
 /// rework added the per-cell `diff_timing` field and the `gc`
 /// interval-garbage-collection counters; the home-based protocol added the
 /// per-cell `protocol` field and the `home_updates`/`page_fetches` counters
-/// inside `breakdown`; the event-driven engine rework added the per-cell
-/// `engine` field, emitted only for the non-default (threaded) substrate so
-/// default-engine documents stay byte-identical; the network-contention
-/// subsystem added the per-cell `topology` and `aggregation` fields (emitted
-/// only when non-default, same discipline) and the per-cell `links` array of
+/// inside `breakdown`; while a second execution substrate existed its cells
+/// carried a per-cell `engine` field, which is no longer written and is
+/// ignored when read (engines never changed measurements); the
+/// network-contention subsystem added the per-cell `topology` and
+/// `aggregation` fields (emitted only when non-default, so pre-topology
+/// documents stay byte-identical) and the per-cell `links` array of
 /// per-link occupancy counters (emitted only when a contended topology
 /// modeled any links). Readers must treat all of these as optional; this
 /// parser does, in both directions.  The race-detector rework added the
@@ -116,18 +117,8 @@ impl ToJson for Cell {
             ),
             ("protocol".to_string(), self.protocol.to_json()),
         ];
-        // Emitted only for the non-default substrate: engines never change
-        // measurements, and default-engine documents must stay byte-identical
-        // to those emitted before the engine axis existed.
-        if self.engine != tm_sched::EngineKind::default() {
-            pairs.push((
-                "engine".to_string(),
-                Value::Str(self.engine.as_str().to_string()),
-            ));
-        }
-        // Same discipline for the network axis: the ideal topology and
-        // per-message aggregation are omitted so pre-topology documents stay
-        // byte-identical.
+        // The ideal topology and per-message aggregation are omitted so
+        // pre-topology documents stay byte-identical.
         if self.network.topology != tdsm_core::Topology::default() {
             pairs.push((
                 "topology".to_string(),
@@ -192,9 +183,8 @@ impl FromJson for Cell {
                 None => tdsm_core::ProtocolMode::MultiWriter,
                 Some(p) => tdsm_core::ProtocolMode::from_json(p)?,
             },
-            // Additive v1 field: absent means the default (event-driven)
-            // substrate — and engines never change measurements anyway.
-            engine: tdsm_core::engine_from_json(v)?,
+            // An `engine` key in an old document is ignored.
+            engine: Default::default(),
             // Additive v1 fields: documents emitted before the network
             // subsystem landed modeled the ideal interconnect.
             network: {
@@ -654,6 +644,15 @@ mod tests {
             "host timing must not leak into the machine format"
         );
         assert!(text.contains("\"schedule\": \"seeded\""));
+
+        // A document written while cells carried an `engine` key still
+        // parses; the key is ignored.
+        let old = text.replace(
+            "\"schedule\": \"seeded\"",
+            "\"engine\": \"threaded\", \"schedule\": \"seeded\"",
+        );
+        assert_ne!(old, text);
+        assert_eq!(parse_result(&old).unwrap(), parsed);
 
         let wrong = text.replace(RESULT_SCHEMA, "tm-bench/experiment-result/v0");
         assert!(parse_result(&wrong).unwrap_err().contains("schema"));

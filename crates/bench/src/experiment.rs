@@ -17,16 +17,16 @@
 //! same results, bit for bit.
 
 use tdsm_core::{
-    AggregationPolicy, DiffTiming, NetworkConfig, ProtocolMode, SchedConfig, SweepSpec, Topology,
-    UnitPolicy,
+    AggregationPolicy, DiffTiming, EngineKind, NetworkConfig, ProtocolMode, SchedConfig, SweepSpec,
+    Topology, UnitPolicy,
 };
 use tm_apps::{AppId, Workload};
-use tm_sched::{EngineKind, ScheduleMode};
+use tm_sched::ScheduleMode;
 
 use crate::{BenchArgs, Scale};
 
 /// One runnable configuration of one workload — the unit of work the
-/// experiment engine schedules, and one entry of the emitted results.
+/// experiment runner schedules, and one entry of the emitted results.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     /// Which application.
@@ -56,10 +56,10 @@ pub struct Cell {
     /// grid point are distinct cells, while every pre-existing multi-writer
     /// key (and every pinned golden) stays untouched.
     pub protocol: ProtocolMode,
-    /// Execution substrate the cell's simulation runs on (`--engine`).
-    /// Never part of the cell key or seed: engines are measurement-identical
-    /// by construction (the engine-differential tests pin this), so a cell's
-    /// identity — and every pinned golden — is engine-independent.
+    /// Inert: there is one execution substrate.  The field and the
+    /// matching [`Cell::new`] parameter survive only because the frozen
+    /// `benchmark/` package names both; the next `benchmark` PR removes its
+    /// call sites and then these.
     pub engine: EngineKind,
     /// Network (topology, aggregation) pair the cell models
     /// (`--topology`/`--aggregation`).  Part of the cell key (and therefore
@@ -72,7 +72,7 @@ pub struct Cell {
     /// (`--racecheck`).  Never part of the cell key or seed: detection is
     /// pure observation (measurements are bit-identical with it on or off),
     /// so a cell's identity — and every pinned golden — is
-    /// racecheck-independent, exactly like the engine axis.
+    /// racecheck-independent.
     pub racecheck: bool,
 }
 
@@ -263,7 +263,7 @@ impl Experiment {
                             spec.sched,
                             args.diff_timing,
                             p.protocol,
-                            args.engine,
+                            EngineKind::default(),
                         )
                         .with_network(p.network)
                         .with_racecheck(args.racecheck),
@@ -294,7 +294,7 @@ impl Experiment {
                     args.sched(),
                     args.diff_timing,
                     args.protocol,
-                    args.engine,
+                    EngineKind::default(),
                 )
                 .with_network(args.network())
                 .with_racecheck(args.racecheck),
@@ -309,7 +309,7 @@ impl Experiment {
                         args.sched(),
                         args.diff_timing,
                         args.protocol,
-                        args.engine,
+                        EngineKind::default(),
                     )
                     .with_network(args.network())
                     .with_racecheck(args.racecheck),
@@ -347,7 +347,7 @@ impl Experiment {
                         args.sched(),
                         args.diff_timing,
                         args.protocol,
-                        args.engine,
+                        EngineKind::default(),
                     )
                     .with_network(args.network())
                     .with_racecheck(args.racecheck),
@@ -382,7 +382,7 @@ impl Experiment {
                     args.sched(),
                     args.diff_timing,
                     args.protocol,
-                    args.engine,
+                    EngineKind::default(),
                 )
                 .with_network(args.network())
                 .with_racecheck(args.racecheck),
@@ -401,7 +401,7 @@ impl Experiment {
                         spec.sched,
                         args.diff_timing,
                         p.protocol,
-                        args.engine,
+                        EngineKind::default(),
                     )
                     .with_network(p.network)
                     .with_racecheck(args.racecheck),
@@ -451,7 +451,7 @@ impl Experiment {
                         spec.sched,
                         args.diff_timing,
                         p.protocol,
-                        args.engine,
+                        EngineKind::default(),
                     )
                     .with_network(p.network)
                     .with_racecheck(args.racecheck),
@@ -499,7 +499,7 @@ impl Experiment {
                             args.sched(),
                             args.diff_timing,
                             protocol,
-                            args.engine,
+                            EngineKind::default(),
                         )
                         .with_network(args.network())
                         .with_racecheck(args.racecheck),

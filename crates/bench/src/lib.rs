@@ -13,12 +13,12 @@
 //! | `fig_network` | contention grid — topologies × wire aggregation |
 //! | `fig_scale` | cluster-size sweep — 64/256/1024 processors |
 //!
-//! Since PR 2 all binaries run through one shared **experiment
-//! engine**: [`Experiment`] declares the cell grid (application ×
+//! All binaries run through one shared **experiment runner**:
+//! [`Experiment`] declares the cell grid (application ×
 //! consistency-unit policy × processor count), [`runner`] executes it on a
 //! std-thread worker pool, and [`emit`] renders the result as the paper-style
 //! human report, a versioned JSON document or CSV (`--format`, `--out`).
-//! This library crate holds that engine plus the shared sweep and formatting
+//! This library crate holds that runner plus the shared sweep and formatting
 //! code, so the binaries stay thin and the integration tests can exercise
 //! the same paths.
 
@@ -43,7 +43,7 @@ use tdsm_core::{
     Topology, UnitPolicy,
 };
 use tm_apps::{paper_unit_policies, AppConfig, AppId, Workload};
-use tm_sched::{EngineKind, ScheduleMode};
+use tm_sched::ScheduleMode;
 
 /// The workload tier a sweep runs at (`--scale`, with `--tiny` kept as an
 /// alias for `--scale tiny`).
@@ -125,26 +125,12 @@ impl FigRow {
     }
 }
 
-/// Run one workload under one consistency-unit policy (on the default
-/// event-driven engine; see [`run_configuration_on`] to pick a substrate).
+/// Run one workload under one consistency-unit policy.
 pub fn run_configuration(w: &Workload, nprocs: usize, label: &str, unit: UnitPolicy) -> FigRow {
-    run_configuration_on(w, nprocs, label, unit, EngineKind::default())
+    run_configuration_net(w, nprocs, label, unit, NetworkConfig::default())
 }
 
-/// Run one workload under one consistency-unit policy on the given execution
-/// substrate.  Engines never change results — this is the lever the perf
-/// artifact and engine-differential tests use to time/compare both.
-pub fn run_configuration_on(
-    w: &Workload,
-    nprocs: usize,
-    label: &str,
-    unit: UnitPolicy,
-    engine: EngineKind,
-) -> FigRow {
-    run_configuration_net(w, nprocs, label, unit, engine, NetworkConfig::default())
-}
-
-/// [`run_configuration_on`] under an explicit modeled network.  Contended
+/// [`run_configuration`] under an explicit modeled network.  Contended
 /// topologies change the modeled execution time (occupancy and queueing),
 /// never the checksum or the message counts.
 pub fn run_configuration_net(
@@ -152,12 +138,10 @@ pub fn run_configuration_net(
     nprocs: usize,
     label: &str,
     unit: UnitPolicy,
-    engine: EngineKind,
     net: NetworkConfig,
 ) -> FigRow {
     let cfg = AppConfig::with_procs(nprocs)
         .unit(unit)
-        .engine(engine)
         .topology(net.topology)
         .aggregation(net.aggregation);
     let run = w.run_parallel(&cfg);
@@ -178,26 +162,16 @@ pub fn run_configuration_net(
 }
 
 /// Run one workload under all four of the paper's unit policies
-/// (4 K / 8 K / 16 K / Dyn) on the default engine.
+/// (4 K / 8 K / 16 K / Dyn).
 pub fn run_policy_sweep(w: &Workload, nprocs: usize) -> Vec<FigRow> {
-    run_policy_sweep_on(w, nprocs, EngineKind::default())
+    run_policy_sweep_net(w, nprocs, NetworkConfig::default())
 }
 
-/// [`run_policy_sweep`] on an explicit execution substrate.
-pub fn run_policy_sweep_on(w: &Workload, nprocs: usize, engine: EngineKind) -> Vec<FigRow> {
-    run_policy_sweep_net(w, nprocs, engine, NetworkConfig::default())
-}
-
-/// [`run_policy_sweep_on`] under an explicit modeled network.
-pub fn run_policy_sweep_net(
-    w: &Workload,
-    nprocs: usize,
-    engine: EngineKind,
-    net: NetworkConfig,
-) -> Vec<FigRow> {
+/// [`run_policy_sweep`] under an explicit modeled network.
+pub fn run_policy_sweep_net(w: &Workload, nprocs: usize, net: NetworkConfig) -> Vec<FigRow> {
     paper_unit_policies()
         .into_iter()
-        .map(|(label, unit)| run_configuration_net(w, nprocs, &label, unit, engine, net))
+        .map(|(label, unit)| run_configuration_net(w, nprocs, &label, unit, net))
         .collect()
 }
 
@@ -408,12 +382,6 @@ fn parse_seed(s: &str) -> Option<u64> {
 ///   `home-based` (single-writer with round-robin page homes) or
 ///   `home-based-first-touch`.  Protocols may differ in messages — that is
 ///   the point — but never in computed results or checksums.
-/// * `--engine` picks the execution substrate every cell's simulation runs
-///   on: `event` (the single-threaded discrete-event engine, the default) or
-///   `threaded` (one OS thread per simulated processor).  A host-performance
-///   knob only — results and statistics are bit-identical across engines —
-///   but `event` is what makes large clusters (hundreds of processors)
-///   practical.
 /// * `--topology` picks the modeled interconnect every cell runs on:
 ///   `ideal` (infinite bandwidth, the default — byte-identical to every
 ///   pre-topology document), `bus` (one shared 10 Mbps segment with hardware
@@ -454,8 +422,6 @@ pub struct BenchArgs {
     pub diff_timing: DiffTiming,
     /// Write protocol applied to every cell (`--protocol`).
     pub protocol: ProtocolMode,
-    /// Execution substrate applied to every cell (`--engine`).
-    pub engine: EngineKind,
     /// Modeled interconnect applied to every cell (`--topology`).
     pub topology: Topology,
     /// Wire-aggregation policy applied to every cell (`--aggregation`).
@@ -484,7 +450,6 @@ impl BenchArgs {
             schedule: ScheduleMode::Seeded,
             diff_timing: DiffTiming::default(),
             protocol: ProtocolMode::default(),
-            engine: EngineKind::default(),
             topology: Topology::default(),
             aggregation: AggregationPolicy::default(),
             racecheck: false,
@@ -521,7 +486,7 @@ impl BenchArgs {
                      [--threads N] [--seed N] [--schedule fifo|seeded] \
                      [--diff-timing eager|lazy] \
                      [--protocol multi-writer|home-based|home-based-first-touch] \
-                     [--engine threaded|event] [--topology ideal|bus|switched] \
+                     [--topology ideal|bus|switched] \
                      [--aggregation per-message|batched] [--racecheck] [--app NAME] \
                      [--format human|json|csv] [--out FILE]"
                 );
@@ -552,12 +517,6 @@ impl BenchArgs {
                 }
                 "--protocol" => {
                     out.protocol = flag_value("--protocol")?.parse()?;
-                }
-                "--engine" => {
-                    let v = flag_value("--engine")?;
-                    out.engine = v.parse().map_err(|_| {
-                        format!("unknown engine '{v}' (expected threaded or event)")
-                    })?;
                 }
                 "--topology" => {
                     out.topology = flag_value("--topology")?.parse()?;
@@ -742,8 +701,8 @@ mod tests {
         let err = |args: &[&str]| {
             BenchArgs::from_iter(args.iter().map(|s| s.to_string()), 8).unwrap_err()
         };
-        // Large clusters are first-class since the event engine: 99 and 256
-        // parse, only counts beyond 1024 are usage errors.
+        // Large clusters are first-class: 256 parses, only counts beyond
+        // 1024 are usage errors.
         assert_eq!(parse(&["256"], 8).nprocs, 256);
         assert!(err(&["0"]).contains("outside 1-1024"));
         assert!(err(&["2000"]).contains("outside 1-1024"));
@@ -769,17 +728,6 @@ mod tests {
         let err = |args: &[&str]| {
             BenchArgs::from_iter(args.iter().map(|s| s.to_string()), 8).unwrap_err()
         };
-        // --engine selects the execution substrate; event stays the default.
-        assert_eq!(parse(&[]).engine, EngineKind::EventDriven);
-        assert_eq!(
-            parse(&["--engine", "threaded"]).engine,
-            EngineKind::Threaded
-        );
-        assert_eq!(
-            parse(&["--engine", "event"]).engine,
-            EngineKind::EventDriven
-        );
-
         // --racecheck is a boolean switch, off by default.
         assert!(!parse(&[]).racecheck);
         assert!(parse(&["--racecheck"]).racecheck);
@@ -788,8 +736,12 @@ mod tests {
         assert!(err(&["--threads", "0"]).contains("expected 1-256"));
         assert!(err(&["--format", "xml"]).contains("unknown format"));
         assert!(err(&["--out"]).contains("requires a value"));
-        assert!(err(&["--engine"]).contains("requires a value"));
-        assert!(err(&["--engine", "fibers"]).contains("unknown engine"));
+        // There is one execution substrate: the flag that used to pick one
+        // is an unknown argument like any other.
+        assert_eq!(
+            err(&["--engine", "event"]),
+            "unrecognized argument '--engine'"
+        );
     }
 
     #[test]

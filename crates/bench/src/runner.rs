@@ -63,8 +63,8 @@ pub struct CellResult {
     /// The happens-before detector's race set: `None` when the cell ran
     /// without `--racecheck` (the default), `Some` — possibly empty, which
     /// is the explicit "checked and race-free" verdict — when it ran with
-    /// it.  Deterministically sorted; bit-identical across reruns and
-    /// engines for a fixed cell.
+    /// it.  Deterministically sorted; bit-identical across reruns of a
+    /// fixed cell.
     pub races: Option<Vec<RaceRecord>>,
     /// Host wall-clock time spent simulating this cell (ns) — the harness's
     /// own perf trajectory, not a paper quantity.
@@ -133,7 +133,6 @@ pub fn run_cell(cell: &Cell) -> CellResult {
         .protocol(cell.protocol)
         .sched(cell.sched_config())
         .diff_timing(cell.diff_timing)
-        .engine(cell.engine)
         .topology(cell.network.topology)
         .aggregation(cell.network.aggregation)
         .racecheck(cell.racecheck);

@@ -16,41 +16,68 @@
 //! [`DsmConfig::sched`]'s mode and seed, which select among legal
 //! interleavings.
 //!
-//! Two execution substrates implement that contract behind the
-//! [`EngineKind`] seam ([`DsmConfig::engine`]):
-//!
-//! * [`EngineKind::Threaded`] spawns one OS thread per simulated processor;
-//!   every park point blocks on the scheduler's condition variable.
-//! * [`EngineKind::EventDriven`] (the default) keeps each processor as a
-//!   resumable state machine (the `async` body's continuation) and resumes
-//!   exactly the scheduler's current pick on a single host thread — no
-//!   spawn cost and no parked stacks, which is what makes 256-plus-processor
-//!   clusters practical.
-//!
-//! Both substrates feed the scheduler the identical sequence of yield/block
-//! transitions, so results and statistics are bit-identical across them
-//! (pinned by `tests/engine_differential.rs`).
+//! Each simulated processor is a resumable state machine (the `async`
+//! body's continuation), and one host thread resumes exactly the
+//! scheduler's current pick until every rank has finished — no spawn cost
+//! and no parked stacks, which is what makes 1024-processor clusters
+//! practical.  Because a whole cluster lives on one thread, the protocol
+//! state its processors share (`RunState`) is a single value reached
+//! through `Rc` and `RefCell`: no host synchronization anywhere on the
+//! simulation path.  (Host parallelism is `tm-bench`'s worker pool running
+//! independent *cells*, each with its own [`Dsm`].)
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::future::Future;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use parking_lot::Mutex;
-
 use tm_net::{ClusterStats, NetworkState, ProcStats};
-use tm_page::{Align, GlobalAddr, PageLayout, RegionAllocator};
+use tm_page::{Align, GlobalAddr, RegionAllocator};
 use tm_race::RaceDetector;
-use tm_sched::EngineKind;
+use tm_sched::Scheduler;
 
 use crate::config::DsmConfig;
 use crate::handle::{GArray, GMatrix, GScalar, SharedVal};
 use crate::interval::IntervalLog;
-use crate::proc::{ProcCtx, SharedIntervalLog};
+use crate::proc::ProcCtx;
 use crate::protocol::{HomeDirectory, ProtocolMode};
-use crate::sync::{complete_now, GlobalSync};
+use crate::sync::GlobalSync;
+
+/// The protocol state the processors of one run share, built by
+/// [`Dsm::run`] and dropped when the run ends.  Every [`ProcCtx`] holds an
+/// `Rc` of it; a `RefCell` borrow is taken for one protocol step and never
+/// held across a park point, so the single resumed processor always finds
+/// every cell free.
+#[derive(Debug)]
+pub(crate) struct RunState {
+    /// Per-rank diff/interval store that *other* processors consult when
+    /// they fault (served by the SIGIO handler on the real system).
+    pub(crate) logs: Vec<RefCell<IntervalLog>>,
+    /// Lock table, barrier and the deterministic scheduler.
+    pub(crate) sync: GlobalSync,
+    /// Home assignment and master copies; present exactly for home-based
+    /// runs (multi-writer runs have no authoritative copy).
+    pub(crate) home: Option<RefCell<HomeDirectory>>,
+    /// Link-occupancy state; present exactly when the topology models
+    /// contention.  The ideal default constructs nothing and takes none of
+    /// the occupancy code paths, keeping it bit-identical to the
+    /// pre-topology simulator.
+    pub(crate) net: Option<RefCell<NetworkState>>,
+    /// The happens-before race detector; present exactly when race checking
+    /// is requested.  Pure observation: default runs construct nothing and
+    /// stay bit-identical to the pre-racecheck simulator.
+    pub(crate) race: Option<RefCell<RaceDetector>>,
+}
+
+impl RunState {
+    /// The home directory of a home-based run.
+    pub(crate) fn home(&self) -> &RefCell<HomeDirectory> {
+        self.home.as_ref().expect("home-based run has a directory")
+    }
+}
 
 /// The result of one parallel run: per-processor return values (indexed by
 /// rank) and the aggregated communication statistics.
@@ -130,16 +157,14 @@ impl Dsm {
     /// The body is an `async` function of the processor's [`ProcCtx`]; every
     /// shared access and synchronization operation is a potential park point
     /// (`.await`) where the deterministic scheduler may run another
-    /// processor.  Which substrate resumes the parked processors is selected
-    /// by [`DsmConfig::engine`]; results are bit-identical either way.
+    /// processor.
     ///
     /// Each run starts from a pristine shared space (all zero bytes) and
     /// fresh protocol state; allocations performed on this [`Dsm`] remain
     /// valid across runs (they are just address assignments).
     pub fn run<R, F>(&self, body: F) -> RunOutput<R>
     where
-        R: Send,
-        F: AsyncFn(&mut ProcCtx) -> R + Sync,
+        F: AsyncFn(&mut ProcCtx) -> R,
     {
         self.run_inner(body, false).0
     }
@@ -147,13 +172,11 @@ impl Dsm {
     /// Like [`Dsm::run`], but additionally records and returns the
     /// scheduler's decision trace — the `(decision index, chosen rank)`
     /// sequence of every scheduling decision taken after setup.  The
-    /// cross-substrate differential tests replay one workload on both
-    /// engines and require the traces to match entry for entry; everyday
-    /// callers want [`Dsm::run`], which skips the bookkeeping.
+    /// schedule goldens pin it; everyday callers want [`Dsm::run`], which
+    /// skips the bookkeeping.
     pub fn run_traced<R, F>(&self, body: F) -> (RunOutput<R>, Vec<(u64, usize)>)
     where
-        R: Send,
-        F: AsyncFn(&mut ProcCtx) -> R + Sync,
+        F: AsyncFn(&mut ProcCtx) -> R,
     {
         let (output, trace) = self.run_inner(body, true);
         (
@@ -164,8 +187,7 @@ impl Dsm {
 
     fn run_inner<R, F>(&self, body: F, trace: bool) -> (RunOutput<R>, Option<Vec<(u64, usize)>>)
     where
-        R: Send,
-        F: AsyncFn(&mut ProcCtx) -> R + Sync,
+        F: AsyncFn(&mut ProcCtx) -> R,
     {
         let nprocs = self.config.nprocs;
         // Size all per-page protocol state by the allocator's high-water
@@ -178,65 +200,49 @@ impl Dsm {
             .config
             .layout()
             .truncated_to(self.allocator.used(), self.config.unit.protection_pages());
-        let logs: Arc<Vec<SharedIntervalLog>> = Arc::new(
-            (0..nprocs)
-                .map(|_| Mutex::new(IntervalLog::new()))
+        let shared = Rc::new(RunState {
+            logs: (0..nprocs)
+                .map(|_| RefCell::new(IntervalLog::new()))
                 .collect(),
-        );
-        let sync = Arc::new(GlobalSync::new(
-            nprocs,
-            self.config.max_locks,
-            self.config.sched,
-            self.config.engine,
-        ));
+            sync: GlobalSync::new(nprocs, self.config.max_locks, self.config.sched),
+            home: match self.config.protocol {
+                ProtocolMode::MultiWriter => None,
+                ProtocolMode::HomeBased { assign } => {
+                    Some(RefCell::new(HomeDirectory::new(layout, nprocs, assign)))
+                }
+            },
+            net: self
+                .config
+                .topology
+                .is_contended()
+                .then(|| RefCell::new(NetworkState::new(self.config.topology, nprocs))),
+            race: self.config.racecheck.then(|| {
+                RefCell::new(RaceDetector::new(
+                    nprocs,
+                    layout.total_pages(),
+                    layout.words_per_page(),
+                ))
+            }),
+        });
         if trace {
             // Enabled after construction, so the constructor's own first
-            // pick is not in the trace — identically on both substrates,
-            // which is all the differential comparison needs.
-            sync.scheduler().enable_decision_trace();
+            // pick is not in the trace.
+            shared.sync.scheduler().enable_decision_trace();
         }
-        // The home directory (assignment + master copies) exists only for
-        // home-based runs; multi-writer runs have no authoritative copy.
-        let home: Option<Arc<Mutex<HomeDirectory>>> = match self.config.protocol {
-            ProtocolMode::MultiWriter => None,
-            ProtocolMode::HomeBased { assign } => Some(Arc::new(Mutex::new(HomeDirectory::new(
-                layout, nprocs, assign,
-            )))),
-        };
-        // Link-occupancy state exists only when the topology models
-        // contention: the ideal default constructs nothing and takes none of
-        // the occupancy code paths, keeping it bit-identical to the
-        // pre-topology simulator.
-        let net: Option<Arc<Mutex<NetworkState>>> = if self.config.topology.is_contended() {
-            Some(Arc::new(Mutex::new(NetworkState::new(
-                self.config.topology,
-                nprocs,
-            ))))
-        } else {
-            None
-        };
-        // The happens-before race detector exists only when race checking is
-        // requested: the default constructs nothing and takes none of the
-        // detector code paths, keeping default runs bit-identical to the
-        // pre-racecheck simulator.
-        let race: Option<Arc<Mutex<RaceDetector>>> = if self.config.racecheck {
-            Some(Arc::new(Mutex::new(RaceDetector::new(
-                nprocs,
-                layout.total_pages(),
-                layout.words_per_page(),
-            ))))
-        } else {
-            None
-        };
 
-        let per_proc = match self.config.engine {
-            EngineKind::Threaded => {
-                self.run_threaded(layout, &logs, &sync, &home, &net, &race, &body)
-            }
-            EngineKind::EventDriven => {
-                self.run_event(layout, &logs, &sync, &home, &net, &race, &body)
-            }
-        };
+        let continuations = (0..nprocs)
+            .map(|rank| {
+                let shared = Rc::clone(&shared);
+                let config = &self.config;
+                let body = &body;
+                Box::pin(async move {
+                    let mut ctx = ProcCtx::new(rank, config, layout, shared);
+                    let result = body(&mut ctx).await;
+                    (result, ctx.finish())
+                }) as Continuation<'_, (R, ProcStats)>
+            })
+            .collect();
+        let per_proc = drive(shared.sync.scheduler(), continuations);
 
         let mut results = Vec::with_capacity(nprocs);
         let mut stats = ClusterStats::default();
@@ -246,7 +252,7 @@ impl Dsm {
             // retirement touch a processor's log after its own `finish()`
             // (e.g. rank 0's post-run verification reads lazily materialize
             // diffs in everyone else's logs).
-            let log = logs[rank].lock();
+            let log = shared.logs[rank].borrow();
             let c = log.counters();
             proc_stats.diffs_created += c.diffs_created_on_demand;
             proc_stats.diff_bytes_created += c.diff_bytes_created_on_demand;
@@ -256,204 +262,91 @@ impl Dsm {
             results.push(result);
             stats.per_proc.push(proc_stats);
         }
-        if let Some(net) = &net {
-            stats.links = net.lock().link_stats();
+        if let Some(net) = &shared.net {
+            stats.links = net.borrow().link_stats();
         }
-        if let Some(race) = &race {
-            stats.races = race.lock().take_races();
+        if let Some(race) = &shared.race {
+            stats.races = race.borrow_mut().take_races();
         }
-        let decision_trace = sync.scheduler().take_decision_trace();
+        let decision_trace = shared.sync.scheduler().take_decision_trace();
         (RunOutput { results, stats }, decision_trace)
     }
+}
 
-    /// The thread-per-processor substrate: one OS thread per rank, every
-    /// park point blocking on the scheduler.  Because each park point blocks
-    /// *inside* its `poll`, the whole body future completes in a single poll
-    /// ([`complete_now`]) — the continuations never actually suspend.
-    fn run_threaded<R, F>(
-        &self,
-        layout: PageLayout,
-        logs: &Arc<Vec<SharedIntervalLog>>,
-        sync: &Arc<GlobalSync>,
-        home: &Option<Arc<Mutex<HomeDirectory>>>,
-        net: &Option<Arc<Mutex<NetworkState>>>,
-        race: &Option<Arc<Mutex<RaceDetector>>>,
-        body: &F,
-    ) -> Vec<(R, ProcStats)>
-    where
-        R: Send,
-        F: AsyncFn(&mut ProcCtx) -> R + Sync,
-    {
-        let nprocs = self.config.nprocs;
-        let mut per_proc = Vec::with_capacity(nprocs);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(nprocs);
-            for rank in 0..nprocs {
-                let logs = Arc::clone(logs);
-                let sync = Arc::clone(sync);
-                let home = home.clone();
-                let net = net.clone();
-                let race = race.clone();
-                let config = &self.config;
-                handles.push(scope.spawn(move || {
-                    // The scheduler serializes the simulated processors:
-                    // wait for the first turn before touching any shared
-                    // simulation state, retire the rank afterwards so the
-                    // remaining processors can proceed.  The catch_unwind
-                    // nets exist purely so a panicking processor still
-                    // retires its rank (instead of leaving everyone else
-                    // parked forever) and so a scheduler abort triggered by
-                    // the retirement cannot mask the original panic; every
-                    // panic is re-raised and surfaces through join.
-                    complete_now(sync.wait_first_turn(rank));
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        let mut ctx = ProcCtx::new(
-                            rank,
-                            config,
-                            layout,
-                            Arc::clone(&logs),
-                            sync.clone(),
-                            home,
-                            net,
-                            race,
-                        );
-                        let result = complete_now(body(&mut ctx));
-                        (result, ctx.finish())
-                    }));
-                    let retired = catch_unwind(AssertUnwindSafe(|| sync.scheduler().finish(rank)));
-                    match (outcome, retired) {
-                        (Ok(pair), Ok(())) => pair,
-                        // Retiring the last runnable processor while others
-                        // stay blocked is a simulated deadlock: propagate it.
-                        (Ok(_), Err(abort)) => resume_unwind(abort),
-                        // The body's own panic is the root cause; it wins
-                        // over any secondary scheduler abort.
-                        (Err(payload), _) => resume_unwind(payload),
-                    }
-                }));
+/// One simulated processor between resumptions: the boxed continuation of
+/// its `async` body.
+pub(crate) type Continuation<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
+
+/// The pick loop: resume whoever `sched` says is current until every rank
+/// has finished or the scheduler aborts on a simulated deadlock, and return
+/// the ranks' outputs in rank order.  Each resumption runs under
+/// `catch_unwind`, so a panicking processor is retired like a finished one
+/// (its continuation is dropped, its rank leaves the scheduler) and the
+/// loop's own state stays intact — the unwind-safe step boundary.
+///
+/// # Panics
+/// Re-raises the first failed rank's panic as `processor thread panicked`;
+/// a deadlock no processor panicked over raises the scheduler's state dump.
+pub(crate) fn drive<T>(sched: &Scheduler, continuations: Vec<Continuation<'_, T>>) -> Vec<T> {
+    let mut continuations: Vec<Option<Continuation<'_, T>>> =
+        continuations.into_iter().map(Some).collect();
+    type Outcome<T> = Result<T, Box<dyn Any + Send>>;
+    let mut outcomes: Vec<Option<Outcome<T>>> = continuations.iter().map(|_| None).collect();
+    let mut cx = Context::from_waker(Waker::noop());
+
+    // A `Pending` step means the processor parked (and the park transition
+    // already picked a successor); `Ready` or a panic retires the rank.
+    while let Some(rank) = sched.current() {
+        let fut = continuations[rank]
+            .as_mut()
+            .expect("current processor must have a live continuation");
+        let step = catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx)));
+        match step {
+            Ok(Poll::Pending) => {}
+            Ok(Poll::Ready(output)) => {
+                continuations[rank] = None;
+                // Retiring the last runnable processor while others stay
+                // blocked is a simulated deadlock: the abort supersedes the
+                // result.
+                let retired = catch_unwind(AssertUnwindSafe(|| sched.finish(rank)));
+                outcomes[rank] = Some(retired.map(|()| output));
             }
-            for handle in handles {
-                per_proc.push(handle.join().expect("processor thread panicked"));
-            }
-        });
-        per_proc
-    }
-
-    /// The single-threaded discrete-event substrate: every simulated
-    /// processor is a boxed continuation, and the engine resumes exactly the
-    /// scheduler's current pick until all ranks finish or the scheduler
-    /// aborts on a simulated deadlock.  Each resumption runs under
-    /// `catch_unwind`, so a panicking processor is retired like a finished
-    /// one (its continuation is dropped, its rank leaves the scheduler) and
-    /// the engine's own state stays intact — the unwind-safe step boundary.
-    fn run_event<R, F>(
-        &self,
-        layout: PageLayout,
-        logs: &Arc<Vec<SharedIntervalLog>>,
-        sync: &Arc<GlobalSync>,
-        home: &Option<Arc<Mutex<HomeDirectory>>>,
-        net: &Option<Arc<Mutex<NetworkState>>>,
-        race: &Option<Arc<Mutex<RaceDetector>>>,
-        body: &F,
-    ) -> Vec<(R, ProcStats)>
-    where
-        R: Send,
-        F: AsyncFn(&mut ProcCtx) -> R + Sync,
-    {
-        let nprocs = self.config.nprocs;
-        type Continuation<'a, R> = Pin<Box<dyn Future<Output = (R, ProcStats)> + 'a>>;
-        let mut continuations: Vec<Option<Continuation<'_, R>>> = (0..nprocs)
-            .map(|rank| {
-                let logs = Arc::clone(logs);
-                let sync = Arc::clone(sync);
-                let home = home.clone();
-                let net = net.clone();
-                let race = race.clone();
-                let config = &self.config;
-                let fut = async move {
-                    sync.wait_first_turn(rank).await;
-                    let mut ctx = ProcCtx::new(
-                        rank,
-                        config,
-                        layout,
-                        logs,
-                        Arc::clone(&sync),
-                        home,
-                        net,
-                        race,
-                    );
-                    let result = body(&mut ctx).await;
-                    (result, ctx.finish())
-                };
-                Some(Box::pin(fut) as Continuation<'_, R>)
-            })
-            .collect();
-
-        type Outcome<R> = Result<(R, ProcStats), Box<dyn Any + Send>>;
-        let mut outcomes: Vec<Option<Outcome<R>>> = (0..nprocs).map(|_| None).collect();
-        let mut cx = Context::from_waker(Waker::noop());
-
-        // The pick loop: resume whoever the scheduler says is current.  A
-        // `Pending` step means the processor parked (and the park transition
-        // already picked a successor); `Ready` or a panic retires the rank.
-        while let Some(rank) = sync.scheduler().current() {
-            let fut = continuations[rank]
-                .as_mut()
-                .expect("current processor must have a live continuation");
-            let step = catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx)));
-            match step {
-                Ok(Poll::Pending) => {}
-                Ok(Poll::Ready(pair)) => {
-                    continuations[rank] = None;
-                    let retired = catch_unwind(AssertUnwindSafe(|| sync.scheduler().finish(rank)));
-                    // As in the threaded engine, retirement turning into the
-                    // last-runnable deadlock abort supersedes the result.
-                    outcomes[rank] = Some(match retired {
-                        Ok(()) => Ok(pair),
-                        Err(abort) => Err(abort),
-                    });
-                }
-                Err(payload) => {
-                    // The body's own panic is the root cause; it wins over
-                    // any secondary scheduler abort from the retirement.
-                    continuations[rank] = None;
-                    let _ = catch_unwind(AssertUnwindSafe(|| sync.scheduler().finish(rank)));
-                    outcomes[rank] = Some(Err(payload));
-                }
+            Err(payload) => {
+                // The body's own panic is the root cause; it wins over
+                // any secondary scheduler abort from the retirement.
+                continuations[rank] = None;
+                let _ = catch_unwind(AssertUnwindSafe(|| sched.finish(rank)));
+                outcomes[rank] = Some(Err(payload));
             }
         }
-
-        // Surface failures the way the threaded engine's rank-order join
-        // does: the first failed rank's payload, re-raised under the same
-        // message.  (Ranks still parked at abort time have no outcome; their
-        // threaded counterparts would all carry the deadlock panic.)
-        let abort = sync.scheduler().abort_dump();
-        if abort.is_some() || outcomes.iter().any(|o| matches!(o, Some(Err(_)))) {
-            for outcome in &mut outcomes {
-                if matches!(outcome, Some(Err(_))) {
-                    if let Some(Err(payload)) = outcome.take() {
-                        let failed: Result<(), _> = Err(payload);
-                        failed.expect("processor thread panicked");
-                    }
-                }
-            }
-            // A deadlock no processor panicked over: raise the scheduler's
-            // state dump directly so the diagnostics stay visible.
-            panic!(
-                "{}",
-                abort.expect("event engine stopped with neither an abort nor a panic")
-            );
-        }
-
-        outcomes
-            .into_iter()
-            .enumerate()
-            .map(|(rank, o)| match o {
-                Some(Ok(pair)) => pair,
-                _ => unreachable!("processor {rank} never completed"),
-            })
-            .collect()
     }
+
+    // Surface failures in rank order: the first failed rank's payload.
+    // (Ranks still parked at abort time have no outcome.)
+    let abort = sched.abort_dump();
+    if abort.is_some() || outcomes.iter().any(|o| matches!(o, Some(Err(_)))) {
+        for outcome in &mut outcomes {
+            if let Some(Err(payload)) = outcome.take_if(|o| o.is_err()) {
+                let failed: Result<(), _> = Err(payload);
+                failed.expect("processor thread panicked");
+            }
+        }
+        // A deadlock no processor panicked over: raise the scheduler's
+        // state dump directly so the diagnostics stay visible.
+        panic!(
+            "{}",
+            abort.expect("run loop stopped with neither an abort nor a panic")
+        );
+    }
+
+    outcomes
+        .into_iter()
+        .enumerate()
+        .map(|(rank, o)| match o {
+            Some(Ok(output)) => output,
+            _ => unreachable!("processor {rank} never completed"),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -474,7 +367,6 @@ mod tests {
             sched: tm_sched::SchedConfig::default(),
             diff_timing: crate::config::DiffTiming::default(),
             gc_flush_pending_limit: crate::config::DEFAULT_GC_FLUSH_PENDING_LIMIT,
-            engine: EngineKind::default(),
             topology: tm_net::Topology::default(),
             aggregation: tm_net::AggregationPolicy::default(),
             racecheck: false,
@@ -572,12 +464,10 @@ mod tests {
         use tm_sched::SchedConfig;
         // A lock-contended workload whose *message counts* depend on the
         // hand-off order: under the deterministic scheduler the full stats
-        // must reproduce exactly per seed — on both substrates, which must
-        // also agree with each other bit-for-bit.
-        let run = |sched: SchedConfig, engine: EngineKind| {
+        // must reproduce exactly per seed.
+        let run = |sched: SchedConfig| {
             let mut dsm = Dsm::new(DsmConfig {
                 sched,
-                engine,
                 ..small_config(4)
             });
             let counter = dsm.alloc_scalar::<u64>(Align::Page);
@@ -599,21 +489,14 @@ mod tests {
             SchedConfig::seeded(0),
             SchedConfig::seeded(17),
         ] {
-            let a = run(sched, EngineKind::EventDriven);
-            let b = run(sched, EngineKind::EventDriven);
+            let a = run(sched);
+            let b = run(sched);
             assert_eq!(
                 a.breakdown(),
                 b.breakdown(),
                 "{sched:?} must reproduce bit-identically"
             );
             assert_eq!(a.exec_time_ns(), b.exec_time_ns());
-            let t = run(sched, EngineKind::Threaded);
-            assert_eq!(
-                a.breakdown(),
-                t.breakdown(),
-                "{sched:?} must agree across substrates"
-            );
-            assert_eq!(a.exec_time_ns(), t.exec_time_ns());
         }
     }
 
@@ -703,10 +586,8 @@ mod tests {
     #[should_panic(expected = "processor thread panicked")]
     fn panicking_processor_aborts_the_run_instead_of_hanging() {
         // Rank 1 panics before its barrier; the remaining processors block
-        // there forever. The scheduler must abort the whole cluster (every
-        // parked thread panics) so the failure propagates through join —
-        // with three or more processors a regression here used to park the
-        // survivors forever instead.
+        // there forever. The scheduler must abort the whole cluster so the
+        // failure propagates instead of leaving the survivors parked.
         let dsm = Dsm::new(small_config(3));
         dsm.run(async |ctx| {
             if ctx.rank() == 1 {
@@ -717,27 +598,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "processor thread panicked")]
-    fn panicking_processor_aborts_the_threaded_run_too() {
-        // Same scenario on the thread-per-processor substrate: the panic
-        // must surface under the identical message.
-        let dsm = Dsm::new(DsmConfig {
-            engine: EngineKind::Threaded,
-            ..small_config(3)
-        });
+    #[should_panic(expected = "simulated deadlock: no runnable processor")]
+    fn simulated_deadlock_raises_the_scheduler_state_dump() {
+        // Two processors take two locks in opposite order and park on each
+        // other: nobody panics, nobody is runnable — the run loop must raise
+        // the scheduler's state dump instead of spinning or returning.
+        let dsm = Dsm::new(small_config(2));
         dsm.run(async |ctx| {
-            if ctx.rank() == 1 {
-                panic!("application failure on rank 1");
-            }
+            let me = ctx.rank();
+            ctx.acquire(me).await;
             ctx.barrier().await;
+            ctx.acquire(1 - me).await;
         });
     }
 
     #[test]
     fn event_engine_survives_a_panic_without_corrupting_state() {
-        // A panicking run on the event engine must leave the process able to
-        // start a fresh run immediately — the catch_unwind step boundary may
-        // not poison any engine state that outlives the run.
+        // A panicking run must leave the process able to start a fresh run
+        // immediately — the catch_unwind step boundary may not poison any
+        // state that outlives the run.
         let result = catch_unwind(AssertUnwindSafe(|| {
             let dsm = Dsm::new(small_config(2));
             dsm.run(async |ctx| {

@@ -1,12 +1,24 @@
 //! DSM configuration: cluster geometry and the consistency-unit policy.
 
 use serde::json::Value;
-use serde::{field_u64, Deserialize, FromJson, JsonSchemaError, Serialize, ToJson};
+use serde::{field_u64, FromJson, JsonSchemaError, ToJson};
 use tm_net::{AggregationPolicy, CostModel, NetworkConfig, Topology};
 use tm_page::{PageId, PageLayout};
-use tm_sched::{EngineKind, SchedConfig, ScheduleMode};
+use tm_sched::{SchedConfig, ScheduleMode};
 
 use crate::protocol::ProtocolMode;
+
+/// Compile-compat shim for the frozen `benchmark/` package, which still
+/// passes `EngineKind::default()` to `tm_bench::Cell::new` and
+/// `tm_apps::AppConfig::engine`.  There is one execution substrate and
+/// nothing may branch on this; the next `benchmark` PR removes those call
+/// sites and then this enum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum EngineKind {
+    /// The only substrate: one host thread resuming processor continuations.
+    #[default]
+    EventDriven,
+}
 
 /// When a dirty page's diff is encoded — at interval close, or on demand at
 /// the first request that needs it.
@@ -19,7 +31,7 @@ use crate::protocol::ProtocolMode;
 /// so the paper's message counts and volumes are independent of this knob;
 /// only where and when `CostModel::diff_create_cost` is charged differs (see
 /// DESIGN.md, "Eager versus lazy diff creation").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum DiffTiming {
     /// Encode every dirty page's diff when the interval closes (charged to
     /// the writer at close time).
@@ -63,7 +75,7 @@ impl std::fmt::Display for DiffTiming {
 
 /// How hardware pages are grouped into consistency units — the central knob
 /// of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnitPolicy {
     /// A fixed consistency unit of `pages` contiguous, aligned hardware
     /// pages.  `pages = 1` is the classic TreadMarks configuration (4 KB on
@@ -174,8 +186,8 @@ pub struct SweepPoint {
 /// This is the paper's experimental design expressed as data — Figures 1
 /// and 2 are [`SweepSpec::paper_units`] over each application, the group-size
 /// ablation is [`SweepSpec::dyn_group_ablation`] — and it is what the
-/// `tm-bench` experiment engine expands into runnable cells.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// `tm-bench` experiment runner expands into runnable cells.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepSpec {
     /// Processor counts to sweep (each must be in 1..=1024).
     pub procs: Vec<usize>,
@@ -195,14 +207,10 @@ pub struct SweepSpec {
     /// tie-break mode, and the *base* seed the harness mixes into each
     /// cell's identity seed.
     pub sched: SchedConfig,
-    /// Execution substrate every point runs on (the event-driven engine by
-    /// default; results are bit-identical across engines, so this is a
-    /// host-performance knob, not an experimental axis).
-    pub engine: EngineKind,
     /// Run every point under the happens-before race detector (off by
     /// default).  Detection is pure observation — it cannot change any
-    /// measured quantity — so, like `engine`, this is not an experimental
-    /// axis; it only adds `races` reports to the emitted documents.
+    /// measured quantity — so this is not an experimental axis; it only
+    /// adds `races` reports to the emitted documents.
     pub racecheck: bool,
 }
 
@@ -222,7 +230,6 @@ impl SweepSpec {
             networks: vec![NetworkConfig::default()],
             page_size: 4096,
             sched: SchedConfig::default(),
-            engine: EngineKind::default(),
             racecheck: false,
         }
     }
@@ -240,7 +247,6 @@ impl SweepSpec {
             networks: vec![NetworkConfig::default()],
             page_size: 4096,
             sched: SchedConfig::default(),
-            engine: EngineKind::default(),
             racecheck: false,
         }
     }
@@ -254,7 +260,6 @@ impl SweepSpec {
             networks: vec![NetworkConfig::default()],
             page_size: 4096,
             sched: SchedConfig::default(),
-            engine: EngineKind::default(),
             racecheck: false,
         }
     }
@@ -268,12 +273,6 @@ impl SweepSpec {
     /// Builder-style setter for the protocol axis.
     pub fn with_protocols(mut self, protocols: Vec<ProtocolMode>) -> Self {
         self.protocols = protocols;
-        self
-    }
-
-    /// Builder-style setter for the execution engine.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -379,21 +378,6 @@ pub fn sched_from_json(v: &Value) -> Result<SchedConfig, JsonSchemaError> {
     Ok(SchedConfig { mode, seed })
 }
 
-/// Parse an optional `"engine"` field from a JSON object: absent means the
-/// default (event-driven) engine, matching the emit-only-when-non-default
-/// convention that keeps default-engine documents byte-identical to the ones
-/// produced before the engine seam existed.  (Free function for the same
-/// reason as [`sched_to_json`]: `EngineKind` is foreign to this crate.)
-pub fn engine_from_json(v: &Value) -> Result<EngineKind, JsonSchemaError> {
-    match v.get("engine") {
-        None => Ok(EngineKind::default()),
-        Some(e) => e
-            .as_str()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| JsonSchemaError::new("engine", "\"threaded\" or \"event\"")),
-    }
-}
-
 impl ToJson for SweepSpec {
     fn to_json(&self) -> Value {
         let mut fields = vec![
@@ -412,13 +396,8 @@ impl ToJson for SweepSpec {
             ("page_size", Value::Num(self.page_size as f64)),
             ("sched", sched_to_json(&self.sched)),
         ];
-        // Additive field, emitted only for the non-default engine so that
-        // default-engine documents stay byte-identical to pre-seam ones.
-        if self.engine != EngineKind::default() {
-            fields.push(("engine", Value::Str(self.engine.as_str().to_string())));
-        }
-        // Same discipline for the network axis: the ideal/per-message default
-        // is omitted so pre-topology documents stay byte-identical.
+        // Additive field: the ideal/per-message default is omitted so
+        // pre-topology documents stay byte-identical.
         if self.networks != vec![NetworkConfig::default()] {
             fields.push((
                 "networks",
@@ -496,8 +475,6 @@ impl FromJson for SweepSpec {
                 Some(s) => sched_from_json(s).map_err(|e| e.in_context("sched"))?,
                 None => SchedConfig::default(),
             },
-            // Additive field: absent means the default engine.
-            engine: engine_from_json(v)?,
             // Additive field: absent means race detection off.
             racecheck: match v.get("racecheck") {
                 None => false,
@@ -513,9 +490,9 @@ impl FromJson for SweepSpec {
 pub const DEFAULT_GC_FLUSH_PENDING_LIMIT: usize = 16_384;
 
 /// Complete configuration of a DSM cluster.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DsmConfig {
-    /// Number of processors (threads standing in for cluster nodes).
+    /// Number of simulated processors (the cluster nodes).
     pub nprocs: usize,
     /// Hardware page size in bytes (4096 on the paper's platform).
     pub page_size: usize,
@@ -551,14 +528,6 @@ pub struct DsmConfig {
     /// messages, so runs below the threshold are bit-identical to runs with
     /// the flush disabled.
     pub gc_flush_pending_limit: usize,
-    /// Execution substrate [`crate::Dsm::run`] drives the simulated
-    /// processors on: one OS thread per processor parked on the scheduler
-    /// ([`EngineKind::Threaded`]), or a single-threaded discrete-event loop
-    /// resuming processor continuations in scheduler pick order
-    /// ([`EngineKind::EventDriven`], the default).  Results are bit-identical
-    /// across engines; only host-side cost differs, which is what makes
-    /// processor counts far beyond the paper's 32 practical.
-    pub engine: EngineKind,
     /// Network topology the run models ([`Topology::Ideal`] by default —
     /// the calibrated infinite-bandwidth model every golden document is
     /// pinned against).  Contended topologies track per-link occupancy and
@@ -593,7 +562,6 @@ impl DsmConfig {
             sched: SchedConfig::default(),
             diff_timing: DiffTiming::default(),
             gc_flush_pending_limit: DEFAULT_GC_FLUSH_PENDING_LIMIT,
-            engine: EngineKind::default(),
             topology: Topology::default(),
             aggregation: AggregationPolicy::default(),
             racecheck: false,
@@ -654,12 +622,6 @@ impl DsmConfig {
     /// Builder-style setter for the GC validation-flush trigger.
     pub fn gc_flush_pending_limit(mut self, limit: usize) -> Self {
         self.gc_flush_pending_limit = limit;
-        self
-    }
-
-    /// Builder-style setter for the execution engine.
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -795,7 +757,6 @@ mod tests {
             networks: vec![NetworkConfig::default()],
             page_size: 4096,
             sched: SchedConfig::default(),
-            engine: EngineKind::default(),
             racecheck: false,
         };
         assert_eq!(multi.points().len(), 2);
@@ -832,33 +793,25 @@ mod tests {
                 mode: ScheduleMode::Fifo,
                 seed: 0xdead_beef,
             },
-            engine: EngineKind::Threaded,
             racecheck: true,
         };
         let parsed =
             SweepSpec::from_json(&serde::json::parse(&spec.to_json().pretty()).unwrap()).unwrap();
         assert_eq!(parsed, spec);
-        // The default engine is omitted on emit and restored on parse.
-        let default_engine = SweepSpec {
-            engine: EngineKind::default(),
-            ..spec.clone()
-        };
-        let emitted = default_engine.to_json().pretty();
-        assert!(!emitted.contains("engine"));
-        assert_eq!(
-            SweepSpec::from_json(&serde::json::parse(&emitted).unwrap()).unwrap(),
-            default_engine
-        );
-        let bad_engine = serde::json::parse(
+        // Documents written while an `engine` axis existed still parse: the
+        // key is ignored (engines never changed measurements).
+        let with_engine = serde::json::parse(
             r#"{"procs":[1],"units":[{"kind":"static","pages":1}],"page_size":4096,
-                "engine":"fibers"}"#,
+                "engine":"threaded"}"#,
         )
         .unwrap();
-        let err = SweepSpec::from_json(&bad_engine).unwrap_err();
-        assert_eq!(err.path, "engine");
+        assert_eq!(
+            SweepSpec::from_json(&with_engine).unwrap(),
+            SweepSpec::single(1, UnitPolicy::Static { pages: 1 })
+        );
 
         // The default (ideal, per-message) network axis is omitted on emit
-        // and restored on parse, like the default engine.
+        // and restored on parse.
         let default_net = SweepSpec {
             networks: vec![NetworkConfig::default()],
             ..spec.clone()
@@ -945,15 +898,7 @@ mod tests {
     #[test]
     fn large_clusters_validate_up_to_1024() {
         DsmConfig::with_procs(1024).validate();
-        assert_eq!(
-            DsmConfig::paper_default()
-                .engine(EngineKind::Threaded)
-                .engine,
-            EngineKind::Threaded
-        );
-        let spec = SweepSpec::paper_units(256);
-        spec.validate();
-        assert_eq!(spec.engine, EngineKind::EventDriven);
+        SweepSpec::paper_units(256).validate();
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! diffs are retired (see DESIGN.md, "Interval garbage collection").
 
 use crate::fasthash::FastHashMap;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 use tm_page::{Diff, PageId, RunSpan};
@@ -22,7 +21,7 @@ use crate::vc::VectorClock;
 
 /// Identifies one closed interval of one processor.  Interval sequence
 /// numbers start at 1; a vector-clock entry of `k` covers intervals `1..=k`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct IntervalId {
     /// Processor that executed the interval.
     pub proc: u32,
@@ -33,7 +32,7 @@ pub struct IntervalId {
 /// A write notice: "processor `interval.proc` modified `page` during
 /// `interval`".  Receiving a notice obliges the receiver to invalidate the
 /// consistency unit containing the page before its next access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WriteNotice {
     /// The modified page.
     pub page: PageId,
@@ -47,7 +46,7 @@ pub const NOTICE_WIRE_BYTES: u64 = 12;
 
 /// Record of one closed interval, published in the owning processor's shared
 /// log for others to read when they synchronize.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IntervalRecord {
     /// Which interval this is.
     pub id: IntervalId,
@@ -147,8 +146,9 @@ pub struct ChainFetch {
 /// its closed-interval log and the stored diffs of those intervals.
 ///
 /// On the real system this state is only reachable through request messages;
-/// here other threads read it directly under a mutex while the simulated
-/// network charges the cost of the messages they would have sent.
+/// here the other simulated processors read it directly (one at a time —
+/// see `cluster::RunState`) while the simulated network charges the cost of
+/// the messages they would have sent.
 ///
 /// The log is a retirement window: `retired` leading records have been
 /// garbage-collected, so live records cover sequence numbers

@@ -61,7 +61,7 @@ pub mod vc;
 pub use aggregation::DynamicAggregator;
 pub use cluster::{Dsm, RunOutput};
 pub use config::{
-    engine_from_json, sched_from_json, sched_to_json, DiffTiming, DsmConfig, SweepPoint, SweepSpec,
+    sched_from_json, sched_to_json, DiffTiming, DsmConfig, EngineKind, SweepPoint, SweepSpec,
     UnitPolicy,
 };
 pub use handle::{GArray, GMatrix, GScalar, SharedVal};
@@ -82,4 +82,4 @@ pub use tm_net::{
 };
 pub use tm_page::{Align, Diff, GlobalAddr, HomeStore, PageId, PageLayout};
 pub use tm_race::{AccessKind, RaceDetector, RaceRecord};
-pub use tm_sched::{EngineKind, SchedConfig, ScheduleMode, Scheduler};
+pub use tm_sched::{SchedConfig, ScheduleMode, Scheduler};

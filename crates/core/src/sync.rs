@@ -2,23 +2,26 @@
 //!
 //! TreadMarks provides exactly two synchronization primitives — locks and
 //! barriers — and lazy release consistency piggybacks its write notices on
-//! them.  Since the deterministic scheduling rework, the *blocking*
-//! behaviour no longer races on OS primitives: every lock and barrier is a
-//! plain state machine, and waiting is delegated to the cluster's
-//! [`tm_sched::Scheduler`], which serializes the simulated processors under
-//! cooperative turn-taking ordered by `(logical clock, tie-break)`.  Who
-//! acquires a contended lock next is therefore a pure function of the run's
-//! configuration and seed, never of host thread scheduling.  The
+//! them.  Every lock and barrier here is a plain state machine that never
+//! blocks the host: waiting means suspending at a [`TurnWait`] park point
+//! after telling the cluster's [`tm_sched::Scheduler`], which serializes the
+//! simulated processors under cooperative turn-taking ordered by
+//! `(logical clock, tie-break)`.  Who acquires a contended lock next is
+//! therefore a pure function of the run's configuration and seed.  The
 //! *consistency information* (vector clock of the last release) and the
-//! *modeled time* of each operation travel alongside, unchanged.
+//! *modeled time* of each operation travel alongside.
+//!
+//! One host thread runs a whole cluster, so [`GlobalSync`] shares its lock
+//! table and barrier through `RefCell`s; no borrow is ever held across a
+//! park point.
 
+use std::cell::RefCell;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
+use std::rc::Rc;
+use std::task::{Context, Poll};
 
-use parking_lot::Mutex;
-use tm_sched::{EngineKind, SchedConfig, Scheduler, WaitKey};
+use tm_sched::{SchedConfig, Scheduler, WaitKey};
 
 use crate::vc::VectorClock;
 
@@ -36,13 +39,6 @@ pub struct LockRelease {
     pub clock_ns: u64,
 }
 
-#[derive(Debug)]
-struct LockInner {
-    held: bool,
-    last: LockRelease,
-    acquisitions: u64,
-}
-
 /// One global application lock (TreadMarks lock id).
 ///
 /// The lock itself never blocks: [`try_acquire`](Self::try_acquire) either
@@ -50,44 +46,42 @@ struct LockInner {
 /// caller on the scheduler until a release wakes it.
 #[derive(Debug)]
 pub struct GlobalLock {
-    inner: Mutex<LockInner>,
+    held: bool,
+    last: LockRelease,
+    acquisitions: u64,
 }
 
 impl GlobalLock {
     /// Create a free lock for a cluster of `nprocs` processors.
     pub fn new(nprocs: usize) -> Self {
         GlobalLock {
-            inner: Mutex::new(LockInner {
-                held: false,
-                last: LockRelease {
-                    releaser: None,
-                    vc: VectorClock::zero(nprocs),
-                    clock_ns: 0,
-                },
-                acquisitions: 0,
-            }),
+            held: false,
+            last: LockRelease {
+                releaser: None,
+                vc: VectorClock::zero(nprocs),
+                clock_ns: 0,
+            },
+            acquisitions: 0,
         }
     }
 
     /// Take the lock if it is free, returning the snapshot of the last
     /// release (the grant's consistency payload); `None` if it is held.
-    pub fn try_acquire(&self) -> Option<LockRelease> {
-        let mut inner = self.inner.lock();
-        if inner.held {
+    pub fn try_acquire(&mut self) -> Option<LockRelease> {
+        if self.held {
             return None;
         }
-        inner.held = true;
-        inner.acquisitions += 1;
-        Some(inner.last.clone())
+        self.held = true;
+        self.acquisitions += 1;
+        Some(self.last.clone())
     }
 
     /// Release the lock, publishing the releaser's identity, vector time and
     /// modeled release time for the next acquirer.
-    pub fn release(&self, releaser: u32, vc: VectorClock, clock_ns: u64) {
-        let mut inner = self.inner.lock();
-        debug_assert!(inner.held, "release of a lock that is not held");
-        inner.held = false;
-        inner.last = LockRelease {
+    pub fn release(&mut self, releaser: u32, vc: VectorClock, clock_ns: u64) {
+        debug_assert!(self.held, "release of a lock that is not held");
+        self.held = false;
+        self.last = LockRelease {
             releaser: Some(releaser),
             vc,
             clock_ns,
@@ -96,7 +90,7 @@ impl GlobalLock {
 
     /// Number of times the lock has been acquired (statistics/tests).
     pub fn acquisitions(&self) -> u64 {
-        self.inner.lock().acquisitions
+        self.acquisitions
     }
 }
 
@@ -147,8 +141,15 @@ pub fn gc_thresholds(prev_published: &[u32], pending_floor: &[u32]) -> Vec<u32> 
         .collect()
 }
 
+/// The centralized barrier (managed by processor 0 in TreadMarks).
+///
+/// Besides gating every processor until all have arrived (the parking is
+/// done by the scheduler, see [`GlobalSync::barrier_arrive`]), the barrier
+/// computes the modeled departure time: the latest arrival's logical clock
+/// plus the calibrated barrier latency.
 #[derive(Debug)]
-struct BarrierInner {
+pub struct CentralBarrier {
+    nprocs: usize,
     generation: u64,
     arrived: usize,
     max_clock_ns: u64,
@@ -159,7 +160,7 @@ struct BarrierInner {
     /// Elementwise minimum, over this episode's arrivers so far, of each
     /// arriver's smallest pending notice sequence number per writer.
     pending_floor: Vec<u32>,
-    epoch: Arc<BarrierEpoch>,
+    epoch: Rc<BarrierEpoch>,
 }
 
 /// Outcome of recording one barrier arrival.
@@ -168,42 +169,28 @@ enum Arrival {
     /// the given generation.
     Sealed {
         generation: u64,
-        epoch: Arc<BarrierEpoch>,
+        epoch: Rc<BarrierEpoch>,
     },
     /// More arrivals pending: park on the given generation.
     Wait { generation: u64 },
-}
-
-/// The centralized barrier (managed by processor 0 in TreadMarks).
-///
-/// Besides gating every processor until all have arrived (the parking is
-/// done by the scheduler, see [`GlobalSync::barrier_arrive`]), the barrier
-/// computes the modeled departure time: the latest arrival's logical clock
-/// plus the calibrated barrier latency.
-#[derive(Debug)]
-pub struct CentralBarrier {
-    inner: Mutex<BarrierInner>,
-    nprocs: usize,
 }
 
 impl CentralBarrier {
     /// Create a barrier for `nprocs` processors.
     pub fn new(nprocs: usize) -> Self {
         CentralBarrier {
-            inner: Mutex::new(BarrierInner {
-                generation: 0,
-                arrived: 0,
-                max_clock_ns: 0,
-                lens: vec![0; nprocs],
-                prev_published: vec![0; nprocs],
-                pending_floor: vec![u32::MAX; nprocs],
-                epoch: Arc::new(BarrierEpoch {
-                    depart_clock_ns: 0,
-                    published_intervals: vec![0; nprocs],
-                    retire_below: vec![0; nprocs],
-                }),
-            }),
             nprocs,
+            generation: 0,
+            arrived: 0,
+            max_clock_ns: 0,
+            lens: vec![0; nprocs],
+            prev_published: vec![0; nprocs],
+            pending_floor: vec![u32::MAX; nprocs],
+            epoch: Rc::new(BarrierEpoch {
+                depart_clock_ns: 0,
+                published_intervals: vec![0; nprocs],
+                retire_below: vec![0; nprocs],
+            }),
         }
     }
 
@@ -218,34 +205,33 @@ impl CentralBarrier {
     /// applied yet (`u32::MAX` when none) — the arriver's contribution to
     /// the episode's GC watermark.
     fn arrive(
-        &self,
+        &mut self,
         rank: usize,
         my_clock_ns: u64,
         barrier_latency_ns: u64,
         my_published_intervals: u32,
         my_pending_floor: &[u32],
     ) -> Arrival {
-        let mut inner = self.inner.lock();
-        let generation = inner.generation;
-        inner.max_clock_ns = inner.max_clock_ns.max(my_clock_ns);
-        inner.lens[rank] = my_published_intervals;
-        for (acc, &floor) in inner.pending_floor.iter_mut().zip(my_pending_floor) {
+        let generation = self.generation;
+        self.max_clock_ns = self.max_clock_ns.max(my_clock_ns);
+        self.lens[rank] = my_published_intervals;
+        for (acc, &floor) in self.pending_floor.iter_mut().zip(my_pending_floor) {
             *acc = (*acc).min(floor);
         }
-        inner.arrived += 1;
-        if inner.arrived == self.nprocs {
+        self.arrived += 1;
+        if self.arrived == self.nprocs {
             // Last arriver: seal the episode and open the next generation.
-            let epoch = Arc::new(BarrierEpoch {
-                depart_clock_ns: inner.max_clock_ns.saturating_add(barrier_latency_ns),
-                published_intervals: inner.lens.clone(),
-                retire_below: gc_thresholds(&inner.prev_published, &inner.pending_floor),
+            let epoch = Rc::new(BarrierEpoch {
+                depart_clock_ns: self.max_clock_ns.saturating_add(barrier_latency_ns),
+                published_intervals: self.lens.clone(),
+                retire_below: gc_thresholds(&self.prev_published, &self.pending_floor),
             });
-            inner.epoch = Arc::clone(&epoch);
-            inner.prev_published = inner.lens.clone();
-            inner.pending_floor.fill(u32::MAX);
-            inner.arrived = 0;
-            inner.max_clock_ns = 0;
-            inner.generation += 1;
+            self.epoch = Rc::clone(&epoch);
+            self.prev_published = self.lens.clone();
+            self.pending_floor.fill(u32::MAX);
+            self.arrived = 0;
+            self.max_clock_ns = 0;
+            self.generation += 1;
             Arrival::Sealed { generation, epoch }
         } else {
             Arrival::Wait { generation }
@@ -253,8 +239,8 @@ impl CentralBarrier {
     }
 
     /// The most recently sealed episode.
-    fn epoch(&self) -> Arc<BarrierEpoch> {
-        Arc::clone(&self.inner.lock().epoch)
+    fn epoch(&self) -> Rc<BarrierEpoch> {
+        Rc::clone(&self.epoch)
     }
 }
 
@@ -262,8 +248,6 @@ impl CentralBarrier {
 /// turn to come back around.
 #[derive(Debug)]
 enum TurnOp {
-    /// No transition: just wait for this processor's first turn.
-    FirstTurn,
     /// Requeue as runnable at `clock_ns`, then wait to be picked again.
     Yield { clock_ns: u64 },
     /// Park on `key` at `clock_ns`, then wait to be woken and picked.
@@ -271,24 +255,14 @@ enum TurnOp {
 }
 
 /// A park point: the future returned by every scheduler wait in
-/// [`GlobalSync`].  The same future serves both substrates:
-///
-/// * **Threaded** — the transition plus the wait run as one *blocking*
-///   scheduler call inside the first `poll`, which therefore always returns
-///   [`Poll::Ready`]; the future never actually suspends.
-/// * **EventDriven** — the first `poll` applies the transition through the
-///   scheduler's non-blocking `note_*` API (which also picks the next
-///   runnable processor), then reports [`Poll::Pending`] until the
-///   single-threaded engine observes this processor is current again.
-///
-/// Either way the scheduler sees the exact same sequence of transitions, so
-/// the decision log — and with it every downstream statistic — is
-/// bit-identical across engines.
+/// [`GlobalSync`].  The first `poll` applies the transition through the
+/// scheduler (which also picks the next runnable processor); the future then
+/// reports [`Poll::Pending`] until the run loop, which resumes only the
+/// scheduler's current pick, finds this processor current again.
 #[derive(Debug)]
 pub struct TurnWait<'a> {
     sched: &'a Scheduler,
     rank: usize,
-    engine: EngineKind,
     op: Option<TurnOp>,
 }
 
@@ -296,52 +270,18 @@ impl Future for TurnWait<'_> {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-        let this = &mut *self;
-        match this.engine {
-            EngineKind::Threaded => {
-                if let Some(op) = this.op.take() {
-                    match op {
-                        TurnOp::FirstTurn => this.sched.wait_first_turn(this.rank),
-                        TurnOp::Yield { clock_ns } => this.sched.yield_turn(this.rank, clock_ns),
-                        TurnOp::Block { key, clock_ns } => {
-                            this.sched.block_on(this.rank, key, clock_ns)
-                        }
-                    }
-                }
-                Poll::Ready(())
+        match self.op.take() {
+            Some(TurnOp::Yield { clock_ns }) => self.sched.note_yield(self.rank, clock_ns),
+            Some(TurnOp::Block { key, clock_ns }) => {
+                self.sched.note_block(self.rank, key, clock_ns)
             }
-            EngineKind::EventDriven => {
-                if let Some(op) = this.op.take() {
-                    match op {
-                        TurnOp::FirstTurn => {}
-                        TurnOp::Yield { clock_ns } => this.sched.note_yield(this.rank, clock_ns),
-                        TurnOp::Block { key, clock_ns } => {
-                            this.sched.note_block(this.rank, key, clock_ns)
-                        }
-                    }
-                }
-                if this.sched.is_current(this.rank) {
-                    Poll::Ready(())
-                } else {
-                    Poll::Pending
-                }
-            }
+            None => {}
         }
-    }
-}
-
-/// Drive a future that must complete within a single poll — the contract of
-/// every [`TurnWait`] under the threaded engine, where each park point
-/// blocks internally and resolves before `poll` returns.
-///
-/// # Panics
-/// Panics if the future suspends, which would mean a threaded-mode park
-/// point returned [`Poll::Pending`] — a substrate bug.
-pub(crate) fn complete_now<F: Future>(fut: F) -> F::Output {
-    let mut fut = std::pin::pin!(fut);
-    match fut.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
-        Poll::Ready(v) => v,
-        Poll::Pending => unreachable!("threaded-engine future suspended; park points must block"),
+        if self.sched.is_current(self.rank) {
+            Poll::Ready(())
+        } else {
+            Poll::Pending
+        }
     }
 }
 
@@ -350,23 +290,21 @@ pub(crate) fn complete_now<F: Future>(fut: F) -> F::Output {
 /// every blocking point.
 #[derive(Debug)]
 pub struct GlobalSync {
-    /// Application locks, indexed by lock id.
-    pub locks: Vec<GlobalLock>,
-    /// The single centralized barrier.
-    pub barrier: CentralBarrier,
+    locks: Vec<RefCell<GlobalLock>>,
+    barrier: RefCell<CentralBarrier>,
     sched: Scheduler,
-    engine: EngineKind,
 }
 
 impl GlobalSync {
     /// Create the synchronization state for a cluster running under the
-    /// given scheduling configuration and execution engine.
-    pub fn new(nprocs: usize, max_locks: usize, sched: SchedConfig, engine: EngineKind) -> Self {
+    /// given scheduling configuration.
+    pub fn new(nprocs: usize, max_locks: usize, sched: SchedConfig) -> Self {
         GlobalSync {
-            locks: (0..max_locks).map(|_| GlobalLock::new(nprocs)).collect(),
-            barrier: CentralBarrier::new(nprocs),
+            locks: (0..max_locks)
+                .map(|_| RefCell::new(GlobalLock::new(nprocs)))
+                .collect(),
+            barrier: RefCell::new(CentralBarrier::new(nprocs)),
             sched: Scheduler::new(nprocs, sched),
-            engine,
         }
     }
 
@@ -375,27 +313,11 @@ impl GlobalSync {
         &self.sched
     }
 
-    /// Which execution substrate drives this cluster's processors.
-    pub fn engine(&self) -> EngineKind {
-        self.engine
-    }
-
-    /// Park point: wait for this processor's first turn.
-    pub(crate) fn wait_first_turn(&self, rank: usize) -> TurnWait<'_> {
-        TurnWait {
-            sched: &self.sched,
-            rank,
-            engine: self.engine,
-            op: Some(TurnOp::FirstTurn),
-        }
-    }
-
     /// Park point: requeue as runnable at `clock_ns` and wait to be picked.
     pub(crate) fn yield_turn(&self, rank: usize, clock_ns: u64) -> TurnWait<'_> {
         TurnWait {
             sched: &self.sched,
             rank,
-            engine: self.engine,
             op: Some(TurnOp::Yield { clock_ns }),
         }
     }
@@ -405,7 +327,6 @@ impl GlobalSync {
         TurnWait {
             sched: &self.sched,
             rank,
-            engine: self.engine,
             op: Some(TurnOp::Block { key, clock_ns }),
         }
     }
@@ -414,7 +335,7 @@ impl GlobalSync {
     ///
     /// # Panics
     /// Panics if `id` is outside the configured lock table.
-    pub fn lock(&self, id: usize) -> &GlobalLock {
+    pub fn lock(&self, id: usize) -> &RefCell<GlobalLock> {
         self.locks.get(id).unwrap_or_else(|| {
             panic!(
                 "lock id {id} outside the configured table of {} locks",
@@ -431,7 +352,7 @@ impl GlobalSync {
     pub async fn acquire_lock(&self, id: usize, rank: usize, clock_ns: u64) -> LockRelease {
         self.yield_turn(rank, clock_ns).await;
         loop {
-            if let Some(grant) = self.lock(id).try_acquire() {
+            if let Some(grant) = self.lock(id).borrow_mut().try_acquire() {
                 return grant;
             }
             self.block_turn(rank, WaitKey::Lock(id as u32), clock_ns)
@@ -442,7 +363,9 @@ impl GlobalSync {
     /// Release lock `id`, wake its waiters, and yield the turn so that a
     /// waiter with an earlier request clock runs before we race ahead.
     pub async fn release_lock(&self, id: usize, rank: usize, vc: VectorClock, clock_ns: u64) {
-        self.lock(id).release(rank as u32, vc, clock_ns);
+        self.lock(id)
+            .borrow_mut()
+            .release(rank as u32, vc, clock_ns);
         self.sched.wake_all(WaitKey::Lock(id as u32));
         self.yield_turn(rank, clock_ns).await;
     }
@@ -460,15 +383,16 @@ impl GlobalSync {
         barrier_latency_ns: u64,
         published_intervals: u32,
         pending_floor: &[u32],
-    ) -> Arc<BarrierEpoch> {
+    ) -> Rc<BarrierEpoch> {
         self.yield_turn(rank, clock_ns).await;
-        match self.barrier.arrive(
+        let arrival = self.barrier.borrow_mut().arrive(
             rank,
             clock_ns,
             barrier_latency_ns,
             published_intervals,
             pending_floor,
-        ) {
+        );
+        match arrival {
             Arrival::Sealed { generation, epoch } => {
                 self.sched.wake_all(WaitKey::Barrier(generation));
                 epoch
@@ -476,7 +400,7 @@ impl GlobalSync {
             Arrival::Wait { generation } => {
                 self.block_turn(rank, WaitKey::Barrier(generation), clock_ns)
                     .await;
-                self.barrier.epoch()
+                self.barrier.borrow().epoch()
             }
         }
     }
@@ -485,38 +409,23 @@ impl GlobalSync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::{drive, Continuation};
+    use std::cell::Cell;
     use tm_sched::ScheduleMode;
 
-    /// Run `nprocs` threads against one `GlobalSync`, following the
-    /// scheduler protocol (first-turn wait + finish), and collect each
-    /// thread's result in rank order.
-    fn drive<R, F>(sync: &GlobalSync, nprocs: usize, body: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
+    /// Run `body(rank)` for every rank against one `GlobalSync` through the
+    /// cluster's own pick loop, and collect the results in rank order.
+    fn run<R>(sync: &GlobalSync, nprocs: usize, body: impl AsyncFn(usize) -> R) -> Vec<R> {
         let body = &body;
-        let mut out = Vec::with_capacity(nprocs);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for rank in 0..nprocs {
-                handles.push(scope.spawn(move || {
-                    sync.scheduler().wait_first_turn(rank);
-                    let r = body(rank);
-                    sync.scheduler().finish(rank);
-                    r
-                }));
-            }
-            for h in handles {
-                out.push(h.join().expect("sync test thread panicked"));
-            }
-        });
-        out
+        let continuations = (0..nprocs)
+            .map(|rank| Box::pin(body(rank)) as Continuation<'_, R>)
+            .collect();
+        drive(sync.scheduler(), continuations)
     }
 
     #[test]
     fn lock_hands_over_release_snapshot() {
-        let lock = GlobalLock::new(2);
+        let mut lock = GlobalLock::new(2);
         let first = lock.try_acquire().expect("free lock must be acquirable");
         assert!(first.releaser.is_none());
         assert!(lock.try_acquire().is_none(), "held lock must refuse");
@@ -532,34 +441,36 @@ mod tests {
 
     #[test]
     fn lock_mutual_exclusion_and_deterministic_handoff() {
-        // Four processors increment a plain (non-atomic-protocol) counter
-        // 200 times each under the global lock. Mutual exclusion makes the
-        // total exact; the scheduler makes the hand-off ORDER a pure
-        // function of the seed, which we check by tracing two identical
-        // runs.
-        let run = |seed: u64| {
-            let sync = GlobalSync::new(4, 4, SchedConfig::seeded(seed), EngineKind::Threaded);
-            let order = Mutex::new(Vec::new());
-            let counter = Mutex::new(0u64);
-            drive(&sync, 4, |rank| {
+        // Four processors increment a plain counter 200 times each under
+        // the global lock, checking on entry that nobody else is inside.
+        // The scheduler makes the hand-off ORDER a pure function of the
+        // seed, which we check by tracing two identical runs.
+        let run_seed = |seed: u64| {
+            let sync = GlobalSync::new(4, 4, SchedConfig::seeded(seed));
+            let order = RefCell::new(Vec::new());
+            let inside = Cell::new(false);
+            let counter = Cell::new(0u64);
+            run(&sync, 4, async |rank| {
                 for i in 0..200u64 {
                     let clock = rank as u64 + 4 * i;
-                    let _grant = complete_now(sync.acquire_lock(0, rank, clock));
-                    {
-                        let mut c = counter.lock();
-                        let v = *c;
-                        std::hint::black_box(&v);
-                        *c = v + 1;
-                    }
-                    order.lock().push(rank as u32);
-                    complete_now(sync.release_lock(0, rank, VectorClock::zero(4), clock + 1));
+                    let _grant = sync.acquire_lock(0, rank, clock).await;
+                    assert!(!inside.replace(true), "two holders of one lock");
+                    counter.set(counter.get() + 1);
+                    order.borrow_mut().push(rank as u32);
+                    inside.set(false);
+                    sync.release_lock(0, rank, VectorClock::zero(4), clock + 1)
+                        .await;
                 }
             });
-            assert_eq!(*counter.lock(), 800);
-            assert_eq!(sync.lock(0).acquisitions(), 800);
+            assert_eq!(counter.get(), 800);
+            assert_eq!(sync.lock(0).borrow().acquisitions(), 800);
             order.into_inner()
         };
-        assert_eq!(run(7), run(7), "same seed must give the same handoff order");
+        assert_eq!(
+            run_seed(7),
+            run_seed(7),
+            "same seed must give the same handoff order"
+        );
     }
 
     #[test]
@@ -567,43 +478,50 @@ mod tests {
         // Rank 0 takes the lock at clock 0 and holds it until clock 10_000;
         // ranks 1..4 request it at clocks 300, 200, 100. Hand-off must be in
         // request-clock order: 3, 2, 1.
-        let sync = GlobalSync::new(4, 1, SchedConfig::fifo(), EngineKind::Threaded);
-        let order = Mutex::new(Vec::new());
-        drive(&sync, 4, |rank| {
+        let sync = GlobalSync::new(4, 1, SchedConfig::fifo());
+        let order = RefCell::new(Vec::new());
+        run(&sync, 4, async |rank| {
             if rank == 0 {
-                let _ = complete_now(sync.acquire_lock(0, 0, 0));
+                let _ = sync.acquire_lock(0, 0, 0).await;
                 // Let the others get their requests in, then release late.
-                sync.scheduler().yield_turn(0, 9_000);
-                complete_now(sync.release_lock(0, 0, VectorClock::zero(4), 10_000));
+                sync.yield_turn(0, 9_000).await;
+                sync.release_lock(0, 0, VectorClock::zero(4), 10_000).await;
             } else {
                 let clock = 100 * (4 - rank) as u64;
-                let _ = complete_now(sync.acquire_lock(0, rank, clock));
-                order.lock().push(rank);
-                complete_now(sync.release_lock(0, rank, VectorClock::zero(4), 10_000 + clock));
+                let _ = sync.acquire_lock(0, rank, clock).await;
+                order.borrow_mut().push(rank);
+                sync.release_lock(0, rank, VectorClock::zero(4), 10_000 + clock)
+                    .await;
             }
         });
-        assert_eq!(*order.lock(), vec![3, 2, 1]);
+        assert_eq!(order.into_inner(), vec![3, 2, 1]);
     }
 
     #[test]
     fn barrier_departure_is_max_arrival_plus_latency() {
-        let sync = GlobalSync::new(3, 1, SchedConfig::fifo(), EngineKind::Threaded);
-        let departs = drive(&sync, 3, |rank| {
+        let sync = GlobalSync::new(3, 1, SchedConfig::fifo());
+        let departs = run(&sync, 3, async |rank| {
             let clock = [100u64, 900, 400][rank];
-            complete_now(sync.barrier_arrive(rank, clock, 50, 0, &[u32::MAX; 3])).depart_clock_ns
+            sync.barrier_arrive(rank, clock, 50, 0, &[u32::MAX; 3])
+                .await
+                .depart_clock_ns
         });
         assert_eq!(departs, vec![950, 950, 950]);
     }
 
     #[test]
     fn barrier_is_reusable_across_generations() {
-        let sync = GlobalSync::new(2, 1, SchedConfig::fifo(), EngineKind::Threaded);
-        let results = drive(&sync, 2, |rank| {
+        let sync = GlobalSync::new(2, 1, SchedConfig::fifo());
+        let results = run(&sync, 2, async |rank| {
             let first = [20u64, 10][rank];
-            let a = complete_now(sync.barrier_arrive(rank, first, 5, 0, &[u32::MAX; 2]))
+            let a = sync
+                .barrier_arrive(rank, first, 5, 0, &[u32::MAX; 2])
+                .await
                 .depart_clock_ns;
             let second = if rank == 0 { a + 1 } else { a + 100 };
-            let b = complete_now(sync.barrier_arrive(rank, second, 5, 0, &[u32::MAX; 2]))
+            let b = sync
+                .barrier_arrive(rank, second, 5, 0, &[u32::MAX; 2])
+                .await
                 .depart_clock_ns;
             (a, b)
         });
@@ -613,15 +531,10 @@ mod tests {
 
     #[test]
     fn barrier_snapshots_published_intervals() {
-        let sync = GlobalSync::new(3, 1, SchedConfig::seeded(3), EngineKind::Threaded);
-        let epochs = drive(&sync, 3, |rank| {
-            complete_now(sync.barrier_arrive(
-                rank,
-                10 * rank as u64,
-                7,
-                rank as u32 * 2,
-                &[u32::MAX; 3],
-            ))
+        let sync = GlobalSync::new(3, 1, SchedConfig::seeded(3));
+        let epochs = run(&sync, 3, async |rank| {
+            sync.barrier_arrive(rank, 10 * rank as u64, 7, rank as u32 * 2, &[u32::MAX; 3])
+                .await
         });
         for e in epochs {
             assert_eq!(e.published_intervals, vec![0, 2, 4]);
@@ -645,13 +558,15 @@ mod tests {
 
     #[test]
     fn barrier_seals_gc_watermarks_from_previous_coverage() {
-        let sync = GlobalSync::new(2, 1, SchedConfig::fifo(), EngineKind::Threaded);
-        let results = drive(&sync, 2, |rank| {
+        let sync = GlobalSync::new(2, 1, SchedConfig::fifo());
+        let results = run(&sync, 2, async |rank| {
             // Episode 1: ranks have published 4 and 2 intervals, nothing
             // pending.  Episode 2: rank 1 still has rank 0's interval 3
             // pending.
             let published = [4u32, 2][rank];
-            let first = complete_now(sync.barrier_arrive(rank, 10, 5, published, &[u32::MAX; 2]))
+            let first = sync
+                .barrier_arrive(rank, 10, 5, published, &[u32::MAX; 2])
+                .await
                 .retire_below
                 .clone();
             let floor = if rank == 1 {
@@ -659,7 +574,9 @@ mod tests {
             } else {
                 [u32::MAX; 2]
             };
-            let second = complete_now(sync.barrier_arrive(rank, 100, 5, published + 1, &floor))
+            let second = sync
+                .barrier_arrive(rank, 100, 5, published + 1, &floor)
+                .await
                 .retire_below
                 .clone();
             (first, second)
@@ -675,9 +592,8 @@ mod tests {
 
     #[test]
     fn scheduler_mode_is_wired_through() {
-        let sync = GlobalSync::new(2, 1, SchedConfig::seeded(99), EngineKind::Threaded);
+        let sync = GlobalSync::new(2, 1, SchedConfig::seeded(99));
         assert_eq!(sync.scheduler().config().seed, 99);
-        assert_eq!(sync.engine(), EngineKind::Threaded);
         assert_eq!(sync.scheduler().config().mode, ScheduleMode::Seeded);
         assert_eq!(sync.scheduler().nprocs(), 2);
     }
@@ -685,7 +601,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside the configured table")]
     fn out_of_range_lock_id_panics() {
-        let sync = GlobalSync::new(2, 4, SchedConfig::default(), EngineKind::default());
+        let sync = GlobalSync::new(2, 4, SchedConfig::default());
         sync.lock(10);
     }
 }

@@ -8,8 +8,6 @@
 //! the intervals the acquirer has not yet seen but that happened before the
 //! corresponding release.
 
-use serde::{Deserialize, Serialize};
-
 /// Result of comparing two vector clocks under the happens-before partial
 /// order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,7 +24,7 @@ pub enum VcOrder {
 
 /// A vector clock over `n` processors.  Entry `p` counts how many of
 /// processor `p`'s closed intervals are covered.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VectorClock {
     entries: Vec<u32>,
 }

@@ -19,6 +19,10 @@
 //!   accumulators must saturate (`saturating_add` / `saturating_mul`) so a
 //!   pathological configuration overflows to "forever", not to a small
 //!   wrapped value that reorders the event queue.
+//! * **`host-sync`** — `Mutex` / `RwLock` / `Condvar` / `parking_lot` /
+//!   `std::thread` / `thread::`.  One host thread runs a whole simulated
+//!   cluster and shares its state through `Rc`/`RefCell`; host threading
+//!   lives only in `tm-bench`'s worker pool, which runs independent cells.
 //!
 //! The scanner is plain text, line-oriented, and dependency-free by design
 //! (it has to run in CI before anything else builds).  It skips comment
@@ -246,6 +250,19 @@ fn check_line(line: &str) -> Vec<(&'static str, String)> {
         ));
     }
 
+    let host_sync = ["Mutex", "RwLock", "Condvar", "parking_lot"]
+        .into_iter()
+        .find(|name| contains_word(line, name))
+        .or(["std::thread", "thread::"]
+            .into_iter()
+            .find(|path| line.contains(path)));
+    if let Some(name) = host_sync {
+        out.push((
+            "host-sync",
+            format!("`{name}`: a simulation runs on one host thread; share state through `Rc`/`RefCell`"),
+        ));
+    }
+
     if let Some(ident) = clock_arith_lhs(line) {
         out.push((
             "clock-arith",
@@ -358,6 +375,26 @@ mod tests {
         assert!(rules("let x = words * cost_ns;").is_empty()); // _ns on the right
         assert!(rules("let y = a + b;").is_empty());
         assert!(rules("let p = *ptr_ns;").is_empty()); // deref, not binary
+    }
+
+    #[test]
+    fn host_sync_rule_fires_and_respects_comments_and_waivers() {
+        assert_eq!(rules("state: Mutex<SchedState>,"), ["host-sync"]);
+        assert_eq!(rules("use parking_lot::{Condvar, Mutex};"), ["host-sync"]);
+        assert_eq!(rules("let l = RwLock::new(0);"), ["host-sync"]);
+        assert_eq!(rules("std::thread::scope(|scope| {"), ["host-sync"]);
+        assert_eq!(rules("thread::sleep(d);"), ["host-sync"]);
+        // The single-threaded sharing types pass.
+        assert!(rules("state: RefCell<SchedState>,").is_empty());
+        assert!(rules("shared: Rc<RunState>,").is_empty());
+        let src = "\
+// a Mutex in a comment line — fine
+let m = Mutex::new(0); // real finding (line 2)
+let c = Condvar::new(); // lint:allow(host-sync)
+";
+        let findings = scan_source(Path::new("x.rs"), src);
+        let got: Vec<(usize, &str)> = findings.iter().map(|f| (f.line, f.rule)).collect();
+        assert_eq!(got, [(2, "host-sync")]);
     }
 
     #[test]

@@ -6,10 +6,8 @@
 //! merge clocks — a barrier sets everyone to the latest arrival plus the
 //! barrier latency; a lock hand-off makes the acquirer wait for the releaser.
 
-use serde::{Deserialize, Serialize};
-
 /// A monotonically increasing logical clock in nanoseconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct LogicalClock {
     ns: u64,
 }

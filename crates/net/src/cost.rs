@@ -17,10 +17,9 @@
 use crate::link::NetworkState;
 use crate::msg::MSG_HEADER_BYTES;
 use crate::topology::Topology;
-use serde::{Deserialize, Serialize};
 
 /// All tunable cost constants, in nanoseconds (or nanoseconds per byte).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Round-trip network latency of a minimal message (request + reply
     /// software overhead included).

@@ -12,8 +12,7 @@
 //!
 //! Everything is a pure function of the logical clock values the
 //! deterministic scheduler already produces, so contended runs reproduce
-//! bit-for-bit across reruns and across execution engines, exactly like the
-//! ideal model.  All arithmetic saturates (the large workload tier crosses
+//! bit-for-bit across reruns, exactly like the ideal model.  All arithmetic saturates (the large workload tier crosses
 //! `u64` products; the CI `checked` build would catch a wrapping multiply).
 //!
 //! * [`Topology::SharedBus`] has a single link (index 0) that every message
@@ -23,10 +22,10 @@
 
 use crate::topology::Topology;
 use serde::json::Value;
-use serde::{field_u64, Deserialize, FromJson, JsonSchemaError, Serialize, ToJson};
+use serde::{field_u64, FromJson, JsonSchemaError, ToJson};
 
 /// Accumulated counters of one link (the bus, or one processor's NIC).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Link index: 0 for the shared bus, the processor rank for switched
     /// NICs.
@@ -126,7 +125,7 @@ impl LinkState {
 }
 
 /// The shared occupancy state of a contended topology.  Built once per run
-/// (next to the home directory) and threaded to every processor; the
+/// (next to the home directory) and shared by every processor; the
 /// deterministic scheduler serializes accesses, so the state is a pure
 /// function of the run's logical schedule.
 #[derive(Debug, Clone)]

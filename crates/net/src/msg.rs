@@ -6,10 +6,8 @@
 //! turned out to be useful.  These records are the raw material for the
 //! paper's useful/useless breakdowns.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a DSM processor (0-based rank).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcId(pub u32);
 
 impl ProcId {
@@ -27,7 +25,7 @@ impl std::fmt::Display for ProcId {
 }
 
 /// Kinds of messages the TreadMarks-style protocol sends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MsgKind {
     /// Page-fault request for the diffs of one or more pages (one per
     /// concurrent writer contacted).
@@ -66,7 +64,7 @@ pub const MSG_HEADER_BYTES: u64 = 42;
 /// One request/reply *diff exchange* between a faulting processor and one
 /// concurrent writer.  The exchange is the unit the paper classifies as a
 /// useful or useless message pair.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiffExchange {
     /// Requester-local exchange id; also used as the delivery-attribution tag
     /// in the requester's page store.
@@ -110,7 +108,7 @@ impl DiffExchange {
 
 /// The record of one page/consistency-unit fault, used to build the
 /// false-sharing signature (Figure 3 of the paper).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultRecord {
     /// Number of concurrent writers the faulting processor had to contact
     /// (the number of diff exchanges issued by this fault).
@@ -124,7 +122,7 @@ pub struct FaultRecord {
 
 /// A control message (lock or barrier traffic) — accounted but never
 /// classified as useless: synchronization traffic is always necessary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControlMsg {
     /// What kind of control message.
     pub kind: MsgKind,

@@ -14,12 +14,12 @@
 //! [`ClusterStats::breakdown`] derives the figures.
 
 use serde::json::Value;
-use serde::{field_arr, field_u64, Deserialize, FromJson, JsonSchemaError, Serialize, ToJson};
+use serde::{field_arr, field_u64, FromJson, JsonSchemaError, ToJson};
 
 use crate::msg::{ControlMsg, DiffExchange, FaultRecord, MsgKind, ProcId, MSG_HEADER_BYTES};
 
 /// Statistics gathered by one processor during a run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProcStats {
     /// Rank of the processor these statistics belong to.
     pub proc: u32,
@@ -110,7 +110,7 @@ impl ProcStats {
 }
 
 /// One bucket of the false-sharing signature histogram.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SignatureBucket {
     /// Faults that contacted exactly this many concurrent writers.
     pub faults: u64,
@@ -124,7 +124,7 @@ pub struct SignatureBucket {
 /// (the paper's Figure 3).  Bucket `k` holds faults that contacted `k`
 /// writers; bucket 0 holds faults that needed no exchange (possible under
 /// dynamic aggregation when the data was prefetched).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SignatureHistogram {
     buckets: Vec<SignatureBucket>,
 }
@@ -207,7 +207,7 @@ impl SignatureHistogram {
 
 /// The communication breakdown the paper reports for every application and
 /// consistency-unit configuration (Figures 1 and 2).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommBreakdown {
     /// Messages whose exchange delivered at least one useful word, plus all
     /// synchronization messages.
@@ -259,7 +259,7 @@ impl CommBreakdown {
 /// they are identical under eager and lazy diff timing; on-demand creation
 /// counts (which differ by timing) deliberately live elsewhere
 /// ([`ProcStats::diffs_created_on_demand`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcCounters {
     /// Intervals closed (published) across all processors.
     pub intervals_closed: u64,
@@ -285,7 +285,7 @@ impl GcCounters {
 }
 
 /// Statistics of a whole cluster run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClusterStats {
     /// One entry per processor.
     pub per_proc: Vec<ProcStats>,
@@ -535,7 +535,7 @@ impl FromJson for CommBreakdown {
 
 /// A `(value, baseline)` pair normalized the way the paper's figures are:
 /// every statistic divided by its value at the 4 KB consistency unit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Normalized {
     /// Raw value of the configuration under study.
     pub value: f64,

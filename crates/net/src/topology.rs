@@ -28,10 +28,10 @@
 //! the paper's useless-data effect at the message layer.
 
 use serde::json::Value;
-use serde::{Deserialize, FromJson, JsonSchemaError, Serialize, ToJson};
+use serde::{FromJson, JsonSchemaError, ToJson};
 
 /// The shape of the simulated interconnect (see the module docs).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Topology {
     /// Infinite-bandwidth network: the calibrated per-byte charges apply but
     /// nothing ever queues.  The compatibility default.
@@ -101,7 +101,7 @@ impl FromJson for Topology {
 }
 
 /// How write notices and diff flushes are packed onto the wire.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum AggregationPolicy {
     /// One wire message per destination (the TreadMarks default).
     #[default]
@@ -163,7 +163,7 @@ impl FromJson for AggregationPolicy {
 
 /// A topology plus an aggregation policy — the network half of a run's
 /// configuration, grouped so sweeps can carry the pair as one axis value.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct NetworkConfig {
     /// Interconnect shape.
     pub topology: Topology,

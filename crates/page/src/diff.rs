@@ -23,15 +23,13 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::layout::{PageId, WORD_SIZE};
 
 /// One maximal run of consecutive modified words: the byte offset of the
 /// first modified word within the page, and the run's payload length in
 /// bytes.  The payload bytes of a diff's runs are packed back to back in
 /// its payload buffer, in span order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunSpan {
     /// Byte offset of the first modified word within the page.
     pub offset: u32,

@@ -7,15 +7,13 @@
 //! (32-bit) is the granularity at which diffs record modifications and at
 //! which the useful/useless-data classifier attributes delivered data.
 
-use serde::{Deserialize, Serialize};
-
 /// Size in bytes of the diff/attribution word.  TreadMarks diffs record
 /// modifications at 32-bit granularity; the paper's instrumentation counts
 /// useful/useless data per word.
 pub const WORD_SIZE: usize = 4;
 
 /// Identifier of one hardware page of the global address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageId(pub u32);
 
 impl PageId {
@@ -33,7 +31,7 @@ impl std::fmt::Display for PageId {
 }
 
 /// A byte offset into the global shared address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GlobalAddr(pub u64);
 
 impl GlobalAddr {
@@ -57,7 +55,7 @@ impl std::fmt::Display for GlobalAddr {
 }
 
 /// Describes the geometry of the paged global address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageLayout {
     page_size: usize,
     total_pages: u32,

@@ -2,7 +2,7 @@
 //!
 //! Lazy release consistency only promises sequentially-consistent results to
 //! *data-race-free* programs; every repo invariant (bit-identical checksums
-//! across protocols, engines and topologies) silently assumes the
+//! across protocols and topologies) silently assumes the
 //! applications are DRF.  This crate checks that assumption inside the
 //! simulator: a FastTrack-style happens-before detector over sync vector
 //! clocks fed by the simulator's lock and barrier operations.
@@ -48,8 +48,8 @@
 //! because the simulator schedule is deterministic — then coalesced into
 //! word ranges and returned sorted ([`RaceDetector::take_races`]).  The
 //! resulting race set is a pure function of (app, config, seed, schedule)
-//! and therefore rerun- and engine-stable, like every other artifact in
-//! this workspace.
+//! and therefore rerun-stable, like every other artifact in this
+//! workspace.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -57,10 +57,10 @@
 use std::collections::BTreeMap;
 
 use serde::json::Value;
-use serde::{field_str, field_u64, Deserialize, FromJson, JsonSchemaError, Serialize, ToJson};
+use serde::{field_str, field_u64, FromJson, JsonSchemaError, ToJson};
 
 /// Kind of a shared-memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AccessKind {
     /// A load from shared memory.
     Read,
@@ -153,7 +153,7 @@ impl WordState {
 /// `word_lo..=word_hi` is a coalesced run of adjacent words racing with the
 /// same `(ranks, kinds, intervals)` signature.  The `first` access is the
 /// one the deterministic schedule performed earlier.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RaceRecord {
     /// Page containing the racing words.
     pub page: u32,

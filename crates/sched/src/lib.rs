@@ -1,14 +1,14 @@
-//! # tm-sched — deterministic execution engine for the simulated cluster
+//! # tm-sched — deterministic scheduler for the simulated cluster
 //!
-//! The simulated processors of `tdsm-core` run as real OS threads, but free
-//! running they would race on the synchronization substrate: lock-arrival
+//! The simulated processors of `tdsm-core` are resumable state machines
+//! driven by one host thread.  Which of them runs next decides lock-arrival
 //! order — and with it the message counts the paper's figures are built
-//! from — would depend on host scheduling. This crate removes that last
-//! source of nondeterminism.
+//! from — so that choice must never depend on the host.  This crate makes it
+//! a pure function of the run's configuration.
 //!
 //! A [`Scheduler`] serializes the simulated processors under **cooperative
 //! turn-taking**: exactly one processor holds *the turn* at any moment and
-//! runs; all others are parked. The turn is handed over only at explicit
+//! runs; all others are suspended. The turn is handed over only at explicit
 //! yield points (lock acquire/release, barrier arrival, fault service), and
 //! the next holder is always the runnable processor with the smallest
 //! `(logical clock, tie-break)` pair. Ties — every processor leaves a
@@ -18,77 +18,30 @@
 //! `(program, configuration, seed)` and different seeds explore different
 //! legal interleavings.
 //!
-//! The scheduler knows nothing about DSM protocol state; it only orders
-//! threads. `tdsm-core`'s [`GlobalSync`](../tdsm_core/sync) drives it.
+//! The scheduler knows nothing about DSM protocol state and resumes nobody
+//! itself; it only decides who is due. `tdsm-core`'s
+//! [`GlobalSync`](../tdsm_core/sync) reports the transitions and its run
+//! loop resumes whoever [`Scheduler::current`] names.
 //!
 //! ## Protocol
 //!
-//! Every participating thread must:
+//! The driver polls [`Scheduler::current`] and resumes that processor, which
+//! must:
 //!
-//! 1. call [`Scheduler::wait_first_turn`] before touching shared simulation
-//!    state,
-//! 2. call [`Scheduler::yield_turn`] / [`Scheduler::block_on`] /
-//!    [`Scheduler::wake_all`] only while holding the turn, and
-//! 3. call [`Scheduler::finish`] exactly once when done.
+//! 1. call [`Scheduler::note_yield`] / [`Scheduler::note_block`] /
+//!    [`Scheduler::wake_all`] only while holding the turn, suspending itself
+//!    after the first two until `current` names it again, and
+//! 2. be retired with [`Scheduler::finish`] exactly once when done.
 //!
 //! If every unfinished processor is blocked the simulated program has
-//! deadlocked; the scheduler panics with a state dump rather than hanging.
+//! deadlocked; the scheduler records the abort ([`Scheduler::abort_dump`])
+//! and `finish` panics with the state dump rather than letting the run hang.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::cell::RefCell;
 use std::fmt;
-
-use parking_lot::{Condvar, Mutex};
-
-/// Which execution substrate drives the simulated processors.
-///
-/// Both substrates take their scheduling decisions from the same
-/// [`Scheduler`] pick loop, so a run's results are independent of the
-/// choice; only the host-side mechanics differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EngineKind {
-    /// One OS thread per simulated processor, parked on the scheduler's
-    /// condvar whenever it does not hold the turn (the original substrate).
-    Threaded,
-    /// Single-threaded discrete-event engine: each processor is a resumable
-    /// state machine (a future) polled only while it holds the turn.  No
-    /// per-processor threads, so clusters of hundreds of processors are
-    /// cheap.  The default.
-    #[default]
-    EventDriven,
-}
-
-impl EngineKind {
-    /// Canonical lowercase name, as accepted by `--engine` and recorded in
-    /// emitted results.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            EngineKind::Threaded => "threaded",
-            EngineKind::EventDriven => "event",
-        }
-    }
-}
-
-impl std::str::FromStr for EngineKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threaded" => Ok(EngineKind::Threaded),
-            "event" | "event-driven" => Ok(EngineKind::EventDriven),
-            other => Err(format!(
-                "unknown engine '{other}' (expected threaded or event)"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
 
 /// How scheduling ties (equal logical clocks) are broken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -187,7 +140,7 @@ enum ProcState {
         /// Logical time (ns) at which it blocked — its priority once woken.
         clock_ns: u64,
     },
-    /// The processor's thread has completed.
+    /// The processor has completed.
     Finished,
 }
 
@@ -215,13 +168,13 @@ struct SchedState {
     /// Number of scheduling decisions taken (feeds seeded tie-breaking).
     decisions: u64,
     /// Set when a scheduling decision found no runnable processor while
-    /// unfinished ones remain — a simulated deadlock. Once set, every
-    /// scheduler call (parked or arriving) panics instead of waiting, so
-    /// the whole cluster aborts rather than hanging on parked threads.
+    /// unfinished ones remain — a simulated deadlock. Once set, no further
+    /// decision is taken: the driver stops ([`Scheduler::current`] is
+    /// `None`) and reports [`Scheduler::abort_dump`].
     aborted: bool,
     /// When present, every decision's `(decision index, chosen rank)` is
-    /// appended here — the decision-trace hook the cross-substrate tests
-    /// compare.  `None` (the default) costs nothing on the pick path.
+    /// appended here — the decision-trace hook the schedule goldens pin.
+    /// `None` (the default) costs nothing on the pick path.
     trace: Option<Vec<(u64, usize)>>,
 }
 
@@ -251,8 +204,7 @@ impl SchedState {
 /// protocol).
 #[derive(Debug)]
 pub struct Scheduler {
-    state: Mutex<SchedState>,
-    cv: Condvar,
+    state: RefCell<SchedState>,
     config: SchedConfig,
     nprocs: usize,
 }
@@ -289,8 +241,7 @@ impl Scheduler {
         };
         Self::pick(&mut state, &config);
         Scheduler {
-            state: Mutex::new(state),
-            cv: Condvar::new(),
+            state: RefCell::new(state),
             config,
             nprocs,
         }
@@ -308,7 +259,7 @@ impl Scheduler {
 
     /// Number of scheduling decisions taken so far (statistics/tests).
     pub fn decisions(&self) -> u64 {
-        self.state.lock().decisions
+        self.state.borrow().decisions
     }
 
     /// Tie-break rank for `rank` at decision `decisions`.
@@ -322,8 +273,8 @@ impl Scheduler {
     /// Take one scheduling decision: hand the turn to the runnable processor
     /// with the smallest `(clock, tie-break, rank)` triple. Finding no
     /// runnable processor while unfinished ones remain blocked is a deadlock
-    /// of the simulated program: the state is marked aborted (the caller
-    /// wakes everyone and panics — see [`check_aborted`](Self::check_aborted)).
+    /// of the simulated program: the state is marked aborted (see
+    /// [`abort_dump`](Self::abort_dump)).
     fn pick(state: &mut SchedState, config: &SchedConfig) {
         if state.aborted {
             return;
@@ -372,8 +323,8 @@ impl Scheduler {
                 // Either every processor finished or the unfinished ones are
                 // all blocked (a simulated deadlock). In both cases nobody
                 // holds the turn — clearing `current` is what stops the
-                // event-driven pick loop; leaving it stale would let the
-                // engine resume a processor the schedule never chose.
+                // driver's pick loop; leaving it stale would let it resume a
+                // processor the schedule never chose.
                 state.current = None;
                 if state.finished != state.procs.len() {
                     state.aborted = true;
@@ -382,130 +333,71 @@ impl Scheduler {
         }
     }
 
-    /// Panic with a state dump if the scheduler has aborted. Every scheduler
-    /// entry point calls this after waking (and after any pick), so a
-    /// deadlock panics *every* participating thread — parked ones included —
-    /// instead of leaving them waiting on a turn that will never come.
-    fn check_aborted(state: &SchedState) {
-        if state.aborted {
-            panic!(
-                "simulated deadlock: no runnable processor, states: {:?}",
-                state.procs
-            );
-        }
+    /// The deadlock state dump of an aborted scheduler.
+    fn dump(state: &SchedState) -> String {
+        format!(
+            "simulated deadlock: no runnable processor, states: {:?}",
+            state.procs
+        )
     }
 
-    /// Park until the scheduler first hands this processor the turn. Must be
-    /// the first scheduler call of every participating thread.
-    ///
-    /// # Panics
-    /// Panics if the cluster aborts (simulated deadlock) first.
-    pub fn wait_first_turn(&self, rank: usize) {
-        self.wait_turn(rank);
-    }
-
-    /// Park until `rank` holds the turn (the blocking half of the threaded
-    /// substrate; the event-driven engine never parks — it polls
-    /// [`current`](Self::current) instead).
-    fn wait_turn(&self, rank: usize) {
-        let mut state = self.state.lock();
-        while state.current != Some(rank) && !state.aborted {
-            self.cv.wait(&mut state);
-        }
-        Self::check_aborted(&state);
-    }
-
-    /// Announce this processor's current logical clock and offer the turn to
-    /// whoever is due; returns once the turn comes back to this processor.
+    /// Yield point: announce this processor's current logical clock and take
+    /// the next scheduling decision — whoever the turn goes to.  The caller
+    /// must suspend itself until [`current`](Self::current) names it again.
     /// Must be called while holding the turn.
-    ///
-    /// # Panics
-    /// Panics if the cluster aborts (simulated deadlock) while parked.
-    pub fn yield_turn(&self, rank: usize, clock_ns: u64) {
-        self.note_yield(rank, clock_ns);
-        self.wait_turn(rank);
-    }
-
-    /// The state transition of [`yield_turn`](Self::yield_turn) without the
-    /// park: announce the clock, take the next scheduling decision, wake any
-    /// parked threads — and return immediately, whoever the turn went to.
-    /// This is the event-driven substrate's yield point; the caller must
-    /// suspend itself until [`current`](Self::current) names it again.  Must
-    /// be called while holding the turn.
     pub fn note_yield(&self, rank: usize, clock_ns: u64) {
-        let mut state = self.state.lock();
+        let mut state = self.state.borrow_mut();
         debug_assert_eq!(state.current, Some(rank), "yield without holding the turn");
         state.procs[rank] = ProcState::Runnable { clock_ns };
         Self::pick(&mut state, &self.config);
-        self.cv.notify_all();
     }
 
-    /// Block this processor on `key`, handing the turn over. Returns once a
-    /// [`wake_all`](Self::wake_all) with an equal key has made it runnable
-    /// *and* the scheduler has handed it the turn again. Must be called
-    /// while holding the turn.
-    ///
-    /// # Panics
-    /// Panics if blocking deadlocks the cluster, or if the cluster aborts
-    /// while parked.
-    pub fn block_on(&self, rank: usize, key: WaitKey, clock_ns: u64) {
-        self.note_block(rank, key, clock_ns);
-        self.wait_turn(rank);
-    }
-
-    /// The state transition of [`block_on`](Self::block_on) without the
-    /// park (the event-driven substrate's block point — see
-    /// [`note_yield`](Self::note_yield)).  Unlike `block_on` this never
-    /// panics on a deadlock it provokes: the aborted state is left for the
-    /// driving engine to observe via [`abort_dump`](Self::abort_dump).  Must
-    /// be called while holding the turn.
+    /// Block point: park this processor on `key` until a
+    /// [`wake_all`](Self::wake_all) with an equal key makes it runnable
+    /// again, and hand the turn over.  The caller must suspend itself until
+    /// [`current`](Self::current) names it again.  A deadlock this provokes
+    /// does not panic here: the aborted state is left for the driver to
+    /// observe via [`abort_dump`](Self::abort_dump).  Must be called while
+    /// holding the turn.
     pub fn note_block(&self, rank: usize, key: WaitKey, clock_ns: u64) {
-        let mut state = self.state.lock();
+        let mut state = self.state.borrow_mut();
         debug_assert_eq!(state.current, Some(rank), "block without holding the turn");
         state.procs[rank] = ProcState::Blocked { key, clock_ns };
         state.remove_runnable(rank);
         Self::pick(&mut state, &self.config);
-        self.cv.notify_all();
     }
 
     /// The rank currently holding the turn (`None` once every processor has
-    /// finished).  The event-driven engine's pick loop reads this to decide
-    /// which processor to poll next.
+    /// finished, or after an abort).  The driver's pick loop reads this to
+    /// decide which processor to resume next.
     pub fn current(&self) -> Option<usize> {
-        self.state.lock().current
+        self.state.borrow().current
     }
 
-    /// True if `rank` currently holds the turn (the event-driven substrate's
+    /// True if `rank` currently holds the turn (a suspended processor's
     /// readiness test).
     pub fn is_current(&self, rank: usize) -> bool {
-        self.state.lock().current == Some(rank)
+        self.current() == Some(rank)
     }
 
-    /// The deadlock state dump, if the scheduler has aborted: the same
-    /// message the blocking entry points panic with.  The event-driven
-    /// engine polls this instead of relying on parked threads panicking.
+    /// The deadlock state dump, if the scheduler has aborted: the message
+    /// [`finish`](Self::finish) panics with.
     pub fn abort_dump(&self) -> Option<String> {
-        let state = self.state.lock();
-        state.aborted.then(|| {
-            format!(
-                "simulated deadlock: no runnable processor, states: {:?}",
-                state.procs
-            )
-        })
+        let state = self.state.borrow();
+        state.aborted.then(|| Self::dump(&state))
     }
 
     /// Start recording `(decision index, chosen rank)` for every scheduling
-    /// decision from now on (the decision-trace hook the cross-substrate
-    /// differential tests compare).  Discards any previous trace.
+    /// decision from now on.  Discards any previous trace.
     pub fn enable_decision_trace(&self) {
-        self.state.lock().trace = Some(Vec::new());
+        self.state.borrow_mut().trace = Some(Vec::new());
     }
 
     /// Stop recording and hand back the decision trace collected since
     /// [`enable_decision_trace`](Self::enable_decision_trace), or `None` if
     /// tracing was never enabled.
     pub fn take_decision_trace(&self) -> Option<Vec<(u64, usize)>> {
-        self.state.lock().trace.take()
+        self.state.borrow_mut().trace.take()
     }
 
     /// Make every processor blocked on `key` runnable again (at the logical
@@ -513,7 +405,7 @@ impl Scheduler {
     /// processors compete for it from the caller's next yield point on.
     /// Returns how many processors were woken.
     pub fn wake_all(&self, key: WaitKey) -> usize {
-        let mut state = self.state.lock();
+        let mut state = self.state.borrow_mut();
         let mut woken = 0;
         for rank in 0..state.procs.len() {
             if let ProcState::Blocked { key: k, clock_ns } = state.procs[rank] {
@@ -535,64 +427,86 @@ impl Scheduler {
     /// Panics if retiring this processor deadlocks the rest of the cluster
     /// (every remaining processor blocked on a wake that cannot come).
     pub fn finish(&self, rank: usize) {
-        let mut state = self.state.lock();
+        let mut state = self.state.borrow_mut();
         debug_assert_eq!(state.current, Some(rank), "finish without holding the turn");
         state.procs[rank] = ProcState::Finished;
         state.remove_runnable(rank);
         state.finished += 1;
         Self::pick(&mut state, &self.config);
-        self.cv.notify_all();
-        Self::check_aborted(&state);
+        if state.aborted {
+            panic!("{}", Self::dump(&state));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
-    /// Run `nprocs` threads through the scheduler; each executes `body(rank,
-    /// &sched)` between `wait_first_turn` and `finish`.
-    fn drive<F>(nprocs: usize, config: SchedConfig, body: F)
-    where
-        F: Fn(usize, &Scheduler) + Send + Sync,
-    {
-        let sched = Arc::new(Scheduler::new(nprocs, config));
-        let body = &body;
-        std::thread::scope(|scope| {
-            for rank in 0..nprocs {
-                let sched = Arc::clone(&sched);
-                scope.spawn(move || {
-                    sched.wait_first_turn(rank);
-                    body(rank, &sched);
-                    sched.finish(rank);
-                });
-            }
-        });
+    /// One step of a scripted processor.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Yield point at this clock.
+        Yield(u64),
+        /// Block point on a key at this clock.
+        Block(WaitKey, u64),
+        /// Wake the waiters of a key (not a park point: the script goes on).
+        Wake(WaitKey),
     }
 
-    /// The serialized event trace of one driven run.
-    fn trace<F>(nprocs: usize, config: SchedConfig, body: F) -> Vec<(usize, u64)>
-    where
-        F: Fn(usize, &Scheduler, &mut dyn FnMut(u64)) + Send + Sync,
-    {
-        let events = Mutex::new(Vec::new());
-        drive(nprocs, config, |rank, sched| {
-            let mut step = |clock: u64| {
-                events.lock().push((rank, clock));
-                sched.yield_turn(rank, clock);
-            };
-            body(rank, sched, &mut step);
-        });
-        events.into_inner()
+    /// Drive the scheduler the way the run loop does: repeatedly read
+    /// `current()`, run that processor's script up to and including its next
+    /// park point, finish it when the script is exhausted.  Returns the
+    /// serialized `(rank, clock)` trace of the park points.
+    fn drive(nprocs: usize, config: SchedConfig, scripts: &[Vec<Op>]) -> Vec<(usize, u64)> {
+        assert_eq!(scripts.len(), nprocs);
+        let sched = Scheduler::new(nprocs, config);
+        let mut next = vec![0usize; nprocs];
+        let mut events = Vec::new();
+        while let Some(rank) = sched.current() {
+            let mut parked = false;
+            while !parked && next[rank] < scripts[rank].len() {
+                let op = scripts[rank][next[rank]];
+                next[rank] += 1;
+                match op {
+                    Op::Yield(clock) => {
+                        events.push((rank, clock));
+                        sched.note_yield(rank, clock);
+                        parked = true;
+                    }
+                    Op::Block(key, clock) => {
+                        events.push((rank, clock));
+                        sched.note_block(rank, key, clock);
+                        parked = true;
+                    }
+                    Op::Wake(key) => {
+                        sched.wake_all(key);
+                    }
+                }
+            }
+            if !parked {
+                sched.finish(rank);
+            }
+        }
+        assert_eq!(sched.abort_dump(), None, "unexpected abort");
+        events
+    }
+
+    /// The trace of `nprocs` processors that only yield, at `clocks(rank)`.
+    fn yields(
+        nprocs: usize,
+        config: SchedConfig,
+        clocks: impl Fn(usize) -> Vec<u64>,
+    ) -> Vec<(usize, u64)> {
+        let scripts: Vec<Vec<Op>> = (0..nprocs)
+            .map(|rank| clocks(rank).into_iter().map(Op::Yield).collect())
+            .collect();
+        drive(nprocs, config, &scripts)
     }
 
     #[test]
     fn single_processor_runs_unobstructed() {
-        let t = trace(1, SchedConfig::fifo(), |_, _, step| {
-            step(10);
-            step(20);
-        });
+        let t = yields(1, SchedConfig::fifo(), |_| vec![10, 20]);
         assert_eq!(t, vec![(0, 10), (0, 20)]);
     }
 
@@ -603,10 +517,8 @@ mod tests {
         // smallest *announced* clock, and that processor then runs through
         // to its next yield point. The resulting serialization is exactly
         // derivable by hand — pin it.
-        let t = trace(3, SchedConfig::fifo(), |rank, _, step| {
-            for i in 0..3u64 {
-                step(rank as u64 + 10 * i);
-            }
+        let t = yields(3, SchedConfig::fifo(), |rank| {
+            (0..3u64).map(|i| rank as u64 + 10 * i).collect()
         });
         assert_eq!(
             t,
@@ -626,13 +538,8 @@ mod tests {
 
     #[test]
     fn fifo_ties_break_by_rank_and_runs_reproduce() {
-        let run = || {
-            trace(4, SchedConfig::fifo(), |_, _, step| {
-                // Everyone yields at the same clocks: pure tie-breaking.
-                step(100);
-                step(200);
-            })
-        };
+        // Everyone yields at the same clocks: pure tie-breaking.
+        let run = || yields(4, SchedConfig::fifo(), |_| vec![100, 200]);
         let a = run();
         assert_eq!(a, run(), "identical configuration must reproduce exactly");
         // At every clock plateau, fifo order is rank order.
@@ -653,12 +560,7 @@ mod tests {
 
     #[test]
     fn seeded_ties_reproduce_per_seed_and_vary_across_seeds() {
-        let run = |seed: u64| {
-            trace(8, SchedConfig::seeded(seed), |_, _, step| {
-                step(100);
-                step(200);
-            })
-        };
+        let run = |seed: u64| yields(8, SchedConfig::seeded(seed), |_| vec![100, 200]);
         for seed in [0u64, 1, 42] {
             assert_eq!(run(seed), run(seed), "seed {seed} must reproduce");
         }
@@ -684,55 +586,58 @@ mod tests {
     #[test]
     fn block_and_wake_order_waiters_by_clock() {
         // Rank 0 "holds a resource" until clock 1000; ranks 1..4 block on it
-        // at staggered clocks. After the wake, they must proceed in clock
-        // order — exactly how lock hand-off ordering works in tdsm-core.
-        let order = Mutex::new(Vec::new());
-        drive(4, SchedConfig::fifo(), |rank, sched| {
-            if rank == 0 {
-                // Make sure the others get to register their waits first.
-                sched.yield_turn(0, 500);
-                sched.wake_all(WaitKey::Lock(7));
-                sched.yield_turn(0, 1000);
-            } else {
-                // Ranks 3, 2, 1 block at clocks 30, 20, 10.
-                let clock = 10 * (4 - rank) as u64;
-                sched.block_on(rank, WaitKey::Lock(7), clock);
-                order.lock().push(rank);
-            }
-        });
-        // Woken in clock order: rank 3 (30)? No: clocks are 30 for rank 1,
-        // 20 for rank 2, 10 for rank 3 — so 3, 2, 1.
-        assert_eq!(*order.lock(), vec![3, 2, 1]);
+        // at clocks 30, 20, 10 and yield once more when they get the turn
+        // back.  After the wake they must proceed in clock order — exactly
+        // how lock hand-off ordering works in tdsm-core.
+        let key = WaitKey::Lock(7);
+        let mut scripts = vec![vec![Op::Yield(500), Op::Wake(key), Op::Yield(1000)]];
+        for rank in 1..4u64 {
+            let clock = 10 * (4 - rank);
+            scripts.push(vec![Op::Block(key, clock), Op::Yield(clock)]);
+        }
+        let t = drive(4, SchedConfig::fifo(), &scripts);
+        assert_eq!(
+            t,
+            vec![
+                (0, 500), // the others get to register their waits first
+                (1, 30),
+                (2, 20),
+                (3, 10),
+                (0, 1000),
+                (3, 10), // woken in clock order: 3, 2, 1
+                (2, 20),
+                (1, 30)
+            ]
+        );
     }
 
     #[test]
     fn wake_all_wakes_only_matching_keys() {
-        let sched = Scheduler::new(1, SchedConfig::fifo());
+        let sched = Scheduler::new(3, SchedConfig::fifo());
         // No one is blocked: wakes nothing, regardless of key.
         assert_eq!(sched.wake_all(WaitKey::Lock(0)), 0);
         assert_eq!(sched.wake_all(WaitKey::Barrier(3)), 0);
+        sched.note_block(0, WaitKey::Lock(0), 5);
+        sched.note_block(1, WaitKey::Barrier(0), 5);
+        assert_eq!(sched.wake_all(WaitKey::Lock(1)), 0);
+        assert_eq!(sched.wake_all(WaitKey::Lock(0)), 1);
+        assert_eq!(sched.wake_all(WaitKey::Lock(0)), 0, "a wake is consumed");
+        // Rank 1 is still parked on its barrier key: once the turn holder
+        // yields, only ranks 0 and 2 compete.
+        sched.note_yield(2, 10);
+        assert_eq!(sched.current(), Some(0));
+        assert_eq!(sched.wake_all(WaitKey::Barrier(0)), 1);
     }
 
     #[test]
     #[should_panic(expected = "simulated deadlock")]
     fn blocking_with_no_possible_waker_panics() {
-        let sched = Scheduler::new(1, SchedConfig::fifo());
-        sched.wait_first_turn(0);
-        sched.block_on(0, WaitKey::Lock(0), 0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn deadlock_aborts_every_parked_thread_instead_of_hanging() {
-        // Rank 0 retires immediately; ranks 1 and 2 block on a key nobody
-        // will ever signal. The abort must wake BOTH parked threads and
-        // panic them (a regression here leaves one thread parked forever and
-        // this test times out instead of panicking).
-        drive(3, SchedConfig::fifo(), |rank, sched| {
-            if rank != 0 {
-                sched.block_on(rank, WaitKey::Lock(9), 10 + rank as u64);
-            }
-        });
+        // Rank 0 parks on a key nobody will ever signal; retiring rank 1
+        // then leaves no runnable processor.
+        let sched = Scheduler::new(2, SchedConfig::fifo());
+        sched.note_block(0, WaitKey::Lock(0), 0);
+        assert_eq!(sched.abort_dump(), None);
+        sched.finish(1);
     }
 
     /// Pin the exact serialization produced by the incrementally maintained
@@ -745,10 +650,10 @@ mod tests {
     #[test]
     fn pick_order_matches_full_scan_goldens() {
         let run = |config: SchedConfig| {
-            trace(6, config, |rank, _, step| {
-                for i in 0..4u64 {
-                    step(100 * (i + 1) + (rank as u64 % 2) * 7);
-                }
+            yields(6, config, |rank| {
+                (0..4u64)
+                    .map(|i| 100 * (i + 1) + (rank as u64 % 2) * 7)
+                    .collect()
             })
         };
         assert_eq!(
@@ -840,75 +745,17 @@ mod tests {
         );
     }
 
-    /// Drive the scheduler from ONE host thread the way the event-driven
-    /// engine does: repeatedly read `current()`, run that processor to its
-    /// next yield point via the non-blocking API, finish it when its script
-    /// is exhausted.  Returns the serialized `(rank, clock)` event trace.
-    fn event_trace(nprocs: usize, config: SchedConfig, scripts: &[Vec<u64>]) -> Vec<(usize, u64)> {
-        assert_eq!(scripts.len(), nprocs);
-        let sched = Scheduler::new(nprocs, config);
-        let mut next = vec![0usize; nprocs];
-        let mut events = Vec::new();
-        while let Some(rank) = sched.current() {
-            assert!(sched.abort_dump().is_none(), "unexpected abort");
-            if next[rank] < scripts[rank].len() {
-                let clock = scripts[rank][next[rank]];
-                next[rank] += 1;
-                events.push((rank, clock));
-                sched.note_yield(rank, clock);
-            } else {
-                sched.finish(rank);
-            }
-        }
-        events
-    }
-
-    /// The event-driven (single-threaded, non-blocking) drive and the
-    /// threaded (parked-OS-threads) drive must serialize identically: both
-    /// substrates consume the same pick loop.
-    #[test]
-    fn event_drive_matches_threaded_drive() {
-        let scripts = |nprocs: usize| -> Vec<Vec<u64>> {
-            (0..nprocs)
-                .map(|rank| {
-                    (0..4u64)
-                        .map(|i| 100 * (i + 1) + (rank as u64 % 2) * 7)
-                        .collect()
-                })
-                .collect()
-        };
-        for config in [
-            SchedConfig::fifo(),
-            SchedConfig::seeded(42),
-            SchedConfig::seeded(7),
-        ] {
-            let threaded = trace(6, config, |rank, _, step| {
-                for i in 0..4u64 {
-                    step(100 * (i + 1) + (rank as u64 % 2) * 7);
-                }
-            });
-            assert_eq!(
-                event_trace(6, config, &scripts(6)),
-                threaded,
-                "substrates diverged under {config:?}"
-            );
-        }
-    }
-
-    /// Golden: the event-driven pick order at 64 processors (the scale the
-    /// threaded substrate made impractical).  Each processor yields 4 times
-    /// with staggered clocks mixing plateaus and strict orderings; the trace
-    /// is pinned by length, prefix, and an FNV-1a fold so any tie-break or
-    /// runnable-set regression at large N is caught bit-exactly.
+    /// Golden: the pick order at 64 processors.  Each processor yields 4
+    /// times with staggered clocks mixing plateaus and strict orderings; the
+    /// trace is pinned by length, prefix, and an FNV-1a fold so any tie-break
+    /// or runnable-set regression at large N is caught bit-exactly.
     #[test]
     fn event_pick_order_golden_at_64_procs() {
-        let scripts: Vec<Vec<u64>> = (0..64)
-            .map(|rank: usize| {
-                (0..4u64)
-                    .map(|i| 1000 * (i + 1) + (rank as u64 % 8) * 11)
-                    .collect()
-            })
-            .collect();
+        let clocks = |rank: usize| -> Vec<u64> {
+            (0..4u64)
+                .map(|i| 1000 * (i + 1) + (rank as u64 % 8) * 11)
+                .collect()
+        };
         let fold = |t: &[(usize, u64)]| {
             fnv1a_words(
                 &t.iter()
@@ -916,7 +763,7 @@ mod tests {
                     .collect::<Vec<u64>>(),
             )
         };
-        let fifo = event_trace(64, SchedConfig::fifo(), &scripts);
+        let fifo = yields(64, SchedConfig::fifo(), clocks);
         assert_eq!(fifo.len(), 64 * 4);
         // Everyone starts at clock 0, so the first plateau serializes every
         // processor's first yield — in rank order under fifo.
@@ -939,7 +786,7 @@ mod tests {
             "fifo 64-proc trace drifted"
         );
 
-        let seeded = event_trace(64, SchedConfig::seeded(0x5eed), &scripts);
+        let seeded = yields(64, SchedConfig::seeded(0x5eed), clocks);
         assert_eq!(seeded.len(), 64 * 4);
         assert_eq!(
             &seeded[..8],
@@ -959,18 +806,10 @@ mod tests {
             0xa754913125c8f57d,
             "seeded 64-proc trace drifted"
         );
-        // Both substrates at 64 procs, for good measure: the threaded drive
-        // must reproduce the same golden.
-        let threaded = trace(64, SchedConfig::seeded(0x5eed), |rank, _, step| {
-            for i in 0..4u64 {
-                step(1000 * (i + 1) + (rank as u64 % 8) * 11);
-            }
-        });
-        assert_eq!(threaded, seeded);
     }
 
     /// Pinned snapshot of the deadlock state dump: the panic diagnostics the
-    /// engines surface must not silently regress.
+    /// run loop surfaces must not silently regress.
     #[test]
     fn deadlock_state_dump_snapshot() {
         let sched = Scheduler::new(2, SchedConfig::fifo());
@@ -1000,21 +839,6 @@ mod tests {
         let trace = sched.take_decision_trace().expect("tracing was enabled");
         assert_eq!(trace, vec![(2, 1), (3, 0), (4, 1)]);
         assert_eq!(sched.take_decision_trace(), None, "take drains the trace");
-    }
-
-    #[test]
-    fn engine_kind_parses_and_prints() {
-        use std::str::FromStr;
-        assert_eq!(EngineKind::from_str("threaded"), Ok(EngineKind::Threaded));
-        assert_eq!(EngineKind::from_str("event"), Ok(EngineKind::EventDriven));
-        assert_eq!(
-            EngineKind::from_str("event-driven"),
-            Ok(EngineKind::EventDriven)
-        );
-        assert!(EngineKind::from_str("fibers").is_err());
-        assert_eq!(EngineKind::Threaded.to_string(), "threaded");
-        assert_eq!(EngineKind::EventDriven.to_string(), "event");
-        assert_eq!(EngineKind::default(), EngineKind::EventDriven);
     }
 
     #[test]

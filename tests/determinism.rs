@@ -300,6 +300,42 @@ fn aggressive_gc_flush_preserves_results_and_retires_logs() {
     assert_eq!(gc_flush, gc_eager);
 }
 
+/// The modeled halves of the lazy-diffing and interval-GC claims on the
+/// workload they were made for (Jacobi, whose interior diffs are never
+/// requested): lazy timing charges creation only for requested diffs, so its
+/// modeled execution time must not exceed eager's; and with an aggressive
+/// flush limit the interval logs retire the bulk of what they publish (with
+/// the flush disabled the interior notices pin the floors forever).  The
+/// message identity the timing equivalence rests on is
+/// `eager_and_lazy_exchange_identical_messages_for_every_app`.
+#[test]
+fn jacobi_lazy_diffing_is_never_slower_and_flush_driven_gc_retires_the_bulk() {
+    use tdsm_core::DiffTiming;
+    use tm_apps::jacobi;
+    let cfg = |timing| {
+        AppConfig::with_procs(4)
+            .sched(SchedConfig::seeded(0x6c))
+            .diff_timing(timing)
+    };
+    let size = jacobi::JacobiSize::small();
+    let lazy = jacobi::run_parallel(&cfg(DiffTiming::Lazy), &size);
+    let eager = jacobi::run_parallel(&cfg(DiffTiming::Eager), &size);
+    assert!(
+        lazy.exec_time_ns <= eager.exec_time_ns,
+        "lazy ({}) must not be slower than eager ({}) in modeled time",
+        lazy.exec_time_ns,
+        eager.exec_time_ns
+    );
+
+    let mut flushing = cfg(DiffTiming::Lazy);
+    flushing.gc_flush_pending_limit = 64;
+    let gc = jacobi::run_parallel(&flushing, &size).stats.gc_counters();
+    assert!(
+        gc.retired_fraction() > 0.5,
+        "GC with flush must retire the bulk of the logs: {gc:?}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

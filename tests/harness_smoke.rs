@@ -83,21 +83,8 @@ fn all_five_bench_binaries_run_tiny_mode() {
         ("fig_dyn_group", "Dynamic aggregation group-size ablation"),
     ];
     for (bin, expected_header) in bins {
-        // `cargo run` rather than probing target/ for a prebuilt artifact:
-        // it always (re)builds the bin from the current sources (a stale
-        // binary must not be smoke-tested in its place) and it resolves the
-        // output directory itself, so custom `--target` layouts cannot
-        // desynchronize the path. Cargo's own locking makes the nested
-        // invocation safe, and matching the outer profile below keeps the
-        // build a fast no-op when artifacts are fresh.
-        let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
-        let mut cmd = std::process::Command::new(cargo);
-        cmd.args(["run", "-q", "-p", "tm-bench", "--bin", bin]);
-        if running_release_profile() {
-            cmd.arg("--release");
-        }
-        let output = cmd
-            .args(["--", "--tiny"])
+        let output = bench_bin(bin)
+            .arg("--tiny")
             .output()
             .unwrap_or_else(|e| panic!("failed to launch cargo run --bin {bin}: {e}"));
         assert!(
@@ -119,21 +106,8 @@ fn all_five_bench_binaries_run_tiny_mode() {
 /// non-zero per-protocol counters.
 #[test]
 fn bench_binary_accepts_protocol_flag_end_to_end() {
-    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
-    let mut cmd = std::process::Command::new(cargo);
-    cmd.args(["run", "-q", "-p", "tm-bench", "--bin", "fig1"]);
-    if running_release_profile() {
-        cmd.arg("--release");
-    }
-    let output = cmd
-        .args([
-            "--",
-            "--tiny",
-            "--protocol",
-            "home-based",
-            "--format",
-            "csv",
-        ])
+    let output = bench_bin("fig1")
+        .args(["--tiny", "--protocol", "home-based", "--format", "csv"])
         .output()
         .expect("failed to launch cargo run --bin fig1");
     assert!(
@@ -163,6 +137,49 @@ fn bench_binary_accepts_protocol_flag_end_to_end() {
         any_updates,
         "home-based sweep flushed no updates:\n{stdout}"
     );
+}
+
+/// There is one execution substrate, so the flag that used to select one is
+/// gone from the real binary surface: like any unknown argument it is a
+/// usage error (exit 2), and the usage text no longer offers it.
+#[test]
+fn removed_engine_flag_is_a_usage_error() {
+    let output = bench_bin("fig1")
+        .args(["--engine", "event"])
+        .output()
+        .expect("failed to launch cargo run --bin fig1");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("error: unrecognized argument '--engine'"),
+        "stderr:\n{stderr}"
+    );
+    let usage = stderr
+        .lines()
+        .find(|l| l.starts_with("usage:"))
+        .expect("a usage line");
+    assert!(
+        !usage.contains("--engine"),
+        "usage still offers it: {usage}"
+    );
+}
+
+/// A command running one tm-bench binary; the caller appends the binary's
+/// own arguments.  `cargo run` rather than probing target/ for a prebuilt
+/// artifact: it always (re)builds the bin from the current sources (a stale
+/// binary must not be smoke-tested in its place) and it resolves the output
+/// directory itself, so custom `--target` layouts cannot desynchronize the
+/// path. Cargo's own locking makes the nested invocation safe, and matching
+/// the outer profile keeps the build a fast no-op when artifacts are fresh.
+fn bench_bin(bin: &str) -> std::process::Command {
+    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
+    let mut cmd = std::process::Command::new(cargo);
+    cmd.args(["run", "-q", "-p", "tm-bench", "--bin", bin]);
+    if running_release_profile() {
+        cmd.arg("--release");
+    }
+    cmd.arg("--");
+    cmd
 }
 
 /// Whether this test binary was built under the `release` profile (best

@@ -1,25 +1,23 @@
 //! Racecheck suite: the happens-before detector must (a) stay silent on
 //! every registered application — they are data-race-free by construction —
-//! under both write protocols and both execution engines, (b) report a
-//! non-empty, *pinned* race set for the deliberately racy fixtures, stable
-//! across reruns, engines and schedule seeds, and (c) never perturb the
-//! measurements of the run it observes.
+//! under both write protocols, (b) report a non-empty, *pinned* race set
+//! for the deliberately racy fixtures, stable across reruns and schedule
+//! seeds, and (c) never perturb the measurements of the run it observes.
 //!
 //! A proptest closes the schedule dimension: DRF applications stay
 //! race-free under arbitrary seeded schedules, not just the golden one.
 
 use proptest::prelude::*;
-use tdsm_core::{EngineKind, ProtocolMode, RaceRecord, SchedConfig};
+use tdsm_core::{ProtocolMode, RaceRecord, SchedConfig};
 use tm_apps::racy::{run_missing_barrier_jacobi, run_racy_counter};
 use tm_apps::{AppConfig, AppId, Workload};
 
 const GOLDEN_SEED: u64 = 0x5eed;
 
-fn checked_cfg(nprocs: usize, protocol: ProtocolMode, engine: EngineKind) -> AppConfig {
+fn checked_cfg(nprocs: usize, protocol: ProtocolMode) -> AppConfig {
     AppConfig::with_procs(nprocs)
         .sched(SchedConfig::seeded(GOLDEN_SEED))
         .protocol(protocol)
-        .engine(engine)
         .racecheck(true)
 }
 
@@ -33,22 +31,20 @@ fn render_races(races: &[RaceRecord]) -> String {
         .join("\n")
 }
 
-/// (a) Every registered application, both protocols × both engines, at the
-/// golden seed: checked and race-free.  This is the CI racecheck gate; the
+/// (a) Every registered application under both protocols at the golden
+/// seed: checked and race-free.  This is the CI racecheck gate; the
 /// paper-scale equivalent runs off-line (same code path, bigger inputs).
 #[test]
 fn tiny_suite_is_race_free_under_both_protocols_and_engines() {
     for w in Workload::tiny_suite() {
         for protocol in [ProtocolMode::MultiWriter, ProtocolMode::home_based()] {
-            for engine in [EngineKind::Threaded, EngineKind::EventDriven] {
-                let run = w.run_parallel(&checked_cfg(4, protocol, engine));
-                assert!(
-                    run.stats.races.is_empty(),
-                    "{} {protocol} {engine:?}: unexpected races:\n{}",
-                    w.size_label,
-                    render_races(&run.stats.races)
-                );
-            }
+            let run = w.run_parallel(&checked_cfg(4, protocol));
+            assert!(
+                run.stats.races.is_empty(),
+                "{} {protocol}: unexpected races:\n{}",
+                w.size_label,
+                render_races(&run.stats.races)
+            );
         }
     }
 }
@@ -90,30 +86,28 @@ page#0 words 128..=159: read by p0 (interval 1) races with write by p1 (interval
 page#0 words 256..=287: write by p2 (interval 1) races with read by p1 (interval 1)";
 
 /// (b) The racy fixtures report a non-empty race set that is pinned byte
-/// for byte and invariant across reruns and engines at a fixed seed.
+/// for byte and invariant across reruns at a fixed seed.
 #[test]
 fn racy_fixture_race_sets_are_pinned_and_engine_invariant() {
-    for engine in [EngineKind::Threaded, EngineKind::EventDriven] {
-        let cfg = checked_cfg(3, ProtocolMode::MultiWriter, engine);
+    let cfg = checked_cfg(3, ProtocolMode::MultiWriter);
 
-        let counter = run_racy_counter(&cfg, 4);
-        let counter_rerun = run_racy_counter(&cfg, 4);
-        assert_eq!(
-            render_races(&counter.stats.races),
-            RACY_COUNTER_GOLDEN,
-            "racy counter race set drifted ({engine:?})"
-        );
-        assert_eq!(counter.stats.races, counter_rerun.stats.races);
+    let counter = run_racy_counter(&cfg, 4);
+    let counter_rerun = run_racy_counter(&cfg, 4);
+    assert_eq!(
+        render_races(&counter.stats.races),
+        RACY_COUNTER_GOLDEN,
+        "racy counter race set drifted"
+    );
+    assert_eq!(counter.stats.races, counter_rerun.stats.races);
 
-        let jacobi = run_missing_barrier_jacobi(&cfg, 12, 32);
-        let jacobi_rerun = run_missing_barrier_jacobi(&cfg, 12, 32);
-        assert_eq!(
-            render_races(&jacobi.stats.races),
-            MISSING_BARRIER_JACOBI_GOLDEN,
-            "missing-barrier jacobi race set drifted ({engine:?})"
-        );
-        assert_eq!(jacobi.stats.races, jacobi_rerun.stats.races);
-    }
+    let jacobi = run_missing_barrier_jacobi(&cfg, 12, 32);
+    let jacobi_rerun = run_missing_barrier_jacobi(&cfg, 12, 32);
+    assert_eq!(
+        render_races(&jacobi.stats.races),
+        MISSING_BARRIER_JACOBI_GOLDEN,
+        "missing-barrier jacobi race set drifted"
+    );
+    assert_eq!(jacobi.stats.races, jacobi_rerun.stats.races);
 }
 
 /// The fixtures stay racy (and rerun-stable) under other fixed seeds too —
@@ -126,16 +120,13 @@ fn racy_fixtures_stay_racy_under_other_fixed_seeds() {
         let cfg = AppConfig::with_procs(3)
             .sched(SchedConfig::seeded(seed))
             .racecheck(true);
-        for engine in [EngineKind::Threaded, EngineKind::EventDriven] {
-            let cfg = cfg.clone().engine(engine);
-            let a = run_racy_counter(&cfg, 4);
-            let b = run_racy_counter(&cfg, 4);
-            assert!(
-                !a.stats.races.is_empty(),
-                "seed {seed:#x}: counter not racy"
-            );
-            assert_eq!(a.stats.races, b.stats.races, "seed {seed:#x}: rerun drift");
-        }
+        let a = run_racy_counter(&cfg, 4);
+        let b = run_racy_counter(&cfg, 4);
+        assert!(
+            !a.stats.races.is_empty(),
+            "seed {seed:#x}: counter not racy"
+        );
+        assert_eq!(a.stats.races, b.stats.races, "seed {seed:#x}: rerun drift");
     }
 }
 
