@@ -337,6 +337,8 @@ pub fn run_parallel(cfg: &AppConfig, size: &BarnesSize) -> AppRun {
         }
         ctx.barrier().await;
 
+        // One record buffer for every per-body bulk read below.
+        let mut rec = Vec::new();
         for _ in 0..size.steps {
             // The master reads every body (fine-grained reads over the whole
             // region) and builds the tree sequentially.
@@ -344,7 +346,7 @@ pub fn run_parallel(cfg: &AppConfig, size: &BarnesSize) -> AppRun {
                 let mut pos = Vec::with_capacity(n);
                 let mut mass = Vec::with_capacity(n);
                 for i in 0..n {
-                    let rec = bodies.read_vec(ctx, i * BODY_FIELDS, 10).await;
+                    bodies.read_into(ctx, i * BODY_FIELDS, 10, &mut rec).await;
                     pos.push([rec[0], rec[1], rec[2]]);
                     mass.push(rec[9]);
                     ctx.compute(800);
@@ -364,7 +366,7 @@ pub fn run_parallel(cfg: &AppConfig, size: &BarnesSize) -> AppRun {
             let floats = tree.read_vec(ctx, 0, count * NODE_FIELDS).await;
             let nodes = floats_to_tree(&floats, count);
             for i in mine.clone() {
-                let rec = bodies.read_vec(ctx, i * BODY_FIELDS, 3).await;
+                bodies.read_into(ctx, i * BODY_FIELDS, 3, &mut rec).await;
                 let p = [rec[0], rec[1], rec[2]];
                 let mut f = [0.0f64; 3];
                 let visited = tree_force(&nodes, 0, &p, i as u32, &mut f);
@@ -378,7 +380,9 @@ pub fn run_parallel(cfg: &AppConfig, size: &BarnesSize) -> AppRun {
 
             // Position/velocity update of own bodies (fine-grained writes).
             for i in mine.clone() {
-                let mut rec = bodies.read_vec(ctx, i * BODY_FIELDS, BODY_FIELDS).await;
+                bodies
+                    .read_into(ctx, i * BODY_FIELDS, BODY_FIELDS, &mut rec)
+                    .await;
                 for d in 0..3 {
                     rec[3 + d] += 0.01 * rec[6 + d];
                     rec[d] += 0.01 * rec[3 + d];
@@ -393,7 +397,7 @@ pub fn run_parallel(cfg: &AppConfig, size: &BarnesSize) -> AppRun {
         if me == 0 {
             let mut sum = 0.0f64;
             for i in 0..n {
-                let rec = bodies.read_vec(ctx, i * BODY_FIELDS, 6).await;
+                bodies.read_into(ctx, i * BODY_FIELDS, 6, &mut rec).await;
                 sum += rec.iter().map(|x| x.abs()).sum::<f64>();
             }
             sum

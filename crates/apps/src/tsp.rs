@@ -163,6 +163,8 @@ pub fn run_parallel(cfg: &AppConfig, size: &TspSize) -> AppRun {
 
         let mut expanded = 0u64;
         let mut idle_rounds = 0u32;
+        // The tour record read at every expansion.
+        let mut rec = Vec::new();
         loop {
             // Grab a unit of work from the shared queue.
             ctx.acquire(QUEUE_LOCK).await;
@@ -189,8 +191,7 @@ pub fn run_parallel(cfg: &AppConfig, size: &TspSize) -> AppRun {
 
             // Read the tour record (allocated, most likely, by another
             // processor — the migratory access the paper describes).
-            let rec = pool
-                .read_vec(ctx, tour_idx as usize * TOUR_FIELDS, TOUR_FIELDS)
+            pool.read_into(ctx, tour_idx as usize * TOUR_FIELDS, TOUR_FIELDS, &mut rec)
                 .await;
             let tour_len = rec[0] as usize;
             let cost = rec[1];

@@ -171,11 +171,15 @@ pub fn run_parallel(cfg: &AppConfig, size: &WaterSize) -> AppRun {
         }
         ctx.barrier().await;
 
+        // One record buffer for every bulk read below (the pair loop reads
+        // O(n²) three-element records per step).
+        let mut rec = Vec::new();
         for _ in 0..size.steps {
             // Intra-molecular phase: own molecules only (write-write false
             // sharing at the partition boundaries inside a page).
             for m in mine.clone() {
-                let mut rec = mol.read_vec(ctx, m * MOL_FIELDS, MOL_FIELDS).await;
+                mol.read_into(ctx, m * MOL_FIELDS, MOL_FIELDS, &mut rec)
+                    .await;
                 for d in 0..3 {
                     rec[3 + d] *= 0.999;
                     rec[6 + d] = 0.0;
@@ -191,12 +195,12 @@ pub fn run_parallel(cfg: &AppConfig, size: &WaterSize) -> AppRun {
             // molecule — the SPLASH locking structure.
             let mut local_force = vec![[0.0f64; 3]; n];
             for m in mine.clone() {
-                let pa_rec = mol.read_vec(ctx, m * MOL_FIELDS, 3).await;
-                let pa = [pa_rec[0], pa_rec[1], pa_rec[2]];
+                mol.read_into(ctx, m * MOL_FIELDS, 3, &mut rec).await;
+                let pa = [rec[0], rec[1], rec[2]];
                 for k in 1..=n / 2 {
                     let o = (m + k) % n;
-                    let pb_rec = mol.read_vec(ctx, o * MOL_FIELDS, 3).await;
-                    let pb = [pb_rec[0], pb_rec[1], pb_rec[2]];
+                    mol.read_into(ctx, o * MOL_FIELDS, 3, &mut rec).await;
+                    let pb = [rec[0], rec[1], rec[2]];
                     // The real SPC/E inter-molecular evaluation is hundreds
                     // of flops per pair on a 166 MHz Pentium.
                     ctx.compute(20_000);
@@ -223,7 +227,8 @@ pub fn run_parallel(cfg: &AppConfig, size: &WaterSize) -> AppRun {
 
             // Position update: own molecules only.
             for m in mine.clone() {
-                let mut rec = mol.read_vec(ctx, m * MOL_FIELDS, MOL_FIELDS).await;
+                mol.read_into(ctx, m * MOL_FIELDS, MOL_FIELDS, &mut rec)
+                    .await;
                 for d in 0..3 {
                     let v = rec[3 + d] + 0.001 * rec[6 + d];
                     rec[3 + d] = v;
@@ -239,7 +244,7 @@ pub fn run_parallel(cfg: &AppConfig, size: &WaterSize) -> AppRun {
         if me == 0 {
             let mut sum = 0.0f64;
             for m in 0..n {
-                let rec = mol.read_vec(ctx, m * MOL_FIELDS, 6).await;
+                mol.read_into(ctx, m * MOL_FIELDS, 6, &mut rec).await;
                 sum += rec.iter().map(|v| v.abs()).sum::<f64>();
             }
             sum

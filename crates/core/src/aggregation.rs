@@ -97,15 +97,12 @@ impl DynamicAggregator {
         self.faulted_set.clear();
     }
 
-    /// The other members of `page`'s group (empty if the page is ungrouped).
-    pub fn group_companions(&self, page: PageId) -> Vec<PageId> {
+    /// Every member of `page`'s group, `page` included, in fault order
+    /// (empty if the page is ungrouped).
+    pub fn group_of(&self, page: PageId) -> &[PageId] {
         match self.page_to_group.get(&page) {
-            Some(&g) => self.groups[g]
-                .iter()
-                .copied()
-                .filter(|&p| p != page)
-                .collect(),
-            None => Vec::new(),
+            Some(&g) => &self.groups[g],
+            None => &[],
         }
     }
 
@@ -138,8 +135,8 @@ mod tests {
         // First chunk of four (10,3,77,5); the trailing singleton (6) is not
         // grouped.
         assert_eq!(agg.group_count(), 1);
-        assert_eq!(agg.group_companions(PageId(3)), pages(&[10, 77, 5]));
-        assert!(agg.group_companions(PageId(6)).is_empty());
+        assert_eq!(agg.group_of(PageId(3)), pages(&[10, 3, 77, 5]));
+        assert!(agg.group_of(PageId(6)).is_empty());
     }
 
     #[test]
@@ -150,7 +147,7 @@ mod tests {
         agg.note_fault(PageId(2));
         assert_eq!(agg.faults_this_interval(), 2);
         agg.rebuild_groups();
-        assert_eq!(agg.group_companions(PageId(1)), pages(&[2]));
+        assert_eq!(agg.group_of(PageId(1)), pages(&[1, 2]));
     }
 
     #[test]
@@ -159,15 +156,15 @@ mod tests {
         agg.note_fault(PageId(1));
         agg.note_fault(PageId(2));
         agg.rebuild_groups();
-        assert_eq!(agg.group_companions(PageId(1)), pages(&[2]));
+        assert_eq!(agg.group_of(PageId(1)), pages(&[1, 2]));
 
         // Next interval the processor touches different pages: the old
         // grouping disappears (this is the paper's adaptation-with-hysteresis
         // behaviour).
         agg.note_fault(PageId(9));
         agg.rebuild_groups();
-        assert!(agg.group_companions(PageId(1)).is_empty());
-        assert!(agg.group_companions(PageId(9)).is_empty()); // singleton
+        assert!(agg.group_of(PageId(1)).is_empty());
+        assert!(agg.group_of(PageId(9)).is_empty()); // singleton
         assert_eq!(agg.rebuilds(), 2);
     }
 
@@ -180,9 +177,9 @@ mod tests {
         agg.rebuild_groups();
         // 5 pages, max 2 per group -> groups {0,1}, {2,3}, singleton 4.
         assert_eq!(agg.group_count(), 2);
-        assert_eq!(agg.group_companions(PageId(0)), pages(&[1]));
-        assert_eq!(agg.group_companions(PageId(3)), pages(&[2]));
-        assert!(agg.group_companions(PageId(4)).is_empty());
+        assert_eq!(agg.group_of(PageId(0)), pages(&[0, 1]));
+        assert_eq!(agg.group_of(PageId(3)), pages(&[2, 3]));
+        assert!(agg.group_of(PageId(4)).is_empty());
     }
 
     #[test]
@@ -190,6 +187,6 @@ mod tests {
         let mut agg = DynamicAggregator::new(4);
         agg.rebuild_groups();
         assert_eq!(agg.group_count(), 0);
-        assert!(agg.group_companions(PageId(0)).is_empty());
+        assert!(agg.group_of(PageId(0)).is_empty());
     }
 }

@@ -116,17 +116,20 @@ impl UnitPolicy {
         }
     }
 
-    /// The pages belonging to the static consistency unit containing `page`.
+    /// The page indices of the static consistency unit containing `page`.
     /// For the dynamic policy the unit is the page itself.
-    pub fn unit_pages(&self, page: PageId, layout: &PageLayout) -> Vec<PageId> {
+    pub fn unit_range(&self, page: PageId, layout: &PageLayout) -> std::ops::Range<u32> {
         let k = self.protection_pages();
         if k <= 1 {
-            return vec![page];
+            return page.0..page.0 + 1;
         }
         let first = page.0 / k * k;
-        (first..(first + k).min(layout.total_pages()))
-            .map(PageId)
-            .collect()
+        first..(first + k).min(layout.total_pages())
+    }
+
+    /// The pages of [`unit_range`](Self::unit_range), as a list.
+    pub fn unit_pages(&self, page: PageId, layout: &PageLayout) -> Vec<PageId> {
+        self.unit_range(page, layout).map(PageId).collect()
     }
 
     /// True if this is the dynamic-aggregation policy.

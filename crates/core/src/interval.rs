@@ -356,17 +356,16 @@ impl IntervalLog {
     /// and only the first request pays for the merge.
     ///
     /// Returns `None` if any requested diff does not exist.
-    pub fn fetch_chain(&mut self, page: PageId, seqs: &[(PageId, u32)]) -> Option<ChainFetch> {
+    pub fn fetch_chain(&mut self, page: PageId, seqs: &[u32]) -> Option<ChainFetch> {
         debug_assert!(!seqs.is_empty());
-        debug_assert!(seqs.windows(2).all(|w| w[0].1 < w[1].1 && w[0].0 == w[1].0));
-        debug_assert!(seqs.iter().all(|&(p, _)| p == page));
+        debug_assert!(seqs.windows(2).all(|w| w[0] < w[1]));
         if let Some(m) = self.merged.get(&page) {
-            if m.seqs.len() == seqs.len() && m.seqs.iter().zip(seqs).all(|(a, (_, b))| a == b) {
+            if m.seqs == seqs {
                 // The cached merge was built by a fetch that materialized
                 // every chain member (diffs never un-materialize), so this
                 // request creates nothing and the per-diff walk can be
                 // skipped entirely.
-                debug_assert!(seqs.iter().all(|&(_, s)| {
+                debug_assert!(seqs.iter().all(|&s| {
                     self.diffs
                         .get(&(page, s))
                         .is_some_and(|stored| stored.materialized)
@@ -380,7 +379,7 @@ impl IntervalLog {
             }
         }
         let mut created_now = 0u32;
-        for &(_, seq) in seqs {
+        for &seq in seqs {
             let stored = self.diffs.get_mut(&(page, seq))?;
             if !stored.materialized {
                 stored.materialized = true;
@@ -389,7 +388,7 @@ impl IntervalLog {
                 self.counters.diff_bytes_created_on_demand += stored.payload_bytes;
             }
         }
-        if let [(_, seq)] = *seqs {
+        if let [seq] = *seqs {
             // A one-diff chain needs no merge (and no cache entry): serve
             // the stored diff as-is.
             let stored = &self.diffs[&(page, seq)];
@@ -404,7 +403,7 @@ impl IntervalLog {
         let mut payload_bytes = 0u64;
         let chain: Vec<&Arc<Diff>> = seqs
             .iter()
-            .map(|&(_, seq)| {
+            .map(|&seq| {
                 let stored = &self.diffs[&(page, seq)];
                 wire_bytes += stored.wire_bytes;
                 payload_bytes += stored.payload_bytes;
@@ -435,7 +434,7 @@ impl IntervalLog {
         self.merged.insert(
             page,
             MergedChain {
-                seqs: seqs.iter().map(|&(_, s)| s).collect(),
+                seqs: seqs.to_vec(),
                 diff: Arc::clone(&diff),
                 wire_bytes,
                 payload_bytes,

@@ -18,9 +18,6 @@
 //!   the false-sharing signature.
 
 use std::collections::BTreeMap;
-
-use crate::fasthash::{FastHashMap, FastHashSet};
-
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -38,15 +35,11 @@ use crate::interval::{IntervalId, IntervalRecord, NOTICE_WIRE_BYTES};
 use crate::protocol::ProtocolMode;
 use crate::vc::VectorClock;
 
-/// Per-page protocol metadata kept privately by each processor.
+/// Per-page protocol metadata kept privately by each processor — the part
+/// only the trap path reads.  The protection bits every access checks live
+/// in the dense [`ProcCtx::prot`] table instead.
 #[derive(Debug, Clone, Default)]
 struct PageMeta {
-    /// The page may not be accessed without running the fault handler.
-    invalid: bool,
-    /// The page belongs to the current open interval's write set (and has a
-    /// twin, unless this processor is the page's home under the home-based
-    /// protocol).
-    dirty: bool,
     /// Home-based protocol: locally cached home of the page.  Assignment is
     /// sticky for the whole run, so a cached value never goes stale; the
     /// cache keeps the per-write write-through check off the shared
@@ -57,20 +50,101 @@ struct PageMeta {
     pending: Vec<(u32, u32)>,
 }
 
-/// What one round of pending-diff exchanges produced (see
-/// [`ProcCtx::exchange_pending`]).
+/// Protection-table bit: the page may not be accessed without running the
+/// fault handler.  Set by write-notice invalidation, cleared by the fault
+/// handler and the GC validation flush.
+const PROT_INVALID: u8 = 1;
+/// Protection-table bit: the page belongs to the current open interval's
+/// write set (and has a twin, unless this processor is the page's home
+/// under the home-based protocol).  Set by write detection, cleared when
+/// the interval closes.
+const PROT_DIRTY: u8 = 2;
+
+/// What one round of pending fetches produced (see
+/// [`ProcCtx::exchange_pending`]).  The per-responder reply sizes it was
+/// charged from stay in the [`ExchangeScratch`].
 struct PendingExchangeOutcome {
-    /// Number of concurrent writers contacted.
+    /// Number of responders (concurrent writers, or homes) contacted.
     writers: u32,
     /// Requester-local ids of the exchanges issued.
     exchange_ids: Vec<u32>,
-    /// Per-responder reply sizes and serve-side extras.
+    /// Total diff payload applied.
+    total_payload: u64,
+}
+
+/// One pending write notice a fetch has to make good.  The derived order
+/// sorts by responder and, `ord` being unique, keeps gather order within
+/// one: a stable sort by responder that allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Want {
+    /// The processor that serves it: the notice's writer, or under the
+    /// home-based protocol the page's home.
+    responder: u32,
+    /// Position in gather order (page by page, notices in arrival order).
+    ord: u32,
+    page: PageId,
+    seq: u32,
+    /// Notices of more than one writer are pending on the page, so its
+    /// diffs need ordering by happens-before across writers.
+    contended: bool,
+}
+
+/// One fetched diff awaiting application.
+#[derive(Debug)]
+struct Fetched {
+    /// Vector-clock weight of the diff's (last) interval.
+    weight: u64,
+    writer: u32,
+    seq: u32,
+    /// Position in fetch order, the final tie-break of the apply order.
+    ord: u32,
+    diff: Arc<Diff>,
+    exchange: u32,
+    /// A merged chain from the page's sole pending writer.
+    solo: bool,
+}
+
+/// Working storage of one round of pending fetches.  Nothing in it outlives
+/// the round — what does (`FaultRecord::exchange_ids`, the `DiffExchange`
+/// records) is allocated as before — so one instance per processor is
+/// cleared and refilled by every fault instead of a dozen containers being
+/// built and dropped.  Sized by what a round touches, never by the cluster
+/// or the address space; the capacity of the largest round (a GC validation
+/// flush) is kept, because re-growing it after every flush allocates more
+/// than the flush's own containers used to.
+#[derive(Debug, Default)]
+struct ExchangeScratch {
+    wants: Vec<Want>,
+    /// The interval seqs of one page's chain, contiguous for the log.
+    chain_seqs: Vec<u32>,
+    /// Per responder contacted: reply size and serve-side extras.
     responder_costs: Vec<ResponderCost>,
     /// Rank serving `responder_costs[i]` (writer or home) — the source
     /// endpoint when replies are routed through a contended topology.
     responder_ranks: Vec<u32>,
-    /// Total diff payload applied.
-    total_payload: u64,
+    to_apply: Vec<Fetched>,
+    /// The fetched pages with `Want::contended` set, ascending.
+    contended_pages: Vec<PageId>,
+    /// `contended_pages[k]`'s word-cover bitset is block `k` of this array;
+    /// `cover_set[k]` counts its set bits.
+    cover_bits: Vec<u64>,
+    cover_set: Vec<usize>,
+    visible: Vec<(u32, u32)>,
+    /// Cover bitset lent to `LocalPage::apply_diff_deferred`'s fold.
+    fold_cover: Vec<u64>,
+}
+
+impl ExchangeScratch {
+    /// Empty every container, keeping its capacity.
+    fn clear(&mut self) {
+        self.wants.clear();
+        self.responder_costs.clear();
+        self.responder_ranks.clear();
+        self.to_apply.clear();
+        self.contended_pages.clear();
+        self.cover_bits.clear();
+        self.cover_set.clear();
+    }
 }
 
 /// The application-facing handle for one simulated processor.
@@ -81,6 +155,11 @@ pub struct ProcCtx {
     unit: UnitPolicy,
     cost: CostModel,
     store: PageStore,
+    /// The protection table: one byte of `PROT_*` bits per page, the
+    /// simulator's stand-in for the MMU's protection bits.  Every shared
+    /// access checks it inline; only a failed check enters the trap path.
+    /// Host-only state: no bit of it ever reaches a result document.
+    prot: Vec<u8>,
     meta: Vec<PageMeta>,
     dirty_pages: Vec<PageId>,
     vc: VectorClock,
@@ -135,6 +214,10 @@ pub struct ProcCtx {
     /// so a thread-local scratch would be re-entered across suspension
     /// points.
     byte_scratch: Vec<u8>,
+    /// The pages the fault being served fetches; refilled by every fault.
+    fault_pages: Vec<PageId>,
+    /// See [`ExchangeScratch`]; detached around each round of fetches.
+    exchange: ExchangeScratch,
     marked_end_ns: Option<u64>,
 }
 
@@ -174,6 +257,7 @@ impl ProcCtx {
             unit: config.unit,
             cost: config.cost.clone(),
             store: PageStore::new(layout),
+            prot: vec![0; layout.total_pages() as usize],
             meta: vec![PageMeta::default(); layout.total_pages() as usize],
             dirty_pages: Vec::new(),
             vc: VectorClock::zero(config.nprocs),
@@ -194,6 +278,8 @@ impl ProcCtx {
             diff_scratch: Vec::new(),
             home_diff_buf: (Vec::new(), Vec::new()),
             byte_scratch: Vec::new(),
+            fault_pages: Vec::new(),
+            exchange: ExchangeScratch::default(),
             marked_end_ns: None,
         }
     }
@@ -394,41 +480,59 @@ impl ProcCtx {
         }
     }
 
+    /// The hit path: check the protection table for every page of the
+    /// range and trap on those that do not allow the access as it is.
     async fn ensure_valid_range(&mut self, addr: GlobalAddr, len: u64, for_write: bool) {
-        if len == 0 {
+        let Some((first, last)) = self.layout.page_span(addr, len) else {
             return;
+        };
+        // A read goes through on a valid page; a write on a valid page that
+        // is already in the interval's write set.
+        let (mask, pass) = if for_write {
+            (PROT_INVALID | PROT_DIRTY, PROT_DIRTY)
+        } else {
+            (PROT_INVALID, 0)
+        };
+        for p in first..=last {
+            if self.prot[p as usize] & mask != pass {
+                self.access_trap(PageId(p), for_write).await;
+            }
         }
-        let layout = self.layout;
-        for page in layout.pages_of_range(addr, len) {
-            if self.meta[page.index()].invalid {
-                self.fault_on(page).await;
+    }
+
+    /// The trap path of one page: run the fault handler if the page is
+    /// invalid, then, for a write to a page not yet in the interval's write
+    /// set, write detection.
+    #[cold]
+    async fn access_trap(&mut self, page: PageId, for_write: bool) {
+        if self.prot[page.index()] & PROT_INVALID != 0 {
+            self.fault_on(page).await;
+        }
+        if for_write && self.prot[page.index()] & PROT_DIRTY == 0 {
+            // The write-protocol seam at write detection: a multi-writer
+            // processor twins the page so the interval's modifications
+            // can be diffed later; under the home-based protocol the
+            // page's *home* skips the twin entirely (its writes go
+            // straight into the master copy), while a non-home writer
+            // still twins — the eager flush at interval close is a diff.
+            let needs_twin = match self.protocol {
+                ProtocolMode::MultiWriter => true,
+                ProtocolMode::HomeBased { .. } => self.home_of(page) != self.rank.0,
+            };
+            if needs_twin {
+                let created = self.store.page_mut(page).ensure_twin();
+                debug_assert!(created, "twin already present on a clean page");
+                self.stats.twins_created += 1;
+                self.clock
+                    .advance(self.cost.twin_cost(self.layout.page_size() as u64));
+            } else {
+                // Still materialize the local copy so the write lands.
+                self.store.page_mut(page);
             }
-            if for_write && !self.meta[page.index()].dirty {
-                // The write-protocol seam at write detection: a multi-writer
-                // processor twins the page so the interval's modifications
-                // can be diffed later; under the home-based protocol the
-                // page's *home* skips the twin entirely (its writes go
-                // straight into the master copy), while a non-home writer
-                // still twins — the eager flush at interval close is a diff.
-                let needs_twin = match self.protocol {
-                    ProtocolMode::MultiWriter => true,
-                    ProtocolMode::HomeBased { .. } => self.home_of(page) != self.rank.0,
-                };
-                if needs_twin {
-                    let created = self.store.page_mut(page).ensure_twin();
-                    debug_assert!(created, "twin already present on a clean page");
-                    self.stats.twins_created += 1;
-                    self.clock
-                        .advance(self.cost.twin_cost(self.layout.page_size() as u64));
-                } else {
-                    // Still materialize the local copy so the write lands.
-                    self.store.page_mut(page);
-                }
-                self.meta[page.index()].dirty = true;
-                self.dirty_pages.push(page);
-                self.stats.protection_ops += 1;
-                self.clock.advance(self.cost.protection_op_ns);
-            }
+            self.prot[page.index()] |= PROT_DIRTY;
+            self.dirty_pages.push(page);
+            self.stats.protection_ops += 1;
+            self.clock.advance(self.cost.protection_op_ns);
         }
     }
 
@@ -462,31 +566,35 @@ impl ProcCtx {
             .yield_turn(self.rank.index(), self.clock.now_ns())
             .await;
 
-        // Pages whose diffs are fetched by this fault, and pages that become
-        // valid afterwards.
-        let (fetch_pages, validate_pages) = match self.unit {
+        // The pages whose diffs this fault fetches, the first `validated`
+        // of which become valid afterwards: the whole static consistency
+        // unit, or of a dynamic page group the faulting page alone.
+        let mut pages = std::mem::take(&mut self.fault_pages);
+        pages.clear();
+        let validated = match self.unit {
             UnitPolicy::Static { .. } => {
-                let unit = self.unit.unit_pages(page, &self.layout);
-                (unit.clone(), unit)
+                pages.extend(self.unit.unit_range(page, &self.layout).map(PageId));
+                pages.len()
             }
             UnitPolicy::Dynamic { .. } => {
                 let agg = self.agg.as_mut().expect("dynamic policy has aggregator");
                 agg.note_fault(page);
-                let mut fetch = vec![page];
-                fetch.extend(agg.group_companions(page));
-                (fetch, vec![page])
+                pages.push(page);
+                pages.extend(agg.group_of(page).iter().filter(|&&p| p != page));
+                1
             }
         };
 
-        let outcome = self.fetch_pending(&fetch_pages);
-        for &p in &validate_pages {
-            self.meta[p.index()].invalid = false;
+        let outcome = self.fetch_pending(&pages);
+        for &p in &pages[..validated] {
+            self.prot[p.index()] &= !PROT_INVALID;
         }
+        self.fault_pages = pages;
 
         if outcome.writers == 0 {
             self.stats.prefetched_faults += 1;
         }
-        let stall = self.fetch_stall(&outcome);
+        let stall = self.fetch_stall(outcome.total_payload);
         // Under the home-based protocol `concurrent_writers` counts the
         // *homes* contacted — the signature then reads "responders per
         // fault", which is exactly the quantity the two protocols trade
@@ -494,7 +602,7 @@ impl ProcCtx {
         self.stats.faults.push(FaultRecord {
             concurrent_writers: outcome.writers,
             exchange_ids: outcome.exchange_ids,
-            pages_validated: validate_pages.len() as u32,
+            pages_validated: validated as u32,
         });
         self.stats.protection_ops += 1;
 
@@ -517,23 +625,25 @@ impl ProcCtx {
     /// contended topology the replies are routed through the shared link
     /// state, so they queue behind concurrent traffic; under the ideal
     /// default this is exactly the calibrated cost model.
-    fn fetch_stall(&self, outcome: &PendingExchangeOutcome) -> u64 {
+    fn fetch_stall(&self, total_payload: u64) -> u64 {
+        let costs = &self.exchange.responder_costs;
         if let Some(net) = &self.shared.net {
             let mut net = net.borrow_mut();
             let now = self.clock.now_ns();
+            let ranks = &self.exchange.responder_ranks;
             return match self.protocol {
                 ProtocolMode::MultiWriter => self.cost.fault_stall_served_on(
-                    &outcome.responder_costs,
-                    &outcome.responder_ranks,
-                    outcome.total_payload,
+                    costs,
+                    ranks,
+                    total_payload,
                     self.rank.0,
                     now,
                     &mut net,
                 ),
                 ProtocolMode::HomeBased { .. } => self.cost.home_fetch_stall_on(
-                    &outcome.responder_costs,
-                    &outcome.responder_ranks,
-                    outcome.total_payload,
+                    costs,
+                    ranks,
+                    total_payload,
                     self.rank.0,
                     now,
                     &mut net,
@@ -541,12 +651,8 @@ impl ProcCtx {
             };
         }
         match self.protocol {
-            ProtocolMode::MultiWriter => self
-                .cost
-                .fault_stall_served(&outcome.responder_costs, outcome.total_payload),
-            ProtocolMode::HomeBased { .. } => self
-                .cost
-                .home_fetch_stall(&outcome.responder_costs, outcome.total_payload),
+            ProtocolMode::MultiWriter => self.cost.fault_stall_served(costs, total_payload),
+            ProtocolMode::HomeBased { .. } => self.cost.home_fetch_stall(costs, total_payload),
         }
     }
 
@@ -556,128 +662,133 @@ impl ProcCtx {
     /// handler and the GC validation flush; the caller decides what the
     /// operation *is* (a fault or a flush) and charges its stall.
     fn exchange_pending(&mut self, fetch_pages: &[PageId]) -> PendingExchangeOutcome {
+        let mut xs = std::mem::take(&mut self.exchange);
+        xs.clear();
         // Gather the pending write notices of every page we are fetching,
-        // grouped by the writer that must serve the diff.  Pages with
-        // pending notices from more than one writer need their diffs ordered
-        // by happens-before across writers, so they take the per-diff path
-        // below instead of the merged chain fetch.
-        let mut by_writer: BTreeMap<u32, Vec<(PageId, u32)>> = BTreeMap::new();
-        let mut multi_writer: FastHashSet<PageId> = FastHashSet::default();
+        // grouped (by the sort) by the writer that must serve the diff.
+        // Pages with pending notices from more than one writer need their
+        // diffs ordered by happens-before across writers, so they take the
+        // per-diff path below instead of the merged chain fetch.
         for &p in fetch_pages {
             let pending = &self.meta[p.index()].pending;
-            if let Some(&(first_writer, _)) = pending.first() {
-                if pending.iter().any(|&(w, _)| w != first_writer) {
-                    multi_writer.insert(p);
-                }
+            let contended = pending
+                .first()
+                .is_some_and(|&(first, _)| pending.iter().any(|&(w, _)| w != first));
+            if contended {
+                xs.contended_pages.push(p);
             }
             for &(writer, seq) in pending {
-                by_writer.entry(writer).or_default().push((p, seq));
+                xs.wants.push(Want {
+                    responder: writer,
+                    ord: xs.wants.len() as u32,
+                    page: p,
+                    seq,
+                    contended,
+                });
             }
         }
+        xs.wants.sort_unstable();
+        xs.contended_pages.sort_unstable();
 
-        let mut exchange_ids = Vec::with_capacity(by_writer.len());
-        let mut responder_costs = Vec::with_capacity(by_writer.len());
-        let mut responder_ranks = Vec::with_capacity(by_writer.len());
-        let mut to_apply: Vec<(u64, u32, u32, Arc<Diff>, u32, bool)> = Vec::new();
+        let same_writer = |a: &Want, b: &Want| a.responder == b.responder;
+        let writers = xs.wants.chunk_by(same_writer).count();
+        let mut exchange_ids = Vec::with_capacity(writers);
         let mut total_payload = 0u64;
         let page_size = self.layout.page_size() as u64;
 
-        for (writer, wants) in &by_writer {
-            debug_assert_ne!(*writer, self.rank.0, "own writes are never pending");
+        for wants in xs.wants.chunk_by(same_writer) {
+            let writer = wants[0].responder;
+            debug_assert_ne!(writer, self.rank.0, "own writes are never pending");
             let exchange_id = self.stats.exchanges.len() as u32;
             let mut reply_bytes = MSG_HEADER_BYTES;
             let mut serve_extra_ns = 0u64;
             let mut delivered = 0u64;
             let mut diffs_carried = 0u32;
-            let mut pages_requested: Vec<PageId> = Vec::new();
-            {
-                let mut log = self.shared.logs[*writer as usize].borrow_mut();
-                // `wants` lists each page's pending seqs as one consecutive
-                // ascending block (it is built page by page, notices arrive
-                // in interval order), so each block is one fetch chain.
-                let mut i = 0;
-                while i < wants.len() {
-                    let p = wants[i].0;
-                    let mut j = i + 1;
-                    while j < wants.len() && wants[j].0 == p {
-                        j += 1;
+            let mut pages_requested = 0u64;
+            let mut log = self.shared.logs[writer as usize].borrow_mut();
+            // `wants` lists each page's pending seqs as one consecutive
+            // ascending block (it is gathered page by page, notices arrive
+            // in interval order), so each block is one fetch chain.
+            for chain in wants.chunk_by(|a, b| a.page == b.page) {
+                let p = chain[0].page;
+                pages_requested += 1;
+                if !chain[0].contended {
+                    // Sole pending writer: the responder serves the whole
+                    // chain as one pre-merged diff with aggregate
+                    // accounting identical to fetching each diff.
+                    xs.chain_seqs.clear();
+                    xs.chain_seqs.extend(chain.iter().map(|w| w.seq));
+                    let fetched = log
+                        .fetch_chain(p, &xs.chain_seqs)
+                        .expect("a stored diff must exist for a published notice");
+                    if fetched.created_now > 0 {
+                        // Lazy timing: this request materializes diffs on
+                        // the responder, serializing their creation into
+                        // the responder's serve path (which we stall on).
+                        serve_extra_ns = serve_extra_ns.saturating_add(
+                            fetched.created_now as u64 * self.cost.diff_create_cost(page_size),
+                        );
                     }
-                    pages_requested.push(p);
-                    if !multi_writer.contains(&p) {
-                        // Sole pending writer: the responder serves the whole
-                        // chain as one pre-merged diff with aggregate
-                        // accounting identical to fetching each diff.
+                    let last_seq = chain[chain.len() - 1].seq;
+                    let weight = log
+                        .record(last_seq)
+                        .expect("published interval record must exist")
+                        .vc
+                        .weight();
+                    reply_bytes += fetched.wire_bytes;
+                    delivered += fetched.payload_bytes;
+                    diffs_carried += chain.len() as u32;
+                    xs.to_apply.push(Fetched {
+                        weight,
+                        writer,
+                        seq: last_seq,
+                        ord: xs.to_apply.len() as u32,
+                        diff: fetched.diff,
+                        exchange: exchange_id,
+                        solo: true,
+                    });
+                } else {
+                    for &Want { seq, .. } in chain {
                         let fetched = log
-                            .fetch_chain(p, &wants[i..j])
+                            .fetch_diff(p, seq)
                             .expect("a stored diff must exist for a published notice");
-                        if fetched.created_now > 0 {
-                            // Lazy timing: this request materializes diffs on
-                            // the responder, serializing their creation into
-                            // the responder's serve path (which we stall on).
-                            serve_extra_ns = serve_extra_ns.saturating_add(
-                                fetched.created_now as u64 * self.cost.diff_create_cost(page_size),
-                            );
+                        if fetched.created_now {
+                            serve_extra_ns = serve_extra_ns
+                                .saturating_add(self.cost.diff_create_cost(page_size));
                         }
-                        let last_seq = wants[j - 1].1;
-                        let record_vc_weight = log
-                            .record(last_seq)
+                        let weight = log
+                            .record(seq)
                             .expect("published interval record must exist")
                             .vc
                             .weight();
                         reply_bytes += fetched.wire_bytes;
                         delivered += fetched.payload_bytes;
-                        diffs_carried += (j - i) as u32;
-                        to_apply.push((
-                            record_vc_weight,
-                            *writer,
-                            last_seq,
-                            fetched.diff,
-                            exchange_id,
-                            true,
-                        ));
-                    } else {
-                        for &(_, seq) in &wants[i..j] {
-                            let fetched = log
-                                .fetch_diff(p, seq)
-                                .expect("a stored diff must exist for a published notice");
-                            if fetched.created_now {
-                                serve_extra_ns = serve_extra_ns
-                                    .saturating_add(self.cost.diff_create_cost(page_size));
-                            }
-                            let record_vc_weight = log
-                                .record(seq)
-                                .expect("published interval record must exist")
-                                .vc
-                                .weight();
-                            reply_bytes += fetched.wire_bytes;
-                            delivered += fetched.payload_bytes;
-                            diffs_carried += 1;
-                            to_apply.push((
-                                record_vc_weight,
-                                *writer,
-                                seq,
-                                fetched.diff,
-                                exchange_id,
-                                false,
-                            ));
-                        }
+                        diffs_carried += 1;
+                        xs.to_apply.push(Fetched {
+                            weight,
+                            writer,
+                            seq,
+                            ord: xs.to_apply.len() as u32,
+                            diff: fetched.diff,
+                            exchange: exchange_id,
+                            solo: false,
+                        });
                     }
-                    i = j;
                 }
             }
             total_payload += delivered;
-            responder_costs.push(ResponderCost {
+            xs.responder_costs.push(ResponderCost {
                 reply_bytes,
                 serve_extra_ns,
             });
-            responder_ranks.push(*writer);
+            xs.responder_ranks.push(writer);
             exchange_ids.push(exchange_id);
             self.stats.exchanges.push(DiffExchange {
                 id: exchange_id,
-                responder: ProcId(*writer),
-                pages_requested: pages_requested.len() as u32,
+                responder: ProcId(writer),
+                pages_requested: pages_requested as u32,
                 diffs_carried,
-                request_bytes: MSG_HEADER_BYTES + 8 * pages_requested.len() as u64,
+                request_bytes: MSG_HEADER_BYTES + 8 * pages_requested,
                 reply_bytes,
                 delivered_payload: delivered,
                 useful_payload: 0,
@@ -685,10 +796,12 @@ impl ProcCtx {
         }
 
         // Apply the diffs in a linear extension of happens-before (vector
-        // clock weight, then writer id, then sequence number).  Diffs of
+        // clock weight, then writer id, then sequence number; fetch order
+        // last, which makes the unstable sort a stable one).  Diffs of
         // concurrent intervals touch disjoint words in a data-race-free
         // program, so their relative order does not matter.
-        to_apply.sort_by_key(|(w, writer, seq, ..)| (*w, *writer, *seq));
+        xs.to_apply
+            .sort_unstable_by_key(|f| (f.weight, f.writer, f.seq, f.ord));
         // Reverse painter's algorithm: walking the batch backwards, each
         // diff only writes the words no later-applied diff of the same page
         // touches.  Every word still ends with the bytes, attribution, and
@@ -700,45 +813,56 @@ impl ProcCtx {
         // same-page diff chains, which is where this pays off.
         let page_words = self.layout.page_size() / WORD_SIZE;
         let page_blocks = page_words.div_ceil(64);
-        let mut cover: FastHashMap<PageId, (Vec<u64>, usize)> = FastHashMap::default();
-        let mut visible: Vec<(u32, u32)> = Vec::new();
-        for (_, _, _, diff, exchange_id, solo) in to_apply.iter().rev() {
-            if *solo {
+        xs.cover_bits
+            .resize(xs.contended_pages.len() * page_blocks, 0);
+        xs.cover_set.resize(xs.contended_pages.len(), 0);
+        for f in xs.to_apply.iter().rev() {
+            if f.solo {
                 // A merged chain is its page's only entry in the batch (its
                 // page had a single pending writer), so no cover tracking is
                 // needed: apply it whole.  The deferred path parks whole-page
                 // payloads instead of copying them — GC validation flushes
                 // repeatedly redeliver pages the next flush overwrites.
-                self.store
-                    .page_mut(diff.page)
-                    .apply_diff_deferred(diff, *exchange_id);
+                self.store.page_mut(f.diff.page).apply_diff_deferred(
+                    &f.diff,
+                    f.exchange,
+                    &mut xs.fold_cover,
+                    &mut xs.visible,
+                );
                 continue;
             }
-            let (cov, set) = cover
-                .entry(diff.page)
-                .or_insert_with(|| (vec![0u64; page_blocks], 0));
+            let k = xs
+                .contended_pages
+                .binary_search(&f.diff.page)
+                .expect("a diff fetched on its own is of a contended page");
+            let set = &mut xs.cover_set[k];
             if *set == page_words {
                 // Every word of the page is already claimed by later diffs:
                 // this one is fully shadowed.
                 continue;
             }
-            visible.clear();
-            for span in diff.spans() {
-                *set += subtract_cover(span.offset, span.len as usize, cov, &mut visible);
+            let cov = &mut xs.cover_bits[k * page_blocks..(k + 1) * page_blocks];
+            xs.visible.clear();
+            for span in f.diff.spans() {
+                *set += subtract_cover(span.offset, span.len as usize, cov, &mut xs.visible);
             }
-            if !visible.is_empty() {
-                self.store
-                    .page_mut(diff.page)
-                    .apply_diff_visible(diff, *exchange_id, &visible);
+            if !xs.visible.is_empty() {
+                self.store.page_mut(f.diff.page).apply_diff_visible(
+                    &f.diff,
+                    f.exchange,
+                    &xs.visible,
+                );
             }
         }
+        // Let go of the fetched diffs now, not at the next fault: a diff the
+        // scratch still held could not be salvaged when its interval retires.
+        xs.to_apply.clear();
+        self.exchange = xs;
         self.clear_pending(fetch_pages);
 
         PendingExchangeOutcome {
-            writers: by_writer.len() as u32,
+            writers: writers as u32,
             exchange_ids,
-            responder_costs,
-            responder_ranks,
             total_payload,
         }
     }
@@ -776,50 +900,63 @@ impl ProcCtx {
     /// the exchange, so the useful/useless classifier sees the whole page —
     /// the false-sharing exposure the single-writer organization pays for.
     fn fetch_from_homes(&mut self, fetch_pages: &[PageId]) -> PendingExchangeOutcome {
+        let mut xs = std::mem::take(&mut self.exchange);
+        xs.clear();
         let mut dir = self.shared.home().borrow_mut();
+        let page_size = self.layout.page_size();
+        let mut total_payload = 0u64;
+        let mut buf = vec![0u8; page_size];
 
         // Only pages with pending notices are stale; the others are validated
         // without traffic, exactly as in the multi-writer protocol.
-        let mut by_home: BTreeMap<u32, Vec<PageId>> = BTreeMap::new();
-        let mut local_pages: Vec<PageId> = Vec::new();
         for &p in fetch_pages {
             if self.meta[p.index()].pending.is_empty() {
                 continue;
             }
             let h = dir.home_of(p, self.rank.0);
             if h == self.rank.0 {
-                local_pages.push(p);
+                // Refresh a self-homed page from the co-resident master
+                // copy: no message, no attribution (nothing was delivered
+                // over the wire), but the memcpy is part of the fault's
+                // applied payload.
+                dir.store().copy_page_into(p, &mut buf);
+                self.store.page_mut(p).load_page(&buf, tm_page::NO_EXCHANGE);
+                total_payload += page_size as u64;
             } else {
-                by_home.entry(h).or_default().push(p);
+                xs.wants.push(Want {
+                    responder: h,
+                    ord: xs.wants.len() as u32,
+                    page: p,
+                    seq: 0,
+                    contended: false,
+                });
             }
         }
+        xs.wants.sort_unstable();
 
-        let page_size = self.layout.page_size();
-        let mut exchange_ids = Vec::with_capacity(by_home.len());
-        let mut responder_costs = Vec::with_capacity(by_home.len());
-        let mut responder_ranks = Vec::with_capacity(by_home.len());
-        let mut total_payload = 0u64;
-        let mut buf = vec![0u8; page_size];
-
-        for (home_rank, pages) in &by_home {
+        let same_home = |a: &Want, b: &Want| a.responder == b.responder;
+        let homes = xs.wants.chunk_by(same_home).count();
+        let mut exchange_ids = Vec::with_capacity(homes);
+        for pages in xs.wants.chunk_by(same_home) {
+            let home_rank = pages[0].responder;
             let exchange_id = self.stats.exchanges.len() as u32;
             let delivered = (pages.len() * page_size) as u64;
             let reply_bytes = MSG_HEADER_BYTES + delivered;
-            for &p in pages {
+            for &Want { page: p, .. } in pages {
                 dir.store().copy_page_into(p, &mut buf);
                 self.store.page_mut(p).load_page(&buf, exchange_id);
             }
             total_payload += delivered;
             self.stats.page_fetches += pages.len() as u64;
-            responder_costs.push(ResponderCost {
+            xs.responder_costs.push(ResponderCost {
                 reply_bytes,
                 serve_extra_ns: 0,
             });
-            responder_ranks.push(*home_rank);
+            xs.responder_ranks.push(home_rank);
             exchange_ids.push(exchange_id);
             self.stats.exchanges.push(DiffExchange {
                 id: exchange_id,
-                responder: ProcId(*home_rank),
+                responder: ProcId(home_rank),
                 pages_requested: pages.len() as u32,
                 diffs_carried: 0,
                 request_bytes: MSG_HEADER_BYTES + 8 * pages.len() as u64,
@@ -828,24 +965,14 @@ impl ProcCtx {
                 useful_payload: 0,
             });
         }
-
-        // Refresh self-homed pages from the co-resident master copy: no
-        // message, no attribution (nothing was delivered over the wire), but
-        // the memcpy is part of the fault's applied payload.
-        for &p in &local_pages {
-            dir.store().copy_page_into(p, &mut buf);
-            self.store.page_mut(p).load_page(&buf, tm_page::NO_EXCHANGE);
-            total_payload += page_size as u64;
-        }
         drop(dir);
+        self.exchange = xs;
 
         self.clear_pending(fetch_pages);
 
         PendingExchangeOutcome {
-            writers: by_home.len() as u32,
+            writers: homes as u32,
             exchange_ids,
-            responder_costs,
-            responder_ranks,
             total_payload,
         }
     }
@@ -878,13 +1005,13 @@ impl ProcCtx {
         // The flushed pages are now up to date: validate them (one batched
         // protection operation, as in a multi-page fault).
         for &p in &pages {
-            self.meta[p.index()].invalid = false;
+            self.prot[p.index()] &= !PROT_INVALID;
         }
         self.stats.protection_ops += 1;
         self.clock.advance(self.cost.protection_op_ns);
         // Not a fault: no fault record, no signature contribution — but the
         // fetch stall is real.
-        let stall = self.fetch_stall(&outcome);
+        let stall = self.fetch_stall(outcome.total_payload);
         self.clock.advance(stall);
         self.stats.fault_stall_ns = self.stats.fault_stall_ns.saturating_add(stall);
         self.stats.gc_pending_flushes += 1;
@@ -944,7 +1071,7 @@ impl ProcCtx {
                 .make_diff_in(page, spans, packed)
                 .expect("dirty page must have a twin at interval close");
             lp.drop_twin();
-            self.meta[page.index()].dirty = false;
+            self.prot[page.index()] &= !PROT_DIRTY;
             if eager {
                 self.clock.advance(self.cost.diff_create_cost(page_size));
             }
@@ -1033,7 +1160,7 @@ impl ProcCtx {
         let mut dir = self.shared.home().borrow_mut();
         let mut dirty = std::mem::take(&mut self.dirty_pages);
         for &page in &dirty {
-            self.meta[page.index()].dirty = false;
+            self.prot[page.index()] &= !PROT_DIRTY;
             // Re-protect the page so the next write re-arms detection.
             self.stats.protection_ops += 1;
             self.clock.advance(self.cost.protection_op_ns);
@@ -1159,17 +1286,16 @@ impl ProcCtx {
     /// Invalidate the consistency unit containing `page` (one protection
     /// operation per unit that actually changes state).
     fn invalidate_unit_of(&mut self, page: PageId) {
-        let unit = self.unit.unit_pages(page, &self.layout);
         let mut changed = false;
-        for p in unit {
-            let m = &mut self.meta[p.index()];
-            if !m.invalid {
+        for p in self.unit.unit_range(page, &self.layout) {
+            let bits = &mut self.prot[p as usize];
+            if *bits & PROT_INVALID == 0 {
                 debug_assert!(
-                    !m.dirty,
+                    *bits & PROT_DIRTY == 0,
                     "invalidation must not hit a page dirty in the open interval \
                      (intervals are closed before notices are incorporated)"
                 );
-                m.invalid = true;
+                *bits |= PROT_INVALID;
                 changed = true;
             }
         }
@@ -1407,3 +1533,7 @@ impl std::fmt::Debug for ProcCtx {
             .finish()
     }
 }
+
+#[cfg(test)]
+#[path = "proc_tests.rs"]
+mod tests;

@@ -14,7 +14,7 @@
 //!
 //! Dense diffs go one step further and skip the payload copy entirely: a
 //! diff published at interval close can *borrow* the page image itself
-//! ([`Payload::Page`], an `Arc`-shared snapshot) with its spans indexing
+//! (`Payload::Page`, an `Arc`-shared snapshot) with its spans indexing
 //! the image by page offset.  The owning processor detaches
 //! (copy-on-next-write) only if it writes the page again in a later
 //! interval, so the common publish-then-move-on pattern never copies the
@@ -261,7 +261,7 @@ impl Diff {
 
     /// The shared page snapshot, when this diff rewrites the *entire* page
     /// out of one: a single run at offset 0 covering every byte of a
-    /// [`Payload::Page`] image.  Receivers then adopt the snapshot `Arc`
+    /// `Payload::Page` image.  Receivers then adopt the snapshot `Arc`
     /// wholesale instead of copying the page — their contents after
     /// adoption are bit-identical to an [`apply`](Self::apply), because the
     /// lone run *is* the image.
@@ -579,7 +579,16 @@ fn pack_payload_into(spans: &[RunSpan], source: &[u8], payload: &mut Vec<u8>) {
     payload.clear();
     payload.reserve(total);
     for s in spans {
-        payload.extend_from_slice(&source[s.offset as usize..s.end() as usize]);
+        let run = &source[s.offset as usize..s.end() as usize];
+        // Sparse diffs are mostly one- and two-word runs: append those as
+        // constant-length copies, not `memcpy` calls.
+        if let Ok(two_words) = <&[u8; 2 * WORD_SIZE]>::try_from(run) {
+            payload.extend_from_slice(two_words);
+        } else if let Ok(word) = <&[u8; WORD_SIZE]>::try_from(run) {
+            payload.extend_from_slice(word);
+        } else {
+            payload.extend_from_slice(run);
+        }
     }
 }
 

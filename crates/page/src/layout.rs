@@ -58,6 +58,9 @@ impl std::fmt::Display for GlobalAddr {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageLayout {
     page_size: usize,
+    /// `log2(page_size)`: the page size is a power of two, so splitting an
+    /// address into page and offset is a shift and a mask.
+    page_shift: u32,
     total_pages: u32,
 }
 
@@ -81,6 +84,7 @@ impl PageLayout {
         assert!(total_pages > 0, "layout must contain at least one page");
         PageLayout {
             page_size,
+            page_shift: page_size.trailing_zeros(),
             total_pages,
         }
     }
@@ -128,8 +132,8 @@ impl PageLayout {
         let used_pages = used_bytes.div_ceil(self.page_size as u64).max(1);
         let rounded = used_pages.div_ceil(unit) * unit;
         PageLayout {
-            page_size: self.page_size,
             total_pages: rounded.min(self.total_pages as u64) as u32,
+            ..*self
         }
     }
 
@@ -144,13 +148,13 @@ impl PageLayout {
             "address {addr} outside shared space of {} bytes",
             self.total_bytes()
         );
-        PageId((addr.0 / self.page_size as u64) as u32)
+        PageId((addr.0 >> self.page_shift) as u32)
     }
 
     /// Byte offset of `addr` within its page.
     #[inline]
     pub fn offset_in_page(&self, addr: GlobalAddr) -> usize {
-        (addr.0 % self.page_size as u64) as usize
+        (addr.0 & (self.page_size as u64 - 1)) as usize
     }
 
     /// Global address of the first byte of `page`.
@@ -159,21 +163,36 @@ impl PageLayout {
         GlobalAddr(page.0 as u64 * self.page_size as u64)
     }
 
+    /// Indices of the first and last page the byte range
+    /// `[addr, addr + len)` touches, or `None` for an empty range.
+    ///
+    /// # Panics
+    /// Panics if the range does not lie inside the space (an end that
+    /// overflows `u64` lies outside it).
+    #[inline]
+    pub fn page_span(&self, addr: GlobalAddr, len: u64) -> Option<(u32, u32)> {
+        if len == 0 {
+            return None;
+        }
+        let end = addr.0.checked_add(len);
+        assert!(
+            end.is_some_and(|end| end <= self.total_bytes()),
+            "range [{addr}, +{len}) exceeds shared space of {} bytes",
+            self.total_bytes()
+        );
+        let last = addr.0 + (len - 1);
+        Some((
+            (addr.0 >> self.page_shift) as u32,
+            (last >> self.page_shift) as u32,
+        ))
+    }
+
     /// Iterator over the pages that the byte range `[addr, addr + len)`
     /// touches.  An empty range touches no pages.
     pub fn pages_of_range(&self, addr: GlobalAddr, len: u64) -> impl Iterator<Item = PageId> {
-        let page_size = self.page_size as u64;
-        let (first, last) = if len == 0 {
-            (1, 0) // empty iterator
-        } else {
-            assert!(
-                addr.0 + len <= self.total_bytes(),
-                "range [{addr}, +{len}) exceeds shared space of {} bytes",
-                self.total_bytes()
-            );
-            (addr.0 / page_size, (addr.0 + len - 1) / page_size)
-        };
-        (first..=last).map(|p| PageId(p as u32))
+        // `1..=0` is the empty iterator.
+        let (first, last) = self.page_span(addr, len).unwrap_or((1, 0));
+        (first..=last).map(PageId)
     }
 
     /// Word index (within its page) of the byte at `addr`.
@@ -236,6 +255,76 @@ mod tests {
         assert!(pages.is_empty());
         let pages: Vec<_> = l.pages_of_range(GlobalAddr(0), 3 * 4096 + 1).collect();
         assert_eq!(pages.len(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds shared space")]
+    fn range_whose_end_overflows_fails_the_range_check() {
+        let l = PageLayout::new(4096, 8);
+        l.page_span(GlobalAddr(u64::MAX - 3), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds shared space")]
+    fn range_of_maximal_length_fails_the_range_check() {
+        let l = PageLayout::new(4096, 8);
+        let _ = l.pages_of_range(GlobalAddr(1), u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds shared space")]
+    fn range_ending_one_byte_past_the_space_panics() {
+        let l = PageLayout::new(4096, 8);
+        l.page_span(GlobalAddr(8 * 4096 - 7), 8);
+    }
+
+    #[test]
+    fn range_ending_exactly_at_the_end_and_empty_ranges_are_fine() {
+        let l = PageLayout::new(4096, 8);
+        assert_eq!(l.page_span(GlobalAddr(8 * 4096 - 8), 8), Some((7, 7)));
+        assert_eq!(l.page_span(GlobalAddr(0), 8 * 4096), Some((0, 7)));
+        assert_eq!(l.page_span(GlobalAddr(100), 0), None);
+        // An empty range is empty wherever it starts: no range check fires.
+        assert_eq!(l.page_span(GlobalAddr(u64::MAX), 0), None);
+        assert_eq!(l.pages_of_range(GlobalAddr(u64::MAX), 0).count(), 0);
+    }
+
+    #[test]
+    fn shift_and_mask_agree_with_division_for_every_page_size() {
+        for shift in 6..=16u32 {
+            let page_size = 1usize << shift;
+            let l = PageLayout::new(page_size, 5);
+            let ps = page_size as u64;
+            for boundary in 0..=5u64 {
+                for addr in [
+                    (boundary * ps).wrapping_sub(1),
+                    boundary * ps,
+                    boundary * ps + 1,
+                ] {
+                    if addr >= l.total_bytes() {
+                        continue;
+                    }
+                    let a = GlobalAddr(addr);
+                    assert_eq!(
+                        l.page_of(a),
+                        PageId((addr / ps) as u32),
+                        "{page_size}@{addr}"
+                    );
+                    assert_eq!(l.offset_in_page(a), (addr % ps) as usize);
+                    assert_eq!(
+                        l.page_base(l.page_of(a)).0 + l.offset_in_page(a) as u64,
+                        addr
+                    );
+                    for len in [1, 2, ps - 1, ps, ps + 1, 2 * ps + 1] {
+                        if addr + len > l.total_bytes() {
+                            continue;
+                        }
+                        let want = ((addr / ps) as u32, ((addr + len - 1) / ps) as u32);
+                        assert_eq!(l.page_span(a, len), Some(want), "{page_size}@{addr}+{len}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -286,6 +286,8 @@ mod proptests {
             let mut log: Vec<Arc<Diff>> = Vec::new();
             let mut pool: Vec<(Vec<RunSpan>, Vec<u8>)> = Vec::new();
             let mut scratch = vec![0u8; page_size];
+            // Deliberately dirty fold scratch: its contents must not matter.
+            let (mut cov, mut visible) = (vec![!0u64; 3], vec![(4u32, 8u32)]);
 
             for (k, writes) in intervals.iter().enumerate() {
                 let twin = writer.bytes().to_vec();
@@ -324,7 +326,7 @@ mod proptests {
                     if k % 2 == 0 {
                         receiver.apply_diff(&shared, NO_EXCHANGE);
                     } else {
-                        receiver.apply_diff_deferred(&shared, NO_EXCHANGE);
+                        receiver.apply_diff_deferred(&shared, NO_EXCHANGE, &mut cov, &mut visible);
                         // Force materialization (bytes() asserts no parked
                         // content) through the read path.
                         receiver.read_bytes(0, &mut scratch, |_, _| {});

@@ -36,23 +36,19 @@ pub const NO_EXCHANGE: u32 = u32::MAX;
 /// builds the new image straight from the source, and so never pays the
 /// detach copy.  While the image is still shared at `ensure_twin` time it
 /// is, by construction, exactly the pre-interval contents, so it doubles as
-/// a free whole-page pre-image (`pre_exact`): the write path then skips all
-/// per-word pre-image saves and derives changed bits by direct comparison.
+/// a free whole-page pre-image (`PreImage::Exact`): the write path then
+/// skips all per-word pre-image saves and derives changed bits by direct
+/// comparison.
 #[derive(Debug)]
 pub struct LocalPage {
     data: Arc<[u8]>,
     /// Whether a virtual twin is live (the page is in the current interval's
     /// write set).
     twinned: bool,
-    /// Pre-interval word values.  In lazy mode (`pre_exact == false`) only
-    /// the words whose `changed_words` bit is set are valid (saved on first
-    /// change); in exact mode it is a complete snapshot of the pre-interval
-    /// image, shared with the previous interval's published diff.
-    preimage: Option<Arc<[u8]>>,
-    /// Whether `preimage` is a complete exact snapshot of the pre-interval
-    /// image (see [`ensure_twin`](Self::ensure_twin)).  Meaningless while
-    /// not twinned.
-    pre_exact: bool,
+    /// Pre-interval word values of the live twin (see
+    /// [`ensure_twin`](Self::ensure_twin)).  Meaningless while not twinned,
+    /// except that a lazy buffer is kept for the next twin to reuse.
+    preimage: PreImage,
     /// One bit per word, set iff the word's current value differs from its
     /// value when the twin was made.  Meaningless while not twinned.
     changed_words: Box<[u64]>,
@@ -92,6 +88,40 @@ pub struct LocalPage {
     deferred: Option<(Arc<Diff>, u32)>,
 }
 
+/// The pre-interval word values a live twin compares stores against.
+#[derive(Debug)]
+enum PreImage {
+    /// A privately owned buffer filled in per word: only the words whose
+    /// `changed_words` bit is set are valid (saved on their first change).
+    /// Empty until the page's first lazy twin, then one page plus
+    /// [`ARC_HEADER_BYTES`] of unused tail.
+    Lazy(Box<[u8]>),
+    /// A complete snapshot of the pre-interval image, shared with the diff
+    /// the previous interval published.
+    Exact(Arc<[u8]>),
+}
+
+/// What an `Arc<[u8]>` allocation carries besides its payload: the strong
+/// and the weak count.  A lazy pre-image buffer is allocated this much
+/// longer than a page, so that it and the `Arc` page images are requests of
+/// one size and the allocator recycles retired ones into one another — pages
+/// flip between the two pre-image kinds as diffs retire, and with two sizes
+/// each kind's free chunks are useless to the other (measured: +20 % peak
+/// RSS on the paper-scale Shallow cells).
+const ARC_HEADER_BYTES: usize = 2 * std::mem::size_of::<usize>();
+
+/// `dst.copy_from_slice(src)` with the 4- and 8-byte cases — one shared word
+/// or double, the sizes of the typed element accessors — as constant-length
+/// copies (a load and a store) instead of a `memcpy` call.
+#[inline(always)]
+fn copy_bytes(dst: &mut [u8], src: &[u8]) {
+    match (dst.len(), src.len()) {
+        (8, 8) => dst[..8].copy_from_slice(&src[..8]),
+        (4, 4) => dst[..4].copy_from_slice(&src[..4]),
+        _ => dst.copy_from_slice(src),
+    }
+}
+
 impl LocalPage {
     /// Create a zero-filled page of `page_size` bytes.
     pub fn new_zeroed(page_size: usize) -> Self {
@@ -99,8 +129,7 @@ impl LocalPage {
         LocalPage {
             data: vec![0u8; page_size].into(),
             twinned: false,
-            preimage: None,
-            pre_exact: false,
+            preimage: PreImage::Lazy(Box::default()),
             changed_words: vec![0u64; words.div_ceil(64)].into_boxed_slice(),
             attribution: None,
             pending: 0,
@@ -118,11 +147,10 @@ impl LocalPage {
 
     /// Mutable access to the page image, detaching (copying) it first if a
     /// published diff still shares it — the "copy" of copy-on-next-write.
+    /// The uniqueness check is an atomic read-modify-write, so loops
+    /// establish it once and keep the slice.
     fn data_mut(&mut self) -> &mut [u8] {
-        if Arc::get_mut(&mut self.data).is_none() {
-            self.data = Arc::from(&self.data[..]);
-        }
-        Arc::get_mut(&mut self.data).expect("freshly detached image is unique")
+        Arc::make_mut(&mut self.data)
     }
 
     /// Replace the whole image with `src`.  When the current image is still
@@ -155,27 +183,34 @@ impl LocalPage {
     /// `data` only the parts of the parked payload that `new` does not
     /// rewrite.  With the flush-delivery pattern (each generation rewrites
     /// almost the whole page) this copies a handful of words instead of a
-    /// page, and a fully-shadowing `new` copies nothing at all.
-    fn fold_deferred_under(&mut self, new: &Diff) {
+    /// page, and a fully-shadowing `new` copies nothing at all.  `cov` and
+    /// `visible` are caller-owned scratch (contents ignored and clobbered).
+    fn fold_deferred_under(
+        &mut self,
+        new: &Diff,
+        cov: &mut Vec<u64>,
+        visible: &mut Vec<(u32, u32)>,
+    ) {
         let Some((old, old_exchange)) = self.deferred.take() else {
             return;
         };
         let words = self.data.len() / WORD_SIZE;
-        let mut cov = vec![0u64; words.div_ceil(64)];
-        let mut visible: Vec<(u32, u32)> = Vec::new();
+        cov.clear();
+        cov.resize(words.div_ceil(64), 0);
+        visible.clear();
         let mut set = 0usize;
         for span in new.spans() {
-            set += subtract_cover(span.offset, span.len as usize, &mut cov, &mut visible);
+            set += subtract_cover(span.offset, span.len as usize, cov, visible);
         }
         if set == words {
             return;
         }
         visible.clear();
         for span in old.spans() {
-            subtract_cover(span.offset, span.len as usize, &mut cov, &mut visible);
+            subtract_cover(span.offset, span.len as usize, cov, visible);
         }
         if !visible.is_empty() {
-            self.apply_diff_visible(&old, old_exchange, &visible);
+            self.apply_diff_visible(&old, old_exchange, visible);
         }
     }
 
@@ -230,17 +265,10 @@ impl LocalPage {
         }
         self.materialize_content();
         if Arc::get_mut(&mut self.data).is_none() {
-            self.preimage = Some(Arc::clone(&self.data));
-            self.pre_exact = true;
-        } else {
-            self.pre_exact = false;
-            match self.preimage.as_ref() {
-                // Reuse the buffer from an earlier interval if nothing else
-                // (a previous exact-mode snapshot) still holds it.  No weak
-                // references exist, so a strong count of 1 means unique.
-                Some(p) if Arc::strong_count(p) == 1 => {}
-                _ => self.preimage = Some(vec![0u8; self.data.len()].into()),
-            }
+            self.preimage = PreImage::Exact(Arc::clone(&self.data));
+        } else if !matches!(&self.preimage, PreImage::Lazy(buf) if buf.len() >= self.data.len()) {
+            // No lazy buffer from an earlier interval to reuse.
+            self.preimage = PreImage::Lazy(vec![0u8; self.data.len() + ARC_HEADER_BYTES].into());
         }
         self.changed_words.fill(0);
         self.twinned = true;
@@ -294,10 +322,10 @@ impl LocalPage {
         if src.is_empty() {
             return;
         }
-        if self.pre_exact {
-            return self.store_exact(offset, src);
+        match self.preimage {
+            PreImage::Exact(_) => self.store_exact(offset, src),
+            PreImage::Lazy(_) => self.store_lazy(offset, src),
         }
-        self.store_lazy(offset, src);
     }
 
     /// Exact-mode store: the pre-image is a complete snapshot of the
@@ -313,7 +341,9 @@ impl LocalPage {
         } else {
             self.data_mut()[offset..end].copy_from_slice(src);
         }
-        let pre = self.preimage.as_deref().expect("exact mode has a snapshot");
+        let PreImage::Exact(pre) = &self.preimage else {
+            unreachable!("exact-mode store without a snapshot");
+        };
         // Words `src` covers fully get their changed bits straight from the
         // still-cache-hot source in one pass; only ragged head/tail words
         // (whose untouched bytes live in the page, not in `src`) re-read the
@@ -323,16 +353,17 @@ impl LocalPage {
         let w1 = (end - 1) / WORD_SIZE + 1;
         let wf0 = offset.div_ceil(WORD_SIZE);
         let wf1 = end / WORD_SIZE;
+        let bits = &mut self.changed_words;
         if wf0 >= wf1 {
-            exact_bits_for_range(&self.data, pre, &mut self.changed_words, w0, w1);
+            exact_bits(&self.data, 0, pre, bits, w0, w1);
             return;
         }
         if w0 < wf0 {
-            exact_bits_for_range(&self.data, pre, &mut self.changed_words, w0, wf0);
+            exact_bits(&self.data, 0, pre, bits, w0, wf0);
         }
-        exact_bits_from_src(src, offset, pre, &mut self.changed_words, wf0, wf1);
+        exact_bits(src, offset, pre, bits, wf0, wf1);
         if wf1 < w1 {
-            exact_bits_for_range(&self.data, pre, &mut self.changed_words, wf1, w1);
+            exact_bits(&self.data, 0, pre, bits, wf1, w1);
         }
     }
 
@@ -380,14 +411,10 @@ impl LocalPage {
         }
 
         let end = offset + src.len();
-        if Arc::get_mut(&mut self.data).is_none() {
-            // Detach a still-shared image before mutating it in place.
-            self.data = Arc::from(&self.data[..]);
-        }
-        let data = Arc::get_mut(&mut self.data).expect("freshly detached image is unique");
-        let pre: &mut [u8] =
-            Arc::get_mut(self.preimage.as_mut().expect("twinned page has a preimage"))
-                .expect("lazy-mode pre-image is privately owned");
+        let data = Arc::make_mut(&mut self.data);
+        let PreImage::Lazy(pre) = &mut self.preimage else {
+            unreachable!("lazy-mode store against an exact snapshot");
+        };
         let bits = &mut self.changed_words;
 
         // Partial head/tail words take the general path; full words in the
@@ -475,7 +502,7 @@ impl LocalPage {
         } else if offset == 0 && end == self.data.len() {
             self.replace_data(src);
         } else {
-            self.data_mut()[offset..end].copy_from_slice(src);
+            copy_bytes(&mut self.data_mut()[offset..end], src);
         }
         let first = offset / WORD_SIZE;
         let last = (end - 1) / WORD_SIZE;
@@ -516,7 +543,7 @@ impl LocalPage {
         let end = offset + dst.len();
         assert!(end <= self.data.len(), "read outside page bounds");
         self.materialize_content();
-        dst.copy_from_slice(&self.data[offset..end]);
+        copy_bytes(dst, &self.data[offset..end]);
         if !dst.is_empty() && self.pending != 0 {
             let first = offset / WORD_SIZE;
             let last = (end - 1) / WORD_SIZE;
@@ -681,7 +708,17 @@ impl LocalPage {
     /// shadows is never paid for.  Every observable outcome — page bytes,
     /// per-word useful/useless credit, pending counts — is bit-identical to
     /// the eager path; only the time of the work moves.
-    pub fn apply_diff_deferred(&mut self, diff: &Arc<Diff>, exchange: u32) {
+    ///
+    /// `cov` and `visible` are scratch for the fold (contents ignored and
+    /// clobbered): the fetch path delivers one diff after another, so the
+    /// caller keeps one pair instead of this allocating one per delivery.
+    pub fn apply_diff_deferred(
+        &mut self,
+        diff: &Arc<Diff>,
+        exchange: u32,
+        cov: &mut Vec<u64>,
+        visible: &mut Vec<(u32, u32)>,
+    ) {
         if self.twinned {
             debug_assert!(
                 self.deferred.is_none(),
@@ -690,7 +727,7 @@ impl LocalPage {
             self.apply_diff(diff, exchange);
             return;
         }
-        self.fold_deferred_under(diff);
+        self.fold_deferred_under(diff, cov, visible);
         self.deferred = Some((Arc::clone(diff), exchange));
     }
 
@@ -736,48 +773,35 @@ impl LocalPage {
             }
         }
         self.materialize_content();
-        if exchange != NO_EXCHANGE {
-            // Visible-interval application is inherently partial, so the
-            // per-word array must be authoritative.
-            self.materialize_attr();
+        if twinned {
+            // Defensive: a remotely produced diff landing while a twin is
+            // live must keep the changed-word bitset exact.
+            for_each_visible_run(diff, visible, |lo, bytes| self.store_tracked(lo, bytes));
+        } else {
+            // Uniqueness of the image is established once for the whole
+            // diff, not once per visible interval.
+            let data = self.data_mut();
+            for_each_visible_run(diff, visible, |lo, bytes| {
+                copy_bytes(&mut data[lo..lo + bytes.len()], bytes)
+            });
         }
+        if exchange == NO_EXCHANGE {
+            return;
+        }
+        // Visible-interval application is inherently partial, so the
+        // per-word array must be authoritative.
+        self.materialize_attr();
         let all_fresh = self.pending == 0;
-        let mut runs = diff.runs();
-        let mut run = runs.next();
-        for &(lo32, hi32) in visible {
-            let (lo, hi) = (lo32 as usize, hi32 as usize);
-            while let Some((roff, rbytes)) = run {
-                let rlo = roff as usize;
-                let rhi = rlo + rbytes.len();
-                if rhi <= lo {
-                    run = runs.next();
-                    continue;
-                }
-                debug_assert!(
-                    rlo <= lo && hi <= rhi,
-                    "visible interval must sit inside one run"
-                );
-                if twinned {
-                    // Defensive: a remotely produced diff landing while a
-                    // twin is live must keep the changed-word bitset exact.
-                    self.store_tracked(lo, &rbytes[lo - rlo..hi - rlo]);
-                } else {
-                    self.data_mut()[lo..hi].copy_from_slice(&rbytes[lo - rlo..hi - rlo]);
-                }
-                let (first, last) = (lo / WORD_SIZE, hi / WORD_SIZE - 1);
-                if exchange != NO_EXCHANGE {
-                    let attribution = self.attribution.as_mut().expect("materialized");
-                    let slice = &mut attribution[first..=last];
-                    if all_fresh {
-                        self.pending += slice.len() as u32;
-                    } else {
-                        let fresh = slice.iter().filter(|&&a| a == NO_EXCHANGE).count();
-                        self.pending += fresh as u32;
-                    }
-                    slice.fill(exchange);
-                }
-                break;
+        let attribution = self.attribution.as_mut().expect("materialized");
+        for &(lo, hi) in visible {
+            let slice = &mut attribution[lo as usize / WORD_SIZE..hi as usize / WORD_SIZE];
+            if all_fresh {
+                self.pending += slice.len() as u32;
+            } else {
+                let fresh = slice.iter().filter(|&&a| a == NO_EXCHANGE).count();
+                self.pending += fresh as u32;
             }
+            slice.fill(exchange);
         }
     }
 
@@ -802,24 +826,40 @@ impl LocalPage {
     }
 }
 
-/// Recompute the changed-word bits of words `[w0, w1)` by direct comparison
-/// of `data` against the complete pre-interval snapshot `pre`:
-/// `bit(w) = (data word w != pre word w)`, set *or cleared*.  Words outside
-/// the range keep their bits.  Pairs of words are compared as one `u64` XOR
-/// with an endian split, as in the diff scan.
-/// Recompute `bits` for words `[w0, w1)` of the page straight from the bytes
-/// just stored over them: word `w`'s bit is set iff its fresh contents in
-/// `src` (which begins at page byte `offset` and fully covers the range)
-/// differ from the pre-interval snapshot.  Bit-identical to running
-/// [`exact_bits_for_range`] over the stored page, without re-reading it.
-fn exact_bits_from_src(
-    src: &[u8],
-    offset: usize,
-    pre: &[u8],
-    bits: &mut [u64],
-    w0: usize,
-    w1: usize,
-) {
+/// Call `f(page offset, bytes)` for each of `visible`'s byte intervals of
+/// `diff` (sorted, each inside one run — see
+/// [`LocalPage::apply_diff_visible`]) with the run bytes it selects.
+fn for_each_visible_run(diff: &Diff, visible: &[(u32, u32)], mut f: impl FnMut(usize, &[u8])) {
+    let mut runs = diff.runs();
+    let mut run = runs.next();
+    for &(lo32, hi32) in visible {
+        let (lo, hi) = (lo32 as usize, hi32 as usize);
+        while let Some((roff, rbytes)) = run {
+            let rlo = roff as usize;
+            let rhi = rlo + rbytes.len();
+            if rhi <= lo {
+                run = runs.next();
+                continue;
+            }
+            debug_assert!(
+                rlo <= lo && hi <= rhi,
+                "visible interval must sit inside one run"
+            );
+            f(lo, &rbytes[lo - rlo..hi - rlo]);
+            break;
+        }
+    }
+}
+
+/// Recompute the changed-word bits of page words `[w0, w1)` by direct
+/// comparison against the complete pre-interval snapshot `pre`:
+/// `bit(w) = (fresh word w != pre word w)`, set *or cleared*; words outside
+/// the range keep their bits.  The fresh words are read from `src`, whose
+/// first byte is page byte `src_offset` and which covers the whole range —
+/// the page image itself (`src_offset == 0`), or the bytes just stored over
+/// the range, which saves re-reading the page.  Pairs of words are compared
+/// as one `u64` XOR with an endian split, as in the diff scan.
+fn exact_bits(src: &[u8], src_offset: usize, pre: &[u8], bits: &mut [u64], w0: usize, w1: usize) {
     /// Bits of the lower-addressed word within a native-endian `u64` read
     /// across two consecutive words.
     const FIRST: u64 = if cfg!(target_endian = "little") {
@@ -842,7 +882,8 @@ fn exact_bits_from_src(
         let mut wi = w;
         while wi + 1 < seg_end {
             let b = wi * WORD_SIZE;
-            let s8 = u64::from_ne_bytes(src[b - offset..b - offset + 8].try_into().unwrap());
+            let s = b - src_offset;
+            let s8 = u64::from_ne_bytes(src[s..s + 8].try_into().unwrap());
             let p8 = u64::from_ne_bytes(pre[b..b + 8].try_into().unwrap());
             let x = s8 ^ p8;
             let sh = wi % 64;
@@ -852,49 +893,8 @@ fn exact_bits_from_src(
         }
         if wi < seg_end {
             let b = wi * WORD_SIZE;
-            if src[b - offset..b - offset + WORD_SIZE] != pre[b..b + WORD_SIZE] {
-                new_bits |= 1u64 << (wi % 64);
-            }
-        }
-        bits[blk] = (bits[blk] & !mask) | new_bits;
-        w = seg_end;
-    }
-}
-
-fn exact_bits_for_range(data: &[u8], pre: &[u8], bits: &mut [u64], w0: usize, w1: usize) {
-    /// Bits of the lower-addressed word within a native-endian `u64` read
-    /// across two consecutive words.
-    const FIRST: u64 = if cfg!(target_endian = "little") {
-        0x0000_0000_FFFF_FFFF
-    } else {
-        0xFFFF_FFFF_0000_0000
-    };
-    let mut w = w0;
-    while w < w1 {
-        let blk = w / 64;
-        let seg_end = ((blk + 1) * 64).min(w1);
-        let lo = w % 64;
-        let n = seg_end - w;
-        let mask = if n == 64 {
-            !0u64
-        } else {
-            ((1u64 << n) - 1) << lo
-        };
-        let mut new_bits = 0u64;
-        let mut wi = w;
-        while wi + 1 < seg_end {
-            let b = wi * WORD_SIZE;
-            let d8 = u64::from_ne_bytes(data[b..b + 8].try_into().unwrap());
-            let p8 = u64::from_ne_bytes(pre[b..b + 8].try_into().unwrap());
-            let x = d8 ^ p8;
-            let sh = wi % 64;
-            new_bits |=
-                ((((x & FIRST) != 0) as u64) << sh) | ((((x & !FIRST) != 0) as u64) << (sh + 1));
-            wi += 2;
-        }
-        if wi < seg_end {
-            let b = wi * WORD_SIZE;
-            if data[b..b + WORD_SIZE] != pre[b..b + WORD_SIZE] {
+            let s = b - src_offset;
+            if src[s..s + WORD_SIZE] != pre[b..b + WORD_SIZE] {
                 new_bits |= 1u64 << (wi % 64);
             }
         }
@@ -996,6 +996,7 @@ impl PageStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn layout() -> PageLayout {
         PageLayout::new(256, 8)
@@ -1123,6 +1124,121 @@ mod tests {
         assert_eq!(d2.runs().next().unwrap(), (8, &[2u8, 2, 2, 2][..]));
     }
 
+    /// A dense diff whose payload *is* the writer's page image, the image
+    /// bytes it was made from, and the writer page still sharing it.
+    fn page_sharing_its_image_with_a_published_diff() -> (LocalPage, Diff, Vec<u8>) {
+        let mut writer = LocalPage::new_zeroed(256);
+        writer.ensure_twin();
+        let image: Vec<u8> = (0..256).map(|i| i as u8 | 1).collect();
+        writer.write_bytes(0, &image);
+        let published = writer.make_diff(PageId(0)).unwrap();
+        writer.drop_twin();
+        assert!(published.whole_page_shared_image().is_some());
+        assert_eq!(Arc::strong_count(&writer.data), 2, "diff borrows the image");
+        (writer, published, image)
+    }
+
+    /// A sparse diff touching every other word of a 256-byte page, and its
+    /// 32 one-word runs as a visible-interval list.
+    fn every_other_word() -> (Diff, Vec<(u32, u32)>) {
+        let twin = vec![0u8; 256];
+        let mut cur = twin.clone();
+        for w in (0..64).step_by(2) {
+            cur[w * 4..w * 4 + 4].copy_from_slice(&[0xA0 | w as u8; 4]);
+        }
+        let diff = Diff::create(PageId(0), &twin, &cur);
+        let visible: Vec<(u32, u32)> = diff.spans().iter().map(|s| (s.offset, s.end())).collect();
+        assert!(visible.len() >= 16);
+        (diff, visible)
+    }
+
+    #[test]
+    fn a_twin_over_a_shared_image_is_exact_and_over_an_owned_one_lazy() {
+        let (mut page, published, image) = page_sharing_its_image_with_a_published_diff();
+        page.ensure_twin();
+        assert!(matches!(&page.preimage, PreImage::Exact(snap) if snap[..] == image[..]));
+        page.write_bytes(8, &[0; 8]);
+        let exact = page.make_diff(PageId(0)).unwrap();
+        page.drop_twin();
+        drop(published);
+
+        // Nothing shares the (detached) image any more: the same interval
+        // replayed against the lazily filled buffer encodes the same diff.
+        page.write_bytes(8, &image[8..16]);
+        page.ensure_twin();
+        assert!(matches!(&page.preimage, PreImage::Lazy(buf) if buf.len() >= 256));
+        page.write_bytes(8, &[0; 8]);
+        assert_eq!(page.make_diff(PageId(0)).unwrap(), exact);
+    }
+
+    #[test]
+    fn visible_apply_detaches_a_shared_image_once_and_leaves_the_diff_alone() {
+        let (mut page, published, image) = page_sharing_its_image_with_a_published_diff();
+        let (sparse, visible) = every_other_word();
+        page.apply_diff_visible(&sparse, 3, &visible);
+
+        // The published diff still holds the pre-apply image, byte for byte.
+        assert_eq!(published.runs().next().unwrap(), (0, &image[..]));
+        // The page detached: it owns its image again and holds the overlay.
+        assert_eq!(Arc::strong_count(&page.data), 1);
+        let mut want = image.clone();
+        sparse.apply(&mut want);
+        assert_eq!(page.bytes(), &want[..]);
+        assert_eq!(page.pending_attributions(), 32);
+    }
+
+    #[test]
+    fn visible_apply_over_a_parked_delivery_leaves_the_parked_diff_alone() {
+        let (_writer, published, image) = page_sharing_its_image_with_a_published_diff();
+        let published = Arc::new(published);
+        let mut page = LocalPage::new_zeroed(256);
+        page.apply_diff_deferred(&published, 9, &mut Vec::new(), &mut Vec::new());
+        assert!(page.deferred.is_some());
+
+        let (sparse, visible) = every_other_word();
+        page.apply_diff_visible(&sparse, 3, &visible);
+
+        assert!(page.deferred.is_none());
+        assert_eq!(published.runs().next().unwrap(), (0, &image[..]));
+        assert_eq!(Arc::strong_count(&page.data), 1);
+        let mut want = image.clone();
+        sparse.apply(&mut want);
+        assert_eq!(page.bytes(), &want[..]);
+        // The parked whole-page delivery attributed all 64 words to exchange
+        // 9; the overlay re-attributed 32 of them, none fresh.
+        assert_eq!(page.pending_attributions(), 64);
+        let mut credited = Vec::new();
+        page.read_bytes(0, &mut [0u8; 8], |e, words| credited.push((e, words)));
+        assert_eq!(credited, vec![(3, 1), (9, 1)]);
+    }
+
+    #[test]
+    fn four_and_eight_byte_accesses_match_a_flat_model_at_any_offset() {
+        let mut page = LocalPage::new_zeroed(256);
+        let mut model = vec![0u8; 256];
+        for (i, off) in [0usize, 1, 3, 4, 100, 247, 248, 252]
+            .into_iter()
+            .enumerate()
+        {
+            for len in [4usize, 8] {
+                if off + len > 256 {
+                    continue;
+                }
+                let src: Vec<u8> = (0..len).map(|k| (i * 16 + k + 1) as u8).collect();
+                page.write_bytes(off, &src);
+                model[off..off + len].copy_from_slice(&src);
+                let mut got = vec![0u8; len];
+                page.read_bytes(off, &mut got, |_, _| {});
+                assert_eq!(got, src);
+                assert_eq!(page.bytes(), &model[..]);
+            }
+            if i == 3 {
+                // The second half of the offsets runs against a live twin.
+                page.ensure_twin();
+            }
+        }
+    }
+
     #[test]
     fn pending_attribution_counter_tracks_reads_writes_and_loads() {
         let mut store = PageStore::new(layout());
@@ -1151,5 +1267,73 @@ mod tests {
         assert_eq!(p.pending_attributions(), 64);
         p.load_page(&vec![7u8; 256], NO_EXCHANGE);
         assert_eq!(p.pending_attributions(), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whichever pre-image a twin gets — the previous interval's shared
+        /// snapshot (exact) or the lazily filled private buffer — the
+        /// interval's diff is `Diff::create(twin, current)`, and both kinds
+        /// occur.  Dense intervals publish a diff that borrows the image, so
+        /// the next twin is exact; dropping that diff first makes it lazy.
+        #[test]
+        fn lazy_and_exact_preimages_yield_the_twin_compare_diff(
+            seed in any::<u64>(),
+            intervals in prop::collection::vec(
+                prop::collection::vec(
+                    (0usize..4096, prop::collection::vec(any::<u8>(), 1..96)),
+                    1..6,
+                ),
+                2..8,
+            ),
+        ) {
+            let page_size = 4096usize;
+            let mut page = LocalPage::new_zeroed(page_size);
+            let mut state = seed | 1;
+            let mut blast = vec![0u8; page_size];
+            let mut held: Option<Diff> = None;
+            let (mut exact, mut lazy) = (0, 0);
+            for (k, writes) in intervals.iter().enumerate() {
+                let twin = page.bytes().to_vec();
+                let shared = held.as_ref().is_some_and(|d| d.whole_page_shared_image().is_some());
+                page.ensure_twin();
+                match &page.preimage {
+                    PreImage::Exact(snapshot) => {
+                        prop_assert!(shared);
+                        prop_assert_eq!(&snapshot[..], &twin[..]);
+                        exact += 1;
+                    }
+                    PreImage::Lazy(buf) => {
+                        prop_assert!(!shared);
+                        prop_assert!(buf.len() >= page_size);
+                        lazy += 1;
+                    }
+                }
+                for (off0, data) in writes {
+                    let len = data.len().min(page_size);
+                    let off = (*off0).min(page_size - len);
+                    page.write_bytes(off, &data[..len]);
+                }
+                // Every other interval rewrites the whole page, so its diff
+                // is dense and borrows the image.
+                if k % 2 == 0 {
+                    for (i, b) in blast.iter_mut().enumerate() {
+                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        *b = (state >> 25) as u8 ^ i as u8;
+                    }
+                    page.write_bytes(0, &blast);
+                }
+                let diff = page.make_diff(PageId(0)).unwrap();
+                prop_assert_eq!(&diff, &Diff::create(PageId(0), &twin, page.bytes()));
+                page.drop_twin();
+                // Keep the dense diff alive into the next interval two times
+                // out of three.
+                state = state.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
+                held = (state % 3 != 0).then_some(diff);
+            }
+            prop_assert!(lazy >= 1, "the first twin is always lazy");
+            prop_assert_eq!(exact + lazy, intervals.len());
+        }
     }
 }

@@ -31,7 +31,7 @@
 //! ## FastTrack epochs
 //!
 //! Per shared word the detector keeps the last write as a single
-//! `(rank, interval)` [`Epoch`] and the read history as an epoch that is
+//! `(rank, interval)` `Epoch` and the read history as an epoch that is
 //! inflated to a full per-processor clock vector only while reads are
 //! genuinely concurrent — the adaptive representation of Flanagan &
 //! Freund's FastTrack.  Same-epoch repeats (by far the common case inside
