@@ -46,7 +46,7 @@ use crate::{figure_panel_string, signature_string};
 /// race-free" verdict) — default documents stay byte-identical.
 pub const RESULT_SCHEMA: &str = "tm-bench/experiment-result/v1";
 
-/// The output formats every figure/table binary supports via `--format`.
+/// The output formats every experiment supports via `--format`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OutputFormat {
     /// The paper-style report (default).
@@ -187,21 +187,7 @@ impl FromJson for Cell {
             engine: Default::default(),
             // Additive v1 fields: documents emitted before the network
             // subsystem landed modeled the ideal interconnect.
-            network: {
-                let topology = match v.get("topology") {
-                    None => tdsm_core::Topology::default(),
-                    Some(t) => t.as_str().and_then(|t| t.parse().ok()).ok_or_else(|| {
-                        JsonSchemaError::new("topology", "\"ideal\", \"bus\" or \"switched\"")
-                    })?,
-                };
-                let aggregation = match v.get("aggregation") {
-                    None => tdsm_core::AggregationPolicy::default(),
-                    Some(a) => a.as_str().and_then(|a| a.parse().ok()).ok_or_else(|| {
-                        JsonSchemaError::new("aggregation", "\"per-message\" or \"batched\"")
-                    })?,
-                };
-                tdsm_core::NetworkConfig::new(topology, aggregation)
-            },
+            network: tdsm_core::NetworkConfig::from_json(v)?,
             // Additive v1 field: absent means the detector was off — every
             // document emitted before the race detector existed.
             racecheck: match v.get("racecheck") {
@@ -683,6 +669,27 @@ mod tests {
         assert!(text.contains("\"utilization\""));
         assert!(text.contains("\"queue_ns\""));
         assert!(text.contains("\"window_ns\""));
+        // A link's window may be absent (documents that predate it), never
+        // malformed: a bad value must not be read as "no window".
+        let window_line = text
+            .lines()
+            .find(|l| l.contains("\"window_ns\""))
+            .expect("a link with a window");
+        let absent = parse_result(&text.replacen(&format!("{window_line}\n"), "", 1)).unwrap();
+        let first_link = |r: &ExperimentResult| {
+            let cell = r.cells.iter().find(|c| !c.links.is_empty());
+            cell.expect("a contended cell").links[0]
+        };
+        assert_eq!(first_link(&absent).window_ns, 0);
+        assert_ne!(first_link(&parsed).window_ns, 0);
+        for bad in ["\"x\"", "-1", "1.5"] {
+            let malformed = text.replacen(window_line, &format!("\"window_ns\": {bad},"), 1);
+            let err = parse_result(&malformed).unwrap_err();
+            assert!(
+                err.contains("links[0].window_ns"),
+                "window_ns {bad} must be rejected by name: {err}"
+            );
+        }
         // The derived utilization is a true fraction: the window denominator
         // contains every busy interval by construction.
         for r in result.cells.iter().filter(|r| !r.links.is_empty()) {

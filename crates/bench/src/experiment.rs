@@ -1,4 +1,4 @@
-//! The declarative sweep model behind every figure and table binary.
+//! The declarative sweep model behind every figure and table experiment.
 //!
 //! An [`Experiment`] is a named, ordered set of [`Cell`]s — one cell per
 //! (application, data set, consistency-unit policy, processor count)

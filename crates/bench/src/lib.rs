@@ -1,9 +1,9 @@
 //! # tm-bench — harness that regenerates the paper's tables and figures
 //!
-//! Each binary in `src/bin/` reproduces one artifact of the PPoPP'97
-//! evaluation:
+//! One binary, `tm-bench <experiment> [nprocs] [flags]`, reproduces the
+//! artifacts of the PPoPP'97 evaluation:
 //!
-//! | Binary | Paper artifact |
+//! | Experiment | Paper artifact |
 //! |---|---|
 //! | `table1` | Table 1 — sequential times and 8-processor speedups |
 //! | `fig1` | Figure 1 — time/messages/data for Barnes, Ilink, TSP, Water |
@@ -13,14 +13,15 @@
 //! | `fig_network` | contention grid — topologies × wire aggregation |
 //! | `fig_scale` | cluster-size sweep — 64/256/1024 processors |
 //!
-//! All binaries run through one shared **experiment runner**:
+//! Every experiment runs through one shared **experiment runner**:
 //! [`Experiment`] declares the cell grid (application ×
 //! consistency-unit policy × processor count), [`runner`] executes it on a
 //! std-thread worker pool, and [`emit`] renders the result as the paper-style
 //! human report, a versioned JSON document or CSV (`--format`, `--out`).
-//! This library crate holds that runner plus the shared sweep and formatting
-//! code, so the binaries stay thin and the integration tests can exercise
-//! the same paths.
+//! This library crate holds that runner plus the shared argument parsing and
+//! formatting code, so the binary stays thin and the integration tests can
+//! exercise the same paths.  (`bench`, the perf-artifact tool of [`perf`],
+//! is the crate's other binary.)
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,9 +41,9 @@ pub use runner::{run_cell, run_experiment, CellResult, ExperimentResult, RunnerO
 
 use tdsm_core::{
     AggregationPolicy, DiffTiming, NetworkConfig, ProtocolMode, SchedConfig, SignatureHistogram,
-    Topology, UnitPolicy,
+    Topology,
 };
-use tm_apps::{paper_unit_policies, AppConfig, AppId, Workload};
+use tm_apps::{AppId, Workload};
 use tm_sched::ScheduleMode;
 
 /// The workload tier a sweep runs at (`--scale`, with `--tiny` kept as an
@@ -125,56 +126,6 @@ impl FigRow {
     }
 }
 
-/// Run one workload under one consistency-unit policy.
-pub fn run_configuration(w: &Workload, nprocs: usize, label: &str, unit: UnitPolicy) -> FigRow {
-    run_configuration_net(w, nprocs, label, unit, NetworkConfig::default())
-}
-
-/// [`run_configuration`] under an explicit modeled network.  Contended
-/// topologies change the modeled execution time (occupancy and queueing),
-/// never the checksum or the message counts.
-pub fn run_configuration_net(
-    w: &Workload,
-    nprocs: usize,
-    label: &str,
-    unit: UnitPolicy,
-    net: NetworkConfig,
-) -> FigRow {
-    let cfg = AppConfig::with_procs(nprocs)
-        .unit(unit)
-        .topology(net.topology)
-        .aggregation(net.aggregation);
-    let run = w.run_parallel(&cfg);
-    let b = &run.breakdown;
-    FigRow {
-        app: w.app.name().to_string(),
-        size: w.size_label.clone(),
-        policy: label.to_string(),
-        exec_time_ns: run.exec_time_ns,
-        useful_msgs: b.useful_messages,
-        useless_msgs: b.useless_messages,
-        useful_data: b.useful_data,
-        piggybacked_useless: b.piggybacked_useless_data,
-        useless_in_useless: b.useless_data_in_useless_msgs,
-        faults: b.faults,
-        checksum: run.checksum,
-    }
-}
-
-/// Run one workload under all four of the paper's unit policies
-/// (4 K / 8 K / 16 K / Dyn).
-pub fn run_policy_sweep(w: &Workload, nprocs: usize) -> Vec<FigRow> {
-    run_policy_sweep_net(w, nprocs, NetworkConfig::default())
-}
-
-/// [`run_policy_sweep`] under an explicit modeled network.
-pub fn run_policy_sweep_net(w: &Workload, nprocs: usize, net: NetworkConfig) -> Vec<FigRow> {
-    paper_unit_policies()
-        .into_iter()
-        .map(|(label, unit)| run_configuration_net(w, nprocs, &label, unit, net))
-        .collect()
-}
-
 fn norm(value: u64, baseline: u64) -> f64 {
     if baseline == 0 {
         if value == 0 {
@@ -228,83 +179,6 @@ pub fn figure_panel_string(rows: &[FigRow]) -> String {
     out
 }
 
-/// Print a figure panel to stdout (see [`figure_panel_string`]).
-pub fn print_figure_panel(rows: &[FigRow]) {
-    print!("{}", figure_panel_string(rows));
-}
-
-/// Emit the rows as CSV (machine-readable output for EXPERIMENTS.md).
-pub fn to_csv(rows: &[FigRow]) -> String {
-    let mut out = String::from(
-        "app,size,policy,exec_time_ms,useful_msgs,useless_msgs,useful_data,piggybacked_useless,useless_in_useless,faults\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{},{:.3},{},{},{},{},{},{}\n",
-            r.app,
-            r.size,
-            r.policy,
-            r.exec_time_ns as f64 / 1e6,
-            r.useful_msgs,
-            r.useless_msgs,
-            r.useful_data,
-            r.piggybacked_useless,
-            r.useless_in_useless,
-            r.faults
-        ));
-    }
-    out
-}
-
-/// One row of Table 1: modeled sequential time and the 8-processor speedup at
-/// the 4 KB consistency unit.
-#[derive(Debug, Clone)]
-pub struct Table1Row {
-    /// Application name.
-    pub app: String,
-    /// Data-set label.
-    pub size: String,
-    /// Modeled sequential (1-processor) execution time in ns.
-    pub seq_time_ns: u64,
-    /// Modeled 8-processor execution time at 4 KB units, in ns.
-    pub par_time_ns: u64,
-    /// Checksum agreement between the two runs.
-    pub verified: bool,
-}
-
-impl Table1Row {
-    /// Speedup = sequential time / parallel time.
-    pub fn speedup(&self) -> f64 {
-        if self.par_time_ns == 0 {
-            0.0
-        } else {
-            self.seq_time_ns as f64 / self.par_time_ns as f64
-        }
-    }
-}
-
-/// Produce one Table 1 row for a workload.
-pub fn table1_row(w: &Workload, nprocs: usize) -> Table1Row {
-    let seq_cfg = AppConfig::with_procs(1);
-    let par_cfg = AppConfig::with_procs(nprocs);
-    let seq = w.run_parallel(&seq_cfg);
-    let par = w.run_parallel(&par_cfg);
-    Table1Row {
-        app: w.app.name().to_string(),
-        size: w.size_label.clone(),
-        seq_time_ns: seq.exec_time_ns,
-        par_time_ns: par.exec_time_ns,
-        verified: tm_apps::checksums_match(par.checksum, seq.checksum, 1e-6),
-    }
-}
-
-/// The false-sharing signature of one workload under one policy (Figure 3).
-pub fn signature_of(w: &Workload, nprocs: usize, unit: UnitPolicy) -> SignatureHistogram {
-    let cfg = AppConfig::with_procs(nprocs).unit(unit);
-    let run = w.run_parallel(&cfg);
-    run.breakdown.signature
-}
-
 /// Render a signature histogram in the style of Figure 3: one line per
 /// concurrent-writer count with its frequency and useful/useless split.
 pub fn signature_string(app: &str, size: &str, policy: &str, sig: &SignatureHistogram) -> String {
@@ -337,11 +211,6 @@ pub fn signature_string(app: &str, size: &str, policy: &str, sig: &SignatureHist
     out
 }
 
-/// Print a signature histogram to stdout (see [`signature_string`]).
-pub fn print_signature(app: &str, size: &str, policy: &str, sig: &SignatureHistogram) {
-    print!("{}", signature_string(app, size, policy, sig));
-}
-
 /// The four applications whose signatures Figure 3 shows.
 pub fn figure3_apps() -> Vec<AppId> {
     vec![AppId::Barnes, AppId::Ilink, AppId::Water, AppId::Mgs]
@@ -355,10 +224,9 @@ fn parse_seed(s: &str) -> Option<u64> {
     }
 }
 
-/// Command-line options shared by every figure/table binary.
+/// Command-line options shared by every experiment.
 ///
-/// Usage accepted by all binaries:
-/// `[nprocs] [--scale tiny|paper|large] [--tiny] [--threads N] [--seed N]
+/// Usage: `tm-bench <experiment> [nprocs] [--scale tiny|paper|large] [--tiny] [--threads N] [--seed N]
 /// [--schedule fifo|seeded] [--diff-timing eager|lazy] [--app NAME]
 /// [--format human|json|csv] [--out FILE]`.
 ///
@@ -438,7 +306,7 @@ pub struct BenchArgs {
 }
 
 impl BenchArgs {
-    /// The defaults the binaries start from: `default_nprocs` processors,
+    /// The defaults parsing starts from: `default_nprocs` processors,
     /// the paper data sets, auto-sized worker pool, human output, no
     /// out-file.
     pub fn defaults(default_nprocs: usize) -> Self {
@@ -474,25 +342,39 @@ impl BenchArgs {
         NetworkConfig::new(self.topology, self.aggregation)
     }
 
-    /// Parse `std::env::args`, defaulting to `default_nprocs` processors
-    /// (2 in `--tiny` mode). Exits with a usage message on an invalid
-    /// processor count or an unrecognized flag.
-    pub fn parse(default_nprocs: usize) -> Self {
-        match Self::from_iter(std::env::args().skip(1), default_nprocs) {
-            Ok(args) => args,
+    /// Parse the `tm-bench` command line — `<experiment> [nprocs] [flags]`,
+    /// 8 processors by default (2 in `--tiny` mode) — into the named
+    /// experiment under its options.  Exits with a usage message on an
+    /// unknown or missing experiment name, an invalid processor count or an
+    /// unrecognized flag.
+    pub fn parse_command() -> (Experiment, Self) {
+        match Self::command_from_iter(std::env::args().skip(1)) {
+            Ok(command) => command,
             Err(msg) => {
                 eprintln!(
-                    "error: {msg}\nusage: [nprocs (1-1024)] [--scale tiny|paper|large] [--tiny] \
+                    "error: {msg}\nusage: tm-bench <{}> [nprocs (1-1024)] \
+                     [--scale tiny|paper|large] [--tiny] \
                      [--threads N] [--seed N] [--schedule fifo|seeded] \
                      [--diff-timing eager|lazy] \
                      [--protocol multi-writer|home-based|home-based-first-touch] \
                      [--topology ideal|bus|switched] \
                      [--aggregation per-message|batched] [--racecheck] [--app NAME] \
-                     [--format human|json|csv] [--out FILE]"
+                     [--format human|json|csv] [--out FILE]",
+                    Experiment::all_names().join("|")
                 );
                 std::process::exit(2);
             }
         }
+    }
+
+    fn command_from_iter(
+        mut args: impl Iterator<Item = String>,
+    ) -> Result<(Experiment, Self), String> {
+        let name = args.next().ok_or("missing experiment name")?;
+        let opts = Self::from_iter(args, 8)?;
+        let exp = Experiment::named(&name, &opts)
+            .ok_or_else(|| format!("unknown experiment '{name}'"))?;
+        Ok((exp, opts))
     }
 
     fn from_iter(
@@ -582,7 +464,7 @@ impl BenchArgs {
 
     /// Run `exp` on the worker pool and emit the results as these options
     /// request: the `--format` rendering to stdout, plus a machine-readable
-    /// copy to `--out` when given (the binaries' single driver entry point).
+    /// copy to `--out` when given (the binary's single driver entry point).
     /// Returns the result for further inspection.
     pub fn run_and_emit(&self, exp: &Experiment) -> std::io::Result<ExperimentResult> {
         let result = run_experiment(
@@ -641,30 +523,6 @@ mod tests {
         assert_eq!(norm(0, 0), 1.0);
         assert_eq!(norm(5, 10), 0.5);
         assert!(norm(5, 0).is_infinite());
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let row = FigRow {
-            app: "X".into(),
-            size: "s".into(),
-            policy: "4K".into(),
-            exec_time_ns: 1_000_000,
-            useful_msgs: 2,
-            useless_msgs: 1,
-            useful_data: 10,
-            piggybacked_useless: 5,
-            useless_in_useless: 3,
-            faults: 4,
-            checksum: 0.0,
-        };
-        let csv = to_csv(&[row]);
-        assert_eq!(csv.lines().count(), 2);
-        assert!(csv
-            .lines()
-            .nth(1)
-            .unwrap()
-            .starts_with("X,s,4K,1.000,2,1,10,5,3,4"));
     }
 
     #[test]
@@ -878,14 +736,26 @@ mod tests {
     }
 
     #[test]
-    fn table1_row_speedup_math() {
-        let row = Table1Row {
-            app: "X".into(),
-            size: "s".into(),
-            seq_time_ns: 800,
-            par_time_ns: 200,
-            verified: true,
-        };
-        assert_eq!(row.speedup(), 4.0);
+    fn the_command_names_its_experiment_first() {
+        let command =
+            |args: &[&str]| BenchArgs::command_from_iter(args.iter().map(|s| s.to_string()));
+        let (exp, opts) = command(&["fig2", "4", "--tiny"]).unwrap();
+        assert_eq!(exp, Experiment::fig2(&opts));
+        assert_eq!((opts.nprocs, opts.scale), (4, Scale::Tiny));
+        // Every experiment defaults to the paper's 8 processors.
+        for name in Experiment::all_names() {
+            let (exp, opts) = command(&[name]).unwrap();
+            assert_eq!((exp.name.as_str(), opts.nprocs), (name, 8));
+        }
+        assert_eq!(command(&[]).unwrap_err(), "missing experiment name");
+        assert_eq!(command(&["fig9"]).unwrap_err(), "unknown experiment 'fig9'");
+        // A flag where the name belongs is not silently taken for one.
+        assert_eq!(
+            command(&["--tiny"]).unwrap_err(),
+            "unknown experiment '--tiny'"
+        );
+        assert!(command(&["fig1", "--engine", "event"])
+            .unwrap_err()
+            .contains("unrecognized"));
     }
 }

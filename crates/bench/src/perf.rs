@@ -26,11 +26,9 @@ use std::time::Instant;
 
 use serde::json::Value;
 use serde::{field_arr, field_f64, field_str, field_u64, FromJson, JsonSchemaError, ToJson};
-use tdsm_core::{DiffTiming, NetworkConfig, SchedConfig, Topology, UnitPolicy};
-use tm_apps::{jacobi, AppConfig, AppId, Workload};
+use tdsm_core::{DiffTiming, SchedConfig, Topology, UnitPolicy};
+use tm_apps::{jacobi, paper_unit_policies, AppConfig, AppId, Workload};
 use tm_page::{Diff, LocalPage, PageId};
-
-use crate::run_policy_sweep_net;
 
 /// Identifier of the perf-artifact schema; bumped on breaking changes.
 pub const PERF_SCHEMA: &str = "tm-bench/perf/v1";
@@ -312,18 +310,27 @@ fn collect_sweep(opts: &PerfOptions) -> SweepSample {
         ("large", Workload::large(AppId::Jacobi))
     };
     let t0 = Instant::now();
-    let net = NetworkConfig::new(opts.topology, Default::default());
-    let rows = run_policy_sweep_net(&w, nprocs, net);
+    // Under the default scheduler configuration, not a cell's identity
+    // seed: the checked-in artifact's sweep digest is pinned under it.
+    let runs: Vec<_> = paper_unit_policies()
+        .into_iter()
+        .map(|(_, unit)| {
+            let cfg = AppConfig::with_procs(nprocs)
+                .unit(unit)
+                .topology(opts.topology);
+            w.run_parallel(&cfg)
+        })
+        .collect();
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     SweepSample {
         id: format!("fig2/Jacobi/{scale}/{nprocs}procs"),
         wall_ms,
-        rows: rows.len() as u64,
-        exec_time_ns: rows.iter().map(|r| r.exec_time_ns).sum(),
-        total_msgs: rows.iter().map(|r| r.total_msgs()).sum(),
-        total_data: rows.iter().map(|r| r.total_data()).sum(),
-        faults: rows.iter().map(|r| r.faults).sum(),
-        checksum: hex(rows
+        rows: runs.len() as u64,
+        exec_time_ns: runs.iter().map(|r| r.exec_time_ns).sum(),
+        total_msgs: runs.iter().map(|r| r.breakdown.total_messages()).sum(),
+        total_data: runs.iter().map(|r| r.breakdown.total_payload()).sum(),
+        faults: runs.iter().map(|r| r.breakdown.faults).sum(),
+        checksum: hex(runs
             .iter()
             .fold(0u64, |acc, r| acc.rotate_left(17) ^ r.checksum.to_bits())),
     }

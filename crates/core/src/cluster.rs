@@ -61,11 +61,10 @@ pub(crate) struct RunState {
     /// Home assignment and master copies; present exactly for home-based
     /// runs (multi-writer runs have no authoritative copy).
     pub(crate) home: Option<RefCell<HomeDirectory>>,
-    /// Link-occupancy state; present exactly when the topology models
-    /// contention.  The ideal default constructs nothing and takes none of
-    /// the occupancy code paths, keeping it bit-identical to the
-    /// pre-topology simulator.
-    pub(crate) net: Option<RefCell<NetworkState>>,
+    /// Link-occupancy state of the run's interconnect.  Every run has one:
+    /// the ideal default's owns no links, so it allocates nothing, queues
+    /// nothing and reports no link statistics.
+    pub(crate) net: RefCell<NetworkState>,
     /// The happens-before race detector; present exactly when race checking
     /// is requested.  Pure observation: default runs construct nothing and
     /// stay bit-identical to the pre-racecheck simulator.
@@ -211,11 +210,7 @@ impl Dsm {
                     Some(RefCell::new(HomeDirectory::new(layout, nprocs, assign)))
                 }
             },
-            net: self
-                .config
-                .topology
-                .is_contended()
-                .then(|| RefCell::new(NetworkState::new(self.config.topology, nprocs))),
+            net: RefCell::new(NetworkState::new(self.config.topology, nprocs)),
             race: self.config.racecheck.then(|| {
                 RefCell::new(RaceDetector::new(
                     nprocs,
@@ -262,9 +257,7 @@ impl Dsm {
             results.push(result);
             stats.per_proc.push(proc_stats);
         }
-        if let Some(net) = &shared.net {
-            stats.links = net.borrow().link_stats();
-        }
+        stats.links = shared.net.borrow().link_stats();
         if let Some(race) = &shared.race {
             stats.races = race.borrow_mut().take_races();
         }
@@ -580,6 +573,88 @@ mod tests {
         assert_eq!(ft_results, rr_results);
         assert_eq!(ft.home_updates, 0, "first touch makes every write local");
         assert!(rr.home_updates > 0, "round-robin must flush remote pages");
+    }
+
+    /// Every page written by every rank for two rounds, so that under the
+    /// home-based protocol one interval close flushes to several homes (a
+    /// real batch) and every fault contacts several responders.  `None`
+    /// leaves the network unnamed — the default configuration.
+    fn stats_on(
+        protocol: crate::protocol::ProtocolMode,
+        network: Option<tm_net::NetworkConfig>,
+    ) -> ClusterStats {
+        let mut config = DsmConfig {
+            protocol,
+            ..small_config(4)
+        };
+        if let Some(network) = network {
+            config.topology = network.topology;
+            config.aggregation = network.aggregation;
+        }
+        let mut dsm = Dsm::new(config);
+        let arr = dsm.alloc_array::<u64>(8 * 512, Align::Page);
+        let out = dsm.run(async |ctx| {
+            let me = ctx.rank();
+            let mut sum = 0u64;
+            for round in 1..=2u64 {
+                for page in 0..8 {
+                    for i in 0..64 {
+                        let v = round * (me * 64 + i) as u64;
+                        arr.set(ctx, page * 512 + me * 64 + i, v).await;
+                    }
+                }
+                ctx.barrier().await;
+                sum += arr.read_vec(ctx, 0, arr.len()).await.iter().sum::<u64>();
+                ctx.barrier().await;
+            }
+            sum
+        });
+        assert!(out.results.iter().all(|&s| s == out.results[0] && s > 0));
+        out.stats
+    }
+
+    /// The ideal interconnect is the link model with no links: naming it
+    /// changes nothing, it records no link, and batching — which needs a
+    /// wire — changes nothing on it, while a real wire moves time and only
+    /// time.  The `Dsm`-level twin of `tests/network_differential.rs`'s
+    /// application-level pins.
+    fn assert_ideal_is_absence(protocol: crate::protocol::ProtocolMode) {
+        use tm_net::{AggregationPolicy::*, NetworkConfig, Topology::*};
+        let default = stats_on(protocol, None);
+        assert!(default.links.is_empty());
+        assert!(default.breakdown().total_messages() > 0);
+        for aggregation in [PerMessage, Batched] {
+            assert_eq!(
+                stats_on(protocol, Some(NetworkConfig::new(Ideal, aggregation))),
+                default,
+                "ideal + {aggregation} must be the default run"
+            );
+        }
+        let bus = stats_on(protocol, Some(NetworkConfig::new(SharedBus, PerMessage)));
+        assert_eq!(bus.links.len(), 1);
+        assert_eq!(
+            bus.breakdown().total_messages(),
+            default.breakdown().total_messages()
+        );
+        assert!(bus.exec_time_ns() > default.exec_time_ns());
+    }
+
+    #[test]
+    fn multi_writer_runs_on_the_ideal_network_by_default() {
+        assert_ideal_is_absence(crate::protocol::ProtocolMode::MultiWriter);
+    }
+
+    #[test]
+    fn home_based_runs_on_the_ideal_network_by_default() {
+        use tm_net::{AggregationPolicy::*, NetworkConfig, Topology::SharedBus};
+        let protocol = crate::protocol::ProtocolMode::home_based();
+        assert_ideal_is_absence(protocol);
+        // Where there is a wire, batching this workload's multi-home
+        // flushes does move the modeled time.
+        assert_ne!(
+            stats_on(protocol, Some(NetworkConfig::new(SharedBus, Batched))).exec_time_ns(),
+            stats_on(protocol, Some(NetworkConfig::new(SharedBus, PerMessage))).exec_time_ns()
+        );
     }
 
     #[test]

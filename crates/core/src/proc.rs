@@ -235,11 +235,6 @@ impl ProcCtx {
             "home directory must be present exactly for home-based runs"
         );
         debug_assert_eq!(
-            shared.net.is_some(),
-            config.topology.is_contended(),
-            "network state must be present exactly for contended topologies"
-        );
-        debug_assert_eq!(
             shared.race.is_some(),
             config.racecheck,
             "race detector must be present exactly for racecheck runs"
@@ -621,38 +616,31 @@ impl ProcCtx {
         }
     }
 
-    /// The stall one round of pending fetches costs, per protocol.  Under a
-    /// contended topology the replies are routed through the shared link
-    /// state, so they queue behind concurrent traffic; under the ideal
-    /// default this is exactly the calibrated cost model.
+    /// The stall one round of pending fetches costs, per protocol.  The
+    /// replies are routed through the run's link state, where they queue
+    /// behind concurrent traffic on every link the topology has.
     fn fetch_stall(&self, total_payload: u64) -> u64 {
         let costs = &self.exchange.responder_costs;
-        if let Some(net) = &self.shared.net {
-            let mut net = net.borrow_mut();
-            let now = self.clock.now_ns();
-            let ranks = &self.exchange.responder_ranks;
-            return match self.protocol {
-                ProtocolMode::MultiWriter => self.cost.fault_stall_served_on(
-                    costs,
-                    ranks,
-                    total_payload,
-                    self.rank.0,
-                    now,
-                    &mut net,
-                ),
-                ProtocolMode::HomeBased { .. } => self.cost.home_fetch_stall_on(
-                    costs,
-                    ranks,
-                    total_payload,
-                    self.rank.0,
-                    now,
-                    &mut net,
-                ),
-            };
-        }
+        let ranks = &self.exchange.responder_ranks;
+        let now = self.clock.now_ns();
+        let mut net = self.shared.net.borrow_mut();
         match self.protocol {
-            ProtocolMode::MultiWriter => self.cost.fault_stall_served(costs, total_payload),
-            ProtocolMode::HomeBased { .. } => self.cost.home_fetch_stall(costs, total_payload),
+            ProtocolMode::MultiWriter => self.cost.fault_stall_served_on(
+                costs,
+                ranks,
+                total_payload,
+                self.rank.0,
+                now,
+                &mut net,
+            ),
+            ProtocolMode::HomeBased { .. } => self.cost.home_fetch_stall_on(
+                costs,
+                ranks,
+                total_payload,
+                self.rank.0,
+                now,
+                &mut net,
+            ),
         }
     }
 
@@ -1207,41 +1195,33 @@ impl ProcCtx {
             self.stats.record_control(MsgKind::HomeUpdate, wire_bytes);
             self.stats.home_updates += 1;
         }
-        match &self.shared.net {
-            None => {
-                for &wire_bytes in flushes.values() {
-                    self.clock
-                        .advance(self.cost.home_update_cost(MSG_HEADER_BYTES + wire_bytes));
-                }
-            }
-            Some(net) => {
-                let mut net = net.borrow_mut();
-                if self.aggregation.is_batched() {
-                    // The whole interval's flushes as one wire message: one
-                    // broadcast on the bus, a replicated copy per home on
-                    // the switch (where the useless replicated bytes are
-                    // what makes batching lose).
-                    let batch: Vec<(u32, u64)> = flushes.iter().map(|(&h, &b)| (h, b)).collect();
-                    let now = self.clock.now_ns();
-                    let cost =
-                        self.cost
-                            .home_flush_batch_cost_on(&batch, self.rank.0, now, &mut net);
-                    self.clock.advance(cost);
-                } else {
-                    for (&home_rank, &wire_bytes) in &flushes {
-                        let now = self.clock.now_ns();
-                        let cost = self.cost.home_update_cost_on(
-                            MSG_HEADER_BYTES.saturating_add(wire_bytes),
-                            self.rank.0,
-                            home_rank,
-                            now,
-                            &mut net,
-                        );
-                        self.clock.advance(cost);
-                    }
-                }
+        let mut net = self.shared.net.borrow_mut();
+        if self.aggregation.is_batched() {
+            // The whole interval's flushes as one wire message: one
+            // broadcast on the bus, a replicated copy per home on the
+            // switch (where the useless replicated bytes are what makes
+            // batching lose), and the plain per-message flushes where
+            // there is no wire to batch for.
+            let batch: Vec<(u32, u64)> = flushes.iter().map(|(&h, &b)| (h, b)).collect();
+            let now = self.clock.now_ns();
+            let cost = self
+                .cost
+                .home_flush_batch_cost_on(&batch, self.rank.0, now, &mut net);
+            self.clock.advance(cost);
+        } else {
+            for (&home_rank, &wire_bytes) in &flushes {
+                let now = self.clock.now_ns();
+                let cost = self.cost.home_update_cost_on(
+                    MSG_HEADER_BYTES.saturating_add(wire_bytes),
+                    self.rank.0,
+                    home_rank,
+                    now,
+                    &mut net,
+                );
+                self.clock.advance(cost);
             }
         }
+        drop(net);
 
         let mut diffs = std::mem::take(&mut self.diff_scratch);
         self.publish_interval(record, &mut diffs);

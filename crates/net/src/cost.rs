@@ -13,6 +13,16 @@
 //! clocks so that the *shape* of the execution-time results (Figures 1 and 2)
 //! can be reproduced without the original hardware.  Absolute seconds are not
 //! expected to match the 1997 testbed.
+//!
+//! There is one cost path.  Every stall and flush routes its wire time
+//! through the run's [`NetworkState`]; the ideal interconnect is the state
+//! with no links, where a transmission costs `wire_ns_per_byte × bytes` and
+//! never queues, so the calibrated numbers above are what that path yields
+//! on it.  The five entry points: [`CostModel::fault_stall_served_on`] and
+//! [`CostModel::home_fetch_stall_on`] (two parameterisations of one private
+//! stall formula), [`CostModel::home_update_cost_on`],
+//! [`CostModel::home_flush_batch_cost_on`], and
+//! [`CostModel::fault_stall_served`], a convenience over an ideal state.
 
 use crate::link::NetworkState;
 use crate::msg::MSG_HEADER_BYTES;
@@ -136,149 +146,26 @@ impl CostModel {
         }
     }
 
-    /// Stall time of one diff exchange with a single responder: round trip,
-    /// the responder's serve time, and the reply's wire time.
-    pub fn diff_exchange_latency(&self, reply_bytes: u64) -> u64 {
-        self.rtt_small_ns
-            .saturating_add(self.diff_serve_base_ns)
-            .saturating_add(self.diff_serve_ns_per_byte.saturating_mul(reply_bytes))
-            .saturating_add(self.wire_ns_per_byte.saturating_mul(reply_bytes))
-    }
-
-    /// Stall time of a page fault that issues one exchange per concurrent
-    /// writer.  TreadMarks sends all requests before waiting, so the
-    /// requests and the responders' diff generation overlap (one round trip,
-    /// the slowest serve time), but the replies all arrive at the faulting
-    /// node's single network interface: their wire time, per-message receive
-    /// processing and diff application serialize there.  This is what makes
-    /// a 7-writer fault substantially more expensive than a 1-writer fault
-    /// even though the requests go out in parallel.
+    /// Stall time of a multi-writer page fault that issues one diff exchange
+    /// per concurrent writer, with the replies routed through `net`.
+    /// TreadMarks sends all requests before waiting, so the requests and the
+    /// responders' diff generation overlap (one round trip, the slowest
+    /// serve time), but the replies all arrive at the faulting node's single
+    /// network interface: their wire time, per-message receive processing
+    /// and diff application serialize there.  This is what makes a 7-writer
+    /// fault substantially more expensive than a 1-writer fault even though
+    /// the requests go out in parallel.
+    ///
+    /// `responders[i].serve_extra_ns` joins that responder's serve time:
+    /// under lazy diff timing the responder creates any not-yet-materialized
+    /// diff while serving the request.  `sources[i]` is the rank serving
+    /// `responders[i]` and `faulter` the receiving rank — the endpoints each
+    /// reply occupies in `net`, where it queues behind the links' horizons
+    /// and behind the replies before it.
     ///
     /// A fault that contacts no writer (a prefetched or cold fault) costs
     /// exactly `fault_handler_ns + protection_op_ns`: no round trip, no
     /// serve, and — since nothing is applied — no diff-application charge.
-    pub fn fault_stall(&self, reply_bytes_per_responder: &[u64], applied_payload: u64) -> u64 {
-        let responders: Vec<ResponderCost> = reply_bytes_per_responder
-            .iter()
-            .map(|&reply_bytes| ResponderCost {
-                reply_bytes,
-                serve_extra_ns: 0,
-            })
-            .collect();
-        self.fault_stall_served(&responders, applied_payload)
-    }
-
-    /// [`fault_stall`](Self::fault_stall) with per-responder serve-side
-    /// extras: under lazy diff timing the responder creates any
-    /// not-yet-materialized diff while serving the request, so its serve
-    /// time grows by the diff-creation cost.  Responders work in parallel
-    /// (the slowest one bounds the stall), exactly like their base serve
-    /// time.
-    pub fn fault_stall_served(&self, responders: &[ResponderCost], applied_payload: u64) -> u64 {
-        let slowest_serve = responders
-            .iter()
-            .map(|r| {
-                self.diff_serve_base_ns
-                    .saturating_add(self.diff_serve_ns_per_byte.saturating_mul(r.reply_bytes))
-                    .saturating_add(r.serve_extra_ns)
-            })
-            .max()
-            .unwrap_or(0);
-        let total_reply_bytes = responders
-            .iter()
-            .fold(0u64, |acc, r| acc.saturating_add(r.reply_bytes));
-        let serialized_receive = self
-            .wire_ns_per_byte
-            .saturating_mul(total_reply_bytes)
-            .saturating_add(self.message_cpu_ns.saturating_mul(responders.len() as u64));
-        let rtt = if responders.is_empty() {
-            0
-        } else {
-            self.rtt_small_ns
-        };
-        self.fault_handler_ns
-            .saturating_add(self.protection_op_ns)
-            .saturating_add(rtt)
-            .saturating_add(slowest_serve)
-            .saturating_add(serialized_receive)
-            .saturating_add(
-                self.diff_apply_base_ns
-                    .saturating_mul(responders.len() as u64),
-            )
-            .saturating_add(self.diff_apply_ns_per_byte.saturating_mul(applied_payload))
-    }
-
-    /// Stall time of a whole-page fault in the home-based protocol: one
-    /// round trip overlapped across the homes contacted, the slowest home's
-    /// page serve, and the replies' serialized receive and memcpy at the
-    /// faulting node.  Structurally the twin of
-    /// [`fault_stall_served`](Self::fault_stall_served), with the page-serve
-    /// constants in place of the diff-serve ones and a plain per-byte copy
-    /// (`twin_ns_per_byte`, i.e. memcpy speed) in place of the run-by-run
-    /// diff application.
-    ///
-    /// A fault served entirely from a co-resident home copy (`responders`
-    /// empty) costs exactly `fault_handler_ns + protection_op_ns` plus the
-    /// local copy of `applied_payload` bytes — no messages.
-    pub fn home_fetch_stall(&self, responders: &[ResponderCost], applied_payload: u64) -> u64 {
-        let slowest_serve = responders
-            .iter()
-            .map(|r| {
-                self.page_serve_base_ns
-                    .saturating_add(self.page_serve_ns_per_byte.saturating_mul(r.reply_bytes))
-                    .saturating_add(r.serve_extra_ns)
-            })
-            .max()
-            .unwrap_or(0);
-        let total_reply_bytes = responders
-            .iter()
-            .fold(0u64, |acc, r| acc.saturating_add(r.reply_bytes));
-        let serialized_receive = self
-            .wire_ns_per_byte
-            .saturating_mul(total_reply_bytes)
-            .saturating_add(self.message_cpu_ns.saturating_mul(responders.len() as u64));
-        let rtt = if responders.is_empty() {
-            0
-        } else {
-            self.rtt_small_ns
-        };
-        self.fault_handler_ns
-            .saturating_add(self.protection_op_ns)
-            .saturating_add(rtt)
-            .saturating_add(slowest_serve)
-            .saturating_add(serialized_receive)
-            .saturating_add(self.twin_ns_per_byte.saturating_mul(applied_payload))
-    }
-
-    /// Writer-side cost of flushing one home-update message of `wire_bytes`
-    /// bytes at interval close (home-based protocol).  The flush is
-    /// asynchronous — the writer does not stall for a round trip — so it
-    /// pays only the per-message CPU overhead and the outgoing wire time;
-    /// the home applies the diffs off the writer's critical path.
-    pub fn home_update_cost(&self, wire_bytes: u64) -> u64 {
-        self.message_cpu_ns
-            .saturating_add(self.wire_ns_per_byte.saturating_mul(wire_bytes))
-    }
-
-    /// Per-byte serialization rate of `topology` when link occupancy is
-    /// modeled: the shared bus runs at `bus_ns_per_byte` (10 Mbps Ethernet),
-    /// the switch at the calibrated `wire_ns_per_byte` per port.
-    pub fn topology_ns_per_byte(&self, topology: Topology) -> u64 {
-        match topology {
-            Topology::SharedBus => self.bus_ns_per_byte,
-            Topology::Ideal | Topology::Switched => self.wire_ns_per_byte,
-        }
-    }
-
-    /// Occupancy-aware variant of [`fault_stall_served`](Self::fault_stall_served):
-    /// identical structure (overlapped round trip, slowest serve, serialized
-    /// receives, diff application), but each reply's wire time is obtained by
-    /// transmitting it through `net` — so replies queue behind the link's
-    /// `next_free_ns` horizon and behind each other, and the link counters
-    /// record the traffic.  `sources[i]` is the rank serving `responders[i]`;
-    /// `faulter` is the receiving rank.  Under an uncontended (`Ideal`)
-    /// state this reduces exactly to `fault_stall_served`.
-    #[allow(clippy::too_many_arguments)]
     pub fn fault_stall_served_on(
         &self,
         responders: &[ResponderCost],
@@ -288,49 +175,41 @@ impl CostModel {
         now_ns: u64,
         net: &mut NetworkState,
     ) -> u64 {
-        if !net.topology().is_contended() {
-            return self.fault_stall_served(responders, applied_payload);
-        }
-        let rate = self.topology_ns_per_byte(net.topology());
-        let slowest_serve = responders
-            .iter()
-            .map(|r| {
-                self.diff_serve_base_ns
-                    .saturating_add(self.diff_serve_ns_per_byte.saturating_mul(r.reply_bytes))
-                    .saturating_add(r.serve_extra_ns)
-            })
-            .max()
-            .unwrap_or(0);
-        let mut wire_ns = 0u64;
-        for (i, r) in responders.iter().enumerate() {
-            let src = sources.get(i).copied().unwrap_or(faulter);
-            wire_ns =
-                wire_ns.saturating_add(net.transmit(now_ns, src, faulter, r.reply_bytes, rate));
-        }
-        let receive_cpu = self.message_cpu_ns.saturating_mul(responders.len() as u64);
-        let rtt = if responders.is_empty() {
-            0
-        } else {
-            self.rtt_small_ns
-        };
-        self.fault_handler_ns
-            .saturating_add(self.protection_op_ns)
-            .saturating_add(rtt)
-            .saturating_add(slowest_serve)
-            .saturating_add(wire_ns)
-            .saturating_add(receive_cpu)
-            .saturating_add(
-                self.diff_apply_base_ns
-                    .saturating_mul(responders.len() as u64),
-            )
-            .saturating_add(self.diff_apply_ns_per_byte.saturating_mul(applied_payload))
+        let apply_ns = self
+            .diff_apply_base_ns
+            .saturating_mul(responders.len() as u64)
+            .saturating_add(self.diff_apply_ns_per_byte.saturating_mul(applied_payload));
+        self.fetch_stall_on(
+            self.diff_serve_base_ns,
+            self.diff_serve_ns_per_byte,
+            apply_ns,
+            responders,
+            sources,
+            faulter,
+            now_ns,
+            net,
+        )
     }
 
-    /// Occupancy-aware variant of [`home_fetch_stall`](Self::home_fetch_stall),
-    /// the structural twin of
-    /// [`fault_stall_served_on`](Self::fault_stall_served_on) with the
-    /// page-serve constants and the memcpy-speed apply.
-    #[allow(clippy::too_many_arguments)]
+    /// [`fault_stall_served_on`](Self::fault_stall_served_on) over an ideal
+    /// network, which needs neither endpoints nor a clock — the calibration
+    /// point of §5.1.
+    pub fn fault_stall_served(&self, responders: &[ResponderCost], applied_payload: u64) -> u64 {
+        let mut ideal = NetworkState::new(Topology::Ideal, 0);
+        self.fault_stall_served_on(responders, &[], applied_payload, 0, 0, &mut ideal)
+    }
+
+    /// Stall time of a whole-page fault in the home-based protocol: the same
+    /// stall as [`fault_stall_served_on`](Self::fault_stall_served_on) with
+    /// the homes as responders, the page-serve constants in place of the
+    /// diff-serve ones (a home sends its resident master copy: no
+    /// interval-log walk, no run reassembly) and a plain per-byte copy
+    /// (`twin_ns_per_byte`, i.e. memcpy speed) in place of the run-by-run
+    /// diff application.
+    ///
+    /// A fault served entirely from a co-resident home copy (`responders`
+    /// empty) costs exactly `fault_handler_ns + protection_op_ns` plus the
+    /// local copy of `applied_payload` bytes — no messages.
     pub fn home_fetch_stall_on(
         &self,
         responders: &[ResponderCost],
@@ -340,26 +219,49 @@ impl CostModel {
         now_ns: u64,
         net: &mut NetworkState,
     ) -> u64 {
-        if !net.topology().is_contended() {
-            return self.home_fetch_stall(responders, applied_payload);
-        }
+        self.fetch_stall_on(
+            self.page_serve_base_ns,
+            self.page_serve_ns_per_byte,
+            self.twin_ns_per_byte.saturating_mul(applied_payload),
+            responders,
+            sources,
+            faulter,
+            now_ns,
+            net,
+        )
+    }
+
+    /// The one fetch-stall formula: fault entry, one round trip overlapped
+    /// across the responders, the slowest responder's serve (base + per
+    /// reply byte + its extras), the replies' wire time through `net` one
+    /// after the other, their per-message receive processing, and the
+    /// caller's `apply_ns`.  The two public parameterisations above differ
+    /// only in the serve constants and the apply charge.
+    #[allow(clippy::too_many_arguments)]
+    fn fetch_stall_on(
+        &self,
+        serve_base_ns: u64,
+        serve_ns_per_byte: u64,
+        apply_ns: u64,
+        responders: &[ResponderCost],
+        sources: &[u32],
+        faulter: u32,
+        now_ns: u64,
+        net: &mut NetworkState,
+    ) -> u64 {
         let rate = self.topology_ns_per_byte(net.topology());
-        let slowest_serve = responders
-            .iter()
-            .map(|r| {
-                self.page_serve_base_ns
-                    .saturating_add(self.page_serve_ns_per_byte.saturating_mul(r.reply_bytes))
-                    .saturating_add(r.serve_extra_ns)
-            })
-            .max()
-            .unwrap_or(0);
+        let mut slowest_serve = 0u64;
         let mut wire_ns = 0u64;
         for (i, r) in responders.iter().enumerate() {
+            slowest_serve = slowest_serve.max(
+                serve_base_ns
+                    .saturating_add(serve_ns_per_byte.saturating_mul(r.reply_bytes))
+                    .saturating_add(r.serve_extra_ns),
+            );
             let src = sources.get(i).copied().unwrap_or(faulter);
             wire_ns =
                 wire_ns.saturating_add(net.transmit(now_ns, src, faulter, r.reply_bytes, rate));
         }
-        let receive_cpu = self.message_cpu_ns.saturating_mul(responders.len() as u64);
         let rtt = if responders.is_empty() {
             0
         } else {
@@ -370,13 +272,26 @@ impl CostModel {
             .saturating_add(rtt)
             .saturating_add(slowest_serve)
             .saturating_add(wire_ns)
-            .saturating_add(receive_cpu)
-            .saturating_add(self.twin_ns_per_byte.saturating_mul(applied_payload))
+            .saturating_add(self.message_cpu_ns.saturating_mul(responders.len() as u64))
+            .saturating_add(apply_ns)
     }
 
-    /// Occupancy-aware variant of [`home_update_cost`](Self::home_update_cost):
-    /// the asynchronous flush still costs no round trip, but its outgoing
-    /// wire time now queues on the sender's link.
+    /// Per-byte serialization rate of `topology`: the shared bus runs at
+    /// `bus_ns_per_byte` (10 Mbps Ethernet), the ideal network and every
+    /// switch port at the calibrated `wire_ns_per_byte`.
+    pub fn topology_ns_per_byte(&self, topology: Topology) -> u64 {
+        match topology {
+            Topology::SharedBus => self.bus_ns_per_byte,
+            Topology::Ideal | Topology::Switched => self.wire_ns_per_byte,
+        }
+    }
+
+    /// Writer-side cost of flushing one home-update message of `wire_bytes`
+    /// bytes from `src` to the home `dst` at interval close (home-based
+    /// protocol).  The flush is asynchronous — the writer does not stall for
+    /// a round trip — so it pays only the per-message CPU overhead and the
+    /// outgoing wire time through `net`; the home applies the diffs off the
+    /// writer's critical path.
     pub fn home_update_cost_on(
         &self,
         wire_bytes: u64,
@@ -385,9 +300,6 @@ impl CostModel {
         now_ns: u64,
         net: &mut NetworkState,
     ) -> u64 {
-        if !net.topology().is_contended() {
-            return self.home_update_cost(wire_bytes);
-        }
         let rate = self.topology_ns_per_byte(net.topology());
         self.message_cpu_ns
             .saturating_add(net.transmit(now_ns, src, dst, wire_bytes, rate))
@@ -404,8 +316,12 @@ impl CostModel {
     /// broadcast, so the batch is replicated to each home — every copy
     /// carries the *whole* batch, re-creating the paper's useless-data
     /// effect at the message layer, which is why batching loses on a
-    /// switched network.  A batch of one degenerates to the per-message
-    /// cost with no assembly charge.
+    /// switched network.
+    ///
+    /// Batching needs something to batch and a wire to batch for: a batch of
+    /// one, and any batch on a topology without links (where no message
+    /// ever waits for another, so there is no occupancy slot to save), costs
+    /// exactly the per-message flushes with no assembly charge.
     pub fn home_flush_batch_cost_on(
         &self,
         payload_per_home: &[(u32, u64)],
@@ -413,7 +329,7 @@ impl CostModel {
         now_ns: u64,
         net: &mut NetworkState,
     ) -> u64 {
-        if payload_per_home.len() <= 1 {
+        if payload_per_home.len() <= 1 || !net.topology().is_contended() {
             return payload_per_home.iter().fold(0u64, |acc, &(home, bytes)| {
                 acc.saturating_add(self.home_update_cost_on(
                     MSG_HEADER_BYTES.saturating_add(bytes),
@@ -428,14 +344,6 @@ impl CostModel {
             .iter()
             .fold(0u64, |acc, &(_, b)| acc.saturating_add(b));
         let batch_bytes = MSG_HEADER_BYTES.saturating_add(total_payload);
-        if !net.topology().is_contended() {
-            // Ideal wire: one header and one per-message overhead, charged
-            // at the calibrated rate (callers normally keep the per-message
-            // path under the ideal topology; this keeps the math total).
-            return self
-                .batch_assembly_ns
-                .saturating_add(self.home_update_cost(batch_bytes));
-        }
         let rate = self.topology_ns_per_byte(net.topology());
         if net.topology().has_broadcast() {
             self.batch_assembly_ns
@@ -513,6 +421,153 @@ impl Default for CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Responders with the given reply sizes and no serve-side extras.
+    fn replies(reply_bytes: &[u64]) -> Vec<ResponderCost> {
+        reply_bytes
+            .iter()
+            .map(|&reply_bytes| ResponderCost {
+                reply_bytes,
+                serve_extra_ns: 0,
+            })
+            .collect()
+    }
+
+    /// A multi-writer fault on the ideal network, one reply size per writer.
+    fn diff_fault(m: &CostModel, reply_bytes: &[u64], applied_payload: u64) -> u64 {
+        m.fault_stall_served(&replies(reply_bytes), applied_payload)
+    }
+
+    /// A home-based fault on the ideal network.
+    fn page_fault(m: &CostModel, responders: &[ResponderCost], applied_payload: u64) -> u64 {
+        let mut ideal = NetworkState::new(Topology::Ideal, 8);
+        m.home_fetch_stall_on(responders, &[], applied_payload, 0, 0, &mut ideal)
+    }
+
+    /// One home-update flush on the ideal network.
+    fn flush(m: &CostModel, wire_bytes: u64) -> u64 {
+        let mut ideal = NetworkState::new(Topology::Ideal, 8);
+        m.home_update_cost_on(wire_bytes, 0, 1, 0, &mut ideal)
+    }
+
+    /// The closed-form ideal stall the cost model computed before the ideal
+    /// network became a link model with no links: one product for the
+    /// replies' wire time instead of one transmission per reply.  Kept as
+    /// the reference the single occupancy-aware path must reproduce exactly.
+    fn closed_form_stall(
+        m: &CostModel,
+        serve_base_ns: u64,
+        serve_ns_per_byte: u64,
+        apply_ns: u64,
+        responders: &[ResponderCost],
+    ) -> u64 {
+        let slowest_serve = responders
+            .iter()
+            .map(|r| {
+                serve_base_ns
+                    .saturating_add(serve_ns_per_byte.saturating_mul(r.reply_bytes))
+                    .saturating_add(r.serve_extra_ns)
+            })
+            .max()
+            .unwrap_or(0);
+        let total_reply_bytes = responders
+            .iter()
+            .fold(0u64, |acc, r| acc.saturating_add(r.reply_bytes));
+        let n = responders.len() as u64;
+        let rtt = if responders.is_empty() {
+            0
+        } else {
+            m.rtt_small_ns
+        };
+        m.fault_handler_ns
+            .saturating_add(m.protection_op_ns)
+            .saturating_add(rtt)
+            .saturating_add(slowest_serve)
+            .saturating_add(m.wire_ns_per_byte.saturating_mul(total_reply_bytes))
+            .saturating_add(m.message_cpu_ns.saturating_mul(n))
+            .saturating_add(apply_ns)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Under the ideal topology the one stall formula is the calibrated
+        /// closed form, bit for bit, for both protocols' parameterisations
+        /// and both stock cost models — and it touches no link.
+        #[test]
+        fn contended_variants_reduce_to_the_calibrated_model_when_ideal(
+            // `corner == 0` swaps the reply size for the saturating corner.
+            specs in prop::collection::vec((0u64..=65_536, 0u64..=1_000_000, 0u32..12), 0..=8),
+            applied_payload in 0u64..=1 << 20,
+            faulter in 0u32..8,
+            now_ns in 0u64..=1 << 40,
+        ) {
+            let responders: Vec<ResponderCost> = specs
+                .iter()
+                .map(|&(bytes, serve_extra_ns, corner)| ResponderCost {
+                    reply_bytes: if corner == 0 { u64::MAX } else { bytes },
+                    serve_extra_ns,
+                })
+                .collect();
+            let sources: Vec<u32> = (0..responders.len() as u32).map(|i| (i + 1) % 8).collect();
+            let n = responders.len() as u64;
+            for m in [CostModel::pentium_ethernet_1997(), CostModel::free_network()] {
+                let mut net = NetworkState::new(Topology::Ideal, 8);
+                let diff_apply = m
+                    .diff_apply_base_ns
+                    .saturating_mul(n)
+                    .saturating_add(m.diff_apply_ns_per_byte.saturating_mul(applied_payload));
+                let diff_reference = closed_form_stall(
+                    &m,
+                    m.diff_serve_base_ns,
+                    m.diff_serve_ns_per_byte,
+                    diff_apply,
+                    &responders,
+                );
+                prop_assert_eq!(
+                    m.fault_stall_served_on(
+                        &responders, &sources, applied_payload, faulter, now_ns, &mut net
+                    ),
+                    diff_reference
+                );
+                prop_assert_eq!(m.fault_stall_served(&responders, applied_payload), diff_reference);
+                prop_assert_eq!(
+                    m.home_fetch_stall_on(
+                        &responders, &sources, applied_payload, faulter, now_ns, &mut net
+                    ),
+                    closed_form_stall(
+                        &m,
+                        m.page_serve_base_ns,
+                        m.page_serve_ns_per_byte,
+                        m.twin_ns_per_byte.saturating_mul(applied_payload),
+                        &responders,
+                    )
+                );
+                // The flush: per-message overhead plus the calibrated wire
+                // time, and a batch on a network without links is exactly
+                // its per-message flushes.
+                let flushes: Vec<(u32, u64)> =
+                    sources.iter().zip(&responders).map(|(&h, r)| (h, r.reply_bytes)).collect();
+                let mut per_message = 0u64;
+                for &(home, bytes) in &flushes {
+                    let wire_bytes = MSG_HEADER_BYTES.saturating_add(bytes);
+                    let cost = m.home_update_cost_on(wire_bytes, faulter, home, now_ns, &mut net);
+                    prop_assert_eq!(
+                        cost,
+                        m.message_cpu_ns
+                            .saturating_add(m.wire_ns_per_byte.saturating_mul(wire_bytes))
+                    );
+                    per_message = per_message.saturating_add(cost);
+                }
+                prop_assert_eq!(
+                    m.home_flush_batch_cost_on(&flushes, faulter, now_ns, &mut net),
+                    per_message
+                );
+                prop_assert!(net.link_stats().is_empty());
+            }
+        }
+    }
 
     #[test]
     fn paper_calibration_points() {
@@ -520,13 +575,13 @@ mod tests {
         // 1-byte round trip: 296 microseconds.
         assert_eq!(m.rtt_small_ns, 296_000);
         // Empty-page diff fetch is within the paper's 579–1746 µs window.
-        let small = m.fault_stall(&[200], 200);
+        let small = diff_fault(&m, &[200], 200);
         assert!(
             (400_000..1_800_000).contains(&small),
             "small diff fetch {small}ns outside plausible window"
         );
         // A full-page diff fetch stays within the paper's upper bound.
-        let large = m.fault_stall(&[4096], 4096);
+        let large = diff_fault(&m, &[4096], 4096);
         assert!(
             (579_000..=1_900_000).contains(&large),
             "large diff fetch {large}ns outside plausible window"
@@ -547,24 +602,24 @@ mod tests {
     #[test]
     fn fault_stall_overlaps_round_trips_but_serializes_receives() {
         let m = CostModel::pentium_ethernet_1997();
-        let one_big = m.fault_stall(&[4096], 4096);
-        let big_plus_small = m.fault_stall(&[4096, 64], 4096 + 64);
+        let one_big = diff_fault(&m, &[4096], 4096);
+        let big_plus_small = diff_fault(&m, &[4096, 64], 4096 + 64);
         // Adding a second, smaller responder does not add a second round
         // trip (requests overlap) ...
         assert!(big_plus_small < one_big + m.rtt_small_ns);
         assert!(big_plus_small > one_big);
         // ... but seven equally sized responders cost markedly more than
         // one, because the replies serialize at the faulting node.
-        let seven = m.fault_stall(&[1024; 7], 7 * 1024);
-        let one = m.fault_stall(&[1024], 1024);
+        let seven = diff_fault(&m, &[1024; 7], 7 * 1024);
+        let one = diff_fault(&m, &[1024], 1024);
         assert!(
             seven > 2 * one,
             "seven-writer fault {seven} vs single {one}"
         );
         // Two single-page faults from the same writer still cost more than
         // one aggregated two-page fault (the aggregation argument of §3).
-        let two_faults = 2 * m.fault_stall(&[2048], 2048);
-        let aggregated = m.fault_stall(&[4096], 4096);
+        let two_faults = 2 * diff_fault(&m, &[2048], 2048);
+        let aggregated = diff_fault(&m, &[4096], 4096);
         assert!(aggregated < two_faults);
     }
 
@@ -576,7 +631,7 @@ mod tests {
         // `diff_apply_base_ns * len().max(1)`.
         let m = CostModel::pentium_ethernet_1997();
         assert_eq!(
-            m.fault_stall(&[], 0),
+            diff_fault(&m, &[], 0),
             m.fault_handler_ns + m.protection_op_ns
         );
     }
@@ -587,7 +642,7 @@ mod tests {
         // to that responder's serve time and responders still overlap, so
         // only the slowest one moves the stall.
         let m = CostModel::pentium_ethernet_1997();
-        let base = m.fault_stall(&[1024, 1024], 2048);
+        let base = diff_fault(&m, &[1024, 1024], 2048);
         let with_extra = m.fault_stall_served(
             &[
                 ResponderCost {
@@ -626,26 +681,23 @@ mod tests {
         // A whole-page fetch from one home is cheaper than a whole-page
         // *diff* exchange of the same size: the home serves a resident copy
         // instead of walking its interval log.
-        let fetch = m.home_fetch_stall(&[page], 4096);
-        let diff = m.fault_stall(&[4096], 4096);
+        let fetch = page_fault(&m, &[page], 4096);
+        let diff = diff_fault(&m, &[4096], 4096);
         assert!(fetch < diff, "page fetch {fetch} vs diff fetch {diff}");
         // But it is still a real network stall, bounded below by the RTT.
         assert!(fetch > m.rtt_small_ns);
         // A fault served from a co-resident home copy sends no messages.
         assert_eq!(
-            m.home_fetch_stall(&[], 4096),
+            page_fault(&m, &[], 4096),
             m.fault_handler_ns + m.protection_op_ns + m.twin_ns_per_byte * 4096
         );
         // The asynchronous flush costs far less than stalling a round trip.
-        assert!(m.home_update_cost(512) < m.rtt_small_ns);
-        assert_eq!(
-            m.home_update_cost(512),
-            m.message_cpu_ns + 512 * m.wire_ns_per_byte
-        );
+        assert!(flush(&m, 512) < m.rtt_small_ns);
+        assert_eq!(flush(&m, 512), m.message_cpu_ns + 512 * m.wire_ns_per_byte);
         // Free network: everything collapses to the local handler costs.
         let free = CostModel::free_network();
-        assert_eq!(free.home_fetch_stall(&[page], 4096), 0);
-        assert_eq!(free.home_update_cost(4096), 0);
+        assert_eq!(page_fault(&free, &[page], 4096), 0);
+        assert_eq!(flush(&free, 4096), 0);
     }
 
     #[test]
@@ -661,9 +713,10 @@ mod tests {
         m.diff_create_ns_per_byte = u64::MAX;
         m.barrier_per_proc_ns = u64::MAX;
         m.page_serve_ns_per_byte = u64::MAX;
-        assert_eq!(m.fault_stall(&[u64::MAX, 7], u64::MAX), u64::MAX);
+        assert_eq!(diff_fault(&m, &[u64::MAX, 7], u64::MAX), u64::MAX);
         assert_eq!(
-            m.home_fetch_stall(
+            page_fault(
+                &m,
                 &[ResponderCost {
                     reply_bytes: u64::MAX,
                     serve_extra_ns: 0
@@ -672,43 +725,10 @@ mod tests {
             ),
             u64::MAX
         );
-        assert_eq!(m.home_update_cost(u64::MAX), u64::MAX);
-        assert_eq!(m.diff_exchange_latency(u64::MAX), u64::MAX);
+        assert_eq!(flush(&m, u64::MAX), u64::MAX);
         assert_eq!(m.twin_cost(u64::MAX), u64::MAX);
         assert_eq!(m.diff_create_cost(3), u64::MAX);
         assert_eq!(m.barrier_latency(64), u64::MAX);
-    }
-
-    #[test]
-    fn contended_variants_reduce_to_the_calibrated_model_when_ideal() {
-        // The `_on` variants must be bit-identical to their pure
-        // counterparts under an uncontended network state — this is the
-        // compatibility invariant the Ideal default relies on.
-        let m = CostModel::pentium_ethernet_1997();
-        let mut net = NetworkState::new(Topology::Ideal, 8);
-        let served = [
-            ResponderCost {
-                reply_bytes: 1024,
-                serve_extra_ns: 7_000,
-            },
-            ResponderCost {
-                reply_bytes: 300,
-                serve_extra_ns: 0,
-            },
-        ];
-        assert_eq!(
-            m.fault_stall_served_on(&served, &[1, 2], 1324, 0, 999, &mut net),
-            m.fault_stall_served(&served, 1324)
-        );
-        assert_eq!(
-            m.home_fetch_stall_on(&served, &[1, 2], 1324, 0, 999, &mut net),
-            m.home_fetch_stall(&served, 1324)
-        );
-        assert_eq!(
-            m.home_update_cost_on(512, 0, 3, 999, &mut net),
-            m.home_update_cost(512)
-        );
-        assert!(net.link_stats().is_empty());
     }
 
     #[test]
@@ -774,8 +794,8 @@ mod tests {
 
     #[test]
     fn contended_cost_arithmetic_saturates_instead_of_overflowing() {
-        // PR 4 convention, extended to the occupancy-aware variants: u64::MAX
-        // rates and byte counts must pin every result at u64::MAX.
+        // PR 4 convention on the contended topologies: u64::MAX rates and
+        // byte counts must pin every result at u64::MAX.
         let mut m = CostModel::pentium_ethernet_1997();
         m.bus_ns_per_byte = u64::MAX;
         m.wire_ns_per_byte = u64::MAX;
@@ -812,7 +832,7 @@ mod tests {
     #[test]
     fn free_network_is_free() {
         let m = CostModel::free_network();
-        assert_eq!(m.fault_stall(&[1000, 2000], 3000), 0);
+        assert_eq!(diff_fault(&m, &[1000, 2000], 3000), 0);
         assert_eq!(m.barrier_latency(8), 0);
         assert_eq!(m.lock_latency(), 0);
     }
@@ -823,8 +843,8 @@ mod tests {
         // the same writer in one exchange costs one round trip, while two
         // page-sized units cost two.
         let m = CostModel::pentium_ethernet_1997();
-        let two_faults = 2 * m.fault_stall(&[2048], 2048);
-        let one_fault = m.fault_stall(&[4096], 4096);
+        let two_faults = 2 * diff_fault(&m, &[2048], 2048);
+        let one_fault = diff_fault(&m, &[4096], 4096);
         assert!(one_fault < two_faults);
     }
 }

@@ -1,8 +1,8 @@
 //! Link-occupancy bookkeeping: finite bandwidth as pure logical-time state.
 //!
-//! A contended topology ([`Topology::is_contended`]) owns one
-//! [`NetworkState`]: a `next_free_ns` horizon per link plus per-link
-//! counters.  A transmission of `wire_bytes` at logical time `now` costs
+//! Every run owns one [`NetworkState`]: a `next_free_ns` horizon per link
+//! plus per-link counters.  A transmission of `wire_bytes` at logical time
+//! `now` over a link costs
 //!
 //! ```text
 //! serialization = wire_bytes * ns_per_byte          (finite bandwidth)
@@ -11,10 +11,15 @@
 //! ```
 //!
 //! Everything is a pure function of the logical clock values the
-//! deterministic scheduler already produces, so contended runs reproduce
-//! bit-for-bit across reruns, exactly like the ideal model.  All arithmetic saturates (the large workload tier crosses
-//! `u64` products; the CI `checked` build would catch a wrapping multiply).
+//! deterministic scheduler already produces, so runs reproduce bit-for-bit
+//! across reruns on every topology.  All arithmetic saturates (the large
+//! workload tier crosses `u64` products; the CI `checked` build would catch
+//! a wrapping multiply).
 //!
+//! * [`Topology::Ideal`] has **no** links: a message never waits, so a
+//!   transmission costs its serialization time and nothing is recorded.
+//!   The ideal network is this model with nothing to queue on, not a
+//!   separate formula.
 //! * [`Topology::SharedBus`] has a single link (index 0) that every message
 //!   occupies.
 //! * [`Topology::Switched`] has one link per processor NIC; a unicast
@@ -89,8 +94,12 @@ impl FromJson for LinkStats {
             queue_ns: field_u64(v, "queue_ns")?,
             // Documents written before the window was recorded lack the
             // field; an absent window degrades utilization to the caller's
-            // timed region, exactly the old behavior.
-            window_ns: field_u64(v, "window_ns").unwrap_or(0),
+            // timed region, exactly the old behavior.  A window that is
+            // present must be well-formed like every other counter.
+            window_ns: match v.get("window_ns") {
+                None => 0,
+                Some(_) => field_u64(v, "window_ns")?,
+            },
         })
     }
 }
@@ -124,10 +133,10 @@ impl LinkState {
     }
 }
 
-/// The shared occupancy state of a contended topology.  Built once per run
-/// (next to the home directory) and shared by every processor; the
-/// deterministic scheduler serializes accesses, so the state is a pure
-/// function of the run's logical schedule.
+/// The occupancy state of a run's interconnect.  Built once per run (next
+/// to the home directory) and shared by every processor; the deterministic
+/// scheduler serializes accesses, so the state is a pure function of the
+/// run's logical schedule.
 #[derive(Debug, Clone)]
 pub struct NetworkState {
     topology: Topology,
@@ -136,13 +145,20 @@ pub struct NetworkState {
 
 impl NetworkState {
     /// Occupancy state for `topology` over `nprocs` processors.  The ideal
-    /// topology tracks nothing (zero links) — callers never construct one,
-    /// but the value is well-defined.
+    /// topology has zero links, so its state allocates nothing and reports
+    /// no [`link_stats`](Self::link_stats).
+    ///
+    /// # Panics
+    /// If `topology` is [`Topology::Switched`] and `nprocs` is zero: a
+    /// switch has one port per processor, and a message needs two of them.
     pub fn new(topology: Topology, nprocs: usize) -> Self {
         let links = match topology {
             Topology::Ideal => 0,
             Topology::SharedBus => 1,
-            Topology::Switched => nprocs,
+            Topology::Switched => {
+                assert!(nprocs >= 1, "a switched network needs at least one port");
+                nprocs
+            }
         };
         NetworkState {
             topology,
@@ -159,9 +175,12 @@ impl NetworkState {
     /// time `now_ns`, serializing at `ns_per_byte`.  Returns the total delay
     /// the sender observes: queueing (the wire was busy) plus serialization.
     ///
-    /// On the bus both endpoints share link 0; on the switch the message
-    /// occupies both endpoint NICs and queues behind the later-free of the
-    /// two.
+    /// Without links nothing queues; on the bus both endpoints share link 0;
+    /// on the switch the message occupies both endpoint NICs and queues
+    /// behind the later-free of the two.
+    ///
+    /// # Panics
+    /// On the switch, if `src` or `dst` is not the rank of a port.
     pub fn transmit(
         &mut self,
         now_ns: u64,
@@ -175,10 +194,7 @@ impl NetworkState {
             Topology::Ideal => 0,
             Topology::SharedBus => self.links[0].reserve(now_ns, serialize, wire_bytes),
             Topology::Switched => {
-                let (a, b) = (
-                    src as usize % self.links.len(),
-                    dst as usize % self.links.len(),
-                );
+                let (a, b) = (self.port(src), self.port(dst));
                 if a == b {
                     self.links[a].reserve(now_ns, serialize, wire_bytes)
                 } else {
@@ -196,6 +212,17 @@ impl NetworkState {
             }
         };
         queue.saturating_add(serialize)
+    }
+
+    /// The switch port of `rank`: the rank itself — a rank without a port
+    /// must not be billed to another processor's NIC.
+    fn port(&self, rank: u32) -> usize {
+        assert!(
+            (rank as usize) < self.links.len(),
+            "rank {rank} has no port on a switch of {} links",
+            self.links.len()
+        );
+        rank as usize
     }
 
     /// Transmit one broadcast of `wire_bytes` from `src` at logical time
@@ -328,6 +355,34 @@ mod tests {
         let parsed = LinkStats::from_json(&legacy).unwrap();
         assert_eq!(parsed.window_ns, 0);
         assert!((parsed.utilization(1_975_308) - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_present_window_must_be_an_unsigned_integer() {
+        // Absent means 0 (above); present and malformed used to be read as
+        // 0 too, silently moving the utilization denominator.
+        for bad in [Value::Str("x".into()), Value::Num(-1.0), Value::Num(1.5)] {
+            let mut doc = LinkStats::default().to_json();
+            let Value::Obj(fields) = &mut doc else {
+                panic!("link stats serialize as an object");
+            };
+            fields.last_mut().expect("window_ns is the last field").1 = bad;
+            let err = LinkStats::from_json(&doc).unwrap_err();
+            assert_eq!(err.path, "window_ns");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one port")]
+    fn a_switch_without_ports_is_rejected_at_construction() {
+        NetworkState::new(Topology::Switched, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 4 has no port on a switch of 4 links")]
+    fn a_rank_without_a_port_is_not_billed_to_another_nic() {
+        let mut net = NetworkState::new(Topology::Switched, 4);
+        net.transmit(0, 0, 4, 100, 80);
     }
 
     #[test]

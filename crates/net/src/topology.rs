@@ -5,9 +5,13 @@
 //! infinite, and the congestion side of the paper's aggregation trade-off is
 //! invisible.  This module makes the network's *shape* an explicit axis:
 //!
-//! * [`Topology::Ideal`] — the calibrated model as-is: per-byte wire time,
-//!   no occupancy tracking, no queueing.  This is the compatibility default;
-//!   every golden document and benchmark digest is pinned against it.
+//! * [`Topology::Ideal`] — the calibrated model as-is: per-byte wire time
+//!   and nothing to queue on.  It is the link model with *no links*
+//!   ([`NetworkState`](crate::NetworkState) owns none for it), not a second
+//!   cost formula: every topology goes through the same stall and flush
+//!   functions of [`CostModel`](crate::CostModel).  This is the
+//!   compatibility default; every golden document and benchmark digest is
+//!   pinned against it.
 //! * [`Topology::SharedBus`] — one shared broadcast medium (a 10 Mbps
 //!   Ethernet segment): every message serializes over a single link and
 //!   queues behind all other traffic, but a single transmission reaches
@@ -25,7 +29,11 @@
 //! and per-message occupancy slots — a clear win on a broadcast bus — but on
 //! a switched fabric the batch must be replicated to every destination, so
 //! each receiver pays for bytes it did not ask for: aggregation re-creates
-//! the paper's useless-data effect at the message layer.
+//! the paper's useless-data effect at the message layer.  Batching needs a
+//! wire: on the ideal topology there is no occupancy slot to save, and a
+//! batch costs exactly its per-message flushes
+//! ([`CostModel::home_flush_batch_cost_on`](crate::CostModel::home_flush_batch_cost_on)
+//! is the one place that knows).
 
 use serde::json::Value;
 use serde::{FromJson, JsonSchemaError, ToJson};
@@ -53,7 +61,7 @@ impl Topology {
         }
     }
 
-    /// True when the topology tracks link occupancy (everything but
+    /// True when the topology has links to queue on (everything but
     /// [`Topology::Ideal`]).
     pub fn is_contended(&self) -> bool {
         !matches!(self, Topology::Ideal)

@@ -17,7 +17,9 @@ use tdsm_core::{Align, Dsm, DsmConfig, UnitPolicy};
 const WORKING_SET: [usize; 6] = [3, 11, 19, 27, 35, 43];
 const ITERATIONS: usize = 6;
 
-fn run(label: &str, unit: UnitPolicy) {
+/// Run the producer/consumer loop under `unit`, print its communication
+/// breakdown and return what the consumer summed.
+fn run(label: &str, unit: UnitPolicy) -> u64 {
     let mut dsm = Dsm::new(DsmConfig::with_procs(2).shared_pages(64).unit(unit));
     let region = dsm.alloc_array::<u64>(64 * 512, Align::Page); // 64 pages of u64
 
@@ -51,7 +53,7 @@ fn run(label: &str, unit: UnitPolicy) {
         b.total_payload(),
         b.exec_time_ns as f64 / 1e6
     );
-    assert_eq!(out.results[1], out.results[1]); // consumer result is deterministic per run
+    out.results[1]
 }
 
 fn main() {
@@ -60,9 +62,13 @@ fn main() {
         WORKING_SET.len(),
         ITERATIONS
     );
-    run("4K", UnitPolicy::Static { pages: 1 });
-    run("16K", UnitPolicy::Static { pages: 4 });
-    run("Dyn", UnitPolicy::Dynamic { max_group_pages: 8 });
+    let consumed = run("4K", UnitPolicy::Static { pages: 1 });
+    // The unit policy moves messages and time, never what the consumer reads.
+    assert_eq!(run("16K", UnitPolicy::Static { pages: 4 }), consumed);
+    assert_eq!(
+        run("Dyn", UnitPolicy::Dynamic { max_group_pages: 8 }),
+        consumed
+    );
     println!("\nDynamic page groups aggregate the *non-contiguous* working set: after the");
     println!("first iteration, one fault per iteration prefetches all six pages, while the");
     println!("16 KB static unit can only merge pages that happen to be neighbours.");

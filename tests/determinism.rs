@@ -215,8 +215,8 @@ fn consecutive_engine_runs_emit_byte_identical_documents() {
     }
 }
 
-/// End-to-end acceptance at the binary surface: the same invocation of a
-/// real figure binary, twice, must write byte-identical JSON to stdout.
+/// End-to-end acceptance at the binary surface: the same invocation of the
+/// real binary, twice, must write byte-identical JSON to stdout.
 #[test]
 fn binary_reruns_are_byte_identical() {
     let args = ["--tiny", "--format", "json", "--seed", "11"];
@@ -414,13 +414,13 @@ proptest! {
     }
 }
 
-/// Run one tm-bench binary via `cargo run` (always building from current
+/// Run `tm-bench <bin>` via `cargo run` (always building from current
 /// sources; see tests/harness_smoke.rs for the full rationale) and return
 /// its stdout.
 fn run_binary(bin: &str, args: &[&str]) -> String {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
     let mut cmd = std::process::Command::new(cargo);
-    cmd.args(["run", "-q", "-p", "tm-bench", "--bin", bin]);
+    cmd.args(["run", "-q", "-p", "tm-bench", "--bin", "tm-bench"]);
     if std::env::current_exe()
         .ok()
         .and_then(|exe| {
@@ -434,10 +434,10 @@ fn run_binary(bin: &str, args: &[&str]) -> String {
         cmd.arg("--release");
     }
     let output = cmd
-        .arg("--")
+        .args(["--", bin])
         .args(args)
         .output()
-        .unwrap_or_else(|e| panic!("failed to launch cargo run --bin {bin}: {e}"));
+        .unwrap_or_else(|e| panic!("failed to launch tm-bench {bin}: {e}"));
     assert!(
         output.status.success(),
         "{bin} {args:?} exited with {:?}\nstderr:\n{}",

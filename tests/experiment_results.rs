@@ -1,6 +1,6 @@
 //! Machine-readable results: every named experiment must emit JSON that
 //! parses and round-trips losslessly, both through the library emitters and
-//! end-to-end through the real binaries (`--tiny --format json`).
+//! end-to-end through the real binary (`--tiny --format json`).
 
 use tm_bench::{
     parse_result, render, run_experiment, BenchArgs, Experiment, ExperimentResult, OutputFormat,
@@ -102,7 +102,8 @@ fn home_based_documents_roundtrip_and_carry_protocol_fields() {
     assert!(csv.lines().nth(1).unwrap().contains(",home-based,"));
 }
 
-/// Acceptance end-to-end: each of the seven binaries, run with
+/// Acceptance end-to-end: each of the seven experiments, run through the
+/// binary with
 /// `--tiny --format json`, must write a parseable document to stdout that
 /// round-trips through the emitters, and `--out` must write the same schema
 /// to a file.
@@ -144,21 +145,21 @@ fn binaries_emit_parseable_json_in_tiny_mode() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Run one tm-bench binary via `cargo run` (always building from current
+/// Run `tm-bench <bin>` via `cargo run` (always building from current
 /// sources; see tests/harness_smoke.rs for the full rationale) and return
 /// its stdout.
 fn run_binary(bin: &str, args: &[&str]) -> String {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
     let mut cmd = std::process::Command::new(cargo);
-    cmd.args(["run", "-q", "-p", "tm-bench", "--bin", bin]);
+    cmd.args(["run", "-q", "-p", "tm-bench", "--bin", "tm-bench"]);
     if running_release_profile() {
         cmd.arg("--release");
     }
     let output = cmd
-        .arg("--")
+        .args(["--", bin])
         .args(args)
         .output()
-        .unwrap_or_else(|e| panic!("failed to launch cargo run --bin {bin}: {e}"));
+        .unwrap_or_else(|e| panic!("failed to launch tm-bench {bin}: {e}"));
     assert!(
         output.status.success(),
         "{bin} {args:?} exited with {:?}\nstderr:\n{}",
