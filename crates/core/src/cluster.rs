@@ -433,6 +433,39 @@ mod tests {
     }
 
     #[test]
+    fn a_huge_lock_table_costs_nothing_and_changes_nothing() {
+        // Two counters under two locks, the second lock's id chosen by the
+        // caller.  Nothing is sized by `max_locks`, so a 2^30-lock table
+        // runs like the 16-lock one — also when the program uses its very
+        // last id (which has the same manager, `id % nprocs`, as 15).
+        let run = |max_locks: usize, second_lock: usize| {
+            let mut dsm = Dsm::new(DsmConfig {
+                max_locks,
+                ..small_config(4)
+            });
+            let counters = dsm.alloc_array::<u64>(1024, Align::Page);
+            let out = dsm.run(async |ctx| {
+                for _ in 0..5 {
+                    for (slot, lock) in [(0, 0), (512, second_lock)] {
+                        ctx.acquire(lock).await;
+                        let v = counters.get(ctx, slot).await;
+                        counters.set(ctx, slot, v + 1).await;
+                        ctx.release(lock).await;
+                    }
+                }
+                ctx.barrier().await;
+                (counters.get(ctx, 0).await, counters.get(ctx, 512).await)
+            });
+            assert_eq!(out.results, vec![(20, 20); 4]);
+            out.stats
+        };
+        let default = run(16, 15);
+        assert!(default.breakdown().total_messages() > 0);
+        assert_eq!(run(1 << 30, 15), default);
+        assert_eq!(run(1 << 30, (1 << 30) - 1), default);
+    }
+
+    #[test]
     fn multiple_writers_to_one_page_merge_correctly() {
         // Two processors write disjoint halves of the same page; after the
         // barrier both see both halves — the multiple-writer protocol at

@@ -510,7 +510,10 @@ pub struct DsmConfig {
     pub protocol: ProtocolMode,
     /// Cost model used to charge the logical clocks.
     pub cost: CostModel,
-    /// Number of global locks available to the application.
+    /// Number of global locks available to the application: lock ids are
+    /// `0..max_locks`, at most `u32::MAX` of them.  Only a bound — the lock
+    /// table holds the locks the program has acquired, so a large value
+    /// costs nothing.
     pub max_locks: usize,
     /// Deterministic-scheduler configuration (tie-break mode and seed); a
     /// run's results are a pure function of the rest of this configuration
@@ -668,6 +671,13 @@ impl DsmConfig {
         assert!(
             self.nprocs <= 1024,
             "simulated cluster limited to 1024 processors"
+        );
+        // Lock ids key the scheduler's `WaitKey::Lock(u32)`; a larger table
+        // would let two ids share a wait key.
+        assert!(
+            self.max_locks <= u32::MAX as usize,
+            "lock table limited to {} locks",
+            u32::MAX
         );
         if let UnitPolicy::Static { pages } = self.unit {
             assert!(
@@ -908,6 +918,22 @@ mod tests {
     #[should_panic(expected = "limited to 1024 processors")]
     fn oversized_cluster_rejected() {
         DsmConfig::with_procs(1025).validate();
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "lock table limited to 4294967295 locks")]
+    fn oversized_lock_table_rejected() {
+        DsmConfig::paper_default()
+            .max_locks(u32::MAX as usize + 1)
+            .validate();
+    }
+
+    #[test]
+    fn lock_table_bound_is_inclusive() {
+        DsmConfig::paper_default()
+            .max_locks(u32::MAX as usize)
+            .validate();
     }
 
     #[test]

@@ -184,19 +184,22 @@ pub struct ProcCtx {
     /// Never affects the simulation itself.
     benign_race_depth: u32,
     gc_flush_pending_limit: usize,
-    /// Per writer, a multiset of the interval sequence numbers this
-    /// processor still has pending (seq -> number of pages whose notice is
-    /// unapplied).  Its per-writer minimum key is the pending floor reported
-    /// to the barrier's interval GC.
-    pending_seqs: Vec<BTreeMap<u32, u32>>,
+    /// The multiset of intervals this processor still has pending:
+    /// `(writer, seq)` -> number of pages whose notice is unapplied.  The
+    /// smallest `seq` of each writer present is that writer's pending floor
+    /// reported to the barrier's interval GC.  One ordered map, so it is
+    /// sized by what is pending, never by the cluster.
+    pending_seqs: BTreeMap<(u32, u32), u32>,
     /// Total notice count across `pending_seqs`, maintained incrementally so
     /// the barrier's memory-pressure check is O(1) instead of a walk over
-    /// every writer's multiset (an O(nprocs) scan per episode that dominated
-    /// barrier cost on large clusters).
+    /// the multiset.
     pending_total: usize,
-    /// Reusable buffer for the per-writer pending floors sent with each
+    /// Reusable buffer for the `(writer, floor)` pairs sent with each
     /// barrier arrival; refilled in place every episode.
-    pending_floor: Vec<u32>,
+    pending_floors: Vec<(u32, u32)>,
+    /// The vector time a lock grant carries, copied out of the lock table by
+    /// every acquire of a lock that has been released before.
+    grant_vc: VectorClock,
     notices_since_barrier: u64,
     /// Reusable staging buffer for `(seq, page)` write notices copied out of
     /// a writer's log while it is borrowed; avoids cloning each record's
@@ -265,9 +268,10 @@ impl ProcCtx {
             aggregation: config.aggregation,
             benign_race_depth: 0,
             gc_flush_pending_limit: config.gc_flush_pending_limit,
-            pending_seqs: vec![BTreeMap::new(); config.nprocs],
+            pending_seqs: BTreeMap::new(),
             pending_total: 0,
-            pending_floor: Vec::new(),
+            pending_floors: Vec::new(),
+            grant_vc: VectorClock::default(),
             notices_since_barrier: 0,
             notice_scratch: Vec::new(),
             diff_scratch: Vec::new(),
@@ -862,7 +866,7 @@ impl ProcCtx {
         for &p in pages {
             for &(writer, seq) in &self.meta[p.index()].pending {
                 if let std::collections::btree_map::Entry::Occupied(mut e) =
-                    self.pending_seqs[writer as usize].entry(seq)
+                    self.pending_seqs.entry((writer, seq))
                 {
                     *e.get_mut() -= 1;
                     if *e.get() == 0 {
@@ -1253,7 +1257,7 @@ impl ProcCtx {
         }
         for &(seq, page) in &scratch {
             self.meta[page.index()].pending.push((writer as u32, seq));
-            *self.pending_seqs[writer].entry(seq).or_insert(0) += 1;
+            *self.pending_seqs.entry((writer as u32, seq)).or_insert(0) += 1;
             self.pending_total += 1;
             self.invalidate_unit_of(page);
             incorporated += 1;
@@ -1306,7 +1310,7 @@ impl ProcCtx {
         let grant = self
             .shared
             .sync
-            .acquire_lock(lock_id, self.rank.index(), stall_start)
+            .acquire_lock(lock_id, self.rank.index(), stall_start, &mut self.grant_vc)
             .await;
 
         // Modeled time: the lock cannot be granted before the last release
@@ -1321,11 +1325,15 @@ impl ProcCtx {
         }
 
         // Incorporate every interval covered by the releaser but not by us.
+        // A lock nobody has released yet carries the zero clock: nothing to
+        // incorporate, nothing to merge.
         let mut notices = 0u64;
-        for q in 0..self.nprocs {
-            notices += self.incorporate_notices_from(q, grant.vc.get(q));
+        if grant.releaser.is_some() {
+            for q in 0..self.nprocs {
+                notices += self.incorporate_notices_from(q, self.grant_vc.get(q));
+            }
+            self.vc.merge(&self.grant_vc);
         }
-        self.vc.merge(&grant.vc);
         if let Some(race) = &self.shared.race {
             race.borrow_mut().on_acquire(self.rank.0, lock_id);
         }
@@ -1375,12 +1383,7 @@ impl ProcCtx {
         }
         self.shared
             .sync
-            .release_lock(
-                lock_id,
-                self.rank.index(),
-                self.vc.clone(),
-                self.clock.now_ns(),
-            )
+            .release_lock(lock_id, self.rank.index(), &self.vc, self.clock.now_ns())
             .await;
     }
 
@@ -1408,25 +1411,25 @@ impl ProcCtx {
         debug_assert_eq!(
             self.pending_total,
             self.pending_seqs
-                .iter()
-                .flat_map(|m| m.values())
+                .values()
                 .map(|&c| c as usize)
                 .sum::<usize>(),
-            "incrementally maintained pending total drifted from the multisets"
+            "incrementally maintained pending total drifted from the multiset"
         );
         if self.pending_total > self.gc_flush_pending_limit {
             self.flush_pending_for_gc().await;
         }
 
-        // This processor's contribution to the episode's GC watermark: per
-        // writer, the oldest interval we have incorporated but not applied.
-        let mut pending_floor = std::mem::take(&mut self.pending_floor);
-        pending_floor.clear();
-        pending_floor.extend(
-            self.pending_seqs
-                .iter()
-                .map(|m| m.keys().next().copied().unwrap_or(u32::MAX)),
-        );
+        // This processor's contribution to the episode's GC watermark: for
+        // every writer we have something pending of, the oldest interval we
+        // have incorporated but not applied — each writer's first key, found
+        // by seeking past the previous writer's entries.
+        self.pending_floors.clear();
+        let mut from = 0u32;
+        while let Some((&(writer, floor), _)) = self.pending_seqs.range((from, 0)..).next() {
+            self.pending_floors.push((writer, floor));
+            from = writer + 1;
+        }
 
         let my_published = self.vc.get(self.rank.index());
         if let Some(race) = &self.shared.race {
@@ -1440,17 +1443,24 @@ impl ProcCtx {
                 self.clock.now_ns(),
                 self.cost.barrier_latency(self.nprocs as u32),
                 my_published,
-                &pending_floor,
+                &self.pending_floors,
             )
             .await;
-        self.pending_floor = pending_floor;
         self.clock.wait_until(epoch.depart_clock_ns);
         if let Some(race) = &self.shared.race {
             race.borrow_mut().on_barrier_depart(self.rank.0);
         }
 
+        // Only writers that published since the previous episode can have
+        // notices we lack (see `BarrierEpoch::changed_writers`).
+        debug_assert!(
+            (0..self.nprocs).all(|q| epoch.published_intervals[q] <= self.vc.get(q)
+                || epoch.changed_writers.binary_search(&(q as u32)).is_ok()),
+            "a writer outside the episode's changed list is ahead of our clock"
+        );
         let mut notices = 0u64;
-        for q in 0..self.nprocs {
+        for &q in &epoch.changed_writers {
+            let q = q as usize;
             notices += self.incorporate_notices_from(q, epoch.published_intervals[q]);
         }
 

@@ -274,6 +274,78 @@ fn accesses_of_every_size_and_offset_match_a_flat_memory() {
     }
 }
 
+/// A barrier departure incorporates from the episode's changed writers only.
+/// Here every way a writer can be skipped or already covered occurs at once:
+/// rank 1 learnt rank 0's interval from a lock grant — its clock is *ahead*
+/// of the previous barrier's snapshot — and rank 3 publishes nothing between
+/// the two barriers.  What each rank incorporates, invalidates and is charged
+/// for on departure is pinned.
+#[test]
+fn barrier_departure_incorporates_exactly_the_notices_a_rank_lacks() {
+    for protocol in [ProtocolMode::MultiWriter, ProtocolMode::home_based()] {
+        let label = format!("{protocol:?}");
+        let mut dsm = Dsm::new(
+            DsmConfig::with_procs(4)
+                .shared_pages(64)
+                .protocol(protocol)
+                .sched(tm_sched::SchedConfig::fifo()),
+        );
+        let arr = dsm.alloc_array::<u32>(2 * PAGE / 4, Align::Page);
+        let out = dsm.run(async |ctx| {
+            let me = ctx.rank();
+            ctx.barrier().await;
+            match me {
+                0 => {
+                    ctx.acquire(0).await;
+                    arr.set(ctx, 3, 7).await;
+                    ctx.release(0).await;
+                }
+                1 => {
+                    // Ask for the lock well after rank 0 released it.
+                    ctx.compute(10_000_000);
+                    ctx.acquire(0).await;
+                    assert_eq!(
+                        ctx.vc.get(0),
+                        1,
+                        "{label}: the grant carried rank 0's interval"
+                    );
+                    assert_eq!(arr.get(ctx, 3).await, 7, "{label}");
+                    ctx.release(0).await;
+                }
+                2 => arr.set(ctx, PAGE / 4 + 1, 9).await,
+                _ => {}
+            }
+            let ops_before = ctx.stats.protection_ops;
+            ctx.barrier().await;
+            let depart = ctx.stats.control.last().copied();
+            let notices = depart.map(|msg| {
+                assert_eq!(msg.kind, MsgKind::BarrierDepart, "{label}");
+                (msg.bytes - MSG_HEADER_BYTES) / NOTICE_WIRE_BYTES
+            });
+            (
+                notices,
+                ctx.stats.protection_ops - ops_before,
+                [ctx.vc.get(0), ctx.vc.get(1), ctx.vc.get(2), ctx.vc.get(3)],
+            )
+        });
+        assert_eq!(
+            out.results,
+            vec![
+                // Rank 0 (the barrier manager, no departure message) lacks
+                // rank 2's notice: one invalidation.
+                (None, 1, [1, 0, 1, 0]),
+                // Rank 1 has rank 0's notice from the grant already.
+                (Some(1), 1, [1, 0, 1, 0]),
+                // Rank 2 re-protects the page it wrote, then invalidates
+                // rank 0's.
+                (Some(1), 2, [1, 0, 1, 0]),
+                (Some(2), 2, [1, 0, 1, 0]),
+            ],
+            "{label}"
+        );
+    }
+}
+
 /// The message `fut` panics with when polled.  (A panic that escapes a
 /// processor body reaches the caller of `Dsm::run` re-raised under another
 /// message, so the access is polled by hand.)

@@ -23,17 +23,17 @@ use std::task::{Context, Poll};
 
 use tm_sched::{SchedConfig, Scheduler, WaitKey};
 
+use crate::fasthash::FastHashMap;
 use crate::vc::VectorClock;
 
-/// Snapshot of the last release of a lock, handed to the next acquirer.
-#[derive(Debug, Clone)]
+/// What the last release of a lock tells the next acquirer, besides its
+/// vector time (which [`GlobalLock::try_acquire`] copies into the acquirer's
+/// own clock buffer).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LockRelease {
     /// Processor that last released the lock, or `None` if the lock has
     /// never been released (first acquisition is granted by the manager).
     pub releaser: Option<u32>,
-    /// Vector time of the last release; the acquirer must see every interval
-    /// this clock covers.
-    pub vc: VectorClock,
     /// Modeled time (ns) at which the release happened; the acquirer cannot
     /// be granted the lock before this.
     pub clock_ns: u64,
@@ -44,48 +44,49 @@ pub struct LockRelease {
 /// The lock itself never blocks: [`try_acquire`](Self::try_acquire) either
 /// takes it or reports it held, and [`GlobalSync::acquire_lock`] parks the
 /// caller on the scheduler until a release wakes it.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct GlobalLock {
     held: bool,
     last: LockRelease,
+    /// Vector time of the last release.  A lock that was never released
+    /// owns no clock (its vector time is zero by construction); the first
+    /// release sizes this buffer and every later one overwrites it in place.
+    vc: VectorClock,
     acquisitions: u64,
 }
 
 impl GlobalLock {
-    /// Create a free lock for a cluster of `nprocs` processors.
-    pub fn new(nprocs: usize) -> Self {
-        GlobalLock {
-            held: false,
-            last: LockRelease {
-                releaser: None,
-                vc: VectorClock::zero(nprocs),
-                clock_ns: 0,
-            },
-            acquisitions: 0,
-        }
+    /// Create a free, never-released lock.  Allocates nothing.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Take the lock if it is free, returning the snapshot of the last
-    /// release (the grant's consistency payload); `None` if it is held.
-    pub fn try_acquire(&mut self) -> Option<LockRelease> {
+    /// Take the lock if it is free, returning the last release (the grant)
+    /// and, when there was one (`releaser` is `Some`), copying its vector
+    /// time — the grant's consistency payload — into `vc`.  `None` if the
+    /// lock is held.
+    pub fn try_acquire(&mut self, vc: &mut VectorClock) -> Option<LockRelease> {
         if self.held {
             return None;
         }
         self.held = true;
         self.acquisitions += 1;
-        Some(self.last.clone())
+        if self.last.releaser.is_some() {
+            vc.copy_from(&self.vc);
+        }
+        Some(self.last)
     }
 
     /// Release the lock, publishing the releaser's identity, vector time and
     /// modeled release time for the next acquirer.
-    pub fn release(&mut self, releaser: u32, vc: VectorClock, clock_ns: u64) {
+    pub fn release(&mut self, releaser: u32, vc: &VectorClock, clock_ns: u64) {
         debug_assert!(self.held, "release of a lock that is not held");
         self.held = false;
         self.last = LockRelease {
             releaser: Some(releaser),
-            vc,
             clock_ns,
         };
+        self.vc.copy_from(vc);
     }
 
     /// Number of times the lock has been acquired (statistics/tests).
@@ -106,6 +107,12 @@ pub struct BarrierEpoch {
     pub depart_clock_ns: u64,
     /// Per-processor count of published intervals at arrival.
     pub published_intervals: Vec<u32>,
+    /// The processors whose published count rose since the previous episode,
+    /// ascending — the only writers a departing processor can have notices
+    /// to incorporate from.  Every processor left the previous episode with
+    /// `vc[q] >= previous published_intervals[q]` and clocks only grow, so
+    /// for every `q` not listed its clock already covers this snapshot.
+    pub changed_writers: Vec<u32>,
     /// Per-processor garbage-collection watermark: processor `p` may retire
     /// every interval of its own log with sequence number `<=
     /// retire_below[p]` once it departs.  Computed by [`gc_thresholds`] from
@@ -154,12 +161,12 @@ pub struct CentralBarrier {
     arrived: usize,
     max_clock_ns: u64,
     lens: Vec<u32>,
-    /// Published-interval snapshot of the previously sealed episode — the
-    /// coverage bound of the GC watermark.
-    prev_published: Vec<u32>,
     /// Elementwise minimum, over this episode's arrivers so far, of each
-    /// arriver's smallest pending notice sequence number per writer.
+    /// arriver's smallest pending notice sequence number per writer
+    /// (`u32::MAX` for a writer nobody has pending).
     pending_floor: Vec<u32>,
+    /// The most recently sealed episode.  Its published-interval snapshot is
+    /// the coverage bound of the next episode's GC watermark.
     epoch: Rc<BarrierEpoch>,
 }
 
@@ -184,11 +191,11 @@ impl CentralBarrier {
             arrived: 0,
             max_clock_ns: 0,
             lens: vec![0; nprocs],
-            prev_published: vec![0; nprocs],
             pending_floor: vec![u32::MAX; nprocs],
             epoch: Rc::new(BarrierEpoch {
                 depart_clock_ns: 0,
                 published_intervals: vec![0; nprocs],
+                changed_writers: Vec::new(),
                 retire_below: vec![0; nprocs],
             }),
         }
@@ -200,34 +207,39 @@ impl CentralBarrier {
     }
 
     /// Record the arrival of processor `rank` without blocking.
-    /// `my_pending_floor[p]` is the smallest sequence number of processor
-    /// `p`'s intervals whose write notice `rank` has incorporated but not
-    /// applied yet (`u32::MAX` when none) — the arriver's contribution to
-    /// the episode's GC watermark.
+    /// `my_pending_floors` lists `(writer, floor)` for every writer `rank`
+    /// has a write notice of incorporated but not applied yet, `floor` being
+    /// the smallest sequence number among them — the arriver's contribution
+    /// to the episode's GC watermark.  Writers it has nothing pending of are
+    /// simply absent.
     fn arrive(
         &mut self,
         rank: usize,
         my_clock_ns: u64,
         barrier_latency_ns: u64,
         my_published_intervals: u32,
-        my_pending_floor: &[u32],
+        my_pending_floors: &[(u32, u32)],
     ) -> Arrival {
         let generation = self.generation;
         self.max_clock_ns = self.max_clock_ns.max(my_clock_ns);
         self.lens[rank] = my_published_intervals;
-        for (acc, &floor) in self.pending_floor.iter_mut().zip(my_pending_floor) {
+        for &(writer, floor) in my_pending_floors {
+            let acc = &mut self.pending_floor[writer as usize];
             *acc = (*acc).min(floor);
         }
         self.arrived += 1;
         if self.arrived == self.nprocs {
             // Last arriver: seal the episode and open the next generation.
+            let prev_published = &self.epoch.published_intervals;
             let epoch = Rc::new(BarrierEpoch {
                 depart_clock_ns: self.max_clock_ns.saturating_add(barrier_latency_ns),
                 published_intervals: self.lens.clone(),
-                retire_below: gc_thresholds(&self.prev_published, &self.pending_floor),
+                changed_writers: (0..self.nprocs as u32)
+                    .filter(|&q| self.lens[q as usize] > prev_published[q as usize])
+                    .collect(),
+                retire_below: gc_thresholds(prev_published, &self.pending_floor),
             });
             self.epoch = Rc::clone(&epoch);
-            self.prev_published = self.lens.clone();
             self.pending_floor.fill(u32::MAX);
             self.arrived = 0;
             self.max_clock_ns = 0;
@@ -290,19 +302,21 @@ impl Future for TurnWait<'_> {
 /// every blocking point.
 #[derive(Debug)]
 pub struct GlobalSync {
-    locks: Vec<RefCell<GlobalLock>>,
+    /// The locks acquired so far, by id: the table is sized by the locks the
+    /// program uses, never by the configured bound.
+    locks: RefCell<FastHashMap<u32, GlobalLock>>,
+    max_locks: usize,
     barrier: RefCell<CentralBarrier>,
     sched: Scheduler,
 }
 
 impl GlobalSync {
     /// Create the synchronization state for a cluster running under the
-    /// given scheduling configuration.
+    /// given scheduling configuration, with lock ids `0..max_locks`.
     pub fn new(nprocs: usize, max_locks: usize, sched: SchedConfig) -> Self {
         GlobalSync {
-            locks: (0..max_locks)
-                .map(|_| RefCell::new(GlobalLock::new(nprocs)))
-                .collect(),
+            locks: RefCell::new(FastHashMap::default()),
+            max_locks,
             barrier: RefCell::new(CentralBarrier::new(nprocs)),
             sched: Scheduler::new(nprocs, sched),
         }
@@ -331,58 +345,88 @@ impl GlobalSync {
         }
     }
 
-    /// The lock with the given id.
+    /// The table key (and wait key) of lock `id`.
     ///
     /// # Panics
     /// Panics if `id` is outside the configured lock table.
-    pub fn lock(&self, id: usize) -> &RefCell<GlobalLock> {
-        self.locks.get(id).unwrap_or_else(|| {
-            panic!(
-                "lock id {id} outside the configured table of {} locks",
-                self.locks.len()
-            )
-        })
+    fn lock_key(&self, id: usize) -> u32 {
+        assert!(
+            id < self.max_locks,
+            "lock id {id} outside the configured table of {} locks",
+            self.max_locks
+        );
+        u32::try_from(id).expect("DsmConfig::validate bounds the lock table by u32::MAX")
+    }
+
+    /// Number of times lock `id` has been acquired (statistics/tests).
+    ///
+    /// # Panics
+    /// Panics if `id` is outside the configured lock table.
+    pub fn lock_acquisitions(&self, id: usize) -> u64 {
+        let key = self.lock_key(id);
+        self.locks
+            .borrow()
+            .get(&key)
+            .map_or(0, GlobalLock::acquisitions)
     }
 
     /// Acquire lock `id` as processor `rank` whose logical clock reads
     /// `clock_ns`, yielding to the scheduler first (so any processor with an
     /// earlier clock gets its request in before us) and parking until the
     /// lock is granted.  Contended hand-off order is therefore
-    /// `(request clock, tie-break)` — deterministic.
-    pub async fn acquire_lock(&self, id: usize, rank: usize, clock_ns: u64) -> LockRelease {
+    /// `(request clock, tie-break)` — deterministic.  Returns the last
+    /// release; its vector time is copied into `vc` if there was one (see
+    /// [`GlobalLock::try_acquire`]).
+    pub async fn acquire_lock(
+        &self,
+        id: usize,
+        rank: usize,
+        clock_ns: u64,
+        vc: &mut VectorClock,
+    ) -> LockRelease {
+        let key = self.lock_key(id);
         self.yield_turn(rank, clock_ns).await;
         loop {
-            if let Some(grant) = self.lock(id).borrow_mut().try_acquire() {
+            let grant = self
+                .locks
+                .borrow_mut()
+                .entry(key)
+                .or_default()
+                .try_acquire(vc);
+            if let Some(grant) = grant {
                 return grant;
             }
-            self.block_turn(rank, WaitKey::Lock(id as u32), clock_ns)
-                .await;
+            self.block_turn(rank, WaitKey::Lock(key), clock_ns).await;
         }
     }
 
     /// Release lock `id`, wake its waiters, and yield the turn so that a
     /// waiter with an earlier request clock runs before we race ahead.
-    pub async fn release_lock(&self, id: usize, rank: usize, vc: VectorClock, clock_ns: u64) {
-        self.lock(id)
+    pub async fn release_lock(&self, id: usize, rank: usize, vc: &VectorClock, clock_ns: u64) {
+        let key = self.lock_key(id);
+        self.locks
             .borrow_mut()
+            .entry(key)
+            .or_default()
             .release(rank as u32, vc, clock_ns);
-        self.sched.wake_all(WaitKey::Lock(id as u32));
+        self.sched.wake_all(WaitKey::Lock(key));
         self.yield_turn(rank, clock_ns).await;
     }
 
     /// Arrive at the barrier as processor `rank`, announcing the caller's
     /// modeled clock, the number of intervals it has published so far, and
-    /// its per-writer pending-notice floors (the GC contribution; see
-    /// [`gc_thresholds`]).  Parks (on the scheduler) until everyone
-    /// has arrived and returns the barrier episode (common departure time +
-    /// published-interval snapshot + retirement watermarks).
+    /// the `(writer, floor)` pairs of the writers it has notices pending of
+    /// (the GC contribution; see [`gc_thresholds`]).  Parks (on the
+    /// scheduler) until everyone has arrived and returns the barrier episode
+    /// (common departure time + published-interval snapshot + retirement
+    /// watermarks).
     pub async fn barrier_arrive(
         &self,
         rank: usize,
         clock_ns: u64,
         barrier_latency_ns: u64,
         published_intervals: u32,
-        pending_floor: &[u32],
+        pending_floors: &[(u32, u32)],
     ) -> Rc<BarrierEpoch> {
         self.yield_turn(rank, clock_ns).await;
         let arrival = self.barrier.borrow_mut().arrive(
@@ -390,7 +434,7 @@ impl GlobalSync {
             clock_ns,
             barrier_latency_ns,
             published_intervals,
-            pending_floor,
+            pending_floors,
         );
         match arrival {
             Arrival::Sealed { generation, epoch } => {
@@ -425,16 +469,26 @@ mod tests {
 
     #[test]
     fn lock_hands_over_release_snapshot() {
-        let mut lock = GlobalLock::new(2);
-        let first = lock.try_acquire().expect("free lock must be acquirable");
+        let mut lock = GlobalLock::new();
+        let untouched = VectorClock::zero(1);
+        let mut grant_vc = untouched.clone();
+        let first = lock
+            .try_acquire(&mut grant_vc)
+            .expect("free lock must be acquirable");
         assert!(first.releaser.is_none());
-        assert!(lock.try_acquire().is_none(), "held lock must refuse");
+        assert_eq!(grant_vc, untouched, "a never-released lock has no clock");
+        assert!(
+            lock.try_acquire(&mut grant_vc).is_none(),
+            "held lock must refuse"
+        );
         let mut vc = VectorClock::zero(2);
         vc.set(0, 3);
-        lock.release(0, vc.clone(), 1234);
-        let second = lock.try_acquire().expect("released lock must be free");
+        lock.release(0, &vc, 1234);
+        let second = lock
+            .try_acquire(&mut grant_vc)
+            .expect("released lock must be free");
         assert_eq!(second.releaser, Some(0));
-        assert_eq!(second.vc, vc);
+        assert_eq!(grant_vc, vc);
         assert_eq!(second.clock_ns, 1234);
         assert_eq!(lock.acquisitions(), 2);
     }
@@ -453,17 +507,19 @@ mod tests {
             run(&sync, 4, async |rank| {
                 for i in 0..200u64 {
                     let clock = rank as u64 + 4 * i;
-                    let _grant = sync.acquire_lock(0, rank, clock).await;
+                    let mut vc = VectorClock::default();
+                    let _grant = sync.acquire_lock(0, rank, clock, &mut vc).await;
                     assert!(!inside.replace(true), "two holders of one lock");
                     counter.set(counter.get() + 1);
                     order.borrow_mut().push(rank as u32);
                     inside.set(false);
-                    sync.release_lock(0, rank, VectorClock::zero(4), clock + 1)
+                    sync.release_lock(0, rank, &VectorClock::zero(4), clock + 1)
                         .await;
                 }
             });
             assert_eq!(counter.get(), 800);
-            assert_eq!(sync.lock(0).borrow().acquisitions(), 800);
+            assert_eq!(sync.lock_acquisitions(0), 800);
+            assert_eq!(sync.lock_acquisitions(1), 0, "never acquired");
             order.into_inner()
         };
         assert_eq!(
@@ -481,16 +537,17 @@ mod tests {
         let sync = GlobalSync::new(4, 1, SchedConfig::fifo());
         let order = RefCell::new(Vec::new());
         run(&sync, 4, async |rank| {
+            let mut vc = VectorClock::default();
             if rank == 0 {
-                let _ = sync.acquire_lock(0, 0, 0).await;
+                let _ = sync.acquire_lock(0, 0, 0, &mut vc).await;
                 // Let the others get their requests in, then release late.
                 sync.yield_turn(0, 9_000).await;
-                sync.release_lock(0, 0, VectorClock::zero(4), 10_000).await;
+                sync.release_lock(0, 0, &VectorClock::zero(4), 10_000).await;
             } else {
                 let clock = 100 * (4 - rank) as u64;
-                let _ = sync.acquire_lock(0, rank, clock).await;
+                let _ = sync.acquire_lock(0, rank, clock, &mut vc).await;
                 order.borrow_mut().push(rank);
-                sync.release_lock(0, rank, VectorClock::zero(4), 10_000 + clock)
+                sync.release_lock(0, rank, &VectorClock::zero(4), 10_000 + clock)
                     .await;
             }
         });
@@ -502,7 +559,7 @@ mod tests {
         let sync = GlobalSync::new(3, 1, SchedConfig::fifo());
         let departs = run(&sync, 3, async |rank| {
             let clock = [100u64, 900, 400][rank];
-            sync.barrier_arrive(rank, clock, 50, 0, &[u32::MAX; 3])
+            sync.barrier_arrive(rank, clock, 50, 0, &[])
                 .await
                 .depart_clock_ns
         });
@@ -515,12 +572,12 @@ mod tests {
         let results = run(&sync, 2, async |rank| {
             let first = [20u64, 10][rank];
             let a = sync
-                .barrier_arrive(rank, first, 5, 0, &[u32::MAX; 2])
+                .barrier_arrive(rank, first, 5, 0, &[])
                 .await
                 .depart_clock_ns;
             let second = if rank == 0 { a + 1 } else { a + 100 };
             let b = sync
-                .barrier_arrive(rank, second, 5, 0, &[u32::MAX; 2])
+                .barrier_arrive(rank, second, 5, 0, &[])
                 .await
                 .depart_clock_ns;
             (a, b)
@@ -533,11 +590,12 @@ mod tests {
     fn barrier_snapshots_published_intervals() {
         let sync = GlobalSync::new(3, 1, SchedConfig::seeded(3));
         let epochs = run(&sync, 3, async |rank| {
-            sync.barrier_arrive(rank, 10 * rank as u64, 7, rank as u32 * 2, &[u32::MAX; 3])
+            sync.barrier_arrive(rank, 10 * rank as u64, 7, rank as u32 * 2, &[])
                 .await
         });
         for e in epochs {
             assert_eq!(e.published_intervals, vec![0, 2, 4]);
+            assert_eq!(e.changed_writers, vec![1, 2]);
             assert_eq!(e.depart_clock_ns, 27);
             // First episode: the previous snapshot is all-zero, so nothing
             // is retirable yet whatever the pending floors say.
@@ -565,17 +623,13 @@ mod tests {
             // pending.
             let published = [4u32, 2][rank];
             let first = sync
-                .barrier_arrive(rank, 10, 5, published, &[u32::MAX; 2])
+                .barrier_arrive(rank, 10, 5, published, &[])
                 .await
                 .retire_below
                 .clone();
-            let floor = if rank == 1 {
-                [3u32, u32::MAX]
-            } else {
-                [u32::MAX; 2]
-            };
+            let floors: &[(u32, u32)] = if rank == 1 { &[(0, 3)] } else { &[] };
             let second = sync
-                .barrier_arrive(rank, 100, 5, published + 1, &floor)
+                .barrier_arrive(rank, 100, 5, published + 1, floors)
                 .await
                 .retire_below
                 .clone();
@@ -587,6 +641,75 @@ mod tests {
             // Episode 2: coverage is episode 1's snapshot (4, 2); rank 0's
             // watermark is capped by the pending interval 3.
             assert_eq!(second, vec![2, 2]);
+        }
+    }
+
+    /// Sparse `(writer, floor)` arrivals must seal the watermarks the dense
+    /// form sealed: `gc_thresholds` of the previous snapshot and the
+    /// elementwise minimum of every arriver's dense floor vector (`u32::MAX`
+    /// where it has nothing pending).  Every case has a writer pending at
+    /// several arrivers (writer 0, at all but itself) and one pending at none
+    /// (the last).
+    #[test]
+    fn sparse_arrivals_seal_the_dense_watermarks() {
+        let mut rng = proptest::rng::TestRng::new(0xf100);
+        for case in 0..64 {
+            let n = 3 + rng.below(7) as usize;
+            let first: Vec<u32> = (0..n).map(|_| rng.below(6) as u32).collect();
+            let second: Vec<u32> = first.iter().map(|&p| p + rng.below(3) as u32).collect();
+            // What each arriver of the second episode has pending.
+            let pending: Vec<Vec<(u32, u32)>> = (0..n)
+                .map(|rank| {
+                    (0..n - 1)
+                        .filter(|&w| w != rank)
+                        .filter_map(|w| {
+                            let floor = 1 + rng.below(8) as u32;
+                            (w == 0 || floor <= 3).then_some((w as u32, floor))
+                        })
+                        .collect()
+                })
+                .collect();
+
+            let mut dense_min = vec![u32::MAX; n];
+            for floors in &pending {
+                let mut dense = vec![u32::MAX; n];
+                for &(w, floor) in floors {
+                    dense[w as usize] = floor;
+                }
+                for (acc, floor) in dense_min.iter_mut().zip(dense) {
+                    *acc = (*acc).min(floor);
+                }
+            }
+            assert!(dense_min[0] < u32::MAX && dense_min[n - 1] == u32::MAX);
+
+            let mut barrier = CentralBarrier::new(n);
+            for (rank, &published) in first.iter().enumerate() {
+                barrier.arrive(rank, 0, 0, published, &[]);
+            }
+            // The second episode's arrivals come in a shuffled order.
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                order.swap(i, rng.below(i as u128 + 1) as usize);
+            }
+            let mut sealed = None;
+            for rank in order {
+                if let Arrival::Sealed { epoch, .. } =
+                    barrier.arrive(rank, 0, 0, second[rank], &pending[rank])
+                {
+                    sealed = Some(epoch);
+                }
+            }
+            let epoch = sealed.expect("the last arrival seals the episode");
+            assert_eq!(
+                epoch.retire_below,
+                gc_thresholds(&first, &dense_min),
+                "case {case}: {pending:?}"
+            );
+            assert_eq!(epoch.published_intervals, second);
+            let changed: Vec<u32> = (0..n as u32)
+                .filter(|&q| second[q as usize] > first[q as usize])
+                .collect();
+            assert_eq!(epoch.changed_writers, changed, "case {case}");
         }
     }
 
@@ -602,6 +725,6 @@ mod tests {
     #[should_panic(expected = "outside the configured table")]
     fn out_of_range_lock_id_panics() {
         let sync = GlobalSync::new(2, 4, SchedConfig::default());
-        sync.lock(10);
+        sync.lock_acquisitions(10);
     }
 }

@@ -23,8 +23,10 @@ pub enum VcOrder {
 }
 
 /// A vector clock over `n` processors.  Entry `p` counts how many of
-/// processor `p`'s closed intervals are covered.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// processor `p`'s closed intervals are covered.  The default is the clock
+/// over zero processors: a buffer for [`copy_from`](Self::copy_from) that
+/// owns no allocation yet.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct VectorClock {
     entries: Vec<u32>,
 }

@@ -36,6 +36,29 @@
 //! If every unfinished processor is blocked the simulated program has
 //! deadlocked; the scheduler records the abort ([`Scheduler::abort_dump`])
 //! and `finish` panics with the state dump rather than letting the run hang.
+//!
+//! ## What a decision costs
+//!
+//! Only the *plateau* — the runnable processors at the smallest clock — can
+//! win a decision, and a large cluster leaving a barrier is one plateau of a
+//! thousand ranks, so the plateau is what the scheduler keeps at hand:
+//!
+//! * the runnable set is two parallel dense arrays, ranks and the clocks they
+//!   announced, **partitioned** so that the plateau comes first.  Every
+//!   transition keeps the partition with a swap or two; only when the last
+//!   plateau member leaves is the smallest clock looked for again — one scan
+//!   over plain integers per clock level, not per decision;
+//! * a seeded tie-break is FNV-1a of `(seed, decision index, rank)`.  The
+//!   first two words are the same for every candidate of a decision, so they
+//!   are hashed **once per decision** and each plateau member folds in its
+//!   rank — two bytes and one multiplication for the six zero bytes that
+//!   follow (ranks are far below 2¹⁶).  The decision index feeds the hash, so
+//!   a decision costs O(plateau) and no less; a plateau of one is not hashed
+//!   at all.
+//!
+//! None of this is visible from outside: the test module keeps the full-scan,
+//! three-words-per-candidate pick it replaced and checks every decision of
+//! random scripts against it.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -150,15 +173,29 @@ const NO_SLOT: usize = usize::MAX;
 #[derive(Debug)]
 struct SchedState {
     procs: Vec<ProcState>,
-    /// Ranks currently in [`ProcState::Runnable`], in arbitrary order.
-    /// Maintained incrementally at every state transition so a scheduling
-    /// decision only scans actually-runnable processors instead of all of
-    /// them.  The pick itself minimizes over the full `(clock, tie-break,
-    /// rank)` triple — all triples are distinct — so the set's internal
-    /// order can never influence the decision.
+    /// Ranks currently in [`ProcState::Runnable`].  Maintained incrementally
+    /// at every state transition so a scheduling decision never looks at a
+    /// processor that is not runnable.  The first `plateau_len` entries are
+    /// the *plateau* — the ranks at the smallest clock — in arbitrary order,
+    /// and so are the rest: the pick minimizes over the full `(clock,
+    /// tie-break, rank)` triple, all triples are distinct, so the set's
+    /// internal order can never influence the decision.
     runnable: Vec<usize>,
+    /// `clocks[i]` = the clock `runnable[i]` announced: the runnable ranks'
+    /// clocks as one dense array, so looking for the smallest is a scan over
+    /// plain integers instead of a `procs[rank]` lookup and enum match per
+    /// rank.
+    clocks: Vec<u64>,
     /// `slot[rank]` = index of `rank` inside `runnable`, or [`NO_SLOT`].
     slot: Vec<usize>,
+    /// How many leading entries of `runnable` form the plateau.  While it is
+    /// non-zero, `clocks[..plateau_len]` all equal the smallest clock and
+    /// `clocks[plateau_len..]` are all greater, so a decision tie-breaks
+    /// among the plateau without visiting anybody else.  Zero means "not
+    /// known" (the last member just left, or nobody is runnable): the next
+    /// decision finds the smallest clock and partitions again — one scan per
+    /// clock level instead of two per decision.
+    plateau_len: usize,
     /// Number of processors in [`ProcState::Finished`]; replaces the
     /// all-procs rescan that used to decide "everyone is done" on every
     /// empty pick.
@@ -179,25 +216,127 @@ struct SchedState {
 }
 
 impl SchedState {
-    /// Insert `rank` into the runnable set (must not already be a member).
-    fn add_runnable(&mut self, rank: usize) {
+    /// Exchange the entries at indices `i` and `j` of the runnable set.
+    fn swap_slots(&mut self, i: usize, j: usize) {
+        if i == j {
+            return;
+        }
+        self.runnable.swap(i, j);
+        self.clocks.swap(i, j);
+        self.slot[self.runnable[i]] = i;
+        self.slot[self.runnable[j]] = j;
+    }
+
+    /// Take the entry at index `i` out of the plateau if it is in it (it
+    /// becomes the first entry behind the plateau); returns its index.
+    fn leave_plateau(&mut self, i: usize) -> usize {
+        if i >= self.plateau_len {
+            return i;
+        }
+        self.plateau_len -= 1;
+        self.swap_slots(i, self.plateau_len);
+        self.plateau_len
+    }
+
+    /// Restore the partition around the entry at index `i`, which lies
+    /// behind the plateau and has just been given its clock.
+    fn place(&mut self, i: usize) {
+        if self.plateau_len == 0 {
+            return; // Not known: the next decision partitions.
+        }
+        let (clock_ns, min_clock) = (self.clocks[i], self.clocks[0]);
+        if clock_ns < min_clock {
+            // A new smallest clock: the plateau is this entry alone.
+            self.swap_slots(0, i);
+            self.plateau_len = 1;
+        } else if clock_ns == min_clock {
+            self.swap_slots(self.plateau_len, i);
+            self.plateau_len += 1;
+        }
+    }
+
+    /// Insert `rank` into the runnable set (must not already be a member)
+    /// at the clock it announced.
+    fn add_runnable(&mut self, rank: usize, clock_ns: u64) {
         debug_assert_eq!(self.slot[rank], NO_SLOT, "rank already runnable");
-        self.slot[rank] = self.runnable.len();
+        let i = self.runnable.len();
+        self.slot[rank] = i;
         self.runnable.push(rank);
+        self.clocks.push(clock_ns);
+        self.place(i);
     }
 
     /// Remove `rank` from the runnable set (must be a member) by swapping
-    /// the last element into its slot.
+    /// the last entry into its place.
     fn remove_runnable(&mut self, rank: usize) {
-        let i = self.slot[rank];
-        debug_assert_ne!(i, NO_SLOT, "rank not runnable");
-        let last = self.runnable.pop().expect("runnable set empty");
-        if last != rank {
-            self.runnable[i] = last;
-            self.slot[last] = i;
-        }
+        debug_assert_ne!(self.slot[rank], NO_SLOT, "rank not runnable");
+        let i = self.leave_plateau(self.slot[rank]);
+        self.swap_slots(i, self.runnable.len() - 1);
+        self.runnable.pop();
+        self.clocks.pop();
         self.slot[rank] = NO_SLOT;
     }
+
+    /// Announce a new clock for `rank`, a member of the runnable set.
+    fn set_clock(&mut self, rank: usize, clock_ns: u64) {
+        debug_assert_ne!(self.slot[rank], NO_SLOT, "rank not runnable");
+        let mut i = self.slot[rank];
+        if i < self.plateau_len {
+            if self.clocks[i] == clock_ns {
+                return; // Still on the plateau: a barrier arrival's yield.
+            }
+            i = self.leave_plateau(i);
+        }
+        self.clocks[i] = clock_ns;
+        self.place(i);
+    }
+
+    /// The ranks at the smallest clock, partitioning the runnable set first
+    /// if the plateau is not known.  Empty iff nobody is runnable.
+    fn plateau(&mut self) -> &[usize] {
+        if self.plateau_len == 0 && !self.clocks.is_empty() {
+            // One pass finds the smallest clock, where it first occurs and
+            // how often.  Written as selects on purpose: clocks sit in no
+            // particular order, so a branch per new minimum mispredicts,
+            // and a plain `min` reduction gets vectorized into emulated
+            // 64-bit compares that cost more than they save on the handful
+            // of ranks a small cluster has.
+            let (mut min_clock, mut first, mut count) = (u64::MAX, 0, 0);
+            for (i, &clock_ns) in self.clocks.iter().enumerate() {
+                let less = clock_ns < min_clock;
+                count = if less {
+                    1
+                } else {
+                    count + usize::from(clock_ns == min_clock)
+                };
+                first = if less { i } else { first };
+                min_clock = if less { clock_ns } else { min_clock };
+            }
+            // Gather the `count` members at the front; all but the first
+            // occurrence lie behind it.
+            self.swap_slots(0, first);
+            self.plateau_len = 1;
+            let mut i = first;
+            while self.plateau_len < count {
+                i += 1;
+                if self.clocks[i] == min_clock {
+                    self.swap_slots(i, self.plateau_len);
+                    self.plateau_len += 1;
+                }
+            }
+        }
+        &self.runnable[..self.plateau_len]
+    }
+}
+
+/// Of `plateau` (not empty), the rank with the smallest `(tie(rank), rank)`.
+fn min_by_tie(plateau: &[usize], tie: impl Fn(usize) -> u64) -> usize {
+    plateau
+        .iter()
+        .map(|&rank| (tie(rank), rank))
+        .min()
+        .expect("the plateau of a non-empty runnable set has a member")
+        .1
 }
 
 /// The deterministic cooperative scheduler (see the crate docs for the
@@ -209,16 +348,35 @@ pub struct Scheduler {
     nprocs: usize,
 }
 
-/// FNV-1a over a few 64-bit words — the seeded tie-break hash.
-fn fnv1a_words(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+const FNV_PRIME: u64 = 0x100000001b3;
+/// `FNV_PRIME`⁶ (wrapping).  Folding a zero byte is a multiplication by the
+/// prime and nothing else, so six of them are one multiplication by this.
+const FNV_PRIME_POW6: u64 = {
+    let squared = FNV_PRIME.wrapping_mul(FNV_PRIME);
+    squared.wrapping_mul(squared).wrapping_mul(squared)
+};
+
+/// Fold the eight little-endian bytes of `word` into the FNV-1a state `h`.
+fn fnv1a_fold(mut h: u64, word: u64) -> u64 {
+    for b in word.to_le_bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// [`fnv1a_fold`] of a rank.  Ranks below 2¹⁶ — every rank a `tdsm-core`
+/// cluster can have — fold their two non-zero bytes and collapse the six
+/// zero ones into one multiplication; anything larger takes the byte loop.
+fn fnv1a_fold_rank(h: u64, rank: u64) -> u64 {
+    if rank < 1 << 16 {
+        let h = (h ^ (rank & 0xff)).wrapping_mul(FNV_PRIME);
+        let h = (h ^ (rank >> 8)).wrapping_mul(FNV_PRIME);
+        h.wrapping_mul(FNV_PRIME_POW6)
+    } else {
+        fnv1a_fold(h, rank)
+    }
 }
 
 impl Scheduler {
@@ -232,7 +390,9 @@ impl Scheduler {
         let mut state = SchedState {
             procs: vec![ProcState::Runnable { clock_ns: 0 }; nprocs],
             runnable: (0..nprocs).collect(),
+            clocks: vec![0; nprocs],
             slot: (0..nprocs).collect(),
+            plateau_len: nprocs,
             finished: 0,
             current: None,
             decisions: 0,
@@ -262,14 +422,6 @@ impl Scheduler {
         self.state.borrow().decisions
     }
 
-    /// Tie-break rank for `rank` at decision `decisions`.
-    fn tie(config: &SchedConfig, decisions: u64, rank: usize) -> u64 {
-        match config.mode {
-            ScheduleMode::Fifo => rank as u64,
-            ScheduleMode::Seeded => fnv1a_words(&[config.seed, decisions, rank as u64]),
-        }
-    }
-
     /// Take one scheduling decision: hand the turn to the runnable processor
     /// with the smallest `(clock, tie-break, rank)` triple. Finding no
     /// runnable processor while unfinished ones remain blocked is a deadlock
@@ -282,44 +434,11 @@ impl Scheduler {
         state.decisions += 1;
         let decisions = state.decisions;
         // The winning key is the lexicographic minimum of
-        // `(clock, tie-break, rank)`, so only ranks sitting at the minimum
-        // clock can win: find the clock plateau with a plain integer scan,
-        // then tie-break within it.  With hundreds of runnable processors
-        // parked on a handful of distinct clock values this skips almost
-        // every seeded-mode hash, and it picks the identical rank — the
-        // plateau scan only drops keys that lose on their first component.
-        let mut min_clock: Option<u64> = None;
-        for &rank in &state.runnable {
-            let ProcState::Runnable { clock_ns } = state.procs[rank] else {
-                unreachable!("runnable set out of sync with proc states");
-            };
-            if min_clock.is_none_or(|m| clock_ns < m) {
-                min_clock = Some(clock_ns);
-            }
-        }
-        let mut best: Option<(u64, usize)> = None;
-        if let Some(min_clock) = min_clock {
-            for &rank in &state.runnable {
-                let ProcState::Runnable { clock_ns } = state.procs[rank] else {
-                    unreachable!("runnable set out of sync with proc states");
-                };
-                if clock_ns != min_clock {
-                    continue;
-                }
-                let key = (Self::tie(config, decisions, rank), rank);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-        }
-        match best {
-            Some((_, rank)) => {
-                state.current = Some(rank);
-                if let Some(trace) = state.trace.as_mut() {
-                    trace.push((decisions, rank));
-                }
-            }
-            None => {
+        // `(clock, tie-break, rank)`, so only the plateau — the ranks at the
+        // smallest clock — can win: everybody else loses on the first
+        // component and is never looked at, let alone hashed.
+        let rank = match *state.plateau() {
+            [] => {
                 // Either every processor finished or the unfinished ones are
                 // all blocked (a simulated deadlock). In both cases nobody
                 // holds the turn — clearing `current` is what stops the
@@ -329,7 +448,24 @@ impl Scheduler {
                 if state.finished != state.procs.len() {
                     state.aborted = true;
                 }
+                return;
             }
+            [only] => only,
+            ref plateau => match config.mode {
+                ScheduleMode::Fifo => min_by_tie(plateau, |rank| rank as u64),
+                ScheduleMode::Seeded => {
+                    // FNV-1a of `(seed, decision index, rank)`: the first
+                    // two words are the same for every candidate, so they
+                    // are hashed once per decision and each candidate folds
+                    // in its rank.
+                    let prefix = fnv1a_fold(fnv1a_fold(FNV_OFFSET, config.seed), decisions);
+                    min_by_tie(plateau, |rank| fnv1a_fold_rank(prefix, rank as u64))
+                }
+            },
+        };
+        state.current = Some(rank);
+        if let Some(trace) = state.trace.as_mut() {
+            trace.push((decisions, rank));
         }
     }
 
@@ -349,6 +485,7 @@ impl Scheduler {
         let mut state = self.state.borrow_mut();
         debug_assert_eq!(state.current, Some(rank), "yield without holding the turn");
         state.procs[rank] = ProcState::Runnable { clock_ns };
+        state.set_clock(rank, clock_ns);
         Self::pick(&mut state, &self.config);
     }
 
@@ -411,7 +548,7 @@ impl Scheduler {
             if let ProcState::Blocked { key: k, clock_ns } = state.procs[rank] {
                 if k == key {
                     state.procs[rank] = ProcState::Runnable { clock_ns };
-                    state.add_runnable(rank);
+                    state.add_runnable(rank, clock_ns);
                     woken += 1;
                 }
             }
@@ -442,6 +579,165 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::rng::TestRng;
+
+    /// The seeded tie-break hash as one call over `(seed, decision index,
+    /// rank)` — what `pick` computed per candidate before it hashed the
+    /// common prefix once.  Kept as the reference the fold is tested against.
+    fn fnv1a_words(words: &[u64]) -> u64 {
+        let mut h: u64 = 0xcbf29ce484222325;
+        for w in words {
+            for b in w.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100000001b3);
+            }
+        }
+        h
+    }
+
+    /// The scheduling decision as `pick` took it before the dense clock
+    /// array and the prefix hash, kept verbatim as the reference (it returns
+    /// the rank instead of installing it): clocks read through
+    /// `procs[rank]`, one three-word hash per plateau member, candidates
+    /// compared as `Option<(u64, usize)>`.
+    fn reference_pick(state: &SchedState, config: &SchedConfig) -> Option<usize> {
+        let decisions = state.decisions;
+        let tie = |rank: usize| match config.mode {
+            ScheduleMode::Fifo => rank as u64,
+            ScheduleMode::Seeded => fnv1a_words(&[config.seed, decisions, rank as u64]),
+        };
+        let mut min_clock: Option<u64> = None;
+        for &rank in &state.runnable {
+            let ProcState::Runnable { clock_ns } = state.procs[rank] else {
+                unreachable!("runnable set out of sync with proc states");
+            };
+            if min_clock.is_none_or(|m| clock_ns < m) {
+                min_clock = Some(clock_ns);
+            }
+        }
+        let mut best: Option<(u64, usize)> = None;
+        if let Some(min_clock) = min_clock {
+            for &rank in &state.runnable {
+                let ProcState::Runnable { clock_ns } = state.procs[rank] else {
+                    unreachable!("runnable set out of sync with proc states");
+                };
+                if clock_ns != min_clock {
+                    continue;
+                }
+                let key = (tie(rank), rank);
+                if best.is_none_or(|b| key < b) {
+                    best = Some(key);
+                }
+            }
+        }
+        best.map(|(_, rank)| rank)
+    }
+
+    /// What the runnable set must look like after every decision: `slot`
+    /// and `clocks` agree with `runnable` and with the processor states, and
+    /// the plateau is exactly the ranks at the smallest clock.
+    fn assert_partitioned(state: &SchedState) {
+        assert_eq!(state.runnable.len(), state.clocks.len());
+        for (i, (&rank, &clock_ns)) in state.runnable.iter().zip(&state.clocks).enumerate() {
+            assert_eq!(state.slot[rank], i);
+            assert_eq!(state.procs[rank], ProcState::Runnable { clock_ns });
+        }
+        let in_set = state.slot.iter().filter(|&&i| i != NO_SLOT).count();
+        assert_eq!(in_set, state.runnable.len());
+        assert_eq!(state.plateau_len == 0, state.runnable.is_empty());
+        let (plateau, rest) = state.clocks.split_at(state.plateau_len);
+        if let Some(&min_clock) = plateau.first() {
+            assert!(plateau.iter().all(|&c| c == min_clock));
+            assert!(rest.iter().all(|&c| c > min_clock));
+        }
+    }
+
+    #[test]
+    fn rank_fold_equals_the_three_word_hash() {
+        let mut rng = TestRng::new(7);
+        let mut inputs = vec![(0, 0), (0, 1), (0x5eed, 1), (u64::MAX, u64::MAX)];
+        for _ in 0..32 {
+            inputs.push((rng.next_u64(), rng.next_u64()));
+        }
+        for (seed, decisions) in inputs {
+            let prefix = fnv1a_fold(fnv1a_fold(FNV_OFFSET, seed), decisions);
+            // Every rank a cluster can have (256 is the first with a
+            // non-zero second byte), then the edge of the two-byte form and
+            // the byte-loop fallback beyond it.
+            for rank in (0..=1024).chain([65_535, 65_536, u64::MAX]) {
+                assert_eq!(
+                    fnv1a_fold_rank(prefix, rank),
+                    fnv1a_words(&[seed, decisions, rank]),
+                    "seed {seed:#x} decision {decisions:#x} rank {rank}"
+                );
+            }
+        }
+    }
+
+    /// Random `Yield`/`Block`/`Wake`/`finish` scripts: after every transition
+    /// the installed pick must be the one the reference takes on the same
+    /// state.  Clock increments are drawn from a few values so plateaus of
+    /// every size occur, from the all-ranks tie at start to single members.
+    #[test]
+    fn pick_matches_the_reference_on_random_scripts() {
+        const KEYS: [WaitKey; 3] = [WaitKey::Lock(0), WaitKey::Lock(9), WaitKey::Barrier(4)];
+        for nprocs in [1usize, 2, 7, 300, 1024] {
+            for config in [SchedConfig::fifo(), SchedConfig::seeded(31 * nprocs as u64)] {
+                let mut rng = TestRng::new(0x5eed ^ nprocs as u64);
+                let sched = Scheduler::new(nprocs, config);
+                let check = |after: &str| {
+                    let state = sched.state.borrow();
+                    assert_partitioned(&state);
+                    assert_eq!(
+                        state.current,
+                        reference_pick(&state, &config),
+                        "{nprocs} procs, {config:?}, decision {} after {after}",
+                        state.decisions
+                    );
+                };
+                check("new");
+                let mut clocks = vec![0u64; nprocs];
+                let mut steps_left = vec![(2000 / nprocs).max(6); nprocs];
+                let mut blocked = 0usize;
+                while let Some(rank) = sched.current() {
+                    // The last runnable rank wakes everybody before it parks
+                    // or retires, so no script deadlocks.
+                    if sched.state.borrow().runnable.len() == 1 && blocked > 0 {
+                        let woken: usize = KEYS.iter().map(|&key| sched.wake_all(key)).sum();
+                        assert_eq!(woken, blocked);
+                        blocked = 0;
+                    }
+                    if steps_left[rank] == 0 {
+                        sched.finish(rank);
+                        check("finish");
+                        continue;
+                    }
+                    steps_left[rank] -= 1;
+                    clocks[rank] += [0, 0, 1, 7, 100][rng.below(5) as usize];
+                    let key = KEYS[rng.below(3) as usize];
+                    let others_runnable = sched.state.borrow().runnable.len() > 1;
+                    match rng.below(8) {
+                        0..=1 if others_runnable => {
+                            sched.note_block(rank, key, clocks[rank]);
+                            blocked += 1;
+                            check("block");
+                        }
+                        2 => {
+                            blocked -= sched.wake_all(key);
+                            sched.note_yield(rank, clocks[rank]);
+                            check("wake + yield");
+                        }
+                        _ => {
+                            sched.note_yield(rank, clocks[rank]);
+                            check("yield");
+                        }
+                    }
+                }
+                assert_eq!(sched.abort_dump(), None);
+                assert_eq!(sched.state.borrow().finished, nprocs);
+            }
+        }
+    }
 
     /// One step of a scripted processor.
     #[derive(Debug, Clone, Copy)]

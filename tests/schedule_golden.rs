@@ -13,7 +13,9 @@
 //! * **application level** — every tiny workload under both write protocols
 //!   and both diff timings at the golden seed, pinning `(checksum bits,
 //!   exec_time_ns, breakdown)`;
-//! * **scale level** — the 256-processor Jacobi cell.
+//! * **scale level** — the 256-processor Jacobi cell, and the 1024-processor
+//!   one under both protocols (the first ranks with a non-zero second byte in
+//!   the tie-break hash, the largest plateaus, the longest barrier episodes).
 //!
 //! If a deliberate scheduler or protocol change moves a golden, the failing
 //! assertion prints the whole actual table in source form: paste it over the
@@ -399,4 +401,51 @@ fn jacobi_at_256_processors_matches_the_golden() {
     );
     // And it verifies against the sequential reference like any other cell.
     assert!(checksums_match(run.checksum, w.run_sequential(), 1e-6));
+}
+
+/// Scale level, the largest cluster: 1024 simulated processors on the tiny
+/// Jacobi grid under both write protocols, recorded at PR 16 — before the
+/// scheduler kept a partitioned runnable set and the barrier went sparse.
+#[test]
+fn jacobi_at_1024_processors_matches_the_goldens() {
+    let w = Workload::tiny(AppId::Jacobi);
+    let actual: Vec<(u64, u64, u64, u64)> = [ProtocolMode::MultiWriter, ProtocolMode::home_based()]
+        .into_iter()
+        .map(|protocol| {
+            let run = w.run_parallel(
+                &AppConfig::with_procs(1024)
+                    .sched(SchedConfig::seeded(GOLDEN_SEED))
+                    .protocol(protocol),
+            );
+            (
+                run.checksum.to_bits(),
+                run.exec_time_ns,
+                digest(&run.breakdown),
+                digest(&run.stats),
+            )
+        })
+        .collect();
+    assert!(
+        actual == jacobi_1024_goldens(),
+        "1024-processor Jacobi goldens drifted; actual table:\n{}",
+        as_source(&actual)
+    );
+}
+
+/// Per protocol: `(checksum bits, exec_time_ns, breakdown digest, ClusterStats digest)`.
+fn jacobi_1024_goldens() -> Vec<(u64, u64, u64, u64)> {
+    vec![
+        (
+            0x40b15cc0a3307c00,
+            0x1157b72c,
+            0x92bbbb235ae66a20,
+            0x6e877f91720b4e15,
+        ),
+        (
+            0x40b15cc0a3307c00,
+            0x115b2870,
+            0x7c106bd9aa2cc6cd,
+            0xdbf8dd383a3e57ae,
+        ),
+    ]
 }
