@@ -311,7 +311,7 @@ pub fn run_sequential(size: &BarnesSize) -> f64 {
 /// DSM implementation on `cfg.nprocs` processors.
 pub fn run_parallel(cfg: &AppConfig, size: &BarnesSize) -> AppRun {
     let n = size.bodies;
-    let mut dsm = Dsm::new(cfg.dsm_config());
+    let mut dsm = Dsm::new(cfg.clone());
     // Contiguous array of body records — the page-shared structure the paper
     // studies.
     let bodies = dsm.alloc_array::<f64>(n * BODY_FIELDS, Align::Page);

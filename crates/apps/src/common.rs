@@ -12,155 +12,13 @@
 //! The benchmark harness drives all applications uniformly through the
 //! [`suite`](crate::suite) registry.
 
-use tdsm_core::{
-    AggregationPolicy, ClusterStats, CommBreakdown, CostModel, DiffTiming, DsmConfig, EngineKind,
-    ProtocolMode, SchedConfig, Topology, UnitPolicy,
-};
+use tdsm_core::{ClusterStats, CommBreakdown};
 
-/// Configuration of one application run: how many processors and which
-/// consistency-unit policy.
-#[derive(Debug, Clone)]
-pub struct AppConfig {
-    /// Number of simulated processors.
-    pub nprocs: usize,
-    /// Consistency-unit policy (the paper's 4 K / 8 K / 16 K / Dyn axis).
-    pub unit: UnitPolicy,
-    /// Write protocol (multi-writer twin/diff, or home-based single-writer;
-    /// protocols may differ in messages, never in computed results).
-    pub protocol: ProtocolMode,
-    /// Cost model for the simulated cluster.
-    pub cost: CostModel,
-    /// Shared-space size in pages (applications with large footprints raise
-    /// this).
-    pub shared_pages: u32,
-    /// Deterministic-scheduler configuration (tie-break mode and seed);
-    /// together with the fields above it fully determines the run's results.
-    pub sched: SchedConfig,
-    /// When diffs are created and charged (TreadMarks-faithful lazy
-    /// on-demand creation by default; message counts/volumes are identical
-    /// either way).
-    pub diff_timing: DiffTiming,
-    /// Pending-notice count above which a barrier triggers the interval
-    /// GC's validation flush (see `DsmConfig::gc_flush_pending_limit`).
-    pub gc_flush_pending_limit: usize,
-    /// Interconnect shape: the ideal (infinite-bandwidth) default, a shared
-    /// 10 Mbps bus, or a switched fabric with per-processor ports.  Changes
-    /// modeled time only, never computed results or message counts.
-    pub topology: Topology,
-    /// How write notices and diff flushes are packed onto the wire; only
-    /// observable under a contended topology.
-    pub aggregation: AggregationPolicy,
-    /// Run the happens-before data-race detector alongside the protocol.
-    /// Pure observation: results, message counts, and modeled times are
-    /// unchanged; detected races surface in `AppRun::stats.races`.
-    pub racecheck: bool,
-}
-
-impl AppConfig {
-    /// The paper's base configuration: 8 processors, 4 KB consistency unit.
-    pub fn paper_default() -> Self {
-        AppConfig {
-            nprocs: 8,
-            unit: UnitPolicy::Static { pages: 1 },
-            protocol: ProtocolMode::MultiWriter,
-            cost: CostModel::pentium_ethernet_1997(),
-            shared_pages: 16 * 1024, // 64 MB
-            sched: SchedConfig::default(),
-            diff_timing: DiffTiming::default(),
-            gc_flush_pending_limit: tdsm_core::config::DEFAULT_GC_FLUSH_PENDING_LIMIT,
-            topology: Topology::default(),
-            aggregation: AggregationPolicy::default(),
-            racecheck: false,
-        }
-    }
-
-    /// Base configuration with a different processor count.
-    pub fn with_procs(nprocs: usize) -> Self {
-        AppConfig {
-            nprocs,
-            ..Self::paper_default()
-        }
-    }
-
-    /// Builder-style setter for the consistency-unit policy.
-    pub fn unit(mut self, unit: UnitPolicy) -> Self {
-        self.unit = unit;
-        self
-    }
-
-    /// Builder-style setter for the write protocol.
-    pub fn protocol(mut self, protocol: ProtocolMode) -> Self {
-        self.protocol = protocol;
-        self
-    }
-
-    /// Builder-style setter for the cost model.
-    pub fn cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Builder-style setter for the scheduling configuration.
-    pub fn sched(mut self, sched: SchedConfig) -> Self {
-        self.sched = sched;
-        self
-    }
-
-    /// Builder-style setter for the diff-timing knob.
-    pub fn diff_timing(mut self, timing: DiffTiming) -> Self {
-        self.diff_timing = timing;
-        self
-    }
-
-    /// No-op kept for the frozen `benchmark/` package, which still calls it
-    /// (there is one execution substrate); the next `benchmark` PR removes
-    /// the call site and then this method.
-    pub fn engine(self, _engine: EngineKind) -> Self {
-        self
-    }
-
-    /// Builder-style setter for the interconnect topology.
-    pub fn topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
-    }
-
-    /// Builder-style setter for the wire-aggregation policy.
-    pub fn aggregation(mut self, aggregation: AggregationPolicy) -> Self {
-        self.aggregation = aggregation;
-        self
-    }
-
-    /// Builder-style setter for the race-detection knob.
-    pub fn racecheck(mut self, racecheck: bool) -> Self {
-        self.racecheck = racecheck;
-        self
-    }
-
-    /// Convert into the DSM configuration used to build the cluster.
-    pub fn dsm_config(&self) -> DsmConfig {
-        DsmConfig {
-            nprocs: self.nprocs,
-            shared_pages: self.shared_pages,
-            unit: self.unit,
-            protocol: self.protocol,
-            cost: self.cost.clone(),
-            sched: self.sched,
-            diff_timing: self.diff_timing,
-            gc_flush_pending_limit: self.gc_flush_pending_limit,
-            topology: self.topology,
-            aggregation: self.aggregation,
-            racecheck: self.racecheck,
-            ..DsmConfig::paper_default()
-        }
-    }
-}
-
-impl Default for AppConfig {
-    fn default() -> Self {
-        Self::paper_default()
-    }
-}
+/// Configuration of one application run.  It *is* the cluster configuration:
+/// an application hands it to `Dsm::new` unchanged, so a run is configured in
+/// one record.  The name survives because the frozen `benchmark/` package
+/// builds one through it.
+pub use tdsm_core::DsmConfig as AppConfig;
 
 /// The outcome of one parallel application run.
 #[derive(Debug, Clone)]
@@ -298,11 +156,13 @@ mod tests {
 
     #[test]
     fn app_config_conversion() {
-        let cfg = AppConfig::with_procs(4)
+        use tdsm_core::{DsmConfig, ProtocolMode, SchedConfig, UnitPolicy};
+        // No conversion is left: what the builder calls produce is the
+        // record `Dsm::new` takes.
+        let dsm: DsmConfig = AppConfig::with_procs(4)
             .unit(UnitPolicy::Static { pages: 2 })
             .protocol(ProtocolMode::home_based())
             .sched(SchedConfig::seeded(0xfeed));
-        let dsm = cfg.dsm_config();
         assert_eq!(dsm.nprocs, 4);
         assert_eq!(dsm.unit, UnitPolicy::Static { pages: 2 });
         assert_eq!(dsm.protocol, ProtocolMode::home_based());

@@ -212,7 +212,7 @@ pub fn run_sequential(size: &FftSize) -> f64 {
 pub fn run_parallel(cfg: &AppConfig, size: &FftSize) -> AppRun {
     let (nx, ny, nz) = (size.nx, size.ny, size.nz);
     let plane = size.plane_elems();
-    let mut dsm = Dsm::new(cfg.dsm_config());
+    let mut dsm = Dsm::new(cfg.clone());
     // The distributed array: nx planes, each a page-aligned row of ny*nz
     // complex numbers stored as interleaved (re, im) f64 pairs — 16 bytes per
     // element, so the contiguous pencil block a consumer reads during the

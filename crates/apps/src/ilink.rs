@@ -123,7 +123,7 @@ pub fn run_sequential(size: &IlinkSize) -> f64 {
 pub fn run_parallel(cfg: &AppConfig, size: &IlinkSize) -> AppRun {
     let total = size.arrays * size.entries;
     let (initial, nonzero) = build_pool(size);
-    let mut dsm = Dsm::new(cfg.dsm_config());
+    let mut dsm = Dsm::new(cfg.clone());
     let pool = dsm.alloc_array::<f64>(total, Align::Page);
     let sum_cell = dsm.alloc_scalar::<f64>(Align::Page);
 

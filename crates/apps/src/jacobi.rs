@@ -118,7 +118,7 @@ pub fn run_sequential(size: &JacobiSize) -> f64 {
 pub fn run_parallel(cfg: &AppConfig, size: &JacobiSize) -> AppRun {
     let (rows, cols) = (size.rows, size.cols);
     let iters = size.iters;
-    let mut dsm = Dsm::new(cfg.dsm_config());
+    let mut dsm = Dsm::new(cfg.clone());
     let grid = dsm.alloc_matrix::<f32>(rows, cols);
     let scratch = dsm.alloc_matrix::<f32>(rows, cols);
 

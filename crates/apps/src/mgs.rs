@@ -126,7 +126,7 @@ pub fn run_sequential(size: &MgsSize) -> f64 {
 /// DSM implementation on `cfg.nprocs` processors.
 pub fn run_parallel(cfg: &AppConfig, size: &MgsSize) -> AppRun {
     let (nvec, dim) = (size.nvec, size.dim);
-    let mut dsm = Dsm::new(cfg.dsm_config());
+    let mut dsm = Dsm::new(cfg.clone());
     // All vectors live contiguously in shared memory, vector-aligned (page
     // aligned when dim*4 is a multiple of the page size) — the layout that
     // produces the paper's co-location effects at larger units.

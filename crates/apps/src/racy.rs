@@ -32,7 +32,7 @@ use crate::common::{block_range, AppConfig, AppRun};
 /// detector flags the word with read-write and write-write races between
 /// every concurrently-incrementing pair of processors.
 pub fn run_racy_counter(cfg: &AppConfig, rounds: usize) -> AppRun {
-    let mut dsm = Dsm::new(cfg.dsm_config());
+    let mut dsm = Dsm::new(cfg.clone());
     let counter = dsm.alloc_scalar::<u64>(Align::Page);
 
     let out = dsm.run(async |ctx| {
@@ -67,7 +67,7 @@ pub fn run_racy_counter(cfg: &AppConfig, rounds: usize) -> AppRun {
 /// boundary row.  A correct implementation (see [`crate::jacobi`]) separates
 /// the phases with `ctx.barrier()`.
 pub fn run_missing_barrier_jacobi(cfg: &AppConfig, rows: usize, cols: usize) -> AppRun {
-    let mut dsm = Dsm::new(cfg.dsm_config());
+    let mut dsm = Dsm::new(cfg.clone());
     let grid = dsm.alloc_matrix::<f32>(rows, cols);
 
     let out = dsm.run(async |ctx| {

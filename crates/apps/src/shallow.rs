@@ -254,7 +254,7 @@ pub fn run_parallel(cfg: &AppConfig, size: &ShallowSize) -> AppRun {
     let (rows, cols) = (size.rows, size.cols);
     let steps = size.steps;
     let dt = 0.05;
-    let mut dsm = Dsm::new(cfg.dsm_config());
+    let mut dsm = Dsm::new(cfg.clone());
     // Column-major storage: "row" of the GMatrix = one grid column.
     let u = dsm.alloc_matrix::<f64>(cols, rows);
     let v = dsm.alloc_matrix::<f64>(cols, rows);

@@ -248,18 +248,18 @@ fn size_labels(app: AppId) -> Vec<String> {
     }
 }
 
-/// The four consistency-unit configurations of the paper's figures:
-/// 4 K, 8 K, 16 K and dynamic aggregation.
+/// The policy axis of the paper's figures, with the labels they print:
+/// 4 K, 8 K, 16 K and dynamic aggregation (groups of at most four pages).
 pub fn paper_unit_policies() -> Vec<(String, UnitPolicy)> {
-    vec![
-        ("4K".to_string(), UnitPolicy::Static { pages: 1 }),
-        ("8K".to_string(), UnitPolicy::Static { pages: 2 }),
-        ("16K".to_string(), UnitPolicy::Static { pages: 4 }),
-        (
-            "Dyn".to_string(),
-            UnitPolicy::Dynamic { max_group_pages: 4 },
-        ),
+    [
+        UnitPolicy::Static { pages: 1 },
+        UnitPolicy::Static { pages: 2 },
+        UnitPolicy::Static { pages: 4 },
+        UnitPolicy::Dynamic { max_group_pages: 4 },
     ]
+    .into_iter()
+    .map(|unit| (unit.label(4096), unit))
+    .collect()
 }
 
 #[cfg(test)]

@@ -130,7 +130,7 @@ pub fn run_parallel(cfg: &AppConfig, size: &TspSize) -> AppRun {
     let n = size.cities;
     let pool_capacity: usize = 200_000;
 
-    let mut dsm = Dsm::new(cfg.dsm_config());
+    let mut dsm = Dsm::new(cfg.clone());
     let pool = dsm.alloc_array::<u32>(pool_capacity * TOUR_FIELDS, Align::Page);
     // queue[0] = number of entries; queue[1..] = pool indices ordered as a
     // simple stack prioritised by insertion (branch-and-bound with a shared

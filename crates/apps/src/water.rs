@@ -149,7 +149,7 @@ pub fn run_sequential(size: &WaterSize) -> f64 {
 /// DSM implementation on `cfg.nprocs` processors.
 pub fn run_parallel(cfg: &AppConfig, size: &WaterSize) -> AppRun {
     let n = size.molecules;
-    let mut dsm = Dsm::new(cfg.dsm_config());
+    let mut dsm = Dsm::new(cfg.clone());
     // The molecule array: contiguous records, deliberately *not* padded to
     // page boundaries (that is the point of the study).
     let mol = dsm.alloc_array::<f64>(n * MOL_FIELDS, Align::Page);

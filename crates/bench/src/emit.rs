@@ -155,7 +155,12 @@ impl FromJson for Cell {
                     .ok_or_else(|| JsonSchemaError::new("unit", "object"))?;
                 UnitPolicy::from_json(unit).map_err(|e| e.in_context("unit"))?
             },
-            nprocs: field_u64(v, "nprocs")? as usize,
+            // `DsmConfig::validate`'s bounds, as a schema error rather than a
+            // panic when the reloaded cell is rerun.
+            nprocs: usize::try_from(field_u64(v, "nprocs")?)
+                .ok()
+                .filter(|n| (1..=1024).contains(n))
+                .ok_or_else(|| JsonSchemaError::new("nprocs", "integer in 1..=1024"))?,
             seed: u64::from_str_radix(field_str(v, "seed")?, 16)
                 .map_err(|_| JsonSchemaError::new("seed", "16-digit hex string"))?,
             // Additive v1 field: documents emitted before the deterministic
@@ -642,6 +647,21 @@ mod tests {
 
         let wrong = text.replace(RESULT_SCHEMA, "tm-bench/experiment-result/v0");
         assert!(parse_result(&wrong).unwrap_err().contains("schema"));
+
+        // A cell the simulator would reject — or silently read as another
+        // one (2^32 + 1 pages truncates to 1) — is a schema error naming the
+        // field, not a panic when the reloaded cell is rerun.
+        for (field, from, to) in [
+            ("unit.pages", "\"pages\": 1", "\"pages\": 4294967297"),
+            ("unit.pages", "\"pages\": 1", "\"pages\": 0"),
+            ("nprocs", "\"nprocs\": 2", "\"nprocs\": 0"),
+            ("nprocs", "\"nprocs\": 2", "\"nprocs\": 1025"),
+        ] {
+            let bad = text.replacen(from, to, 1);
+            assert_ne!(bad, text);
+            let err = parse_result(&bad).unwrap_err();
+            assert!(err.contains(&format!("cells[0].{field}")), "{to}: {err}");
+        }
     }
 
     #[test]

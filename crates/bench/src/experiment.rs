@@ -1,12 +1,12 @@
 //! The declarative sweep model behind every figure and table experiment.
 //!
 //! An [`Experiment`] is a named, ordered set of [`Cell`]s — one cell per
-//! (application, data set, consistency-unit policy, processor count)
-//! configuration that the paper artifact measures. The five named
-//! experiments ([`Experiment::fig1`] … [`Experiment::dyn_group`]) are built
-//! from the `tm_apps` workload registry crossed with a
-//! [`tdsm_core::SweepSpec`]; the worker pool in [`crate::runner`] executes
-//! the cells and the emitters in [`crate::emit`] render the results.
+//! (application, data set, consistency-unit policy, processor count,
+//! protocol, network) grid point the artifact measures. Each of the seven
+//! named experiments ([`Experiment::all_names`]) is a nested loop over the
+//! `tm_apps` workload registry and its own axes that builds every cell
+//! through one private constructor; the worker pool in [`crate::runner`]
+//! executes the cells and the emitters in [`crate::emit`] render the results.
 //!
 //! Cells carry a deterministic seed derived from their identity (FNV-1a over
 //! the cell key, XOR the sweep's `--seed` base). Since the deterministic
@@ -17,10 +17,10 @@
 //! same results, bit for bit.
 
 use tdsm_core::{
-    AggregationPolicy, DiffTiming, EngineKind, NetworkConfig, ProtocolMode, SchedConfig, SweepSpec,
+    AggregationPolicy, DiffTiming, DsmConfig, EngineKind, NetworkConfig, ProtocolMode, SchedConfig,
     Topology, UnitPolicy,
 };
-use tm_apps::{AppId, Workload};
+use tm_apps::{paper_unit_policies, AppId, Workload};
 use tm_sched::ScheduleMode;
 
 use crate::{BenchArgs, Scale};
@@ -135,6 +135,19 @@ impl Cell {
         }
     }
 
+    /// The cluster configuration this cell runs under: the one conversion
+    /// from the harness's record to the simulator's.
+    pub fn config(&self) -> DsmConfig {
+        DsmConfig::with_procs(self.nprocs)
+            .unit(self.unit)
+            .protocol(self.protocol)
+            .sched(self.sched_config())
+            .diff_timing(self.diff_timing)
+            .topology(self.network.topology)
+            .aggregation(self.network.aggregation)
+            .racecheck(self.racecheck)
+    }
+
     /// Stable textual identity: `app/size/policy/pN`, with a `/protocol`
     /// suffix for non-default (home-based) protocols. Golden tests pin the
     /// key set of each named experiment so figure definitions cannot drift
@@ -246,28 +259,20 @@ impl Experiment {
     }
 
     fn policy_sweep(name: &str, title: String, apps: Vec<AppId>, args: &BenchArgs) -> Experiment {
-        let spec = SweepSpec::paper_units(args.nprocs)
-            .with_sched(args.sched())
-            .with_protocols(vec![args.protocol])
-            .with_networks(vec![args.network()]);
+        let policies = paper_unit_policies();
         let mut cells = Vec::new();
         for app in apps {
             for w in args.workloads_for(app) {
-                for p in spec.points() {
-                    cells.push(
-                        Cell::new(
-                            &w,
-                            &p.label,
-                            p.unit,
-                            p.nprocs,
-                            spec.sched,
-                            args.diff_timing,
-                            p.protocol,
-                            EngineKind::default(),
-                        )
-                        .with_network(p.network)
-                        .with_racecheck(args.racecheck),
-                    );
+                for (label, unit) in &policies {
+                    cells.push(cell(
+                        args,
+                        &w,
+                        label,
+                        *unit,
+                        args.nprocs,
+                        args.protocol,
+                        args.network(),
+                    ));
                 }
             }
         }
@@ -282,38 +287,22 @@ impl Experiment {
     /// run and an `nprocs`-processor run at the 4 KB unit; the renderer
     /// derives the speedup and checksum-verification columns from the pair.
     pub fn table1(args: &BenchArgs) -> Experiment {
-        let unit = UnitPolicy::Static { pages: 1 };
         let mut cells = Vec::new();
         for w in args.suite() {
-            cells.push(
-                Cell::new(
+            let at = |nprocs| {
+                cell(
+                    args,
                     &w,
                     "4K",
-                    unit,
-                    1,
-                    args.sched(),
-                    args.diff_timing,
+                    FOUR_K,
+                    nprocs,
                     args.protocol,
-                    EngineKind::default(),
+                    args.network(),
                 )
-                .with_network(args.network())
-                .with_racecheck(args.racecheck),
-            );
+            };
+            cells.push(at(1));
             if args.nprocs != 1 {
-                cells.push(
-                    Cell::new(
-                        &w,
-                        "4K",
-                        unit,
-                        args.nprocs,
-                        args.sched(),
-                        args.diff_timing,
-                        args.protocol,
-                        EngineKind::default(),
-                    )
-                    .with_network(args.network())
-                    .with_racecheck(args.racecheck),
-                );
+                cells.push(at(args.nprocs));
             }
         }
         Experiment {
@@ -334,24 +323,16 @@ impl Experiment {
             let Some(w) = representative(args, app) else {
                 continue; // excluded by --app
             };
-            for (label, unit) in [
-                ("4K", UnitPolicy::Static { pages: 1 }),
-                ("16K", UnitPolicy::Static { pages: 4 }),
-            ] {
-                cells.push(
-                    Cell::new(
-                        &w,
-                        label,
-                        unit,
-                        args.nprocs,
-                        args.sched(),
-                        args.diff_timing,
-                        args.protocol,
-                        EngineKind::default(),
-                    )
-                    .with_network(args.network())
-                    .with_racecheck(args.racecheck),
-                );
+            for (label, unit) in [("4K", FOUR_K), ("16K", SIXTEEN_K)] {
+                cells.push(cell(
+                    args,
+                    &w,
+                    label,
+                    unit,
+                    args.nprocs,
+                    args.protocol,
+                    args.network(),
+                ));
             }
         }
         Experiment {
@@ -373,39 +354,26 @@ impl Experiment {
             let Some(w) = representative(args, app) else {
                 continue; // excluded by --app
             };
-            cells.push(
-                Cell::new(
+            cells.push(cell(
+                args,
+                &w,
+                "4K",
+                FOUR_K,
+                args.nprocs,
+                args.protocol,
+                args.network(),
+            ));
+            for max_group_pages in [2, 4, 8, 16] {
+                let unit = UnitPolicy::Dynamic { max_group_pages };
+                cells.push(cell(
+                    args,
                     &w,
-                    "4K",
-                    UnitPolicy::Static { pages: 1 },
+                    &unit.label(4096),
+                    unit,
                     args.nprocs,
-                    args.sched(),
-                    args.diff_timing,
                     args.protocol,
-                    EngineKind::default(),
-                )
-                .with_network(args.network())
-                .with_racecheck(args.racecheck),
-            );
-            let spec = SweepSpec::dyn_group_ablation(args.nprocs)
-                .with_sched(args.sched())
-                .with_protocols(vec![args.protocol])
-                .with_networks(vec![args.network()]);
-            for p in spec.points() {
-                cells.push(
-                    Cell::new(
-                        &w,
-                        &p.label,
-                        p.unit,
-                        p.nprocs,
-                        spec.sched,
-                        args.diff_timing,
-                        p.protocol,
-                        EngineKind::default(),
-                    )
-                    .with_network(p.network)
-                    .with_racecheck(args.racecheck),
-                );
+                    args.network(),
+                ));
             }
         }
         Experiment {
@@ -425,37 +393,22 @@ impl Experiment {
     /// sharing hurts (MGS).  The grid fixes its own protocol and network
     /// axes; `--protocol`/`--topology`/`--aggregation` do not narrow it.
     pub fn fig_network(args: &BenchArgs) -> Experiment {
-        let networks = vec![
+        let networks = [
             NetworkConfig::default(),
             NetworkConfig::new(Topology::SharedBus, AggregationPolicy::PerMessage),
             NetworkConfig::new(Topology::SharedBus, AggregationPolicy::Batched),
             NetworkConfig::new(Topology::Switched, AggregationPolicy::PerMessage),
             NetworkConfig::new(Topology::Switched, AggregationPolicy::Batched),
         ];
-        let spec = SweepSpec::single(args.nprocs, UnitPolicy::Static { pages: 1 })
-            .with_sched(args.sched())
-            .with_protocols(vec![ProtocolMode::MultiWriter, ProtocolMode::home_based()])
-            .with_networks(networks);
         let mut cells = Vec::new();
         for app in [AppId::Ilink, AppId::Mgs] {
             let Some(w) = representative(args, app) else {
                 continue; // excluded by --app
             };
-            for p in spec.points() {
-                cells.push(
-                    Cell::new(
-                        &w,
-                        &p.label,
-                        p.unit,
-                        p.nprocs,
-                        spec.sched,
-                        args.diff_timing,
-                        p.protocol,
-                        EngineKind::default(),
-                    )
-                    .with_network(p.network)
-                    .with_racecheck(args.racecheck),
-                );
+            for protocol in [ProtocolMode::MultiWriter, ProtocolMode::home_based()] {
+                for network in networks {
+                    cells.push(cell(args, &w, "4K", FOUR_K, args.nprocs, protocol, network));
+                }
             }
         }
         Experiment {
@@ -486,24 +439,16 @@ impl Experiment {
         let mut cells = Vec::new();
         for nprocs in sizes {
             for protocol in [ProtocolMode::MultiWriter, ProtocolMode::home_based()] {
-                for (label, unit) in [
-                    ("4K", UnitPolicy::Static { pages: 1 }),
-                    ("16K", UnitPolicy::Static { pages: 4 }),
-                ] {
-                    cells.push(
-                        Cell::new(
-                            &w,
-                            label,
-                            unit,
-                            nprocs,
-                            args.sched(),
-                            args.diff_timing,
-                            protocol,
-                            EngineKind::default(),
-                        )
-                        .with_network(args.network())
-                        .with_racecheck(args.racecheck),
-                    );
+                for (label, unit) in [("4K", FOUR_K), ("16K", SIXTEEN_K)] {
+                    cells.push(cell(
+                        args,
+                        &w,
+                        label,
+                        unit,
+                        nprocs,
+                        protocol,
+                        args.network(),
+                    ));
                 }
             }
         }
@@ -514,6 +459,38 @@ impl Experiment {
             cells,
         }
     }
+}
+
+/// The paper's base unit, one 4 KB page.
+const FOUR_K: UnitPolicy = UnitPolicy::Static { pages: 1 };
+/// The paper's largest static unit, four pages.
+const SIXTEEN_K: UnitPolicy = UnitPolicy::Static { pages: 4 };
+
+/// The one place a named experiment builds a cell: the grid point
+/// (`w`, `label`/`unit`, `nprocs`, `protocol`, `network`) under the options
+/// every cell of a run shares (`--seed`, `--schedule`, `--diff-timing`,
+/// `--racecheck`).
+fn cell(
+    args: &BenchArgs,
+    w: &Workload,
+    label: &str,
+    unit: UnitPolicy,
+    nprocs: usize,
+    protocol: ProtocolMode,
+    network: NetworkConfig,
+) -> Cell {
+    Cell::new(
+        w,
+        label,
+        unit,
+        nprocs,
+        args.sched(),
+        args.diff_timing,
+        protocol,
+        EngineKind::default(),
+    )
+    .with_network(network)
+    .with_racecheck(args.racecheck)
 }
 
 /// The data set a single-workload-per-app experiment shows: the second paper

@@ -20,23 +20,18 @@
 //! human report, a versioned JSON document or CSV (`--format`, `--out`).
 //! This library crate holds that runner plus the shared argument parsing and
 //! formatting code, so the binary stays thin and the integration tests can
-//! exercise the same paths.  (`bench`, the perf-artifact tool of [`perf`],
-//! is the crate's other binary.)
+//! exercise the same paths.  (Host speed and memory are measured by the repo
+//! benchmark, `benchmark/`, a package of its own.)
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod emit;
 pub mod experiment;
-pub mod perf;
 pub mod runner;
 
 pub use emit::{parse_result, render, OutputFormat, RESULT_SCHEMA};
 pub use experiment::{Cell, Experiment};
-pub use perf::{
-    collect_report, compare_reports, parse_perf_report, PerfOptions, PerfReport, DEFAULT_TOLERANCE,
-    PERF_ARTIFACT, PERF_SCHEMA,
-};
 pub use runner::{run_cell, run_experiment, CellResult, ExperimentResult, RunnerOptions};
 
 use tdsm_core::{
@@ -371,17 +366,14 @@ impl BenchArgs {
         mut args: impl Iterator<Item = String>,
     ) -> Result<(Experiment, Self), String> {
         let name = args.next().ok_or("missing experiment name")?;
-        let opts = Self::from_iter(args, 8)?;
+        let opts = Self::from_iter(args)?;
         let exp = Experiment::named(&name, &opts)
             .ok_or_else(|| format!("unknown experiment '{name}'"))?;
         Ok((exp, opts))
     }
 
-    fn from_iter(
-        args: impl Iterator<Item = String>,
-        default_nprocs: usize,
-    ) -> Result<Self, String> {
-        let mut out = Self::defaults(default_nprocs);
+    fn from_iter(args: impl Iterator<Item = String>) -> Result<Self, String> {
+        let mut out = Self::defaults(8);
         let mut nprocs = None;
         let mut args = args;
         while let Some(arg) = args.next() {
@@ -454,11 +446,8 @@ impl BenchArgs {
                 },
             }
         }
-        out.nprocs = nprocs.unwrap_or(if out.scale == Scale::Tiny {
-            2
-        } else {
-            default_nprocs
-        });
+        let tiny = out.scale == Scale::Tiny;
+        out.nprocs = nprocs.unwrap_or(if tiny { 2 } else { out.nprocs });
         Ok(out)
     }
 
@@ -527,19 +516,18 @@ mod tests {
 
     #[test]
     fn bench_args_parse_tiny_and_nprocs() {
-        let parse = |args: &[&str], default| {
-            BenchArgs::from_iter(args.iter().map(|s| s.to_string()), default).unwrap()
-        };
-        assert_eq!(parse(&[], 8), BenchArgs::defaults(8));
+        let parse =
+            |args: &[&str]| BenchArgs::from_iter(args.iter().map(|s| s.to_string())).unwrap();
+        assert_eq!(parse(&[]), BenchArgs::defaults(8));
         assert_eq!(
-            parse(&["4"], 8),
+            parse(&["4"]),
             BenchArgs {
                 nprocs: 4,
                 ..BenchArgs::defaults(8)
             }
         );
         assert_eq!(
-            parse(&["--tiny"], 8),
+            parse(&["--tiny"]),
             BenchArgs {
                 nprocs: 2,
                 scale: Scale::Tiny,
@@ -548,7 +536,7 @@ mod tests {
         );
         for order in [["--tiny", "3"], ["3", "--tiny"]] {
             assert_eq!(
-                parse(&order, 8),
+                parse(&order),
                 BenchArgs {
                     nprocs: 3,
                     scale: Scale::Tiny,
@@ -556,12 +544,11 @@ mod tests {
                 }
             );
         }
-        let err = |args: &[&str]| {
-            BenchArgs::from_iter(args.iter().map(|s| s.to_string()), 8).unwrap_err()
-        };
+        let err =
+            |args: &[&str]| BenchArgs::from_iter(args.iter().map(|s| s.to_string())).unwrap_err();
         // Large clusters are first-class: 256 parses, only counts beyond
         // 1024 are usage errors.
-        assert_eq!(parse(&["256"], 8).nprocs, 256);
+        assert_eq!(parse(&["256"]).nprocs, 256);
         assert!(err(&["0"]).contains("outside 1-1024"));
         assert!(err(&["2000"]).contains("outside 1-1024"));
         assert!(err(&["--bogus"]).contains("unrecognized"));
@@ -571,7 +558,7 @@ mod tests {
     #[test]
     fn bench_args_parse_engine_flags() {
         let parse =
-            |args: &[&str]| BenchArgs::from_iter(args.iter().map(|s| s.to_string()), 8).unwrap();
+            |args: &[&str]| BenchArgs::from_iter(args.iter().map(|s| s.to_string())).unwrap();
         assert_eq!(
             parse(&["--threads", "4", "--format", "json", "--out", "r.json"]),
             BenchArgs {
@@ -583,9 +570,8 @@ mod tests {
         );
         assert_eq!(parse(&["--format", "csv"]).format, OutputFormat::Csv);
 
-        let err = |args: &[&str]| {
-            BenchArgs::from_iter(args.iter().map(|s| s.to_string()), 8).unwrap_err()
-        };
+        let err =
+            |args: &[&str]| BenchArgs::from_iter(args.iter().map(|s| s.to_string())).unwrap_err();
         // --racecheck is a boolean switch, off by default.
         assert!(!parse(&[]).racecheck);
         assert!(parse(&["--racecheck"]).racecheck);
@@ -606,7 +592,7 @@ mod tests {
     fn bench_args_parse_network_flags() {
         use tdsm_core::{AggregationPolicy, NetworkConfig, Topology};
         let parse =
-            |args: &[&str]| BenchArgs::from_iter(args.iter().map(|s| s.to_string()), 8).unwrap();
+            |args: &[&str]| BenchArgs::from_iter(args.iter().map(|s| s.to_string())).unwrap();
         // Defaults: the ideal network, per-message wire packing — exactly
         // the compatibility configuration.
         assert_eq!(parse(&[]).topology, Topology::Ideal);
@@ -632,9 +618,8 @@ mod tests {
             NetworkConfig::new(Topology::SharedBus, AggregationPolicy::Batched)
         );
 
-        let err = |args: &[&str]| {
-            BenchArgs::from_iter(args.iter().map(|s| s.to_string()), 8).unwrap_err()
-        };
+        let err =
+            |args: &[&str]| BenchArgs::from_iter(args.iter().map(|s| s.to_string())).unwrap_err();
         assert!(err(&["--topology"]).contains("requires a value"));
         assert!(err(&["--topology", "torus"]).contains("unknown topology"));
         assert!(err(&["--aggregation", "zip"]).contains("unknown aggregation"));
@@ -643,7 +628,7 @@ mod tests {
     #[test]
     fn bench_args_parse_scheduling_flags() {
         let parse =
-            |args: &[&str]| BenchArgs::from_iter(args.iter().map(|s| s.to_string()), 8).unwrap();
+            |args: &[&str]| BenchArgs::from_iter(args.iter().map(|s| s.to_string())).unwrap();
         // Defaults: seeded schedule, base seed 0.
         assert_eq!(parse(&[]).schedule, ScheduleMode::Seeded);
         assert_eq!(parse(&[]).seed, 0);
@@ -662,12 +647,58 @@ mod tests {
             SchedConfig::seeded(0)
         );
 
-        let err = |args: &[&str]| {
-            BenchArgs::from_iter(args.iter().map(|s| s.to_string()), 8).unwrap_err()
-        };
+        let err =
+            |args: &[&str]| BenchArgs::from_iter(args.iter().map(|s| s.to_string())).unwrap_err();
         assert!(err(&["--seed"]).contains("requires a value"));
         assert!(err(&["--seed", "banana"]).contains("invalid --seed"));
         assert!(err(&["--schedule", "random"]).contains("unknown schedule"));
+    }
+
+    /// Every hop at once: command line → `BenchArgs` → `Experiment` →
+    /// `Cell` → the `DsmConfig` the cluster is built from.
+    #[test]
+    fn each_flag_reaches_the_cluster_configuration() {
+        use tdsm_core::{DsmConfig, HomeAssign};
+        let config = |flags: &[&str]| {
+            let line = ["fig1"].iter().chain(flags).map(|s| s.to_string());
+            let (exp, _) = BenchArgs::command_from_iter(line).unwrap();
+            exp.cells[0].config()
+        };
+        let base = config(&[]);
+        type Check = fn(&DsmConfig, &DsmConfig) -> bool;
+        let cases: [(&[&str], Check); 6] = [
+            (&["--protocol", "home-based-first-touch"], |c, _| {
+                c.protocol
+                    == ProtocolMode::HomeBased {
+                        assign: HomeAssign::FirstTouch,
+                    }
+            }),
+            (
+                &["--topology", "bus", "--aggregation", "batched"],
+                |c, _| {
+                    c.network()
+                        == NetworkConfig::new(Topology::SharedBus, AggregationPolicy::Batched)
+                },
+            ),
+            (&["--diff-timing", "eager"], |c, _| {
+                c.diff_timing == DiffTiming::Eager
+            }),
+            (&["--schedule", "fifo"], |c, base| {
+                c.sched.mode == ScheduleMode::Fifo && c.sched.seed == base.sched.seed
+            }),
+            // The base seed is mixed into the cell's identity seed.
+            (&["--seed", "0x2a"], |c, base| {
+                c.sched.seed == base.sched.seed ^ 0x2a
+            }),
+            (&["--racecheck"], |c, _| c.racecheck),
+        ];
+        for (flags, reached) in cases {
+            let cfg = config(flags);
+            assert!(!reached(&base, &base), "{flags:?} is not the default");
+            assert!(reached(&cfg, &base), "{flags:?} did not reach {cfg:?}");
+            cfg.validate();
+        }
+        assert_eq!((base.nprocs, config(&["4"]).nprocs), (8, 4));
     }
 
     #[test]
@@ -686,7 +717,7 @@ mod tests {
     #[test]
     fn scale_and_filter_flags() {
         let parse =
-            |args: &[&str]| BenchArgs::from_iter(args.iter().map(|s| s.to_string()), 8).unwrap();
+            |args: &[&str]| BenchArgs::from_iter(args.iter().map(|s| s.to_string())).unwrap();
         // --tiny is an alias for --scale tiny (including the 2-proc default).
         assert_eq!(parse(&["--tiny"]), parse(&["--scale", "tiny"]));
         let large = parse(&["--scale", "large"]);
@@ -726,9 +757,8 @@ mod tests {
         assert!(only.suite().iter().all(|w| w.app == AppId::Jacobi));
         assert!(only.workloads_for(AppId::Water).is_empty());
 
-        let err = |args: &[&str]| {
-            BenchArgs::from_iter(args.iter().map(|s| s.to_string()), 8).unwrap_err()
-        };
+        let err =
+            |args: &[&str]| BenchArgs::from_iter(args.iter().map(|s| s.to_string())).unwrap_err();
         assert!(err(&["--scale", "huge"]).contains("unknown scale"));
         assert!(err(&["--diff-timing", "sometimes"]).contains("unknown diff timing"));
         assert!(err(&["--protocol", "token-ring"]).contains("unknown protocol"));

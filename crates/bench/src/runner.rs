@@ -21,7 +21,6 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use tdsm_core::{CommBreakdown, GcCounters, LinkStats, RaceRecord};
-use tm_apps::AppConfig;
 
 use crate::experiment::{Cell, Experiment};
 use crate::FigRow;
@@ -128,14 +127,7 @@ pub fn run_cell(cell: &Cell) -> CellResult {
     let w = cell
         .workload()
         .unwrap_or_else(|| panic!("cell {} does not resolve to a workload", cell.key()));
-    let cfg = AppConfig::with_procs(cell.nprocs)
-        .unit(cell.unit)
-        .protocol(cell.protocol)
-        .sched(cell.sched_config())
-        .diff_timing(cell.diff_timing)
-        .topology(cell.network.topology)
-        .aggregation(cell.network.aggregation)
-        .racecheck(cell.racecheck);
+    let cfg = cell.config();
     let started = Instant::now();
     let run = w.run_parallel(&cfg);
     CellResult {

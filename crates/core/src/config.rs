@@ -4,15 +4,15 @@ use serde::json::Value;
 use serde::{field_u64, FromJson, JsonSchemaError, ToJson};
 use tm_net::{AggregationPolicy, CostModel, NetworkConfig, Topology};
 use tm_page::{PageId, PageLayout};
-use tm_sched::{SchedConfig, ScheduleMode};
+use tm_sched::SchedConfig;
 
 use crate::protocol::ProtocolMode;
 
 /// Compile-compat shim for the frozen `benchmark/` package, which still
 /// passes `EngineKind::default()` to `tm_bench::Cell::new` and
-/// `tm_apps::AppConfig::engine`.  There is one execution substrate and
-/// nothing may branch on this; the next `benchmark` PR removes those call
-/// sites and then this enum.
+/// [`DsmConfig::engine`].  There is one execution substrate and nothing may
+/// branch on this; the next `benchmark` PR removes those call sites, then
+/// this enum and that method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
     /// The only substrate: one host thread resuming processor continuations.
@@ -97,13 +97,17 @@ pub enum UnitPolicy {
 }
 
 impl UnitPolicy {
-    /// Short label used by the benchmark harness ("4K", "8K", "16K", "Dyn").
+    /// Short label the figures print ("4K", "8K", "16K", "Dyn").  Dynamic
+    /// policies other than the paper's group size of 4 carry their size
+    /// ("Dyn8"), so the points of the group-size ablation stay
+    /// distinguishable.
     pub fn label(&self, page_size: usize) -> String {
         match self {
             UnitPolicy::Static { pages } => {
                 format!("{}K", *pages as usize * page_size / 1024)
             }
-            UnitPolicy::Dynamic { .. } => "Dyn".to_string(),
+            UnitPolicy::Dynamic { max_group_pages: 4 } => "Dyn".to_string(),
+            UnitPolicy::Dynamic { max_group_pages } => format!("Dyn{max_group_pages}"),
         }
     }
 
@@ -155,336 +159,23 @@ impl ToJson for UnitPolicy {
 
 impl FromJson for UnitPolicy {
     fn from_json(v: &Value) -> Result<Self, JsonSchemaError> {
+        // The bounds `DsmConfig::validate` asserts, as a schema error: a
+        // document names a unit the simulator accepts, or does not parse.
+        let pages = |field: &str| {
+            u32::try_from(field_u64(v, field)?)
+                .ok()
+                .filter(|&n| n >= 1)
+                .ok_or_else(|| JsonSchemaError::new(field, "integer in 1..=4294967295"))
+        };
         match v.get("kind").and_then(|k| k.as_str()) {
             Some("static") => Ok(UnitPolicy::Static {
-                pages: field_u64(v, "pages")? as u32,
+                pages: pages("pages")?,
             }),
             Some("dynamic") => Ok(UnitPolicy::Dynamic {
-                max_group_pages: field_u64(v, "max_group_pages")? as u32,
+                max_group_pages: pages("max_group_pages")?,
             }),
             _ => Err(JsonSchemaError::new("kind", "\"static\" or \"dynamic\"")),
         }
-    }
-}
-
-/// One point of a [`SweepSpec`]: a concrete (processor count, unit policy)
-/// configuration together with the label the figures print for it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepPoint {
-    /// Number of simulated processors.
-    pub nprocs: usize,
-    /// Consistency-unit policy at this point.
-    pub unit: UnitPolicy,
-    /// Write protocol at this point.
-    pub protocol: ProtocolMode,
-    /// Network topology and aggregation policy at this point.
-    pub network: NetworkConfig,
-    /// Display label ("4K", "8K", "16K", "Dyn", "Dyn8", ...).
-    pub label: String,
-}
-
-/// Declarative description of the configuration grid an experiment sweeps:
-/// the cross product of processor counts and consistency-unit policies.
-///
-/// This is the paper's experimental design expressed as data — Figures 1
-/// and 2 are [`SweepSpec::paper_units`] over each application, the group-size
-/// ablation is [`SweepSpec::dyn_group_ablation`] — and it is what the
-/// `tm-bench` experiment runner expands into runnable cells.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepSpec {
-    /// Processor counts to sweep (each must be in 1..=1024).
-    pub procs: Vec<usize>,
-    /// Consistency-unit policies to sweep.
-    pub units: Vec<UnitPolicy>,
-    /// Write protocols to sweep (usually a single one; crossing both lets a
-    /// grid compare the multi-writer and home-based organizations
-    /// cell-for-cell).
-    pub protocols: Vec<ProtocolMode>,
-    /// Network (topology, aggregation) pairs to sweep — usually just the
-    /// ideal default; the `fig_network` grid crosses contended topologies
-    /// against both aggregation policies.
-    pub networks: Vec<NetworkConfig>,
-    /// Hardware page size labels are computed against (4096 in the paper).
-    pub page_size: usize,
-    /// Deterministic-scheduler configuration every point runs under: the
-    /// tie-break mode, and the *base* seed the harness mixes into each
-    /// cell's identity seed.
-    pub sched: SchedConfig,
-    /// Run every point under the happens-before race detector (off by
-    /// default).  Detection is pure observation — it cannot change any
-    /// measured quantity — so this is not an experimental axis; it only
-    /// adds `races` reports to the emitted documents.
-    pub racecheck: bool,
-}
-
-impl SweepSpec {
-    /// The paper's policy axis (4 K / 8 K / 16 K / Dyn) at one processor
-    /// count — the sweep behind Figures 1 and 2.
-    pub fn paper_units(nprocs: usize) -> Self {
-        SweepSpec {
-            procs: vec![nprocs],
-            units: vec![
-                UnitPolicy::Static { pages: 1 },
-                UnitPolicy::Static { pages: 2 },
-                UnitPolicy::Static { pages: 4 },
-                UnitPolicy::Dynamic { max_group_pages: 4 },
-            ],
-            protocols: vec![ProtocolMode::MultiWriter],
-            networks: vec![NetworkConfig::default()],
-            page_size: 4096,
-            sched: SchedConfig::default(),
-            racecheck: false,
-        }
-    }
-
-    /// The §4 ablation axis: dynamic aggregation with maximum group sizes of
-    /// 2, 4, 8 and 16 pages, at one processor count.
-    pub fn dyn_group_ablation(nprocs: usize) -> Self {
-        SweepSpec {
-            procs: vec![nprocs],
-            units: [2u32, 4, 8, 16]
-                .into_iter()
-                .map(|max_group_pages| UnitPolicy::Dynamic { max_group_pages })
-                .collect(),
-            protocols: vec![ProtocolMode::MultiWriter],
-            networks: vec![NetworkConfig::default()],
-            page_size: 4096,
-            sched: SchedConfig::default(),
-            racecheck: false,
-        }
-    }
-
-    /// A single-configuration "sweep" (used for Table 1's fixed 4 KB unit).
-    pub fn single(nprocs: usize, unit: UnitPolicy) -> Self {
-        SweepSpec {
-            procs: vec![nprocs],
-            units: vec![unit],
-            protocols: vec![ProtocolMode::MultiWriter],
-            networks: vec![NetworkConfig::default()],
-            page_size: 4096,
-            sched: SchedConfig::default(),
-            racecheck: false,
-        }
-    }
-
-    /// Builder-style setter for the scheduling configuration.
-    pub fn with_sched(mut self, sched: SchedConfig) -> Self {
-        self.sched = sched;
-        self
-    }
-
-    /// Builder-style setter for the protocol axis.
-    pub fn with_protocols(mut self, protocols: Vec<ProtocolMode>) -> Self {
-        self.protocols = protocols;
-        self
-    }
-
-    /// Builder-style setter for the network axis (topology × aggregation).
-    pub fn with_networks(mut self, networks: Vec<NetworkConfig>) -> Self {
-        self.networks = networks;
-        self
-    }
-
-    /// Builder-style setter for the race-detection knob.
-    pub fn with_racecheck(mut self, racecheck: bool) -> Self {
-        self.racecheck = racecheck;
-        self
-    }
-
-    /// Expand into concrete points: the cross product of processor counts and
-    /// unit policies, in deterministic (procs-major) order.
-    ///
-    /// Dynamic policies other than the paper's default group size are
-    /// labelled with their size (`Dyn8`), so ablation points stay
-    /// distinguishable.
-    pub fn points(&self) -> Vec<SweepPoint> {
-        let mut out = Vec::with_capacity(
-            self.procs.len() * self.units.len() * self.protocols.len() * self.networks.len(),
-        );
-        for &nprocs in &self.procs {
-            for &unit in &self.units {
-                for &protocol in &self.protocols {
-                    for &network in &self.networks {
-                        let label = match unit {
-                            UnitPolicy::Dynamic { max_group_pages } if max_group_pages != 4 => {
-                                format!("Dyn{max_group_pages}")
-                            }
-                            u => u.label(self.page_size),
-                        };
-                        out.push(SweepPoint {
-                            nprocs,
-                            unit,
-                            protocol,
-                            network,
-                            label,
-                        });
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Validate the spec, panicking on empty axes or out-of-range values
-    /// (same bounds as [`DsmConfig::validate`]).
-    pub fn validate(&self) {
-        assert!(
-            !self.procs.is_empty(),
-            "sweep needs at least one processor count"
-        );
-        assert!(
-            !self.units.is_empty(),
-            "sweep needs at least one unit policy"
-        );
-        assert!(
-            !self.protocols.is_empty(),
-            "sweep needs at least one write protocol"
-        );
-        assert!(
-            !self.networks.is_empty(),
-            "sweep needs at least one network configuration"
-        );
-        for &n in &self.procs {
-            assert!(
-                (1..=1024).contains(&n),
-                "processor count {n} outside 1-1024"
-            );
-        }
-        for &u in &self.units {
-            DsmConfig {
-                unit: u,
-                ..DsmConfig::paper_default()
-            }
-            .validate();
-        }
-    }
-}
-
-/// JSON form of a [`SchedConfig`]: `{"mode": "fifo"|"seeded", "seed": hex}`.
-/// Seeds are full 64-bit values, so — like cell seeds — they travel as hex
-/// strings to stay exact in JSON. (Free functions rather than trait impls:
-/// both `ToJson` and `SchedConfig` are foreign to this crate.)
-pub fn sched_to_json(sched: &SchedConfig) -> Value {
-    Value::obj(vec![
-        ("mode", Value::Str(sched.mode.as_str().to_string())),
-        ("seed", Value::Str(format!("{:016x}", sched.seed))),
-    ])
-}
-
-/// Inverse of [`sched_to_json`].
-pub fn sched_from_json(v: &Value) -> Result<SchedConfig, JsonSchemaError> {
-    let mode: ScheduleMode = serde::field_str(v, "mode")?
-        .parse()
-        .map_err(|_| JsonSchemaError::new("mode", "\"fifo\" or \"seeded\""))?;
-    let seed = u64::from_str_radix(serde::field_str(v, "seed")?, 16)
-        .map_err(|_| JsonSchemaError::new("seed", "16-digit hex string"))?;
-    Ok(SchedConfig { mode, seed })
-}
-
-impl ToJson for SweepSpec {
-    fn to_json(&self) -> Value {
-        let mut fields = vec![
-            (
-                "procs",
-                Value::Arr(self.procs.iter().map(|&p| Value::Num(p as f64)).collect()),
-            ),
-            (
-                "units",
-                Value::Arr(self.units.iter().map(|u| u.to_json()).collect()),
-            ),
-            (
-                "protocols",
-                Value::Arr(self.protocols.iter().map(|p| p.to_json()).collect()),
-            ),
-            ("page_size", Value::Num(self.page_size as f64)),
-            ("sched", sched_to_json(&self.sched)),
-        ];
-        // Additive field: the ideal/per-message default is omitted so
-        // pre-topology documents stay byte-identical.
-        if self.networks != vec![NetworkConfig::default()] {
-            fields.push((
-                "networks",
-                Value::Arr(self.networks.iter().map(|n| n.to_json()).collect()),
-            ));
-        }
-        // Additive field: emitted only when race detection is on, so default
-        // documents stay byte-identical to pre-detector ones.
-        if self.racecheck {
-            fields.push(("racecheck", Value::Bool(true)));
-        }
-        Value::obj(fields)
-    }
-}
-
-impl FromJson for SweepSpec {
-    fn from_json(v: &Value) -> Result<Self, JsonSchemaError> {
-        let mut procs = Vec::new();
-        for (i, p) in serde::field_arr(v, "procs")?.iter().enumerate() {
-            procs.push(
-                p.as_u64().ok_or_else(|| {
-                    JsonSchemaError::new(format!("procs[{i}]"), "unsigned integer")
-                })? as usize,
-            );
-        }
-        let mut units = Vec::new();
-        for (i, u) in serde::field_arr(v, "units")?.iter().enumerate() {
-            units.push(UnitPolicy::from_json(u).map_err(|e| e.in_context(&format!("units[{i}]")))?);
-        }
-        // Additive field: documents emitted before the home-based protocol
-        // landed swept only the multi-writer organization.
-        let protocols = match v.get("protocols") {
-            None => vec![ProtocolMode::MultiWriter],
-            Some(arr) => {
-                let items = arr
-                    .as_arr()
-                    .ok_or_else(|| JsonSchemaError::new("protocols", "array"))?;
-                let mut out = Vec::new();
-                for (i, p) in items.iter().enumerate() {
-                    out.push(
-                        ProtocolMode::from_json(p)
-                            .map_err(|e| e.in_context(&format!("protocols[{i}]")))?,
-                    );
-                }
-                out
-            }
-        };
-        // Additive field: documents emitted before the topology seam landed
-        // swept only the ideal network.
-        let networks = match v.get("networks") {
-            None => vec![NetworkConfig::default()],
-            Some(arr) => {
-                let items = arr
-                    .as_arr()
-                    .ok_or_else(|| JsonSchemaError::new("networks", "array"))?;
-                let mut out = Vec::new();
-                for (i, n) in items.iter().enumerate() {
-                    out.push(
-                        NetworkConfig::from_json(n)
-                            .map_err(|e| e.in_context(&format!("networks[{i}]")))?,
-                    );
-                }
-                out
-            }
-        };
-        Ok(SweepSpec {
-            procs,
-            units,
-            protocols,
-            networks,
-            page_size: field_u64(v, "page_size")? as usize,
-            // Additive field: documents emitted before the deterministic
-            // scheduler landed simply carry the default configuration.
-            sched: match v.get("sched") {
-                Some(s) => sched_from_json(s).map_err(|e| e.in_context("sched"))?,
-                None => SchedConfig::default(),
-            },
-            // Additive field: absent means race detection off.
-            racecheck: match v.get("racecheck") {
-                None => false,
-                Some(Value::Bool(b)) => *b,
-                Some(_) => return Err(JsonSchemaError::new("racecheck", "boolean")),
-            },
-        })
     }
 }
 
@@ -560,7 +251,9 @@ impl DsmConfig {
         DsmConfig {
             nprocs: 8,
             page_size: 4096,
-            shared_pages: 8192, // 32 MB of shared space
+            // 64 MB of shared space.  Only a bound: a run sizes its page
+            // tables by what the program allocated.
+            shared_pages: 16 * 1024,
             unit: UnitPolicy::Static { pages: 1 },
             protocol: ProtocolMode::MultiWriter,
             cost: CostModel::pentium_ethernet_1997(),
@@ -622,6 +315,12 @@ impl DsmConfig {
     /// Builder-style setter for the diff-timing knob.
     pub fn diff_timing(mut self, timing: DiffTiming) -> Self {
         self.diff_timing = timing;
+        self
+    }
+
+    /// No-op kept, beside [`EngineKind`], for the frozen `benchmark/` package
+    /// (see there).
+    pub fn engine(self, _engine: EngineKind) -> Self {
         self
     }
 
@@ -710,10 +409,45 @@ mod tests {
         assert_eq!(UnitPolicy::Static { pages: 1 }.label(4096), "4K");
         assert_eq!(UnitPolicy::Static { pages: 2 }.label(4096), "8K");
         assert_eq!(UnitPolicy::Static { pages: 4 }.label(4096), "16K");
+        // Only the paper's group size keeps the plain label.
         assert_eq!(
             UnitPolicy::Dynamic { max_group_pages: 4 }.label(4096),
             "Dyn"
         );
+        assert_eq!(
+            UnitPolicy::Dynamic { max_group_pages: 8 }.label(4096),
+            "Dyn8"
+        );
+    }
+
+    #[test]
+    fn unit_policy_json_rejects_what_validate_rejects() {
+        let parse = |text: &str| UnitPolicy::from_json(&serde::json::parse(text).unwrap());
+        for unit in [
+            UnitPolicy::Static { pages: 1 },
+            UnitPolicy::Static { pages: u32::MAX },
+            UnitPolicy::Dynamic {
+                max_group_pages: 16,
+            },
+        ] {
+            assert_eq!(parse(&unit.to_json().pretty()), Ok(unit));
+        }
+        // 2^32 + 1 used to be read as one page, and 0 to panic in `validate`.
+        for (text, field) in [
+            (r#"{"kind":"static","pages":4294967297}"#, "pages"),
+            (r#"{"kind":"static","pages":0}"#, "pages"),
+            (
+                r#"{"kind":"dynamic","max_group_pages":0}"#,
+                "max_group_pages",
+            ),
+            (
+                r#"{"kind":"dynamic","max_group_pages":4294967296}"#,
+                "max_group_pages",
+            ),
+            (r#"{"kind":"static"}"#, "pages"),
+        ] {
+            assert_eq!(parse(text).unwrap_err().path, field, "{text}");
+        }
     }
 
     #[test]
@@ -750,150 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_spec_expands_in_deterministic_order() {
-        let spec = SweepSpec::paper_units(8);
-        spec.validate();
-        let points = spec.points();
-        let labels: Vec<&str> = points.iter().map(|p| p.label.as_str()).collect();
-        assert_eq!(labels, vec!["4K", "8K", "16K", "Dyn"]);
-        assert!(points.iter().all(|p| p.nprocs == 8));
-
-        let ablation = SweepSpec::dyn_group_ablation(4).points();
-        let labels: Vec<&str> = ablation.iter().map(|p| p.label.as_str()).collect();
-        // The paper-default group size 4 keeps the plain "Dyn" label.
-        assert_eq!(labels, vec!["Dyn2", "Dyn", "Dyn8", "Dyn16"]);
-
-        let multi = SweepSpec {
-            procs: vec![2, 4],
-            units: vec![UnitPolicy::Static { pages: 1 }],
-            protocols: vec![ProtocolMode::MultiWriter],
-            networks: vec![NetworkConfig::default()],
-            page_size: 4096,
-            sched: SchedConfig::default(),
-            racecheck: false,
-        };
-        assert_eq!(multi.points().len(), 2);
-        assert_eq!(multi.points()[1].nprocs, 4);
-
-        // Crossing both protocols doubles the grid, cell-for-cell.
-        let both = multi
-            .clone()
-            .with_protocols(vec![ProtocolMode::MultiWriter, ProtocolMode::home_based()]);
-        both.validate();
-        let points = both.points();
-        assert_eq!(points.len(), 4);
-        assert_eq!(points[0].protocol, ProtocolMode::MultiWriter);
-        assert_eq!(points[1].protocol, ProtocolMode::home_based());
-        assert_eq!(points[0].label, points[1].label);
-    }
-
-    #[test]
-    fn sweep_spec_json_roundtrip() {
-        use serde::{FromJson, ToJson};
-        let spec = SweepSpec {
-            procs: vec![1, 8],
-            units: vec![
-                UnitPolicy::Static { pages: 2 },
-                UnitPolicy::Dynamic { max_group_pages: 8 },
-            ],
-            protocols: vec![ProtocolMode::MultiWriter, ProtocolMode::home_based()],
-            networks: vec![
-                NetworkConfig::new(Topology::SharedBus, AggregationPolicy::Batched),
-                NetworkConfig::new(Topology::Switched, AggregationPolicy::PerMessage),
-            ],
-            page_size: 4096,
-            sched: SchedConfig {
-                mode: ScheduleMode::Fifo,
-                seed: 0xdead_beef,
-            },
-            racecheck: true,
-        };
-        let parsed =
-            SweepSpec::from_json(&serde::json::parse(&spec.to_json().pretty()).unwrap()).unwrap();
-        assert_eq!(parsed, spec);
-        // Documents written while an `engine` axis existed still parse: the
-        // key is ignored (engines never changed measurements).
-        let with_engine = serde::json::parse(
-            r#"{"procs":[1],"units":[{"kind":"static","pages":1}],"page_size":4096,
-                "engine":"threaded"}"#,
-        )
-        .unwrap();
-        assert_eq!(
-            SweepSpec::from_json(&with_engine).unwrap(),
-            SweepSpec::single(1, UnitPolicy::Static { pages: 1 })
-        );
-
-        // The default (ideal, per-message) network axis is omitted on emit
-        // and restored on parse.
-        let default_net = SweepSpec {
-            networks: vec![NetworkConfig::default()],
-            ..spec.clone()
-        };
-        let emitted = default_net.to_json().pretty();
-        assert!(!emitted.contains("networks"));
-        assert_eq!(
-            SweepSpec::from_json(&serde::json::parse(&emitted).unwrap()).unwrap(),
-            default_net
-        );
-        let bad_net = serde::json::parse(
-            r#"{"procs":[1],"units":[{"kind":"static","pages":1}],"page_size":4096,
-                "networks":[{"topology":"token-ring"}]}"#,
-        )
-        .unwrap();
-        let err = SweepSpec::from_json(&bad_net).unwrap_err();
-        assert_eq!(err.path, "networks[0].topology");
-
-        let bad = serde::json::parse(r#"{"procs":[1],"units":[{"kind":"wat"}],"page_size":4096}"#)
-            .unwrap();
-        let err = SweepSpec::from_json(&bad).unwrap_err();
-        assert_eq!(err.path, "units[0].kind");
-
-        // Pre-scheduler documents (no "sched" field) parse to the default,
-        // and pre-protocol documents (no "protocols" field) to multi-writer.
-        let legacy = serde::json::parse(
-            r#"{"procs":[1],"units":[{"kind":"static","pages":1}],"page_size":4096}"#,
-        )
-        .unwrap();
-        let parsed = SweepSpec::from_json(&legacy).unwrap();
-        assert_eq!(parsed.sched, SchedConfig::default());
-        assert_eq!(parsed.protocols, vec![ProtocolMode::MultiWriter]);
-        assert_eq!(parsed.networks, vec![NetworkConfig::default()]);
-        assert!(!parsed.racecheck);
-
-        // The racecheck knob is omitted when off and restored on parse.
-        let checked = SweepSpec {
-            racecheck: true,
-            ..SweepSpec::paper_units(2)
-        };
-        let emitted = checked.to_json().pretty();
-        assert!(emitted.contains("racecheck"));
-        assert_eq!(
-            SweepSpec::from_json(&serde::json::parse(&emitted).unwrap()).unwrap(),
-            checked
-        );
-        assert!(!SweepSpec::paper_units(2)
-            .to_json()
-            .pretty()
-            .contains("racecheck"));
-
-        let bad_protocol = serde::json::parse(
-            r#"{"procs":[1],"units":[{"kind":"static","pages":1}],"page_size":4096,
-                "protocols":["token-ring"]}"#,
-        )
-        .unwrap();
-        let err = SweepSpec::from_json(&bad_protocol).unwrap_err();
-        assert_eq!(err.path, "protocols[0].protocol");
-
-        let bad_mode = serde::json::parse(
-            r#"{"procs":[1],"units":[{"kind":"static","pages":1}],"page_size":4096,
-                "sched":{"mode":"random","seed":"00"}}"#,
-        )
-        .unwrap();
-        let err = SweepSpec::from_json(&bad_mode).unwrap_err();
-        assert_eq!(err.path, "sched.mode");
-    }
-
-    #[test]
     fn diff_timing_parses_and_defaults_to_lazy() {
         assert_eq!(DsmConfig::paper_default().diff_timing, DiffTiming::Lazy);
         assert_eq!("eager".parse(), Ok(DiffTiming::Eager));
@@ -911,7 +501,6 @@ mod tests {
     #[test]
     fn large_clusters_validate_up_to_1024() {
         DsmConfig::with_procs(1024).validate();
-        SweepSpec::paper_units(256).validate();
     }
 
     #[test]

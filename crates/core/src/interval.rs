@@ -166,22 +166,16 @@ pub struct IntervalLog {
     /// cached merge serves all of them.
     merged: FastHashMap<PageId, MergedChain>,
     counters: LogCounters,
-    /// Retired record shells (pages cleared, clock allocation intact) ready
-    /// for the next [`publish`](Self::publish): the owner takes one through
-    /// [`take_retired_record`](Self::take_retired_record) instead of
-    /// allocating a fresh page list and vector clock per interval.
-    record_pool: Vec<IntervalRecord>,
     /// Span/payload buffers salvaged from retired diffs (the ones nobody
     /// else still holds), fed back into diff encoding through
     /// [`take_diff_buffers`](Self::take_diff_buffers).
     buffer_pool: Vec<(Vec<RunSpan>, Vec<u8>)>,
 }
 
-/// Bounds on the recycled-state pools: enough to cover the steady state of
-/// a barrier episode (records live at most one episode, and each episode's
-/// publishes reuse the previous episode's retirements) without letting a
-/// one-off burst pin its high-water mark forever.
-const RECORD_POOL_CAP: usize = 64;
+/// Bound on the recycled buffer pool: enough to cover the steady state of a
+/// barrier episode (each episode's publishes reuse the previous episode's
+/// retirements) without letting a one-off burst pin its high-water mark
+/// forever.
 const BUFFER_POOL_CAP: usize = 512;
 
 impl IntervalLog {
@@ -213,13 +207,6 @@ impl IntervalLog {
     /// Garbage-collection and lazy-creation counters accumulated so far.
     pub fn counters(&self) -> LogCounters {
         self.counters
-    }
-
-    /// Take a retired record shell for reuse (empty page list with its old
-    /// capacity, clock allocation intact), if any is pooled.  The caller
-    /// overwrites `id` and `vc` and refills `pages` before publishing.
-    pub fn take_retired_record(&mut self) -> Option<IntervalRecord> {
-        self.record_pool.pop()
     }
 
     /// Steal the whole recycled span/payload buffer pool (one lock instead
@@ -468,7 +455,7 @@ impl IntervalLog {
         let watermark = self.retired + n as u32;
         self.merged
             .retain(|_, m| m.seqs.last().is_some_and(|&s| s > watermark));
-        for mut record in self.records.drain(..n) {
+        for record in self.records.drain(..n) {
             for &page in &record.pages {
                 if let Some(stored) = self.diffs.remove(&(page, record.id.seq)) {
                     self.counters.diffs_retired += 1;
@@ -485,10 +472,6 @@ impl IntervalLog {
             }
             self.retired = record.id.seq;
             self.counters.intervals_retired += 1;
-            if self.record_pool.len() < RECORD_POOL_CAP {
-                record.pages.clear();
-                self.record_pool.push(record);
-            }
         }
         n as u64
     }

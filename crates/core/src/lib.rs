@@ -60,10 +60,7 @@ pub mod vc;
 
 pub use aggregation::DynamicAggregator;
 pub use cluster::{Dsm, RunOutput};
-pub use config::{
-    sched_from_json, sched_to_json, DiffTiming, DsmConfig, EngineKind, SweepPoint, SweepSpec,
-    UnitPolicy,
-};
+pub use config::{DiffTiming, DsmConfig, EngineKind, UnitPolicy};
 pub use handle::{GArray, GMatrix, GScalar, SharedVal};
 pub use interval::{
     FetchedDiff, IntervalId, IntervalLog, IntervalRecord, LogCounters, WriteNotice,

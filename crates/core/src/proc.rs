@@ -64,10 +64,10 @@ const PROT_DIRTY: u8 = 2;
 /// [`ProcCtx::exchange_pending`]).  The per-responder reply sizes it was
 /// charged from stay in the [`ExchangeScratch`].
 struct PendingExchangeOutcome {
-    /// Number of responders (concurrent writers, or homes) contacted.
-    writers: u32,
-    /// Requester-local ids of the exchanges issued.
-    exchange_ids: Vec<u32>,
+    /// Requester-local ids of the exchanges issued, one per responder
+    /// (concurrent writer, or home) contacted; they are logged
+    /// consecutively.
+    exchange_ids: std::ops::Range<u32>,
     /// Total diff payload applied.
     total_payload: u64,
 }
@@ -105,8 +105,8 @@ struct Fetched {
 }
 
 /// Working storage of one round of pending fetches.  Nothing in it outlives
-/// the round — what does (`FaultRecord::exchange_ids`, the `DiffExchange`
-/// records) is allocated as before — so one instance per processor is
+/// the round — what does (the `DiffExchange` records) is allocated as
+/// before — so one instance per processor is
 /// cleared and refilled by every fault instead of a dozen containers being
 /// built and dropped.  Sized by what a round touches, never by the cluster
 /// or the address space; the capacity of the largest round (a GC validation
@@ -590,7 +590,7 @@ impl ProcCtx {
         }
         self.fault_pages = pages;
 
-        if outcome.writers == 0 {
+        if outcome.exchange_ids.is_empty() {
             self.stats.prefetched_faults += 1;
         }
         let stall = self.fetch_stall(outcome.total_payload);
@@ -599,7 +599,7 @@ impl ProcCtx {
         // fault", which is exactly the quantity the two protocols trade
         // against each other.
         self.stats.faults.push(FaultRecord {
-            concurrent_writers: outcome.writers,
+            concurrent_writers: outcome.exchange_ids.len() as u32,
             exchange_ids: outcome.exchange_ids,
             pages_validated: validated as u32,
         });
@@ -683,8 +683,7 @@ impl ProcCtx {
         xs.contended_pages.sort_unstable();
 
         let same_writer = |a: &Want, b: &Want| a.responder == b.responder;
-        let writers = xs.wants.chunk_by(same_writer).count();
-        let mut exchange_ids = Vec::with_capacity(writers);
+        let first_exchange = self.stats.exchanges.len() as u32;
         let mut total_payload = 0u64;
         let page_size = self.layout.page_size() as u64;
 
@@ -774,7 +773,6 @@ impl ProcCtx {
                 serve_extra_ns,
             });
             xs.responder_ranks.push(writer);
-            exchange_ids.push(exchange_id);
             self.stats.exchanges.push(DiffExchange {
                 id: exchange_id,
                 responder: ProcId(writer),
@@ -853,8 +851,7 @@ impl ProcCtx {
         self.clear_pending(fetch_pages);
 
         PendingExchangeOutcome {
-            writers: writers as u32,
-            exchange_ids,
+            exchange_ids: first_exchange..self.stats.exchanges.len() as u32,
             total_payload,
         }
     }
@@ -927,8 +924,7 @@ impl ProcCtx {
         xs.wants.sort_unstable();
 
         let same_home = |a: &Want, b: &Want| a.responder == b.responder;
-        let homes = xs.wants.chunk_by(same_home).count();
-        let mut exchange_ids = Vec::with_capacity(homes);
+        let first_exchange = self.stats.exchanges.len() as u32;
         for pages in xs.wants.chunk_by(same_home) {
             let home_rank = pages[0].responder;
             let exchange_id = self.stats.exchanges.len() as u32;
@@ -945,7 +941,6 @@ impl ProcCtx {
                 serve_extra_ns: 0,
             });
             xs.responder_ranks.push(home_rank);
-            exchange_ids.push(exchange_id);
             self.stats.exchanges.push(DiffExchange {
                 id: exchange_id,
                 responder: ProcId(home_rank),
@@ -963,8 +958,7 @@ impl ProcCtx {
         self.clear_pending(fetch_pages);
 
         PendingExchangeOutcome {
-            writers: homes as u32,
-            exchange_ids,
+            exchange_ids: first_exchange..self.stats.exchanges.len() as u32,
             total_payload,
         }
     }
@@ -1032,22 +1026,12 @@ impl ProcCtx {
             self.close_interval_home();
             return;
         }
-        // Recycle the previous episode's retired state: a record shell (page
-        // list + clock allocation) and the span/payload buffers of retired
-        // diffs, all from this processor's own log.
-        let (mut record, mut pool) = {
-            let mut log = self.shared.logs[self.rank.index()].borrow_mut();
-            (log.take_retired_record(), log.take_buffer_pool())
-        };
-        let mut record = record.take().unwrap_or_else(|| IntervalRecord {
-            id: IntervalId {
-                proc: self.rank.0,
-                seq: 0,
-            },
-            vc: VectorClock::zero(0),
-            pages: Vec::new(),
-        });
-        debug_assert!(record.pages.is_empty(), "pooled record shells are clear");
+        // Recycle the span/payload buffers of the diffs this processor's
+        // own log retired in the previous episode.
+        let mut pool = self.shared.logs[self.rank.index()]
+            .borrow_mut()
+            .take_buffer_pool();
+        let mut pages = Vec::new();
         let mut diffs = std::mem::take(&mut self.diff_scratch);
         let page_size = self.layout.page_size() as u64;
         let eager = self.diff_timing == DiffTiming::Eager;
@@ -1080,7 +1064,7 @@ impl ProcCtx {
                 self.stats.diffs_created += 1;
                 self.stats.diff_bytes_created += diff.payload_bytes();
             }
-            record.pages.push(page);
+            pages.push(page);
             diffs.push((page, Arc::new(diff)));
         }
         dirty.clear();
@@ -1088,34 +1072,32 @@ impl ProcCtx {
         self.shared.logs[self.rank.index()]
             .borrow_mut()
             .restore_buffer_pool(pool);
-        self.publish_interval(record, &mut diffs);
+        self.publish_interval(pages, &mut diffs);
         self.diff_scratch = diffs;
     }
 
     /// Shared tail of both protocols' interval closes: bump the local
-    /// vector-clock entry, stamp and publish the prepared record (with
-    /// whatever diffs the protocol stores in the log — none under
-    /// home-based) and account the notices.  No-op when the interval
-    /// produced no notices (an all-silent-writes close); the record shell
-    /// is then dropped, not pooled — the next close simply allocates.
-    fn publish_interval(
-        &mut self,
-        mut record: IntervalRecord,
-        diffs: &mut Vec<(PageId, Arc<Diff>)>,
-    ) {
-        if record.pages.is_empty() {
+    /// vector-clock entry, publish the record of the interval that wrote
+    /// `pages` (with whatever diffs the protocol stores in the log — none
+    /// under home-based) and account the notices.  No-op when the interval
+    /// produced no notices (an all-silent-writes close).
+    fn publish_interval(&mut self, pages: Vec<PageId>, diffs: &mut Vec<(PageId, Arc<Diff>)>) {
+        if pages.is_empty() {
             debug_assert!(diffs.is_empty(), "diffs without write notices");
             return;
         }
         let seq = self.vc.get(self.rank.index()) + 1;
         self.vc.set(self.rank.index(), seq);
-        record.id = IntervalId {
-            proc: self.rank.0,
-            seq,
-        };
-        record.vc.copy_from(&self.vc);
-        self.notices_since_barrier += record.pages.len() as u64;
+        self.notices_since_barrier += pages.len() as u64;
         self.stats.intervals_closed += 1;
+        let record = IntervalRecord {
+            id: IntervalId {
+                proc: self.rank.0,
+                seq,
+            },
+            vc: self.vc.clone(),
+            pages,
+        };
         self.shared.logs[self.rank.index()]
             .borrow_mut()
             .publish_drain(record, diffs, self.diff_timing);
@@ -1135,18 +1117,7 @@ impl ProcCtx {
     /// inherently eager (the flush happens at close, on the writer).
     fn close_interval_home(&mut self) {
         let page_size = self.layout.page_size() as u64;
-        let mut record = self.shared.logs[self.rank.index()]
-            .borrow_mut()
-            .take_retired_record()
-            .unwrap_or_else(|| IntervalRecord {
-                id: IntervalId {
-                    proc: self.rank.0,
-                    seq: 0,
-                },
-                vc: VectorClock::zero(0),
-                pages: Vec::new(),
-            });
-        debug_assert!(record.pages.is_empty(), "pooled record shells are clear");
+        let mut pages = Vec::new();
         // Per home contacted: total diff wire bytes of this flush.
         let mut flushes: BTreeMap<u32, u64> = BTreeMap::new();
         let mut dir = self.shared.home().borrow_mut();
@@ -1163,7 +1134,7 @@ impl ProcCtx {
                 // The master copy is already current (write-through); the
                 // notice is published unconditionally — without a twin the
                 // home cannot tell a silent rewrite from a real change.
-                record.pages.push(page);
+                pages.push(page);
                 continue;
             }
             // The flushed diff dies at the end of this iteration, so one
@@ -1184,7 +1155,7 @@ impl ProcCtx {
             self.stats.diff_bytes_created += diff.payload_bytes();
             *flushes.entry(home_rank).or_insert(0) += diff.wire_bytes();
             dir.store_mut().apply_diff(&diff);
-            record.pages.push(page);
+            pages.push(page);
             self.home_diff_buf = diff.into_buffers();
         }
         dirty.clear();
@@ -1228,7 +1199,7 @@ impl ProcCtx {
         drop(net);
 
         let mut diffs = std::mem::take(&mut self.diff_scratch);
-        self.publish_interval(record, &mut diffs);
+        self.publish_interval(pages, &mut diffs);
         self.diff_scratch = diffs;
     }
 

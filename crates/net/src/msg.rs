@@ -108,16 +108,31 @@ impl DiffExchange {
 
 /// The record of one page/consistency-unit fault, used to build the
 /// false-sharing signature (Figure 3 of the paper).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct FaultRecord {
     /// Number of concurrent writers the faulting processor had to contact
     /// (the number of diff exchanges issued by this fault).
     pub concurrent_writers: u32,
-    /// Requester-local ids of the exchanges issued by this fault.
-    pub exchange_ids: Vec<u32>,
+    /// Requester-local ids of the exchanges issued by this fault: one
+    /// fault's exchanges are logged consecutively, so they are a range of
+    /// indices into the per-processor exchange log.
+    pub exchange_ids: std::ops::Range<u32>,
     /// Number of hardware pages validated by this fault (1 for the plain
     /// page protocol, more under static or dynamic aggregation).
     pub pages_validated: u32,
+}
+
+/// Renders `exchange_ids` as the list of ids it stands for: the statistics
+/// digests pinned in `tests/schedule_golden.rs` hash this text, and what they
+/// pin is the ids, not how the record stores them.
+impl std::fmt::Debug for FaultRecord {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FaultRecord")
+            .field("concurrent_writers", &self.concurrent_writers)
+            .field("exchange_ids", &Vec::from_iter(self.exchange_ids.clone()))
+            .field("pages_validated", &self.pages_validated)
+            .finish()
+    }
 }
 
 /// A control message (lock or barrier traffic) — accounted but never

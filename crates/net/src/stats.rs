@@ -388,7 +388,7 @@ impl ClusterStats {
             for f in &p.faults {
                 let mut useful = 0;
                 let mut useless = 0;
-                for &id in &f.exchange_ids {
+                for id in f.exchange_ids.clone() {
                     // Exchange ids are indices into the per-proc exchange log.
                     if let Some(e) = p.exchanges.get(id as usize) {
                         if e.is_useful() {
@@ -584,7 +584,7 @@ mod tests {
         p.exchanges.push(exchange(1, 50, 0)); // useless
         p.faults.push(FaultRecord {
             concurrent_writers: 2,
-            exchange_ids: vec![0, 1],
+            exchange_ids: 0..2,
             pages_validated: 1,
         });
         p.record_control(MsgKind::BarrierArrive, 8);
@@ -684,7 +684,7 @@ mod tests {
         p.exchanges.push(exchange(1, 50, 0));
         p.faults.push(FaultRecord {
             concurrent_writers: 2,
-            exchange_ids: vec![0, 1],
+            exchange_ids: 0..2,
             pages_validated: 1,
         });
         p.record_control(MsgKind::BarrierArrive, 8);

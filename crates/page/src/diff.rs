@@ -64,7 +64,7 @@ enum Payload {
     Packed(Vec<u8>),
     /// Borrowed from a shared snapshot of the whole page image; runs are
     /// sliced out of it at their page offsets.  Taken by
-    /// [`Diff::from_changed_shared`] for dense diffs, where sharing the
+    /// [`Diff::from_changed_shared_in`] for dense diffs, where sharing the
     /// 4 KB image beats copying most of it into a packed buffer.
     Page(Arc<[u8]>),
 }
@@ -92,115 +92,63 @@ impl Diff {
     /// started) against `current` (the contents now) and encode the changed
     /// words.
     ///
+    /// This is the twin-compare *reference*: a plain word-by-word scan that
+    /// the tests hold the simulator's constructor,
+    /// [`from_changed_shared_in`](Self::from_changed_shared_in), against.  No
+    /// run builds its diffs this way.
+    ///
     /// # Panics
     /// Panics if the two buffers differ in length or are not word-aligned in
     /// size.
     pub fn create(page: PageId, twin: &[u8], current: &[u8]) -> Diff {
         assert_eq!(twin.len(), current.len(), "twin/current size mismatch");
         assert_eq!(twin.len() % WORD_SIZE, 0, "page size must be word aligned");
-        let mut diff = Diff {
-            page,
-            spans: Vec::new(),
-            payload: Payload::Packed(Vec::new()),
-        };
-        scan_words(twin, current, 0, twin.len() / WORD_SIZE, &mut diff);
-        diff
-    }
-
-    /// Like [`create`](Self::create), but seeded with a dirty-word bitset
-    /// (bit `w % 64` of `dirty[w / 64]` set ⇒ word `w` *may* have changed
-    /// since the twin was made).  The bitset is a **superset** filter: words
-    /// whose bit is clear are known untouched and are skipped without being
-    /// read, while flagged words are still compared against the twin, so a
-    /// word rewritten with its old value never enters the diff.  The encoded
-    /// output is therefore bit-identical to a full [`create`](Self::create)
-    /// scan.
-    ///
-    /// # Panics
-    /// Panics on length mismatch, unaligned size, or a bitset shorter than
-    /// the page's word count.
-    pub fn create_from_dirty(page: PageId, twin: &[u8], current: &[u8], dirty: &[u64]) -> Diff {
-        assert_eq!(twin.len(), current.len(), "twin/current size mismatch");
-        assert_eq!(twin.len() % WORD_SIZE, 0, "page size must be word aligned");
         let words = twin.len() / WORD_SIZE;
-        assert!(dirty.len() * 64 >= words, "dirty bitset shorter than page");
         let mut diff = Diff {
             page,
             spans: Vec::new(),
             payload: Payload::Packed(Vec::new()),
         };
-        // A run can only span words that actually differ, and differing
-        // words are always flagged dirty, so runs never cross an all-clear
-        // block. Scanning each maximal span of non-empty blocks as one unit
-        // keeps runs maximal exactly as the full scan would.
-        let blocks = words.div_ceil(64);
-        let mut b = 0;
-        while b < blocks {
-            if dirty[b] == 0 {
-                b += 1;
-                continue;
+        let mut w = 0;
+        while w < words {
+            let lo = w * WORD_SIZE;
+            let hi = lo + WORD_SIZE;
+            if twin[lo..hi] != current[lo..hi] {
+                // start of a run; extend while words keep differing
+                let start = w;
+                while w < words
+                    && twin[w * WORD_SIZE..(w + 1) * WORD_SIZE]
+                        != current[w * WORD_SIZE..(w + 1) * WORD_SIZE]
+                {
+                    w += 1;
+                }
+                diff.push_run(
+                    (start * WORD_SIZE) as u32,
+                    &current[start * WORD_SIZE..w * WORD_SIZE],
+                );
+            } else {
+                w += 1;
             }
-            let span = b;
-            while b < blocks && dirty[b] != 0 {
-                b += 1;
-            }
-            scan_words(twin, current, span * 64, (b * 64).min(words), &mut diff);
         }
         diff
     }
 
-    /// Build a diff directly from an **exact** changed-word bitset (bit
-    /// `w % 64` of `changed[w / 64]` set ⇔ word `w` of `current` differs
-    /// from its value when the interval started).  No compare scan happens:
-    /// runs are extracted straight from the bits and the payload is copied
-    /// from `current` in one packed pass.  With an exact bitset — as
-    /// maintained by the write path's per-word pre-image tracking — the
-    /// output is bit-identical to [`create`](Self::create) against the
-    /// interval-start twin.
+    /// Build a diff from an **exact** changed-word bitset (bit `w % 64` of
+    /// `changed[w / 64]` set ⇔ word `w` of `image` differs from its value
+    /// when the interval started) and an `Arc`-shared snapshot of the page
+    /// image.  No compare scan happens: runs are extracted straight from
+    /// the bits.  Dense diffs (payload at least half the page) borrow the
+    /// snapshot itself; sparse diffs copy their runs into one packed
+    /// buffer, so a few changed words never pin a whole page in memory.
+    /// With an exact bitset — as maintained by the write path's per-word
+    /// pre-image tracking — the encoded runs are bit-identical to
+    /// [`create`](Self::create) against the interval-start twin either way.
     ///
-    /// # Panics
-    /// Panics on an unaligned page size or a bitset shorter than the page's
-    /// word count.
-    pub fn from_changed(page: PageId, current: &[u8], changed: &[u64]) -> Diff {
-        assert_eq!(
-            current.len() % WORD_SIZE,
-            0,
-            "page size must be word aligned"
-        );
-        let words = current.len() / WORD_SIZE;
-        assert!(
-            changed.len() * 64 >= words,
-            "changed bitset shorter than page"
-        );
-        let spans = spans_from_bits(changed);
-        let payload = Payload::Packed(pack_payload(&spans, current));
-        Diff {
-            page,
-            spans,
-            payload,
-        }
-    }
-
-    /// Like [`from_changed`](Self::from_changed), but built against an
-    /// `Arc`-shared snapshot of the page image.  Dense diffs (payload at
-    /// least half the page) skip the packed copy and borrow the snapshot
-    /// itself; sparse diffs still pack, so a few changed words never pin a
-    /// whole page in memory.  The encoded runs are bit-identical to
-    /// [`from_changed`](Self::from_changed) either way.
-    ///
-    /// # Panics
-    /// Panics on an unaligned page size or a bitset shorter than the page's
-    /// word count.
-    pub fn from_changed_shared(page: PageId, image: &Arc<[u8]>, changed: &[u64]) -> Diff {
-        Self::from_changed_shared_in(page, image, changed, Vec::new(), Vec::new())
-    }
-
-    /// [`from_changed_shared`](Self::from_changed_shared) with
-    /// caller-recycled buffers: `spans` and `packed` (both logically empty;
-    /// any stale contents are cleared) provide the capacity for the span
-    /// table and, if the diff packs, the payload.  Interval-log pools feed
-    /// retired diffs' buffers back through here, which removes the two
-    /// steady-state allocations of publishing a dirty page.
+    /// `spans` and `packed` are caller-recycled buffers (both logically
+    /// empty; any stale contents are cleared) that provide the capacity for
+    /// the span table and, if the diff packs, the payload.  Interval-log
+    /// pools feed retired diffs' buffers back through here, which removes
+    /// the two steady-state allocations of publishing a dirty page.
     ///
     /// # Panics
     /// Panics on an unaligned page size or a bitset shorter than the page's
@@ -275,43 +223,6 @@ impl Diff {
             }
             _ => None,
         }
-    }
-
-    /// Reference implementation of [`create`](Self::create): the original
-    /// per-word bounds-checked slice-compare scan. Kept (test-only) as the
-    /// oracle the optimized scans are property-tested against.
-    #[cfg(test)]
-    pub(crate) fn create_naive(page: PageId, twin: &[u8], current: &[u8]) -> Diff {
-        assert_eq!(twin.len(), current.len(), "twin/current size mismatch");
-        assert_eq!(twin.len() % WORD_SIZE, 0, "page size must be word aligned");
-        let words = twin.len() / WORD_SIZE;
-        let mut diff = Diff {
-            page,
-            spans: Vec::new(),
-            payload: Payload::Packed(Vec::new()),
-        };
-        let mut w = 0;
-        while w < words {
-            let lo = w * WORD_SIZE;
-            let hi = lo + WORD_SIZE;
-            if twin[lo..hi] != current[lo..hi] {
-                // start of a run; extend while words keep differing
-                let start = w;
-                while w < words
-                    && twin[w * WORD_SIZE..(w + 1) * WORD_SIZE]
-                        != current[w * WORD_SIZE..(w + 1) * WORD_SIZE]
-                {
-                    w += 1;
-                }
-                diff.push_run(
-                    (start * WORD_SIZE) as u32,
-                    &current[start * WORD_SIZE..w * WORD_SIZE],
-                );
-            } else {
-                w += 1;
-            }
-        }
-        diff
     }
 
     /// Append a run to the diff (spans must arrive in increasing offset
@@ -592,69 +503,6 @@ fn pack_payload_into(spans: &[RunSpan], source: &[u8], payload: &mut Vec<u8>) {
     }
 }
 
-/// Scan words `[from, to)` of `twin`/`current` and append every maximal run
-/// of differing words to `diff`. Words are compared as native-endian `u32`s
-/// over `chunks_exact` windows — no per-word slice bounds checks — which is
-/// what makes diff creation cheap enough to run once per dirty page per
-/// interval.
-fn scan_words(twin: &[u8], current: &[u8], from: usize, to: usize, diff: &mut Diff) {
-    /// Bits of the first word of a native-endian `u64` read from two
-    /// consecutive words (the lower-addressed word sits in the low bytes on
-    /// little-endian machines and the high bytes on big-endian ones).
-    const FIRST: u64 = if cfg!(target_endian = "little") {
-        0x0000_0000_FFFF_FFFF
-    } else {
-        0xFFFF_FFFF_0000_0000
-    };
-    let t = &twin[from * WORD_SIZE..to * WORD_SIZE];
-    let c = &current[from * WORD_SIZE..to * WORD_SIZE];
-    let mut open: Option<usize> = None;
-    let close = |open: &mut Option<usize>, end: usize, diff: &mut Diff| {
-        if let Some(start) = open.take() {
-            diff.push_run(
-                (start * WORD_SIZE) as u32,
-                &current[start * WORD_SIZE..end * WORD_SIZE],
-            );
-        }
-    };
-    // Two words per iteration: one u64 XOR answers "any change?" and the
-    // endian mask splits it per word only when the halves disagree.  The
-    // common all-changed and all-clean stretches take a single branch per
-    // pair, which roughly halves the scan cost of diffing a big page.
-    for (k, (t8, c8)) in t.chunks_exact(8).zip(c.chunks_exact(8)).enumerate() {
-        let x =
-            u64::from_ne_bytes(t8.try_into().unwrap()) ^ u64::from_ne_bytes(c8.try_into().unwrap());
-        let base = from + 2 * k;
-        if x == 0 {
-            close(&mut open, base, diff);
-        } else {
-            let first_ne = x & FIRST != 0;
-            let second_ne = x & !FIRST != 0;
-            if first_ne && second_ne {
-                open.get_or_insert(base);
-            } else if first_ne {
-                open.get_or_insert(base);
-                close(&mut open, base + 1, diff);
-            } else {
-                close(&mut open, base, diff);
-                open = Some(base + 1);
-            }
-        }
-    }
-    if (to - from) % 2 == 1 {
-        // Odd trailing word.
-        let i = to - from - 1;
-        let tw = u32::from_ne_bytes(t[i * WORD_SIZE..][..WORD_SIZE].try_into().unwrap());
-        let cw = u32::from_ne_bytes(c[i * WORD_SIZE..][..WORD_SIZE].try_into().unwrap());
-        if tw != cw {
-            open.get_or_insert(from + i);
-        } else {
-            close(&mut open, from + i, diff);
-        }
-    }
-    close(&mut open, to, diff);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -756,37 +604,6 @@ mod tests {
     }
 
     #[test]
-    fn dirty_seeded_scan_matches_full_scan_and_filters_clean_blocks() {
-        // 512 words; touch words in three places, including a pair straddling
-        // a 64-word block boundary so span merging is exercised.
-        let twin = page_of(|i| (i % 249) as u8, 2048);
-        let mut cur = twin.clone();
-        for w in [3usize, 63, 64, 65, 200, 201, 202, 511] {
-            cur[w * WORD_SIZE] ^= 0x5A;
-        }
-        let mut dirty = vec![0u64; 8];
-        for w in [3usize, 63, 64, 65, 200, 201, 202, 511] {
-            dirty[w / 64] |= 1 << (w % 64);
-        }
-        // Flag some untouched words too: the bitset is a superset filter.
-        dirty[0] |= 1 << 10;
-        dirty[3] |= 0xFF;
-        let full = Diff::create(PageId(4), &twin, &cur);
-        let seeded = Diff::create_from_dirty(PageId(4), &twin, &cur, &dirty);
-        assert_eq!(full, seeded);
-        assert_eq!(full, Diff::create_naive(PageId(4), &twin, &cur));
-    }
-
-    #[test]
-    fn dirty_bit_set_but_word_unchanged_stays_out_of_the_diff() {
-        let twin = vec![9u8; 256];
-        let cur = twin.clone();
-        let dirty = vec![!0u64; 1];
-        let d = Diff::create_from_dirty(PageId(0), &twin, &cur, &dirty);
-        assert!(d.is_empty());
-    }
-
-    #[test]
     fn from_changed_exact_bits_match_compare_scan() {
         let twin = page_of(|i| (i % 241) as u8, 1024);
         let mut cur = twin.clone();
@@ -797,13 +614,15 @@ mod tests {
         for w in [0usize, 1, 62, 63, 64, 120, 255] {
             changed[w / 64] |= 1 << (w % 64);
         }
-        let d = Diff::from_changed(PageId(2), &cur, &changed);
+        let image: Arc<[u8]> = cur.as_slice().into();
+        let d = Diff::from_changed_shared_in(PageId(2), &image, &changed, Vec::new(), Vec::new());
         assert_eq!(d, Diff::create(PageId(2), &twin, &cur));
     }
 
     #[test]
     #[should_panic(expected = "shorter than page")]
     fn short_dirty_bitset_panics() {
-        Diff::create_from_dirty(PageId(0), &[0u8; 512], &[0u8; 512], &[0u64; 1]);
+        let image: Arc<[u8]> = [0u8; 512].as_slice().into();
+        Diff::from_changed_shared_in(PageId(0), &image, &[0u64; 1], Vec::new(), Vec::new());
     }
 }

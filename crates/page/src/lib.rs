@@ -150,50 +150,6 @@ mod proptests {
             }
         }
 
-        /// The optimized word-integer scan and the dirty-bitset-seeded scan
-        /// are both equivalent to the original naive per-word slice-compare
-        /// implementation, for any page pair and any *superset* bitset of
-        /// the changed words.
-        #[test]
-        fn diff_create_equivalent_to_naive(twin in word_aligned_page(), seed in any::<u64>()) {
-            let mut current = twin.clone();
-            let mut state = seed | 1;
-            for (i, b) in current.iter_mut().enumerate() {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                if state % 4 == 0 {
-                    *b = (state >> 40) as u8 ^ (i as u8);
-                }
-            }
-            let words = twin.len() / WORD_SIZE;
-            // Exact dirty set of the changed words...
-            let mut dirty = vec![0u64; words.div_ceil(64)];
-            for w in 0..words {
-                if twin[w * WORD_SIZE..(w + 1) * WORD_SIZE]
-                    != current[w * WORD_SIZE..(w + 1) * WORD_SIZE]
-                {
-                    dirty[w / 64] |= 1 << (w % 64);
-                }
-            }
-            // ...plus pseudo-random over-approximation (superset is legal).
-            let mut superset = dirty.clone();
-            for (i, block) in superset.iter_mut().enumerate() {
-                state = state.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-                if state % 2 == 0 {
-                    *block |= state.rotate_left(i as u32);
-                }
-            }
-            // Mask stray bits past the last word so the bitset stays valid.
-            if words % 64 != 0 {
-                let last = superset.len() - 1;
-                superset[last] &= (1u64 << (words % 64)) - 1;
-            }
-
-            let naive = Diff::create_naive(PageId(3), &twin, &current);
-            prop_assert_eq!(&Diff::create(PageId(3), &twin, &current), &naive);
-            prop_assert_eq!(&Diff::create_from_dirty(PageId(3), &twin, &current, &dirty), &naive);
-            prop_assert_eq!(&Diff::create_from_dirty(PageId(3), &twin, &current, &superset), &naive);
-        }
-
         /// The virtual-twin write path (per-word pre-image tracking) must
         /// yield diffs bit-identical to an eager twin copy plus compare
         /// scan, under any sequence of overlapping, unaligned and

@@ -31,7 +31,7 @@ pub const NO_EXCHANGE: u32 = u32::MAX;
 ///
 /// The page image itself is `Arc`-shared so a dense diff published at
 /// interval close can borrow it outright (no payload copy; see
-/// [`Diff::from_changed_shared`]).  The image is copy-on-next-write: any
+/// [`Diff::from_changed_shared_in`]).  The image is copy-on-next-write: any
 /// later mutation detaches it first — except a *whole-page* store, which
 /// builds the new image straight from the source, and so never pays the
 /// detach copy.  While the image is still shared at `ensure_twin` time it
