@@ -406,14 +406,7 @@ pub fn run_parallel(cfg: &AppConfig, size: &BarnesSize) -> AppRun {
         }
     });
 
-    AppRun {
-        app: "Barnes",
-        size: size.label(),
-        checksum: out.results[0],
-        exec_time_ns: out.stats.exec_time_ns(),
-        breakdown: out.breakdown(),
-        stats: out.stats,
-    }
+    AppRun::new("Barnes", size.label(), out.results[0], out.stats)
 }
 
 /// The single data-set size reported for Barnes (its false-sharing behaviour

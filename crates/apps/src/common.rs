@@ -41,9 +41,17 @@ pub struct AppRun {
 }
 
 impl AppRun {
-    /// Modeled execution time in milliseconds (readability helper).
-    pub fn exec_time_ms(&self) -> f64 {
-        self.exec_time_ns as f64 / 1e6
+    /// The outcome of a run that produced `checksum` and `stats`; the
+    /// execution time and the breakdown are derived from the statistics.
+    pub fn new(app: &'static str, size: String, checksum: f64, stats: ClusterStats) -> Self {
+        AppRun {
+            app,
+            size,
+            checksum,
+            exec_time_ns: stats.exec_time_ns(),
+            breakdown: stats.breakdown(),
+            stats,
+        }
     }
 }
 

@@ -329,14 +329,7 @@ pub fn run_parallel(cfg: &AppConfig, size: &FftSize) -> AppRun {
         }
     });
 
-    AppRun {
-        app: "3D-FFT",
-        size: size.label(),
-        checksum: out.results[0],
-        exec_time_ns: out.stats.exec_time_ns(),
-        breakdown: out.breakdown(),
-        stats: out.stats,
-    }
+    AppRun::new("3D-FFT", size.label(), out.results[0], out.stats)
 }
 
 /// The data-set sizes reported in the paper's figures for 3D-FFT.

@@ -206,14 +206,7 @@ pub fn run_parallel(cfg: &AppConfig, size: &IlinkSize) -> AppRun {
         }
     });
 
-    AppRun {
-        app: "Ilink",
-        size: size.label(),
-        checksum: out.results[0],
-        exec_time_ns: out.stats.exec_time_ns(),
-        breakdown: out.breakdown(),
-        stats: out.stats,
-    }
+    AppRun::new("Ilink", size.label(), out.results[0], out.stats)
 }
 
 /// The single data-set size reported for Ilink (CLP).

@@ -195,14 +195,7 @@ pub fn run_parallel(cfg: &AppConfig, size: &JacobiSize) -> AppRun {
         }
     });
 
-    AppRun {
-        app: "Jacobi",
-        size: size.label(),
-        checksum: out.results[0],
-        exec_time_ns: out.stats.exec_time_ns(),
-        breakdown: out.breakdown(),
-        stats: out.stats,
-    }
+    AppRun::new("Jacobi", size.label(), out.results[0], out.stats)
 }
 
 /// The data-set sizes reported in the paper's figures for Jacobi.

@@ -186,14 +186,7 @@ pub fn run_parallel(cfg: &AppConfig, size: &MgsSize) -> AppRun {
         }
     });
 
-    AppRun {
-        app: "MGS",
-        size: size.label(),
-        checksum: out.results[0],
-        exec_time_ns: out.stats.exec_time_ns(),
-        breakdown: out.breakdown(),
-        stats: out.stats,
-    }
+    AppRun::new("MGS", size.label(), out.results[0], out.stats)
 }
 
 /// The data-set sizes reported in the paper's figures for MGS.

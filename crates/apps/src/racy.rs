@@ -47,14 +47,12 @@ pub fn run_racy_counter(cfg: &AppConfig, rounds: usize) -> AppRun {
         counter.get(ctx).await
     });
 
-    AppRun {
-        app: "RacyCounter",
-        size: format!("{rounds}rounds"),
-        checksum: out.results.iter().map(|&v| v as f64).sum(),
-        exec_time_ns: out.stats.exec_time_ns(),
-        breakdown: out.breakdown(),
-        stats: out.stats,
-    }
+    AppRun::new(
+        "RacyCounter",
+        format!("{rounds}rounds"),
+        out.results.iter().map(|&v| v as f64).sum(),
+        out.stats,
+    )
 }
 
 /// Missing-barrier Jacobi: a band-partitioned relaxation sweep whose
@@ -117,14 +115,12 @@ pub fn run_missing_barrier_jacobi(cfg: &AppConfig, rows: usize, cols: usize) -> 
         }
     });
 
-    AppRun {
-        app: "MissingBarrierJacobi",
-        size: format!("{rows}x{cols}"),
-        checksum: out.results[0],
-        exec_time_ns: out.stats.exec_time_ns(),
-        breakdown: out.breakdown(),
-        stats: out.stats,
-    }
+    AppRun::new(
+        "MissingBarrierJacobi",
+        format!("{rows}x{cols}"),
+        out.results[0],
+        out.stats,
+    )
 }
 
 #[cfg(test)]

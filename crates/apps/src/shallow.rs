@@ -371,14 +371,7 @@ pub fn run_parallel(cfg: &AppConfig, size: &ShallowSize) -> AppRun {
         }
     });
 
-    AppRun {
-        app: "Shallow",
-        size: size.label(),
-        checksum: out.results[0],
-        exec_time_ns: out.stats.exec_time_ns(),
-        breakdown: out.breakdown(),
-        stats: out.stats,
-    }
+    AppRun::new("Shallow", size.label(), out.results[0], out.stats)
 }
 
 /// The data-set sizes reported in the paper's figures for Shallow.

@@ -104,7 +104,7 @@ impl Workload {
     }
 
     /// The application's tiny smoke-test workload (the data set the unit
-    /// tests and the figure binaries' `--tiny` mode use).
+    /// tests and `tm-bench --tiny` use).
     pub fn tiny(app: AppId) -> Workload {
         let label = match app {
             AppId::Barnes => barnes::BarnesSize::tiny().label(),

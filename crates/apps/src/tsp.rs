@@ -308,14 +308,7 @@ pub fn run_parallel(cfg: &AppConfig, size: &TspSize) -> AppRun {
         (best.get(ctx).await as f64, expanded)
     });
 
-    AppRun {
-        app: "TSP",
-        size: size.label(),
-        checksum: out.results[0].0,
-        exec_time_ns: out.stats.exec_time_ns(),
-        breakdown: out.breakdown(),
-        stats: out.stats,
-    }
+    AppRun::new("TSP", size.label(), out.results[0].0, out.stats)
 }
 
 /// The single data-set size reported for TSP.

@@ -253,14 +253,7 @@ pub fn run_parallel(cfg: &AppConfig, size: &WaterSize) -> AppRun {
         }
     });
 
-    AppRun {
-        app: "Water",
-        size: size.label(),
-        checksum: out.results[0],
-        exec_time_ns: out.stats.exec_time_ns(),
-        breakdown: out.breakdown(),
-        stats: out.stats,
-    }
+    AppRun::new("Water", size.label(), out.results[0], out.stats)
 }
 
 /// The single data-set size reported for Water (its false-sharing behaviour

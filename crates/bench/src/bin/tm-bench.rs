@@ -15,5 +15,8 @@ use tm_bench::BenchArgs;
 
 fn main() {
     let (exp, args) = BenchArgs::parse_command();
-    args.run_and_emit(&exp).expect("failed to write results");
+    if let Err(e) = args.run_and_emit(&exp) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
 }

@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 
 use serde::json::{parse, Value};
 use serde::{field_arr, field_f64, field_str, field_u64, FromJson, JsonSchemaError, ToJson};
-use tdsm_core::{CommBreakdown, GcCounters, LinkStats, RaceRecord, UnitPolicy};
+use tdsm_core::{CommBreakdown, GcCounters, LinkStats, RaceRecord, UnitPolicy, MAX_PROCS};
 use tm_apps::AppId;
 
 use crate::experiment::Cell;
@@ -159,8 +159,10 @@ impl FromJson for Cell {
             // panic when the reloaded cell is rerun.
             nprocs: usize::try_from(field_u64(v, "nprocs")?)
                 .ok()
-                .filter(|n| (1..=1024).contains(n))
-                .ok_or_else(|| JsonSchemaError::new("nprocs", "integer in 1..=1024"))?,
+                .filter(|n| (1..=MAX_PROCS).contains(n))
+                .ok_or_else(|| {
+                    JsonSchemaError::new("nprocs", format!("integer in 1..={MAX_PROCS}"))
+                })?,
             seed: u64::from_str_radix(field_str(v, "seed")?, 16)
                 .map_err(|_| JsonSchemaError::new("seed", "16-digit hex string"))?,
             // Additive v1 field: documents emitted before the deterministic
@@ -510,8 +512,7 @@ fn workload_groups(result: &ExperimentResult) -> Vec<&[CellResult]> {
 
 fn render_panels(out: &mut String, result: &ExperimentResult) {
     for group in workload_groups(result) {
-        let rows: Vec<crate::FigRow> = group.iter().map(|r| r.fig_row()).collect();
-        out.push_str(&figure_panel_string(&rows));
+        out.push_str(&figure_panel_string(group));
     }
 }
 
@@ -566,14 +567,14 @@ fn render_ablation(out: &mut String, result: &ExperimentResult) {
             .iter()
             .find(|r| r.cell.policy_label == "4K")
             .expect("ablation groups carry the 4K baseline");
-        let base_row = base.fig_row();
+        let base_msgs = base.breakdown.total_messages();
         let _ = writeln!(
             out,
             "\n=== {} {} (baseline 4K: {:.1} ms, {} msgs) ===",
             base.cell.app.name(),
             base.cell.size_label,
             base.exec_time_ns as f64 / 1e6,
-            base_row.total_msgs()
+            base_msgs
         );
         let _ = writeln!(
             out,
@@ -584,14 +585,13 @@ fn render_ablation(out: &mut String, result: &ExperimentResult) {
             let UnitPolicy::Dynamic { max_group_pages } = r.cell.unit else {
                 continue; // the baseline row itself
             };
-            let row = r.fig_row();
             let _ = writeln!(
                 out,
                 "{:<10} {:>12.3} {:>12.3} {:>14.3}",
                 max_group_pages,
                 r.exec_time_ns as f64 / base.exec_time_ns as f64,
-                row.total_msgs() as f64 / base_row.total_msgs().max(1) as f64,
-                row.useless_msgs as f64 / base_row.total_msgs().max(1) as f64,
+                r.breakdown.total_messages() as f64 / base_msgs.max(1) as f64,
+                r.breakdown.useless_messages as f64 / base_msgs.max(1) as f64,
             );
         }
     }
@@ -651,11 +651,17 @@ mod tests {
         // A cell the simulator would reject — or silently read as another
         // one (2^32 + 1 pages truncates to 1) — is a schema error naming the
         // field, not a panic when the reloaded cell is rerun.
+        let nprocs = |n: usize| format!("\"nprocs\": {n}");
+        let largest = text.replacen(&nprocs(2), &nprocs(MAX_PROCS), 1);
+        assert_eq!(
+            parse_result(&largest).unwrap().cells[0].cell.nprocs,
+            MAX_PROCS
+        );
         for (field, from, to) in [
             ("unit.pages", "\"pages\": 1", "\"pages\": 4294967297"),
             ("unit.pages", "\"pages\": 1", "\"pages\": 0"),
-            ("nprocs", "\"nprocs\": 2", "\"nprocs\": 0"),
-            ("nprocs", "\"nprocs\": 2", "\"nprocs\": 1025"),
+            ("nprocs", nprocs(2).as_str(), nprocs(0).as_str()),
+            ("nprocs", nprocs(2).as_str(), nprocs(MAX_PROCS + 1).as_str()),
         ] {
             let bad = text.replacen(from, to, 1);
             assert_ne!(bad, text);

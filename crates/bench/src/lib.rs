@@ -36,7 +36,7 @@ pub use runner::{run_cell, run_experiment, CellResult, ExperimentResult, RunnerO
 
 use tdsm_core::{
     AggregationPolicy, DiffTiming, NetworkConfig, ProtocolMode, SchedConfig, SignatureHistogram,
-    Topology,
+    Topology, MAX_PROCS,
 };
 use tm_apps::{AppId, Workload};
 use tm_sched::ScheduleMode;
@@ -81,46 +81,6 @@ impl std::str::FromStr for Scale {
     }
 }
 
-/// One measured configuration of one workload — a column of the paper's bar
-/// charts.
-#[derive(Debug, Clone)]
-pub struct FigRow {
-    /// Application name.
-    pub app: String,
-    /// Data-set label.
-    pub size: String,
-    /// Consistency-unit policy label ("4K", "8K", "16K", "Dyn").
-    pub policy: String,
-    /// Modeled parallel execution time (ns).
-    pub exec_time_ns: u64,
-    /// Useful messages.
-    pub useful_msgs: u64,
-    /// Useless messages.
-    pub useless_msgs: u64,
-    /// Useful data bytes.
-    pub useful_data: u64,
-    /// Piggybacked useless data bytes (useless data on useful messages).
-    pub piggybacked_useless: u64,
-    /// Useless data bytes carried in useless messages.
-    pub useless_in_useless: u64,
-    /// Consistency-unit faults.
-    pub faults: u64,
-    /// Verification checksum of the run.
-    pub checksum: f64,
-}
-
-impl FigRow {
-    /// Total messages.
-    pub fn total_msgs(&self) -> u64 {
-        self.useful_msgs + self.useless_msgs
-    }
-
-    /// Total classified data bytes.
-    pub fn total_data(&self) -> u64 {
-        self.useful_data + self.piggybacked_useless + self.useless_in_useless
-    }
-}
-
 fn norm(value: u64, baseline: u64) -> f64 {
     if baseline == 0 {
         if value == 0 {
@@ -136,21 +96,22 @@ fn norm(value: u64, baseline: u64) -> f64 {
 /// Render one workload's sweep the way the paper's Figures 1 and 2 present
 /// it: execution time, messages and data normalized to the 4 KB
 /// configuration, with the useful/useless/piggybacked breakdown.
-pub fn figure_panel_string(rows: &[FigRow]) -> String {
+pub fn figure_panel_string(rows: &[CellResult]) -> String {
     use std::fmt::Write as _;
-    let base = rows
+    let base_cell = rows
         .iter()
-        .find(|r| r.policy == "4K")
+        .find(|r| r.cell.policy_label == "4K")
         .expect("sweep must contain the 4K baseline");
+    let base = &base_cell.breakdown;
     let mut out = String::new();
     let _ = writeln!(
         out,
         "\n=== {} {} (normalized to 4K; absolute 4K: {:.1} ms, {} msgs, {} KB) ===",
-        base.app,
-        base.size,
-        base.exec_time_ns as f64 / 1e6,
-        base.total_msgs(),
-        base.total_data() / 1024
+        base_cell.cell.app.name(),
+        base_cell.cell.size_label,
+        base_cell.exec_time_ns as f64 / 1e6,
+        base.total_messages(),
+        base.total_payload() / 1024
     );
     let _ = writeln!(
         out,
@@ -158,17 +119,18 @@ pub fn figure_panel_string(rows: &[FigRow]) -> String {
         "unit", "time", "msgs", "useless-msg", "data", "useful", "piggyback", "useless"
     );
     for r in rows {
+        let b = &r.breakdown;
         let _ = writeln!(
             out,
             "{:<6} {:>10.3} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>12.3}",
-            r.policy,
-            norm(r.exec_time_ns, base.exec_time_ns),
-            norm(r.total_msgs(), base.total_msgs()),
-            norm(r.useless_msgs, base.total_msgs()),
-            norm(r.total_data(), base.total_data()),
-            norm(r.useful_data, base.total_data()),
-            norm(r.piggybacked_useless, base.total_data()),
-            norm(r.useless_in_useless, base.total_data()),
+            r.cell.policy_label,
+            norm(r.exec_time_ns, base_cell.exec_time_ns),
+            norm(b.total_messages(), base.total_messages()),
+            norm(b.useless_messages, base.total_messages()),
+            norm(b.total_payload(), base.total_payload()),
+            norm(b.useful_data, base.total_payload()),
+            norm(b.piggybacked_useless_data, base.total_payload()),
+            norm(b.useless_data_in_useless_msgs, base.total_payload()),
         );
     }
     out
@@ -347,7 +309,7 @@ impl BenchArgs {
             Ok(command) => command,
             Err(msg) => {
                 eprintln!(
-                    "error: {msg}\nusage: tm-bench <{}> [nprocs (1-1024)] \
+                    "error: {msg}\nusage: tm-bench <{}> [nprocs (1-{MAX_PROCS})] \
                      [--scale tiny|paper|large] [--tiny] \
                      [--threads N] [--seed N] [--schedule fifo|seeded] \
                      [--diff-timing eager|lazy] \
@@ -440,8 +402,8 @@ impl BenchArgs {
                     Ok(_) if nprocs.is_some() => {
                         return Err(format!("processor count given twice ('{other}')"))
                     }
-                    Ok(n) if (1..=1024).contains(&n) => nprocs = Some(n),
-                    Ok(n) => return Err(format!("processor count {n} outside 1-1024")),
+                    Ok(n) if (1..=MAX_PROCS).contains(&n) => nprocs = Some(n),
+                    Ok(n) => return Err(format!("processor count {n} outside 1-{MAX_PROCS}")),
                     Err(_) => return Err(format!("unrecognized argument '{other}'")),
                 },
             }
@@ -454,22 +416,37 @@ impl BenchArgs {
     /// Run `exp` on the worker pool and emit the results as these options
     /// request: the `--format` rendering to stdout, plus a machine-readable
     /// copy to `--out` when given (the binary's single driver entry point).
-    /// Returns the result for further inspection.
+    /// Returns the result for further inspection, or — naming the path —
+    /// the error that kept the `--out` file from being written.
     pub fn run_and_emit(&self, exp: &Experiment) -> std::io::Result<ExperimentResult> {
+        use std::io::Write as _;
+        let cannot_write = |path: &str, e: std::io::Error| {
+            std::io::Error::new(e.kind(), format!("cannot write '{path}': {e}"))
+        };
+        // Created before any cell runs: a path that cannot be written fails
+        // here, not after the whole sweep has been simulated.
+        let out_file = match &self.out {
+            Some(path) => {
+                let file = std::fs::File::create(path).map_err(|e| cannot_write(path, e))?;
+                Some((path, file))
+            }
+            None => None,
+        };
         let result = run_experiment(
             exp,
             &RunnerOptions {
                 threads: self.threads,
             },
         );
-        if let Some(path) = &self.out {
+        if let Some((path, mut file)) = out_file {
             // `--out` always yields a machine-readable file: JSON unless a
             // machine format was requested explicitly.
             let file_format = match self.format {
                 OutputFormat::Human => OutputFormat::Json,
                 f => f,
             };
-            std::fs::write(path, render(&result, file_format))?;
+            file.write_all(render(&result, file_format).as_bytes())
+                .map_err(|e| cannot_write(path, e))?;
             eprintln!("wrote {path}");
         }
         print!("{}", render(&result, self.format));
@@ -699,6 +676,16 @@ mod tests {
             cfg.validate();
         }
         assert_eq!((base.nprocs, config(&["4"]).nprocs), (8, 4));
+        // The command line takes exactly the cluster sizes `validate` does.
+        let (largest, too_large) = (MAX_PROCS.to_string(), (MAX_PROCS + 1).to_string());
+        let cfg = config(&[&largest]);
+        assert_eq!(cfg.nprocs, MAX_PROCS);
+        cfg.validate();
+        let line = ["fig1".to_string(), too_large].into_iter();
+        assert_eq!(
+            BenchArgs::command_from_iter(line).unwrap_err(),
+            "processor count 1025 outside 1-1024"
+        );
     }
 
     #[test]

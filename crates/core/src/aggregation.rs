@@ -27,8 +27,6 @@ pub struct DynamicAggregator {
     faulted: Vec<PageId>,
     /// Membership set for `faulted` (cheap duplicate suppression).
     faulted_set: FastHashMap<PageId, ()>,
-    /// Number of times groups were rebuilt (statistics / tests).
-    rebuilds: u64,
 }
 
 impl DynamicAggregator {
@@ -40,13 +38,7 @@ impl DynamicAggregator {
             page_to_group: FastHashMap::default(),
             faulted: Vec::new(),
             faulted_set: FastHashMap::default(),
-            rebuilds: 0,
         }
-    }
-
-    /// Maximum number of pages per group.
-    pub fn max_group_pages(&self) -> usize {
-        self.max_group
     }
 
     /// Record that the processor faulted on `page` during the current
@@ -55,11 +47,6 @@ impl DynamicAggregator {
         if self.faulted_set.insert(page, ()).is_none() {
             self.faulted.push(page);
         }
-    }
-
-    /// Number of pages faulted on in the current interval so far.
-    pub fn faults_this_interval(&self) -> usize {
-        self.faulted.len()
     }
 
     /// Rebuild the page groups from the faults observed since the previous
@@ -76,7 +63,6 @@ impl DynamicAggregator {
     /// (otherwise programs with several synchronizations per computation
     /// phase would never accumulate a group).
     pub fn rebuild_groups(&mut self) {
-        self.rebuilds += 1;
         if self.faulted.is_empty() {
             return;
         }
@@ -110,11 +96,6 @@ impl DynamicAggregator {
     pub fn group_count(&self) -> usize {
         self.groups.len()
     }
-
-    /// Number of times the groups have been rebuilt.
-    pub fn rebuilds(&self) -> u64 {
-        self.rebuilds
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +126,6 @@ mod tests {
         agg.note_fault(PageId(1));
         agg.note_fault(PageId(1));
         agg.note_fault(PageId(2));
-        assert_eq!(agg.faults_this_interval(), 2);
         agg.rebuild_groups();
         assert_eq!(agg.group_of(PageId(1)), pages(&[1, 2]));
     }
@@ -165,7 +145,6 @@ mod tests {
         agg.rebuild_groups();
         assert!(agg.group_of(PageId(1)).is_empty());
         assert!(agg.group_of(PageId(9)).is_empty()); // singleton
-        assert_eq!(agg.rebuilds(), 2);
     }
 
     #[test]

@@ -145,11 +145,6 @@ impl Dsm {
         GScalar::from_raw(base)
     }
 
-    /// Bytes of shared space already allocated.
-    pub fn allocated_bytes(&self) -> u64 {
-        self.allocator.used()
-    }
-
     /// Run `body` on every simulated processor in parallel and collect the
     /// results and statistics.
     ///

@@ -130,16 +130,6 @@ impl UnitPolicy {
         let first = page.0 / k * k;
         first..(first + k).min(layout.total_pages())
     }
-
-    /// The pages of [`unit_range`](Self::unit_range), as a list.
-    pub fn unit_pages(&self, page: PageId, layout: &PageLayout) -> Vec<PageId> {
-        self.unit_range(page, layout).map(PageId).collect()
-    }
-
-    /// True if this is the dynamic-aggregation policy.
-    pub fn is_dynamic(&self) -> bool {
-        matches!(self, UnitPolicy::Dynamic { .. })
-    }
 }
 
 impl ToJson for UnitPolicy {
@@ -243,6 +233,11 @@ pub struct DsmConfig {
     /// the emitted documents gain `races` reports when it is on.
     pub racecheck: bool,
 }
+
+/// The largest simulated cluster [`DsmConfig::validate`] accepts; every
+/// entry point that takes a processor count (the command line, a result
+/// document) checks against it.
+pub const MAX_PROCS: usize = 1024;
 
 impl DsmConfig {
     /// The paper's base configuration: 8 processors, 4 KB pages, the page as
@@ -358,18 +353,13 @@ impl DsmConfig {
         PageLayout::new(self.page_size, self.shared_pages)
     }
 
-    /// Consistency-unit size in bytes (page size for the dynamic policy).
-    pub fn unit_bytes(&self) -> usize {
-        self.unit.protection_pages() as usize * self.page_size
-    }
-
     /// Validate the configuration, panicking with a descriptive message on
     /// nonsensical combinations.
     pub fn validate(&self) {
         assert!(self.nprocs >= 1, "need at least one processor");
         assert!(
-            self.nprocs <= 1024,
-            "simulated cluster limited to 1024 processors"
+            self.nprocs <= MAX_PROCS,
+            "simulated cluster limited to {MAX_PROCS} processors"
         );
         // Lock ids key the scheduler's `WaitKey::Lock(u32)`; a larger table
         // would let two ids share a wait key.
@@ -454,24 +444,17 @@ mod tests {
     fn static_unit_pages_are_aligned_groups() {
         let layout = PageLayout::new(4096, 10);
         let unit = UnitPolicy::Static { pages: 4 };
-        assert_eq!(
-            unit.unit_pages(PageId(5), &layout),
-            vec![PageId(4), PageId(5), PageId(6), PageId(7)]
-        );
+        assert_eq!(unit.unit_range(PageId(5), &layout), 4..8);
         // The last unit is truncated at the end of the space.
-        assert_eq!(
-            unit.unit_pages(PageId(9), &layout),
-            vec![PageId(8), PageId(9)]
-        );
+        assert_eq!(unit.unit_range(PageId(9), &layout), 8..10);
     }
 
     #[test]
     fn dynamic_unit_is_single_page() {
         let layout = PageLayout::new(4096, 10);
         let unit = UnitPolicy::Dynamic { max_group_pages: 8 };
-        assert_eq!(unit.unit_pages(PageId(5), &layout), vec![PageId(5)]);
+        assert_eq!(unit.unit_range(PageId(5), &layout), 5..6);
         assert_eq!(unit.protection_pages(), 1);
-        assert!(unit.is_dynamic());
     }
 
     #[test]
@@ -479,7 +462,6 @@ mod tests {
         let cfg = DsmConfig::paper_default();
         cfg.validate();
         assert_eq!(cfg.nprocs, 8);
-        assert_eq!(cfg.unit_bytes(), 4096);
         assert_eq!(cfg.layout().page_size(), 4096);
     }
 
@@ -500,13 +482,13 @@ mod tests {
 
     #[test]
     fn large_clusters_validate_up_to_1024() {
-        DsmConfig::with_procs(1024).validate();
+        DsmConfig::with_procs(MAX_PROCS).validate();
     }
 
     #[test]
     #[should_panic(expected = "limited to 1024 processors")]
     fn oversized_cluster_rejected() {
-        DsmConfig::with_procs(1025).validate();
+        DsmConfig::with_procs(MAX_PROCS + 1).validate();
     }
 
     #[test]

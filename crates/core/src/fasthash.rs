@@ -19,9 +19,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// `HashMap` keyed with [`FastHasher`].
 pub type FastHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
-/// `HashSet` keyed with [`FastHasher`].
-pub type FastHashSet<K> = std::collections::HashSet<K, BuildHasherDefault<FastHasher>>;
-
 /// An FxHash-style multiplicative hasher for small trusted integer keys.
 #[derive(Default)]
 pub struct FastHasher {

@@ -29,17 +29,6 @@ pub struct IntervalId {
     pub seq: u32,
 }
 
-/// A write notice: "processor `interval.proc` modified `page` during
-/// `interval`".  Receiving a notice obliges the receiver to invalidate the
-/// consistency unit containing the page before its next access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct WriteNotice {
-    /// The modified page.
-    pub page: PageId,
-    /// The interval during which the modification happened.
-    pub interval: IntervalId,
-}
-
 /// Approximate wire size of one encoded write notice (page id + interval id),
 /// used to account control-message payload sizes.
 pub const NOTICE_WIRE_BYTES: u64 = 12;
@@ -53,18 +42,10 @@ pub struct IntervalRecord {
     /// Vector time at the close of the interval (the owner's own entry
     /// equals `id.seq`).
     pub vc: VectorClock,
-    /// Pages written during the interval.
+    /// Pages written during the interval: one write notice each.  Receiving
+    /// a notice obliges the receiver to invalidate the consistency unit
+    /// containing the page before its next access.
     pub pages: Vec<PageId>,
-}
-
-impl IntervalRecord {
-    /// Write notices carried by this interval.
-    pub fn notices(&self) -> impl Iterator<Item = WriteNotice> + '_ {
-        self.pages.iter().map(move |&page| WriteNotice {
-            page,
-            interval: self.id,
-        })
-    }
 }
 
 /// One stored diff and its modeled lifecycle state.
@@ -168,7 +149,7 @@ pub struct IntervalLog {
     counters: LogCounters,
     /// Span/payload buffers salvaged from retired diffs (the ones nobody
     /// else still holds), fed back into diff encoding through
-    /// [`take_diff_buffers`](Self::take_diff_buffers).
+    /// [`take_buffer_pool`](Self::take_buffer_pool).
     buffer_pool: Vec<(Vec<RunSpan>, Vec<u8>)>,
 }
 
@@ -197,11 +178,6 @@ impl IntervalLog {
     /// True if the log holds no live record.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// Sequence numbers at or below this have been retired.
-    pub fn retired_below(&self) -> u32 {
-        self.retired
     }
 
     /// Garbage-collection and lazy-creation counters accumulated so far.
@@ -299,17 +275,6 @@ impl IntervalLog {
             return &[];
         }
         &self.records[lo..hi]
-    }
-
-    /// All live records with sequence numbers greater than `after`.
-    pub fn records_after(&self, after: u32) -> &[IntervalRecord] {
-        self.records_between(after, self.published())
-    }
-
-    /// The diff of `page` created when interval `seq` closed, if that
-    /// interval wrote the page (read-only peek: does not materialize).
-    pub fn diff(&self, page: PageId, seq: u32) -> Option<Arc<Diff>> {
-        self.diffs.get(&(page, seq)).map(|s| s.diff.clone())
     }
 
     /// Serve the diff of `page` for interval `seq`, materializing it if this
@@ -497,7 +462,7 @@ mod tests {
         }
     }
 
-    fn diff_of(page: u32, bytes: usize) -> Arc<Diff> {
+    fn one_byte_diff(page: u32, bytes: usize) -> Arc<Diff> {
         let twin = vec![0u8; bytes.max(4)];
         let mut cur = twin.clone();
         cur[0] = 1;
@@ -508,7 +473,7 @@ mod tests {
     fn publish_and_lookup() {
         let mut log = IntervalLog::new();
         assert!(log.is_empty());
-        let diff = diff_of(3, 8);
+        let diff = one_byte_diff(3, 8);
         log.publish(
             record(0, 1, 2, &[3, 4]),
             vec![(PageId(3), diff.clone())],
@@ -519,8 +484,8 @@ mod tests {
         assert!(log.record(1).is_some());
         assert!(log.record(0).is_none());
         assert!(log.record(2).is_none());
-        assert!(log.diff(PageId(3), 1).is_some());
-        assert!(log.diff(PageId(4), 1).is_none());
+        assert!(log.fetch_diff(PageId(3), 1).is_some());
+        assert!(log.fetch_diff(PageId(4), 1).is_none());
         assert_eq!(log.stored_diffs(), 1);
     }
 
@@ -529,7 +494,7 @@ mod tests {
         let mut log = IntervalLog::new();
         log.publish(
             record(0, 1, 2, &[3]),
-            vec![(PageId(3), diff_of(3, 8))],
+            vec![(PageId(3), one_byte_diff(3, 8))],
             DiffTiming::Eager,
         );
         let fetched = log.fetch_diff(PageId(3), 1).unwrap();
@@ -540,7 +505,7 @@ mod tests {
     #[test]
     fn lazy_diffs_materialize_exactly_once() {
         let mut log = IntervalLog::new();
-        let diff = diff_of(3, 8);
+        let diff = one_byte_diff(3, 8);
         let payload = diff.payload_bytes();
         log.publish(
             record(0, 1, 2, &[3]),
@@ -565,8 +530,8 @@ mod tests {
         assert_eq!(log.records_between(0, 5).len(), 5);
         assert_eq!(log.records_between(2, 4).len(), 2);
         assert_eq!(log.records_between(4, 2).len(), 0);
-        assert_eq!(log.records_after(3).len(), 2);
-        assert_eq!(log.records_after(9).len(), 0);
+        assert_eq!(log.records_between(3, 5).len(), 2);
+        assert_eq!(log.records_between(9, 5).len(), 0);
     }
 
     #[test]
@@ -575,14 +540,13 @@ mod tests {
         for seq in 1..=5 {
             log.publish(
                 record(1, seq, 2, &[seq]),
-                vec![(PageId(seq), diff_of(seq, 8))],
+                vec![(PageId(seq), one_byte_diff(seq, 8))],
                 DiffTiming::Lazy,
             );
         }
         assert_eq!(log.retire_up_to(3), 3);
         assert_eq!(log.len(), 2);
         assert_eq!(log.published(), 5, "published count survives retirement");
-        assert_eq!(log.retired_below(), 3);
         assert_eq!(log.stored_diffs(), 2);
         assert!(log.record(3).is_none());
         assert!(log.record(4).is_some());
@@ -601,15 +565,6 @@ mod tests {
         assert_eq!(log.retire_up_to(100), 3);
         assert!(log.is_empty());
         assert_eq!(log.stored_diffs(), 0);
-    }
-
-    #[test]
-    fn notices_enumerate_pages() {
-        let r = record(2, 7, 4, &[10, 11]);
-        let notices: Vec<_> = r.notices().collect();
-        assert_eq!(notices.len(), 2);
-        assert_eq!(notices[0].page, PageId(10));
-        assert_eq!(notices[0].interval, IntervalId { proc: 2, seq: 7 });
     }
 
     #[test]

@@ -60,11 +60,10 @@ pub mod vc;
 
 pub use aggregation::DynamicAggregator;
 pub use cluster::{Dsm, RunOutput};
-pub use config::{DiffTiming, DsmConfig, EngineKind, UnitPolicy};
+pub use config::{DiffTiming, DsmConfig, EngineKind, UnitPolicy, MAX_PROCS};
 pub use handle::{GArray, GMatrix, GScalar, SharedVal};
 pub use interval::{
-    FetchedDiff, IntervalId, IntervalLog, IntervalRecord, LogCounters, WriteNotice,
-    NOTICE_WIRE_BYTES,
+    FetchedDiff, IntervalId, IntervalLog, IntervalRecord, LogCounters, NOTICE_WIRE_BYTES,
 };
 pub use proc::ProcCtx;
 pub use protocol::{round_robin_home, HomeAssign, HomeDirectory, ProtocolMode};

@@ -132,6 +132,10 @@ struct ExchangeScratch {
     visible: Vec<(u32, u32)>,
     /// Cover bitset lent to `LocalPage::apply_diff_deferred`'s fold.
     fold_cover: Vec<u64>,
+    /// Home-based protocol: the page a whole-page fetch is staged in
+    /// between the master copy and the local one.  One page long from the
+    /// first fetch on.
+    page_buf: Vec<u8>,
 }
 
 impl ExchangeScratch {
@@ -319,11 +323,6 @@ impl ProcCtx {
     /// The page layout of the shared space.
     pub fn layout(&self) -> PageLayout {
         self.layout
-    }
-
-    /// The consistency-unit policy in effect.
-    pub fn unit_policy(&self) -> UnitPolicy {
-        self.unit
     }
 
     /// The write protocol in effect.
@@ -594,14 +593,12 @@ impl ProcCtx {
             self.stats.prefetched_faults += 1;
         }
         let stall = self.fetch_stall(outcome.total_payload);
-        // Under the home-based protocol `concurrent_writers` counts the
-        // *homes* contacted — the signature then reads "responders per
-        // fault", which is exactly the quantity the two protocols trade
-        // against each other.
+        // Under the home-based protocol the exchanges count the *homes*
+        // contacted — the signature then reads "responders per fault",
+        // which is exactly the quantity the two protocols trade against
+        // each other.
         self.stats.faults.push(FaultRecord {
-            concurrent_writers: outcome.exchange_ids.len() as u32,
             exchange_ids: outcome.exchange_ids,
-            pages_validated: validated as u32,
         });
         self.stats.protection_ops += 1;
 
@@ -694,7 +691,6 @@ impl ProcCtx {
             let mut reply_bytes = MSG_HEADER_BYTES;
             let mut serve_extra_ns = 0u64;
             let mut delivered = 0u64;
-            let mut diffs_carried = 0u32;
             let mut pages_requested = 0u64;
             let mut log = self.shared.logs[writer as usize].borrow_mut();
             // `wants` lists each page's pending seqs as one consecutive
@@ -728,7 +724,6 @@ impl ProcCtx {
                         .weight();
                     reply_bytes += fetched.wire_bytes;
                     delivered += fetched.payload_bytes;
-                    diffs_carried += chain.len() as u32;
                     xs.to_apply.push(Fetched {
                         weight,
                         writer,
@@ -754,7 +749,6 @@ impl ProcCtx {
                             .weight();
                         reply_bytes += fetched.wire_bytes;
                         delivered += fetched.payload_bytes;
-                        diffs_carried += 1;
                         xs.to_apply.push(Fetched {
                             weight,
                             writer,
@@ -774,12 +768,8 @@ impl ProcCtx {
             });
             xs.responder_ranks.push(writer);
             self.stats.exchanges.push(DiffExchange {
-                id: exchange_id,
-                responder: ProcId(writer),
-                pages_requested: pages_requested as u32,
-                diffs_carried,
-                request_bytes: MSG_HEADER_BYTES + 8 * pages_requested,
-                reply_bytes,
+                // The request: a header and 8 bytes per page asked for.
+                wire_bytes: MSG_HEADER_BYTES + 8 * pages_requested + reply_bytes,
                 delivered_payload: delivered,
                 useful_payload: 0,
             });
@@ -894,7 +884,7 @@ impl ProcCtx {
         let mut dir = self.shared.home().borrow_mut();
         let page_size = self.layout.page_size();
         let mut total_payload = 0u64;
-        let mut buf = vec![0u8; page_size];
+        xs.page_buf.resize(page_size, 0);
 
         // Only pages with pending notices are stale; the others are validated
         // without traffic, exactly as in the multi-writer protocol.
@@ -908,8 +898,10 @@ impl ProcCtx {
                 // copy: no message, no attribution (nothing was delivered
                 // over the wire), but the memcpy is part of the fault's
                 // applied payload.
-                dir.store().copy_page_into(p, &mut buf);
-                self.store.page_mut(p).load_page(&buf, tm_page::NO_EXCHANGE);
+                dir.store().copy_page_into(p, &mut xs.page_buf);
+                self.store
+                    .page_mut(p)
+                    .load_page(&xs.page_buf, tm_page::NO_EXCHANGE);
                 total_payload += page_size as u64;
             } else {
                 xs.wants.push(Want {
@@ -931,8 +923,8 @@ impl ProcCtx {
             let delivered = (pages.len() * page_size) as u64;
             let reply_bytes = MSG_HEADER_BYTES + delivered;
             for &Want { page: p, .. } in pages {
-                dir.store().copy_page_into(p, &mut buf);
-                self.store.page_mut(p).load_page(&buf, exchange_id);
+                dir.store().copy_page_into(p, &mut xs.page_buf);
+                self.store.page_mut(p).load_page(&xs.page_buf, exchange_id);
             }
             total_payload += delivered;
             self.stats.page_fetches += pages.len() as u64;
@@ -942,12 +934,8 @@ impl ProcCtx {
             });
             xs.responder_ranks.push(home_rank);
             self.stats.exchanges.push(DiffExchange {
-                id: exchange_id,
-                responder: ProcId(home_rank),
-                pages_requested: pages.len() as u32,
-                diffs_carried: 0,
-                request_bytes: MSG_HEADER_BYTES + 8 * pages.len() as u64,
-                reply_bytes,
+                // The request: a header and 8 bytes per page asked for.
+                wire_bytes: MSG_HEADER_BYTES + 8 * pages.len() as u64 + reply_bytes,
                 delivered_payload: delivered,
                 useful_payload: 0,
             });

@@ -316,11 +316,14 @@ fn barrier_departure_incorporates_exactly_the_notices_a_rank_lacks() {
                 _ => {}
             }
             let ops_before = ctx.stats.protection_ops;
+            let departs_before = ctx.stats.control[MsgKind::BarrierDepart as usize];
             ctx.barrier().await;
-            let depart = ctx.stats.control.last().copied();
-            let notices = depart.map(|msg| {
-                assert_eq!(msg.kind, MsgKind::BarrierDepart, "{label}");
-                (msg.bytes - MSG_HEADER_BYTES) / NOTICE_WIRE_BYTES
+            let departs = ctx.stats.control[MsgKind::BarrierDepart as usize];
+            // The notices the departure message of this barrier carried, if
+            // it sent one.
+            let notices = (departs.messages > departs_before.messages).then(|| {
+                assert_eq!(departs.messages, departs_before.messages + 1, "{label}");
+                (departs.bytes - departs_before.bytes - MSG_HEADER_BYTES) / NOTICE_WIRE_BYTES
             });
             (
                 notices,

@@ -134,11 +134,11 @@ pub fn round_robin_home(page: PageId, nprocs: usize) -> u32 {
 /// The cluster-wide home state of a home-based run: the per-page home
 /// assignment and the authoritative master copies.
 ///
-/// One instance exists per [`Dsm::run`](crate::Dsm::run) (behind a mutex —
-/// the cooperative scheduler serializes the simulated processors, so the
-/// lock is never contended in practice); on the real system each fragment
-/// would live in its home node's memory, reachable only through the messages
-/// whose costs the simulated network charges.
+/// One instance exists per [`Dsm::run`](crate::Dsm::run), in a `RefCell`
+/// of the run's shared state: one host thread runs every simulated
+/// processor, each borrowing it for one protocol step.  On the real system
+/// each fragment would live in its home node's memory, reachable only
+/// through the messages whose costs the simulated network charges.
 #[derive(Debug)]
 pub struct HomeDirectory {
     assign: HomeAssign,
@@ -161,11 +161,6 @@ impl HomeDirectory {
             },
             store: HomeStore::new(layout),
         }
-    }
-
-    /// The assignment policy in effect.
-    pub fn assign_policy(&self) -> HomeAssign {
-        self.assign
     }
 
     /// The home of `page`, assigning it to `toucher` first if the
@@ -240,7 +235,6 @@ mod tests {
         // A later toucher does not steal the home.
         assert_eq!(dir.home_of(PageId(3), 0), 2);
         assert_eq!(dir.home_of(PageId(5), 0), 0);
-        assert_eq!(dir.assign_policy(), HomeAssign::FirstTouch);
     }
 
     #[test]

@@ -71,13 +71,6 @@ impl VectorClock {
         self.entries[p] = v;
     }
 
-    /// Increment processor `p`'s entry and return the new value (used when
-    /// `p` closes one of its own intervals).
-    pub fn tick(&mut self, p: usize) -> u32 {
-        self.entries[p] += 1;
-        self.entries[p]
-    }
-
     /// True if this clock covers interval `seq` of processor `p`.
     #[inline]
     pub fn covers(&self, p: usize, seq: u32) -> bool {
@@ -85,8 +78,9 @@ impl VectorClock {
     }
 
     /// Overwrite this clock with `other`'s entries, reusing the existing
-    /// allocation (pooled interval records recycle their clocks through
-    /// this instead of a fresh `clone` per published interval).
+    /// allocation (a lock hand-off copies the release's clock into the lock
+    /// table and the grant's clock out of it through this, so it allocates
+    /// nothing).
     pub fn copy_from(&mut self, other: &VectorClock) {
         self.entries.clear();
         self.entries.extend_from_slice(&other.entries);
@@ -126,18 +120,6 @@ impl VectorClock {
         }
     }
 
-    /// True if `self` happened before or equals `other`.
-    pub fn dominated_by(&self, other: &VectorClock) -> bool {
-        debug_assert_eq!(self.entries.len(), other.entries.len());
-        // Pointwise ≤ with short-circuit — cheaper than a full `compare`
-        // when only domination matters (the hot covers-check on the
-        // incorporate and fetch paths).
-        self.entries
-            .iter()
-            .zip(other.entries.iter())
-            .all(|(a, b)| a <= b)
-    }
-
     /// Sum of all entries.  Sorting intervals by this sum yields a linear
     /// extension of happens-before (if `a` happened before `b`, every entry
     /// of `a` is ≤ the corresponding entry of `b` and at least one is
@@ -171,10 +153,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tick_and_covers() {
+    fn set_and_covers() {
         let mut vc = VectorClock::zero(4);
         assert!(!vc.covers(2, 1));
-        assert_eq!(vc.tick(2), 1);
+        vc.set(2, 1);
         assert!(vc.covers(2, 1));
         assert!(!vc.covers(2, 2));
         assert_eq!(vc.get(2), 1);
@@ -185,10 +167,10 @@ mod tests {
         let mut a = VectorClock::zero(3);
         let mut b = VectorClock::zero(3);
         assert_eq!(a.compare(&b), VcOrder::Equal);
-        a.tick(0);
+        a.set(0, 1);
         assert_eq!(b.compare(&a), VcOrder::Before);
         assert_eq!(a.compare(&b), VcOrder::After);
-        b.tick(1);
+        b.set(1, 1);
         assert_eq!(a.compare(&b), VcOrder::Concurrent);
     }
 
@@ -204,7 +186,7 @@ mod tests {
         assert_eq!(a.get(0), 5);
         assert_eq!(a.get(1), 4);
         assert_eq!(a.get(2), 2);
-        assert!(b.dominated_by(&a));
+        assert_eq!(b.compare(&a), VcOrder::Before);
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! `tm-lint` — offline determinism lint for the simulator crates.
 //!
 //! The whole repository is built around bit-reproducible simulation: every
-//! golden file, the BENCH digest and the racecheck fixtures assume that a
-//! cell's measurements are a pure function of its configuration.  A handful
-//! of easy-to-write Rust constructs silently break that property, so this
+//! golden file, the repo benchmark's digests and the racecheck fixtures
+//! assume that a cell's measurements are a pure function of its
+//! configuration.  A handful of easy-to-write Rust constructs silently
+//! break that property, so this
 //! xtask greps the *simulation* crates (`core`, `page`, `net`, `sched`,
 //! `apps`) for them and fails the build when any appear outside test code:
 //!
 //! * **`std-hash`** — bare `HashMap` / `HashSet`.  `std`'s `RandomState`
 //!   seeds itself from the OS, so iteration order differs between runs; use
-//!   `FastHashMap` / `FastHashSet` (a `BuildHasherDefault` map) instead.
+//!   `FastHashMap` (a `BuildHasherDefault` map) instead.
 //! * **`wall-clock`** — `Instant::now` / `SystemTime::now`.  Host time must
 //!   never reach simulated state; the simulation runs on `LogicalClock`.
 //! * **`thread-rng`** — `thread_rng`.  All randomness flows from the cell's
@@ -346,7 +347,8 @@ mod tests {
             ["std-hash"]
         );
         assert_eq!(rules("use std::collections::HashSet;"), ["std-hash"]);
-        // FastHashMap / FastHashSet are the sanctioned replacements.
+        // A longer identifier that ends in the bare name is not the bare
+        // name: `FastHashMap` is the sanctioned replacement.
         assert!(rules("let m = FastHashMap::default();").is_empty());
         assert!(rules("let s: FastHashSet<u32> = FastHashSet::default();").is_empty());
         // Defining the deterministic alias itself is allowed.

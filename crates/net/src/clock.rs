@@ -40,12 +40,6 @@ impl LogicalClock {
             self.ns = other_ns;
         }
     }
-
-    /// Merge with another clock, keeping the later time.
-    #[inline]
-    pub fn merge_max(&mut self, other: LogicalClock) {
-        self.wait_until(other.ns);
-    }
 }
 
 impl std::fmt::Display for LogicalClock {
@@ -67,18 +61,6 @@ mod tests {
         assert_eq!(c.now_ns(), 100);
         c.wait_until(300);
         assert_eq!(c.now_ns(), 300);
-    }
-
-    #[test]
-    fn merge_takes_max() {
-        let mut a = LogicalClock::zero();
-        a.advance(10);
-        let mut b = LogicalClock::zero();
-        b.advance(25);
-        a.merge_max(b);
-        assert_eq!(a.now_ns(), 25);
-        b.merge_max(a);
-        assert_eq!(b.now_ns(), 25);
     }
 
     #[test]

@@ -30,12 +30,7 @@
 //! // application later read (the other half is piggybacked useless data).
 //! let mut p = ProcStats::new(ProcId(0));
 //! p.exchanges.push(DiffExchange {
-//!     id: 0,
-//!     responder: ProcId(1),
-//!     pages_requested: 1,
-//!     diffs_carried: 1,
-//!     request_bytes: MSG_HEADER_BYTES,
-//!     reply_bytes: MSG_HEADER_BYTES + 4096,
+//!     wire_bytes: 2 * MSG_HEADER_BYTES + 4096,
 //!     delivered_payload: 4096,
 //!     useful_payload: 2048,
 //! });
@@ -66,10 +61,9 @@ pub mod topology;
 pub use clock::LogicalClock;
 pub use cost::{CostModel, ResponderCost};
 pub use link::{LinkStats, NetworkState};
-pub use msg::{ControlMsg, DiffExchange, FaultRecord, MsgKind, ProcId, MSG_HEADER_BYTES};
+pub use msg::{ControlTally, DiffExchange, FaultRecord, MsgKind, ProcId, MSG_HEADER_BYTES};
 pub use stats::{
-    ClusterStats, CommBreakdown, GcCounters, Normalized, ProcStats, SignatureBucket,
-    SignatureHistogram,
+    ClusterStats, CommBreakdown, GcCounters, ProcStats, SignatureBucket, SignatureHistogram,
 };
 pub use topology::{AggregationPolicy, NetworkConfig, Topology};
 
@@ -84,29 +78,51 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The breakdown's message and data totals must always be consistent
-        /// with the raw per-processor records, whatever the mix of exchanges.
+        /// with the raw per-processor records, whatever the mix of exchanges
+        /// and control messages — and the per-kind control tallies with the
+        /// processor's own totals.
         #[test]
         fn breakdown_conserves_counts(
             specs in prop::collection::vec((1u64..5000, 0u64..5000), 0..40),
-            controls in 0usize..20,
+            controls in prop::collection::vec((0usize..MsgKind::COUNT, 0u64..512), 0..20),
         ) {
+            const KINDS: [MsgKind; MsgKind::COUNT] = [
+                MsgKind::LockRequest,
+                MsgKind::LockForward,
+                MsgKind::LockGrant,
+                MsgKind::BarrierArrive,
+                MsgKind::BarrierDepart,
+                MsgKind::HomeUpdate,
+            ];
             let mut p = ProcStats::new(ProcId(0));
-            for (i, (delivered, useful_raw)) in specs.iter().enumerate() {
-                let useful = useful_raw % (delivered + 1);
+            for (delivered, useful_raw) in &specs {
                 p.exchanges.push(DiffExchange {
-                    id: i as u32,
-                    responder: ProcId(1),
-                    pages_requested: 1,
-                    diffs_carried: 1,
-                    request_bytes: MSG_HEADER_BYTES,
-                    reply_bytes: MSG_HEADER_BYTES + delivered,
+                    wire_bytes: 2 * MSG_HEADER_BYTES + delivered,
                     delivered_payload: *delivered,
-                    useful_payload: useful,
+                    useful_payload: useful_raw % (delivered + 1),
                 });
             }
-            for _ in 0..controls {
-                p.record_control(MsgKind::BarrierArrive, 4);
+            for &(kind, payload) in &controls {
+                p.record_control(KINDS[kind], payload);
             }
+            // Entry `kind as usize` holds exactly the messages of that kind.
+            for (kind, tally) in p.control.iter().enumerate() {
+                let of_kind = controls.iter().filter(|&&(k, _)| k == kind);
+                prop_assert_eq!(tally.messages, of_kind.clone().count() as u64);
+                prop_assert_eq!(
+                    tally.bytes,
+                    of_kind.map(|&(_, payload)| MSG_HEADER_BYTES + payload).sum::<u64>()
+                );
+            }
+            let exchange_wire: u64 = p.exchanges.iter().map(|e| e.wire_bytes).sum();
+            prop_assert_eq!(
+                p.control.iter().map(|t| t.messages).sum::<u64>(),
+                p.message_count() - 2 * p.exchanges.len() as u64
+            );
+            prop_assert_eq!(
+                p.control.iter().map(|t| t.bytes).sum::<u64>(),
+                p.wire_bytes() - exchange_wire
+            );
             let expected_messages = p.message_count();
             let delivered_total: u64 = specs.iter().map(|(d, _)| d).sum();
             let stats = ClusterStats { per_proc: vec![p], ..Default::default() };

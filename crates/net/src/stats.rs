@@ -16,7 +16,7 @@
 use serde::json::Value;
 use serde::{field_arr, field_u64, FromJson, JsonSchemaError, ToJson};
 
-use crate::msg::{ControlMsg, DiffExchange, FaultRecord, MsgKind, ProcId, MSG_HEADER_BYTES};
+use crate::msg::{ControlTally, DiffExchange, FaultRecord, MsgKind, ProcId, MSG_HEADER_BYTES};
 
 /// Statistics gathered by one processor during a run.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -27,8 +27,9 @@ pub struct ProcStats {
     pub exchanges: Vec<DiffExchange>,
     /// All consistency-unit faults taken by this processor.
     pub faults: Vec<FaultRecord>,
-    /// Control (lock/barrier) messages this processor caused.
-    pub control: Vec<ControlMsg>,
+    /// Control (lock/barrier) messages this processor caused, tallied per
+    /// kind: entry `kind as usize` is the tally of [`MsgKind`] `kind`.
+    pub control: [ControlTally; MsgKind::COUNT],
     /// Lock acquisitions performed.
     pub lock_acquires: u64,
     /// Barriers crossed.
@@ -90,22 +91,26 @@ impl ProcStats {
 
     /// Record a control message of the given kind and payload size.
     pub fn record_control(&mut self, kind: MsgKind, payload_bytes: u64) {
-        self.control.push(ControlMsg {
-            kind,
-            bytes: MSG_HEADER_BYTES + payload_bytes,
-        });
+        let tally = &mut self.control[kind as usize];
+        tally.messages += 1;
+        tally.bytes += MSG_HEADER_BYTES + payload_bytes;
+    }
+
+    /// Control messages this processor caused, over all kinds.
+    fn control_messages(&self) -> u64 {
+        self.control.iter().map(|t| t.messages).sum()
     }
 
     /// Number of messages this processor caused (two per diff exchange plus
     /// every control message).
     pub fn message_count(&self) -> u64 {
-        self.exchanges.len() as u64 * 2 + self.control.len() as u64
+        self.exchanges.len() as u64 * 2 + self.control_messages()
     }
 
     /// Total wire bytes this processor caused.
     pub fn wire_bytes(&self) -> u64 {
-        self.exchanges.iter().map(|e| e.wire_bytes()).sum::<u64>()
-            + self.control.iter().map(|c| c.bytes).sum::<u64>()
+        self.exchanges.iter().map(|e| e.wire_bytes).sum::<u64>()
+            + self.control.iter().map(|t| t.bytes).sum::<u64>()
     }
 }
 
@@ -189,19 +194,6 @@ impl SignatureHistogram {
             .map(|(k, b)| k as u64 * b.faults)
             .sum();
         weighted as f64 / total as f64
-    }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &SignatureHistogram) {
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets
-                .resize(other.buckets.len(), SignatureBucket::default());
-        }
-        for (i, b) in other.buckets.iter().enumerate() {
-            self.buckets[i].faults += b.faults;
-            self.buckets[i].useful_exchanges += b.useful_exchanges;
-            self.buckets[i].useless_exchanges += b.useless_exchanges;
-        }
     }
 }
 
@@ -309,13 +301,6 @@ impl ClusterStats {
             .fold(0u64, |acc, l| acc.saturating_add(l.queue_ns))
     }
 
-    /// Total nanoseconds of link busy time across all links.
-    pub fn total_link_busy_ns(&self) -> u64 {
-        self.links
-            .iter()
-            .fold(0u64, |acc, l| acc.saturating_add(l.busy_ns))
-    }
-
     /// Utilization of the busiest link over the run's modeled execution
     /// time (0 under the ideal topology).
     pub fn max_link_utilization(&self) -> f64 {
@@ -374,7 +359,7 @@ impl ClusterStats {
             // the single-writer protocol (the home must stay current), so
             // none of them can be useless — the protocol pays for them in
             // *count*, which is exactly the paper's trade-off.
-            b.useful_messages += p.control.len() as u64;
+            b.useful_messages += p.control_messages();
             for e in &p.exchanges {
                 if e.is_useful() {
                     b.useful_messages += 2;
@@ -398,7 +383,8 @@ impl ClusterStats {
                         }
                     }
                 }
-                b.signature.record(f.concurrent_writers, useful, useless);
+                b.signature
+                    .record(f.exchange_ids.len() as u32, useful, useless);
             }
         }
         b
@@ -533,45 +519,14 @@ impl FromJson for CommBreakdown {
     }
 }
 
-/// A `(value, baseline)` pair normalized the way the paper's figures are:
-/// every statistic divided by its value at the 4 KB consistency unit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normalized {
-    /// Raw value of the configuration under study.
-    pub value: f64,
-    /// Raw value of the baseline (4 KB) configuration.
-    pub baseline: f64,
-}
-
-impl Normalized {
-    /// value / baseline, or 1.0 when the baseline is zero and the value is
-    /// zero too, or +inf when only the baseline is zero.
-    pub fn ratio(&self) -> f64 {
-        if self.baseline == 0.0 {
-            if self.value == 0.0 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            self.value / self.baseline
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::msg::{DiffExchange, FaultRecord};
 
-    fn exchange(id: u32, delivered: u64, useful: u64) -> DiffExchange {
+    fn exchange(delivered: u64, useful: u64) -> DiffExchange {
         DiffExchange {
-            id,
-            responder: ProcId(1),
-            pages_requested: 1,
-            diffs_carried: 1,
-            request_bytes: MSG_HEADER_BYTES,
-            reply_bytes: MSG_HEADER_BYTES + delivered,
+            wire_bytes: 2 * MSG_HEADER_BYTES + delivered,
             delivered_payload: delivered,
             useful_payload: useful,
         }
@@ -580,13 +535,9 @@ mod tests {
     #[test]
     fn breakdown_classifies_messages_and_data() {
         let mut p = ProcStats::new(ProcId(0));
-        p.exchanges.push(exchange(0, 100, 60)); // useful, 40 piggybacked
-        p.exchanges.push(exchange(1, 50, 0)); // useless
-        p.faults.push(FaultRecord {
-            concurrent_writers: 2,
-            exchange_ids: 0..2,
-            pages_validated: 1,
-        });
+        p.exchanges.push(exchange(100, 60)); // useful, 40 piggybacked
+        p.exchanges.push(exchange(50, 0)); // useless
+        p.faults.push(FaultRecord { exchange_ids: 0..2 });
         p.record_control(MsgKind::BarrierArrive, 8);
         p.exec_time_ns = 1000;
 
@@ -635,12 +586,6 @@ mod tests {
         assert_eq!(h.max_writers(), 7);
         assert!((h.frequency(1) - 2.0 / 3.0).abs() < 1e-12);
         assert!((h.mean_writers() - 3.0).abs() < 1e-12);
-
-        let mut other = SignatureHistogram::new(7);
-        other.record(2, 2, 0);
-        h.merge(&other);
-        assert_eq!(h.total_faults(), 4);
-        assert_eq!(h.bucket(2).faults, 1);
     }
 
     #[test]
@@ -652,41 +597,11 @@ mod tests {
     }
 
     #[test]
-    fn normalized_ratio_edge_cases() {
-        assert_eq!(
-            Normalized {
-                value: 2.0,
-                baseline: 4.0
-            }
-            .ratio(),
-            0.5
-        );
-        assert_eq!(
-            Normalized {
-                value: 0.0,
-                baseline: 0.0
-            }
-            .ratio(),
-            1.0
-        );
-        assert!(Normalized {
-            value: 1.0,
-            baseline: 0.0
-        }
-        .ratio()
-        .is_infinite());
-    }
-
-    #[test]
     fn breakdown_json_roundtrip() {
         let mut p = ProcStats::new(ProcId(0));
-        p.exchanges.push(exchange(0, 100, 60));
-        p.exchanges.push(exchange(1, 50, 0));
-        p.faults.push(FaultRecord {
-            concurrent_writers: 2,
-            exchange_ids: 0..2,
-            pages_validated: 1,
-        });
+        p.exchanges.push(exchange(100, 60));
+        p.exchanges.push(exchange(50, 0));
+        p.faults.push(FaultRecord { exchange_ids: 0..2 });
         p.record_control(MsgKind::BarrierArrive, 8);
         p.exec_time_ns = 1000;
         let b = ClusterStats {
@@ -767,7 +682,7 @@ mod tests {
     #[test]
     fn proc_stats_message_and_byte_counts() {
         let mut p = ProcStats::new(ProcId(2));
-        p.exchanges.push(exchange(0, 10, 10));
+        p.exchanges.push(exchange(10, 10));
         p.record_control(MsgKind::LockRequest, 0);
         p.record_control(MsgKind::LockGrant, 16);
         assert_eq!(p.message_count(), 4);

@@ -89,11 +89,6 @@ impl RegionAllocator {
         self.next = end;
         Ok(GlobalAddr(base))
     }
-
-    /// Allocate a page-aligned region of `bytes` bytes.
-    pub fn alloc_pages(&mut self, bytes: u64) -> Result<GlobalAddr, OutOfSharedMemory> {
-        self.alloc(bytes, Align::Page)
-    }
 }
 
 #[cfg(test)]
@@ -113,7 +108,7 @@ mod tests {
     fn page_alignment() {
         let mut a = RegionAllocator::new(PageLayout::new(4096, 4));
         a.alloc(10, Align::Word).unwrap();
-        let p = a.alloc_pages(4096).unwrap();
+        let p = a.alloc(4096, Align::Page).unwrap();
         assert_eq!(p.0 % 4096, 0);
         assert_eq!(p.0, 4096);
     }

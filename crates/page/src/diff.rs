@@ -199,14 +199,6 @@ impl Diff {
         (self.spans, packed)
     }
 
-    /// True when the payload borrows a shared page snapshot rather than
-    /// owning a packed copy (observable for tests and accounting only —
-    /// the logical runs are identical either way).
-    #[inline]
-    pub fn shares_page_image(&self) -> bool {
-        matches!(self.payload, Payload::Page(_))
-    }
-
     /// The shared page snapshot, when this diff rewrites the *entire* page
     /// out of one: a single run at offset 0 covering every byte of a
     /// `Payload::Page` image.  Receivers then adopt the snapshot `Arc`
@@ -256,12 +248,6 @@ impl Diff {
         &self.spans
     }
 
-    /// Number of runs.
-    #[inline]
-    pub fn num_runs(&self) -> usize {
-        self.spans.len()
-    }
-
     /// Apply the diff to `target`, overwriting the words it records.
     ///
     /// # Panics
@@ -296,15 +282,6 @@ impl Diff {
     /// per-run and per-diff headers of the TreadMarks encoding.
     pub fn wire_bytes(&self) -> u64 {
         DIFF_HEADER_BYTES + self.spans.len() as u64 * RUN_HEADER_BYTES + self.payload_bytes()
-    }
-
-    /// Iterate over the page-relative word indices this diff overwrites.
-    pub fn touched_words(&self) -> impl Iterator<Item = usize> + '_ {
-        self.spans.iter().flat_map(|s| {
-            let first = s.offset as usize / WORD_SIZE;
-            let count = s.len as usize / WORD_SIZE;
-            first..first + count
-        })
     }
 
     /// Merge a chain of diffs of the same page into their union: every word
@@ -529,7 +506,7 @@ mod tests {
         let mut cur = twin.clone();
         cur[8] = 0xAB;
         let d = Diff::create(PageId(1), &twin, &cur);
-        assert_eq!(d.num_runs(), 1);
+        assert_eq!(d.spans().len(), 1);
         assert_eq!(d.spans()[0].offset, 8);
         assert_eq!(d.spans()[0].len as usize, WORD_SIZE);
         assert_eq!(d.payload_bytes(), 4);
@@ -547,7 +524,7 @@ mod tests {
             cur[b] = 1;
         }
         let d = Diff::create(PageId(0), &twin, &cur);
-        assert_eq!(d.num_runs(), 1);
+        assert_eq!(d.spans().len(), 1);
         assert_eq!(d.spans()[0].offset, 16);
         assert_eq!(d.spans()[0].len, 16);
     }
@@ -559,7 +536,7 @@ mod tests {
         cur[0] = 1;
         cur[64] = 2;
         let d = Diff::create(PageId(0), &twin, &cur);
-        assert_eq!(d.num_runs(), 2);
+        assert_eq!(d.spans().len(), 2);
         assert_eq!(d.spans()[0].offset, 0);
         assert_eq!(d.spans()[1].offset, 64);
     }
@@ -569,21 +546,9 @@ mod tests {
         let twin = vec![0u8; 256];
         let cur = vec![0xFFu8; 256];
         let d = Diff::create(PageId(0), &twin, &cur);
-        assert_eq!(d.num_runs(), 1);
+        assert_eq!(d.spans().len(), 1);
         assert_eq!(d.payload_bytes(), 256);
         assert_eq!(d.wire_bytes(), DIFF_HEADER_BYTES + RUN_HEADER_BYTES + 256);
-    }
-
-    #[test]
-    fn touched_words_enumeration() {
-        let twin = vec![0u8; 64];
-        let mut cur = twin.clone();
-        cur[4] = 9; // word 1
-        cur[12] = 9; // word 3
-        cur[16] = 9; // word 4 (adjacent to word 3 -> same run)
-        let d = Diff::create(PageId(0), &twin, &cur);
-        let words: Vec<_> = d.touched_words().collect();
-        assert_eq!(words, vec![1, 3, 4]);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::layout::{PageId, PageLayout};
 /// The authoritative (home) copies of the shared pages.
 ///
 /// One instance exists per cluster run and is shared by all simulated
-/// processors (behind a mutex in `tdsm-core`); on the real system each
+/// processors (in a `RefCell` in `tdsm-core`); on the real system each
 /// fragment of it would live in its home node's memory and be reachable only
 /// through messages, whose costs the simulated network charges.
 #[derive(Debug)]

@@ -157,12 +157,6 @@ impl PageLayout {
         (addr.0 & (self.page_size as u64 - 1)) as usize
     }
 
-    /// Global address of the first byte of `page`.
-    #[inline]
-    pub fn page_base(&self, page: PageId) -> GlobalAddr {
-        GlobalAddr(page.0 as u64 * self.page_size as u64)
-    }
-
     /// Indices of the first and last page the byte range
     /// `[addr, addr + len)` touches, or `None` for an empty range.
     ///
@@ -185,20 +179,6 @@ impl PageLayout {
             (addr.0 >> self.page_shift) as u32,
             (last >> self.page_shift) as u32,
         ))
-    }
-
-    /// Iterator over the pages that the byte range `[addr, addr + len)`
-    /// touches.  An empty range touches no pages.
-    pub fn pages_of_range(&self, addr: GlobalAddr, len: u64) -> impl Iterator<Item = PageId> {
-        // `1..=0` is the empty iterator.
-        let (first, last) = self.page_span(addr, len).unwrap_or((1, 0));
-        (first..=last).map(PageId)
-    }
-
-    /// Word index (within its page) of the byte at `addr`.
-    #[inline]
-    pub fn word_in_page(&self, addr: GlobalAddr) -> usize {
-        self.offset_in_page(addr) / WORD_SIZE
     }
 
     /// Range of word indices within a page covered by the byte range
@@ -233,8 +213,6 @@ mod tests {
         assert_eq!(l.page_of(GlobalAddr(4095)), PageId(0));
         assert_eq!(l.page_of(GlobalAddr(4096)), PageId(1));
         assert_eq!(l.offset_in_page(GlobalAddr(4100)), 4);
-        assert_eq!(l.page_base(PageId(3)), GlobalAddr(3 * 4096));
-        assert_eq!(l.word_in_page(GlobalAddr(4096 + 8)), 2);
     }
 
     #[test]
@@ -242,19 +220,6 @@ mod tests {
     fn page_of_out_of_range_panics() {
         let l = PageLayout::new(4096, 2);
         l.page_of(GlobalAddr(8192));
-    }
-
-    #[test]
-    fn pages_of_range_spans() {
-        let l = PageLayout::new(4096, 8);
-        let pages: Vec<_> = l.pages_of_range(GlobalAddr(4000), 200).collect();
-        assert_eq!(pages, vec![PageId(0), PageId(1)]);
-        let pages: Vec<_> = l.pages_of_range(GlobalAddr(0), 4096).collect();
-        assert_eq!(pages, vec![PageId(0)]);
-        let pages: Vec<_> = l.pages_of_range(GlobalAddr(100), 0).collect();
-        assert!(pages.is_empty());
-        let pages: Vec<_> = l.pages_of_range(GlobalAddr(0), 3 * 4096 + 1).collect();
-        assert_eq!(pages.len(), 4);
     }
 
     #[test]
@@ -268,7 +233,7 @@ mod tests {
     #[should_panic(expected = "exceeds shared space")]
     fn range_of_maximal_length_fails_the_range_check() {
         let l = PageLayout::new(4096, 8);
-        let _ = l.pages_of_range(GlobalAddr(1), u64::MAX);
+        l.page_span(GlobalAddr(1), u64::MAX);
     }
 
     #[test]
@@ -286,7 +251,6 @@ mod tests {
         assert_eq!(l.page_span(GlobalAddr(100), 0), None);
         // An empty range is empty wherever it starts: no range check fires.
         assert_eq!(l.page_span(GlobalAddr(u64::MAX), 0), None);
-        assert_eq!(l.pages_of_range(GlobalAddr(u64::MAX), 0).count(), 0);
     }
 
     #[test]
@@ -312,7 +276,7 @@ mod tests {
                     );
                     assert_eq!(l.offset_in_page(a), (addr % ps) as usize);
                     assert_eq!(
-                        l.page_base(l.page_of(a)).0 + l.offset_in_page(a) as u64,
+                        l.page_of(a).0 as u64 * ps + l.offset_in_page(a) as u64,
                         addr
                     );
                     for len in [1, 2, ps - 1, ps, ps + 1, 2 * ps + 1] {

@@ -242,12 +242,6 @@ impl LocalPage {
         &self.data
     }
 
-    /// Whether a twin exists (i.e. the page is dirty in the current interval).
-    #[inline]
-    pub fn has_twin(&self) -> bool {
-        self.twinned
-    }
-
     /// Create the twin if it does not exist yet.  Returns `true` if a twin
     /// was created by this call (the "first write to a shared page" event).
     /// No page copy happens here: the twin is virtual.
@@ -1032,10 +1026,13 @@ mod tests {
         assert!(!p.ensure_twin());
         p.write_bytes(8, &[1, 2, 3, 4]);
         let diff = p.make_diff(page).unwrap();
-        assert_eq!(diff.num_runs(), 1);
+        assert_eq!(diff.spans().len(), 1);
         assert_eq!(diff.payload_bytes(), 4);
         p.drop_twin();
-        assert!(!p.has_twin());
+        assert!(
+            p.ensure_twin(),
+            "the twin is gone: the next write twins anew"
+        );
     }
 
     #[test]
@@ -1102,7 +1099,7 @@ mod tests {
         p.write_bytes(0, &[3, 3, 3, 3]); // dirty bit set, contents unchanged
         p.write_bytes(12, &[1, 2, 3, 4]);
         let diff = p.make_diff(page).unwrap();
-        assert_eq!(diff.num_runs(), 1);
+        assert_eq!(diff.spans().len(), 1);
         assert_eq!(diff.spans()[0].offset, 12);
     }
 
@@ -1120,7 +1117,7 @@ mod tests {
         assert!(p.ensure_twin());
         p.write_bytes(8, &[2, 2, 2, 2]);
         let d2 = p.make_diff(PageId(0)).unwrap();
-        assert_eq!(d2.num_runs(), 1);
+        assert_eq!(d2.spans().len(), 1);
         assert_eq!(d2.runs().next().unwrap(), (8, &[2u8, 2, 2, 2][..]));
     }
 

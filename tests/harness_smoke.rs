@@ -40,15 +40,13 @@ fn policy_sweep_produces_all_four_configurations() {
             .collect(),
     };
     let result = run_experiment(&exp, &Default::default());
-    let rows: Vec<_> = result.cells.iter().map(CellResult::fig_row).collect();
+    let rows = &result.cells;
     assert_eq!(rows.len(), 4);
-    let labels: Vec<&str> = rows.iter().map(|r| r.policy.as_str()).collect();
+    let labels: Vec<&str> = rows.iter().map(|r| r.cell.policy_label.as_str()).collect();
     assert_eq!(labels, vec!["4K", "8K", "16K", "Dyn"]);
     // All configurations computed the same checksum.
-    for (r, cell) in rows.iter().zip(&result.cells) {
+    for r in rows {
         assert!((r.checksum - rows[0].checksum).abs() <= 1e-9 * rows[0].checksum.abs());
-        assert_eq!(r.total_msgs(), cell.breakdown.total_messages());
-        assert_eq!(r.total_data(), cell.breakdown.total_payload());
     }
     // The panel normalizes to the 4K baseline, and the CSV export covers
     // every row plus the header.
@@ -233,6 +231,24 @@ fn unknown_or_missing_experiment_is_a_usage_error() {
     }
 }
 
+/// `--out` to a path that cannot be written is reported before any cell runs:
+/// exit 1 and one `error:` line naming the path, no panic, no report.
+#[test]
+fn unwritable_out_path_is_an_error_before_any_cell_runs() {
+    let missing = std::env::temp_dir().join("tm-bench-no-such-directory/x.json");
+    let output = bench_bin("fig3")
+        .args(["--tiny", "--out"])
+        .arg(&missing)
+        .output()
+        .expect("failed to launch tm-bench fig3");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr:\n{stderr}");
+    let complaint = format!("error: cannot write '{}': ", missing.display());
+    assert!(stderr.contains(&complaint), "stderr:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+    assert!(output.stdout.is_empty(), "nothing ran, nothing is reported");
+}
+
 /// A command running the `tm-bench` binary on `experiment`; the caller
 /// appends the remaining arguments.  `cargo run` rather than probing target/ for a prebuilt
 /// artifact: it always (re)builds the bin from the current sources (a stale
@@ -279,15 +295,18 @@ fn dynamic_aggregation_never_explodes_useless_messages() {
     // The §4 claim: the dynamic scheme tracks the best static choice and in
     // particular avoids MGS's useless-message explosion at large units.
     let mgs = &Workload::for_app(AppId::Mgs)[1];
-    let row = |label: &str, unit: UnitPolicy| run(mgs, 4, label, unit).fig_row();
+    let row = |label: &str, unit: UnitPolicy| run(mgs, 4, label, unit).breakdown;
     let base = row("4K", UnitPolicy::Static { pages: 1 });
     let large = row("16K", UnitPolicy::Static { pages: 4 });
     let dynamic = row("Dyn", UnitPolicy::Dynamic { max_group_pages: 4 });
-    assert!(large.useless_msgs > base.useless_msgs, "16K must hurt MGS");
     assert!(
-        dynamic.useless_msgs <= base.useless_msgs + base.total_msgs() / 10,
+        large.useless_messages > base.useless_messages,
+        "16K must hurt MGS"
+    );
+    assert!(
+        dynamic.useless_messages <= base.useless_messages + base.total_messages() / 10,
         "dynamic aggregation must not introduce MGS's useless messages: {} vs {}",
-        dynamic.useless_msgs,
-        base.useless_msgs
+        dynamic.useless_messages,
+        base.useless_messages
     );
 }

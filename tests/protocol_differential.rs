@@ -237,7 +237,7 @@ proptest! {
     }
 
     /// `UnitPolicy` grouping boundaries: for arbitrary unit sizes, page
-    /// counts and probe pages, `unit_pages` never panics, contains the
+    /// counts and probe pages, `unit_range` never panics, contains the
     /// probed page, stays inside the layout and is properly aligned.
     #[test]
     fn unit_grouping_boundaries_stay_in_range(
@@ -252,7 +252,7 @@ proptest! {
             UnitPolicy::Static { pages: static_pages },
             UnitPolicy::Dynamic { max_group_pages },
         ] {
-            let pages = unit.unit_pages(page, &layout);
+            let pages: Vec<PageId> = unit.unit_range(page, &layout).map(PageId).collect();
             prop_assert!(!pages.is_empty());
             prop_assert!(pages.contains(&page), "{} lost the probed page", unit.label(4096));
             prop_assert!(pages.len() <= unit.protection_pages() as usize);
