@@ -284,13 +284,12 @@ pub fn run_sequential(size: &BarnesSize) -> f64 {
     }
     for _ in 0..size.steps {
         let nodes = build_tree(&pos, &mass);
+        // The serialized/deserialized tree is what the parallel version
+        // traverses, so traverse the same representation here to keep the
+        // checksums bitwise comparable.
+        let remote = floats_to_tree(&tree_to_floats(&nodes), nodes.len());
         let mut forces = vec![[0.0f64; 3]; n];
         for (i, f) in forces.iter_mut().enumerate() {
-            // The serialized/deserialized tree is what the parallel version
-            // traverses, so traverse the same representation here to keep the
-            // checksums bitwise comparable.
-            let floats = tree_to_floats(&nodes);
-            let remote = floats_to_tree(&floats, nodes.len());
             tree_force(&remote, 0, &pos[i], i as u32, f);
         }
         for i in 0..n {
@@ -469,6 +468,50 @@ mod tests {
         for d in 0..3 {
             assert!((back[0].com[d] - nodes[0].com[d]).abs() < 1e-12);
         }
+    }
+
+    /// The reference as it was first written: the tree serialised and parsed
+    /// again for every body.  Kept as the oracle for the once-per-step codec
+    /// of [`run_sequential`].
+    fn run_sequential_per_body_codec(size: &BarnesSize) -> f64 {
+        let n = size.bodies;
+        let (mut pos, mut vel, mut mass) = (Vec::new(), Vec::new(), Vec::new());
+        for i in 0..n {
+            let (p, v, m) = initial_body(i);
+            pos.push(p);
+            vel.push(v);
+            mass.push(m);
+        }
+        for _ in 0..size.steps {
+            let nodes = build_tree(&pos, &mass);
+            let mut forces = vec![[0.0f64; 3]; n];
+            for (i, f) in forces.iter_mut().enumerate() {
+                let floats = tree_to_floats(&nodes);
+                let remote = floats_to_tree(&floats, nodes.len());
+                tree_force(&remote, 0, &pos[i], i as u32, f);
+            }
+            for i in 0..n {
+                for d in 0..3 {
+                    vel[i][d] += 0.01 * forces[i][d];
+                    pos[i][d] += 0.01 * vel[i][d];
+                }
+            }
+        }
+        pos.iter()
+            .zip(vel.iter())
+            .map(|(p, v)| {
+                p.iter().map(|x| x.abs()).sum::<f64>() + v.iter().map(|x| x.abs()).sum::<f64>()
+            })
+            .sum()
+    }
+
+    #[test]
+    fn hoisted_codec_keeps_the_checksum_bits() {
+        let size = BarnesSize::tiny();
+        assert_eq!(
+            run_sequential(&size).to_bits(),
+            run_sequential_per_body_codec(&size).to_bits()
+        );
     }
 
     #[test]

@@ -235,7 +235,10 @@ impl Dsm {
         let per_proc = drive(shared.sync.scheduler(), continuations);
 
         let mut results = Vec::with_capacity(nprocs);
-        let mut stats = ClusterStats::default();
+        let mut stats = ClusterStats {
+            per_proc: Vec::with_capacity(nprocs),
+            ..ClusterStats::default()
+        };
         for (rank, (result, mut proc_stats)) in per_proc.into_iter().enumerate() {
             // Fold in the owner's shared-log counters.  They are folded
             // here, after every processor has finished, because serving and

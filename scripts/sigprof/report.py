@@ -4,24 +4,40 @@ debug info (the workspace's release profile has `debug = true`).
 
     gcc -O2 -shared -fPIC -o target/sigprof.so scripts/sigprof/sigprof.c
     SIGPROF_OUT=target/run.out LD_PRELOAD=$PWD/target/sigprof.so <exe> <args>
-    scripts/sigprof/report.py <exe> target/run.out [rows]
+    scripts/sigprof/report.py <exe> target/run.out [rows] [--under FUNC] [--lines]
 
-Prints, as shares of all samples:
+Prints, as shares of the samples kept:
   * categories — the three costs EXPERIMENTS.md tracks across PRs: allocator
     time, `Arc` uniqueness checks, and the shared-access validity check;
   * self time charged to the nearest function that is not std/core/alloc
     (inlined std helpers are folded into their caller; `libc<-f` is time in
     libc called from `f`, i.e. memcpy/memset/malloc);
   * inclusive time by function.
+
+`--under FUNC` keeps only the samples with a function whose name contains
+FUNC on the stack (the benchmark's timed repetitions are `--under
+measure::run_rep`, its set-up `--under measure::set_up`).  `--lines` prints
+instead the self time by source file and by `file:line` of that same nearest
+non-std frame, which is how a hot loop is told from the function around it.
 """
+import argparse
 import collections
 import os
 import re
+import signal
 import subprocess
 import sys
 
-exe, dump = sys.argv[1], sys.argv[2]
-rows = int(sys.argv[3]) if len(sys.argv) > 3 else 25
+signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # `report.py ... | head` ends quietly
+
+cli = argparse.ArgumentParser(usage='report.py <exe> <dump> [rows] [--under FUNC] [--lines]')
+cli.add_argument('exe')
+cli.add_argument('dump')
+cli.add_argument('rows', nargs='?', type=int, default=25)
+cli.add_argument('--under', metavar='FUNC')
+cli.add_argument('--lines', action='store_true')
+args = cli.parse_args()
+exe, dump, rows = args.exe, args.dump, args.rows
 real = os.path.realpath(exe)
 
 base, samples = None, []
@@ -46,6 +62,17 @@ def offset(sample, i):
     return sample[i] - base - (1 if i else 0)
 
 
+def clean(name):
+    name = re.sub(r'::h[0-9a-f]{16}$', '', name)
+    return re.sub(r'<([^<>]|<[^<>]*>)*>', '<..>', name)
+
+
+def where(file_line):
+    """`file:line` from the repository root down, without addr2line's notes."""
+    path = file_line.split(' (discriminator')[0]
+    return re.sub(r'^.*?/(?=(crates|benchmark|third_party)/)', '', os.path.normpath(path))
+
+
 wanted = sorted({offset(s, i) for s in samples for i, a in enumerate(s) if base <= a < limit})
 out = subprocess.run(['addr2line', '-a', '-i', '-f', '-C', '-e', exe] + [hex(a) for a in wanted],
                      capture_output=True, text=True, check=True).stdout.splitlines()
@@ -56,13 +83,8 @@ while i < len(out):
         frames[cur] = []
         i += 1
     else:  # (function, file:line) pairs, innermost inlined function first
-        frames[cur].append(out[i])
+        frames[cur].append((clean(out[i]), where(out[i + 1])))
         i += 2
-
-
-def clean(name):
-    name = re.sub(r'::h[0-9a-f]{16}$', '', name)
-    return re.sub(r'<([^<>]|<[^<>]*>)*>', '<..>', name)
 
 
 def is_std(name):
@@ -71,37 +93,47 @@ def is_std(name):
 
 
 def chain(sample):
-    """Function names of a sample, innermost first; '[libc]' outside the exe."""
-    names = []
+    """(function, file:line) of a sample's frames, innermost first; '[libc]' outside the exe."""
+    found = []
     for i, a in enumerate(sample):
         if base <= a < limit:
-            names += [clean(f) for f in frames.get(offset(sample, i), [])]
+            found += frames.get(offset(sample, i), [])
         else:
-            names.append('[libc]')
-    return names
+            found.append(('[libc]', '[libc]'))
+    return found
 
 
 ALLOCATOR = ('alloc_count', '__rust_alloc', '__rust_dealloc', '__rust_realloc', '__rdl_')
 UNIQUE = ('is_unique', 'Arc<..>::get_mut', 'Arc<..>::make_mut')
 VALIDITY = ('ensure_valid_range', 'pages_of_range', 'page_span', 'access_trap')
 cats, owner, inclusive = collections.Counter(), collections.Counter(), collections.Counter()
+by_file, by_line = collections.Counter(), collections.Counter()
+n = 0
 for s in samples:
-    names = chain(s)
-    own = next((n for n in names if n != '[libc]' and not is_std(n)), '?')
+    found = chain(s)
+    names = [f for f, _ in found]
+    if args.under and not any(args.under in f for f in names):
+        continue
+    n += 1
+    own, at = next(((f, w) for f, w in found if f != '[libc]' and not is_std(f)), ('?', '?'))
     owner[('libc<-' if names[0] == '[libc]' else '') + own] += 1
-    for n in set(names):
-        inclusive[n] += 1
-    if any(k in n for n in names for k in ALLOCATOR):
+    by_file[at.rsplit(':', 1)[0]] += 1
+    by_line[f'{at}  {own}'] += 1
+    for f in set(names):
+        inclusive[f] += 1
+    if any(k in f for f in names for k in ALLOCATOR):
         cats['allocator (any frame under the global allocator)'] += 1
-    elif any(k in n for n in names[:4] for k in UNIQUE):
+    elif any(k in f for f in names[:4] for k in UNIQUE):
         cats['Arc uniqueness check (is_unique / get_mut / make_mut)'] += 1
     elif any(k in own for k in VALIDITY):
         cats['shared-access validity check (ensure_valid_range and its page split)'] += 1
 
-n = len(samples)
-print(f'{n} samples')
-for title, counter, k in (('categories', cats, len(cats)), ('self', owner, rows),
-                          ('inclusive', inclusive, rows)):
+print(f'{n} samples' + (f' under {args.under} (of {len(samples)})' if args.under else ''))
+if not n:
+    sys.exit('no samples to report')
+tables = ((('self by file', by_file, rows), ('self by line', by_line, rows)) if args.lines else
+          (('categories', cats, len(cats)), ('self', owner, rows), ('inclusive', inclusive, rows)))
+for title, counter, k in tables:
     print(f'--- {title}')
     for name, count in counter.most_common(k):
         print(f'{100 * count / n:6.2f}%  {count:6d}  {name}')
