@@ -218,11 +218,14 @@ fn parse_seed(s: &str) -> Option<u64> {
 ///   packed onto the wire: `per-message` (one update per home, the default)
 ///   or `batched` (one assembled batch per interval close).  Only observable
 ///   under a contended topology.
-/// * `--racecheck` runs the happens-before data-race detector alongside
-///   every cell.  Pure observation: checksums, message counts and modeled
-///   times are unchanged, and detected races appear as an additive `races`
-///   array per cell in the JSON document (plus a `races` count column in
-///   CSV).  Off by default — default documents stay byte-identical.
+/// * `--racecheck` checks every cell: the happens-before data-race detector
+///   runs alongside it, and in a race-free cell every read is compared with
+///   a flat copy of memory written in execution order (a read that missed
+///   the latest write aborts the run, naming it).  Pure observation:
+///   checksums, message counts and modeled times are unchanged, and
+///   detected races appear as an additive `races` array per cell in the
+///   JSON document (plus a `races` count column in CSV).  Off by default —
+///   default documents stay byte-identical.
 /// * `--app NAME` restricts the run to one application (paper display name,
 ///   e.g. `Jacobi`) — the lever the CI memory gate uses to time a single
 ///   `--scale large` cell.

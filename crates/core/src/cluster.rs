@@ -35,9 +35,8 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 use tm_net::{ClusterStats, NetworkState, ProcStats};
-use tm_page::{Align, GlobalAddr, RegionAllocator};
-use tm_race::RaceDetector;
-use tm_sched::Scheduler;
+use tm_page::{Align, GlobalAddr, PageLayout, RegionAllocator};
+use tm_race::{FlatOracle, Observer, RaceDetector};
 
 use crate::config::DsmConfig;
 use crate::handle::{GArray, GMatrix, GScalar, SharedVal};
@@ -56,7 +55,7 @@ pub(crate) struct RunState {
     /// Per-rank diff/interval store that *other* processors consult when
     /// they fault (served by the SIGIO handler on the real system).
     pub(crate) logs: Vec<RefCell<IntervalLog>>,
-    /// Lock table, barrier and the deterministic scheduler.
+    /// Lock table, barrier, the deterministic scheduler, the observer.
     pub(crate) sync: GlobalSync,
     /// Home assignment and master copies; present exactly for home-based
     /// runs (multi-writer runs have no authoritative copy).
@@ -65,10 +64,6 @@ pub(crate) struct RunState {
     /// the ideal default's owns no links, so it allocates nothing, queues
     /// nothing and reports no link statistics.
     pub(crate) net: RefCell<NetworkState>,
-    /// The happens-before race detector; present exactly when race checking
-    /// is requested.  Pure observation: default runs construct nothing and
-    /// stay bit-identical to the pre-racecheck simulator.
-    pub(crate) race: Option<RefCell<RaceDetector>>,
 }
 
 impl RunState {
@@ -156,49 +151,70 @@ impl Dsm {
     /// Each run starts from a pristine shared space (all zero bytes) and
     /// fresh protocol state; allocations performed on this [`Dsm`] remain
     /// valid across runs (they are just address assignments).
+    ///
+    /// A [`DsmConfig::racecheck`] run is observed by the race detector and a
+    /// [`FlatOracle`], and its race set lands in `stats.races`.
+    ///
+    /// # Panics
+    /// If a racecheck run is race-free but a read did not return the latest
+    /// write in host order, naming the first such read.
     pub fn run<R, F>(&self, body: F) -> RunOutput<R>
     where
         F: AsyncFn(&mut ProcCtx) -> R,
     {
-        self.run_inner(body, false).0
+        if !self.config.racecheck {
+            return self.run_inner(None, body);
+        }
+        let layout = self.run_layout();
+        let (pages, words) = (layout.total_pages(), layout.words_per_page());
+        let detector = RaceDetector::new(self.config.nprocs, pages, words);
+        let oracle = FlatOracle::new(layout.total_bytes() as usize);
+        let (mut out, (mut detector, oracle)) = self.run_observed((detector, oracle), body);
+        out.stats.races = detector.take_races();
+        if let Some(mismatch) = oracle.mismatch(&out.stats.races) {
+            panic!("flat-memory check failed in a race-free run: {mismatch:?}");
+        }
+        out
     }
 
-    /// Like [`Dsm::run`], but additionally records and returns the
-    /// scheduler's decision trace — the `(decision index, chosen rank)`
-    /// sequence of every scheduling decision taken after setup.  The
-    /// schedule goldens pin it; everyday callers want [`Dsm::run`], which
-    /// skips the bookkeeping.
-    pub fn run_traced<R, F>(&self, body: F) -> (RunOutput<R>, Vec<(u64, usize)>)
+    /// [`Dsm::run`] watched by `observer`, which is handed back with the
+    /// (identical) output.  `DsmConfig::racecheck` is not consulted.
+    pub fn run_observed<O, R, F>(&self, observer: O, body: F) -> (RunOutput<R>, O)
     where
+        O: Observer + 'static,
         F: AsyncFn(&mut ProcCtx) -> R,
     {
-        let (output, trace) = self.run_inner(body, true);
-        (
-            output,
-            trace.expect("decision trace was enabled but never collected"),
-        )
+        let observer = Rc::new(RefCell::new(observer));
+        let out = self.run_inner(Some(Rc::clone(&observer) as _), body);
+        let observer = Rc::into_inner(observer).expect("the run state died with the run");
+        (out, observer.into_inner())
     }
 
-    fn run_inner<R, F>(&self, body: F, trace: bool) -> (RunOutput<R>, Option<Vec<(u64, usize)>>)
+    /// The layout a run sizes all per-page state by: the allocator's
+    /// high-water mark, not the configured address-space reservation.  A run
+    /// can only touch pages it allocated, and the truncation (rounded to
+    /// whole consistency units — see `PageLayout::truncated_to`) is
+    /// bit-invisible to every statistic.  Without it, large clusters
+    /// zero-fill hundreds of megabytes of tables for pages nobody owns.
+    fn run_layout(&self) -> PageLayout {
+        self.config
+            .layout()
+            .truncated_to(self.allocator.used(), self.config.unit.protection_pages())
+    }
+
+    fn run_inner<R, F>(&self, observer: Option<Rc<RefCell<dyn Observer>>>, body: F) -> RunOutput<R>
     where
         F: AsyncFn(&mut ProcCtx) -> R,
     {
         let nprocs = self.config.nprocs;
-        // Size all per-page protocol state by the allocator's high-water
-        // mark, not the configured address-space reservation: a run can
-        // only touch pages it allocated, and the truncation (rounded to
-        // whole consistency units — see `PageLayout::truncated_to`) is
-        // bit-invisible to every statistic.  Without it, large clusters
-        // zero-fill hundreds of megabytes of tables for pages nobody owns.
-        let layout = self
-            .config
-            .layout()
-            .truncated_to(self.allocator.used(), self.config.unit.protection_pages());
+        let layout = self.run_layout();
+        let mut sync = GlobalSync::new(nprocs, self.config.max_locks, self.config.sched);
+        sync.observer = observer;
         let shared = Rc::new(RunState {
             logs: (0..nprocs)
                 .map(|_| RefCell::new(IntervalLog::new()))
                 .collect(),
-            sync: GlobalSync::new(nprocs, self.config.max_locks, self.config.sched),
+            sync,
             home: match self.config.protocol {
                 ProtocolMode::MultiWriter => None,
                 ProtocolMode::HomeBased { assign } => {
@@ -206,19 +222,7 @@ impl Dsm {
                 }
             },
             net: RefCell::new(NetworkState::new(self.config.topology, nprocs)),
-            race: self.config.racecheck.then(|| {
-                RefCell::new(RaceDetector::new(
-                    nprocs,
-                    layout.total_pages(),
-                    layout.words_per_page(),
-                ))
-            }),
         });
-        if trace {
-            // Enabled after construction, so the constructor's own first
-            // pick is not in the trace.
-            shared.sync.scheduler().enable_decision_trace();
-        }
 
         let continuations = (0..nprocs)
             .map(|rank| {
@@ -232,7 +236,7 @@ impl Dsm {
                 }) as Continuation<'_, (R, ProcStats)>
             })
             .collect();
-        let per_proc = drive(shared.sync.scheduler(), continuations);
+        let per_proc = drive(&shared.sync, continuations);
 
         let mut results = Vec::with_capacity(nprocs);
         let mut stats = ClusterStats {
@@ -256,11 +260,7 @@ impl Dsm {
             stats.per_proc.push(proc_stats);
         }
         stats.links = shared.net.borrow().link_stats();
-        if let Some(race) = &shared.race {
-            stats.races = race.borrow_mut().take_races();
-        }
-        let decision_trace = shared.sync.scheduler().take_decision_trace();
-        (RunOutput { results, stats }, decision_trace)
+        RunOutput { results, stats }
     }
 }
 
@@ -268,9 +268,9 @@ impl Dsm {
 /// its `async` body.
 pub(crate) type Continuation<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
 
-/// The pick loop: resume whoever `sched` says is current until every rank
-/// has finished or the scheduler aborts on a simulated deadlock, and return
-/// the ranks' outputs in rank order.  Each resumption runs under
+/// The pick loop: resume whoever `sync`'s scheduler says is current until
+/// every rank has finished or the scheduler aborts on a simulated deadlock,
+/// and return the ranks' outputs in rank order.  Each resumption runs under
 /// `catch_unwind`, so a panicking processor is retired like a finished one
 /// (its continuation is dropped, its rank leaves the scheduler) and the
 /// loop's own state stays intact — the unwind-safe step boundary.
@@ -278,7 +278,8 @@ pub(crate) type Continuation<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
 /// # Panics
 /// Re-raises the first failed rank's panic as `processor thread panicked`;
 /// a deadlock no processor panicked over raises the scheduler's state dump.
-pub(crate) fn drive<T>(sched: &Scheduler, continuations: Vec<Continuation<'_, T>>) -> Vec<T> {
+pub(crate) fn drive<T>(sync: &GlobalSync, continuations: Vec<Continuation<'_, T>>) -> Vec<T> {
+    let sched = sync.scheduler();
     let mut continuations: Vec<Option<Continuation<'_, T>>> =
         continuations.into_iter().map(Some).collect();
     type Outcome<T> = Result<T, Box<dyn Any + Send>>;
@@ -291,25 +292,18 @@ pub(crate) fn drive<T>(sched: &Scheduler, continuations: Vec<Continuation<'_, T>
         let fut = continuations[rank]
             .as_mut()
             .expect("current processor must have a live continuation");
-        let step = catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx)));
-        match step {
-            Ok(Poll::Pending) => {}
-            Ok(Poll::Ready(output)) => {
-                continuations[rank] = None;
-                // Retiring the last runnable processor while others stay
-                // blocked is a simulated deadlock: the abort supersedes the
-                // result.
-                let retired = catch_unwind(AssertUnwindSafe(|| sched.finish(rank)));
-                outcomes[rank] = Some(retired.map(|()| output));
-            }
-            Err(payload) => {
-                // The body's own panic is the root cause; it wins over
-                // any secondary scheduler abort from the retirement.
-                continuations[rank] = None;
-                let _ = catch_unwind(AssertUnwindSafe(|| sched.finish(rank)));
-                outcomes[rank] = Some(Err(payload));
-            }
-        }
+        let output = match catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx))) {
+            Ok(Poll::Pending) => continue,
+            Ok(Poll::Ready(output)) => Ok(output),
+            Err(payload) => Err(payload),
+        };
+        continuations[rank] = None;
+        // Retiring the last runnable processor while others stay blocked is
+        // a simulated deadlock: the abort supersedes a result, but a body's
+        // own panic is the root cause and wins over it.
+        let retired = catch_unwind(AssertUnwindSafe(|| sched.finish(rank)));
+        sync.report_decision();
+        outcomes[rank] = Some(output.and_then(|output| retired.map(|()| output)));
     }
 
     // Surface failures in rank order: the first failed rank's payload.
@@ -461,6 +455,83 @@ mod tests {
         assert!(default.breakdown().total_messages() > 0);
         assert_eq!(run(1 << 30, 15), default);
         assert_eq!(run(1 << 30, (1 << 30) - 1), default);
+    }
+
+    /// Counts what an observer hears.
+    #[derive(Debug, Default)]
+    struct Tally {
+        reads: usize,
+        writes: usize,
+        syncs: usize,
+        decisions: Vec<u64>,
+    }
+
+    impl Observer for Tally {
+        fn access(&mut self, _: u32, _: u64, _: &[u8], kind: tm_race::AccessKind, _: bool) {
+            match kind {
+                tm_race::AccessKind::Read => self.reads += 1,
+                tm_race::AccessKind::Write => self.writes += 1,
+            }
+        }
+
+        fn sync(&mut self, _: u32, _: tm_race::SyncEvent) {
+            self.syncs += 1;
+        }
+
+        fn decision(&mut self, index: u64, _: u32) {
+            self.decisions.push(index);
+        }
+    }
+
+    #[test]
+    fn an_observer_hears_every_event_and_changes_nothing() {
+        let mut dsm = Dsm::new(small_config(4));
+        let counter = dsm.alloc_scalar::<u64>(Align::Page);
+        let body = async |ctx: &mut ProcCtx| {
+            for _ in 0..5 {
+                ctx.acquire(0).await;
+                let v = counter.get(ctx).await;
+                counter.set(ctx, v + 1).await;
+                ctx.release(0).await;
+            }
+            ctx.barrier().await;
+            counter.get(ctx).await
+        };
+        let plain = dsm.run(body);
+        let (observed, tally) = dsm.run_observed(Tally::default(), body);
+        assert_eq!(observed.results, plain.results);
+        assert_eq!(observed.stats, plain.stats);
+        assert_eq!((tally.reads, tally.writes, tally.syncs), (24, 20, 48));
+        // Every decision after the constructor's, in order, none skipped.
+        let n = tally.decisions.len() as u64;
+        assert!(n > 0 && tally.decisions == (2..n + 2).collect::<Vec<_>>());
+    }
+
+    /// The checked run's flat memory has teeth.  Rank 0 writes inside a
+    /// benign-race scope, which the detector does not see but the oracle
+    /// applies; rank 1 then reads the word without synchronizing and
+    /// without the annotation.  The run is race-free to the detector, LRC
+    /// rightly leaves rank 1 its stale zero, and the oracle names the read.
+    #[test]
+    #[should_panic(expected = "flat-memory check failed in a race-free run: \
+                               Mismatch { rank: 1, offset: 0, expected: [42, 0")]
+    fn a_race_free_checked_run_panics_on_a_stale_read() {
+        let mut dsm = Dsm::new(DsmConfig {
+            racecheck: true,
+            sched: tm_sched::SchedConfig::fifo(),
+            ..small_config(2)
+        });
+        let x = dsm.alloc_scalar::<u64>(Align::Page);
+        dsm.run(async |ctx| {
+            if ctx.rank() == 0 {
+                ctx.begin_benign_race();
+                x.set(ctx, 42).await;
+                ctx.end_benign_race();
+            } else {
+                x.get(ctx).await;
+            }
+            ctx.barrier().await;
+        });
     }
 
     #[test]

@@ -224,13 +224,11 @@ pub struct DsmConfig {
     /// takes effect under a contended topology: the ideal network has no
     /// per-message occupancy for batching to save.
     pub aggregation: AggregationPolicy,
-    /// Run the happens-before race detector alongside the protocol (off by
-    /// default).  Every shared read/write is checked against the lock/barrier
-    /// happens-before order maintained by the interval vector clocks; races
-    /// surface in `ClusterStats::races`.  Detection is pure observation: it
-    /// never changes protocol behaviour, checksums or logical timings, so
-    /// default runs are bit-identical with the knob on either setting — only
-    /// the emitted documents gain `races` reports when it is on.
+    /// Check the run (off by default): the happens-before race detector and
+    /// the flat-memory oracle observe it, races surface in
+    /// `ClusterStats::races`, and a race-free run with a read that missed
+    /// the latest write panics (`Dsm::run`).  Observation never changes a
+    /// statistic; only the emitted documents gain `races` when it is on.
     pub racecheck: bool,
 }
 

@@ -77,5 +77,5 @@ pub use tm_net::{
     NetworkConfig, NetworkState, ProcStats, SignatureHistogram, Topology,
 };
 pub use tm_page::{Align, Diff, GlobalAddr, HomeStore, PageId, PageLayout};
-pub use tm_race::{AccessKind, RaceDetector, RaceRecord};
+pub use tm_race::{AccessKind, Observer, RaceDetector, RaceRecord, SyncEvent};
 pub use tm_sched::{SchedConfig, ScheduleMode, Scheduler};

@@ -26,7 +26,7 @@ use tm_net::{
     ProcStats, ResponderCost, MSG_HEADER_BYTES,
 };
 use tm_page::{subtract_cover, Diff, GlobalAddr, PageId, PageLayout, PageStore, WORD_SIZE};
-use tm_race::AccessKind;
+use tm_race::{AccessKind, SyncEvent};
 
 use crate::aggregation::DynamicAggregator;
 use crate::cluster::RunState;
@@ -170,9 +170,8 @@ pub struct ProcCtx {
     clock: LogicalClock,
     stats: ProcStats,
     /// The cluster-wide state of this run: every rank's interval log, the
-    /// synchronization substrate, and — each present exactly when the
-    /// configuration asks for it — the home directory, the link-occupancy
-    /// state and the race detector.
+    /// synchronization substrate (with the run's observer, if any), the
+    /// link-occupancy state and, for a home-based run, the home directory.
     shared: Rc<RunState>,
     agg: Option<DynamicAggregator>,
     diff_timing: DiffTiming,
@@ -182,7 +181,7 @@ pub struct ProcCtx {
     /// occupancy modeling batching would change nothing observable.
     aggregation: AggregationPolicy,
     /// Depth of nested [`ProcCtx::begin_benign_race`] scopes.  While
-    /// positive, shared accesses are invisible to the race detector — the
+    /// positive, shared accesses reach the observer marked benign — the
     /// annotation for *documented* intentional races (TSP's unsynchronized
     /// branch-and-bound pruning read, exactly as in the source paper).
     /// Never affects the simulation itself.
@@ -240,11 +239,6 @@ impl ProcCtx {
             shared.home.is_some(),
             config.protocol.is_home_based(),
             "home directory must be present exactly for home-based runs"
-        );
-        debug_assert_eq!(
-            shared.race.is_some(),
-            config.racecheck,
-            "race detector must be present exactly for racecheck runs"
         );
         let agg = match config.unit {
             UnitPolicy::Dynamic { max_group_pages } => {
@@ -330,11 +324,6 @@ impl ProcCtx {
         self.protocol
     }
 
-    /// Statistics collected so far (exchanges, faults, control traffic, ...).
-    pub fn stats(&self) -> &ProcStats {
-        &self.stats
-    }
-
     // ------------------------------------------------------------------
     // Application compute accounting
     // ------------------------------------------------------------------
@@ -362,74 +351,55 @@ impl ProcCtx {
     pub async fn read_bytes(&mut self, addr: GlobalAddr, dst: &mut [u8]) {
         self.charge_access(dst.len());
         self.ensure_valid_range(addr, dst.len() as u64, false).await;
-        if self.shared.race.is_some() {
-            self.note_access(addr, dst.len(), AccessKind::Read);
-        }
         let ProcCtx { store, stats, .. } = self;
         store.read(addr, dst, |exch, bytes| {
             if let Some(e) = stats.exchanges.get_mut(exch as usize) {
                 e.useful_payload += bytes;
             }
         });
+        self.observe_access(addr, dst, AccessKind::Read);
     }
 
     /// Write `src` to shared memory starting at `addr`.
     pub async fn write_bytes(&mut self, addr: GlobalAddr, src: &[u8]) {
         self.charge_access(src.len());
         self.ensure_valid_range(addr, src.len() as u64, true).await;
-        if self.shared.race.is_some() {
-            self.note_access(addr, src.len(), AccessKind::Write);
-        }
         self.store.write(addr, src);
         if self.protocol.is_home_based() {
-            // Write-through to the master copy happens below at the *home*,
-            // but the race detector has already attributed the write to this
-            // client rank above — the home's memory changing is an artifact
-            // of the protocol, not a program access.
+            // Write-through to the master copy at the *home*; the observer
+            // hears of the write as this client rank's alone — the home's
+            // memory changing is an artifact of the protocol, not a program
+            // access.
             self.write_through_home(addr, src);
         }
+        self.observe_access(addr, src, AccessKind::Write);
     }
 
-    /// Report one shared access to the happens-before race detector,
-    /// split per page into the word ranges it covers.  The detector keeps
-    /// its own per-rank sync clocks (fed by the sync hooks below) — the
-    /// protocol's interval vector clock is *not* a happens-before view for
-    /// race detection, because it only advances on write-notice-bearing
-    /// intervals and therefore never covers a read-only processor's
-    /// accesses.
-    fn note_access(&mut self, addr: GlobalAddr, len: usize, kind: AccessKind) {
-        if self.benign_race_depth > 0 {
-            return;
-        }
-        let Some(race) = &self.shared.race else {
-            return;
-        };
-        let mut det = race.borrow_mut();
-        let mut remaining = len;
-        let mut cursor = addr;
-        while remaining > 0 {
-            let page = self.layout.page_of(cursor);
-            let off = self.layout.offset_in_page(cursor);
-            let take = (self.layout.page_size() - off).min(remaining);
-            let words = self.layout.words_covering(off, take);
-            det.record_access(self.rank.0, page.0, words, kind);
-            remaining -= take;
-            cursor = cursor.add(take as u64);
+    /// Report a served shared access to the run's observer, if any.
+    fn observe_access(&self, addr: GlobalAddr, bytes: &[u8], kind: AccessKind) {
+        if let Some(observer) = &self.shared.sync.observer {
+            let benign = self.benign_race_depth > 0;
+            observer
+                .borrow_mut()
+                .access(self.rank.0, addr.offset(), bytes, kind, benign);
         }
     }
 
-    /// Open a *benign-race annotation* scope: until the matching
-    /// [`ProcCtx::end_benign_race`], this processor's shared accesses are
-    /// not reported to the happens-before race detector.
-    ///
-    /// This is the moral equivalent of a ThreadSanitizer suppression: it
-    /// documents an access that is racy *by design* (for TSP, reading the
-    /// current branch-and-bound bound without taking its lock — a stale
-    /// bound only costs pruning efficiency, never correctness, because every
-    /// bound *update* re-checks under the lock).  The annotation changes
-    /// nothing about the simulation — costs, messages and values are
-    /// identical with and without it, and it is a no-op unless `--racecheck`
-    /// is on.  Scopes nest.
+    /// Report a lock or barrier operation to the run's observer, if any.
+    fn observe_sync(&self, event: SyncEvent) {
+        if let Some(observer) = &self.shared.sync.observer {
+            observer.borrow_mut().sync(self.rank.0, event);
+        }
+    }
+
+    /// Open a *benign-race annotation* scope until the matching
+    /// [`ProcCtx::end_benign_race`]: this processor's accesses reach the
+    /// observer marked benign, so the race detector skips them and the
+    /// flat-memory oracle applies their writes but checks none of their
+    /// reads.  The moral equivalent of a ThreadSanitizer suppression, for an
+    /// access racy *by design* (TSP's unlocked read of the bound: a stale
+    /// bound only weakens pruning, as every update re-checks under the lock).
+    /// Changes nothing about the simulation.  Scopes nest.
     pub fn begin_benign_race(&mut self) {
         self.benign_race_depth += 1;
     }
@@ -1293,9 +1263,7 @@ impl ProcCtx {
             }
             self.vc.merge(&self.grant_vc);
         }
-        if let Some(race) = &self.shared.race {
-            race.borrow_mut().on_acquire(self.rank.0, lock_id);
-        }
+        self.observe_sync(SyncEvent::Acquire(lock_id));
 
         // Message accounting: request → statically assigned manager, forward
         // → last holder, grant → us.  A re-acquisition of a lock we released
@@ -1335,11 +1303,9 @@ impl ProcCtx {
     pub async fn release(&mut self, lock_id: usize) {
         self.close_interval();
         self.resync_aggregator();
-        if let Some(race) = &self.shared.race {
-            // Before the lock becomes grantable: the next acquirer's hook
-            // must find this critical section's closed sync interval.
-            race.borrow_mut().on_release(self.rank.0, lock_id);
-        }
+        // Before the lock becomes grantable: the next acquirer's event must
+        // follow this one.
+        self.observe_sync(SyncEvent::Release(lock_id));
         self.shared
             .sync
             .release_lock(lock_id, self.rank.index(), &self.vc, self.clock.now_ns())
@@ -1391,9 +1357,7 @@ impl ProcCtx {
         }
 
         let my_published = self.vc.get(self.rank.index());
-        if let Some(race) = &self.shared.race {
-            race.borrow_mut().on_barrier_arrive(self.rank.0);
-        }
+        self.observe_sync(SyncEvent::BarrierArrive);
         let epoch = self
             .shared
             .sync
@@ -1406,9 +1370,7 @@ impl ProcCtx {
             )
             .await;
         self.clock.wait_until(epoch.depart_clock_ns);
-        if let Some(race) = &self.shared.race {
-            race.borrow_mut().on_barrier_depart(self.rank.0);
-        }
+        self.observe_sync(SyncEvent::BarrierDepart);
 
         // Only writers that published since the previous episode can have
         // notices we lack (see `BarrierEpoch::changed_writers`).

@@ -21,6 +21,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll};
 
+use tm_race::Observer;
 use tm_sched::{SchedConfig, Scheduler, WaitKey};
 
 use crate::fasthash::FastHashMap;
@@ -266,7 +267,7 @@ enum TurnOp {
 /// scheduler's current pick, finds this processor current again.
 #[derive(Debug)]
 pub struct TurnWait<'a> {
-    sched: &'a Scheduler,
+    sync: &'a GlobalSync,
     rank: usize,
     op: Option<TurnOp>,
 }
@@ -275,14 +276,15 @@ impl Future for TurnWait<'_> {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-        match self.op.take() {
-            Some(TurnOp::Yield { clock_ns }) => self.sched.note_yield(self.rank, clock_ns),
-            Some(TurnOp::Block { key, clock_ns }) => {
-                self.sched.note_block(self.rank, key, clock_ns)
+        let (sync, rank) = (self.sync, self.rank);
+        if let Some(op) = self.op.take() {
+            match op {
+                TurnOp::Yield { clock_ns } => sync.sched.note_yield(rank, clock_ns),
+                TurnOp::Block { key, clock_ns } => sync.sched.note_block(rank, key, clock_ns),
             }
-            None => {}
+            sync.report_decision();
         }
-        if self.sched.is_current(self.rank) {
+        if sync.sched.is_current(rank) {
             Poll::Ready(())
         } else {
             Poll::Pending
@@ -291,8 +293,8 @@ impl Future for TurnWait<'_> {
 }
 
 /// The cluster-wide synchronization state shared by all processors: the
-/// lock table, the barrier, and the deterministic scheduler that serializes
-/// every blocking point.
+/// lock table, the barrier, the deterministic scheduler that serializes
+/// every blocking point, and the run's observer, if one is installed.
 #[derive(Debug)]
 pub struct GlobalSync {
     /// The locks acquired so far, by id: the table is sized by the locks the
@@ -301,6 +303,9 @@ pub struct GlobalSync {
     max_locks: usize,
     barrier: RefCell<CentralBarrier>,
     sched: Scheduler,
+    /// The run's observer, beside the scheduler whose decisions it hears;
+    /// `None` (the default) costs one branch per event point.
+    pub(crate) observer: Option<Rc<RefCell<dyn Observer>>>,
 }
 
 impl GlobalSync {
@@ -312,6 +317,7 @@ impl GlobalSync {
             max_locks,
             barrier: RefCell::new(CentralBarrier::new(nprocs)),
             sched: Scheduler::new(nprocs, sched),
+            observer: None,
         }
     }
 
@@ -320,10 +326,23 @@ impl GlobalSync {
         &self.sched
     }
 
+    /// Tell the observer which rank the scheduler's latest decision chose
+    /// (if it chose one); called after every transition that decides.
+    pub(crate) fn report_decision(&self) {
+        let Some(observer) = &self.observer else {
+            return;
+        };
+        if let Some(rank) = self.sched.current() {
+            observer
+                .borrow_mut()
+                .decision(self.sched.decisions(), rank as u32);
+        }
+    }
+
     /// Park point: requeue as runnable at `clock_ns` and wait to be picked.
     pub(crate) fn yield_turn(&self, rank: usize, clock_ns: u64) -> TurnWait<'_> {
         TurnWait {
-            sched: &self.sched,
+            sync: self,
             rank,
             op: Some(TurnOp::Yield { clock_ns }),
         }
@@ -332,7 +351,7 @@ impl GlobalSync {
     /// Park point: block on `key` at `clock_ns` and wait to be woken.
     fn block_turn(&self, rank: usize, key: WaitKey, clock_ns: u64) -> TurnWait<'_> {
         TurnWait {
-            sched: &self.sched,
+            sync: self,
             rank,
             op: Some(TurnOp::Block { key, clock_ns }),
         }
@@ -445,7 +464,7 @@ mod tests {
         let continuations = (0..nprocs)
             .map(|rank| Box::pin(body(rank)) as Continuation<'_, R>)
             .collect();
-        drive(sync.scheduler(), continuations)
+        drive(sync, continuations)
     }
 
     #[test]

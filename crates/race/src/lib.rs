@@ -1,55 +1,30 @@
-//! # tm-race — happens-before data-race detection for DSM programs
+//! # tm-race — observing a DSM run: race detection and the flat-memory oracle
 //!
 //! Lazy release consistency only promises sequentially-consistent results to
-//! *data-race-free* programs; every repo invariant (bit-identical checksums
-//! across protocols and topologies) silently assumes the
-//! applications are DRF.  This crate checks that assumption inside the
-//! simulator: a FastTrack-style happens-before detector over sync vector
-//! clocks fed by the simulator's lock and barrier operations.
+//! *data-race-free* programs, and every repo invariant (bit-identical
+//! checksums across protocols and topologies) silently assumes the
+//! applications are DRF.  This crate checks that assumption — a
+//! FastTrack-style happens-before detector ([`RaceDetector`]) — and what LRC
+//! then owes a race-free run: every read returns the happens-before-latest
+//! write ([`FlatOracle`]).  Both implement [`Observer`], the one seam a run
+//! reports through; its events are plain integers and bytes, so this crate
+//! needs no simulator.  An observer never feeds back into the run.
 //!
-//! ## Happens-before order
-//!
-//! The detector maintains its own per-processor *sync* vector clocks,
-//! advanced at every release-side synchronization operation — deliberately
-//! **not** the protocol's interval vector clocks.  The protocol only numbers
-//! intervals that publish write notices (a read-only processor never
-//! advances its entry, because consistency needs nothing from it), but the
-//! happens-before relation of the *program* orders reads too.  So the
-//! simulator reports every sync operation to the detector:
-//!
-//! * `release(l)` closes the releaser's sync interval and stamps the lock
-//!   with its clock; the next `acquire(l)` merges that stamp,
-//! * a barrier closes every arriver's interval, merges all their clocks,
-//!   and every departer leaves with the merged clock.
-//!
-//! An access by processor `p` happens inside `p`'s *open* sync interval
-//! (one past its own clock entry).  A previous access stamped `(q, s)`
-//! happened-before the current one exactly when the accessor's clock
-//! already covers sync interval `s` of `q` — the covers test *is* the
-//! lock/barrier happens-before relation of lazy release consistency.
-//!
-//! ## FastTrack epochs
-//!
-//! Per shared word the detector keeps the last write as a single
-//! `(rank, interval)` `Epoch` and the read history as an epoch that is
-//! inflated to a full per-processor clock vector only while reads are
-//! genuinely concurrent — the adaptive representation of Flanagan &
-//! Freund's FastTrack.  Same-epoch repeats (by far the common case inside
-//! an interval) are filtered with one comparison.
-//!
-//! Detection never alters protocol behaviour: the detector is pure
-//! observation, so enabling it cannot change checksums, message counts or
-//! logical timings.
-//!
-//! ## Reporting
-//!
-//! Races are deduplicated on `(page, word, ranks, kinds)` — keeping the
-//! logical timestamps of the *first* occurrence, which is well defined
-//! because the simulator schedule is deterministic — then coalesced into
-//! word ranges and returned sorted ([`RaceDetector::take_races`]).  The
-//! resulting race set is a pure function of (app, config, seed, schedule)
-//! and therefore rerun-stable, like every other artifact in this
-//! workspace.
+//! The detector keeps its own per-rank *sync* vector clocks, not the
+//! protocol's interval clocks (those advance only on intervals that publish
+//! write notices, so a read-only rank's lock-ordered reads would never be
+//! covered): a release closes the releaser's sync interval and stamps the
+//! lock, an acquire merges the stamp, a barrier merges every arriver's clock
+//! into every departer's.  An access belongs to its rank's *open* interval,
+//! and an earlier access `(q, s)` happened-before it exactly when the
+//! accessor's clock covers interval `s` of `q`.  Per word it keeps
+//! FastTrack's adaptive epochs: the last write as one `(rank, interval)`,
+//! the reads as an epoch inflated to a vector only while they are
+//! concurrent.  Races are deduplicated on `(page, word, ranks, kinds)` with
+//! first-occurrence timestamps, coalesced into word ranges and sorted
+//! ([`RaceDetector::take_races`]) — a pure function of (app, config, seed,
+//! schedule).  DESIGN.md, "Race detection under lazy release consistency",
+//! has the rationale.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -58,6 +33,12 @@ use std::collections::BTreeMap;
 
 use serde::json::Value;
 use serde::{field_str, field_u64, FromJson, JsonSchemaError, ToJson};
+
+mod oracle;
+pub use oracle::{FlatOracle, Mismatch};
+
+/// Bytes per shared word (`tm_page::WORD_SIZE`).
+const WORD_BYTES: usize = 4;
 
 /// Kind of a shared-memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -85,6 +66,51 @@ impl AccessKind {
             "write" => Some(AccessKind::Write),
             _ => None,
         }
+    }
+}
+
+/// A lock or barrier operation of one simulated processor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SyncEvent {
+    /// Granted this lock (its write notices incorporated).
+    Acquire(usize),
+    /// Releasing this lock, before it becomes grantable.
+    Release(usize),
+    /// Arrived at the global barrier.
+    BarrierArrive,
+    /// Left the global barrier.
+    BarrierDepart,
+}
+
+/// What a simulated cluster run reports while it executes, in host order —
+/// one rank running at a time, a linearisation of its happens-before order.
+/// An observer never feeds back: installing one changes no statistic.
+pub trait Observer: std::fmt::Debug {
+    /// `rank` read or wrote `bytes` at byte `offset` of the shared space,
+    /// reported once served; `benign` inside `ProcCtx::begin_benign_race`.
+    fn access(&mut self, rank: u32, offset: u64, bytes: &[u8], kind: AccessKind, benign: bool);
+    /// `rank` performed a lock or barrier operation (ignored by default).
+    fn sync(&mut self, _rank: u32, _event: SyncEvent) {}
+    /// Scheduling decision number `index` (every one after the run's first)
+    /// handed the turn to `rank` (ignored by default).
+    fn decision(&mut self, _index: u64, _rank: u32) {}
+}
+
+/// Two observers of one run: every event goes to the first, then the second.
+impl<A: Observer, B: Observer> Observer for (A, B) {
+    fn access(&mut self, rank: u32, offset: u64, bytes: &[u8], kind: AccessKind, benign: bool) {
+        self.0.access(rank, offset, bytes, kind, benign);
+        self.1.access(rank, offset, bytes, kind, benign);
+    }
+
+    fn sync(&mut self, rank: u32, event: SyncEvent) {
+        self.0.sync(rank, event);
+        self.1.sync(rank, event);
+    }
+
+    fn decision(&mut self, index: u64, rank: u32) {
+        self.0.decision(index, rank);
+        self.1.decision(index, rank);
     }
 }
 
@@ -250,13 +276,11 @@ struct RaceKey {
     word: u32,
 }
 
-/// FastTrack-style happens-before race detector over interval vector clocks.
+/// FastTrack-style happens-before race detector over sync vector clocks.
 ///
 /// One detector observes a whole cluster run: processors report every
-/// shared read/write together with their current vector clock, and the
-/// detector flags conflicting same-word accesses by different ranks that
-/// the clock does not order.  Detection is pure observation — it never
-/// feeds back into the protocol.
+/// shared read/write, and the detector flags conflicting same-word accesses
+/// by different ranks that its sync clocks do not order.
 #[derive(Debug)]
 pub struct RaceDetector {
     nprocs: usize,
@@ -295,28 +319,9 @@ impl RaceDetector {
         }
     }
 
-    /// Report that `rank` acquired lock `lock_id`: its clock absorbs the
-    /// last releaser's stamp (no-op for a never-released lock).
-    pub fn on_acquire(&mut self, rank: u32, lock_id: usize) {
-        if let Some(stamp) = self.lock_clocks.get(&lock_id) {
-            let clock = &mut self.clocks[rank as usize];
-            for (c, &s) in clock.iter_mut().zip(stamp.iter()) {
-                *c = (*c).max(s);
-            }
-        }
-    }
-
-    /// Report that `rank` is releasing lock `lock_id`: its open sync
-    /// interval closes (so the critical section's accesses become coverable)
-    /// and the lock is stamped with the resulting clock.
-    pub fn on_release(&mut self, rank: u32, lock_id: usize) {
-        let r = rank as usize;
-        self.clocks[r][r] += 1;
-        self.lock_clocks.insert(lock_id, self.clocks[r].clone());
-    }
-
     /// Report that `rank` arrived at the global barrier: its open interval
-    /// closes and its clock joins the episode's merge.
+    /// closes and its clock joins the episode's merge.  ([`Observer::sync`]'s
+    /// arm, public for the repo benchmark's probe.)
     pub fn on_barrier_arrive(&mut self, rank: u32) {
         let r = rank as usize;
         self.clocks[r][r] += 1;
@@ -333,7 +338,7 @@ impl RaceDetector {
 
     /// Report that `rank` departed the global barrier: it leaves with the
     /// episode's fully merged clock (every rank arrived before any departed,
-    /// so the merge is complete).
+    /// so the merge is complete).  (Public for the same probe.)
     pub fn on_barrier_depart(&mut self, rank: u32) {
         let r = rank as usize;
         let episode = self.barrier_seq[r];
@@ -353,7 +358,7 @@ impl RaceDetector {
     /// Record one access and check it against the word's history.  The
     /// access is attributed to `rank`'s *open* sync interval (one past its
     /// own clock entry), and checked against the detector's happens-before
-    /// view for that rank (maintained by the `on_*` sync hooks).
+    /// view for that rank (maintained by [`Observer::sync`]).
     ///
     /// # Panics
     /// Panics if the page is out of range or the word range exceeds the page.
@@ -535,6 +540,42 @@ impl RaceDetector {
     }
 }
 
+impl Observer for RaceDetector {
+    /// Record the words of every page the access covers, unless benign.
+    fn access(&mut self, rank: u32, offset: u64, bytes: &[u8], kind: AccessKind, benign: bool) {
+        let page_size = (self.words_per_page * WORD_BYTES) as u64;
+        let (mut cursor, end) = (offset, offset + bytes.len() as u64);
+        while cursor < end && !benign {
+            let in_page = (cursor % page_size) as usize;
+            let take = (page_size - in_page as u64).min(end - cursor) as usize;
+            let words = in_page / WORD_BYTES..(in_page + take - 1) / WORD_BYTES + 1;
+            self.record_access(rank, (cursor / page_size) as u32, words, kind);
+            cursor += take as u64;
+        }
+    }
+
+    fn sync(&mut self, rank: u32, event: SyncEvent) {
+        let r = rank as usize;
+        match event {
+            // The clock absorbs the last releaser's stamp, if any.
+            SyncEvent::Acquire(lock) => {
+                let stamp = self.lock_clocks.get(&lock).map_or(&[][..], |s| &s[..]);
+                for (c, &s) in self.clocks[r].iter_mut().zip(stamp) {
+                    *c = (*c).max(s);
+                }
+            }
+            // The open sync interval closes (the critical section becomes
+            // coverable) and stamps the lock.
+            SyncEvent::Release(lock) => {
+                self.clocks[r][r] += 1;
+                self.lock_clocks.insert(lock, self.clocks[r].clone());
+            }
+            SyncEvent::BarrierArrive => self.on_barrier_arrive(rank),
+            SyncEvent::BarrierDepart => self.on_barrier_depart(rank),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,8 +589,8 @@ mod tests {
         let mut d = det();
         // p0 writes inside a critical section, p1 reads inside the next one.
         d.record_access(0, 0, 0..2, AccessKind::Write);
-        d.on_release(0, 7);
-        d.on_acquire(1, 7);
+        d.sync(0, SyncEvent::Release(7));
+        d.sync(1, SyncEvent::Acquire(7));
         d.record_access(1, 0, 0..2, AccessKind::Read);
         assert_eq!(d.race_count(), 0);
         assert!(d.take_races().is_empty());
@@ -562,12 +603,12 @@ mod tests {
         // reads must still be covered.  p1 reads under the lock, p0 later
         // writes under the same lock — no race.
         let mut d = det();
-        d.on_acquire(1, 3);
+        d.sync(1, SyncEvent::Acquire(3));
         d.record_access(1, 0, 0..1, AccessKind::Read);
-        d.on_release(1, 3);
-        d.on_acquire(0, 3);
+        d.sync(1, SyncEvent::Release(3));
+        d.sync(0, SyncEvent::Acquire(3));
         d.record_access(0, 0, 0..1, AccessKind::Write);
-        d.on_release(0, 3);
+        d.sync(0, SyncEvent::Release(3));
         assert!(d.take_races().is_empty());
     }
 
@@ -627,10 +668,10 @@ mod tests {
         let mut d = RaceDetector::new(3, 1, 8);
         d.record_access(0, 0, 0..8, AccessKind::Write);
         for r in 0..3 {
-            d.on_barrier_arrive(r);
+            d.sync(r, SyncEvent::BarrierArrive);
         }
         for r in 0..3 {
-            d.on_barrier_depart(r);
+            d.sync(r, SyncEvent::BarrierDepart);
         }
         d.record_access(1, 0, 0..8, AccessKind::Write);
         d.record_access(2, 0, 0..4, AccessKind::Read);
@@ -647,10 +688,10 @@ mod tests {
         for round in 0..3u32 {
             d.record_access((round % 2) as u32 % 2, 0, 0..2, AccessKind::Write);
             for r in 0..2 {
-                d.on_barrier_arrive(r);
+                d.sync(r, SyncEvent::BarrierArrive);
             }
             for r in 0..2 {
-                d.on_barrier_depart(r);
+                d.sync(r, SyncEvent::BarrierDepart);
             }
         }
         assert!(d.take_races().is_empty());
@@ -676,11 +717,29 @@ mod tests {
         d.record_access(0, 0, 0..1, AccessKind::Write);
         // p0 releases (closing its interval) and keeps going without any
         // other rank in sight.
-        d.on_release(0, 0);
+        d.sync(0, SyncEvent::Release(0));
         d.record_access(0, 0, 0..1, AccessKind::Write);
-        d.on_release(0, 0);
+        d.sync(0, SyncEvent::Release(0));
         d.record_access(0, 0, 0..1, AccessKind::Read);
         assert!(d.take_races().is_empty());
+    }
+
+    /// An access is split into the words of every page it covers (32-byte
+    /// pages here: bytes 26..34 are words 6..=7 of page 0 and word 0 of page
+    /// 1), and a benign-scoped access is not recorded at all.
+    #[test]
+    fn observed_accesses_split_at_page_boundaries_and_skip_benign_ones() {
+        let mut d = det();
+        d.access(0, 26, &[0; 8], AccessKind::Write, false);
+        d.access(1, 26, &[0; 8], AccessKind::Read, true);
+        assert_eq!(d.race_count(), 0);
+        d.access(1, 26, &[0; 8], AccessKind::Read, false);
+        let words: Vec<_> = d
+            .take_races()
+            .iter()
+            .map(|r| (r.page, r.word_lo, r.word_hi))
+            .collect();
+        assert_eq!(words, vec![(0, 6, 7), (1, 0, 0)]);
     }
 
     #[test]

@@ -209,10 +209,6 @@ struct SchedState {
     /// decision is taken: the driver stops ([`Scheduler::current`] is
     /// `None`) and reports [`Scheduler::abort_dump`].
     aborted: bool,
-    /// When present, every decision's `(decision index, chosen rank)` is
-    /// appended here — the decision-trace hook the schedule goldens pin.
-    /// `None` (the default) costs nothing on the pick path.
-    trace: Option<Vec<(u64, usize)>>,
 }
 
 impl SchedState {
@@ -397,7 +393,6 @@ impl Scheduler {
             current: None,
             decisions: 0,
             aborted: false,
-            trace: None,
         };
         Self::pick(&mut state, &config);
         Scheduler {
@@ -417,7 +412,8 @@ impl Scheduler {
         self.config
     }
 
-    /// Number of scheduling decisions taken so far (statistics/tests).
+    /// Number of scheduling decisions taken so far — the index of the
+    /// latest one, which `tdsm-core` reports to a run's observer.
     pub fn decisions(&self) -> u64 {
         self.state.borrow().decisions
     }
@@ -464,9 +460,6 @@ impl Scheduler {
             },
         };
         state.current = Some(rank);
-        if let Some(trace) = state.trace.as_mut() {
-            trace.push((decisions, rank));
-        }
     }
 
     /// The deadlock state dump of an aborted scheduler.
@@ -522,19 +515,6 @@ impl Scheduler {
     pub fn abort_dump(&self) -> Option<String> {
         let state = self.state.borrow();
         state.aborted.then(|| Self::dump(&state))
-    }
-
-    /// Start recording `(decision index, chosen rank)` for every scheduling
-    /// decision from now on.  Discards any previous trace.
-    pub fn enable_decision_trace(&self) {
-        self.state.borrow_mut().trace = Some(Vec::new());
-    }
-
-    /// Stop recording and hand back the decision trace collected since
-    /// [`enable_decision_trace`](Self::enable_decision_trace), or `None` if
-    /// tracing was never enabled.
-    pub fn take_decision_trace(&self) -> Option<Vec<(u64, usize)>> {
-        self.state.borrow_mut().trace.take()
     }
 
     /// Make every processor blocked on `key` runnable again (at the logical
@@ -1122,19 +1102,6 @@ mod tests {
                  Blocked { key: Lock(9), clock_ns: 7 }]"
             )
         );
-    }
-
-    #[test]
-    fn decision_trace_records_picks() {
-        let sched = Scheduler::new(2, SchedConfig::fifo());
-        assert_eq!(sched.take_decision_trace(), None, "tracing starts off");
-        sched.enable_decision_trace();
-        sched.note_yield(0, 10); // decision 2: rank 1 (clock 0) is due
-        sched.note_yield(1, 20); // decision 3: rank 0 (clock 10)
-        sched.finish(0); //         decision 4: rank 1
-        let trace = sched.take_decision_trace().expect("tracing was enabled");
-        assert_eq!(trace, vec![(2, 1), (3, 0), (4, 1)]);
-        assert_eq!(sched.take_decision_trace(), None, "take drains the trace");
     }
 
     #[test]

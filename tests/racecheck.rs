@@ -1,6 +1,9 @@
-//! Racecheck suite: the happens-before detector must (a) stay silent on
-//! every registered application — they are data-race-free by construction —
-//! under both write protocols, (b) report a non-empty, *pinned* race set
+//! Racecheck suite: a checked run (the happens-before detector plus the
+//! flat-memory oracle, which makes `Dsm::run` panic on any read of a
+//! race-free run that did not return the latest write in host order) must
+//! (a) find every registered application — data-race-free by construction
+//! — race-free, with every read checked, under both write protocols, every
+//! unit shape and many schedules, (b) report a non-empty, *pinned* race set
 //! for the deliberately racy fixtures, stable across reruns and schedule
 //! seeds, and (c) never perturb the measurements of the run it observes.
 //!
@@ -8,7 +11,7 @@
 //! race-free under arbitrary seeded schedules, not just the golden one.
 
 use proptest::prelude::*;
-use tdsm_core::{ProtocolMode, RaceRecord, SchedConfig};
+use tdsm_core::{ProtocolMode, RaceRecord, SchedConfig, UnitPolicy};
 use tm_apps::racy::{run_missing_barrier_jacobi, run_racy_counter};
 use tm_apps::{AppConfig, AppId, Workload};
 
@@ -31,38 +34,53 @@ fn render_races(races: &[RaceRecord]) -> String {
         .join("\n")
 }
 
-/// (a) Every registered application under both protocols at the golden
-/// seed: checked and race-free.  This is the CI racecheck gate; the
-/// paper-scale equivalent runs off-line (same code path, bigger inputs).
+/// (a) Every registered application, checked, under both protocols × the
+/// 4 K/16 K/Dyn units × the eight schedule seeds of `protocol_fuzz.rs`:
+/// race-free, and every read the latest write (or the run would have
+/// panicked).  CI also checks `table1`, `fig1` and `fig2` at paper scale.
 #[test]
 fn tiny_suite_is_race_free_under_both_protocols_and_engines() {
+    let units = [
+        UnitPolicy::Static { pages: 1 },
+        UnitPolicy::Static { pages: 4 },
+        UnitPolicy::Dynamic { max_group_pages: 4 },
+    ];
     for w in Workload::tiny_suite() {
         for protocol in [ProtocolMode::MultiWriter, ProtocolMode::home_based()] {
-            let run = w.run_parallel(&checked_cfg(4, protocol));
-            assert!(
-                run.stats.races.is_empty(),
-                "{} {protocol}: unexpected races:\n{}",
-                w.size_label,
-                render_races(&run.stats.races)
-            );
+            for unit in units {
+                for i in 0..8u64 {
+                    let seed = 0x5eed_u64.wrapping_add(i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                    let cfg = checked_cfg(4, protocol)
+                        .unit(unit)
+                        .sched(SchedConfig::seeded(seed));
+                    let run = w.run_parallel(&cfg);
+                    assert!(
+                        run.stats.races.is_empty(),
+                        "{} {protocol} {unit:?} seed {seed:#x}: unexpected races:\n{}",
+                        w.size_label,
+                        render_races(&run.stats.races)
+                    );
+                }
+            }
         }
     }
 }
 
-/// (c) The detector is a pure observer: measurements with `--racecheck` are
-/// bit-identical to measurements without it.
+/// (c) Observation is pure: every tiny application's `ClusterStats` —
+/// every record and counter — is identical with and without `--racecheck`
+/// (the checked-run observer hears every event a run has).
 #[test]
 fn racecheck_does_not_perturb_measurements() {
-    for protocol in [ProtocolMode::MultiWriter, ProtocolMode::home_based()] {
-        let w = Workload::tiny(AppId::Jacobi);
-        let base = AppConfig::with_procs(4)
-            .sched(SchedConfig::seeded(GOLDEN_SEED))
-            .protocol(protocol);
-        let plain = w.run_parallel(&base.clone());
-        let checked = w.run_parallel(&base.racecheck(true));
-        assert_eq!(plain.checksum.to_bits(), checked.checksum.to_bits());
-        assert_eq!(plain.exec_time_ns, checked.exec_time_ns);
-        assert_eq!(plain.breakdown, checked.breakdown);
+    for w in Workload::tiny_suite() {
+        for protocol in [ProtocolMode::MultiWriter, ProtocolMode::home_based()] {
+            let base = AppConfig::with_procs(4)
+                .sched(SchedConfig::seeded(GOLDEN_SEED))
+                .protocol(protocol);
+            let plain = w.run_parallel(&base.clone());
+            let checked = w.run_parallel(&base.racecheck(true));
+            assert_eq!(plain.checksum.to_bits(), checked.checksum.to_bits());
+            assert_eq!(plain.stats, checked.stats, "{} {protocol}", w.size_label);
+        }
     }
 }
 

@@ -8,7 +8,8 @@
 //!
 //! * **decision level** — a synthetic yield-point program (writes, remote
 //!   reads, contended lock chains, barriers) over a fixed case table, pinning
-//!   the length and FNV-1a of `Dsm::run_traced`'s decision trace, the
+//!   the length and FNV-1a of the decision trace a test `Observer` records
+//!   through `Dsm::run_observed`, the
 //!   per-rank results and the full `ClusterStats`;
 //! * **application level** — every tiny workload under both write protocols
 //!   and both diff timings at the golden seed, pinning `(checksum bits,
@@ -29,7 +30,10 @@
 
 use std::fmt::Debug;
 
-use tdsm_core::{Align, DiffTiming, Dsm, DsmConfig, GArray, ProcCtx, ProtocolMode, SchedConfig};
+use tdsm_core::{
+    AccessKind, Align, DiffTiming, Dsm, DsmConfig, GArray, Observer, ProcCtx, ProtocolMode,
+    SchedConfig,
+};
 use tm_apps::{checksums_match, AppConfig, AppId, Workload};
 
 /// The fixed golden configuration: 4 processors, seeded schedule.
@@ -83,6 +87,19 @@ async fn replay(ctx: &mut ProcCtx, arr: &GArray<u64>, ops: &[u8]) -> u64 {
         sum = sum.wrapping_add(arr.get(ctx, s).await);
     }
     sum
+}
+
+/// The decision-level recorder: `(decision index, chosen rank)` of every
+/// scheduling decision after setup.
+#[derive(Debug, Default)]
+struct Decisions(Vec<(u64, usize)>);
+
+impl Observer for Decisions {
+    fn access(&mut self, _: u32, _: u64, _: &[u8], _: AccessKind, _: bool) {}
+
+    fn decision(&mut self, index: u64, rank: u32) {
+        self.0.push((index, rank as usize));
+    }
 }
 
 /// `(seed, nprocs, ops)` of the decision-level cases.
@@ -287,7 +304,7 @@ fn as_source(rows: &[impl Debug]) -> String {
 }
 
 #[test]
-fn replay_decision_traces_results_and_stats_match_the_goldens() {
+fn replay_decisions_results_and_stats_match_the_goldens() {
     let actual: Vec<ReplayGolden> = REPLAY_CASES
         .iter()
         .map(|&(seed, nprocs, ops)| {
@@ -297,7 +314,9 @@ fn replay_decision_traces_results_and_stats_match_the_goldens() {
                     .sched(SchedConfig::seeded(seed)),
             );
             let arr = dsm.alloc_array::<u64>(nprocs * 64, Align::Page);
-            let (out, trace) = dsm.run_traced(async |ctx| replay(ctx, &arr, ops).await);
+            let (out, Decisions(trace)) = dsm.run_observed(Decisions::default(), async |ctx| {
+                replay(ctx, &arr, ops).await
+            });
             let trace_fnv = fnv1a(
                 trace
                     .iter()
