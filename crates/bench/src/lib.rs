@@ -35,8 +35,8 @@ pub use experiment::{Cell, Experiment};
 pub use runner::{run_cell, run_experiment, CellResult, ExperimentResult, RunnerOptions};
 
 use tdsm_core::{
-    AggregationPolicy, DiffTiming, NetworkConfig, ProtocolMode, SchedConfig, SignatureHistogram,
-    Topology, MAX_PROCS,
+    AggregationPolicy, NetworkConfig, ProtocolMode, SchedConfig, SignatureHistogram, Topology,
+    MAX_PROCS,
 };
 use tm_apps::{AppId, Workload};
 use tm_sched::ScheduleMode;
@@ -184,8 +184,9 @@ fn parse_seed(s: &str) -> Option<u64> {
 /// Command-line options shared by every experiment.
 ///
 /// Usage: `tm-bench <experiment> [nprocs] [--scale tiny|paper|large] [--tiny] [--threads N] [--seed N]
-/// [--schedule fifo|seeded] [--diff-timing eager|lazy] [--app NAME]
-/// [--format human|json|csv] [--out FILE]`.
+/// [--schedule fifo|seeded] [--protocol multi-writer|home-based]
+/// [--topology ideal|bus|switched] [--aggregation per-message|batched]
+/// [--racecheck] [--app NAME] [--format human|json|csv] [--out FILE]`.
 ///
 /// * `--scale` picks the workload tier: `tiny` (one smoke data set per
 ///   application and a 2-processor cluster unless a count was given
@@ -199,14 +200,11 @@ fn parse_seed(s: &str) -> Option<u64> {
 /// * `--schedule` picks the deterministic scheduler's tie-break mode:
 ///   `seeded` (default; the seed selects the interleaving) or `fifo`
 ///   (rank-ordered ties, seed-independent).
-/// * `--diff-timing` picks when diffs are created and charged: `lazy`
-///   (TreadMarks' on-demand creation, the default) or `eager` (at interval
-///   close).  Message counts and volumes are identical either way.
 /// * `--protocol` picks the write protocol every cell runs under:
-///   `multi-writer` (TreadMarks' twin/diff organization, the default),
-///   `home-based` (single-writer with round-robin page homes) or
-///   `home-based-first-touch`.  Protocols may differ in messages — that is
-///   the point — but never in computed results or checksums.
+///   `multi-writer` (TreadMarks' twin/diff organization, the default) or
+///   `home-based` (single-writer with round-robin page homes).  Protocols
+///   may differ in messages — that is the point — but never in computed
+///   results or checksums.
 /// * `--topology` picks the modeled interconnect every cell runs on:
 ///   `ideal` (infinite bandwidth, the default — byte-identical to every
 ///   pre-topology document), `bus` (one shared 10 Mbps segment with hardware
@@ -246,8 +244,6 @@ pub struct BenchArgs {
     pub seed: u64,
     /// Deterministic-scheduler tie-break mode.
     pub schedule: ScheduleMode,
-    /// Diff-timing knob applied to every cell.
-    pub diff_timing: DiffTiming,
     /// Write protocol applied to every cell (`--protocol`).
     pub protocol: ProtocolMode,
     /// Modeled interconnect applied to every cell (`--topology`).
@@ -276,7 +272,6 @@ impl BenchArgs {
             threads: 0,
             seed: 0,
             schedule: ScheduleMode::Seeded,
-            diff_timing: DiffTiming::default(),
             protocol: ProtocolMode::default(),
             topology: Topology::default(),
             aggregation: AggregationPolicy::default(),
@@ -315,8 +310,7 @@ impl BenchArgs {
                     "error: {msg}\nusage: tm-bench <{}> [nprocs (1-{MAX_PROCS})] \
                      [--scale tiny|paper|large] [--tiny] \
                      [--threads N] [--seed N] [--schedule fifo|seeded] \
-                     [--diff-timing eager|lazy] \
-                     [--protocol multi-writer|home-based|home-based-first-touch] \
+                     [--protocol multi-writer|home-based] \
                      [--topology ideal|bus|switched] \
                      [--aggregation per-message|batched] [--racecheck] [--app NAME] \
                      [--format human|json|csv] [--out FILE]",
@@ -350,9 +344,6 @@ impl BenchArgs {
                 "--tiny" => out.scale = Scale::Tiny,
                 "--scale" => {
                     out.scale = flag_value("--scale")?.parse()?;
-                }
-                "--diff-timing" => {
-                    out.diff_timing = flag_value("--diff-timing")?.parse()?;
                 }
                 "--protocol" => {
                     out.protocol = flag_value("--protocol")?.parse()?;
@@ -638,7 +629,7 @@ mod tests {
     /// `Cell` → the `DsmConfig` the cluster is built from.
     #[test]
     fn each_flag_reaches_the_cluster_configuration() {
-        use tdsm_core::{DsmConfig, HomeAssign};
+        use tdsm_core::DsmConfig;
         let config = |flags: &[&str]| {
             let line = ["fig1"].iter().chain(flags).map(|s| s.to_string());
             let (exp, _) = BenchArgs::command_from_iter(line).unwrap();
@@ -646,12 +637,9 @@ mod tests {
         };
         let base = config(&[]);
         type Check = fn(&DsmConfig, &DsmConfig) -> bool;
-        let cases: [(&[&str], Check); 6] = [
-            (&["--protocol", "home-based-first-touch"], |c, _| {
-                c.protocol
-                    == ProtocolMode::HomeBased {
-                        assign: HomeAssign::FirstTouch,
-                    }
+        let cases: [(&[&str], Check); 5] = [
+            (&["--protocol", "home-based"], |c, _| {
+                c.protocol == ProtocolMode::HomeBased
             }),
             (
                 &["--topology", "bus", "--aggregation", "batched"],
@@ -660,9 +648,6 @@ mod tests {
                         == NetworkConfig::new(Topology::SharedBus, AggregationPolicy::Batched)
                 },
             ),
-            (&["--diff-timing", "eager"], |c, _| {
-                c.diff_timing == DiffTiming::Eager
-            }),
             (&["--schedule", "fifo"], |c, base| {
                 c.sched.mode == ScheduleMode::Fifo && c.sched.seed == base.sched.seed
             }),
@@ -719,26 +704,12 @@ mod tests {
             .iter()
             .all(|w| w.size_label.ends_with("(large)")));
 
-        // --diff-timing flows into the options.
-        use tdsm_core::DiffTiming;
-        assert_eq!(parse(&[]).diff_timing, DiffTiming::Lazy);
-        assert_eq!(
-            parse(&["--diff-timing", "eager"]).diff_timing,
-            DiffTiming::Eager
-        );
-
         // --protocol flows into the options.
         use tdsm_core::ProtocolMode;
         assert_eq!(parse(&[]).protocol, ProtocolMode::MultiWriter);
         assert_eq!(
             parse(&["--protocol", "home-based"]).protocol,
             ProtocolMode::home_based()
-        );
-        assert_eq!(
-            parse(&["--protocol", "home-based-first-touch"]).protocol,
-            ProtocolMode::HomeBased {
-                assign: tdsm_core::HomeAssign::FirstTouch
-            }
         );
 
         // --app narrows every selector to one application.
@@ -750,7 +721,6 @@ mod tests {
         let err =
             |args: &[&str]| BenchArgs::from_iter(args.iter().map(|s| s.to_string())).unwrap_err();
         assert!(err(&["--scale", "huge"]).contains("unknown scale"));
-        assert!(err(&["--diff-timing", "sometimes"]).contains("unknown diff timing"));
         assert!(err(&["--protocol", "token-ring"]).contains("unknown protocol"));
         assert!(err(&["--app", "Pong"]).contains("unknown application"));
     }

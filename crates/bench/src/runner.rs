@@ -50,9 +50,8 @@ pub struct CellResult {
     /// The paper's full communication breakdown, including the
     /// false-sharing signature.
     pub breakdown: CommBreakdown,
-    /// Interval-log garbage-collection counters of the run (identical under
-    /// eager and lazy diff timing — they are a pure function of the
-    /// write-notice flow).
+    /// Interval-log garbage-collection counters of the run (a pure function
+    /// of the write-notice flow).
     pub gc: GcCounters,
     /// Per-link occupancy counters of the modeled interconnect — empty for
     /// the ideal topology (no links are modeled), one entry per link

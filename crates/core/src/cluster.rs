@@ -35,14 +35,13 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 use tm_net::{ClusterStats, NetworkState, ProcStats};
-use tm_page::{Align, GlobalAddr, PageLayout, RegionAllocator};
+use tm_page::{Align, GlobalAddr, HomeStore, PageLayout, RegionAllocator};
 use tm_race::{FlatOracle, Observer, RaceDetector};
 
 use crate::config::DsmConfig;
 use crate::handle::{GArray, GMatrix, GScalar, SharedVal};
 use crate::interval::IntervalLog;
 use crate::proc::ProcCtx;
-use crate::protocol::{HomeDirectory, ProtocolMode};
 use crate::sync::GlobalSync;
 
 /// The protocol state the processors of one run share, built by
@@ -57,9 +56,10 @@ pub(crate) struct RunState {
     pub(crate) logs: Vec<RefCell<IntervalLog>>,
     /// Lock table, barrier, the deterministic scheduler, the observer.
     pub(crate) sync: GlobalSync,
-    /// Home assignment and master copies; present exactly for home-based
-    /// runs (multi-writer runs have no authoritative copy).
-    pub(crate) home: Option<RefCell<HomeDirectory>>,
+    /// The master copies of the pages (each homed at `round_robin_home`);
+    /// present exactly for home-based runs (multi-writer runs have no
+    /// authoritative copy).
+    pub(crate) home: Option<RefCell<HomeStore>>,
     /// Link-occupancy state of the run's interconnect.  Every run has one:
     /// the ideal default's owns no links, so it allocates nothing, queues
     /// nothing and reports no link statistics.
@@ -67,9 +67,11 @@ pub(crate) struct RunState {
 }
 
 impl RunState {
-    /// The home directory of a home-based run.
-    pub(crate) fn home(&self) -> &RefCell<HomeDirectory> {
-        self.home.as_ref().expect("home-based run has a directory")
+    /// The master copies of a home-based run.
+    pub(crate) fn home(&self) -> &RefCell<HomeStore> {
+        self.home
+            .as_ref()
+            .expect("home-based run has master copies")
     }
 }
 
@@ -215,12 +217,11 @@ impl Dsm {
                 .map(|_| RefCell::new(IntervalLog::new()))
                 .collect(),
             sync,
-            home: match self.config.protocol {
-                ProtocolMode::MultiWriter => None,
-                ProtocolMode::HomeBased { assign } => {
-                    Some(RefCell::new(HomeDirectory::new(layout, nprocs, assign)))
-                }
-            },
+            home: self
+                .config
+                .protocol
+                .is_home_based()
+                .then(|| RefCell::new(HomeStore::new(layout))),
             net: RefCell::new(NetworkState::new(self.config.topology, nprocs)),
         });
 
@@ -350,7 +351,6 @@ mod tests {
             cost: CostModel::pentium_ethernet_1997(),
             max_locks: 16,
             sched: tm_sched::SchedConfig::default(),
-            diff_timing: crate::config::DiffTiming::default(),
             gc_flush_pending_limit: crate::config::DEFAULT_GC_FLUSH_PENDING_LIMIT,
             topology: tm_net::Topology::default(),
             aggregation: tm_net::AggregationPolicy::default(),
@@ -640,41 +640,6 @@ mod tests {
             hbb.total_messages(),
             "the protocols must provably diverge in message counts"
         );
-    }
-
-    #[test]
-    fn home_based_first_touch_assigns_homes_to_first_writers() {
-        use crate::protocol::{HomeAssign, ProtocolMode};
-        // Each processor writes its own private page band first, so under
-        // first touch every page is self-homed and the steady state sends
-        // no home updates at all; round-robin scatters the same pages over
-        // both processors and must flush the remote half.
-        let run = |assign: HomeAssign| {
-            let mut dsm = Dsm::new(DsmConfig {
-                protocol: ProtocolMode::HomeBased { assign },
-                ..small_config(2)
-            });
-            // 4 pages; each processor owns two *consecutive* pages, so the
-            // round-robin interleaving homes one of them remotely while
-            // first touch homes both locally.
-            let arr = dsm.alloc_array::<u64>(2048, Align::Page);
-            let out = dsm.run(async |ctx| {
-                let me = ctx.rank();
-                for round in 0..3u64 {
-                    for i in 0..1024 {
-                        arr.set(ctx, me * 1024 + i, round + i as u64).await;
-                    }
-                    ctx.barrier().await;
-                }
-                arr.get(ctx, me * 1024).await
-            });
-            (out.results.clone(), out.breakdown())
-        };
-        let (ft_results, ft) = run(HomeAssign::FirstTouch);
-        let (rr_results, rr) = run(HomeAssign::RoundRobin);
-        assert_eq!(ft_results, rr_results);
-        assert_eq!(ft.home_updates, 0, "first touch makes every write local");
-        assert!(rr.home_updates > 0, "round-robin must flush remote pages");
     }
 
     /// Every page written by every rank for two rounds, so that under the

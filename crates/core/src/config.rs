@@ -20,57 +20,18 @@ pub enum EngineKind {
     EventDriven,
 }
 
-/// When a dirty page's diff is encoded — at interval close, or on demand at
-/// the first request that needs it.
-///
-/// TreadMarks creates diffs *lazily*: closing an interval publishes only
-/// write notices, and the twin comparison runs on the responder's serve path
-/// the first time some processor requests the diff (never, for a diff nobody
-/// asks for).  The eager variant pays the creation cost up front on the
-/// writer.  Both timings exchange exactly the same write notices and diffs,
-/// so the paper's message counts and volumes are independent of this knob;
-/// only where and when `CostModel::diff_create_cost` is charged differs (see
-/// DESIGN.md, "Eager versus lazy diff creation").
+/// Compile-compat shim beside [`EngineKind`]: the frozen `benchmark/`
+/// package still names `DiffTiming::default()` (for `tm_bench::Cell::new`,
+/// [`DsmConfig::diff_timing`] and `IntervalLog::publish`).  Diffs are always
+/// created lazily, TreadMarks' way — at the first request that needs them
+/// (see DESIGN.md, "Lazy diff creation") — and nothing branches on this;
+/// the next `benchmark` PR removes those call sites, then this enum.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum DiffTiming {
-    /// Encode every dirty page's diff when the interval closes (charged to
-    /// the writer at close time).
-    Eager,
-    /// Encode a diff at the first request that needs it (charged to the
-    /// responder's serve path, which the faulting processor stalls on).
-    /// This is TreadMarks' behaviour and the default.
+    /// The only timing: a diff is charged on the responder's serve path at
+    /// its first request.
     #[default]
     Lazy,
-}
-
-impl DiffTiming {
-    /// Stable lowercase name, used by CLI flags and machine-readable rows.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            DiffTiming::Eager => "eager",
-            DiffTiming::Lazy => "lazy",
-        }
-    }
-}
-
-impl std::str::FromStr for DiffTiming {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "eager" => Ok(DiffTiming::Eager),
-            "lazy" => Ok(DiffTiming::Lazy),
-            other => Err(format!(
-                "unknown diff timing '{other}' (expected eager or lazy)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for DiffTiming {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
 }
 
 /// How hardware pages are grouped into consistency units — the central knob
@@ -200,10 +161,6 @@ pub struct DsmConfig {
     /// run's results are a pure function of the rest of this configuration
     /// plus this field.
     pub sched: SchedConfig,
-    /// When diffs are encoded and their creation cost charged (TreadMarks'
-    /// lazy on-demand creation by default; message counts and volumes are
-    /// unaffected by the choice).
-    pub diff_timing: DiffTiming,
     /// Memory-pressure trigger of the interval GC: when a processor arrives
     /// at a barrier holding more than this many pending (incorporated but
     /// unapplied) write notices, it first validates them all — fetching the
@@ -252,7 +209,6 @@ impl DsmConfig {
             cost: CostModel::pentium_ethernet_1997(),
             max_locks: 4096,
             sched: SchedConfig::default(),
-            diff_timing: DiffTiming::default(),
             gc_flush_pending_limit: DEFAULT_GC_FLUSH_PENDING_LIMIT,
             topology: Topology::default(),
             aggregation: AggregationPolicy::default(),
@@ -305,15 +261,14 @@ impl DsmConfig {
         self
     }
 
-    /// Builder-style setter for the diff-timing knob.
-    pub fn diff_timing(mut self, timing: DiffTiming) -> Self {
-        self.diff_timing = timing;
-        self
-    }
-
     /// No-op kept, beside [`EngineKind`], for the frozen `benchmark/` package
     /// (see there).
     pub fn engine(self, _engine: EngineKind) -> Self {
+        self
+    }
+
+    /// No-op kept for the frozen `benchmark/` package (see [`DiffTiming`]).
+    pub fn diff_timing(self, _timing: DiffTiming) -> Self {
         self
     }
 
@@ -461,21 +416,6 @@ mod tests {
         cfg.validate();
         assert_eq!(cfg.nprocs, 8);
         assert_eq!(cfg.layout().page_size(), 4096);
-    }
-
-    #[test]
-    fn diff_timing_parses_and_defaults_to_lazy() {
-        assert_eq!(DsmConfig::paper_default().diff_timing, DiffTiming::Lazy);
-        assert_eq!("eager".parse(), Ok(DiffTiming::Eager));
-        assert_eq!("lazy".parse(), Ok(DiffTiming::Lazy));
-        assert!("sometimes".parse::<DiffTiming>().is_err());
-        assert_eq!(DiffTiming::Eager.to_string(), "eager");
-        assert_eq!(
-            DsmConfig::paper_default()
-                .diff_timing(DiffTiming::Eager)
-                .diff_timing,
-            DiffTiming::Eager
-        );
     }
 
     #[test]

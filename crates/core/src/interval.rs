@@ -3,13 +3,13 @@
 //! An *interval* is the stretch of a processor's execution between two
 //! consecutive synchronization operations.  When an interval closes the
 //! processor records which shared pages it wrote (its *write notices*) and
-//! the vector time at which the interval ended.  Whether the diffs of those
-//! pages are encoded at the same moment or on demand at the first request is
-//! the [`DiffTiming`] knob (see DESIGN.md, "Eager versus lazy diff
-//! creation"); either way the log is also the unit of garbage collection:
-//! once an interval is covered by every processor's vector clock and its
-//! diffs have been applied everywhere they were pending, the record and its
-//! diffs are retired (see DESIGN.md, "Interval garbage collection").
+//! the vector time at which the interval ended.  The diffs of those pages
+//! are stored with the record but *created* — charged and counted — only at
+//! the first request that needs them (see DESIGN.md, "Lazy diff creation").
+//! The log is also the unit of garbage collection: once an interval is
+//! covered by every processor's vector clock and its diffs have been applied
+//! everywhere they were pending, the record and its diffs are retired (see
+//! DESIGN.md, "Interval garbage collection").
 
 use crate::fasthash::FastHashMap;
 use std::sync::Arc;
@@ -52,12 +52,10 @@ pub struct IntervalRecord {
 #[derive(Debug, Clone)]
 struct StoredDiff {
     diff: Arc<Diff>,
-    /// Whether the diff has been *created* in the modeled protocol: true
-    /// from publication under eager timing, set by the first serving request
-    /// under lazy timing.  (The encoded bytes exist either way — the
-    /// simulator derives them from the twin at close so both timings ship
-    /// identical diffs — but an unmaterialized diff has not yet been charged
-    /// or counted.)
+    /// Whether the diff has been *created* in the modeled protocol: set by
+    /// the first serving request.  (The encoded bytes exist from publication
+    /// on — the simulator derives them from the twin at close — but an
+    /// unmaterialized diff has not yet been charged or counted.)
     materialized: bool,
     /// `diff.wire_bytes()`, computed once at publication: serving paths
     /// charge it on every request, and walking the runs each time was a
@@ -97,9 +95,8 @@ pub struct LogCounters {
 pub struct FetchedDiff {
     /// The requested diff.
     pub diff: Arc<Diff>,
-    /// True if this request materialized the diff (lazy timing only): the
-    /// requester must charge the creation cost to the responder's serve
-    /// path.
+    /// True if this request materialized the diff: the requester must
+    /// charge the creation cost to the responder's serve path.
     pub created_now: bool,
     /// The diff's wire bytes, cached at publication.
     pub wire_bytes: u64,
@@ -117,9 +114,9 @@ pub struct ChainFetch {
     pub wire_bytes: u64,
     /// Sum of the individual diffs' payload bytes.
     pub payload_bytes: u64,
-    /// How many of the chain's diffs this call materialized (lazy timing
-    /// only; the requester charges one creation per materialization to the
-    /// responder's serve path).
+    /// How many of the chain's diffs this call materialized (the requester
+    /// charges one creation per materialization to the responder's serve
+    /// path).
     pub created_now: u32,
 }
 
@@ -208,26 +205,21 @@ impl IntervalLog {
 
     /// Publish a closed interval together with the diffs of the pages it
     /// wrote.  `seq` must be exactly one past the previously published
-    /// interval.  Under [`DiffTiming::Eager`] the diffs are already
-    /// materialized; under [`DiffTiming::Lazy`] they sit unmaterialized
-    /// until the first [`fetch_diff`](Self::fetch_diff).
+    /// interval.  The diffs sit unmaterialized until the first
+    /// [`fetch_diff`](Self::fetch_diff).  The third argument is ignored: it
+    /// stays for the frozen `benchmark/` package (see [`DiffTiming`]).
     pub fn publish(
         &mut self,
         record: IntervalRecord,
         mut diffs: Vec<(PageId, Arc<Diff>)>,
-        timing: DiffTiming,
+        _timing: DiffTiming,
     ) {
-        self.publish_drain(record, &mut diffs, timing);
+        self.publish_drain(record, &mut diffs);
     }
 
     /// [`publish`](Self::publish) draining `diffs` in place, so the caller
     /// keeps the vector's capacity for its next interval close.
-    pub fn publish_drain(
-        &mut self,
-        record: IntervalRecord,
-        diffs: &mut Vec<(PageId, Arc<Diff>)>,
-        timing: DiffTiming,
-    ) {
+    pub fn publish_drain(&mut self, record: IntervalRecord, diffs: &mut Vec<(PageId, Arc<Diff>)>) {
         debug_assert_eq!(
             record.id.seq,
             self.published() + 1,
@@ -239,7 +231,7 @@ impl IntervalLog {
                 (page, record.id.seq),
                 StoredDiff {
                     diff,
-                    materialized: timing == DiffTiming::Eager,
+                    materialized: false,
                     wire_bytes,
                     payload_bytes,
                 },
@@ -278,9 +270,8 @@ impl IntervalLog {
     }
 
     /// Serve the diff of `page` for interval `seq`, materializing it if this
-    /// is the first request (lazy timing).  `created_now` tells the caller
-    /// to charge the creation cost to this responder's serve path and is
-    /// never true under eager timing.
+    /// is the first request.  `created_now` tells the caller to charge the
+    /// creation cost to this responder's serve path.
     pub fn fetch_diff(&mut self, page: PageId, seq: u32) -> Option<FetchedDiff> {
         let stored = self.diffs.get_mut(&(page, seq))?;
         let created_now = !stored.materialized;
@@ -477,7 +468,7 @@ mod tests {
         log.publish(
             record(0, 1, 2, &[3, 4]),
             vec![(PageId(3), diff.clone())],
-            DiffTiming::Eager,
+            DiffTiming::Lazy,
         );
         assert_eq!(log.len(), 1);
         assert_eq!(log.published(), 1);
@@ -487,19 +478,6 @@ mod tests {
         assert!(log.fetch_diff(PageId(3), 1).is_some());
         assert!(log.fetch_diff(PageId(4), 1).is_none());
         assert_eq!(log.stored_diffs(), 1);
-    }
-
-    #[test]
-    fn eager_diffs_are_born_materialized() {
-        let mut log = IntervalLog::new();
-        log.publish(
-            record(0, 1, 2, &[3]),
-            vec![(PageId(3), one_byte_diff(3, 8))],
-            DiffTiming::Eager,
-        );
-        let fetched = log.fetch_diff(PageId(3), 1).unwrap();
-        assert!(!fetched.created_now);
-        assert_eq!(log.counters().diffs_created_on_demand, 0);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use interval::{
     FetchedDiff, IntervalId, IntervalLog, IntervalRecord, LogCounters, NOTICE_WIRE_BYTES,
 };
 pub use proc::ProcCtx;
-pub use protocol::{round_robin_home, HomeAssign, HomeDirectory, ProtocolMode};
+pub use protocol::{round_robin_home, ProtocolMode};
 pub use sync::{gc_thresholds, BarrierEpoch, CentralBarrier, GlobalLock, GlobalSync, LockRelease};
 pub use vc::{VcOrder, VectorClock};
 

@@ -30,9 +30,9 @@ use tm_race::{AccessKind, SyncEvent};
 
 use crate::aggregation::DynamicAggregator;
 use crate::cluster::RunState;
-use crate::config::{DiffTiming, DsmConfig, UnitPolicy};
+use crate::config::{DsmConfig, UnitPolicy};
 use crate::interval::{IntervalId, IntervalRecord, NOTICE_WIRE_BYTES};
-use crate::protocol::ProtocolMode;
+use crate::protocol::{round_robin_home, ProtocolMode};
 use crate::vc::VectorClock;
 
 /// Per-page protocol metadata kept privately by each processor — the part
@@ -40,11 +40,6 @@ use crate::vc::VectorClock;
 /// in the dense [`ProcCtx::prot`] table instead.
 #[derive(Debug, Clone, Default)]
 struct PageMeta {
-    /// Home-based protocol: locally cached home of the page.  Assignment is
-    /// sticky for the whole run, so a cached value never goes stale; the
-    /// cache keeps the per-write write-through check off the shared
-    /// directory.
-    home: Option<u32>,
     /// Write notices received but whose diffs have not been applied yet:
     /// `(writer, interval seq)`.
     pending: Vec<(u32, u32)>,
@@ -171,10 +166,9 @@ pub struct ProcCtx {
     stats: ProcStats,
     /// The cluster-wide state of this run: every rank's interval log, the
     /// synchronization substrate (with the run's observer, if any), the
-    /// link-occupancy state and, for a home-based run, the home directory.
+    /// link-occupancy state and, for a home-based run, the master copies.
     shared: Rc<RunState>,
     agg: Option<DynamicAggregator>,
-    diff_timing: DiffTiming,
     protocol: ProtocolMode,
     /// How an interval close's home flushes are packed onto the wire.
     /// Only consulted when the run has link-occupancy state: without
@@ -238,7 +232,7 @@ impl ProcCtx {
         debug_assert_eq!(
             shared.home.is_some(),
             config.protocol.is_home_based(),
-            "home directory must be present exactly for home-based runs"
+            "master copies must be present exactly for home-based runs"
         );
         let agg = match config.unit {
             UnitPolicy::Dynamic { max_group_pages } => {
@@ -261,7 +255,6 @@ impl ProcCtx {
             stats: ProcStats::new(ProcId(rank as u32)),
             shared,
             agg,
-            diff_timing: config.diff_timing,
             protocol: config.protocol,
             aggregation: config.aggregation,
             benign_race_depth: 0,
@@ -423,24 +416,20 @@ impl ProcCtx {
     /// Free of modeled cost: the master copy *is* the home's memory.
     ///
     /// This sits on the simulator's hottest path (every shared write), so
-    /// it runs off the per-page home cache that write detection just filled
-    /// and borrows the directory only when a segment actually lands in the
-    /// master copy.
+    /// it borrows the master copies only when a segment actually lands in
+    /// them.
     fn write_through_home(&mut self, addr: GlobalAddr, src: &[u8]) {
         let home = self.shared.home();
-        let mut dir = None;
+        let mut masters = None;
         let mut remaining = src;
         let mut cursor = addr;
         while !remaining.is_empty() {
             let page = self.layout.page_of(cursor);
             let off = self.layout.offset_in_page(cursor);
             let take = (self.layout.page_size() - off).min(remaining.len());
-            let page_home = self.meta[page.index()]
-                .home
-                .expect("write detection caches the home before any write lands");
-            if page_home == self.rank.0 {
-                dir.get_or_insert_with(|| home.borrow_mut())
-                    .store_mut()
+            if self.home_of(page) == self.rank.0 {
+                masters
+                    .get_or_insert_with(|| home.borrow_mut())
                     .write_through(page, off, &remaining[..take]);
             }
             remaining = &remaining[take..];
@@ -485,7 +474,7 @@ impl ProcCtx {
             // still twins — the eager flush at interval close is a diff.
             let needs_twin = match self.protocol {
                 ProtocolMode::MultiWriter => true,
-                ProtocolMode::HomeBased { .. } => self.home_of(page) != self.rank.0,
+                ProtocolMode::HomeBased => self.home_of(page) != self.rank.0,
             };
             if needs_twin {
                 let created = self.store.page_mut(page).ensure_twin();
@@ -504,16 +493,9 @@ impl ProcCtx {
         }
     }
 
-    /// The home of `page` (home-based runs only), assigning it to this
-    /// processor first under the first-touch policy.  Cached per page —
-    /// assignment is sticky, so the first answer is the only answer.
-    fn home_of(&mut self, page: PageId) -> u32 {
-        if let Some(h) = self.meta[page.index()].home {
-            return h;
-        }
-        let h = self.shared.home().borrow_mut().home_of(page, self.rank.0);
-        self.meta[page.index()].home = Some(h);
-        h
+    /// The home of `page` (home-based runs only).
+    fn home_of(&self, page: PageId) -> u32 {
+        round_robin_home(page, self.nprocs)
     }
 
     // ------------------------------------------------------------------
@@ -583,7 +565,7 @@ impl ProcCtx {
     fn fetch_pending(&mut self, fetch_pages: &[PageId]) -> PendingExchangeOutcome {
         match self.protocol {
             ProtocolMode::MultiWriter => self.exchange_pending(fetch_pages),
-            ProtocolMode::HomeBased { .. } => self.fetch_from_homes(fetch_pages),
+            ProtocolMode::HomeBased => self.fetch_from_homes(fetch_pages),
         }
     }
 
@@ -604,7 +586,7 @@ impl ProcCtx {
                 now,
                 &mut net,
             ),
-            ProtocolMode::HomeBased { .. } => self.cost.home_fetch_stall_on(
+            ProtocolMode::HomeBased => self.cost.home_fetch_stall_on(
                 costs,
                 ranks,
                 total_payload,
@@ -679,9 +661,9 @@ impl ProcCtx {
                         .fetch_chain(p, &xs.chain_seqs)
                         .expect("a stored diff must exist for a published notice");
                     if fetched.created_now > 0 {
-                        // Lazy timing: this request materializes diffs on
-                        // the responder, serializing their creation into
-                        // the responder's serve path (which we stall on).
+                        // This request materializes diffs on the responder,
+                        // serializing their creation into the responder's
+                        // serve path (which we stall on).
                         serve_extra_ns = serve_extra_ns.saturating_add(
                             fetched.created_now as u64 * self.cost.diff_create_cost(page_size),
                         );
@@ -841,9 +823,7 @@ impl ProcCtx {
     /// to date by fetching their *whole* master copies from their homes —
     /// one aggregated request/reply exchange per remote home contacted.
     /// Pages homed at this processor are refreshed from the co-resident
-    /// master copy at zero message cost.  (Every fetched page has a pending
-    /// notice, so its writer already assigned it a home — first-touch
-    /// assignment happens at write detection, never here.)
+    /// master copy at zero message cost.
     ///
     /// Every word of a remotely fetched page is delivered and attributed to
     /// the exchange, so the useful/useless classifier sees the whole page —
@@ -851,7 +831,7 @@ impl ProcCtx {
     fn fetch_from_homes(&mut self, fetch_pages: &[PageId]) -> PendingExchangeOutcome {
         let mut xs = std::mem::take(&mut self.exchange);
         xs.clear();
-        let mut dir = self.shared.home().borrow_mut();
+        let masters = self.shared.home().borrow();
         let page_size = self.layout.page_size();
         let mut total_payload = 0u64;
         xs.page_buf.resize(page_size, 0);
@@ -862,13 +842,13 @@ impl ProcCtx {
             if self.meta[p.index()].pending.is_empty() {
                 continue;
             }
-            let h = dir.home_of(p, self.rank.0);
+            let h = self.home_of(p);
             if h == self.rank.0 {
                 // Refresh a self-homed page from the co-resident master
                 // copy: no message, no attribution (nothing was delivered
                 // over the wire), but the memcpy is part of the fault's
                 // applied payload.
-                dir.store().copy_page_into(p, &mut xs.page_buf);
+                masters.copy_page_into(p, &mut xs.page_buf);
                 self.store
                     .page_mut(p)
                     .load_page(&xs.page_buf, tm_page::NO_EXCHANGE);
@@ -893,7 +873,7 @@ impl ProcCtx {
             let delivered = (pages.len() * page_size) as u64;
             let reply_bytes = MSG_HEADER_BYTES + delivered;
             for &Want { page: p, .. } in pages {
-                dir.store().copy_page_into(p, &mut xs.page_buf);
+                masters.copy_page_into(p, &mut xs.page_buf);
                 self.store.page_mut(p).load_page(&xs.page_buf, exchange_id);
             }
             total_payload += delivered;
@@ -910,7 +890,7 @@ impl ProcCtx {
                 useful_payload: 0,
             });
         }
-        drop(dir);
+        drop(masters);
         self.exchange = xs;
 
         self.clear_pending(fetch_pages);
@@ -966,16 +946,14 @@ impl ProcCtx {
     // ------------------------------------------------------------------
 
     /// Close the current interval: encode every dirty page's modifications,
-    /// retire the twins, publish the interval record (and, under eager
-    /// timing, the already-materialized diffs), and advance the local vector
-    /// clock.
+    /// retire the twins, publish the interval record, and advance the local
+    /// vector clock.
     ///
-    /// Under [`DiffTiming::Lazy`] only the write notices are *protocol*
-    /// output: the encoded diffs ride along unmaterialized (the simulator
-    /// compares twin and current contents here in both timings, so the two
-    /// variants ship byte-identical diffs and notices), and
-    /// `diff_create_cost` is charged on the serve path at the first request
-    /// instead of here — see DESIGN.md, "Eager versus lazy diff creation".
+    /// Only the write notices are *protocol* output: the encoded diffs ride
+    /// along unmaterialized (the simulator compares twin and current
+    /// contents here, where the twin is at hand), and `diff_create_cost` is
+    /// charged on the serve path at the first request instead of here — see
+    /// DESIGN.md, "Lazy diff creation".
     fn close_interval(&mut self) {
         if self.dirty_pages.is_empty() {
             return;
@@ -991,8 +969,6 @@ impl ProcCtx {
             .take_buffer_pool();
         let mut pages = Vec::new();
         let mut diffs = std::mem::take(&mut self.diff_scratch);
-        let page_size = self.layout.page_size() as u64;
-        let eager = self.diff_timing == DiffTiming::Eager;
         // Detach the dirty list instead of copying it; nothing in the loop
         // re-dirties a page, and the buffer (and its capacity) goes back
         // afterwards.
@@ -1006,9 +982,6 @@ impl ProcCtx {
                 .expect("dirty page must have a twin at interval close");
             lp.drop_twin();
             self.prot[page.index()] &= !PROT_DIRTY;
-            if eager {
-                self.clock.advance(self.cost.diff_create_cost(page_size));
-            }
             // Re-protect the page so the next write re-twins.
             self.stats.protection_ops += 1;
             self.clock.advance(self.cost.protection_op_ns);
@@ -1017,10 +990,6 @@ impl ProcCtx {
                 // nothing to propagate (the buffers go straight back).
                 pool.push(diff.into_buffers());
                 continue;
-            }
-            if eager {
-                self.stats.diffs_created += 1;
-                self.stats.diff_bytes_created += diff.payload_bytes();
             }
             pages.push(page);
             diffs.push((page, Arc::new(diff)));
@@ -1058,7 +1027,7 @@ impl ProcCtx {
         };
         self.shared.logs[self.rank.index()]
             .borrow_mut()
-            .publish_drain(record, diffs, self.diff_timing);
+            .publish_drain(record, diffs);
     }
 
     /// Home-based interval close: diff every dirty *non-home* page against
@@ -1071,23 +1040,21 @@ impl ProcCtx {
     /// flush — their words already went through to the master copy — but
     /// they do publish notices so the other processors invalidate.
     ///
-    /// Diff timing is irrelevant here: the home-based organization is
-    /// inherently eager (the flush happens at close, on the writer).
+    /// These diffs are created here, on the writer: the home-based
+    /// organization flushes at close, so nothing is left to create lazily.
     fn close_interval_home(&mut self) {
         let page_size = self.layout.page_size() as u64;
         let mut pages = Vec::new();
         // Per home contacted: total diff wire bytes of this flush.
         let mut flushes: BTreeMap<u32, u64> = BTreeMap::new();
-        let mut dir = self.shared.home().borrow_mut();
+        let mut masters = self.shared.home().borrow_mut();
         let mut dirty = std::mem::take(&mut self.dirty_pages);
         for &page in &dirty {
             self.prot[page.index()] &= !PROT_DIRTY;
             // Re-protect the page so the next write re-arms detection.
             self.stats.protection_ops += 1;
             self.clock.advance(self.cost.protection_op_ns);
-            let home_rank = self.meta[page.index()]
-                .home
-                .expect("write detection caches the home of every dirty page");
+            let home_rank = self.home_of(page);
             if home_rank == self.rank.0 {
                 // The master copy is already current (write-through); the
                 // notice is published unconditionally — without a twin the
@@ -1112,13 +1079,13 @@ impl ProcCtx {
             self.stats.diffs_created += 1;
             self.stats.diff_bytes_created += diff.payload_bytes();
             *flushes.entry(home_rank).or_insert(0) += diff.wire_bytes();
-            dir.store_mut().apply_diff(&diff);
+            masters.apply_diff(&diff);
             pages.push(page);
             self.home_diff_buf = diff.into_buffers();
         }
         dirty.clear();
         self.dirty_pages = dirty;
-        drop(dir);
+        drop(masters);
 
         // One update message per home contacted, carrying that home's diffs.
         // The message and byte *counters* are identical whatever the

@@ -64,7 +64,7 @@ fn twins_for(ctx: &mut ProcCtx, pages: std::ops::RangeInclusive<u32>) -> u64 {
     pages
         .filter(|&p| match ctx.protocol {
             ProtocolMode::MultiWriter => true,
-            ProtocolMode::HomeBased { .. } => ctx.home_of(PageId(p)) != me,
+            ProtocolMode::HomeBased => ctx.home_of(PageId(p)) != me,
         })
         .count() as u64
 }

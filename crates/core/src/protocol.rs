@@ -24,24 +24,7 @@
 
 use serde::json::Value;
 use serde::{FromJson, JsonSchemaError, ToJson};
-use tm_page::{HomeStore, PageId, PageLayout};
-
-/// How pages are assigned their home processor under
-/// [`ProtocolMode::HomeBased`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum HomeAssign {
-    /// Page `p` is homed at processor `p mod nprocs` — the static blockless
-    /// interleaving most home-based systems default to.
-    #[default]
-    RoundRobin,
-    /// The first processor to *write* a page becomes its home.  (Plain
-    /// reads of a still-zero page need no home, and a page only ever gets
-    /// fetched after a writer published a notice for it — so first-write
-    /// and first-touch assignment coincide here.)  Under the deterministic
-    /// scheduler the write order — and with it the assignment — is a pure
-    /// function of the run's configuration and seed.
-    FirstTouch,
-}
+use tm_page::PageId;
 
 /// The coherence write protocol a cluster runs under.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -49,37 +32,29 @@ pub enum ProtocolMode {
     /// TreadMarks' multiple-writer twin/diff protocol (the default).
     #[default]
     MultiWriter,
-    /// Home-based single-writer: eager diff flushes to per-page homes,
-    /// whole-page fetches on faults.
-    HomeBased {
-        /// How pages are assigned their home processor.
-        assign: HomeAssign,
-    },
+    /// Home-based single-writer: eager diff flushes to per-page homes
+    /// (page `p` is homed at [`round_robin_home`]), whole-page fetches on
+    /// faults.
+    HomeBased,
 }
 
 impl ProtocolMode {
-    /// The home-based protocol with the default round-robin assignment.
+    /// The home-based protocol (kept as a constructor: the frozen
+    /// `benchmark/` package calls it).
     pub fn home_based() -> Self {
-        ProtocolMode::HomeBased {
-            assign: HomeAssign::RoundRobin,
-        }
+        ProtocolMode::HomeBased
     }
 
-    /// True for either home-based variant.
+    /// True for the home-based protocol.
     pub fn is_home_based(&self) -> bool {
-        matches!(self, ProtocolMode::HomeBased { .. })
+        *self == ProtocolMode::HomeBased
     }
 
     /// Stable lowercase name, used by CLI flags and machine-readable rows.
     pub fn as_str(&self) -> &'static str {
         match self {
             ProtocolMode::MultiWriter => "multi-writer",
-            ProtocolMode::HomeBased {
-                assign: HomeAssign::RoundRobin,
-            } => "home-based",
-            ProtocolMode::HomeBased {
-                assign: HomeAssign::FirstTouch,
-            } => "home-based-first-touch",
+            ProtocolMode::HomeBased => "home-based",
         }
     }
 }
@@ -90,13 +65,9 @@ impl std::str::FromStr for ProtocolMode {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "multi-writer" | "mw" => Ok(ProtocolMode::MultiWriter),
-            "home-based" | "home" => Ok(ProtocolMode::home_based()),
-            "home-based-first-touch" | "home-ft" => Ok(ProtocolMode::HomeBased {
-                assign: HomeAssign::FirstTouch,
-            }),
+            "home-based" | "home" => Ok(ProtocolMode::HomeBased),
             other => Err(format!(
-                "unknown protocol '{other}' (expected multi-writer, home-based \
-                 or home-based-first-touch)"
+                "unknown protocol '{other}' (expected multi-writer or home-based)"
             )),
         }
     }
@@ -122,7 +93,10 @@ impl FromJson for ProtocolMode {
     }
 }
 
-/// Round-robin home of `page` in a cluster of `nprocs` processors.
+/// The home of `page` in a cluster of `nprocs` processors under
+/// [`ProtocolMode::HomeBased`]: page `p` is homed at processor
+/// `p mod nprocs` — the static blockless interleaving most home-based
+/// systems default to.
 ///
 /// # Panics
 /// Panics if `nprocs` is zero.
@@ -131,73 +105,13 @@ pub fn round_robin_home(page: PageId, nprocs: usize) -> u32 {
     (page.0 as u64 % nprocs as u64) as u32
 }
 
-/// The cluster-wide home state of a home-based run: the per-page home
-/// assignment and the authoritative master copies.
-///
-/// One instance exists per [`Dsm::run`](crate::Dsm::run), in a `RefCell`
-/// of the run's shared state: one host thread runs every simulated
-/// processor, each borrowing it for one protocol step.  On the real system
-/// each fragment would live in its home node's memory, reachable only
-/// through the messages whose costs the simulated network charges.
-#[derive(Debug)]
-pub struct HomeDirectory {
-    assign: HomeAssign,
-    nprocs: usize,
-    /// Per-page first-touch assignment (unused under round-robin).
-    homes: Vec<Option<u32>>,
-    store: HomeStore,
-}
-
-impl HomeDirectory {
-    /// Create the home state for a cluster of `nprocs` processors.
-    pub fn new(layout: PageLayout, nprocs: usize, assign: HomeAssign) -> Self {
-        assert!(nprocs > 0, "cluster must have at least one processor");
-        HomeDirectory {
-            assign,
-            nprocs,
-            homes: match assign {
-                HomeAssign::RoundRobin => Vec::new(),
-                HomeAssign::FirstTouch => vec![None; layout.total_pages() as usize],
-            },
-            store: HomeStore::new(layout),
-        }
-    }
-
-    /// The home of `page`, assigning it to `toucher` first if the
-    /// first-touch policy has not seen the page yet.  Idempotent: once
-    /// assigned, a page's home never changes for the rest of the run.
-    pub fn home_of(&mut self, page: PageId, toucher: u32) -> u32 {
-        debug_assert!((toucher as usize) < self.nprocs, "toucher outside cluster");
-        match self.assign {
-            HomeAssign::RoundRobin => round_robin_home(page, self.nprocs),
-            HomeAssign::FirstTouch => *self.homes[page.index()].get_or_insert(toucher),
-        }
-    }
-
-    /// The master copies (diff application, write-through, page fetches).
-    pub fn store_mut(&mut self) -> &mut HomeStore {
-        &mut self.store
-    }
-
-    /// Read-only view of the master copies.
-    pub fn store(&self) -> &HomeStore {
-        &self.store
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn protocol_names_roundtrip() {
-        for mode in [
-            ProtocolMode::MultiWriter,
-            ProtocolMode::home_based(),
-            ProtocolMode::HomeBased {
-                assign: HomeAssign::FirstTouch,
-            },
-        ] {
+        for mode in [ProtocolMode::MultiWriter, ProtocolMode::HomeBased] {
             assert_eq!(mode.as_str().parse::<ProtocolMode>(), Ok(mode));
             assert_eq!(mode.to_string(), mode.as_str());
             let json = mode.to_json();
@@ -225,24 +139,5 @@ mod tests {
                 assert_eq!(home, page % nprocs as u32);
             }
         }
-    }
-
-    #[test]
-    fn first_touch_assignment_is_sticky() {
-        let layout = PageLayout::new(4096, 8);
-        let mut dir = HomeDirectory::new(layout, 4, HomeAssign::FirstTouch);
-        assert_eq!(dir.home_of(PageId(3), 2), 2);
-        // A later toucher does not steal the home.
-        assert_eq!(dir.home_of(PageId(3), 0), 2);
-        assert_eq!(dir.home_of(PageId(5), 0), 0);
-    }
-
-    #[test]
-    fn round_robin_directory_ignores_touchers() {
-        let layout = PageLayout::new(4096, 8);
-        let mut dir = HomeDirectory::new(layout, 3, HomeAssign::RoundRobin);
-        assert_eq!(dir.home_of(PageId(4), 2), 1);
-        assert_eq!(dir.home_of(PageId(4), 0), 1);
-        assert_eq!(dir.store().resident_pages(), 0);
     }
 }

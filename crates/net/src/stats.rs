@@ -36,16 +36,14 @@ pub struct ProcStats {
     pub barriers: u64,
     /// Twins created (first write to a page in an interval).
     pub twins_created: u64,
-    /// Diffs created: at interval closes under eager diff timing, at the
-    /// first serving request under lazy timing (so a diff nobody ever asks
-    /// for is never counted as created).
+    /// Diffs created: under the multi-writer protocol at the first serving
+    /// request (so a diff nobody ever asks for is never counted as created),
+    /// under the home-based protocol at the interval close that flushes it.
     pub diffs_created: u64,
     /// Total payload bytes of the diffs created.
     pub diff_bytes_created: u64,
     /// Of `diffs_created`, diffs materialized on demand while serving a
-    /// remote fault (always 0 under eager timing).  Kept separate so the
-    /// useful/useless/piggybacked message breakdown stays untouched by the
-    /// diff-timing knob.
+    /// remote fault (always 0 under the home-based protocol).
     pub diffs_created_on_demand: u64,
     /// Home-based protocol only: home-update messages this processor sent
     /// (one per home contacted per interval close; always 0 under the
@@ -247,10 +245,9 @@ impl CommBreakdown {
 
 /// Aggregated interval-log garbage-collection counters of a run.
 ///
-/// All three quantities are a pure function of the write-notice flow, so
-/// they are identical under eager and lazy diff timing; on-demand creation
-/// counts (which differ by timing) deliberately live elsewhere
-/// ([`ProcStats::diffs_created_on_demand`]).
+/// All of them are a pure function of the write-notice flow; on-demand
+/// creation counts, which also depend on which diffs get requested, live
+/// elsewhere ([`ProcStats::diffs_created_on_demand`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcCounters {
     /// Intervals closed (published) across all processors.

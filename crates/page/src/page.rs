@@ -598,15 +598,10 @@ impl LocalPage {
     /// Panics if `src` is not exactly one page long.
     pub fn load_page(&mut self, src: &[u8], exchange: u32) {
         assert_eq!(src.len(), self.data.len(), "src must be one page");
+        debug_assert!(!self.twinned, "delivery onto a twinned page");
         // Whole-page replacement: any parked payload is dead.
         self.deferred = None;
-        if self.twinned {
-            // Defensive: keep the changed-word bitset exact even if a
-            // whole-page load ever lands while a twin is live.
-            self.store_tracked(0, src);
-        } else {
-            self.replace_data(src);
-        }
+        self.replace_data(src);
         if exchange == NO_EXCHANGE {
             self.pending = 0;
             self.uniform = NO_EXCHANGE;
@@ -623,6 +618,7 @@ impl LocalPage {
     /// overwrites is attributed to `exchange` (pass [`NO_EXCHANGE`] to skip
     /// attribution, e.g. for locally generated corrections in tests).
     pub fn apply_diff(&mut self, diff: &Diff, exchange: u32) {
+        debug_assert!(!self.twinned, "delivery onto a twinned page");
         if self.deferred.is_some() {
             if exchange != NO_EXCHANGE
                 && matches!(diff.spans(), [span] if span.offset == 0
@@ -635,13 +631,7 @@ impl LocalPage {
                 self.materialize_content();
             }
         }
-        if self.twinned {
-            // Defensive: a remotely produced diff landing while a twin is
-            // live must keep the changed-word bitset exact.
-            for (offset, bytes) in diff.runs() {
-                self.store_tracked(offset as usize, bytes);
-            }
-        } else if let Some(image) = diff.whole_page_shared_image() {
+        if let Some(image) = diff.whole_page_shared_image() {
             // Zero-copy delivery: a whole-page shared snapshot replaces the
             // image by reference; the next local write detaches as usual.
             debug_assert_eq!(image.len(), self.data.len());
@@ -693,11 +683,10 @@ impl LocalPage {
         }
     }
 
-    /// [`apply_diff`](Self::apply_diff), except that on an untwinned page
-    /// the application is *parked*: the shared payload and its exchange id
-    /// are stored in `deferred`, and both the content copy and the
-    /// attribution update happen lazily on the first access that needs
-    /// them.  Any previously parked diff is folded into the page only where
+    /// [`apply_diff`](Self::apply_diff), except that the application is
+    /// *parked*: the shared payload and its exchange id are stored in
+    /// `deferred`, and both the content copy and the attribution update
+    /// happen lazily on the first access that needs them.  Any previously parked diff is folded into the page only where
     /// the new one leaves it visible, so a delivery that the next flush
     /// shadows is never paid for.  Every observable outcome — page bytes,
     /// per-word useful/useless credit, pending counts — is bit-identical to
@@ -713,14 +702,7 @@ impl LocalPage {
         cov: &mut Vec<u64>,
         visible: &mut Vec<(u32, u32)>,
     ) {
-        if self.twinned {
-            debug_assert!(
-                self.deferred.is_none(),
-                "twinned page with deferred content"
-            );
-            self.apply_diff(diff, exchange);
-            return;
-        }
+        debug_assert!(!self.twinned, "delivery onto a twinned page");
         self.fold_deferred_under(diff, cov, visible);
         self.deferred = Some((Arc::clone(diff), exchange));
     }
@@ -733,7 +715,7 @@ impl LocalPage {
     /// part back to front leaves the page bit-identical to applying every
     /// diff front to back.
     pub fn apply_diff_visible(&mut self, diff: &Diff, exchange: u32, visible: &[(u32, u32)]) {
-        let twinned = self.twinned;
+        debug_assert!(!self.twinned, "delivery onto a twinned page");
         // A whole-page diff that is fully visible (the dominant shape on the
         // grid applications' fetch path) is a straight page copy, and its
         // attribution takes the compact uniform representation — no
@@ -748,10 +730,7 @@ impl LocalPage {
                 } else {
                     self.materialize_content();
                 }
-                if twinned {
-                    let (_, bytes) = diff.runs().next().expect("one span, one run");
-                    self.store_tracked(0, bytes);
-                } else if let Some(image) = diff.whole_page_shared_image() {
+                if let Some(image) = diff.whole_page_shared_image() {
                     // Zero-copy delivery: adopt the shared snapshot instead
                     // of copying the page.
                     self.data = Arc::clone(image);
@@ -767,18 +746,12 @@ impl LocalPage {
             }
         }
         self.materialize_content();
-        if twinned {
-            // Defensive: a remotely produced diff landing while a twin is
-            // live must keep the changed-word bitset exact.
-            for_each_visible_run(diff, visible, |lo, bytes| self.store_tracked(lo, bytes));
-        } else {
-            // Uniqueness of the image is established once for the whole
-            // diff, not once per visible interval.
-            let data = self.data_mut();
-            for_each_visible_run(diff, visible, |lo, bytes| {
-                copy_bytes(&mut data[lo..lo + bytes.len()], bytes)
-            });
-        }
+        // Uniqueness of the image is established once for the whole diff,
+        // not once per visible interval.
+        let data = self.data_mut();
+        for_each_visible_run(diff, visible, |lo, bytes| {
+            copy_bytes(&mut data[lo..lo + bytes.len()], bytes)
+        });
         if exchange == NO_EXCHANGE {
             return;
         }
@@ -927,7 +900,7 @@ impl PageStore {
         self.pages.iter().filter(|p| p.is_some()).count()
     }
 
-    /// Get the page, materializing a zero-filled copy on first touch.
+    /// Get the page, materializing a zero-filled copy on its first use.
     pub fn page_mut(&mut self, page: PageId) -> &mut LocalPage {
         let idx = page.index();
         assert!(idx < self.pages.len(), "page {page} outside layout");

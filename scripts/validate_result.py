@@ -61,10 +61,9 @@ def validate_cell(cell, i, args):
 
     require(cell["schedule"] in ("fifo", "seeded"), "schedule", where,
             f"unknown value {cell['schedule']!r}")
-    require(cell["diff_timing"] in ("eager", "lazy"), "diff_timing", where,
+    require(cell["diff_timing"] in ("lazy",), "diff_timing", where,
             f"unknown value {cell['diff_timing']!r}")
-    require(cell["protocol"] in ("multi-writer", "home-based",
-                                 "home-based-first-touch"),
+    require(cell["protocol"] in ("multi-writer", "home-based"),
             "protocol", where, f"unknown value {cell['protocol']!r}")
     try:
         int(cell["seed"], 16)

@@ -35,8 +35,7 @@ fn golden_cfg() -> AppConfig {
 /// History: the lazy-diffing rework (PR 4) moved the execution times —
 /// `diff_create_cost` is now charged on the responder's serve path at the
 /// first request instead of at interval close, and unrequested diffs are
-/// never charged at all — but left every message and byte count untouched,
-/// exactly as the eager/lazy equivalence demands.
+/// never charged at all — but left every message and byte count untouched.
 #[test]
 fn golden_tsp_water_counts_at_fixed_seed() {
     let tsp = Workload::tiny(AppId::Tsp).run_parallel(&golden_cfg());
@@ -77,97 +76,6 @@ fn golden_tsp_water_counts_at_fixed_seed() {
         "Water tiny byte counts drifted"
     );
     assert_eq!(water.exec_time_ns, 159_749_780);
-}
-
-/// The diff-timing knob must not move a single message or byte: eager and
-/// lazy runs of every registered application at a fixed seed exchange
-/// identical write notices and diffs, so their whole communication breakdown
-/// — counts, volumes, wire bytes, fault signature — and their per-processor
-/// message counts agree exactly.  Only the execution times (where
-/// `diff_create_cost` lands) may differ.
-#[test]
-fn eager_and_lazy_exchange_identical_messages_for_every_app() {
-    use tdsm_core::DiffTiming;
-    for w in Workload::tiny_suite() {
-        let cfg = |timing| {
-            AppConfig::with_procs(4)
-                .sched(SchedConfig::seeded(GOLDEN_SEED))
-                .diff_timing(timing)
-        };
-        let lazy = w.run_parallel(&cfg(DiffTiming::Lazy));
-        let eager = w.run_parallel(&cfg(DiffTiming::Eager));
-
-        let mut bl = lazy.breakdown.clone();
-        let mut be = eager.breakdown.clone();
-        // The one legitimate difference: where diff creation is charged.
-        bl.exec_time_ns = 0;
-        be.exec_time_ns = 0;
-        assert_eq!(bl, be, "{} breakdown diverged across timings", w.size_label);
-
-        for (l, e) in lazy.stats.per_proc.iter().zip(&eager.stats.per_proc) {
-            assert_eq!(
-                l.message_count(),
-                e.message_count(),
-                "{} P{} message count diverged",
-                w.size_label,
-                l.proc
-            );
-            assert_eq!(
-                l.wire_bytes(),
-                e.wire_bytes(),
-                "{} P{} wire bytes diverged",
-                w.size_label,
-                l.proc
-            );
-        }
-
-        // GC activity is a pure function of the notice flow, so it is
-        // timing-independent too.
-        assert_eq!(
-            lazy.stats.gc_counters(),
-            eager.stats.gc_counters(),
-            "{} GC counters diverged",
-            w.size_label
-        );
-        assert_eq!(lazy.checksum, eager.checksum);
-    }
-}
-
-/// The machine-readable sweep documents of an eager and a lazy engine run
-/// must agree on every message count and volume: render both to JSON, strip
-/// the declared timing-dependent fields (`diff_timing` itself and the
-/// execution times), and require byte identity.
-#[test]
-fn eager_and_lazy_sweeps_emit_identical_message_documents() {
-    use tdsm_core::DiffTiming;
-    let args = |timing| BenchArgs {
-        nprocs: 2,
-        scale: tm_bench::Scale::Tiny,
-        diff_timing: timing,
-        ..BenchArgs::defaults(2)
-    };
-    let opts = RunnerOptions { threads: 2 };
-    let lazy = run_experiment(&Experiment::table1(&args(DiffTiming::Lazy)), &opts);
-    let eager = run_experiment(&Experiment::table1(&args(DiffTiming::Eager)), &opts);
-    assert_eq!(lazy.cells.len(), eager.cells.len());
-    for (l, e) in lazy.cells.iter().zip(&eager.cells) {
-        let mut lc = l.clone();
-        let mut ec = e.clone();
-        lc.cell.diff_timing = DiffTiming::Lazy;
-        ec.cell.diff_timing = DiffTiming::Lazy;
-        lc.exec_time_ns = 0;
-        ec.exec_time_ns = 0;
-        lc.breakdown.exec_time_ns = 0;
-        ec.breakdown.exec_time_ns = 0;
-        lc.host_wall_ns = 0;
-        ec.host_wall_ns = 0;
-        assert_eq!(
-            lc,
-            ec,
-            "cell {} diverged between timings beyond exec time",
-            l.cell.key()
-        );
-    }
 }
 
 /// The loop test of the issue: two back-to-back runs of EVERY registered
@@ -235,15 +143,14 @@ fn binary_reruns_are_byte_identical() {
 /// verified checksum and non-trivial retirement is the soundness witness.
 #[test]
 fn aggressive_gc_flush_preserves_results_and_retires_logs() {
-    use tdsm_core::{Align, DiffTiming, Dsm, DsmConfig, UnitPolicy};
-    let run = |limit: usize, timing: DiffTiming| {
+    use tdsm_core::{Align, Dsm, DsmConfig, UnitPolicy};
+    let run = |limit: usize| {
         let mut dsm = Dsm::new(
             DsmConfig {
                 nprocs: 4,
                 shared_pages: 64,
                 unit: UnitPolicy::Static { pages: 1 },
                 sched: SchedConfig::seeded(3),
-                diff_timing: timing,
                 ..DsmConfig::paper_default()
             }
             .gc_flush_pending_limit(limit),
@@ -280,8 +187,8 @@ fn aggressive_gc_flush_preserves_results_and_retires_logs() {
     };
 
     // A tight limit forces validation flushes; a huge limit never flushes.
-    let (sum_flush, gc_flush) = run(8, DiffTiming::Lazy);
-    let (sum_never, gc_never) = run(usize::MAX, DiffTiming::Lazy);
+    let (sum_flush, gc_flush) = run(8);
+    let (sum_never, gc_never) = run(usize::MAX);
     assert_eq!(sum_flush, sum_never, "GC must not change the computation");
     assert!(gc_flush.pending_flushes > 0, "tight limit must flush");
     assert_eq!(gc_never.pending_flushes, 0, "huge limit must never flush");
@@ -293,43 +200,20 @@ fn aggressive_gc_flush_preserves_results_and_retires_logs() {
         gc_flush.intervals_retired >= gc_never.intervals_retired,
         "flushing must never retire less"
     );
-
-    // And the flush machinery is timing-independent like everything else.
-    let (sum_eager, gc_eager) = run(8, DiffTiming::Eager);
-    assert_eq!(sum_flush, sum_eager);
-    assert_eq!(gc_flush, gc_eager);
 }
 
-/// The modeled halves of the lazy-diffing and interval-GC claims on the
-/// workload they were made for (Jacobi, whose interior diffs are never
-/// requested): lazy timing charges creation only for requested diffs, so its
-/// modeled execution time must not exceed eager's; and with an aggressive
-/// flush limit the interval logs retire the bulk of what they publish (with
-/// the flush disabled the interior notices pin the floors forever).  The
-/// message identity the timing equivalence rests on is
-/// `eager_and_lazy_exchange_identical_messages_for_every_app`.
+/// The interval-GC claim on the workload it was made for (Jacobi, whose
+/// interior diffs are never requested): with an aggressive flush limit the
+/// interval logs retire the bulk of what they publish (with the flush
+/// disabled the interior notices pin the floors forever).
 #[test]
-fn jacobi_lazy_diffing_is_never_slower_and_flush_driven_gc_retires_the_bulk() {
-    use tdsm_core::DiffTiming;
+fn jacobi_flush_driven_gc_retires_the_bulk() {
     use tm_apps::jacobi;
-    let cfg = |timing| {
-        AppConfig::with_procs(4)
-            .sched(SchedConfig::seeded(0x6c))
-            .diff_timing(timing)
-    };
-    let size = jacobi::JacobiSize::small();
-    let lazy = jacobi::run_parallel(&cfg(DiffTiming::Lazy), &size);
-    let eager = jacobi::run_parallel(&cfg(DiffTiming::Eager), &size);
-    assert!(
-        lazy.exec_time_ns <= eager.exec_time_ns,
-        "lazy ({}) must not be slower than eager ({}) in modeled time",
-        lazy.exec_time_ns,
-        eager.exec_time_ns
-    );
-
-    let mut flushing = cfg(DiffTiming::Lazy);
+    let mut flushing = AppConfig::with_procs(4).sched(SchedConfig::seeded(0x6c));
     flushing.gc_flush_pending_limit = 64;
-    let gc = jacobi::run_parallel(&flushing, &size).stats.gc_counters();
+    let gc = jacobi::run_parallel(&flushing, &jacobi::JacobiSize::small())
+        .stats
+        .gc_counters();
     assert!(
         gc.retired_fraction() > 0.5,
         "GC with flush must retire the bulk of the logs: {gc:?}"

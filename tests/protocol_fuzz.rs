@@ -1,8 +1,8 @@
 //! Schedule-fuzz suite for the protocol seam: single-seed goldens cannot
-//! catch protocol/scheduler interaction bugs (a home flush racing a notice,
-//! a first-touch assignment flipping with the interleaving), so every
-//! registered application runs under many distinct `seeded` schedules per
-//! protocol and the *results* must be invariant throughout:
+//! catch protocol/scheduler interaction bugs (a home flush racing a
+//! notice), so every registered application runs under many distinct
+//! `seeded` schedules per protocol and the *results* must be invariant
+//! throughout:
 //!
 //! * within one seed, the two protocols produce bit-identical checksums,
 //! * across seeds, every checksum verifies against the sequential
@@ -10,7 +10,7 @@
 //!   documented 1e-6 relative tolerance for the floating-point reductions
 //!   whose association order legitimately follows the interleaving).
 
-use tdsm_core::{HomeAssign, ProtocolMode, SchedConfig};
+use tdsm_core::{ProtocolMode, SchedConfig};
 use tm_apps::{checksums_match, AppConfig, AppId, Workload};
 
 /// Eight well-spread schedule seeds (golden-ratio stride from the golden
@@ -103,33 +103,6 @@ fn large_n_checksums_are_invariant_across_schedules() {
                     );
                 }
             }
-        }
-    }
-}
-
-/// The same invariance holds for the first-touch assignment, whose home map
-/// itself depends on the schedule: whatever homes a seed picks, the results
-/// never move.  (Fewer seeds — the assignment fuzz multiplies the per-run
-/// cost with a second directory-dependent run.)
-#[test]
-fn first_touch_homes_follow_the_schedule_but_results_do_not() {
-    for w in Workload::tiny_suite() {
-        let reference = w.run_sequential();
-        for seed in &fuzz_seeds()[..4] {
-            let run = w.run_parallel(
-                &AppConfig::with_procs(3)
-                    .sched(SchedConfig::seeded(*seed))
-                    .protocol(ProtocolMode::HomeBased {
-                        assign: HomeAssign::FirstTouch,
-                    }),
-            );
-            assert!(
-                checksums_match(run.checksum, reference, 1e-6),
-                "{} seed {seed:#x}: first-touch home-based diverged from \
-                 sequential ({} vs {reference})",
-                w.size_label,
-                run.checksum
-            );
         }
     }
 }

@@ -12,8 +12,7 @@
 //!   through `Dsm::run_observed`, the
 //!   per-rank results and the full `ClusterStats`;
 //! * **application level** — every tiny workload under both write protocols
-//!   and both diff timings at the golden seed, pinning `(checksum bits,
-//!   exec_time_ns, breakdown)`;
+//!   at the golden seed, pinning `(checksum bits, exec_time_ns, breakdown)`;
 //! * **scale level** — the 256-processor Jacobi cell, and the 1024-processor
 //!   one under both protocols (the first ranks with a non-zero second byte in
 //!   the tie-break hash, the largest plateaus, the longest barrier episodes).
@@ -31,8 +30,7 @@
 use std::fmt::Debug;
 
 use tdsm_core::{
-    AccessKind, Align, DiffTiming, Dsm, DsmConfig, GArray, Observer, ProcCtx, ProtocolMode,
-    SchedConfig,
+    AccessKind, Align, Dsm, DsmConfig, GArray, Observer, ProcCtx, ProtocolMode, SchedConfig,
 };
 use tm_apps::{checksums_match, AppConfig, AppId, Workload};
 
@@ -333,43 +331,27 @@ fn replay_decisions_results_and_stats_match_the_goldens() {
     );
 }
 
-/// Per tiny workload × protocol × diff timing, in `Workload::tiny_suite()`
+/// Per tiny workload × protocol, in `Workload::tiny_suite()`
 /// order: `(checksum bits, exec_time_ns, breakdown digest)`.
 type AppGolden = (u64, u64, u64);
 
 fn app_goldens() -> Vec<AppGolden> {
     vec![
-        (0x40904f92fc35b355, 0x2b95ecc, 0xfe492622b7e0162b),
         (0x40904f92fc35b355, 0x2afdfac, 0xfb6470affc8f4bfb),
         (0x40904f92fc35b355, 0x2a2ad24, 0x388b2e618985cdfb),
-        (0x40904f92fc35b355, 0x2a2ad24, 0x388b2e618985cdfb),
-        (0x408f400000000003, 0x512b674, 0x51e6f08016ac87de),
         (0x408f400000000003, 0x5093754, 0xaa62794e6ca73a85),
         (0x408f400000000003, 0x4f52ccc, 0x50374bdd39baf065),
-        (0x408f400000000003, 0x4f52ccc, 0x50374bdd39baf065),
-        (0x406d400000000000, 0x17f3005, 0xe32a0a9acce008ff),
         (0x406d400000000000, 0x179e61d, 0x550c9efd2ce9172a),
         (0x406d400000000000, 0x18a043f, 0xd087273dd91c31dc),
-        (0x406d400000000000, 0x18a043f, 0xd087273dd91c31dc),
-        (0x40772b308366cd0f, 0x95b6194, 0xe6b18c68418757b3),
         (0x40772b308366cd0f, 0x9859694, 0x48e06e4a939ce1da),
         (0x40772b308366cd0f, 0x8e7e030, 0x3cf6fec3e152352b),
-        (0x40772b308366cd0f, 0x8e7e030, 0x3cf6fec3e152352b),
-        (0x40b15cc0a3307c00, 0xbe413c, 0xdd55d67ed34ebc59),
         (0x40b15cc0a3307c00, 0xb7ec7c, 0xa33fa6999259476),
         (0x40b15cc0a3307c00, 0xd114b0, 0x35c3971aedbe826c),
-        (0x40b15cc0a3307c00, 0xd114b0, 0x35c3971aedbe826c),
-        (0x401cf4c82d574d7c, 0x5aecd6, 0xeac81fda1c56c67e),
         (0x401cf4c82d574d7c, 0x59deb6, 0x3cd42e0b18e66106),
         (0x401cf4c82d574d7c, 0x5c00b2, 0x3e847ccfffc481b9),
-        (0x401cf4c82d574d7c, 0x5c00b2, 0x3e847ccfffc481b9),
-        (0x405beebeb9cbe000, 0x322e644, 0xa6f4c39b0671c5ae),
         (0x405beebeb9cbe000, 0x30fe804, 0xd1409dd747a1d60e),
         (0x405beebeb9cbe000, 0x3250684, 0x94a46d5e98fd39cb),
-        (0x405beebeb9cbe000, 0x3250684, 0x94a46d5e98fd39cb),
-        (0x419267472d16543d, 0x35d5e5c, 0x8eae340effe1e72),
         (0x419267472d16543d, 0x352467c, 0xcc74903bf0c7b087),
-        (0x419267472d16543d, 0x322399c, 0x943dc5dd978ea56c),
         (0x419267472d16543d, 0x322399c, 0x943dc5dd978ea56c),
     ]
 }
@@ -379,20 +361,17 @@ fn every_app_protocol_and_diff_timing_matches_the_goldens() {
     let mut actual: Vec<AppGolden> = Vec::new();
     for w in Workload::tiny_suite() {
         for protocol in [ProtocolMode::MultiWriter, ProtocolMode::home_based()] {
-            for timing in [DiffTiming::Eager, DiffTiming::Lazy] {
-                let run = w.run_parallel(
-                    &AppConfig::with_procs(4)
-                        .sched(SchedConfig::seeded(GOLDEN_SEED))
-                        .protocol(protocol)
-                        .diff_timing(timing),
-                );
-                assert_eq!(run.breakdown, run.stats.breakdown());
-                actual.push((
-                    run.checksum.to_bits(),
-                    run.exec_time_ns,
-                    digest(&run.breakdown),
-                ));
-            }
+            let run = w.run_parallel(
+                &AppConfig::with_procs(4)
+                    .sched(SchedConfig::seeded(GOLDEN_SEED))
+                    .protocol(protocol),
+            );
+            assert_eq!(run.breakdown, run.stats.breakdown());
+            actual.push((
+                run.checksum.to_bits(),
+                run.exec_time_ns,
+                digest(&run.breakdown),
+            ));
         }
     }
     assert!(
