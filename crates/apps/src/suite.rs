@@ -58,6 +58,11 @@ impl AppId {
         vec![AppId::Jacobi, AppId::Fft3d, AppId::Mgs, AppId::Shallow]
     }
 
+    /// The four applications whose signatures Figure 3 shows.
+    pub fn figure3() -> Vec<AppId> {
+        vec![AppId::Barnes, AppId::Ilink, AppId::Water, AppId::Mgs]
+    }
+
     /// All eight applications.
     pub fn all() -> Vec<AppId> {
         let mut v = Self::figure1();

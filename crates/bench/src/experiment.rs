@@ -318,7 +318,7 @@ impl Experiment {
     /// Barnes, Ilink, Water and MGS (one representative data set each).
     pub fn fig3(args: &BenchArgs) -> Experiment {
         let mut cells = Vec::new();
-        for app in crate::figure3_apps() {
+        for app in AppId::figure3() {
             let Some(w) = representative(args, app) else {
                 continue; // excluded by --app
             };

@@ -168,11 +168,6 @@ pub fn signature_string(app: &str, size: &str, policy: &str, sig: &SignatureHist
     out
 }
 
-/// The four applications whose signatures Figure 3 shows.
-pub fn figure3_apps() -> Vec<AppId> {
-    vec![AppId::Barnes, AppId::Ilink, AppId::Water, AppId::Mgs]
-}
-
 /// Parse a `--seed` value: decimal, or hexadecimal with a `0x` prefix.
 fn parse_seed(s: &str) -> Option<u64> {
     match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {

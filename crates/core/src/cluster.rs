@@ -254,7 +254,6 @@ impl Dsm {
             let c = log.counters();
             proc_stats.diffs_created += c.diffs_created_on_demand;
             proc_stats.diff_bytes_created += c.diff_bytes_created_on_demand;
-            proc_stats.diffs_created_on_demand = c.diffs_created_on_demand;
             proc_stats.intervals_retired = c.intervals_retired;
             proc_stats.diffs_retired = c.diffs_retired;
             results.push(result);

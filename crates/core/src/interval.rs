@@ -14,7 +14,7 @@
 use crate::fasthash::FastHashMap;
 use std::sync::Arc;
 
-use tm_page::{Diff, PageId, RunSpan};
+use tm_page::{containing_suffix, Diff, PageId, RunSpan};
 
 use crate::config::DiffTiming;
 use crate::vc::VectorClock;
@@ -322,6 +322,8 @@ impl IntervalLog {
             }
         }
         let mut created_now = 0u32;
+        let mut wire_bytes = 0u64;
+        let mut payload_bytes = 0u64;
         for &seq in seqs {
             let stored = self.diffs.get_mut(&(page, seq))?;
             if !stored.materialized {
@@ -330,59 +332,46 @@ impl IntervalLog {
                 self.counters.diffs_created_on_demand += 1;
                 self.counters.diff_bytes_created_on_demand += stored.payload_bytes;
             }
+            wire_bytes += stored.wire_bytes;
+            payload_bytes += stored.payload_bytes;
         }
-        if let [seq] = *seqs {
-            // A one-diff chain needs no merge (and no cache entry): serve
-            // the stored diff as-is.
-            let stored = &self.diffs[&(page, seq)];
-            return Some(ChainFetch {
-                diff: Arc::clone(&stored.diff),
-                wire_bytes: stored.wire_bytes,
-                payload_bytes: stored.payload_bytes,
-                created_now,
-            });
-        }
-        let mut wire_bytes = 0u64;
-        let mut payload_bytes = 0u64;
-        let chain: Vec<&Arc<Diff>> = seqs
-            .iter()
-            .map(|&seq| {
-                let stored = &self.diffs[&(page, seq)];
-                wire_bytes += stored.wire_bytes;
-                payload_bytes += stored.payload_bytes;
-                &stored.diff
-            })
-            .collect();
-        // When the newest diff single-handedly covers every older one (the
-        // dominant shape on grid applications, where each interval rewrites
-        // the whole page), the merge *is* the newest diff: every older word
-        // is occluded.  Serving it by reference skips the cover-bitset walk
-        // over the whole chain's payloads.
-        let newest_covers_chain = match chain.last().expect("chain is non-empty").spans() {
-            [span] if span.offset == 0 => {
-                let end = span.end();
-                chain[..chain.len() - 1]
-                    .iter()
-                    .all(|d| d.spans().iter().all(|s| s.end() <= end))
-            }
-            _ => false,
-        };
-        let diff = if newest_covers_chain {
-            Arc::clone(chain.last().expect("chain is non-empty"))
+        let newest = &self.diffs[&(page, seqs[seqs.len() - 1])].diff;
+        // A one-diff chain is borrowed in place: collecting it would cost
+        // the sparse applications' fetch path an allocation per request.
+        let only: &Diff = newest;
+        let many: Vec<&Diff>;
+        let chain: &[&Diff] = if seqs.len() == 1 {
+            std::slice::from_ref(&only)
         } else {
-            let refs: Vec<&Diff> = chain.iter().map(|d| &***d).collect();
-            Arc::new(Diff::merge(page, &refs))
+            many = seqs
+                .iter()
+                .map(|&seq| &*self.diffs[&(page, seq)].diff)
+                .collect();
+            &many
         };
-        drop(chain);
-        self.merged.insert(
-            page,
-            MergedChain {
-                seqs: seqs.to_vec(),
-                diff: Arc::clone(&diff),
-                wire_bytes,
-                payload_bytes,
-            },
-        );
+        // When a member contains every older one, the union starts there;
+        // when that member is the newest (the dominant shape on the grid
+        // applications, where each interval rewrites the page's band), the
+        // union *is* the newest diff and is served by reference.
+        let start = containing_suffix(chain);
+        let diff = if start + 1 == chain.len() {
+            debug_assert_eq!(**newest, Diff::merge(page, chain));
+            Arc::clone(newest)
+        } else {
+            Arc::new(Diff::merge(page, &chain[start..]))
+        };
+        // A one-diff chain takes no cache entry.
+        if seqs.len() > 1 {
+            self.merged.insert(
+                page,
+                MergedChain {
+                    seqs: seqs.to_vec(),
+                    diff: Arc::clone(&diff),
+                    wire_bytes,
+                    payload_bytes,
+                },
+            );
+        }
         Some(ChainFetch {
             diff,
             wire_bytes,
@@ -442,6 +431,7 @@ impl IntervalLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn record(proc: u32, seq: u32, n: usize, pages: &[u32]) -> IntervalRecord {
         let mut vc = VectorClock::zero(n);
@@ -543,6 +533,121 @@ mod tests {
         assert_eq!(log.retire_up_to(100), 3);
         assert!(log.is_empty());
         assert_eq!(log.stored_diffs(), 0);
+    }
+
+    /// Words of the test page: four 64-word blocks, so runs straddle the
+    /// blocks of a cover bitset.
+    const WORDS: usize = 256;
+
+    /// A diff of page 0 writing exactly the words set in `words`, each to a
+    /// nonzero value drawn from `state`: a chain of such diffs applied to a
+    /// zero page is nonzero exactly on the union of their words.
+    fn diff_writing(words: &[bool], state: &mut u64) -> Diff {
+        let mut cur = vec![0u8; WORDS * 4];
+        for w in (0..WORDS).filter(|&w| words[w]) {
+            *state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let v = (*state >> 32) as u32 | 1;
+            cur[w * 4..w * 4 + 4].copy_from_slice(&v.to_ne_bytes());
+        }
+        Diff::create(PageId(0), &[0u8; WORDS * 4], &cur)
+    }
+
+    /// Publish `chain` as the diffs of page 0 in intervals `1..=len`.
+    fn log_of(chain: &[Arc<Diff>]) -> IntervalLog {
+        let mut log = IntervalLog::new();
+        for (k, d) in chain.iter().enumerate() {
+            let seq = k as u32 + 1;
+            log.publish(
+                record(0, seq, 1, &[0]),
+                vec![(PageId(0), Arc::clone(d))],
+                DiffTiming::Lazy,
+            );
+        }
+        log
+    }
+
+    #[test]
+    fn a_containing_member_starts_the_merge_and_a_containing_newest_is_served_by_reference() {
+        let span =
+            |lo: usize, hi: usize| -> Vec<bool> { (0..WORDS).map(|w| lo <= w && w < hi).collect() };
+        let mut state = 1;
+        // Words 1..255 in three runs, then all of them in one run starting
+        // at offset 4 (no single run at offset 0 covers the chain), then a
+        // partial rewrite.
+        let a = diff_writing(&span(1, 40), &mut state);
+        let b = diff_writing(&span(100, 180), &mut state);
+        let c = diff_writing(&span(1, 255), &mut state);
+        let d = diff_writing(&span(60, 70), &mut state);
+        let chain: Vec<Arc<Diff>> = [a, b, c, d].into_iter().map(Arc::new).collect();
+        let refs: Vec<&Diff> = chain.iter().map(|d| &**d).collect();
+        assert_eq!(containing_suffix(&refs), 2);
+        assert_eq!(containing_suffix(&refs[..3]), 2);
+        assert_eq!(containing_suffix(&refs[..2]), 0);
+
+        let mut log = log_of(&chain);
+        let served = log.fetch_chain(PageId(0), &[1, 2, 3]).unwrap();
+        assert!(Arc::ptr_eq(&served.diff, &chain[2]));
+        assert_eq!(served.created_now, 3);
+        let served = log.fetch_chain(PageId(0), &[1, 2, 3, 4]).unwrap();
+        assert!(!Arc::ptr_eq(&served.diff, &chain[3]));
+        assert_eq!(*served.diff, Diff::merge(PageId(0), &refs[2..]));
+        assert_eq!(served.created_now, 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random same-page chains of 1–8 diffs whose runs straddle 64-word
+        /// blocks; members that contain every older one (kind 1) sit at
+        /// random positions among partial writers (kind 0) and near misses
+        /// that leave out one older word (kind 2).  The served diff is the
+        /// chain applied in order, it is the stored newest diff exactly when
+        /// that diff contains the rest, and `Diff::merge` agrees.
+        #[test]
+        fn chain_serving_equals_ordered_application(
+            members in prop::collection::vec((0u8..3, any::<u64>()), 1..=8),
+        ) {
+            let mut union = vec![false; WORDS];
+            let mut chain: Vec<Arc<Diff>> = Vec::new();
+            let mut start = 0;
+            let mut newest_contains = false;
+            for (k, &(kind, seed)) in members.iter().enumerate() {
+                let mut state = seed | 1;
+                let mut next = |bound: usize| {
+                    state = state.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
+                    (state >> 33) as usize % bound
+                };
+                let mut words = if kind == 0 { vec![false; WORDS] } else { union.clone() };
+                if kind == 2 {
+                    let older: Vec<usize> = (0..WORDS).filter(|&w| union[w]).collect();
+                    if !older.is_empty() {
+                        words[older[next(older.len())]] = false;
+                    }
+                }
+                for _ in 0..1 + next(3) {
+                    let lo = next(WORDS);
+                    let hi = (lo + 1 + next(96)).min(WORDS);
+                    words[lo..hi].iter_mut().for_each(|w| *w = true);
+                }
+                newest_contains = (0..WORDS).all(|w| !union[w] || words[w]);
+                if newest_contains {
+                    start = k;
+                }
+                (0..WORDS).for_each(|w| union[w] |= words[w]);
+                chain.push(Arc::new(diff_writing(&words, &mut state)));
+            }
+            let refs: Vec<&Diff> = chain.iter().map(|d| &**d).collect();
+            let mut page = vec![0u8; WORDS * 4];
+            refs.iter().for_each(|d| d.apply(&mut page));
+            let ordered = Diff::create(PageId(0), &[0u8; WORDS * 4], &page);
+
+            prop_assert_eq!(containing_suffix(&refs), start);
+            prop_assert_eq!(&Diff::merge(PageId(0), &refs), &ordered);
+            let seqs: Vec<u32> = (1..=chain.len() as u32).collect();
+            let served = log_of(&chain).fetch_chain(PageId(0), &seqs).unwrap();
+            prop_assert_eq!(&*served.diff, &ordered);
+            prop_assert_eq!(Arc::ptr_eq(&served.diff, chain.last().unwrap()), newest_contains);
+        }
     }
 
     #[test]

@@ -326,14 +326,12 @@ impl ProcCtx {
     /// execute between shared accesses).
     pub fn compute(&mut self, ns: u64) {
         self.clock.advance(ns);
-        self.stats.compute_time_ns = self.stats.compute_time_ns.saturating_add(ns);
     }
 
     fn charge_access(&mut self, bytes: usize) {
         let words = bytes.div_ceil(WORD_SIZE) as u64;
         let ns = words.saturating_mul(self.cost.shared_access_ns);
         self.clock.advance(ns);
-        self.stats.compute_time_ns = self.stats.compute_time_ns.saturating_add(ns);
     }
 
     // ------------------------------------------------------------------
@@ -555,7 +553,6 @@ impl ProcCtx {
         self.stats.protection_ops += 1;
 
         self.clock.advance(stall);
-        self.stats.fault_stall_ns = self.stats.fault_stall_ns.saturating_add(stall);
     }
 
     /// Make the pending notices of `fetch_pages` good, whichever way the
@@ -937,7 +934,6 @@ impl ProcCtx {
         // fetch stall is real.
         let stall = self.fetch_stall(outcome.total_payload);
         self.clock.advance(stall);
-        self.stats.fault_stall_ns = self.stats.fault_stall_ns.saturating_add(stall);
         self.stats.gc_pending_flushes += 1;
     }
 
@@ -1259,10 +1255,6 @@ impl ProcCtx {
             }
         }
         self.stats.lock_acquires += 1;
-        self.stats.sync_stall_ns = self
-            .stats
-            .sync_stall_ns
-            .saturating_add(self.clock.now_ns() - stall_start);
     }
 
     /// Release global lock `lock_id`, making this processor's modifications
@@ -1287,7 +1279,6 @@ impl ProcCtx {
         self.close_interval();
         self.resync_aggregator();
 
-        let stall_start = self.clock.now_ns();
         if self.rank.0 != 0 {
             self.stats.record_control(
                 MsgKind::BarrierArrive,
@@ -1369,10 +1360,6 @@ impl ProcCtx {
                 .record_control(MsgKind::BarrierDepart, notices * NOTICE_WIRE_BYTES);
         }
         self.stats.barriers += 1;
-        self.stats.sync_stall_ns = self
-            .stats
-            .sync_stall_ns
-            .saturating_add(self.clock.now_ns() - stall_start);
     }
 
     // ------------------------------------------------------------------

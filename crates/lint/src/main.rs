@@ -368,7 +368,7 @@ mod tests {
 
     #[test]
     fn clock_arith_rule_requires_ns_left_operand() {
-        assert_eq!(rules("self.stats.compute_time_ns += ns;"), ["clock-arith"]);
+        assert_eq!(rules("self.stats.exec_time_ns += ns;"), ["clock-arith"]);
         assert_eq!(rules("let x = total_ns + delta;"), ["clock-arith"]);
         assert_eq!(rules("let x = cost_ns * words;"), ["clock-arith"]);
         assert_eq!(rules("self.busy_until_ns *= 2;"), ["clock-arith"]);

@@ -42,9 +42,6 @@ pub struct ProcStats {
     pub diffs_created: u64,
     /// Total payload bytes of the diffs created.
     pub diff_bytes_created: u64,
-    /// Of `diffs_created`, diffs materialized on demand while serving a
-    /// remote fault (always 0 under the home-based protocol).
-    pub diffs_created_on_demand: u64,
     /// Home-based protocol only: home-update messages this processor sent
     /// (one per home contacted per interval close; always 0 under the
     /// multi-writer protocol).
@@ -70,12 +67,6 @@ pub struct ProcStats {
     pub prefetched_faults: u64,
     /// Modeled execution time of this processor (final logical clock).
     pub exec_time_ns: u64,
-    /// Portion of the modeled time spent in application computation.
-    pub compute_time_ns: u64,
-    /// Portion of the modeled time spent stalled on faults and diff fetches.
-    pub fault_stall_ns: u64,
-    /// Portion of the modeled time spent in synchronization (locks+barriers).
-    pub sync_stall_ns: u64,
 }
 
 impl ProcStats {
@@ -245,9 +236,9 @@ impl CommBreakdown {
 
 /// Aggregated interval-log garbage-collection counters of a run.
 ///
-/// All of them are a pure function of the write-notice flow; on-demand
-/// creation counts, which also depend on which diffs get requested, live
-/// elsewhere ([`ProcStats::diffs_created_on_demand`]).
+/// All of them are a pure function of the write-notice flow; creation
+/// counts, which also depend on which diffs get requested, live elsewhere
+/// ([`ProcStats::diffs_created`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcCounters {
     /// Intervals closed (published) across all processors.

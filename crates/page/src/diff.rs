@@ -207,14 +207,29 @@ impl Diff {
     /// lone run *is* the image.
     #[inline]
     pub fn whole_page_shared_image(&self) -> Option<&Arc<[u8]>> {
-        match (&self.payload, self.spans.as_slice()) {
-            (Payload::Page(image), [span])
-                if span.offset == 0 && span.len as usize == image.len() =>
-            {
-                Some(image)
-            }
+        match &self.payload {
+            Payload::Page(image) if self.covers_page(image.len()) => Some(image),
             _ => None,
         }
+    }
+
+    /// True if the diff rewrites every byte of a `page_len`-byte page: a
+    /// single run at offset 0 of the page's length.
+    #[inline]
+    pub fn covers_page(&self, page_len: usize) -> bool {
+        matches!(self.spans.as_slice(), [s] if s.offset == 0 && s.len as usize == page_len)
+    }
+
+    /// True if every word `other` touches is also touched by `self`.  Both
+    /// span tables are sorted and `self`'s runs are maximal, so each of
+    /// `other`'s runs must sit inside one of them: one merge-style walk.
+    fn contains(&self, other: &Diff) -> bool {
+        let mut mine = self.spans.iter().peekable();
+        other.spans.iter().all(|s| {
+            while mine.next_if(|m| m.end() <= s.offset).is_some() {}
+            mine.peek()
+                .is_some_and(|m| m.offset <= s.offset && s.end() <= m.end())
+        })
     }
 
     /// Append a run to the diff (spans must arrive in increasing offset
@@ -289,31 +304,17 @@ impl Diff {
     /// that touches it.  Applying the merged diff is equivalent to applying
     /// the chain in order.
     ///
-    /// `chain` must be in application order (oldest first).
+    /// `chain` must be in application order (oldest first).  The union is
+    /// that of the suffix from [`containing_suffix`] on, so a caller that
+    /// holds the chain by reference merges only that suffix, and serves a
+    /// suffix of one diff as that diff.
     pub fn merge(page: PageId, chain: &[&Diff]) -> Diff {
-        if let [only] = chain {
-            return (*only).clone();
-        }
         let end = chain
             .iter()
             .flat_map(|d| d.spans.iter())
             .map(|s| s.end() as usize)
             .max()
             .unwrap_or(0);
-        // A diff whose single run spans the whole covered range rewrites
-        // every word any older diff touches, so the chain can be truncated
-        // to its last such entry.  Flush and GC chains on regularly written
-        // pages are wall-to-wall rewrites, which turns their merge into a
-        // clone — an `Arc` bump when the payload is a shared page snapshot.
-        let chain = match chain.iter().rposition(
-            |d| matches!(d.spans.as_slice(), [s] if s.offset == 0 && s.end() as usize == end),
-        ) {
-            Some(i) => &chain[i..],
-            None => chain,
-        };
-        if let [only] = chain {
-            return (*only).clone();
-        }
         let mut cover = vec![0u64; (end / WORD_SIZE).div_ceil(64)];
         let mut buf = vec![0u8; end];
         let mut fresh: Vec<(u32, u32)> = Vec::new();
@@ -373,6 +374,23 @@ impl<'a> Iterator for Runs<'a> {
 }
 
 impl ExactSizeIterator for Runs<'_> {}
+
+/// Index of the last member of `chain` (oldest first) whose words contain
+/// every word of every older member; 0 when no later member does.  The
+/// chain's union is then the union of `chain[index..]`, and when `index` is
+/// the newest member, that member alone.  Within the suffix no member
+/// contains all of its predecessors.
+pub fn containing_suffix(chain: &[&Diff]) -> usize {
+    // `chain[last]` contains everything older than it, so `chain[i]`
+    // contains everything older than *it* iff it contains `chain[last..i]`.
+    let mut last = 0;
+    for i in 1..chain.len() {
+        if chain[last..i].iter().all(|d| chain[i].contains(d)) {
+            last = i;
+        }
+    }
+    last
+}
 
 /// Append to `out` the byte intervals of the words of run
 /// `[offset, offset + len)` whose bits are not yet set in the word-cover

@@ -169,13 +169,24 @@ impl LocalPage {
     /// state; a no-op in the common case.
     fn materialize_content(&mut self) {
         if let Some((d, e)) = self.deferred.take() {
-            // `deferred` implies untwinned, so a whole-page shared snapshot
-            // can be adopted by reference instead of copied.
-            match d.whole_page_shared_image() {
-                Some(image) => self.data = Arc::clone(image),
-                None => d.apply(self.data_mut()),
-            }
+            self.take_content(&d);
             self.attribute_diff(&d, e);
+        }
+    }
+
+    /// Content half of a delivery onto an untwinned page: adopt a
+    /// whole-page shared snapshot by reference (the next local write
+    /// detaches as usual), rebuild the image from a whole-page run, or
+    /// overwrite the diff's runs in place.
+    fn take_content(&mut self, diff: &Diff) {
+        if let Some(image) = diff.whole_page_shared_image() {
+            debug_assert_eq!(image.len(), self.data.len());
+            self.data = Arc::clone(image);
+        } else if diff.covers_page(self.data.len()) {
+            let (_, bytes) = diff.runs().next().expect("one span, one run");
+            self.replace_data(bytes);
+        } else {
+            diff.apply(self.data_mut());
         }
     }
 
@@ -364,13 +375,6 @@ impl LocalPage {
     /// Lazy-mode store: save the pre-interval value of a word on its first
     /// change, compare on every store to keep the bitset exact.
     fn store_lazy(&mut self, offset: usize, src: &[u8]) {
-        /// Bits of the lower-addressed word within a native-endian `u64`
-        /// read across two consecutive words.
-        const FIRST: u64 = if cfg!(target_endian = "little") {
-            0x0000_0000_FFFF_FFFF
-        } else {
-            0xFFFF_FFFF_0000_0000
-        };
         /// General per-word store: handles partial-word ranges and words
         /// whose changed bit may already be set (compare against the saved
         /// pre-image, clearing the bit when the original value returns).
@@ -434,35 +438,15 @@ impl LocalPage {
                 // No word of this 64-word block has changed yet — the
                 // common case for a fresh interval.  A clear bit means the
                 // word still holds its pre-interval value, so the whole
-                // segment can be snapshotted and stored with two bulk
-                // copies; the changed bits then come from a cache-hot XOR
-                // scan of what was just written.
+                // segment is snapshotted and stored with two straight-line
+                // copies (which the compiler vectorises), and its changed
+                // bits come from the exact scan of the cache-hot source.
                 let base = w * WORD_SIZE;
                 let seg_bytes = (seg_end - w) * WORD_SIZE;
                 let sb = base - offset;
-                // Two straight-line copies (which the compiler vectorises)
-                // followed by a cache-hot XOR scan of new-vs-old.
                 pre[base..base + seg_bytes].copy_from_slice(&data[base..base + seg_bytes]);
                 data[base..base + seg_bytes].copy_from_slice(&src[sb..sb + seg_bytes]);
-                let mut new_bits = 0u64;
-                let mut wi = w % 64;
-                let pairs = (seg_end - w) / 2;
-                for k in 0..pairs {
-                    let db = base + k * 8;
-                    let d8 = u64::from_ne_bytes(data[db..db + 8].try_into().unwrap());
-                    let p8 = u64::from_ne_bytes(pre[db..db + 8].try_into().unwrap());
-                    let x = d8 ^ p8;
-                    new_bits |= ((((x & FIRST) != 0) as u64) << wi)
-                        | ((((x & !FIRST) != 0) as u64) << (wi + 1));
-                    wi += 2;
-                }
-                if (seg_end - w) % 2 == 1 {
-                    let db = base + pairs * 8;
-                    let d4: [u8; 4] = data[db..db + 4].try_into().unwrap();
-                    let p4: [u8; 4] = pre[db..db + 4].try_into().unwrap();
-                    new_bits |= ((d4 != p4) as u64) << wi;
-                }
-                bits[blk] |= new_bits;
+                exact_bits(src, offset, pre, bits, w, seg_end);
             } else {
                 for wi in w..seg_end {
                     let db = wi * WORD_SIZE;
@@ -620,10 +604,7 @@ impl LocalPage {
     pub fn apply_diff(&mut self, diff: &Diff, exchange: u32) {
         debug_assert!(!self.twinned, "delivery onto a twinned page");
         if self.deferred.is_some() {
-            if exchange != NO_EXCHANGE
-                && matches!(diff.spans(), [span] if span.offset == 0
-                    && span.len as usize == self.data.len())
-            {
+            if exchange != NO_EXCHANGE && diff.covers_page(self.data.len()) {
                 // The incoming diff rewrites the whole page's content and
                 // attribution anyway: the parked delivery is fully shadowed.
                 self.deferred = None;
@@ -631,14 +612,7 @@ impl LocalPage {
                 self.materialize_content();
             }
         }
-        if let Some(image) = diff.whole_page_shared_image() {
-            // Zero-copy delivery: a whole-page shared snapshot replaces the
-            // image by reference; the next local write detaches as usual.
-            debug_assert_eq!(image.len(), self.data.len());
-            self.data = Arc::clone(image);
-        } else {
-            diff.apply(self.data_mut());
-        }
+        self.take_content(diff);
         self.attribute_diff(diff, exchange);
     }
 
@@ -653,13 +627,10 @@ impl LocalPage {
         // A diff covering the whole page (the dominant delivery shape for
         // the grid applications) takes the compact uniform representation —
         // no attribution-array traffic at all.
-        let words = self.words();
-        if let [span] = diff.spans() {
-            if span.offset == 0 && span.len as usize / WORD_SIZE == words {
-                self.pending = words as u32;
-                self.uniform = exchange;
-                return;
-            }
+        if diff.covers_page(self.data.len()) {
+            self.pending = self.words() as u32;
+            self.uniform = exchange;
+            return;
         }
         self.materialize_attr();
         // Runs are disjoint, so when nothing is attributed yet every touched
@@ -715,36 +686,13 @@ impl LocalPage {
     /// part back to front leaves the page bit-identical to applying every
     /// diff front to back.
     pub fn apply_diff_visible(&mut self, diff: &Diff, exchange: u32, visible: &[(u32, u32)]) {
-        debug_assert!(!self.twinned, "delivery onto a twinned page");
         // A whole-page diff that is fully visible (the dominant shape on the
-        // grid applications' fetch path) is a straight page copy, and its
-        // attribution takes the compact uniform representation — no
-        // per-word array traffic at all.
+        // grid applications' fetch path) is an ordinary delivery.
         let page_len = self.data.len();
-        if let ([span], [(0, hi)]) = (diff.spans(), visible) {
-            if span.offset == 0 && span.len as usize == page_len && *hi as usize == page_len {
-                if exchange != NO_EXCHANGE {
-                    // Whole page re-attributed below: a parked delivery is
-                    // fully shadowed.
-                    self.deferred = None;
-                } else {
-                    self.materialize_content();
-                }
-                if let Some(image) = diff.whole_page_shared_image() {
-                    // Zero-copy delivery: adopt the shared snapshot instead
-                    // of copying the page.
-                    self.data = Arc::clone(image);
-                } else {
-                    let (_, bytes) = diff.runs().next().expect("one span, one run");
-                    self.replace_data(bytes);
-                }
-                if exchange != NO_EXCHANGE {
-                    self.pending = (page_len / WORD_SIZE) as u32;
-                    self.uniform = exchange;
-                }
-                return;
-            }
+        if diff.covers_page(page_len) && visible == [(0, page_len as u32)] {
+            return self.apply_diff(diff, exchange);
         }
+        debug_assert!(!self.twinned, "delivery onto a twinned page");
         self.materialize_content();
         // Uniqueness of the image is established once for the whole diff,
         // not once per visible interval.
@@ -819,13 +767,15 @@ fn for_each_visible_run(diff: &Diff, visible: &[(u32, u32)], mut f: impl FnMut(u
 }
 
 /// Recompute the changed-word bits of page words `[w0, w1)` by direct
-/// comparison against the complete pre-interval snapshot `pre`:
-/// `bit(w) = (fresh word w != pre word w)`, set *or cleared*; words outside
-/// the range keep their bits.  The fresh words are read from `src`, whose
-/// first byte is page byte `src_offset` and which covers the whole range —
-/// the page image itself (`src_offset == 0`), or the bytes just stored over
-/// the range, which saves re-reading the page.  Pairs of words are compared
-/// as one `u64` XOR with an endian split, as in the diff scan.
+/// comparison against the pre-interval words in `pre` (valid over the
+/// range: the whole snapshot of an exact twin, or the segment a lazy twin
+/// has just saved): `bit(w) = (fresh word w != pre word w)`, set *or
+/// cleared*; words outside the range keep their bits.  The fresh words are
+/// read from `src`, whose first byte is page byte `src_offset` and which
+/// covers the whole range — the page image itself (`src_offset == 0`), or
+/// the bytes just stored over the range, which saves re-reading the page.
+/// Pairs of words are compared as one `u64` XOR with an endian split.  This
+/// is the write path's one changed-word scan.
 fn exact_bits(src: &[u8], src_offset: usize, pre: &[u8], bits: &mut [u64], w0: usize, w1: usize) {
     /// Bits of the lower-addressed word within a native-endian `u64` read
     /// across two consecutive words.
@@ -1180,6 +1130,42 @@ mod tests {
         let mut credited = Vec::new();
         page.read_bytes(0, &mut [0u8; 8], |e, words| credited.push((e, words)));
         assert_eq!(credited, vec![(3, 1), (9, 1)]);
+    }
+
+    #[test]
+    fn a_whole_page_visible_apply_is_an_ordinary_delivery() {
+        let (_writer, shared, image) = page_sharing_its_image_with_a_published_diff();
+        let packed = Diff::create(PageId(0), &[0u8; 256], &image);
+        assert!(packed.covers_page(256) && packed.whole_page_shared_image().is_none());
+        let parked = Arc::new(every_other_word().0);
+        for diff in [&shared, &packed] {
+            for park in [false, true] {
+                for exchange in [4, NO_EXCHANGE] {
+                    let deliver = |visible: bool| {
+                        let mut page = LocalPage::new_zeroed(256);
+                        page.write_bytes(0, &[7; 8]);
+                        if park {
+                            page.apply_diff_deferred(&parked, 9, &mut Vec::new(), &mut Vec::new());
+                        }
+                        if visible {
+                            page.apply_diff_visible(diff, exchange, &[(0, 256)]);
+                        } else {
+                            page.apply_diff(diff, exchange);
+                        }
+                        let adopted = diff
+                            .whole_page_shared_image()
+                            .is_some_and(|img| Arc::ptr_eq(img, &page.data));
+                        let (bytes, pending) = (page.bytes().to_vec(), page.pending_attributions());
+                        let mut credited = Vec::new();
+                        page.read_bytes(0, &mut [0u8; 256], |e, words| credited.push((e, words)));
+                        (bytes, pending, adopted, credited)
+                    };
+                    let visible = deliver(true);
+                    assert_eq!(visible, deliver(false), "park {park}, exchange {exchange}");
+                    assert_eq!(visible.2, diff.whole_page_shared_image().is_some());
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   reads, contended lock chains, barriers) over a fixed case table, pinning
 //!   the length and FNV-1a of the decision trace a test `Observer` records
 //!   through `Dsm::run_observed`, the
-//!   per-rank results and the full `ClusterStats`;
+//!   per-rank results and what the run's `ClusterStats` are read for;
 //! * **application level** — every tiny workload under both write protocols
 //!   at the golden seed, pinning `(checksum bits, exec_time_ns, breakdown)`;
 //! * **scale level** — the 256-processor Jacobi cell, and the 1024-processor
@@ -21,16 +21,16 @@
 //! assertion prints the whole actual table in source form: paste it over the
 //! old one in the same commit and say why.
 //!
-//! The `ClusterStats` digests hash the `Debug` text of the statistics
-//! records, so they also move when a record changes shape.  PR 19 did that
-//! (three-field exchanges, one-field faults, per-kind control tallies) and
-//! re-recorded the 21 of them after a field-by-field dump of every run
-//! compared equal on both sides of the change (CHANGES.md, PR 19).
+//! The `ClusterStats` digests hash a [`StatsView`]: what a result document
+//! carries and the per-rank counters the repo benchmark reads, named field
+//! by field.  They pin behaviour, not struct layout, so a statistics field
+//! that nothing reads can be added or deleted without moving them.
 
 use std::fmt::Debug;
 
 use tdsm_core::{
-    AccessKind, Align, Dsm, DsmConfig, GArray, Observer, ProcCtx, ProtocolMode, SchedConfig,
+    AccessKind, Align, ClusterStats, CommBreakdown, Dsm, DsmConfig, GArray, GcCounters, LinkStats,
+    Observer, ProcCtx, ProtocolMode, RaceRecord, SchedConfig,
 };
 use tm_apps::{checksums_match, AppConfig, AppId, Workload};
 
@@ -47,6 +47,64 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
 /// structure in one constant.
 fn digest(v: &impl Debug) -> u64 {
     fnv1a(format!("{v:?}").bytes())
+}
+
+/// What a run's statistics are read for: the fields of its result document
+/// (`breakdown()`, `gc_counters()`, links, races, exec time) and, per rank,
+/// the counters `benchmark/src/measure.rs` sums.  Both views are read only
+/// through their `Debug` text, which the dead-code lint does not count.
+#[allow(dead_code)]
+#[derive(Debug)]
+struct StatsView<'a> {
+    breakdown: CommBreakdown,
+    gc: GcCounters,
+    links: &'a [LinkStats],
+    races: &'a [RaceRecord],
+    exec_time_ns: u64,
+    ranks: Vec<RankCounters>,
+}
+
+/// The per-rank counters the repo benchmark reads.
+#[allow(dead_code)]
+#[derive(Debug)]
+struct RankCounters {
+    intervals_closed: u64,
+    intervals_retired: u64,
+    prefetched_faults: u64,
+    lock_acquires: u64,
+    barriers: u64,
+    twins_created: u64,
+    diffs_created: u64,
+    diff_bytes_created: u64,
+    protection_ops: u64,
+    exchanges: usize,
+}
+
+/// Digest of a run's [`StatsView`].
+fn stats_digest(stats: &ClusterStats) -> u64 {
+    digest(&StatsView {
+        breakdown: stats.breakdown(),
+        gc: stats.gc_counters(),
+        links: &stats.links,
+        races: &stats.races,
+        exec_time_ns: stats.exec_time_ns(),
+        ranks: stats
+            .per_proc
+            .iter()
+            .map(|p| RankCounters {
+                intervals_closed: p.intervals_closed,
+                intervals_retired: p.intervals_retired,
+                prefetched_faults: p.prefetched_faults,
+                lock_acquires: p.lock_acquires,
+                barriers: p.barriers,
+                twins_created: p.twins_created,
+                diffs_created: p.diffs_created,
+                diff_bytes_created: p.diff_bytes_created,
+                protection_ops: p.protection_ops,
+                exchanges: p.exchanges.len(),
+            })
+            .collect(),
+    })
 }
 
 /// One synthetic yield-point program: every rank executes the same op list
@@ -174,113 +232,113 @@ const REPLAY_CASES: [(u64, usize, &[u8]); 18] = [
     ),
 ];
 
-/// Per replay case: `(trace length, trace FNV-1a, per-rank results, ClusterStats digest)`.
+/// Per replay case: `(trace length, trace FNV-1a, per-rank results, StatsView digest)`.
 type ReplayGolden = (usize, u64, Vec<u64>, u64);
 
 fn replay_goldens() -> Vec<ReplayGolden> {
     vec![
-        (0x7, 0xe3338d0c900f228d, vec![0x0, 0x0], 0x165d1e4d8ac9cc58),
+        (0x7, 0xe3338d0c900f228d, vec![0x0, 0x0], 0x76e2072a4162632e),
         (
             0x64,
             0xeace20b5f63732a7,
             vec![0x111, 0x111, 0x111],
-            0xf2debdb6e2ab8d,
+            0x265ac28d607d8e34,
         ),
         (
             0x2e,
             0x67de135206d283a4,
             vec![0x24, 0x24, 0x24, 0x24],
-            0xf32349a6e9ded74b,
+            0x9e1bf1ecaf153ff1,
         ),
         (
             0x12,
             0xfe802c42b224dca4,
             vec![0xa, 0xa, 0xa, 0xa, 0xa],
-            0x4b0db0ea6ba0c4fc,
+            0x6c2469b4e4732723,
         ),
         (
             0x4a,
             0x8d6d0888f41e79a4,
             vec![0x96, 0x96],
-            0xf83040803a0ce9f8,
+            0x9ec57fd8a247024b,
         ),
         (
             0x22,
             0xcc3a07f559452587,
             vec![0x6, 0x6, 0x6],
-            0x49225d364f836b4e,
+            0x154822eb3cda8561,
         ),
         (
             0x15,
             0x1d06bd25b35349f1,
             vec![0x6, 0x6, 0x6, 0x6],
-            0xfa5d271fb7ae5431,
+            0xbc9101307ad6a008,
         ),
         (
             0x12c,
             0x574b154821a78745,
             vec![0x17c, 0x17c, 0x17c, 0x17c, 0x17c],
-            0x94e72d4f07ca4720,
+            0x8935eda3555a2bcb,
         ),
         (
             0x16a,
             0xa8f3587ac449567c,
             vec![0x378, 0x378, 0x378, 0x378, 0x378, 0x378, 0x378, 0x378],
-            0xcbc9af2b52893fa4,
+            0xa608a9c00fe94e98,
         ),
         (
             0xf,
             0xf1e5b15f75ca81d7,
             vec![0x3, 0x3, 0x3],
-            0x834bfae5bcf7e19b,
+            0xaf0ea119cf39e857,
         ),
         (
             0x6e,
             0x8198b015e624bb85,
             vec![0x50, 0x50, 0x50, 0x50],
-            0x986077acf1d0bf89,
+            0x76dfb3d2c5c4a636,
         ),
         (
             0x33,
             0xd13e9fea5e483f77,
             vec![0xf, 0xf, 0xf, 0xf, 0xf],
-            0x516a8e7226a7e9d,
+            0xaaf747f2023e5b99,
         ),
         (
             0x45,
             0x4cc778efb1cf1c2,
             vec![0xd5, 0xd5],
-            0xfe9d75912f396256,
+            0x29471beaca2c4dcb,
         ),
         (
             0x138,
             0x4abebae37d2c09fc,
             vec![0x8a, 0x8a, 0x8a, 0x8a, 0x8a, 0x8a],
-            0x6368e808b6ab08d5,
+            0xbf95f8069b766f73,
         ),
         (
             0x33,
             0xd8ceabb5a5c6af71,
             vec![0x8, 0x8, 0x8, 0x8],
-            0x15a71afab123604f,
+            0x22fe7ba002a87899,
         ),
         (
             0x69,
             0x23caf07b3a5e7e0f,
             vec![0x50, 0x50, 0x50, 0x50, 0x50],
-            0xa5ee4f2974f91535,
+            0x26699fdd193e13f4,
         ),
         (
             0x2b,
             0x54384dccbfd57ab,
             vec![0x6, 0x6, 0x6],
-            0xc2638bcf768b9c55,
+            0x2ac99abffa532d9d,
         ),
         (
             0x146,
             0xecb506bde077b3a5,
             vec![0x1cc, 0x1cc, 0x1cc, 0x1cc, 0x1cc, 0x1cc, 0x1cc, 0x1cc],
-            0x50701a91cccfd494,
+            0xc7f3e9f965c54e0f,
         ),
     ]
 }
@@ -321,7 +379,12 @@ fn replay_decisions_results_and_stats_match_the_goldens() {
                     .flat_map(|&(d, r)| [d, r as u64])
                     .flat_map(u64::to_le_bytes),
             );
-            (trace.len(), trace_fnv, out.results, digest(&out.stats))
+            (
+                trace.len(),
+                trace_fnv,
+                out.results,
+                stats_digest(&out.stats),
+            )
         })
         .collect();
     assert!(
@@ -391,7 +454,7 @@ fn jacobi_at_256_processors_matches_the_golden() {
         run.checksum.to_bits(),
         run.exec_time_ns,
         digest(&run.breakdown),
-        digest(&run.stats),
+        stats_digest(&run.stats),
     );
     assert_eq!(
         actual,
@@ -399,7 +462,7 @@ fn jacobi_at_256_processors_matches_the_golden() {
             4661609071746513920,
             79761916,
             4919483751505089265,
-            1424656696593580637
+            14435800505647699820
         ),
         "256-processor Jacobi golden drifted"
     );
@@ -425,7 +488,7 @@ fn jacobi_at_1024_processors_matches_the_goldens() {
                 run.checksum.to_bits(),
                 run.exec_time_ns,
                 digest(&run.breakdown),
-                digest(&run.stats),
+                stats_digest(&run.stats),
             )
         })
         .collect();
@@ -436,20 +499,20 @@ fn jacobi_at_1024_processors_matches_the_goldens() {
     );
 }
 
-/// Per protocol: `(checksum bits, exec_time_ns, breakdown digest, ClusterStats digest)`.
+/// Per protocol: `(checksum bits, exec_time_ns, breakdown digest, StatsView digest)`.
 fn jacobi_1024_goldens() -> Vec<(u64, u64, u64, u64)> {
     vec![
         (
             0x40b15cc0a3307c00,
             0x1157b72c,
             0x92bbbb235ae66a20,
-            0xc0fc48dbdabc401d,
+            0xc6bd33e7409ea0bc,
         ),
         (
             0x40b15cc0a3307c00,
             0x115b2870,
             0x7c106bd9aa2cc6cd,
-            0x2b781e162ee88a9d,
+            0x6bf19326b41d7239,
         ),
     ]
 }
