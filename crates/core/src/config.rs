@@ -1,7 +1,7 @@
 //! DSM configuration: cluster geometry and the consistency-unit policy.
 
 use serde::json::Value;
-use serde::{field_u64, FromJson, JsonSchemaError, ToJson};
+use serde::{field_u32, FromJson, JsonSchemaError, ToJson};
 use tm_net::{AggregationPolicy, CostModel, NetworkConfig, Topology};
 use tm_page::{PageId, PageLayout};
 use tm_sched::SchedConfig;
@@ -112,11 +112,9 @@ impl FromJson for UnitPolicy {
     fn from_json(v: &Value) -> Result<Self, JsonSchemaError> {
         // The bounds `DsmConfig::validate` asserts, as a schema error: a
         // document names a unit the simulator accepts, or does not parse.
-        let pages = |field: &str| {
-            u32::try_from(field_u64(v, field)?)
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| JsonSchemaError::new(field, "integer in 1..=4294967295"))
+        let pages = |field: &str| match field_u32(v, field)? {
+            0 => Err(JsonSchemaError::new(field, "integer in 1..=4294967295")),
+            n => Ok(n),
         };
         match v.get("kind").and_then(|k| k.as_str()) {
             Some("static") => Ok(UnitPolicy::Static {

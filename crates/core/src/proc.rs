@@ -25,7 +25,7 @@ use tm_net::{
     AggregationPolicy, CostModel, DiffExchange, FaultRecord, LogicalClock, MsgKind, ProcId,
     ProcStats, ResponderCost, MSG_HEADER_BYTES,
 };
-use tm_page::{subtract_cover, Diff, GlobalAddr, PageId, PageLayout, PageStore, WORD_SIZE};
+use tm_page::{Diff, GlobalAddr, PageId, PageLayout, PageStore, WORD_SIZE};
 use tm_race::{AccessKind, SyncEvent};
 
 use crate::aggregation::DynamicAggregator;
@@ -95,8 +95,6 @@ struct Fetched {
     ord: u32,
     diff: Arc<Diff>,
     exchange: u32,
-    /// A merged chain from the page's sole pending writer.
-    solo: bool,
 }
 
 /// Working storage of one round of pending fetches.  Nothing in it outlives
@@ -118,15 +116,9 @@ struct ExchangeScratch {
     /// endpoint when replies are routed through a contended topology.
     responder_ranks: Vec<u32>,
     to_apply: Vec<Fetched>,
-    /// The fetched pages with `Want::contended` set, ascending.
-    contended_pages: Vec<PageId>,
-    /// `contended_pages[k]`'s word-cover bitset is block `k` of this array;
-    /// `cover_set[k]` counts its set bits.
-    cover_bits: Vec<u64>,
-    cover_set: Vec<usize>,
+    /// Scratch lent to `LocalPage::deliver`.
+    cover: Vec<u64>,
     visible: Vec<(u32, u32)>,
-    /// Cover bitset lent to `LocalPage::apply_diff_deferred`'s fold.
-    fold_cover: Vec<u64>,
     /// Home-based protocol: the page a whole-page fetch is staged in
     /// between the master copy and the local one.  One page long from the
     /// first fetch on.
@@ -140,9 +132,6 @@ impl ExchangeScratch {
         self.responder_costs.clear();
         self.responder_ranks.clear();
         self.to_apply.clear();
-        self.contended_pages.clear();
-        self.cover_bits.clear();
-        self.cover_set.clear();
     }
 }
 
@@ -612,9 +601,6 @@ impl ProcCtx {
             let contended = pending
                 .first()
                 .is_some_and(|&(first, _)| pending.iter().any(|&(w, _)| w != first));
-            if contended {
-                xs.contended_pages.push(p);
-            }
             for &(writer, seq) in pending {
                 xs.wants.push(Want {
                     responder: writer,
@@ -626,7 +612,6 @@ impl ProcCtx {
             }
         }
         xs.wants.sort_unstable();
-        xs.contended_pages.sort_unstable();
 
         let same_writer = |a: &Want, b: &Want| a.responder == b.responder;
         let first_exchange = self.stats.exchanges.len() as u32;
@@ -680,7 +665,6 @@ impl ProcCtx {
                         ord: xs.to_apply.len() as u32,
                         diff: fetched.diff,
                         exchange: exchange_id,
-                        solo: true,
                     });
                 } else {
                     for &Want { seq, .. } in chain {
@@ -705,7 +689,6 @@ impl ProcCtx {
                             ord: xs.to_apply.len() as u32,
                             diff: fetched.diff,
                             exchange: exchange_id,
-                            solo: false,
                         });
                     }
                 }
@@ -724,64 +707,26 @@ impl ProcCtx {
             });
         }
 
-        // Apply the diffs in a linear extension of happens-before (vector
-        // clock weight, then writer id, then sequence number; fetch order
-        // last, which makes the unstable sort a stable one).  Diffs of
-        // concurrent intervals touch disjoint words in a data-race-free
-        // program, so their relative order does not matter.
+        // Each page's diffs are delivered as one round, in a linear
+        // extension of happens-before (vector clock weight, then writer id,
+        // then sequence number; fetch order last, which makes the unstable
+        // sort a stable one).  Diffs of concurrent intervals touch disjoint
+        // words in a data-race-free program, so their relative order does
+        // not matter, and diffs of different pages never interact.  No
+        // counter fires during delivery (wire and fetch accounting happened
+        // above), so the page order is free; pages go in descending order
+        // because a delivery may be a page's first touch, and that heap
+        // layout measured lower peak RSS on the lock-heavy benchmark
+        // workload than ascending order.
         xs.to_apply
-            .sort_unstable_by_key(|f| (f.weight, f.writer, f.seq, f.ord));
-        // Reverse painter's algorithm: walking the batch backwards, each
-        // diff only writes the words no later-applied diff of the same page
-        // touches.  Every word still ends with the bytes, attribution, and
-        // dirty bit of the last diff that touches it — identical to applying
-        // the whole chain forward — and no counter fires during application
-        // (wire and fetch accounting already happened above), so the result
-        // is bit-identical while the memory traffic shrinks from the sum of
-        // all fetched payloads to their union.  GC flushes fetch long
-        // same-page diff chains, which is where this pays off.
-        let page_words = self.layout.page_size() / WORD_SIZE;
-        let page_blocks = page_words.div_ceil(64);
-        xs.cover_bits
-            .resize(xs.contended_pages.len() * page_blocks, 0);
-        xs.cover_set.resize(xs.contended_pages.len(), 0);
-        for f in xs.to_apply.iter().rev() {
-            if f.solo {
-                // A merged chain is its page's only entry in the batch (its
-                // page had a single pending writer), so no cover tracking is
-                // needed: apply it whole.  The deferred path parks whole-page
-                // payloads instead of copying them — GC validation flushes
-                // repeatedly redeliver pages the next flush overwrites.
-                self.store.page_mut(f.diff.page).apply_diff_deferred(
-                    &f.diff,
-                    f.exchange,
-                    &mut xs.fold_cover,
-                    &mut xs.visible,
-                );
-                continue;
-            }
-            let k = xs
-                .contended_pages
-                .binary_search(&f.diff.page)
-                .expect("a diff fetched on its own is of a contended page");
-            let set = &mut xs.cover_set[k];
-            if *set == page_words {
-                // Every word of the page is already claimed by later diffs:
-                // this one is fully shadowed.
-                continue;
-            }
-            let cov = &mut xs.cover_bits[k * page_blocks..(k + 1) * page_blocks];
-            xs.visible.clear();
-            for span in f.diff.spans() {
-                *set += subtract_cover(span.offset, span.len as usize, cov, &mut xs.visible);
-            }
-            if !xs.visible.is_empty() {
-                self.store.page_mut(f.diff.page).apply_diff_visible(
-                    &f.diff,
-                    f.exchange,
-                    &xs.visible,
-                );
-            }
+            .sort_unstable_by_key(|f| (f.diff.page, f.weight, f.writer, f.seq, f.ord));
+        let rounds = xs.to_apply.chunk_by(|a, b| a.diff.page == b.diff.page);
+        for round in rounds.rev() {
+            self.store.page_mut(round[0].diff.page).deliver(
+                round.iter().rev().map(|f| (&f.diff, f.exchange)),
+                &mut xs.cover,
+                &mut xs.visible,
+            );
         }
         // Let go of the fetched diffs now, not at the next fault: a diff the
         // scratch still held could not be salvaged when its interval retires.

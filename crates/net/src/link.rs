@@ -27,7 +27,7 @@
 
 use crate::topology::Topology;
 use serde::json::Value;
-use serde::{field_u64, FromJson, JsonSchemaError, ToJson};
+use serde::{field_u32, field_u64, FromJson, JsonSchemaError, ToJson};
 
 /// Accumulated counters of one link (the bus, or one processor's NIC).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -87,7 +87,7 @@ impl ToJson for LinkStats {
 impl FromJson for LinkStats {
     fn from_json(v: &Value) -> Result<Self, JsonSchemaError> {
         Ok(LinkStats {
-            link: field_u64(v, "link")? as u32,
+            link: field_u32(v, "link")?,
             messages: field_u64(v, "messages")?,
             wire_bytes: field_u64(v, "wire_bytes")?,
             busy_ns: field_u64(v, "busy_ns")?,
@@ -355,6 +355,48 @@ mod tests {
         let parsed = LinkStats::from_json(&legacy).unwrap();
         assert_eq!(parsed.window_ns, 0);
         assert!((parsed.utilization(1_975_308) - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_u32_field_above_u32_max_is_an_error_naming_it() {
+        // 2^32 + 1 used to be read as 1: another page, word, rank, interval
+        // or link than the document names.
+        use tm_race::{AccessKind, RaceRecord};
+        let race = RaceRecord {
+            page: u32::MAX,
+            word_lo: 2,
+            word_hi: 3,
+            first_rank: 0,
+            first_kind: AccessKind::Write,
+            first_interval: 4,
+            second_rank: 1,
+            second_kind: AccessKind::Read,
+            second_interval: 5,
+        };
+        assert_eq!(RaceRecord::from_json(&race.to_json()), Ok(race.clone()));
+        let too_big = |mut doc: Value, field: &str| {
+            let Value::Obj(fields) = &mut doc else {
+                panic!("records serialize as objects");
+            };
+            let (_, value) = fields.iter_mut().find(|(k, _)| k == field).unwrap();
+            *value = Value::Num(4_294_967_297.0);
+            doc
+        };
+        for field in [
+            "page",
+            "word_lo",
+            "word_hi",
+            "first_rank",
+            "first_interval",
+            "second_rank",
+            "second_interval",
+        ] {
+            let err = RaceRecord::from_json(&too_big(race.to_json(), field)).unwrap_err();
+            assert_eq!(err.path, field);
+        }
+        let err =
+            LinkStats::from_json(&too_big(LinkStats::default().to_json(), "link")).unwrap_err();
+        assert_eq!(err.path, "link");
     }
 
     #[test]

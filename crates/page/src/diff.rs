@@ -399,9 +399,9 @@ pub fn containing_suffix(chain: &[&Diff]) -> usize {
 /// number of newly covered words.
 ///
 /// This is the kernel of the "reverse painter" used both by [`Diff::merge`]
-/// and by the protocol engine's batched diff application: processing diffs
-/// newest-first, each one only touches the words no newer diff claimed.
-pub fn subtract_cover(
+/// and by `LocalPage::deliver`: processing diffs newest-first, each one
+/// only touches the words no newer diff claimed.
+pub(crate) fn subtract_cover(
     offset: u32,
     len: usize,
     cov: &mut [u64],

@@ -59,9 +59,7 @@ pub mod layout;
 pub mod page;
 
 pub use alloc::{Align, OutOfSharedMemory, RegionAllocator};
-pub use diff::{
-    containing_suffix, subtract_cover, Diff, RunSpan, DIFF_HEADER_BYTES, RUN_HEADER_BYTES,
-};
+pub use diff::{containing_suffix, Diff, RunSpan, DIFF_HEADER_BYTES, RUN_HEADER_BYTES};
 pub use home::HomeStore;
 pub use layout::{GlobalAddr, PageId, PageLayout, WORD_SIZE};
 pub use page::{LocalPage, PageStore, NO_EXCHANGE};
@@ -244,7 +242,7 @@ mod proptests {
             let mut log: Vec<Arc<Diff>> = Vec::new();
             let mut pool: Vec<(Vec<RunSpan>, Vec<u8>)> = Vec::new();
             let mut scratch = vec![0u8; page_size];
-            // Deliberately dirty fold scratch: its contents must not matter.
+            // Deliberately dirty delivery scratch: its contents must not matter.
             let (mut cov, mut visible) = (vec![!0u64; 3], vec![(4u32, 8u32)]);
 
             for (k, writes) in intervals.iter().enumerate() {
@@ -284,7 +282,7 @@ mod proptests {
                     if k % 2 == 0 {
                         receiver.apply_diff(&shared, NO_EXCHANGE);
                     } else {
-                        receiver.apply_diff_deferred(&shared, NO_EXCHANGE, &mut cov, &mut visible);
+                        receiver.deliver([(&shared, NO_EXCHANGE)], &mut cov, &mut visible);
                         // Force materialization (bytes() asserts no parked
                         // content) through the read path.
                         receiver.read_bytes(0, &mut scratch, |_, _| {});

@@ -78,13 +78,12 @@ pub struct LocalPage {
     /// A delivered diff (and its exchange id) whose application — content
     /// *and* attribution — has not been performed yet.  Flush deliveries are
     /// frequently shadowed by the next flush before any local access, so
-    /// [`apply_diff_deferred`](Self::apply_diff_deferred) parks the shared
-    /// payload here instead of paying the page-sized content and
-    /// attribution traffic; the work happens lazily on the first access
-    /// that needs it, and a later delivery folds the parked one in only
-    /// where it stays visible.  Invariant: `deferred.is_some()` implies
-    /// `!twinned` — a twin is only created by the write path, which
-    /// materialises first.
+    /// [`deliver`](Self::deliver) parks the newest diff of a round here
+    /// instead of paying the page-sized content and attribution traffic;
+    /// the work happens lazily on the first access that needs it, and the
+    /// next round lands the parked one only where it stays visible.
+    /// Invariant: `deferred.is_some()` implies `!twinned` — a twin is only
+    /// created by the write path, which materialises first.
     deferred: Option<(Arc<Diff>, u32)>,
 }
 
@@ -169,59 +168,7 @@ impl LocalPage {
     /// state; a no-op in the common case.
     fn materialize_content(&mut self) {
         if let Some((d, e)) = self.deferred.take() {
-            self.take_content(&d);
-            self.attribute_diff(&d, e);
-        }
-    }
-
-    /// Content half of a delivery onto an untwinned page: adopt a
-    /// whole-page shared snapshot by reference (the next local write
-    /// detaches as usual), rebuild the image from a whole-page run, or
-    /// overwrite the diff's runs in place.
-    fn take_content(&mut self, diff: &Diff) {
-        if let Some(image) = diff.whole_page_shared_image() {
-            debug_assert_eq!(image.len(), self.data.len());
-            self.data = Arc::clone(image);
-        } else if diff.covers_page(self.data.len()) {
-            let (_, bytes) = diff.runs().next().expect("one span, one run");
-            self.replace_data(bytes);
-        } else {
-            diff.apply(self.data_mut());
-        }
-    }
-
-    /// Retire a parked diff that is about to be shadowed by `new`: copy into
-    /// `data` only the parts of the parked payload that `new` does not
-    /// rewrite.  With the flush-delivery pattern (each generation rewrites
-    /// almost the whole page) this copies a handful of words instead of a
-    /// page, and a fully-shadowing `new` copies nothing at all.  `cov` and
-    /// `visible` are caller-owned scratch (contents ignored and clobbered).
-    fn fold_deferred_under(
-        &mut self,
-        new: &Diff,
-        cov: &mut Vec<u64>,
-        visible: &mut Vec<(u32, u32)>,
-    ) {
-        let Some((old, old_exchange)) = self.deferred.take() else {
-            return;
-        };
-        let words = self.data.len() / WORD_SIZE;
-        cov.clear();
-        cov.resize(words.div_ceil(64), 0);
-        visible.clear();
-        let mut set = 0usize;
-        for span in new.spans() {
-            set += subtract_cover(span.offset, span.len as usize, cov, visible);
-        }
-        if set == words {
-            return;
-        }
-        visible.clear();
-        for span in old.spans() {
-            subtract_cover(span.offset, span.len as usize, cov, visible);
-        }
-        if !visible.is_empty() {
-            self.apply_diff_visible(&old, old_exchange, visible);
+            self.apply_diff(&d, e);
         }
     }
 
@@ -586,138 +533,137 @@ impl LocalPage {
         // Whole-page replacement: any parked payload is dead.
         self.deferred = None;
         self.replace_data(src);
-        if exchange == NO_EXCHANGE {
-            self.pending = 0;
-            self.uniform = NO_EXCHANGE;
-            self.attr_dirty = true;
-        } else {
-            // Whole-page delivery: the compact uniform representation
-            // replaces a page-sized attribution fill.
-            self.pending = self.words() as u32;
-            self.uniform = exchange;
-        }
+        self.attribute_page(exchange);
     }
 
-    /// Apply a diff received from another processor.  Every word the diff
-    /// overwrites is attributed to `exchange` (pass [`NO_EXCHANGE`] to skip
-    /// attribution, e.g. for locally generated corrections in tests).
+    /// Apply a diff received from another processor — what a parked
+    /// delivery runs at its first access.  Every word the diff overwrites
+    /// is attributed to `exchange`, or left unattributed for
+    /// [`NO_EXCHANGE`] (a delivery that crossed no wire).  A whole-page
+    /// shared image is adopted by reference (the next local write detaches
+    /// as usual); a whole-page diff shadows a parked delivery outright.
     pub fn apply_diff(&mut self, diff: &Diff, exchange: u32) {
         debug_assert!(!self.twinned, "delivery onto a twinned page");
-        if self.deferred.is_some() {
-            if exchange != NO_EXCHANGE && diff.covers_page(self.data.len()) {
-                // The incoming diff rewrites the whole page's content and
-                // attribution anyway: the parked delivery is fully shadowed.
-                self.deferred = None;
-            } else {
-                self.materialize_content();
-            }
+        if !diff.covers_page(self.data.len()) {
+            self.materialize_content();
+            diff.apply(self.data_mut());
+            return self.attribute(exchange, diff.spans().iter().map(|s| (s.offset, s.end())));
         }
-        self.take_content(diff);
-        self.attribute_diff(diff, exchange);
+        self.deferred = None;
+        match diff.whole_page_shared_image() {
+            Some(image) => self.data = Arc::clone(image),
+            None => self.replace_data(diff.runs().next().expect("one span, one run").1),
+        }
+        self.attribute_page(exchange);
     }
 
-    /// Attribution-only half of [`apply_diff`](Self::apply_diff): credit
-    /// every word `diff` covers to `exchange`.  Shared with the deferred
-    /// apply path, which parks the content but must keep the paper's
-    /// useful/useless accounting eager.
-    fn attribute_diff(&mut self, diff: &Diff, exchange: u32) {
-        if exchange == NO_EXCHANGE {
-            return;
-        }
-        // A diff covering the whole page (the dominant delivery shape for
-        // the grid applications) takes the compact uniform representation —
-        // no attribution-array traffic at all.
-        if diff.covers_page(self.data.len()) {
-            self.pending = self.words() as u32;
-            self.uniform = exchange;
+    /// Attribute every word of the page to `exchange` ([`NO_EXCHANGE`]:
+    /// to none) in the compact uniform representation — the dominant
+    /// delivery shape for the grid applications pays no array traffic.
+    fn attribute_page(&mut self, exchange: u32) {
+        self.pending = if exchange == NO_EXCHANGE {
+            0
+        } else {
+            self.words() as u32
+        };
+        self.uniform = exchange;
+        // The array, live or stale, is wiped before its next per-word use.
+        self.attr_dirty = true;
+    }
+
+    /// Attribute the words of the word-aligned byte intervals `runs`
+    /// (disjoint) to `exchange`, or clear them for [`NO_EXCHANGE`].
+    fn attribute(&mut self, exchange: u32, runs: impl Iterator<Item = (u32, u32)>) {
+        if exchange == NO_EXCHANGE && self.pending == 0 {
             return;
         }
         self.materialize_attr();
-        // Runs are disjoint, so when nothing is attributed yet every touched
-        // word is a fresh attribution and the per-word scan can be skipped.
-        let all_fresh = self.pending == 0;
+        // When nothing is attributed yet, no touched word holds an
+        // attribution and the per-word scan can be skipped.
+        let none_held = self.pending == 0;
         let attribution = self.attribution.as_mut().expect("materialized");
-        for span in diff.spans() {
-            let first = span.offset as usize / WORD_SIZE;
-            let count = span.len as usize / WORD_SIZE;
-            if count == 0 {
-                continue;
+        for (lo, hi) in runs {
+            let slice = &mut attribution[lo as usize / WORD_SIZE..hi as usize / WORD_SIZE];
+            if !none_held {
+                self.pending -= slice.iter().filter(|&&a| a != NO_EXCHANGE).count() as u32;
             }
-            let slice = &mut attribution[first..first + count];
-            if all_fresh {
-                self.pending += count as u32;
-            } else {
-                let fresh = slice.iter().filter(|&&a| a == NO_EXCHANGE).count();
-                self.pending += fresh as u32;
+            if exchange != NO_EXCHANGE {
+                self.pending += slice.len() as u32;
             }
             slice.fill(exchange);
         }
     }
 
-    /// [`apply_diff`](Self::apply_diff), except that the application is
-    /// *parked*: the shared payload and its exchange id are stored in
-    /// `deferred`, and both the content copy and the attribution update
-    /// happen lazily on the first access that needs them.  Any previously parked diff is folded into the page only where
-    /// the new one leaves it visible, so a delivery that the next flush
-    /// shadows is never paid for.  Every observable outcome — page bytes,
-    /// per-word useful/useless credit, pending counts — is bit-identical to
-    /// the eager path; only the time of the work moves.
+    /// Deliver one round of this page's fetched diffs, given newest first
+    /// (reverse happens-before order) with their exchange ids.  The newest
+    /// is parked in `deferred`: its content and attribution land at the
+    /// first access that needs them, or never, if the next round or a
+    /// whole-page write shadows it.  Every older member — and, as the
+    /// oldest, a delivery still parked from an earlier round — lands now,
+    /// but only on the words no newer member writes: a reverse painter over
+    /// one word-cover bitset, so the memory traffic is the union of the
+    /// payloads, not their sum.  Page bytes, per-word attribution, pending
+    /// count and whole-page adoption are exactly those of
+    /// [`apply_diff`](Self::apply_diff) of the parked diff and then of every
+    /// member, oldest first.  A lone diff onto a page with nothing parked
+    /// just parks.
     ///
-    /// `cov` and `visible` are scratch for the fold (contents ignored and
-    /// clobbered): the fetch path delivers one diff after another, so the
-    /// caller keeps one pair instead of this allocating one per delivery.
-    pub fn apply_diff_deferred(
+    /// `cover` and `visible` are caller scratch (contents ignored and
+    /// clobbered), kept across rounds so that a delivery allocates nothing.
+    pub fn deliver<'a>(
         &mut self,
-        diff: &Arc<Diff>,
-        exchange: u32,
-        cov: &mut Vec<u64>,
+        newest_first: impl IntoIterator<Item = (&'a Arc<Diff>, u32)>,
+        cover: &mut Vec<u64>,
         visible: &mut Vec<(u32, u32)>,
     ) {
         debug_assert!(!self.twinned, "delivery onto a twinned page");
-        self.fold_deferred_under(diff, cov, visible);
-        self.deferred = Some((Arc::clone(diff), exchange));
+        let mut round = newest_first.into_iter();
+        let Some((newest, exchange)) = round.next() else {
+            return;
+        };
+        // An empty newest member would leave an older whole-page image
+        // visible everywhere, to be painted where `apply_diff` adopts it.
+        debug_assert!(!newest.is_empty(), "a published diff writes a word");
+        let parked = self.deferred.replace((Arc::clone(newest), exchange));
+        let mut older = round
+            .map(|(d, e)| (&**d, e))
+            .chain(parked.as_ref().map(|(d, e)| (&**d, *e)))
+            .peekable();
+        if older.peek().is_none() {
+            return;
+        }
+        let words = self.words();
+        cover.clear();
+        cover.resize(words.div_ceil(64), 0);
+        let mut covered = 0;
+        for (i, (diff, exchange)) in std::iter::once((&**newest, exchange))
+            .chain(older)
+            .enumerate()
+        {
+            visible.clear();
+            for span in diff.spans() {
+                covered += subtract_cover(span.offset, span.len as usize, cover, visible);
+            }
+            if i > 0 && !visible.is_empty() {
+                self.apply_diff_visible(diff, exchange, visible);
+            }
+            if covered == words {
+                break;
+            }
+        }
     }
 
-    /// Apply only the `visible` byte intervals of `diff` — the parts no
-    /// later-applied diff of this page overwrites.  `visible` must be
-    /// sorted, non-overlapping, word-aligned, and a subset of the diff's
-    /// runs (each interval inside one run).  Used by the reverse-order
-    /// batch apply in the protocol engine: applying each diff's visible
-    /// part back to front leaves the page bit-identical to applying every
-    /// diff front to back.
-    pub fn apply_diff_visible(&mut self, diff: &Diff, exchange: u32, visible: &[(u32, u32)]) {
-        // A whole-page diff that is fully visible (the dominant shape on the
-        // grid applications' fetch path) is an ordinary delivery.
-        let page_len = self.data.len();
-        if diff.covers_page(page_len) && visible == [(0, page_len as u32)] {
-            return self.apply_diff(diff, exchange);
-        }
-        debug_assert!(!self.twinned, "delivery onto a twinned page");
-        self.materialize_content();
+    /// Apply only the `visible` byte intervals of `diff`, content and
+    /// attribution.  `visible` must be sorted, non-overlapping,
+    /// word-aligned, and each interval inside one of the diff's runs.
+    fn apply_diff_visible(&mut self, diff: &Diff, exchange: u32, visible: &[(u32, u32)]) {
         // Uniqueness of the image is established once for the whole diff,
         // not once per visible interval.
         let data = self.data_mut();
         for_each_visible_run(diff, visible, |lo, bytes| {
             copy_bytes(&mut data[lo..lo + bytes.len()], bytes)
         });
-        if exchange == NO_EXCHANGE {
-            return;
-        }
-        // Visible-interval application is inherently partial, so the
-        // per-word array must be authoritative.
-        self.materialize_attr();
-        let all_fresh = self.pending == 0;
-        let attribution = self.attribution.as_mut().expect("materialized");
-        for &(lo, hi) in visible {
-            let slice = &mut attribution[lo as usize / WORD_SIZE..hi as usize / WORD_SIZE];
-            if all_fresh {
-                self.pending += slice.len() as u32;
-            } else {
-                let fresh = slice.iter().filter(|&&a| a == NO_EXCHANGE).count();
-                self.pending += fresh as u32;
-            }
-            slice.fill(exchange);
-        }
+        self.attribute(exchange, visible.iter().copied());
     }
 
     /// Number of words currently carrying a delivery attribution (delivered
@@ -742,8 +688,8 @@ impl LocalPage {
 }
 
 /// Call `f(page offset, bytes)` for each of `visible`'s byte intervals of
-/// `diff` (sorted, each inside one run — see
-/// [`LocalPage::apply_diff_visible`]) with the run bytes it selects.
+/// `diff` (sorted, each inside one run — see `LocalPage::apply_diff_visible`)
+/// with the run bytes it selects.
 fn for_each_visible_run(diff: &Diff, visible: &[(u32, u32)], mut f: impl FnMut(usize, &[u8])) {
     let mut runs = diff.runs();
     let mut run = runs.next();
@@ -1107,65 +1053,90 @@ mod tests {
         assert_eq!(page.pending_attributions(), 32);
     }
 
-    #[test]
-    fn visible_apply_over_a_parked_delivery_leaves_the_parked_diff_alone() {
-        let (_writer, published, image) = page_sharing_its_image_with_a_published_diff();
-        let published = Arc::new(published);
-        let mut page = LocalPage::new_zeroed(256);
-        page.apply_diff_deferred(&published, 9, &mut Vec::new(), &mut Vec::new());
-        assert!(page.deferred.is_some());
+    /// One generated delivery: a shape (0: one run, 1: two runs, 2: one run
+    /// plus every word the writer wrote before, 3: the whole page, 4: the
+    /// whole page but a hole at the run's start), that run as (first word,
+    /// words), an exchange selector (0 is [`NO_EXCHANGE`]) and whether the
+    /// payload is packed rather than, when dense, the writer's shared image.
+    type Member = (u8, (usize, usize), u32, bool);
 
-        let (sparse, visible) = every_other_word();
-        page.apply_diff_visible(&sparse, 3, &visible);
-
-        assert!(page.deferred.is_none());
-        assert_eq!(published.runs().next().unwrap(), (0, &image[..]));
-        assert_eq!(Arc::strong_count(&page.data), 1);
-        let mut want = image.clone();
-        sparse.apply(&mut want);
-        assert_eq!(page.bytes(), &want[..]);
-        // The parked whole-page delivery attributed all 64 words to exchange
-        // 9; the overlay re-attributed 32 of them, none fresh.
-        assert_eq!(page.pending_attributions(), 64);
-        let mut credited = Vec::new();
-        page.read_bytes(0, &mut [0u8; 8], |e, words| credited.push((e, words)));
-        assert_eq!(credited, vec![(3, 1), (9, 1)]);
+    fn member() -> impl Strategy<Value = Member> {
+        (0u8..5, (0usize..256, 1usize..120), 0u32..10, any::<bool>())
     }
 
-    #[test]
-    fn a_whole_page_visible_apply_is_an_ordinary_delivery() {
-        let (_writer, shared, image) = page_sharing_its_image_with_a_published_diff();
-        let packed = Diff::create(PageId(0), &[0u8; 256], &image);
-        assert!(packed.covers_page(256) && packed.whole_page_shared_image().is_none());
-        let parked = Arc::new(every_other_word().0);
-        for diff in [&shared, &packed] {
-            for park in [false, true] {
-                for exchange in [4, NO_EXCHANGE] {
-                    let deliver = |visible: bool| {
-                        let mut page = LocalPage::new_zeroed(256);
-                        page.write_bytes(0, &[7; 8]);
-                        if park {
-                            page.apply_diff_deferred(&parked, 9, &mut Vec::new(), &mut Vec::new());
-                        }
-                        if visible {
-                            page.apply_diff_visible(diff, exchange, &[(0, 256)]);
-                        } else {
-                            page.apply_diff(diff, exchange);
-                        }
-                        let adopted = diff
-                            .whole_page_shared_image()
-                            .is_some_and(|img| Arc::ptr_eq(img, &page.data));
-                        let (bytes, pending) = (page.bytes().to_vec(), page.pending_attributions());
-                        let mut credited = Vec::new();
-                        page.read_bytes(0, &mut [0u8; 256], |e, words| credited.push((e, words)));
-                        (bytes, pending, adopted, credited)
-                    };
-                    let visible = deliver(true);
-                    assert_eq!(visible, deliver(false), "park {park}, exchange {exchange}");
-                    assert_eq!(visible.2, diff.whole_page_shared_image().is_some());
-                }
+    /// One writer's successive intervals on a 256-word page.  Every word an
+    /// interval marks gets a value no earlier interval wrote, so the diff's
+    /// words are exactly the marked ones.
+    struct Writer {
+        page: LocalPage,
+        stamp: u32,
+        written: [bool; 256],
+    }
+
+    impl Writer {
+        fn new() -> Self {
+            Writer {
+                page: LocalPage::new_zeroed(1024),
+                stamp: 0,
+                written: [false; 256],
             }
         }
+
+        fn next(&mut self, (shape, (start, len), exchange, packed): Member) -> (Arc<Diff>, u32) {
+            let run = |marks: &mut [bool; 256], lo: usize, n: usize, on: bool| {
+                marks[lo.min(256)..(lo + n).min(256)].fill(on)
+            };
+            let mut marks = [false; 256];
+            match shape {
+                0 => run(&mut marks, start, len, true),
+                1 => {
+                    run(&mut marks, start, len, true);
+                    run(&mut marks, (start + len + 3) % 256, len / 2 + 1, true);
+                }
+                2 => {
+                    marks = self.written;
+                    run(&mut marks, start, len, true);
+                }
+                3 => marks = [true; 256],
+                _ => {
+                    marks = [true; 256];
+                    run(&mut marks, start, len / 4 + 1, false);
+                }
+            }
+            self.stamp += 1;
+            let twin = self.page.bytes().to_vec();
+            self.page.ensure_twin();
+            for w in (0..256).filter(|&w| marks[w]) {
+                let value = self.stamp << 16 | w as u32;
+                self.page.write_bytes(w * WORD_SIZE, &value.to_le_bytes());
+                self.written[w] = true;
+            }
+            let diff = if packed {
+                Diff::create(PageId(0), &twin, self.page.bytes())
+            } else {
+                self.page.make_diff(PageId(0)).unwrap()
+            };
+            self.page.drop_twin();
+            let exchange = if exchange == 0 { NO_EXCHANGE } else { exchange };
+            (Arc::new(diff), exchange)
+        }
+    }
+
+    type Observed = (bool, usize, Vec<u8>, Vec<(u32, u32)>);
+
+    /// What a page shows after a delivery: whether it adopted one of
+    /// `diffs`' whole-page images by reference, its pending count, its bytes
+    /// and the useful credit a whole-page read reports.
+    fn observe(page: &mut LocalPage, diffs: &[&(Arc<Diff>, u32)]) -> Observed {
+        page.read_bytes(0, &mut [], |_, _| {}); // lands a parked delivery
+        let adopted = diffs.iter().any(|(d, _)| {
+            d.whole_page_shared_image()
+                .is_some_and(|image| Arc::ptr_eq(image, &page.data))
+        });
+        let (pending, bytes) = (page.pending_attributions(), page.bytes().to_vec());
+        let mut credited = Vec::new();
+        page.read_bytes(0, &mut [0u8; 1024], |e, words| credited.push((e, words)));
+        (adopted, pending, bytes, credited)
     }
 
     #[test]
@@ -1290,6 +1261,44 @@ mod tests {
             }
             prop_assert!(lazy >= 1, "the first twin is always lazy");
             prop_assert_eq!(exact + lazy, intervals.len());
+        }
+
+        /// A round of 1–8 diffs delivered newest first, onto a page with or
+        /// without a delivery still parked from an earlier round, shows
+        /// exactly what applying the parked diff and then every member,
+        /// oldest first, shows: bytes, pending count, read credit and
+        /// whole-page adoption.  The page already holds an earlier delivery,
+        /// so painting replaces attributions as well as adding them.
+        #[test]
+        fn a_delivered_round_lands_as_ordered_application(
+            earlier in member(),
+            parked in member(),
+            round in prop::collection::vec(member(), 1..9),
+        ) {
+            for park in [false, true] {
+                let mut writer = Writer::new();
+                let earlier = writer.next(earlier);
+                let parked = park.then(|| writer.next(parked));
+                let round: Vec<_> = round.iter().map(|&m| writer.next(m)).collect();
+                let all: Vec<_> = [&earlier].into_iter().chain(&parked).chain(&round).collect();
+
+                let mut reference = LocalPage::new_zeroed(1024);
+                for (d, e) in &all {
+                    reference.apply_diff(d, *e);
+                }
+                let mut page = LocalPage::new_zeroed(1024);
+                page.apply_diff(&earlier.0, earlier.1);
+                // Dirty scratch: its contents must not matter.
+                let (mut cover, mut visible) = (vec![!0u64; 2], vec![(4u32, 8u32)]);
+                if let Some((d, e)) = &parked {
+                    page.deliver([(d, *e)], &mut cover, &mut visible);
+                    prop_assert!(page.deferred.is_some());
+                }
+                page.deliver(round.iter().rev().map(|(d, e)| (d, *e)), &mut cover, &mut visible);
+                prop_assert!(Arc::ptr_eq(&page.deferred.as_ref().unwrap().0, &round.last().unwrap().0));
+                let (got, want) = (observe(&mut page, &all), observe(&mut reference, &all));
+                prop_assert!(got == want, "park {park}: {got:?} != {want:?}");
+            }
         }
     }
 }

@@ -32,7 +32,7 @@
 use std::collections::BTreeMap;
 
 use serde::json::Value;
-use serde::{field_str, field_u64, FromJson, JsonSchemaError, ToJson};
+use serde::{field_str, field_u32, FromJson, JsonSchemaError, ToJson};
 
 mod oracle;
 pub use oracle::{FlatOracle, Mismatch};
@@ -245,15 +245,15 @@ impl FromJson for RaceRecord {
             AccessKind::from_name(s).ok_or_else(|| JsonSchemaError::new(field, "read|write"))
         };
         Ok(RaceRecord {
-            page: field_u64(v, "page")? as u32,
-            word_lo: field_u64(v, "word_lo")? as u32,
-            word_hi: field_u64(v, "word_hi")? as u32,
-            first_rank: field_u64(v, "first_rank")? as u32,
+            page: field_u32(v, "page")?,
+            word_lo: field_u32(v, "word_lo")?,
+            word_hi: field_u32(v, "word_hi")?,
+            first_rank: field_u32(v, "first_rank")?,
             first_kind: kind("first_kind")?,
-            first_interval: field_u64(v, "first_interval")? as u32,
-            second_rank: field_u64(v, "second_rank")? as u32,
+            first_interval: field_u32(v, "first_interval")?,
+            second_rank: field_u32(v, "second_rank")?,
             second_kind: kind("second_kind")?,
-            second_interval: field_u64(v, "second_interval")? as u32,
+            second_interval: field_u32(v, "second_interval")?,
         })
     }
 }
