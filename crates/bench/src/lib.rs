@@ -639,8 +639,7 @@ mod tests {
             (
                 &["--topology", "bus", "--aggregation", "batched"],
                 |c, _| {
-                    c.network()
-                        == NetworkConfig::new(Topology::SharedBus, AggregationPolicy::Batched)
+                    c.topology == Topology::SharedBus && c.aggregation == AggregationPolicy::Batched
                 },
             ),
             (&["--schedule", "fifo"], |c, base| {

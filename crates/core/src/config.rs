@@ -2,7 +2,7 @@
 
 use serde::json::Value;
 use serde::{field_u32, FromJson, JsonSchemaError, ToJson};
-use tm_net::{AggregationPolicy, CostModel, NetworkConfig, Topology};
+use tm_net::{AggregationPolicy, CostModel, Topology};
 use tm_page::{PageId, PageLayout};
 use tm_sched::SchedConfig;
 
@@ -292,11 +292,6 @@ impl DsmConfig {
     pub fn racecheck(mut self, racecheck: bool) -> Self {
         self.racecheck = racecheck;
         self
-    }
-
-    /// The network (topology, aggregation) pair of this configuration.
-    pub fn network(&self) -> NetworkConfig {
-        NetworkConfig::new(self.topology, self.aggregation)
     }
 
     /// The page layout implied by this configuration.

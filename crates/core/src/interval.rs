@@ -14,7 +14,7 @@
 use crate::fasthash::FastHashMap;
 use std::sync::Arc;
 
-use tm_page::{containing_suffix, Diff, PageId, RunSpan};
+use tm_page::{Diff, PageId, RunSpan};
 
 use crate::config::DiffTiming;
 use crate::vc::VectorClock;
@@ -57,22 +57,11 @@ struct StoredDiff {
     /// on — the simulator derives them from the twin at close — but an
     /// unmaterialized diff has not yet been charged or counted.)
     materialized: bool,
-    /// `diff.wire_bytes()`, computed once at publication: serving paths
-    /// charge it on every request, and walking the runs each time was a
+    /// `diff.wire_bytes()`, computed once at publication: every request
+    /// charges it, and walking the runs each time was a
     /// measurable cost of large GC flushes.
     wire_bytes: u64,
     /// `diff.payload_bytes()`, computed once at publication.
-    payload_bytes: u64,
-}
-
-/// One cached per-page chain merge (see [`IntervalLog::fetch_chain`]): the
-/// exact sequence numbers it covers, their merged diff, and the aggregate
-/// accounting of the underlying stored diffs.
-#[derive(Debug)]
-struct MergedChain {
-    seqs: Vec<u32>,
-    diff: Arc<Diff>,
-    wire_bytes: u64,
     payload_bytes: u64,
 }
 
@@ -104,22 +93,6 @@ pub struct FetchedDiff {
     pub payload_bytes: u64,
 }
 
-/// The outcome of one [`IntervalLog::fetch_chain`] call.
-#[derive(Debug, Clone)]
-pub struct ChainFetch {
-    /// The union of the chain's diffs: every word carries the bytes of the
-    /// last chain diff that touches it.
-    pub diff: Arc<Diff>,
-    /// Sum of the individual diffs' wire bytes.
-    pub wire_bytes: u64,
-    /// Sum of the individual diffs' payload bytes.
-    pub payload_bytes: u64,
-    /// How many of the chain's diffs this call materialized (the requester
-    /// charges one creation per materialization to the responder's serve
-    /// path).
-    pub created_now: u32,
-}
-
 /// The part of a processor's protocol state that other processors consult:
 /// its closed-interval log and the stored diffs of those intervals.
 ///
@@ -138,11 +111,6 @@ pub struct IntervalLog {
     /// Live records, oldest first; `records[i]` has seq `retired + i + 1`.
     records: Vec<IntervalRecord>,
     diffs: FastHashMap<(PageId, u32), StoredDiff>,
-    /// Per page, the most recent chain merge served by
-    /// [`fetch_chain`](Self::fetch_chain).  GC flushes make every other
-    /// processor request the same per-page chains back to back, so one
-    /// cached merge serves all of them.
-    merged: FastHashMap<PageId, MergedChain>,
     counters: LogCounters,
     /// Span/payload buffers salvaged from retired diffs (the ones nobody
     /// else still holds), fed back into diff encoding through
@@ -288,98 +256,6 @@ impl IntervalLog {
         })
     }
 
-    /// Serve one page's whole fetch chain — the diffs of intervals
-    /// `seqs` (ascending), all written by this log's owner — as a single
-    /// merged diff plus the aggregate accounting of the individual diffs.
-    ///
-    /// Materialization counters advance exactly as if each diff had been
-    /// served by [`fetch_diff`](Self::fetch_diff); the merge itself is a
-    /// pure serving optimization.  The merge is cached per page: during a
-    /// cluster-wide GC flush every other processor requests the same chain,
-    /// and only the first request pays for the merge.
-    ///
-    /// Returns `None` if any requested diff does not exist.
-    pub fn fetch_chain(&mut self, page: PageId, seqs: &[u32]) -> Option<ChainFetch> {
-        debug_assert!(!seqs.is_empty());
-        debug_assert!(seqs.windows(2).all(|w| w[0] < w[1]));
-        if let Some(m) = self.merged.get(&page) {
-            if m.seqs == seqs {
-                // The cached merge was built by a fetch that materialized
-                // every chain member (diffs never un-materialize), so this
-                // request creates nothing and the per-diff walk can be
-                // skipped entirely.
-                debug_assert!(seqs.iter().all(|&s| {
-                    self.diffs
-                        .get(&(page, s))
-                        .is_some_and(|stored| stored.materialized)
-                }));
-                return Some(ChainFetch {
-                    diff: Arc::clone(&m.diff),
-                    wire_bytes: m.wire_bytes,
-                    payload_bytes: m.payload_bytes,
-                    created_now: 0,
-                });
-            }
-        }
-        let mut created_now = 0u32;
-        let mut wire_bytes = 0u64;
-        let mut payload_bytes = 0u64;
-        for &seq in seqs {
-            let stored = self.diffs.get_mut(&(page, seq))?;
-            if !stored.materialized {
-                stored.materialized = true;
-                created_now += 1;
-                self.counters.diffs_created_on_demand += 1;
-                self.counters.diff_bytes_created_on_demand += stored.payload_bytes;
-            }
-            wire_bytes += stored.wire_bytes;
-            payload_bytes += stored.payload_bytes;
-        }
-        let newest = &self.diffs[&(page, seqs[seqs.len() - 1])].diff;
-        // A one-diff chain is borrowed in place: collecting it would cost
-        // the sparse applications' fetch path an allocation per request.
-        let only: &Diff = newest;
-        let many: Vec<&Diff>;
-        let chain: &[&Diff] = if seqs.len() == 1 {
-            std::slice::from_ref(&only)
-        } else {
-            many = seqs
-                .iter()
-                .map(|&seq| &*self.diffs[&(page, seq)].diff)
-                .collect();
-            &many
-        };
-        // When a member contains every older one, the union starts there;
-        // when that member is the newest (the dominant shape on the grid
-        // applications, where each interval rewrites the page's band), the
-        // union *is* the newest diff and is served by reference.
-        let start = containing_suffix(chain);
-        let diff = if start + 1 == chain.len() {
-            debug_assert_eq!(**newest, Diff::merge(page, chain));
-            Arc::clone(newest)
-        } else {
-            Arc::new(Diff::merge(page, &chain[start..]))
-        };
-        // A one-diff chain takes no cache entry.
-        if seqs.len() > 1 {
-            self.merged.insert(
-                page,
-                MergedChain {
-                    seqs: seqs.to_vec(),
-                    diff: Arc::clone(&diff),
-                    wire_bytes,
-                    payload_bytes,
-                },
-            );
-        }
-        Some(ChainFetch {
-            diff,
-            wire_bytes,
-            payload_bytes,
-            created_now,
-        })
-    }
-
     /// Retire every record with sequence number `<= seq` together with its
     /// diffs.  Callers must have established the GC invariant first: every
     /// processor's vector clock covers `seq` and no processor still has a
@@ -393,21 +269,14 @@ impl IntervalLog {
         if n == 0 {
             return 0;
         }
-        // Chain merges whose newest member sinks below the new watermark can
-        // never be requested again (fetch chains only cover live intervals):
-        // evicting them first both frees the merge and un-pins the
-        // underlying stored diffs so the salvage below can reclaim them.
-        let watermark = self.retired + n as u32;
-        self.merged
-            .retain(|_, m| m.seqs.last().is_some_and(|&s| s > watermark));
         for record in self.records.drain(..n) {
             for &page in &record.pages {
                 if let Some(stored) = self.diffs.remove(&(page, record.id.seq)) {
                     self.counters.diffs_retired += 1;
                     // Salvage the retired diff's heap buffers for the next
-                    // publishes — best-effort: a diff still pinned by the
-                    // merged-chain cache or an in-flight fetch is just
-                    // dropped (its buffers die with the last clone).
+                    // publishes — best-effort: a diff still parked on a
+                    // requester's page is just dropped (its buffers die
+                    // with the last clone).
                     if self.buffer_pool.len() < BUFFER_POOL_CAP {
                         if let Ok(diff) = Arc::try_unwrap(stored.diff) {
                             self.buffer_pool.push(diff.into_buffers());
@@ -431,7 +300,6 @@ impl IntervalLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn record(proc: u32, seq: u32, n: usize, pages: &[u32]) -> IntervalRecord {
         let mut vc = VectorClock::zero(n);
@@ -533,121 +401,6 @@ mod tests {
         assert_eq!(log.retire_up_to(100), 3);
         assert!(log.is_empty());
         assert_eq!(log.stored_diffs(), 0);
-    }
-
-    /// Words of the test page: four 64-word blocks, so runs straddle the
-    /// blocks of a cover bitset.
-    const WORDS: usize = 256;
-
-    /// A diff of page 0 writing exactly the words set in `words`, each to a
-    /// nonzero value drawn from `state`: a chain of such diffs applied to a
-    /// zero page is nonzero exactly on the union of their words.
-    fn diff_writing(words: &[bool], state: &mut u64) -> Diff {
-        let mut cur = vec![0u8; WORDS * 4];
-        for w in (0..WORDS).filter(|&w| words[w]) {
-            *state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let v = (*state >> 32) as u32 | 1;
-            cur[w * 4..w * 4 + 4].copy_from_slice(&v.to_ne_bytes());
-        }
-        Diff::create(PageId(0), &[0u8; WORDS * 4], &cur)
-    }
-
-    /// Publish `chain` as the diffs of page 0 in intervals `1..=len`.
-    fn log_of(chain: &[Arc<Diff>]) -> IntervalLog {
-        let mut log = IntervalLog::new();
-        for (k, d) in chain.iter().enumerate() {
-            let seq = k as u32 + 1;
-            log.publish(
-                record(0, seq, 1, &[0]),
-                vec![(PageId(0), Arc::clone(d))],
-                DiffTiming::Lazy,
-            );
-        }
-        log
-    }
-
-    #[test]
-    fn a_containing_member_starts_the_merge_and_a_containing_newest_is_served_by_reference() {
-        let span =
-            |lo: usize, hi: usize| -> Vec<bool> { (0..WORDS).map(|w| lo <= w && w < hi).collect() };
-        let mut state = 1;
-        // Words 1..255 in three runs, then all of them in one run starting
-        // at offset 4 (no single run at offset 0 covers the chain), then a
-        // partial rewrite.
-        let a = diff_writing(&span(1, 40), &mut state);
-        let b = diff_writing(&span(100, 180), &mut state);
-        let c = diff_writing(&span(1, 255), &mut state);
-        let d = diff_writing(&span(60, 70), &mut state);
-        let chain: Vec<Arc<Diff>> = [a, b, c, d].into_iter().map(Arc::new).collect();
-        let refs: Vec<&Diff> = chain.iter().map(|d| &**d).collect();
-        assert_eq!(containing_suffix(&refs), 2);
-        assert_eq!(containing_suffix(&refs[..3]), 2);
-        assert_eq!(containing_suffix(&refs[..2]), 0);
-
-        let mut log = log_of(&chain);
-        let served = log.fetch_chain(PageId(0), &[1, 2, 3]).unwrap();
-        assert!(Arc::ptr_eq(&served.diff, &chain[2]));
-        assert_eq!(served.created_now, 3);
-        let served = log.fetch_chain(PageId(0), &[1, 2, 3, 4]).unwrap();
-        assert!(!Arc::ptr_eq(&served.diff, &chain[3]));
-        assert_eq!(*served.diff, Diff::merge(PageId(0), &refs[2..]));
-        assert_eq!(served.created_now, 1);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// Random same-page chains of 1–8 diffs whose runs straddle 64-word
-        /// blocks; members that contain every older one (kind 1) sit at
-        /// random positions among partial writers (kind 0) and near misses
-        /// that leave out one older word (kind 2).  The served diff is the
-        /// chain applied in order, it is the stored newest diff exactly when
-        /// that diff contains the rest, and `Diff::merge` agrees.
-        #[test]
-        fn chain_serving_equals_ordered_application(
-            members in prop::collection::vec((0u8..3, any::<u64>()), 1..=8),
-        ) {
-            let mut union = vec![false; WORDS];
-            let mut chain: Vec<Arc<Diff>> = Vec::new();
-            let mut start = 0;
-            let mut newest_contains = false;
-            for (k, &(kind, seed)) in members.iter().enumerate() {
-                let mut state = seed | 1;
-                let mut next = |bound: usize| {
-                    state = state.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-                    (state >> 33) as usize % bound
-                };
-                let mut words = if kind == 0 { vec![false; WORDS] } else { union.clone() };
-                if kind == 2 {
-                    let older: Vec<usize> = (0..WORDS).filter(|&w| union[w]).collect();
-                    if !older.is_empty() {
-                        words[older[next(older.len())]] = false;
-                    }
-                }
-                for _ in 0..1 + next(3) {
-                    let lo = next(WORDS);
-                    let hi = (lo + 1 + next(96)).min(WORDS);
-                    words[lo..hi].iter_mut().for_each(|w| *w = true);
-                }
-                newest_contains = (0..WORDS).all(|w| !union[w] || words[w]);
-                if newest_contains {
-                    start = k;
-                }
-                (0..WORDS).for_each(|w| union[w] |= words[w]);
-                chain.push(Arc::new(diff_writing(&words, &mut state)));
-            }
-            let refs: Vec<&Diff> = chain.iter().map(|d| &**d).collect();
-            let mut page = vec![0u8; WORDS * 4];
-            refs.iter().for_each(|d| d.apply(&mut page));
-            let ordered = Diff::create(PageId(0), &[0u8; WORDS * 4], &page);
-
-            prop_assert_eq!(containing_suffix(&refs), start);
-            prop_assert_eq!(&Diff::merge(PageId(0), &refs), &ordered);
-            let seqs: Vec<u32> = (1..=chain.len() as u32).collect();
-            let served = log_of(&chain).fetch_chain(PageId(0), &seqs).unwrap();
-            prop_assert_eq!(&*served.diff, &ordered);
-            prop_assert_eq!(Arc::ptr_eq(&served.diff, chain.last().unwrap()), newest_contains);
-        }
     }
 
     #[test]

@@ -79,15 +79,12 @@ struct Want {
     ord: u32,
     page: PageId,
     seq: u32,
-    /// Notices of more than one writer are pending on the page, so its
-    /// diffs need ordering by happens-before across writers.
-    contended: bool,
 }
 
 /// One fetched diff awaiting application.
 #[derive(Debug)]
 struct Fetched {
-    /// Vector-clock weight of the diff's (last) interval.
+    /// Vector-clock weight of the diff's interval.
     weight: u64,
     writer: u32,
     seq: u32,
@@ -108,8 +105,6 @@ struct Fetched {
 #[derive(Debug, Default)]
 struct ExchangeScratch {
     wants: Vec<Want>,
-    /// The interval seqs of one page's chain, contiguous for the log.
-    chain_seqs: Vec<u32>,
     /// Per responder contacted: reply size and serve-side extras.
     responder_costs: Vec<ResponderCost>,
     /// Rank serving `responder_costs[i]` (writer or home) — the source
@@ -593,21 +588,13 @@ impl ProcCtx {
         xs.clear();
         // Gather the pending write notices of every page we are fetching,
         // grouped (by the sort) by the writer that must serve the diff.
-        // Pages with pending notices from more than one writer need their
-        // diffs ordered by happens-before across writers, so they take the
-        // per-diff path below instead of the merged chain fetch.
         for &p in fetch_pages {
-            let pending = &self.meta[p.index()].pending;
-            let contended = pending
-                .first()
-                .is_some_and(|&(first, _)| pending.iter().any(|&(w, _)| w != first));
-            for &(writer, seq) in pending {
+            for &(writer, seq) in &self.meta[p.index()].pending {
                 xs.wants.push(Want {
                     responder: writer,
                     ord: xs.wants.len() as u32,
                     page: p,
                     seq,
-                    contended,
                 });
             }
         }
@@ -625,73 +612,37 @@ impl ProcCtx {
             let mut reply_bytes = MSG_HEADER_BYTES;
             let mut serve_extra_ns = 0u64;
             let mut delivered = 0u64;
-            let mut pages_requested = 0u64;
+            // A page's notices sit together: they are gathered page by page.
+            let pages_requested = wants.chunk_by(|a, b| a.page == b.page).count() as u64;
             let mut log = self.shared.logs[writer as usize].borrow_mut();
-            // `wants` lists each page's pending seqs as one consecutive
-            // ascending block (it is gathered page by page, notices arrive
-            // in interval order), so each block is one fetch chain.
-            for chain in wants.chunk_by(|a, b| a.page == b.page) {
-                let p = chain[0].page;
-                pages_requested += 1;
-                if !chain[0].contended {
-                    // Sole pending writer: the responder serves the whole
-                    // chain as one pre-merged diff with aggregate
-                    // accounting identical to fetching each diff.
-                    xs.chain_seqs.clear();
-                    xs.chain_seqs.extend(chain.iter().map(|w| w.seq));
-                    let fetched = log
-                        .fetch_chain(p, &xs.chain_seqs)
-                        .expect("a stored diff must exist for a published notice");
-                    if fetched.created_now > 0 {
-                        // This request materializes diffs on the responder,
-                        // serializing their creation into the responder's
-                        // serve path (which we stall on).
-                        serve_extra_ns = serve_extra_ns.saturating_add(
-                            fetched.created_now as u64 * self.cost.diff_create_cost(page_size),
-                        );
-                    }
-                    let last_seq = chain[chain.len() - 1].seq;
-                    let weight = log
-                        .record(last_seq)
-                        .expect("published interval record must exist")
-                        .vc
-                        .weight();
-                    reply_bytes += fetched.wire_bytes;
-                    delivered += fetched.payload_bytes;
-                    xs.to_apply.push(Fetched {
-                        weight,
-                        writer,
-                        seq: last_seq,
-                        ord: xs.to_apply.len() as u32,
-                        diff: fetched.diff,
-                        exchange: exchange_id,
-                    });
-                } else {
-                    for &Want { seq, .. } in chain {
-                        let fetched = log
-                            .fetch_diff(p, seq)
-                            .expect("a stored diff must exist for a published notice");
-                        if fetched.created_now {
-                            serve_extra_ns = serve_extra_ns
-                                .saturating_add(self.cost.diff_create_cost(page_size));
-                        }
-                        let weight = log
-                            .record(seq)
-                            .expect("published interval record must exist")
-                            .vc
-                            .weight();
-                        reply_bytes += fetched.wire_bytes;
-                        delivered += fetched.payload_bytes;
-                        xs.to_apply.push(Fetched {
-                            weight,
-                            writer,
-                            seq,
-                            ord: xs.to_apply.len() as u32,
-                            diff: fetched.diff,
-                            exchange: exchange_id,
-                        });
-                    }
+            // The responder serves every stored diff asked for; one writer's
+            // chain of a page is delivered as a round like any other.
+            for &Want { page, seq, .. } in wants {
+                let fetched = log
+                    .fetch_diff(page, seq)
+                    .expect("a stored diff must exist for a published notice");
+                if fetched.created_now {
+                    // This request materializes the diff on the responder,
+                    // serializing its creation into the responder's serve
+                    // path (which we stall on).
+                    serve_extra_ns =
+                        serve_extra_ns.saturating_add(self.cost.diff_create_cost(page_size));
                 }
+                let weight = log
+                    .record(seq)
+                    .expect("published interval record must exist")
+                    .vc
+                    .weight();
+                reply_bytes += fetched.wire_bytes;
+                delivered += fetched.payload_bytes;
+                xs.to_apply.push(Fetched {
+                    weight,
+                    writer,
+                    seq,
+                    ord: xs.to_apply.len() as u32,
+                    diff: fetched.diff,
+                    exchange: exchange_id,
+                });
             }
             total_payload += delivered;
             xs.responder_costs.push(ResponderCost {
@@ -801,7 +752,6 @@ impl ProcCtx {
                     ord: xs.wants.len() as u32,
                     page: p,
                     seq: 0,
-                    contended: false,
                 });
             }
         }

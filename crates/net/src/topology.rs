@@ -36,7 +36,7 @@
 //! is the one place that knows).
 
 use serde::json::Value;
-use serde::{FromJson, JsonSchemaError, ToJson};
+use serde::{FromJson, JsonSchemaError};
 
 /// The shape of the simulated interconnect (see the module docs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -91,12 +91,6 @@ impl std::str::FromStr for Topology {
 impl std::fmt::Display for Topology {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-impl ToJson for Topology {
-    fn to_json(&self) -> Value {
-        Value::Str(self.as_str().to_string())
     }
 }
 
@@ -155,12 +149,6 @@ impl std::fmt::Display for AggregationPolicy {
     }
 }
 
-impl ToJson for AggregationPolicy {
-    fn to_json(&self) -> Value {
-        Value::Str(self.as_str().to_string())
-    }
-}
-
 impl FromJson for AggregationPolicy {
     fn from_json(v: &Value) -> Result<Self, JsonSchemaError> {
         v.as_str()
@@ -204,15 +192,6 @@ impl NetworkConfig {
     }
 }
 
-impl ToJson for NetworkConfig {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("topology", self.topology.to_json()),
-            ("aggregation", self.aggregation.to_json()),
-        ])
-    }
-}
-
 impl FromJson for NetworkConfig {
     fn from_json(v: &Value) -> Result<Self, JsonSchemaError> {
         Ok(NetworkConfig {
@@ -234,12 +213,21 @@ impl FromJson for NetworkConfig {
 mod tests {
     use super::*;
 
+    /// A name as result documents write it.
+    fn name(s: &str) -> Value {
+        Value::Str(s.to_string())
+    }
+
     #[test]
     fn network_config_json_round_trips() {
         for topology in [Topology::Ideal, Topology::SharedBus, Topology::Switched] {
             for aggregation in [AggregationPolicy::PerMessage, AggregationPolicy::Batched] {
+                let doc = Value::obj(vec![
+                    ("topology", name(topology.as_str())),
+                    ("aggregation", name(aggregation.as_str())),
+                ]);
                 let n = NetworkConfig::new(topology, aggregation);
-                assert_eq!(NetworkConfig::from_json(&n.to_json()).unwrap(), n);
+                assert_eq!(NetworkConfig::from_json(&doc).unwrap(), n);
             }
         }
         // An empty object parses to the compatibility default.
@@ -251,8 +239,7 @@ mod tests {
     fn topology_names_round_trip() {
         for t in [Topology::Ideal, Topology::SharedBus, Topology::Switched] {
             assert_eq!(t.as_str().parse::<Topology>().unwrap(), t);
-            let j = t.to_json();
-            assert_eq!(Topology::from_json(&j).unwrap(), t);
+            assert_eq!(Topology::from_json(&name(t.as_str())).unwrap(), t);
             assert_eq!(t.to_string(), t.as_str());
         }
         assert_eq!(
@@ -267,8 +254,7 @@ mod tests {
     fn aggregation_names_round_trip() {
         for a in [AggregationPolicy::PerMessage, AggregationPolicy::Batched] {
             assert_eq!(a.as_str().parse::<AggregationPolicy>().unwrap(), a);
-            let j = a.to_json();
-            assert_eq!(AggregationPolicy::from_json(&j).unwrap(), a);
+            assert_eq!(AggregationPolicy::from_json(&name(a.as_str())).unwrap(), a);
         }
         assert_eq!(
             "batch".parse::<AggregationPolicy>().unwrap(),

@@ -9,8 +9,8 @@
 //!
 //! The in-memory layout is flat: one packed payload buffer per diff plus a
 //! small span table, rather than one allocation per run.  A diff with a
-//! dozen runs costs two allocations, not thirteen — diff creation, merging
-//! and retirement are all on the simulator's hot path.
+//! dozen runs costs two allocations, not thirteen — diff creation and
+//! retirement are both on the simulator's hot path.
 //!
 //! Dense diffs go one step further and skip the payload copy entirely: a
 //! diff published at interval close can *borrow* the page image itself
@@ -220,18 +220,6 @@ impl Diff {
         matches!(self.spans.as_slice(), [s] if s.offset == 0 && s.len as usize == page_len)
     }
 
-    /// True if every word `other` touches is also touched by `self`.  Both
-    /// span tables are sorted and `self`'s runs are maximal, so each of
-    /// `other`'s runs must sit inside one of them: one merge-style walk.
-    fn contains(&self, other: &Diff) -> bool {
-        let mut mine = self.spans.iter().peekable();
-        other.spans.iter().all(|s| {
-            while mine.next_if(|m| m.end() <= s.offset).is_some() {}
-            mine.peek()
-                .is_some_and(|m| m.offset <= s.offset && s.end() <= m.end())
-        })
-    }
-
     /// Append a run to the diff (spans must arrive in increasing offset
     /// order and never touch — callers produce maximal runs).  Only the
     /// packed representation grows incrementally.
@@ -302,12 +290,13 @@ impl Diff {
     /// Merge a chain of diffs of the same page into their union: every word
     /// touched by any chain member carries the bytes of the *last* member
     /// that touches it.  Applying the merged diff is equivalent to applying
-    /// the chain in order.
+    /// the chain in order.  `chain` must be in application order (oldest
+    /// first).
     ///
-    /// `chain` must be in application order (oldest first).  The union is
-    /// that of the suffix from [`containing_suffix`] on, so a caller that
-    /// holds the chain by reference merges only that suffix, and serves a
-    /// suffix of one diff as that diff.
+    /// No run calls this: a writer's chain reaches a page as a round of
+    /// `LocalPage::deliver`, which lands the same union.  It is the test
+    /// reference that round is held against, and stays public because the
+    /// repository benchmark's `page.diff_merge_ns` probe times it.
     pub fn merge(page: PageId, chain: &[&Diff]) -> Diff {
         let end = chain
             .iter()
@@ -374,23 +363,6 @@ impl<'a> Iterator for Runs<'a> {
 }
 
 impl ExactSizeIterator for Runs<'_> {}
-
-/// Index of the last member of `chain` (oldest first) whose words contain
-/// every word of every older member; 0 when no later member does.  The
-/// chain's union is then the union of `chain[index..]`, and when `index` is
-/// the newest member, that member alone.  Within the suffix no member
-/// contains all of its predecessors.
-pub fn containing_suffix(chain: &[&Diff]) -> usize {
-    // `chain[last]` contains everything older than it, so `chain[i]`
-    // contains everything older than *it* iff it contains `chain[last..i]`.
-    let mut last = 0;
-    for i in 1..chain.len() {
-        if chain[last..i].iter().all(|d| chain[i].contains(d)) {
-            last = i;
-        }
-    }
-    last
-}
 
 /// Append to `out` the byte intervals of the words of run
 /// `[offset, offset + len)` whose bits are not yet set in the word-cover
@@ -501,6 +473,7 @@ fn pack_payload_into(spans: &[RunSpan], source: &[u8], payload: &mut Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn page_of(pattern: impl Fn(usize) -> u8, len: usize) -> Vec<u8> {
         (0..len).map(pattern).collect()
@@ -607,5 +580,64 @@ mod tests {
     fn short_dirty_bitset_panics() {
         let image: Arc<[u8]> = [0u8; 512].as_slice().into();
         Diff::from_changed_shared_in(PageId(0), &image, &[0u64; 1], Vec::new(), Vec::new());
+    }
+
+    /// Words of the merge test page: four 64-word blocks, so runs straddle
+    /// the blocks of the cover bitset.
+    const WORDS: usize = 256;
+
+    /// A diff of page 0 writing exactly the words set in `words`, each to a
+    /// nonzero value drawn from `state`: a chain of such diffs applied to a
+    /// zero page is nonzero exactly on the union of their words.
+    fn diff_writing(words: &[bool], state: &mut u64) -> Diff {
+        let mut cur = vec![0u8; WORDS * WORD_SIZE];
+        for w in (0..WORDS).filter(|&w| words[w]) {
+            *state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let v = (*state >> 32) as u32 | 1;
+            cur[w * WORD_SIZE..(w + 1) * WORD_SIZE].copy_from_slice(&v.to_ne_bytes());
+        }
+        Diff::create(PageId(0), &[0u8; WORDS * WORD_SIZE], &cur)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random same-page chains of 1–8 diffs whose runs straddle 64-word
+        /// blocks: partial writers (kind 0), members that contain every
+        /// older one (kind 1) and near misses that leave out one older word
+        /// (kind 2).  Their merge is the chain applied in order.
+        #[test]
+        fn merge_equals_ordered_application(
+            members in prop::collection::vec((0u8..3, any::<u64>()), 1..=8),
+        ) {
+            let mut union = vec![false; WORDS];
+            let mut chain: Vec<Diff> = Vec::new();
+            for &(kind, seed) in &members {
+                let mut state = seed | 1;
+                let mut next = |bound: usize| {
+                    state = state.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
+                    (state >> 33) as usize % bound
+                };
+                let mut words = if kind == 0 { vec![false; WORDS] } else { union.clone() };
+                if kind == 2 {
+                    let older: Vec<usize> = (0..WORDS).filter(|&w| union[w]).collect();
+                    if !older.is_empty() {
+                        words[older[next(older.len())]] = false;
+                    }
+                }
+                for _ in 0..1 + next(3) {
+                    let lo = next(WORDS);
+                    let hi = (lo + 1 + next(96)).min(WORDS);
+                    words[lo..hi].iter_mut().for_each(|w| *w = true);
+                }
+                (0..WORDS).for_each(|w| union[w] |= words[w]);
+                chain.push(diff_writing(&words, &mut state));
+            }
+            let refs: Vec<&Diff> = chain.iter().collect();
+            let mut page = vec![0u8; WORDS * WORD_SIZE];
+            refs.iter().for_each(|d| d.apply(&mut page));
+            let ordered = Diff::create(PageId(0), &[0u8; WORDS * WORD_SIZE], &page);
+            prop_assert_eq!(Diff::merge(PageId(0), &refs), ordered);
+        }
     }
 }

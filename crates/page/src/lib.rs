@@ -59,7 +59,7 @@ pub mod layout;
 pub mod page;
 
 pub use alloc::{Align, OutOfSharedMemory, RegionAllocator};
-pub use diff::{containing_suffix, Diff, RunSpan, DIFF_HEADER_BYTES, RUN_HEADER_BYTES};
+pub use diff::{Diff, RunSpan, DIFF_HEADER_BYTES, RUN_HEADER_BYTES};
 pub use home::HomeStore;
 pub use layout::{GlobalAddr, PageId, PageLayout, WORD_SIZE};
 pub use page::{LocalPage, PageStore, NO_EXCHANGE};

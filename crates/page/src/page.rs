@@ -1300,5 +1300,45 @@ mod tests {
                 prop_assert!(got == want, "park {park}: {got:?} != {want:?}");
             }
         }
+
+        /// One writer's chain of 1–8 diffs, delivered as a round under one
+        /// exchange id, lands exactly as the chain's merge applied under
+        /// that id: bytes, pending count and read credit.  Members that
+        /// contain their predecessors (shape 2), only partly overlap them
+        /// (shapes 0, 1, 4) or rewrite the whole page, shared or packed
+        /// (shape 3), mix freely; each round lands with and without a
+        /// delivery still parked from an earlier round.
+        #[test]
+        fn a_single_writer_round_lands_as_its_merged_chain(
+            earlier in member(),
+            parked in member(),
+            chain in prop::collection::vec(member(), 1..9),
+            exchange in 1u32..10,
+        ) {
+            for park in [false, true] {
+                let mut writer = Writer::new();
+                let earlier = writer.next(earlier);
+                let parked = park.then(|| writer.next(parked));
+                let chain: Vec<_> = chain.iter().map(|&m| writer.next(m).0).collect();
+                let refs: Vec<&Diff> = chain.iter().map(|d| &**d).collect();
+
+                let mut reference = LocalPage::new_zeroed(1024);
+                for (d, e) in [&earlier].into_iter().chain(&parked) {
+                    reference.apply_diff(d, *e);
+                }
+                reference.apply_diff(&Diff::merge(PageId(0), &refs), exchange);
+                let mut page = LocalPage::new_zeroed(1024);
+                page.apply_diff(&earlier.0, earlier.1);
+                let (mut cover, mut visible) = (Vec::new(), Vec::new());
+                if let Some((d, e)) = &parked {
+                    page.deliver([(d, *e)], &mut cover, &mut visible);
+                }
+                page.deliver(chain.iter().rev().map(|d| (d, exchange)), &mut cover, &mut visible);
+                // No image is offered for the adoption check: the packed
+                // merge adopts none.
+                let (got, want) = (observe(&mut page, &[]), observe(&mut reference, &[]));
+                prop_assert!(got == want, "park {park}: {got:?} != {want:?}");
+            }
+        }
     }
 }
