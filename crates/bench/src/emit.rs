@@ -520,14 +520,18 @@ fn render_table1(out: &mut String, result: &ExperimentResult) {
         "Program", "Input Size", "Seq. Time (ms)", "Par. Time (ms)", "Speedup", "Verified"
     );
     for group in workload_groups(result) {
-        let seq = group
-            .iter()
-            .find(|r| r.cell.nprocs == 1)
-            .expect("table1 experiments always contain the 1-processor cell");
-        let par = group
-            .iter()
-            .max_by_key(|r| r.cell.nprocs)
-            .expect("group is non-empty");
+        let Some(par) = group.iter().max_by_key(|r| r.cell.nprocs) else {
+            continue;
+        };
+        let Some(seq) = group.iter().find(|r| r.cell.nprocs == 1) else {
+            let _ = writeln!(
+                out,
+                "{:<10} {:<14} (no 1-processor cell: no speedup)",
+                par.cell.app.name(),
+                par.cell.size_label
+            );
+            continue;
+        };
         let speedup = if par.exec_time_ns == 0 {
             0.0
         } else {
@@ -560,10 +564,10 @@ fn render_signatures(out: &mut String, result: &ExperimentResult) {
 
 fn render_ablation(out: &mut String, result: &ExperimentResult) {
     for group in workload_groups(result) {
-        let base = group
-            .iter()
-            .find(|r| r.cell.policy_label == "4K")
-            .expect("ablation groups carry the 4K baseline");
+        let Some(base) = group.iter().find(|r| r.cell.policy_label == "4K") else {
+            out.push_str(&figure_panel_string(group));
+            continue;
+        };
         let base_msgs = base.breakdown.total_messages();
         let _ = writeln!(
             out,
@@ -608,6 +612,28 @@ mod tests {
         };
         let exp = Experiment::named(name, &args).unwrap();
         run_experiment(&exp, &RunnerOptions { threads: 2 })
+    }
+
+    #[test]
+    fn a_parsed_document_without_its_baseline_renders_a_note() {
+        // The three human renderers that normalize to a baseline cell: the
+        // speedup table (the 1-processor cell), the figure panels and the
+        // ablation (the 4K cell).
+        for (name, note) in [
+            ("table1", "(no 1-processor cell: no speedup)"),
+            ("fig1", "without a 4K baseline"),
+            ("fig_dyn_group", "without a 4K baseline"),
+        ] {
+            let json = render(&tiny_result(name), OutputFormat::Json);
+            let mut parsed = parse_result(&json).unwrap();
+            parsed.cells.retain(|r| match name {
+                "table1" => r.cell.nprocs != 1,
+                _ => r.cell.policy_label != "4K",
+            });
+            assert!(!parsed.cells.is_empty(), "{name}");
+            let human = render(&parsed, OutputFormat::Human);
+            assert!(human.contains(note), "{name}:\n{human}");
+        }
     }
 
     #[test]

@@ -95,13 +95,16 @@ fn norm(value: u64, baseline: u64) -> f64 {
 
 /// Render one workload's sweep the way the paper's Figures 1 and 2 present
 /// it: execution time, messages and data normalized to the 4 KB
-/// configuration, with the useful/useless/piggybacked breakdown.
+/// configuration, with the useful/useless/piggybacked breakdown.  Rows
+/// without a 4K cell (a parsed document may lack it) render as a note.
 pub fn figure_panel_string(rows: &[CellResult]) -> String {
     use std::fmt::Write as _;
-    let base_cell = rows
-        .iter()
-        .find(|r| r.cell.policy_label == "4K")
-        .expect("sweep must contain the 4K baseline");
+    let Some(base_cell) = rows.iter().find(|r| r.cell.policy_label == "4K") else {
+        return format!(
+            "\n({} cells without a 4K baseline to normalize to)\n",
+            rows.len()
+        );
+    };
     let base = &base_cell.breakdown;
     let mut out = String::new();
     let _ = writeln!(

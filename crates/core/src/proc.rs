@@ -113,11 +113,6 @@ struct ExchangeScratch {
     to_apply: Vec<Fetched>,
     /// Scratch lent to `LocalPage::deliver`.
     cover: Vec<u64>,
-    visible: Vec<(u32, u32)>,
-    /// Home-based protocol: the page a whole-page fetch is staged in
-    /// between the master copy and the local one.  One page long from the
-    /// first fetch on.
-    page_buf: Vec<u8>,
 }
 
 impl ExchangeScratch {
@@ -189,9 +184,9 @@ pub struct ProcCtx {
     /// Reusable `(page, diff)` staging vector for interval publication; the
     /// log drains it in place so its capacity survives across closes.
     diff_scratch: Vec<(PageId, Arc<Diff>)>,
-    /// One recycled span/payload buffer pair for the home-based flush path,
-    /// whose diffs die as soon as they are applied to the master copy.
-    home_diff_buf: (Vec<tm_page::RunSpan>, Vec<u8>),
+    /// Home-based protocol: the diff wire bytes an interval close flushes
+    /// to each home, as `(home, bytes)` in home order.
+    flush_scratch: Vec<(u32, u64)>,
     /// Reusable byte staging buffer for the typed accessors in `handle.rs`.
     /// Lives on the context (taken/restored around each access) rather than
     /// in a thread-local: every simulated processor shares one host thread,
@@ -250,7 +245,7 @@ impl ProcCtx {
             notices_since_barrier: 0,
             notice_scratch: Vec::new(),
             diff_scratch: Vec::new(),
-            home_diff_buf: (Vec::new(), Vec::new()),
+            flush_scratch: Vec::new(),
             byte_scratch: Vec::new(),
             fault_pages: Vec::new(),
             exchange: ExchangeScratch::default(),
@@ -294,11 +289,6 @@ impl ProcCtx {
     /// The page layout of the shared space.
     pub fn layout(&self) -> PageLayout {
         self.layout
-    }
-
-    /// The write protocol in effect.
-    pub fn protocol(&self) -> ProtocolMode {
-        self.protocol
     }
 
     // ------------------------------------------------------------------
@@ -403,19 +393,12 @@ impl ProcCtx {
     fn write_through_home(&mut self, addr: GlobalAddr, src: &[u8]) {
         let home = self.shared.home();
         let mut masters = None;
-        let mut remaining = src;
-        let mut cursor = addr;
-        while !remaining.is_empty() {
-            let page = self.layout.page_of(cursor);
-            let off = self.layout.offset_in_page(cursor);
-            let take = (self.layout.page_size() - off).min(remaining.len());
-            if self.home_of(page) == self.rank.0 {
+        for (page, off, piece) in self.layout.segments(addr, src.len()) {
+            if self.home_of(page) == Some(self.rank.0) {
                 masters
                     .get_or_insert_with(|| home.borrow_mut())
-                    .write_through(page, off, &remaining[..take]);
+                    .write_through(page, off, &src[piece]);
             }
-            remaining = &remaining[take..];
-            cursor = cursor.add(take as u64);
         }
     }
 
@@ -448,17 +431,12 @@ impl ProcCtx {
             self.fault_on(page).await;
         }
         if for_write && self.prot[page.index()] & PROT_DIRTY == 0 {
-            // The write-protocol seam at write detection: a multi-writer
-            // processor twins the page so the interval's modifications
-            // can be diffed later; under the home-based protocol the
-            // page's *home* skips the twin entirely (its writes go
-            // straight into the master copy), while a non-home writer
-            // still twins — the eager flush at interval close is a diff.
-            let needs_twin = match self.protocol {
-                ProtocolMode::MultiWriter => true,
-                ProtocolMode::HomeBased => self.home_of(page) != self.rank.0,
-            };
-            if needs_twin {
+            // The write-protocol seam at write detection: a writer twins
+            // the page so the interval's modifications can be diffed later
+            // — except, under the home-based protocol, the page's *home*,
+            // whose writes go straight into the master copy.  A non-home
+            // writer still twins: the flush at interval close is a diff.
+            if self.home_of(page) != Some(self.rank.0) {
                 let created = self.store.page_mut(page).ensure_twin();
                 debug_assert!(created, "twin already present on a clean page");
                 self.stats.twins_created += 1;
@@ -475,9 +453,12 @@ impl ProcCtx {
         }
     }
 
-    /// The home of `page` (home-based runs only).
-    fn home_of(&self, page: PageId) -> u32 {
-        round_robin_home(page, self.nprocs)
+    /// The home of `page` under the home-based protocol; `None` under the
+    /// multi-writer protocol, which has no homes.
+    fn home_of(&self, page: PageId) -> Option<u32> {
+        self.protocol
+            .is_home_based()
+            .then(|| round_robin_home(page, self.nprocs))
     }
 
     // ------------------------------------------------------------------
@@ -517,7 +498,7 @@ impl ProcCtx {
             }
         };
 
-        let outcome = self.fetch_pending(&pages);
+        let outcome = self.exchange_pending(&pages);
         for &p in &pages[..validated] {
             self.prot[p.index()] &= !PROT_INVALID;
         }
@@ -539,117 +520,140 @@ impl ProcCtx {
         self.clock.advance(stall);
     }
 
-    /// Make the pending notices of `fetch_pages` good, whichever way the
-    /// protocol in effect does that: per-writer diff exchanges
-    /// ([`exchange_pending`](Self::exchange_pending)) or whole-page fetches
-    /// from the homes ([`fetch_from_homes`](Self::fetch_from_homes)).
-    fn fetch_pending(&mut self, fetch_pages: &[PageId]) -> PendingExchangeOutcome {
-        match self.protocol {
-            ProtocolMode::MultiWriter => self.exchange_pending(fetch_pages),
-            ProtocolMode::HomeBased => self.fetch_from_homes(fetch_pages),
-        }
-    }
-
     /// The stall one round of pending fetches costs, per protocol.  The
     /// replies are routed through the run's link state, where they queue
     /// behind concurrent traffic on every link the topology has.
     fn fetch_stall(&self, total_payload: u64) -> u64 {
-        let costs = &self.exchange.responder_costs;
-        let ranks = &self.exchange.responder_ranks;
-        let now = self.clock.now_ns();
-        let mut net = self.shared.net.borrow_mut();
-        match self.protocol {
-            ProtocolMode::MultiWriter => self.cost.fault_stall_served_on(
-                costs,
-                ranks,
-                total_payload,
-                self.rank.0,
-                now,
-                &mut net,
-            ),
-            ProtocolMode::HomeBased => self.cost.home_fetch_stall_on(
-                costs,
-                ranks,
-                total_payload,
-                self.rank.0,
-                now,
-                &mut net,
-            ),
-        }
+        let stall_on = match self.protocol {
+            ProtocolMode::MultiWriter => CostModel::fault_stall_served_on,
+            ProtocolMode::HomeBased => CostModel::home_fetch_stall_on,
+        };
+        stall_on(
+            &self.cost,
+            &self.exchange.responder_costs,
+            &self.exchange.responder_ranks,
+            total_payload,
+            self.rank.0,
+            self.clock.now_ns(),
+            &mut self.shared.net.borrow_mut(),
+        )
     }
 
-    /// Fetch and apply the pending diffs of `fetch_pages`: one aggregated
-    /// exchange per concurrent writer, diffs applied in a linear extension
-    /// of happens-before, pending notices cleared.  Shared by the fault
+    /// Make the pending notices of `fetch_pages` good: one aggregated
+    /// exchange per responder, pending notices cleared.  Shared by the fault
     /// handler and the GC validation flush; the caller decides what the
     /// operation *is* (a fault or a flush) and charges its stall.
+    ///
+    /// The write protocol decides three things here and nothing else:
+    /// * *who serves* a pending page: each notice's writer, or under the
+    ///   home-based protocol the page's home, once per page;
+    /// * *what a reply carries*: the stored diffs, or the master page the
+    ///   home lends;
+    /// * *how it lands*: a page's diffs as one `LocalPage::deliver` round
+    ///   in a linear extension of happens-before, a master page by
+    ///   `load_page` as the home serves it.
+    ///
+    /// A page homed at this processor is refreshed from the co-resident
+    /// master copy: no exchange and no attribution (nothing crossed a
+    /// wire), but the copy is part of the applied payload.  Every word of a
+    /// page fetched from a remote home is delivered and attributed to the
+    /// exchange, so the useful/useless classifier sees the whole page — the
+    /// false-sharing exposure the single-writer organization pays for.
     fn exchange_pending(&mut self, fetch_pages: &[PageId]) -> PendingExchangeOutcome {
         let mut xs = std::mem::take(&mut self.exchange);
         xs.clear();
-        // Gather the pending write notices of every page we are fetching,
-        // grouped (by the sort) by the writer that must serve the diff.
+        let page_size = self.layout.page_size() as u64;
+        let mut total_payload = 0u64;
+        // Gather what every page we are fetching lacks, grouped (by the
+        // sort) by the processor that must serve it.
         for &p in fetch_pages {
-            for &(writer, seq) in &self.meta[p.index()].pending {
-                xs.wants.push(Want {
-                    responder: writer,
-                    ord: xs.wants.len() as u32,
-                    page: p,
-                    seq,
-                });
+            let pending = &self.meta[p.index()].pending;
+            match self.home_of(p) {
+                None => {
+                    for &(writer, seq) in pending {
+                        xs.wants.push(Want {
+                            responder: writer,
+                            ord: xs.wants.len() as u32,
+                            page: p,
+                            seq,
+                        });
+                    }
+                }
+                // Only pages with pending notices are stale; the others are
+                // validated without traffic, as under multi-writer.
+                Some(_) if pending.is_empty() => {}
+                Some(home) if home == self.rank.0 => {
+                    self.load_from_home(p, tm_page::NO_EXCHANGE);
+                    total_payload += page_size;
+                }
+                Some(home) => {
+                    xs.wants.push(Want {
+                        responder: home,
+                        ord: xs.wants.len() as u32,
+                        page: p,
+                        seq: 0,
+                    });
+                }
             }
         }
         xs.wants.sort_unstable();
 
-        let same_writer = |a: &Want, b: &Want| a.responder == b.responder;
         let first_exchange = self.stats.exchanges.len() as u32;
-        let mut total_payload = 0u64;
-        let page_size = self.layout.page_size() as u64;
-
-        for wants in xs.wants.chunk_by(same_writer) {
-            let writer = wants[0].responder;
-            debug_assert_ne!(writer, self.rank.0, "own writes are never pending");
+        for wants in xs.wants.chunk_by(|a, b| a.responder == b.responder) {
+            let responder = wants[0].responder;
+            debug_assert_ne!(responder, self.rank.0, "a processor never serves itself");
             let exchange_id = self.stats.exchanges.len() as u32;
             let mut reply_bytes = MSG_HEADER_BYTES;
             let mut serve_extra_ns = 0u64;
             let mut delivered = 0u64;
             // A page's notices sit together: they are gathered page by page.
             let pages_requested = wants.chunk_by(|a, b| a.page == b.page).count() as u64;
-            let mut log = self.shared.logs[writer as usize].borrow_mut();
-            // The responder serves every stored diff asked for; one writer's
-            // chain of a page is delivered as a round like any other.
-            for &Want { page, seq, .. } in wants {
-                let fetched = log
-                    .fetch_diff(page, seq)
-                    .expect("a stored diff must exist for a published notice");
-                if fetched.created_now {
-                    // This request materializes the diff on the responder,
-                    // serializing its creation into the responder's serve
-                    // path (which we stall on).
-                    serve_extra_ns =
-                        serve_extra_ns.saturating_add(self.cost.diff_create_cost(page_size));
+            if self.protocol.is_home_based() {
+                for &Want { page, .. } in wants {
+                    self.load_from_home(page, exchange_id);
                 }
-                let weight = log
-                    .record(seq)
-                    .expect("published interval record must exist")
-                    .vc
-                    .weight();
-                reply_bytes += fetched.wire_bytes;
-                delivered += fetched.payload_bytes;
-                xs.to_apply.push(Fetched {
-                    weight,
-                    writer,
-                    seq,
-                    ord: xs.to_apply.len() as u32,
-                    diff: fetched.diff,
-                    exchange: exchange_id,
-                });
+                delivered = pages_requested * page_size;
+                reply_bytes += delivered;
+                self.stats.page_fetches += pages_requested;
+            } else {
+                let mut log = self.shared.logs[responder as usize].borrow_mut();
+                // The responder serves every stored diff asked for; one
+                // writer's chain of a page is delivered as a round like any
+                // other.
+                for &Want { page, seq, .. } in wants {
+                    let fetched = log
+                        .fetch_diff(page, seq)
+                        .expect("a stored diff must exist for a published notice");
+                    if fetched.created_now {
+                        // This request materializes the diff on the
+                        // responder, serializing its creation into the
+                        // responder's serve path (which we stall on).
+                        serve_extra_ns =
+                            serve_extra_ns.saturating_add(self.cost.diff_create_cost(page_size));
+                    }
+                    let weight = log
+                        .record(seq)
+                        .expect("published interval record must exist")
+                        .vc
+                        .weight();
+                    reply_bytes += fetched.wire_bytes;
+                    delivered += fetched.payload_bytes;
+                    xs.to_apply.push(Fetched {
+                        weight,
+                        writer: responder,
+                        seq,
+                        ord: xs.to_apply.len() as u32,
+                        diff: fetched.diff,
+                        exchange: exchange_id,
+                    });
+                }
             }
             total_payload += delivered;
             xs.responder_costs.push(ResponderCost {
                 reply_bytes,
                 serve_extra_ns,
             });
-            xs.responder_ranks.push(writer);
+            xs.responder_ranks.push(responder);
             self.stats.exchanges.push(DiffExchange {
                 // The request: a header and 8 bytes per page asked for.
                 wire_bytes: MSG_HEADER_BYTES + 8 * pages_requested + reply_bytes,
@@ -676,26 +680,17 @@ impl ProcCtx {
             self.store.page_mut(round[0].diff.page).deliver(
                 round.iter().rev().map(|f| (&f.diff, f.exchange)),
                 &mut xs.cover,
-                &mut xs.visible,
             );
         }
         // Let go of the fetched diffs now, not at the next fault: a diff the
         // scratch still held could not be salvaged when its interval retires.
         xs.to_apply.clear();
         self.exchange = xs;
-        self.clear_pending(fetch_pages);
 
-        PendingExchangeOutcome {
-            exchange_ids: first_exchange..self.stats.exchanges.len() as u32,
-            total_payload,
-        }
-    }
-
-    /// Book-keeping shared by both protocols' fetch paths: fetched pages
-    /// have no pending notices left (their entries also leave the per-writer
-    /// pending multiset the barrier GC reads its floors from).
-    fn clear_pending(&mut self, pages: &[PageId]) {
-        for &p in pages {
+        // Fetched pages have no pending notices left; their entries also
+        // leave the per-writer pending multiset the barrier GC reads its
+        // floors from.
+        for &p in fetch_pages {
             for &(writer, seq) in &self.meta[p.index()].pending {
                 if let std::collections::btree_map::Entry::Occupied(mut e) =
                     self.pending_seqs.entry((writer, seq))
@@ -709,88 +704,21 @@ impl ProcCtx {
             }
             self.meta[p.index()].pending.clear();
         }
-    }
-
-    /// Home-based counterpart of [`exchange_pending`](Self::exchange_pending):
-    /// bring the pages of `fetch_pages` that carry pending write notices up
-    /// to date by fetching their *whole* master copies from their homes —
-    /// one aggregated request/reply exchange per remote home contacted.
-    /// Pages homed at this processor are refreshed from the co-resident
-    /// master copy at zero message cost.
-    ///
-    /// Every word of a remotely fetched page is delivered and attributed to
-    /// the exchange, so the useful/useless classifier sees the whole page —
-    /// the false-sharing exposure the single-writer organization pays for.
-    fn fetch_from_homes(&mut self, fetch_pages: &[PageId]) -> PendingExchangeOutcome {
-        let mut xs = std::mem::take(&mut self.exchange);
-        xs.clear();
-        let masters = self.shared.home().borrow();
-        let page_size = self.layout.page_size();
-        let mut total_payload = 0u64;
-        xs.page_buf.resize(page_size, 0);
-
-        // Only pages with pending notices are stale; the others are validated
-        // without traffic, exactly as in the multi-writer protocol.
-        for &p in fetch_pages {
-            if self.meta[p.index()].pending.is_empty() {
-                continue;
-            }
-            let h = self.home_of(p);
-            if h == self.rank.0 {
-                // Refresh a self-homed page from the co-resident master
-                // copy: no message, no attribution (nothing was delivered
-                // over the wire), but the memcpy is part of the fault's
-                // applied payload.
-                masters.copy_page_into(p, &mut xs.page_buf);
-                self.store
-                    .page_mut(p)
-                    .load_page(&xs.page_buf, tm_page::NO_EXCHANGE);
-                total_payload += page_size as u64;
-            } else {
-                xs.wants.push(Want {
-                    responder: h,
-                    ord: xs.wants.len() as u32,
-                    page: p,
-                    seq: 0,
-                });
-            }
-        }
-        xs.wants.sort_unstable();
-
-        let same_home = |a: &Want, b: &Want| a.responder == b.responder;
-        let first_exchange = self.stats.exchanges.len() as u32;
-        for pages in xs.wants.chunk_by(same_home) {
-            let home_rank = pages[0].responder;
-            let exchange_id = self.stats.exchanges.len() as u32;
-            let delivered = (pages.len() * page_size) as u64;
-            let reply_bytes = MSG_HEADER_BYTES + delivered;
-            for &Want { page: p, .. } in pages {
-                masters.copy_page_into(p, &mut xs.page_buf);
-                self.store.page_mut(p).load_page(&xs.page_buf, exchange_id);
-            }
-            total_payload += delivered;
-            self.stats.page_fetches += pages.len() as u64;
-            xs.responder_costs.push(ResponderCost {
-                reply_bytes,
-                serve_extra_ns: 0,
-            });
-            xs.responder_ranks.push(home_rank);
-            self.stats.exchanges.push(DiffExchange {
-                // The request: a header and 8 bytes per page asked for.
-                wire_bytes: MSG_HEADER_BYTES + 8 * pages.len() as u64 + reply_bytes,
-                delivered_payload: delivered,
-                useful_payload: 0,
-            });
-        }
-        drop(masters);
-        self.exchange = xs;
-
-        self.clear_pending(fetch_pages);
 
         PendingExchangeOutcome {
             exchange_ids: first_exchange..self.stats.exchanges.len() as u32,
             total_payload,
         }
+    }
+
+    /// Home-based protocol: load the master copy of `page`, lent by its
+    /// home, into the local one, every word attributed to `exchange`.
+    fn load_from_home(&mut self, page: PageId, exchange: u32) {
+        let masters = self.shared.home().borrow();
+        let master = masters
+            .page(page)
+            .expect("a page with write notices has been written at its home");
+        self.store.page_mut(page).load_page(master, exchange);
     }
 
     /// TreadMarks' garbage-collection validation, triggered by memory
@@ -817,7 +745,7 @@ impl ProcCtx {
             .await;
         // Fetch through the protocol's own service path: per-writer diff
         // exchanges, or whole-page fetches from the homes.
-        let outcome = self.fetch_pending(&pages);
+        let outcome = self.exchange_pending(&pages);
         // The flushed pages are now up to date: validate them (one batched
         // protection operation, as in a multi-page fault).
         for &p in &pages {
@@ -838,44 +766,62 @@ impl ProcCtx {
 
     /// Close the current interval: encode every dirty page's modifications,
     /// retire the twins, publish the interval record, and advance the local
-    /// vector clock.
+    /// vector clock.  No-op when the interval produced no notices (an
+    /// all-silent-writes close).
     ///
-    /// Only the write notices are *protocol* output: the encoded diffs ride
-    /// along unmaterialized (the simulator compares twin and current
-    /// contents here, where the twin is at hand), and `diff_create_cost` is
-    /// charged on the serve path at the first request instead of here — see
+    /// Under the multi-writer protocol only the write notices are
+    /// *protocol* output: the encoded diffs ride along in the log
+    /// unmaterialized (the simulator compares twin and current contents
+    /// here, where the twin is at hand), and `diff_create_cost` is charged
+    /// on the serve path at the first request instead of here — see
     /// DESIGN.md, "Lazy diff creation".
+    ///
+    /// Under the home-based protocol a diff is created here, on the writer,
+    /// applied to the master copy and flushed to the page's home (one
+    /// [`MsgKind::HomeUpdate`] message per home contacted) instead of
+    /// stored: faults fetch whole pages from the homes, so the log is pure
+    /// notice book-keeping (and its GC never waits for diff requests).  A
+    /// page homed at this processor needs neither twin nor flush — its
+    /// words already went through to the master copy — but publishes its
+    /// notice unconditionally, so the other processors invalidate: without
+    /// a twin the home cannot tell a silent rewrite from a real change.
     fn close_interval(&mut self) {
         if self.dirty_pages.is_empty() {
             return;
         }
-        if self.protocol.is_home_based() {
-            self.close_interval_home();
-            return;
-        }
+        let page_size = self.layout.page_size() as u64;
         // Recycle the span/payload buffers of the diffs this processor's
-        // own log retired in the previous episode.
+        // own log retired in the previous episode, or flushed before.
         let mut pool = self.shared.logs[self.rank.index()]
             .borrow_mut()
             .take_buffer_pool();
         let mut pages = Vec::new();
         let mut diffs = std::mem::take(&mut self.diff_scratch);
+        let mut flushes = std::mem::take(&mut self.flush_scratch);
         // Detach the dirty list instead of copying it; nothing in the loop
         // re-dirties a page, and the buffer (and its capacity) goes back
         // afterwards.
         let mut dirty = std::mem::take(&mut self.dirty_pages);
         for &page in &dirty {
+            self.prot[page.index()] &= !PROT_DIRTY;
+            // Re-protect the page so the next write re-arms write detection.
+            self.stats.protection_ops += 1;
+            self.clock.advance(self.cost.protection_op_ns);
+            let home = self.home_of(page);
+            if home == Some(self.rank.0) {
+                pages.push(page);
+                continue;
+            }
             let (spans, packed) = pool.pop().unwrap_or_default();
             let lp = self.store.page_mut(page);
-
             let diff = lp
                 .make_diff_in(page, spans, packed)
                 .expect("dirty page must have a twin at interval close");
             lp.drop_twin();
-            self.prot[page.index()] &= !PROT_DIRTY;
-            // Re-protect the page so the next write re-twins.
-            self.stats.protection_ops += 1;
-            self.clock.advance(self.cost.protection_op_ns);
+            if home.is_some() {
+                // Flushed at close, so nothing is left to create lazily.
+                self.clock.advance(self.cost.diff_create_cost(page_size));
+            }
             if diff.is_empty() {
                 // The page was written with values identical to the twin's;
                 // nothing to propagate (the buffers go straight back).
@@ -883,139 +829,67 @@ impl ProcCtx {
                 continue;
             }
             pages.push(page);
-            diffs.push((page, Arc::new(diff)));
+            match home {
+                None => diffs.push((page, Arc::new(diff))),
+                Some(home) => {
+                    self.stats.diffs_created += 1;
+                    self.stats.diff_bytes_created += diff.payload_bytes();
+                    let bytes = diff.wire_bytes();
+                    match flushes.binary_search_by_key(&home, |&(h, _)| h) {
+                        Ok(i) => flushes[i].1 += bytes,
+                        Err(i) => flushes.insert(i, (home, bytes)),
+                    }
+                    self.shared.home().borrow_mut().apply_diff(&diff);
+                    pool.push(diff.into_buffers());
+                }
+            }
         }
         dirty.clear();
         self.dirty_pages = dirty;
         self.shared.logs[self.rank.index()]
             .borrow_mut()
             .restore_buffer_pool(pool);
-        self.publish_interval(pages, &mut diffs);
-        self.diff_scratch = diffs;
-    }
 
-    /// Shared tail of both protocols' interval closes: bump the local
-    /// vector-clock entry, publish the record of the interval that wrote
-    /// `pages` (with whatever diffs the protocol stores in the log — none
-    /// under home-based) and account the notices.  No-op when the interval
-    /// produced no notices (an all-silent-writes close).
-    fn publish_interval(&mut self, pages: Vec<PageId>, diffs: &mut Vec<(PageId, Arc<Diff>)>) {
-        if pages.is_empty() {
-            debug_assert!(diffs.is_empty(), "diffs without write notices");
-            return;
-        }
-        let seq = self.vc.get(self.rank.index()) + 1;
-        self.vc.set(self.rank.index(), seq);
-        self.notices_since_barrier += pages.len() as u64;
-        self.stats.intervals_closed += 1;
-        let record = IntervalRecord {
-            id: IntervalId {
-                proc: self.rank.0,
-                seq,
-            },
-            vc: self.vc.clone(),
-            pages,
-        };
-        self.shared.logs[self.rank.index()]
-            .borrow_mut()
-            .publish_drain(record, diffs);
-    }
-
-    /// Home-based interval close: diff every dirty *non-home* page against
-    /// its twin and eagerly flush the diffs to the pages' homes (one
-    /// [`MsgKind::HomeUpdate`] message per home contacted), apply them to
-    /// the master copies, and publish write notices — but store **no** diffs
-    /// in the interval log: faults fetch whole pages from the homes, so the
-    /// log is pure notice book-keeping (and its GC never waits for diff
-    /// requests).  Dirty pages homed at this processor need neither twin nor
-    /// flush — their words already went through to the master copy — but
-    /// they do publish notices so the other processors invalidate.
-    ///
-    /// These diffs are created here, on the writer: the home-based
-    /// organization flushes at close, so nothing is left to create lazily.
-    fn close_interval_home(&mut self) {
-        let page_size = self.layout.page_size() as u64;
-        let mut pages = Vec::new();
-        // Per home contacted: total diff wire bytes of this flush.
-        let mut flushes: BTreeMap<u32, u64> = BTreeMap::new();
-        let mut masters = self.shared.home().borrow_mut();
-        let mut dirty = std::mem::take(&mut self.dirty_pages);
-        for &page in &dirty {
-            self.prot[page.index()] &= !PROT_DIRTY;
-            // Re-protect the page so the next write re-arms detection.
-            self.stats.protection_ops += 1;
-            self.clock.advance(self.cost.protection_op_ns);
-            let home_rank = self.home_of(page);
-            if home_rank == self.rank.0 {
-                // The master copy is already current (write-through); the
-                // notice is published unconditionally — without a twin the
-                // home cannot tell a silent rewrite from a real change.
-                pages.push(page);
-                continue;
+        if !flushes.is_empty() {
+            // One update message per home contacted, carrying that home's
+            // diffs.  The message and byte *counters* are identical whatever
+            // the topology or aggregation policy — only the modeled flush
+            // time changes — so breakdowns stay comparable across network
+            // cells.
+            for &(_, wire_bytes) in &flushes {
+                self.stats.record_control(MsgKind::HomeUpdate, wire_bytes);
+                self.stats.home_updates += 1;
             }
-            // The flushed diff dies at the end of this iteration, so one
-            // recycled buffer pair serves the whole loop.
-            let (spans, packed) = std::mem::take(&mut self.home_diff_buf);
-            let lp = self.store.page_mut(page);
-            let diff = lp
-                .make_diff_in(page, spans, packed)
-                .expect("dirty non-home page must have a twin at interval close");
-            lp.drop_twin();
-            self.clock.advance(self.cost.diff_create_cost(page_size));
-            if diff.is_empty() {
-                // Rewrote the twin's values: nothing to flush or announce.
-                self.home_diff_buf = diff.into_buffers();
-                continue;
-            }
-            self.stats.diffs_created += 1;
-            self.stats.diff_bytes_created += diff.payload_bytes();
-            *flushes.entry(home_rank).or_insert(0) += diff.wire_bytes();
-            masters.apply_diff(&diff);
-            pages.push(page);
-            self.home_diff_buf = diff.into_buffers();
-        }
-        dirty.clear();
-        self.dirty_pages = dirty;
-        drop(masters);
-
-        // One update message per home contacted, carrying that home's diffs.
-        // The message and byte *counters* are identical whatever the
-        // topology or aggregation policy — only the modeled flush time
-        // changes — so breakdowns stay comparable across network cells.
-        for (&_home_rank, &wire_bytes) in &flushes {
-            self.stats.record_control(MsgKind::HomeUpdate, wire_bytes);
-            self.stats.home_updates += 1;
-        }
-        let mut net = self.shared.net.borrow_mut();
-        if self.aggregation.is_batched() {
-            // The whole interval's flushes as one wire message: one
-            // broadcast on the bus, a replicated copy per home on the
-            // switch (where the useless replicated bytes are what makes
-            // batching lose), and the plain per-message flushes where
-            // there is no wire to batch for.
-            let batch: Vec<(u32, u64)> = flushes.iter().map(|(&h, &b)| (h, b)).collect();
-            let now = self.clock.now_ns();
-            let cost = self
-                .cost
-                .home_flush_batch_cost_on(&batch, self.rank.0, now, &mut net);
+            let cost = self.cost.home_flush_cost_on(
+                &flushes,
+                self.aggregation,
+                self.rank.0,
+                self.clock.now_ns(),
+                &mut self.shared.net.borrow_mut(),
+            );
             self.clock.advance(cost);
-        } else {
-            for (&home_rank, &wire_bytes) in &flushes {
-                let now = self.clock.now_ns();
-                let cost = self.cost.home_update_cost_on(
-                    MSG_HEADER_BYTES.saturating_add(wire_bytes),
-                    self.rank.0,
-                    home_rank,
-                    now,
-                    &mut net,
-                );
-                self.clock.advance(cost);
-            }
+            flushes.clear();
         }
-        drop(net);
+        self.flush_scratch = flushes;
 
-        let mut diffs = std::mem::take(&mut self.diff_scratch);
-        self.publish_interval(pages, &mut diffs);
+        if !pages.is_empty() {
+            let seq = self.vc.get(self.rank.index()) + 1;
+            self.vc.set(self.rank.index(), seq);
+            self.notices_since_barrier += pages.len() as u64;
+            self.stats.intervals_closed += 1;
+            let record = IntervalRecord {
+                id: IntervalId {
+                    proc: self.rank.0,
+                    seq,
+                },
+                vc: self.vc.clone(),
+                pages,
+            };
+            self.shared.logs[self.rank.index()]
+                .borrow_mut()
+                .publish_drain(record, &mut diffs);
+        }
+        debug_assert!(diffs.is_empty(), "diffs without write notices");
         self.diff_scratch = diffs;
     }
 

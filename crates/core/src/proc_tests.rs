@@ -62,10 +62,7 @@ fn moved(before: Counts, after: Counts) -> Counts {
 fn twins_for(ctx: &mut ProcCtx, pages: std::ops::RangeInclusive<u32>) -> u64 {
     let me = ctx.rank.0;
     pages
-        .filter(|&p| match ctx.protocol {
-            ProtocolMode::MultiWriter => true,
-            ProtocolMode::HomeBased => ctx.home_of(PageId(p)) != me,
-        })
+        .filter(|&p| ctx.home_of(PageId(p)) != Some(me))
         .count() as u64
 }
 
@@ -347,6 +344,79 @@ fn barrier_departure_incorporates_exactly_the_notices_a_rank_lacks() {
             "{label}"
         );
     }
+}
+
+/// A home-based run of `nprocs` ranks over 8-page consistency units, with
+/// the shared space starting at page 0 so the homes are `page % nprocs`.
+fn home_based_units(nprocs: usize) -> (Dsm, GlobalAddr) {
+    let mut dsm = Dsm::new(
+        DsmConfig::with_procs(nprocs)
+            .shared_pages(64)
+            .unit(UnitPolicy::Static { pages: 8 })
+            .protocol(ProtocolMode::home_based()),
+    );
+    let base = dsm.alloc_bytes(8 * PAGE as u64, Align::Page);
+    assert_eq!(base, GlobalAddr(0));
+    (dsm, base)
+}
+
+#[test]
+fn a_fault_on_a_self_homed_page_sends_nothing_under_home_based() {
+    let (dsm, base) = home_based_units(2);
+    dsm.run(async |ctx| {
+        // Rank 1 writes page 0, whose home is rank 0: the flush reaches the
+        // master copy rank 0 holds, so rank 0's fault refreshes locally.
+        if ctx.rank() == 1 {
+            ctx.write_bytes(base.add(64), &[5; 4]).await;
+        }
+        ctx.barrier().await;
+        if ctx.rank() == 0 {
+            let (faults, exchanges) = (ctx.stats.faults.len(), ctx.stats.exchanges.len());
+            let mut word = [0u8; 4];
+            ctx.read_bytes(base.add(64), &mut word).await;
+            assert_eq!(word, [5; 4]);
+            assert_eq!(ctx.stats.faults.len(), faults + 1);
+            assert!(ctx.stats.faults[faults].exchange_ids.is_empty());
+            assert_eq!(ctx.stats.exchanges.len(), exchanges);
+            assert_eq!(ctx.stats.page_fetches, 0);
+            assert_eq!(ctx.stats.prefetched_faults, 1);
+        }
+    });
+}
+
+#[test]
+fn a_fault_on_pages_of_two_remote_homes_is_one_exchange_per_home_in_home_order() {
+    let (dsm, base) = home_based_units(3);
+    let page_size = PAGE as u64;
+    dsm.run(async |ctx| {
+        // Rank 2 writes pages 2 (its own home), 4 and 7 (homed at rank 1).
+        // Rank 0's fault on the unit gathers them in page order — home 2
+        // first — but is served home by home, in ascending order.
+        if ctx.rank() == 2 {
+            for page in [2, 4, 7] {
+                ctx.write_bytes(base.add(page * page_size), &[page as u8; 4])
+                    .await;
+            }
+        }
+        ctx.barrier().await;
+        if ctx.rank() == 0 {
+            let first = ctx.stats.exchanges.len();
+            let mut word = [0u8; 4];
+            ctx.read_bytes(base.add(2 * page_size), &mut word).await;
+            assert_eq!(word, [2; 4]);
+            let fault = ctx.stats.faults.last().expect("the read faulted");
+            assert_eq!(fault.exchange_ids, first as u32..first as u32 + 2);
+            assert_eq!(ctx.exchange.responder_ranks, [1, 2]);
+            for (exchange, pages) in ctx.stats.exchanges[first..].iter().zip([2u64, 1]) {
+                assert_eq!(
+                    exchange.wire_bytes,
+                    2 * MSG_HEADER_BYTES + 8 * pages + pages * page_size
+                );
+                assert_eq!(exchange.delivered_payload, pages * page_size);
+            }
+            assert_eq!(ctx.stats.page_fetches, 3);
+        }
+    });
 }
 
 /// The message `fut` panics with when polled.  (A panic that escapes a

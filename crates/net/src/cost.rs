@@ -18,15 +18,15 @@
 //! through the run's [`NetworkState`]; the ideal interconnect is the state
 //! with no links, where a transmission costs `wire_ns_per_byte × bytes` and
 //! never queues, so the calibrated numbers above are what that path yields
-//! on it.  The five entry points: [`CostModel::fault_stall_served_on`] and
+//! on it.  The four entry points: [`CostModel::fault_stall_served_on`] and
 //! [`CostModel::home_fetch_stall_on`] (two parameterisations of one private
-//! stall formula), [`CostModel::home_update_cost_on`],
-//! [`CostModel::home_flush_batch_cost_on`], and
+//! stall formula), [`CostModel::home_flush_cost_on`] (an interval's flushes
+//! to the homes, per message or batched), and
 //! [`CostModel::fault_stall_served`], a convenience over an ideal state.
 
 use crate::link::NetworkState;
 use crate::msg::MSG_HEADER_BYTES;
-use crate::topology::Topology;
+use crate::topology::{AggregationPolicy, Topology};
 
 /// All tunable cost constants, in nanoseconds (or nanoseconds per byte).
 #[derive(Debug, Clone, PartialEq)]
@@ -84,7 +84,7 @@ pub struct CostModel {
     pub bus_ns_per_byte: u64,
     /// Fixed CPU cost of assembling (sender) and disassembling (receivers)
     /// one batched flush message under
-    /// [`AggregationPolicy::Batched`](crate::AggregationPolicy::Batched).
+    /// [`AggregationPolicy::Batched`].
     pub batch_assembly_ns: u64,
 }
 
@@ -286,72 +286,56 @@ impl CostModel {
         }
     }
 
-    /// Writer-side cost of flushing one home-update message of `wire_bytes`
-    /// bytes from `src` to the home `dst` at interval close (home-based
-    /// protocol).  The flush is asynchronous — the writer does not stall for
-    /// a round trip — so it pays only the per-message CPU overhead and the
-    /// outgoing wire time through `net`; the home applies the diffs off the
-    /// writer's critical path.
-    pub fn home_update_cost_on(
+    /// Writer-side cost of flushing one closed interval's diffs to their
+    /// homes (home-based protocol), sent from `src` at `now_ns`.  `flushes`
+    /// holds `(home_rank, payload_bytes)` pairs, one per home, in home
+    /// order — payload only, the message headers are added here.  The
+    /// flush is asynchronous, so the writer pays only per-message CPU
+    /// overhead and outgoing wire time through `net`, no round trip.
+    ///
+    /// One message per home by default, each leaving once the writer has
+    /// sent the ones before it: it queues only behind other traffic.
+    ///
+    /// Under [`AggregationPolicy::Batched`] the flushes travel as one wire
+    /// message.  On a broadcast medium it occupies the wire once and every
+    /// home snoops it: `batch_assembly_ns + message_cpu_ns + one
+    /// transmission of header + total payload`.  On a point-to-point fabric
+    /// there is no broadcast, so the batch is replicated to each home —
+    /// every copy carries the *whole* batch, re-creating the paper's
+    /// useless-data effect at the message layer, which is why batching
+    /// loses on a switched network.  Batching needs something to batch and
+    /// a wire to batch for: a batch of one, and any batch on a topology
+    /// without links (where no message ever waits for another), costs
+    /// exactly the per-message flushes with no assembly charge.
+    pub fn home_flush_cost_on(
         &self,
-        wire_bytes: u64,
+        flushes: &[(u32, u64)],
+        aggregation: AggregationPolicy,
         src: u32,
-        dst: u32,
         now_ns: u64,
         net: &mut NetworkState,
     ) -> u64 {
         let rate = self.topology_ns_per_byte(net.topology());
-        self.message_cpu_ns
-            .saturating_add(net.transmit(now_ns, src, dst, wire_bytes, rate))
-    }
-
-    /// Writer-side cost of flushing one closed interval's home updates as a
-    /// *batch* (one wire message instead of one per home).
-    /// `payload_per_home` holds `(home_rank, payload_bytes)` pairs — payload
-    /// only, the message header is added here, once.
-    ///
-    /// On a broadcast medium the batch occupies the wire once and every home
-    /// snoops it: `batch_assembly_ns + message_cpu_ns + one transmission of
-    /// header + total payload`.  On a point-to-point fabric there is no
-    /// broadcast, so the batch is replicated to each home — every copy
-    /// carries the *whole* batch, re-creating the paper's useless-data
-    /// effect at the message layer, which is why batching loses on a
-    /// switched network.
-    ///
-    /// Batching needs something to batch and a wire to batch for: a batch of
-    /// one, and any batch on a topology without links (where no message
-    /// ever waits for another, so there is no occupancy slot to save), costs
-    /// exactly the per-message flushes with no assembly charge.
-    pub fn home_flush_batch_cost_on(
-        &self,
-        payload_per_home: &[(u32, u64)],
-        src: u32,
-        now_ns: u64,
-        net: &mut NetworkState,
-    ) -> u64 {
-        if payload_per_home.len() <= 1 || !net.topology().is_contended() {
-            return payload_per_home.iter().fold(0u64, |acc, &(home, bytes)| {
-                acc.saturating_add(self.home_update_cost_on(
-                    MSG_HEADER_BYTES.saturating_add(bytes),
-                    src,
-                    home,
-                    now_ns,
-                    net,
-                ))
+        if !aggregation.is_batched() || flushes.len() <= 1 || !net.topology().is_contended() {
+            return flushes.iter().fold(0u64, |spent, &(home, bytes)| {
+                let wire_bytes = MSG_HEADER_BYTES.saturating_add(bytes);
+                let sent_at = now_ns.saturating_add(spent);
+                spent
+                    .saturating_add(self.message_cpu_ns)
+                    .saturating_add(net.transmit(sent_at, src, home, wire_bytes, rate))
             });
         }
-        let total_payload = payload_per_home
+        let total_payload = flushes
             .iter()
             .fold(0u64, |acc, &(_, b)| acc.saturating_add(b));
         let batch_bytes = MSG_HEADER_BYTES.saturating_add(total_payload);
-        let rate = self.topology_ns_per_byte(net.topology());
         if net.topology().has_broadcast() {
             self.batch_assembly_ns
                 .saturating_add(self.message_cpu_ns)
                 .saturating_add(net.broadcast(now_ns, src, batch_bytes, rate))
         } else {
             let mut total = self.batch_assembly_ns;
-            for &(home, _) in payload_per_home {
+            for &(home, _) in flushes {
                 total = total
                     .saturating_add(self.message_cpu_ns)
                     .saturating_add(net.transmit(now_ns, src, home, batch_bytes, rate));
@@ -422,6 +406,7 @@ impl Default for CostModel {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use AggregationPolicy::{Batched, PerMessage};
 
     /// Responders with the given reply sizes and no serve-side extras.
     fn replies(reply_bytes: &[u64]) -> Vec<ResponderCost> {
@@ -445,10 +430,10 @@ mod tests {
         m.home_fetch_stall_on(responders, &[], applied_payload, 0, 0, &mut ideal)
     }
 
-    /// One home-update flush on the ideal network.
-    fn flush(m: &CostModel, wire_bytes: u64) -> u64 {
+    /// One home-update flush of `payload` bytes on the ideal network.
+    fn flush(m: &CostModel, payload: u64) -> u64 {
         let mut ideal = NetworkState::new(Topology::Ideal, 8);
-        m.home_update_cost_on(wire_bytes, 0, 1, 0, &mut ideal)
+        m.home_flush_cost_on(&[(1, payload)], PerMessage, 0, 0, &mut ideal)
     }
 
     /// The closed-form ideal stall the cost model computed before the ideal
@@ -549,21 +534,17 @@ mod tests {
                 // its per-message flushes.
                 let flushes: Vec<(u32, u64)> =
                     sources.iter().zip(&responders).map(|(&h, r)| (h, r.reply_bytes)).collect();
-                let mut per_message = 0u64;
-                for &(home, bytes) in &flushes {
+                let per_message = flushes.iter().fold(0u64, |acc, &(_, bytes)| {
                     let wire_bytes = MSG_HEADER_BYTES.saturating_add(bytes);
-                    let cost = m.home_update_cost_on(wire_bytes, faulter, home, now_ns, &mut net);
+                    acc.saturating_add(m.message_cpu_ns)
+                        .saturating_add(m.wire_ns_per_byte.saturating_mul(wire_bytes))
+                });
+                for aggregation in [PerMessage, Batched] {
                     prop_assert_eq!(
-                        cost,
-                        m.message_cpu_ns
-                            .saturating_add(m.wire_ns_per_byte.saturating_mul(wire_bytes))
+                        m.home_flush_cost_on(&flushes, aggregation, faulter, now_ns, &mut net),
+                        per_message
                     );
-                    per_message = per_message.saturating_add(cost);
                 }
-                prop_assert_eq!(
-                    m.home_flush_batch_cost_on(&flushes, faulter, now_ns, &mut net),
-                    per_message
-                );
                 prop_assert!(net.link_stats().is_empty());
             }
         }
@@ -693,7 +674,10 @@ mod tests {
         );
         // The asynchronous flush costs far less than stalling a round trip.
         assert!(flush(&m, 512) < m.rtt_small_ns);
-        assert_eq!(flush(&m, 512), m.message_cpu_ns + 512 * m.wire_ns_per_byte);
+        assert_eq!(
+            flush(&m, 512),
+            m.message_cpu_ns + (MSG_HEADER_BYTES + 512) * m.wire_ns_per_byte
+        );
         // Free network: everything collapses to the local handler costs.
         let free = CostModel::free_network();
         assert_eq!(page_fault(&free, &[page], 4096), 0);
@@ -759,24 +743,20 @@ mod tests {
         // bytes outweigh the savings.
         let m = CostModel::pentium_ethernet_1997();
         let flushes: Vec<(u32, u64)> = vec![(1, 600), (2, 500), (3, 400)];
+        let cost = |topology, aggregation, flushes: &[(u32, u64)]| {
+            let mut net = NetworkState::new(topology, 4);
+            m.home_flush_cost_on(flushes, aggregation, 0, 0, &mut net)
+        };
 
-        let mut bus = NetworkState::new(Topology::SharedBus, 4);
-        let bus_batched = m.home_flush_batch_cost_on(&flushes, 0, 0, &mut bus);
-        let mut bus2 = NetworkState::new(Topology::SharedBus, 4);
-        let bus_per_msg = flushes.iter().fold(0u64, |acc, &(home, bytes)| {
-            acc + m.home_update_cost_on(MSG_HEADER_BYTES + bytes, 0, home, 0, &mut bus2)
-        });
+        let bus_batched = cost(Topology::SharedBus, Batched, &flushes);
+        let bus_per_msg = cost(Topology::SharedBus, PerMessage, &flushes);
         assert!(
             bus_batched < bus_per_msg,
             "bus: batched {bus_batched} should beat per-message {bus_per_msg}"
         );
 
-        let mut sw = NetworkState::new(Topology::Switched, 4);
-        let sw_batched = m.home_flush_batch_cost_on(&flushes, 0, 0, &mut sw);
-        let mut sw2 = NetworkState::new(Topology::Switched, 4);
-        let sw_per_msg = flushes.iter().fold(0u64, |acc, &(home, bytes)| {
-            acc + m.home_update_cost_on(MSG_HEADER_BYTES + bytes, 0, home, 0, &mut sw2)
-        });
+        let sw_batched = cost(Topology::Switched, Batched, &flushes);
+        let sw_per_msg = cost(Topology::Switched, PerMessage, &flushes);
         assert!(
             sw_batched > sw_per_msg,
             "switch: batched {sw_batched} should lose to per-message {sw_per_msg}"
@@ -784,12 +764,43 @@ mod tests {
 
         // A batch of one is exactly the per-message cost: nothing to save.
         let single = [(2u32, 300u64)];
-        let mut a = NetworkState::new(Topology::SharedBus, 4);
-        let mut b = NetworkState::new(Topology::SharedBus, 4);
         assert_eq!(
-            m.home_flush_batch_cost_on(&single, 0, 0, &mut a),
-            m.home_update_cost_on(MSG_HEADER_BYTES + 300, 0, 2, 0, &mut b)
+            cost(Topology::SharedBus, Batched, &single),
+            cost(Topology::SharedBus, PerMessage, &single)
         );
+    }
+
+    #[test]
+    fn per_message_flushes_leave_one_after_another() {
+        // Three flushes on the bus: message k leaves at `now` plus the cost
+        // of the messages before it — the sum an interval close used to
+        // build message by message — so none waits on the one shared link
+        // behind its predecessor.
+        let m = CostModel::pentium_ethernet_1997();
+        let flushes = [(1u32, 600u64), (2, 500), (3, 400)];
+        let now = 1_000_000;
+        let mut net = NetworkState::new(Topology::SharedBus, 4);
+        let cost = m.home_flush_cost_on(&flushes, PerMessage, 0, now, &mut net);
+
+        let mut reference = NetworkState::new(Topology::SharedBus, 4);
+        let rate = m.bus_ns_per_byte;
+        let mut spent = 0;
+        for (home, bytes) in flushes {
+            spent += m.message_cpu_ns
+                + reference.transmit(now + spent, 0, home, MSG_HEADER_BYTES + bytes, rate);
+        }
+        assert_eq!(cost, spent);
+        assert_eq!(net.link_stats(), reference.link_stats());
+        // Sending all three at `now` would queue them behind one another on
+        // the wire instead.
+        let mut at_once = NetworkState::new(Topology::SharedBus, 4);
+        let queued: u64 = flushes
+            .iter()
+            .map(|&(home, bytes)| {
+                m.message_cpu_ns + at_once.transmit(now, 0, home, MSG_HEADER_BYTES + bytes, rate)
+            })
+            .sum();
+        assert_ne!(cost, queued);
     }
 
     #[test]
@@ -819,12 +830,12 @@ mod tests {
         );
         let mut bus2 = NetworkState::new(Topology::SharedBus, 2);
         assert_eq!(
-            m.home_update_cost_on(u64::MAX, 0, 1, 0, &mut bus2),
+            m.home_flush_cost_on(&[(1, u64::MAX)], PerMessage, 0, 0, &mut bus2),
             u64::MAX
         );
         let mut sw2 = NetworkState::new(Topology::Switched, 4);
         assert_eq!(
-            m.home_flush_batch_cost_on(&[(1, u64::MAX), (2, 7)], 0, 0, &mut sw2),
+            m.home_flush_cost_on(&[(1, u64::MAX), (2, 7)], Batched, 0, 0, &mut sw2),
             u64::MAX
         );
     }

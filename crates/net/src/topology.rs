@@ -32,7 +32,7 @@
 //! the paper's useless-data effect at the message layer.  Batching needs a
 //! wire: on the ideal topology there is no occupancy slot to save, and a
 //! batch costs exactly its per-message flushes
-//! ([`CostModel::home_flush_batch_cost_on`](crate::CostModel::home_flush_batch_cost_on)
+//! ([`CostModel::home_flush_cost_on`](crate::CostModel::home_flush_cost_on)
 //! is the one place that knows).
 
 use serde::json::Value;

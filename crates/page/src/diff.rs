@@ -287,6 +287,41 @@ impl Diff {
         DIFF_HEADER_BYTES + self.spans.len() as u64 * RUN_HEADER_BYTES + self.payload_bytes()
     }
 
+    /// Call `paint(offset, bytes)` for each maximal interval of the words
+    /// this diff writes that `cover` (one bit per page word) lacks, with
+    /// the bytes the diff writes there, adding them to `cover`, and return
+    /// how many words there were.  Walking diffs newest first over one
+    /// cover is the "reverse painter" of [`merge`](Self::merge) and
+    /// `LocalPage::deliver`: each diff lands only where no newer one
+    /// writes, so the work is the union of the payloads, not their sum.
+    /// (`paint` is a `dyn` callback: a painter inlined into the cover walk
+    /// measured slower on the delivery-heavy Jacobi sweep.)
+    pub(crate) fn for_each_uncovered(
+        &self,
+        cover: &mut [u64],
+        paint: &mut dyn FnMut(usize, &[u8]),
+    ) -> usize {
+        let (payload, packed) = match &self.payload {
+            Payload::Packed(bytes) => (&bytes[..], true),
+            Payload::Page(image) => (&image[..], false),
+        };
+        // Where the current span's bytes start in a packed payload.
+        let mut cursor = 0;
+        let mut covered = 0;
+        for s in &self.spans {
+            let (offset, start) = (
+                s.offset as usize,
+                if packed { cursor } else { s.offset as usize },
+            );
+            covered += subtract_cover(s.offset, s.len as usize, cover, |lo, hi| {
+                let from = start + (lo as usize - offset);
+                paint(lo as usize, &payload[from..from + (hi - lo) as usize]);
+            });
+            cursor += s.len as usize;
+        }
+        covered
+    }
+
     /// Merge a chain of diffs of the same page into their union: every word
     /// touched by any chain member carries the bytes of the *last* member
     /// that touches it.  Applying the merged diff is equivalent to applying
@@ -306,28 +341,19 @@ impl Diff {
             .unwrap_or(0);
         let mut cover = vec![0u64; (end / WORD_SIZE).div_ceil(64)];
         let mut buf = vec![0u8; end];
-        let mut fresh: Vec<(u32, u32)> = Vec::new();
-        // Reverse painter: walking newest to oldest, each diff contributes
-        // only the words no newer diff already claimed, so the work is
-        // proportional to the union, not the sum, of the payloads.
         for diff in chain.iter().rev() {
             debug_assert_eq!(diff.page, page);
-            for (offset, bytes) in diff.runs() {
-                fresh.clear();
-                subtract_cover(offset, bytes.len(), &mut cover, &mut fresh);
-                for &(lo, hi) in &fresh {
-                    let (lo, hi) = (lo as usize, hi as usize);
-                    let base = offset as usize;
-                    buf[lo..hi].copy_from_slice(&bytes[lo - base..hi - base]);
-                }
-            }
+            diff.for_each_uncovered(&mut cover, &mut |lo, bytes| {
+                buf[lo..lo + bytes.len()].copy_from_slice(bytes)
+            });
         }
-        let spans = spans_from_bits(&cover);
-        let payload = Payload::Packed(pack_payload(&spans, &buf));
+        let (mut spans, mut packed) = (Vec::new(), Vec::new());
+        spans_from_bits_into(&cover, &mut spans);
+        pack_payload_into(&spans, &buf, &mut packed);
         Diff {
             page,
             spans,
-            payload,
+            payload: Payload::Packed(packed),
         }
     }
 }
@@ -364,21 +390,11 @@ impl<'a> Iterator for Runs<'a> {
 
 impl ExactSizeIterator for Runs<'_> {}
 
-/// Append to `out` the byte intervals of the words of run
+/// Call `paint(lo, hi)` for each byte interval of the words of run
 /// `[offset, offset + len)` whose bits are not yet set in the word-cover
-/// bitset `cov`, setting them as it goes.  Output intervals are sorted,
-/// non-overlapping, and word-aligned; adjacent ones are merged.  Returns the
-/// number of newly covered words.
-///
-/// This is the kernel of the "reverse painter" used both by [`Diff::merge`]
-/// and by `LocalPage::deliver`: processing diffs newest-first, each one
-/// only touches the words no newer diff claimed.
-pub(crate) fn subtract_cover(
-    offset: u32,
-    len: usize,
-    cov: &mut [u64],
-    out: &mut Vec<(u32, u32)>,
-) -> usize {
+/// bitset `cov`, setting them as it goes, and return how many words that
+/// was.  The bit kernel of [`Diff::for_each_uncovered`].
+fn subtract_cover(offset: u32, len: usize, cov: &mut [u64], paint: impl FnMut(u32, u32)) -> usize {
     if len == 0 {
         return 0;
     }
@@ -386,72 +402,66 @@ pub(crate) fn subtract_cover(
     let w0 = offset as usize / WORD_SIZE;
     let w1 = w0 + len / WORD_SIZE; // exclusive
     let (first_b, last_b) = (w0 / 64, (w1 - 1) / 64);
-    for b in first_b..=last_b {
+    let fresh = (first_b..=last_b).map(|b| {
         let lo = if b == first_b { w0 % 64 } else { 0 };
         let hi = if b == last_b { (w1 - 1) % 64 } else { 63 };
         let mask = (!0u64 >> (63 - (hi - lo))) << lo;
-        let mut fresh = mask & !cov[b];
+        let fresh = mask & !cov[b];
         cov[b] |= mask;
         new_words += fresh.count_ones() as usize;
-        while fresh != 0 {
-            let start = fresh.trailing_zeros();
-            let len = (fresh >> start).trailing_ones();
+        (b, fresh)
+    });
+    for_each_bit_run(fresh, paint);
+    new_words
+}
+
+/// Call `f(lo, hi)` for each maximal byte interval of set-bit words in
+/// `blocks`, `(block index, 64 word bits)` pairs in ascending block order.
+/// A run that crosses a block boundary arrives whole, so the intervals are
+/// exactly what a word-by-word scan of the same set would find.
+fn for_each_bit_run(blocks: impl Iterator<Item = (usize, u64)>, mut f: impl FnMut(u32, u32)) {
+    // The run found last, reported once the next one does not extend it.
+    let mut open: Option<(u32, u32)> = None;
+    for (b, mut m) in blocks {
+        while m != 0 {
+            let start = m.trailing_zeros();
+            let len = (m >> start).trailing_ones();
             let from = ((b * 64 + start as usize) * WORD_SIZE) as u32;
             let to = from + len * WORD_SIZE as u32;
-            match out.last_mut() {
-                Some(last) if last.1 == from => last.1 = to,
-                _ => out.push((from, to)),
+            match &mut open {
+                Some((_, end)) if *end == from => *end = to,
+                _ => {
+                    if let Some((lo, hi)) = open.replace((from, to)) {
+                        f(lo, hi);
+                    }
+                }
             }
             if start + len >= 64 {
                 break;
             }
-            fresh &= !(((1u64 << len) - 1) << start);
+            m &= !(((1u64 << len) - 1) << start);
         }
     }
-    new_words
+    if let Some((lo, hi)) = open {
+        f(lo, hi);
+    }
 }
 
-/// Extract the maximal runs of set-bit words from `bits` as a span table.
-/// Runs that touch across 64-word block boundaries are merged, so the output
-/// is exactly what a word-by-word scan of the same set would produce.
-fn spans_from_bits(bits: &[u64]) -> Vec<RunSpan> {
-    let mut spans: Vec<RunSpan> = Vec::new();
-    spans_from_bits_into(bits, &mut spans);
-    spans
-}
-
-/// [`spans_from_bits`] writing into a recycled span buffer (cleared first).
+/// The maximal runs of set-bit words of `bits` as a span table, written
+/// into a recycled buffer (cleared first).
 fn spans_from_bits_into(bits: &[u64], spans: &mut Vec<RunSpan>) {
     spans.clear();
-    for (b, &block) in bits.iter().enumerate() {
-        let mut m = block;
-        while m != 0 {
-            let start = m.trailing_zeros() as usize;
-            let len = (m >> start).trailing_ones() as usize;
-            let from = ((b * 64 + start) * WORD_SIZE) as u32;
-            let len = (len * WORD_SIZE) as u32;
-            match spans.last_mut() {
-                Some(last) if last.end() == from => last.len += len,
-                _ => spans.push(RunSpan { offset: from, len }),
-            }
-            if (start as u32 + len / WORD_SIZE as u32) >= 64 {
-                break;
-            }
-            m &= !(((1u64 << (len / WORD_SIZE as u32)) - 1) << start);
-        }
-    }
+    for_each_bit_run(bits.iter().copied().enumerate(), |offset, end| {
+        spans.push(RunSpan {
+            offset,
+            len: end - offset,
+        })
+    });
 }
 
 /// Copy the spans' bytes out of `source` (indexed by page offset) into one
-/// packed payload buffer, allocated exactly once at its final size.
-fn pack_payload(spans: &[RunSpan], source: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::new();
-    pack_payload_into(spans, source, &mut payload);
-    payload
-}
-
-/// [`pack_payload`] writing into a recycled buffer (cleared, then reserved
-/// to the payload's final size in one step).
+/// packed payload buffer, a recycled one (cleared, then reserved to the
+/// payload's final size in one step).
 fn pack_payload_into(spans: &[RunSpan], source: &[u8], payload: &mut Vec<u8>) {
     let total: usize = spans.iter().map(|s| s.len as usize).sum();
     payload.clear();

@@ -7,7 +7,7 @@
 //! diffs from concurrent writers.  The [`HomeStore`] is that authoritative
 //! copy: diffs are applied to it **in place, without twinning** — the home
 //! never needs to know what changed later, it only needs to be current — and
-//! whole pages are copied out of it on fetches.
+//! whole pages are lent out of it on fetches.
 //!
 //! Like [`PageStore`](crate::PageStore), pages materialize lazily: a page
 //! nobody ever flushed to or wrote through costs nothing and reads as
@@ -37,17 +37,6 @@ impl HomeStore {
         }
     }
 
-    /// The layout this store was created with.
-    #[inline]
-    pub fn layout(&self) -> PageLayout {
-        self.layout
-    }
-
-    /// Number of pages that have been materialized so far.
-    pub fn resident_pages(&self) -> usize {
-        self.pages.iter().filter(|p| p.is_some()).count()
-    }
-
     fn page_mut(&mut self, page: PageId) -> &mut [u8] {
         let idx = page.index();
         assert!(idx < self.pages.len(), "{page} outside layout");
@@ -70,9 +59,21 @@ impl HomeStore {
         data[offset..end].copy_from_slice(src);
     }
 
+    /// The master copy of `page`, lent to a whole-page fetch, which loads
+    /// it straight into the fetching processor's page: the payload of the
+    /// fetch.  `None` if the page was never flushed to or written through
+    /// (it reads as zeroes).
+    ///
+    /// # Panics
+    /// Panics if `page` is outside the layout.
+    pub fn page(&self, page: PageId) -> Option<&[u8]> {
+        self.pages[page.index()].as_deref()
+    }
+
     /// Copy the master copy of `page` into `dst` (all zeroes if the page was
-    /// never flushed to or written through).  This is the payload of a
-    /// whole-page fetch.
+    /// never flushed to or written through).  No run calls this: a fetch
+    /// borrows the page through [`page`](Self::page).  Its callers are the
+    /// tests and the repository benchmark's `page.home_fetch_ns` probe.
     ///
     /// # Panics
     /// Panics if `dst` is not exactly one page long.
@@ -105,7 +106,7 @@ mod tests {
     #[test]
     fn starts_empty_and_zeroed() {
         let store = HomeStore::new(layout());
-        assert_eq!(store.resident_pages(), 0);
+        assert!((0..4).all(|p| store.page(PageId(p)).is_none()));
         let mut buf = vec![0xFFu8; 256];
         store.copy_page_into(PageId(2), &mut buf);
         assert_eq!(buf, vec![0u8; 256]);
@@ -116,11 +117,16 @@ mod tests {
         let mut store = HomeStore::new(layout());
         store.apply_diff(&diff_writing(1, 0, &[1, 2, 3, 4]));
         store.apply_diff(&diff_writing(1, 8, &[9, 9, 9, 9]));
-        assert_eq!(store.resident_pages(), 1);
+        assert!([0, 2, 3].iter().all(|&p| store.page(PageId(p)).is_none()));
         let mut buf = vec![0u8; 256];
         store.copy_page_into(PageId(1), &mut buf);
         assert_eq!(&buf[0..4], &[1, 2, 3, 4]);
         assert_eq!(&buf[8..12], &[9, 9, 9, 9]);
+        assert_eq!(
+            store.page(PageId(1)),
+            Some(&buf[..]),
+            "the lent page is the copy"
+        );
     }
 
     #[test]

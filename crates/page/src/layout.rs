@@ -191,6 +191,33 @@ impl PageLayout {
         debug_assert!(offset + len <= self.page_size);
         (offset / WORD_SIZE)..((offset + len - 1) / WORD_SIZE + 1)
     }
+
+    /// Split an access of `len` bytes at `addr` at the page boundaries: one
+    /// `(page, offset in page, range of the source)` per page it touches, in
+    /// address order.  An empty access yields nothing.
+    ///
+    /// # Panics
+    /// The iterator panics at a piece that starts outside the space.
+    #[inline]
+    pub fn segments(
+        &self,
+        addr: GlobalAddr,
+        len: usize,
+    ) -> impl Iterator<Item = (PageId, usize, std::ops::Range<usize>)> {
+        let layout = *self;
+        let mut done = 0;
+        std::iter::from_fn(move || {
+            if done == len {
+                return None;
+            }
+            let at = addr.add(done as u64);
+            let page = layout.page_of(at);
+            let offset = layout.offset_in_page(at);
+            let piece = done..done + (layout.page_size - offset).min(len - done);
+            done = piece.end;
+            Some((page, offset, piece))
+        })
+    }
 }
 
 #[cfg(test)]
@@ -299,6 +326,26 @@ mod tests {
         assert_eq!(l.words_covering(2, 4), 0..2);
         assert_eq!(l.words_covering(8, 8), 2..4);
         assert_eq!(l.words_covering(10, 0), 0..0);
+    }
+
+    #[test]
+    fn segments_split_an_access_at_page_boundaries() {
+        let l = PageLayout::new(256, 8);
+        let split = |addr: u64, len: usize| l.segments(GlobalAddr(addr), len).collect::<Vec<_>>();
+        // Empty: nothing, wherever it starts.
+        assert_eq!(split(100, 0), []);
+        assert_eq!(split(u64::MAX, 0), []);
+        // Ending exactly at a page end: one piece, no empty tail.
+        assert_eq!(split(256 + 56, 200), [(PageId(1), 56, 0..200)]);
+        // Spanning three pages: head, one whole page, tail.
+        assert_eq!(
+            split(250, 300),
+            [
+                (PageId(0), 250, 0..6),
+                (PageId(1), 0, 6..262),
+                (PageId(2), 0, 262..300)
+            ]
+        );
     }
 
     #[test]

@@ -243,7 +243,7 @@ mod proptests {
             let mut pool: Vec<(Vec<RunSpan>, Vec<u8>)> = Vec::new();
             let mut scratch = vec![0u8; page_size];
             // Deliberately dirty delivery scratch: its contents must not matter.
-            let (mut cov, mut visible) = (vec![!0u64; 3], vec![(4u32, 8u32)]);
+            let mut cov = vec![!0u64; 3];
 
             for (k, writes) in intervals.iter().enumerate() {
                 let twin = writer.bytes().to_vec();
@@ -282,7 +282,7 @@ mod proptests {
                     if k % 2 == 0 {
                         receiver.apply_diff(&shared, NO_EXCHANGE);
                     } else {
-                        receiver.deliver([(&shared, NO_EXCHANGE)], &mut cov, &mut visible);
+                        receiver.deliver([(&shared, NO_EXCHANGE)], &mut cov);
                         // Force materialization (bytes() asserts no parked
                         // content) through the read path.
                         receiver.read_bytes(0, &mut scratch, |_, _| {});

@@ -7,7 +7,7 @@
 //! (useful data) or never read before being overwritten or the end of the run
 //! (useless data).
 
-use crate::diff::{subtract_cover, Diff, RunSpan};
+use crate::diff::{Diff, RunSpan};
 use crate::layout::{GlobalAddr, PageId, PageLayout, WORD_SIZE};
 use std::sync::Arc;
 
@@ -177,18 +177,13 @@ impl LocalPage {
     /// authoritative (allocating it on first use).  Called before any
     /// partial-range attribution access.
     fn materialize_attr(&mut self) {
-        let words = self.data.len() / WORD_SIZE;
-        let attribution = self
-            .attribution
-            .get_or_insert_with(|| vec![NO_EXCHANGE; words].into_boxed_slice());
-        if self.uniform != NO_EXCHANGE {
-            attribution.fill(self.uniform);
-            self.uniform = NO_EXCHANGE;
-            self.attr_dirty = false;
-        } else if self.attr_dirty {
-            attribution.fill(NO_EXCHANGE);
-            self.attr_dirty = false;
-        }
+        let words = self.words();
+        materialized_attr(
+            &mut self.attribution,
+            &mut self.uniform,
+            &mut self.attr_dirty,
+            words,
+        );
     }
 
     /// Current contents of the page.  Callers must not hold a deferred
@@ -442,12 +437,8 @@ impl LocalPage {
             } else {
                 self.materialize_attr();
                 let attribution = self.attribution.as_mut().expect("materialized");
-                for w in first..=last {
-                    if attribution[w] != NO_EXCHANGE {
-                        attribution[w] = NO_EXCHANGE;
-                        self.pending -= 1;
-                    }
-                }
+                let words = &mut attribution[first..=last];
+                attribute_words(words, &mut self.pending, false, NO_EXCHANGE);
             }
         }
     }
@@ -485,9 +476,7 @@ impl LocalPage {
                 } else {
                     self.materialize_attr();
                     let attribution = self.attribution.as_mut().expect("materialized");
-                    for w in first..=last {
-                        attribution[w] = NO_EXCHANGE;
-                    }
+                    attribution[first..=last].fill(NO_EXCHANGE);
                     self.pending -= count;
                 }
             } else {
@@ -583,14 +572,8 @@ impl LocalPage {
         let none_held = self.pending == 0;
         let attribution = self.attribution.as_mut().expect("materialized");
         for (lo, hi) in runs {
-            let slice = &mut attribution[lo as usize / WORD_SIZE..hi as usize / WORD_SIZE];
-            if !none_held {
-                self.pending -= slice.iter().filter(|&&a| a != NO_EXCHANGE).count() as u32;
-            }
-            if exchange != NO_EXCHANGE {
-                self.pending += slice.len() as u32;
-            }
-            slice.fill(exchange);
+            let words = &mut attribution[lo as usize / WORD_SIZE..hi as usize / WORD_SIZE];
+            attribute_words(words, &mut self.pending, none_held, exchange);
         }
     }
 
@@ -608,13 +591,12 @@ impl LocalPage {
     /// member, oldest first.  A lone diff onto a page with nothing parked
     /// just parks.
     ///
-    /// `cover` and `visible` are caller scratch (contents ignored and
-    /// clobbered), kept across rounds so that a delivery allocates nothing.
+    /// `cover` is caller scratch (contents ignored and clobbered), kept
+    /// across rounds so that a delivery allocates nothing.
     pub fn deliver<'a>(
         &mut self,
         newest_first: impl IntoIterator<Item = (&'a Arc<Diff>, u32)>,
         cover: &mut Vec<u64>,
-        visible: &mut Vec<(u32, u32)>,
     ) {
         debug_assert!(!self.twinned, "delivery onto a twinned page");
         let mut round = newest_first.into_iter();
@@ -635,35 +617,54 @@ impl LocalPage {
         let words = self.words();
         cover.clear();
         cover.resize(words.div_ceil(64), 0);
-        let mut covered = 0;
-        for (i, (diff, exchange)) in std::iter::once((&**newest, exchange))
-            .chain(older)
-            .enumerate()
-        {
-            visible.clear();
-            for span in diff.spans() {
-                covered += subtract_cover(span.offset, span.len as usize, cover, visible);
-            }
-            if i > 0 && !visible.is_empty() {
-                self.apply_diff_visible(diff, exchange, visible);
-            }
+        let mut covered = newest.for_each_uncovered(cover, &mut |_, _| {});
+        for (diff, exchange) in older {
             if covered == words {
                 break;
             }
+            covered += self.paint_uncovered(diff, exchange, cover);
         }
     }
 
-    /// Apply only the `visible` byte intervals of `diff`, content and
-    /// attribution.  `visible` must be sorted, non-overlapping,
-    /// word-aligned, and each interval inside one of the diff's runs.
-    fn apply_diff_visible(&mut self, diff: &Diff, exchange: u32, visible: &[(u32, u32)]) {
-        // Uniqueness of the image is established once for the whole diff,
-        // not once per visible interval.
-        let data = self.data_mut();
-        for_each_visible_run(diff, visible, |lo, bytes| {
-            copy_bytes(&mut data[lo..lo + bytes.len()], bytes)
-        });
-        self.attribute(exchange, visible.iter().copied());
+    /// Land the words of `diff` that `cover` lacks — content and
+    /// attribution, as [`apply_diff`](Self::apply_diff) would — adding them
+    /// to it, and return how many there were.  Each interval is painted as
+    /// the cover walk finds it.
+    fn paint_uncovered(&mut self, diff: &Diff, exchange: u32, cover: &mut [u64]) -> usize {
+        let words = self.words();
+        // As in `attribute`: nothing to clear and nothing to credit skips
+        // the attribution, and nothing held skips the per-word count.
+        let none_held = self.pending == 0;
+        let attributes = exchange != NO_EXCHANGE || !none_held;
+        let LocalPage {
+            data,
+            attribution,
+            pending,
+            uniform,
+            attr_dirty,
+            ..
+        } = self;
+        // Both are established at the first painted interval, so a diff
+        // that paints nothing detaches no image and materialises no
+        // attribution, and one that does checks uniqueness once.
+        let mut data = Some(data);
+        let mut image: Option<&mut [u8]> = None;
+        let mut attr_state = attributes.then_some((attribution, uniform, attr_dirty));
+        let mut attr: Option<&mut [u32]> = None;
+        diff.for_each_uncovered(cover, &mut |lo, bytes| {
+            let hi = lo + bytes.len();
+            let image = image.get_or_insert_with(|| {
+                Arc::make_mut(data.take().expect("the image is detached once"))
+            });
+            copy_bytes(&mut image[lo..hi], bytes);
+            if let Some((attribution, uniform, attr_dirty)) = attr_state.take() {
+                attr = Some(materialized_attr(attribution, uniform, attr_dirty, words));
+            }
+            if let Some(attr) = attr.as_deref_mut() {
+                let words = &mut attr[lo / WORD_SIZE..hi / WORD_SIZE];
+                attribute_words(words, pending, none_held, exchange);
+            }
+        })
     }
 
     /// Number of words currently carrying a delivery attribution (delivered
@@ -687,29 +688,38 @@ impl LocalPage {
     }
 }
 
-/// Call `f(page offset, bytes)` for each of `visible`'s byte intervals of
-/// `diff` (sorted, each inside one run — see `LocalPage::apply_diff_visible`)
-/// with the run bytes it selects.
-fn for_each_visible_run(diff: &Diff, visible: &[(u32, u32)], mut f: impl FnMut(usize, &[u8])) {
-    let mut runs = diff.runs();
-    let mut run = runs.next();
-    for &(lo32, hi32) in visible {
-        let (lo, hi) = (lo32 as usize, hi32 as usize);
-        while let Some((roff, rbytes)) = run {
-            let rlo = roff as usize;
-            let rhi = rlo + rbytes.len();
-            if rhi <= lo {
-                run = runs.next();
-                continue;
-            }
-            debug_assert!(
-                rlo <= lo && hi <= rhi,
-                "visible interval must sit inside one run"
-            );
-            f(lo, &rbytes[lo - rlo..hi - rlo]);
-            break;
-        }
+/// [`LocalPage::materialize_attr`] over the fields it touches, handing back
+/// the array, so that a delivery can hold it and the page image at once.
+fn materialized_attr<'a>(
+    attribution: &'a mut Option<Box<[u32]>>,
+    uniform: &mut u32,
+    attr_dirty: &mut bool,
+    words: usize,
+) -> &'a mut [u32] {
+    let attribution =
+        attribution.get_or_insert_with(|| vec![NO_EXCHANGE; words].into_boxed_slice());
+    if *uniform != NO_EXCHANGE {
+        attribution.fill(*uniform);
+        *uniform = NO_EXCHANGE;
+        *attr_dirty = false;
+    } else if *attr_dirty {
+        attribution.fill(NO_EXCHANGE);
+        *attr_dirty = false;
     }
+    attribution
+}
+
+/// Attribute `words` of the mixed-representation array to `exchange`, or
+/// clear them for [`NO_EXCHANGE`], keeping `pending` exact.  `none_held`
+/// says no word of them holds an attribution, which skips the count.
+fn attribute_words(words: &mut [u32], pending: &mut u32, none_held: bool, exchange: u32) {
+    if !none_held {
+        *pending -= words.iter().filter(|&&a| a != NO_EXCHANGE).count() as u32;
+    }
+    if exchange != NO_EXCHANGE {
+        *pending += words.len() as u32;
+    }
+    words.fill(exchange);
 }
 
 /// Recompute the changed-word bits of page words `[w0, w1)` by direct
@@ -813,16 +823,8 @@ impl PageStore {
     /// needed.  The caller (the DSM protocol layer) is responsible for having
     /// made every touched page writable first (twin creation, fault handling).
     pub fn write(&mut self, addr: GlobalAddr, src: &[u8]) {
-        let mut remaining = src;
-        let mut cursor = addr;
-        while !remaining.is_empty() {
-            let page = self.layout.page_of(cursor);
-            let off = self.layout.offset_in_page(cursor);
-            let avail = self.layout.page_size() - off;
-            let take = avail.min(remaining.len());
-            self.page_mut(page).write_bytes(off, &remaining[..take]);
-            remaining = &remaining[take..];
-            cursor = cursor.add(take as u64);
+        for (page, off, piece) in self.layout.segments(addr, src.len()) {
+            self.page_mut(page).write_bytes(off, &src[piece]);
         }
     }
 
@@ -830,19 +832,11 @@ impl PageStore {
     /// `on_useful(exchange, words)` is invoked for delivered words read for
     /// the first time, aggregated per page segment.
     pub fn read(&mut self, addr: GlobalAddr, dst: &mut [u8], mut on_useful: impl FnMut(u32, u64)) {
-        let mut filled = 0usize;
-        let mut cursor = addr;
-        while filled < dst.len() {
-            let page = self.layout.page_of(cursor);
-            let off = self.layout.offset_in_page(cursor);
-            let avail = self.layout.page_size() - off;
-            let take = avail.min(dst.len() - filled);
+        for (page, off, piece) in self.layout.segments(addr, dst.len()) {
             self.page_mut(page)
-                .read_bytes(off, &mut dst[filled..filled + take], |e, words| {
+                .read_bytes(off, &mut dst[piece], |e, words| {
                     on_useful(e, words as u64 * WORD_SIZE as u64)
                 });
-            filled += take;
-            cursor = cursor.add(take as u64);
         }
     }
 
@@ -1004,18 +998,17 @@ mod tests {
         (writer, published, image)
     }
 
-    /// A sparse diff touching every other word of a 256-byte page, and its
-    /// 32 one-word runs as a visible-interval list.
-    fn every_other_word() -> (Diff, Vec<(u32, u32)>) {
+    /// A sparse diff touching every other word of a 256-byte page: 32
+    /// one-word runs.
+    fn every_other_word() -> Diff {
         let twin = vec![0u8; 256];
         let mut cur = twin.clone();
         for w in (0..64).step_by(2) {
             cur[w * 4..w * 4 + 4].copy_from_slice(&[0xA0 | w as u8; 4]);
         }
         let diff = Diff::create(PageId(0), &twin, &cur);
-        let visible: Vec<(u32, u32)> = diff.spans().iter().map(|s| (s.offset, s.end())).collect();
-        assert!(visible.len() >= 16);
-        (diff, visible)
+        assert_eq!(diff.spans().len(), 32);
+        diff
     }
 
     #[test]
@@ -1040,8 +1033,8 @@ mod tests {
     #[test]
     fn visible_apply_detaches_a_shared_image_once_and_leaves_the_diff_alone() {
         let (mut page, published, image) = page_sharing_its_image_with_a_published_diff();
-        let (sparse, visible) = every_other_word();
-        page.apply_diff_visible(&sparse, 3, &visible);
+        let sparse = every_other_word();
+        assert_eq!(page.paint_uncovered(&sparse, 3, &mut [0; 1]), 32);
 
         // The published diff still holds the pre-apply image, byte for byte.
         assert_eq!(published.runs().next().unwrap(), (0, &image[..]));
@@ -1289,12 +1282,12 @@ mod tests {
                 let mut page = LocalPage::new_zeroed(1024);
                 page.apply_diff(&earlier.0, earlier.1);
                 // Dirty scratch: its contents must not matter.
-                let (mut cover, mut visible) = (vec![!0u64; 2], vec![(4u32, 8u32)]);
+                let mut cover = vec![!0u64; 2];
                 if let Some((d, e)) = &parked {
-                    page.deliver([(d, *e)], &mut cover, &mut visible);
+                    page.deliver([(d, *e)], &mut cover);
                     prop_assert!(page.deferred.is_some());
                 }
-                page.deliver(round.iter().rev().map(|(d, e)| (d, *e)), &mut cover, &mut visible);
+                page.deliver(round.iter().rev().map(|(d, e)| (d, *e)), &mut cover);
                 prop_assert!(Arc::ptr_eq(&page.deferred.as_ref().unwrap().0, &round.last().unwrap().0));
                 let (got, want) = (observe(&mut page, &all), observe(&mut reference, &all));
                 prop_assert!(got == want, "park {park}: {got:?} != {want:?}");
@@ -1329,11 +1322,11 @@ mod tests {
                 reference.apply_diff(&Diff::merge(PageId(0), &refs), exchange);
                 let mut page = LocalPage::new_zeroed(1024);
                 page.apply_diff(&earlier.0, earlier.1);
-                let (mut cover, mut visible) = (Vec::new(), Vec::new());
+                let mut cover = Vec::new();
                 if let Some((d, e)) = &parked {
-                    page.deliver([(d, *e)], &mut cover, &mut visible);
+                    page.deliver([(d, *e)], &mut cover);
                 }
-                page.deliver(chain.iter().rev().map(|d| (d, exchange)), &mut cover, &mut visible);
+                page.deliver(chain.iter().rev().map(|d| (d, exchange)), &mut cover);
                 // No image is offered for the adoption check: the packed
                 // merge adopts none.
                 let (got, want) = (observe(&mut page, &[]), observe(&mut reference, &[]));
