@@ -34,10 +34,7 @@ pub use emit::{parse_result, render, OutputFormat, RESULT_SCHEMA};
 pub use experiment::{Cell, Experiment};
 pub use runner::{run_cell, run_experiment, CellResult, ExperimentResult, RunnerOptions};
 
-use tdsm_core::{
-    AggregationPolicy, NetworkConfig, ProtocolMode, SchedConfig, SignatureHistogram, Topology,
-    MAX_PROCS,
-};
+use tdsm_core::{AggregationPolicy, NetworkConfig, ProtocolMode, SchedConfig, Topology, MAX_PROCS};
 use tm_apps::{AppId, Workload};
 use tm_sched::ScheduleMode;
 
@@ -79,96 +76,6 @@ impl std::str::FromStr for Scale {
             )),
         }
     }
-}
-
-fn norm(value: u64, baseline: u64) -> f64 {
-    if baseline == 0 {
-        if value == 0 {
-            1.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        value as f64 / baseline as f64
-    }
-}
-
-/// Render one workload's sweep the way the paper's Figures 1 and 2 present
-/// it: execution time, messages and data normalized to the 4 KB
-/// configuration, with the useful/useless/piggybacked breakdown.  Rows
-/// without a 4K cell (a parsed document may lack it) render as a note.
-pub fn figure_panel_string(rows: &[CellResult]) -> String {
-    use std::fmt::Write as _;
-    let Some(base_cell) = rows.iter().find(|r| r.cell.policy_label == "4K") else {
-        return format!(
-            "\n({} cells without a 4K baseline to normalize to)\n",
-            rows.len()
-        );
-    };
-    let base = &base_cell.breakdown;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "\n=== {} {} (normalized to 4K; absolute 4K: {:.1} ms, {} msgs, {} KB) ===",
-        base_cell.cell.app.name(),
-        base_cell.cell.size_label,
-        base_cell.exec_time_ns as f64 / 1e6,
-        base.total_messages(),
-        base.total_payload() / 1024
-    );
-    let _ = writeln!(
-        out,
-        "{:<6} {:>10} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
-        "unit", "time", "msgs", "useless-msg", "data", "useful", "piggyback", "useless"
-    );
-    for r in rows {
-        let b = &r.breakdown;
-        let _ = writeln!(
-            out,
-            "{:<6} {:>10.3} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>12.3}",
-            r.cell.policy_label,
-            norm(r.exec_time_ns, base_cell.exec_time_ns),
-            norm(b.total_messages(), base.total_messages()),
-            norm(b.useless_messages, base.total_messages()),
-            norm(b.total_payload(), base.total_payload()),
-            norm(b.useful_data, base.total_payload()),
-            norm(b.piggybacked_useless_data, base.total_payload()),
-            norm(b.useless_data_in_useless_msgs, base.total_payload()),
-        );
-    }
-    out
-}
-
-/// Render a signature histogram in the style of Figure 3: one line per
-/// concurrent-writer count with its frequency and useful/useless split.
-pub fn signature_string(app: &str, size: &str, policy: &str, sig: &SignatureHistogram) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "\n--- {app} {size} @ {policy} (mean writers {:.2}) ---",
-        sig.mean_writers()
-    );
-    let _ = writeln!(
-        out,
-        "{:>8} {:>10} {:>10} {:>10}",
-        "writers", "freq", "useful", "useless"
-    );
-    for k in 1..=sig.max_writers().max(1) {
-        let b = sig.bucket(k);
-        if b.faults == 0 {
-            continue;
-        }
-        let _ = writeln!(
-            out,
-            "{:>8} {:>10.3} {:>10} {:>10}",
-            k,
-            sig.frequency(k),
-            b.useful_exchanges,
-            b.useless_exchanges
-        );
-    }
-    out
 }
 
 /// Parse a `--seed` value: decimal, or hexadecimal with a `0x` prefix.
@@ -475,13 +382,6 @@ impl BenchArgs {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn normalisation_handles_zero_baselines() {
-        assert_eq!(norm(0, 0), 1.0);
-        assert_eq!(norm(5, 10), 0.5);
-        assert!(norm(5, 0).is_infinite());
-    }
 
     #[test]
     fn bench_args_parse_tiny_and_nprocs() {

@@ -1,7 +1,5 @@
 //! DSM configuration: cluster geometry and the consistency-unit policy.
 
-use serde::json::Value;
-use serde::{field_u32, FromJson, JsonSchemaError, ToJson};
 use tm_net::{AggregationPolicy, CostModel, Topology};
 use tm_page::{PageId, PageLayout};
 use tm_sched::SchedConfig;
@@ -90,41 +88,6 @@ impl UnitPolicy {
         }
         let first = page.0 / k * k;
         first..(first + k).min(layout.total_pages())
-    }
-}
-
-impl ToJson for UnitPolicy {
-    fn to_json(&self) -> Value {
-        match self {
-            UnitPolicy::Static { pages } => Value::obj(vec![
-                ("kind", Value::Str("static".into())),
-                ("pages", Value::Num(*pages as f64)),
-            ]),
-            UnitPolicy::Dynamic { max_group_pages } => Value::obj(vec![
-                ("kind", Value::Str("dynamic".into())),
-                ("max_group_pages", Value::Num(*max_group_pages as f64)),
-            ]),
-        }
-    }
-}
-
-impl FromJson for UnitPolicy {
-    fn from_json(v: &Value) -> Result<Self, JsonSchemaError> {
-        // The bounds `DsmConfig::validate` asserts, as a schema error: a
-        // document names a unit the simulator accepts, or does not parse.
-        let pages = |field: &str| match field_u32(v, field)? {
-            0 => Err(JsonSchemaError::new(field, "integer in 1..=4294967295")),
-            n => Ok(n),
-        };
-        match v.get("kind").and_then(|k| k.as_str()) {
-            Some("static") => Ok(UnitPolicy::Static {
-                pages: pages("pages")?,
-            }),
-            Some("dynamic") => Ok(UnitPolicy::Dynamic {
-                max_group_pages: pages("max_group_pages")?,
-            }),
-            _ => Err(JsonSchemaError::new("kind", "\"static\" or \"dynamic\"")),
-        }
     }
 }
 
@@ -354,36 +317,6 @@ mod tests {
             UnitPolicy::Dynamic { max_group_pages: 8 }.label(4096),
             "Dyn8"
         );
-    }
-
-    #[test]
-    fn unit_policy_json_rejects_what_validate_rejects() {
-        let parse = |text: &str| UnitPolicy::from_json(&serde::json::parse(text).unwrap());
-        for unit in [
-            UnitPolicy::Static { pages: 1 },
-            UnitPolicy::Static { pages: u32::MAX },
-            UnitPolicy::Dynamic {
-                max_group_pages: 16,
-            },
-        ] {
-            assert_eq!(parse(&unit.to_json().pretty()), Ok(unit));
-        }
-        // 2^32 + 1 used to be read as one page, and 0 to panic in `validate`.
-        for (text, field) in [
-            (r#"{"kind":"static","pages":4294967297}"#, "pages"),
-            (r#"{"kind":"static","pages":0}"#, "pages"),
-            (
-                r#"{"kind":"dynamic","max_group_pages":0}"#,
-                "max_group_pages",
-            ),
-            (
-                r#"{"kind":"dynamic","max_group_pages":4294967296}"#,
-                "max_group_pages",
-            ),
-            (r#"{"kind":"static"}"#, "pages"),
-        ] {
-            assert_eq!(parse(text).unwrap_err().path, field, "{text}");
-        }
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub use vc::{VcOrder, VectorClock};
 // public API, so applications only need one dependency.
 pub use tm_net::{
     AggregationPolicy, ClusterStats, CommBreakdown, CostModel, GcCounters, LinkStats,
-    NetworkConfig, NetworkState, ProcStats, SignatureHistogram, Topology,
+    NetworkConfig, NetworkState, ProcStats, SignatureBucket, SignatureHistogram, Topology,
 };
 pub use tm_page::{Align, Diff, GlobalAddr, HomeStore, PageId, PageLayout};
 pub use tm_race::{AccessKind, Observer, RaceDetector, RaceRecord, SyncEvent};

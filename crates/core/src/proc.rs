@@ -858,7 +858,6 @@ impl ProcCtx {
             // cells.
             for &(_, wire_bytes) in &flushes {
                 self.stats.record_control(MsgKind::HomeUpdate, wire_bytes);
-                self.stats.home_updates += 1;
             }
             let cost = self.cost.home_flush_cost_on(
                 &flushes,

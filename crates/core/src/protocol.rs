@@ -22,8 +22,6 @@
 //! invalidations, interval logs and their garbage collection are shared;
 //! only *what travels when a page must be made valid* differs.
 
-use serde::json::Value;
-use serde::{FromJson, JsonSchemaError, ToJson};
 use tm_page::PageId;
 
 /// The coherence write protocol a cluster runs under.
@@ -79,20 +77,6 @@ impl std::fmt::Display for ProtocolMode {
     }
 }
 
-impl ToJson for ProtocolMode {
-    fn to_json(&self) -> Value {
-        Value::Str(self.as_str().to_string())
-    }
-}
-
-impl FromJson for ProtocolMode {
-    fn from_json(v: &Value) -> Result<Self, JsonSchemaError> {
-        v.as_str()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| JsonSchemaError::new("protocol", "a known protocol name"))
-    }
-}
-
 /// The home of `page` in a cluster of `nprocs` processors under
 /// [`ProtocolMode::HomeBased`]: page `p` is homed at processor
 /// `p mod nprocs` — the static blockless interleaving most home-based
@@ -114,13 +98,10 @@ mod tests {
         for mode in [ProtocolMode::MultiWriter, ProtocolMode::HomeBased] {
             assert_eq!(mode.as_str().parse::<ProtocolMode>(), Ok(mode));
             assert_eq!(mode.to_string(), mode.as_str());
-            let json = mode.to_json();
-            assert_eq!(ProtocolMode::from_json(&json), Ok(mode));
         }
         assert_eq!("mw".parse(), Ok(ProtocolMode::MultiWriter));
         assert_eq!("home".parse(), Ok(ProtocolMode::home_based()));
         assert!("token-ring".parse::<ProtocolMode>().is_err());
-        assert!(ProtocolMode::from_json(&Value::Num(3.0)).is_err());
     }
 
     #[test]

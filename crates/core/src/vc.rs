@@ -71,12 +71,6 @@ impl VectorClock {
         self.entries[p] = v;
     }
 
-    /// True if this clock covers interval `seq` of processor `p`.
-    #[inline]
-    pub fn covers(&self, p: usize, seq: u32) -> bool {
-        self.entries[p] >= seq
-    }
-
     /// Overwrite this clock with `other`'s entries, reusing the existing
     /// allocation (a lock hand-off copies the release's clock into the lock
     /// table and the grant's clock out of it through this, so it allocates
@@ -154,12 +148,12 @@ mod tests {
 
     #[test]
     fn set_and_covers() {
+        // Entry `p` covers every interval of `p` up to and including it.
         let mut vc = VectorClock::zero(4);
-        assert!(!vc.covers(2, 1));
+        assert_eq!(vc.get(2), 0);
         vc.set(2, 1);
-        assert!(vc.covers(2, 1));
-        assert!(!vc.covers(2, 2));
         assert_eq!(vc.get(2), 1);
+        assert_eq!(vc.as_slice(), [0, 0, 1, 0]);
     }
 
     #[test]

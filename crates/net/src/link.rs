@@ -26,8 +26,6 @@
 //!   occupies both endpoint NICs for its serialization time.
 
 use crate::topology::Topology;
-use serde::json::Value;
-use serde::{field_u32, field_u64, FromJson, JsonSchemaError, ToJson};
 
 /// Accumulated counters of one link (the bus, or one processor's NIC).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -68,39 +66,6 @@ impl LinkStats {
         } else {
             self.busy_ns as f64 / window as f64
         }
-    }
-}
-
-impl ToJson for LinkStats {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("link", Value::Num(self.link as f64)),
-            ("messages", Value::Num(self.messages as f64)),
-            ("wire_bytes", Value::Num(self.wire_bytes as f64)),
-            ("busy_ns", Value::Num(self.busy_ns as f64)),
-            ("queue_ns", Value::Num(self.queue_ns as f64)),
-            ("window_ns", Value::Num(self.window_ns as f64)),
-        ])
-    }
-}
-
-impl FromJson for LinkStats {
-    fn from_json(v: &Value) -> Result<Self, JsonSchemaError> {
-        Ok(LinkStats {
-            link: field_u32(v, "link")?,
-            messages: field_u64(v, "messages")?,
-            wire_bytes: field_u64(v, "wire_bytes")?,
-            busy_ns: field_u64(v, "busy_ns")?,
-            queue_ns: field_u64(v, "queue_ns")?,
-            // Documents written before the window was recorded lack the
-            // field; an absent window degrades utilization to the caller's
-            // timed region, exactly the old behavior.  A window that is
-            // present must be well-formed like every other counter.
-            window_ns: match v.get("window_ns") {
-                None => 0,
-                Some(_) => field_u64(v, "window_ns")?,
-            },
-        })
     }
 }
 
@@ -327,91 +292,6 @@ mod tests {
         let mut sw = NetworkState::new(Topology::Switched, 2);
         assert_eq!(sw.transmit(0, 0, 1, u64::MAX, 2), u64::MAX);
         assert_eq!(sw.transmit(5, 1, 0, 1, 1), u64::MAX - 4);
-    }
-
-    #[test]
-    fn link_stats_json_round_trips() {
-        let s = LinkStats {
-            link: 3,
-            messages: 17,
-            wire_bytes: 12_345,
-            busy_ns: 987_654,
-            queue_ns: 42,
-            window_ns: 1_000_000,
-        };
-        let parsed = LinkStats::from_json(&s.to_json()).unwrap();
-        assert_eq!(parsed, s);
-        assert!((s.utilization(1_975_308) - 0.5).abs() < 1e-9);
-        assert_eq!(LinkStats::default().utilization(0), 0.0);
-        // A document written before the window existed parses with a zero
-        // window and keeps the legacy busy/total ratio.
-        let legacy = Value::obj(vec![
-            ("link", Value::Num(3.0)),
-            ("messages", Value::Num(17.0)),
-            ("wire_bytes", Value::Num(12_345.0)),
-            ("busy_ns", Value::Num(987_654.0)),
-            ("queue_ns", Value::Num(42.0)),
-        ]);
-        let parsed = LinkStats::from_json(&legacy).unwrap();
-        assert_eq!(parsed.window_ns, 0);
-        assert!((parsed.utilization(1_975_308) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn a_u32_field_above_u32_max_is_an_error_naming_it() {
-        // 2^32 + 1 used to be read as 1: another page, word, rank, interval
-        // or link than the document names.
-        use tm_race::{AccessKind, RaceRecord};
-        let race = RaceRecord {
-            page: u32::MAX,
-            word_lo: 2,
-            word_hi: 3,
-            first_rank: 0,
-            first_kind: AccessKind::Write,
-            first_interval: 4,
-            second_rank: 1,
-            second_kind: AccessKind::Read,
-            second_interval: 5,
-        };
-        assert_eq!(RaceRecord::from_json(&race.to_json()), Ok(race.clone()));
-        let too_big = |mut doc: Value, field: &str| {
-            let Value::Obj(fields) = &mut doc else {
-                panic!("records serialize as objects");
-            };
-            let (_, value) = fields.iter_mut().find(|(k, _)| k == field).unwrap();
-            *value = Value::Num(4_294_967_297.0);
-            doc
-        };
-        for field in [
-            "page",
-            "word_lo",
-            "word_hi",
-            "first_rank",
-            "first_interval",
-            "second_rank",
-            "second_interval",
-        ] {
-            let err = RaceRecord::from_json(&too_big(race.to_json(), field)).unwrap_err();
-            assert_eq!(err.path, field);
-        }
-        let err =
-            LinkStats::from_json(&too_big(LinkStats::default().to_json(), "link")).unwrap_err();
-        assert_eq!(err.path, "link");
-    }
-
-    #[test]
-    fn a_present_window_must_be_an_unsigned_integer() {
-        // Absent means 0 (above); present and malformed used to be read as
-        // 0 too, silently moving the utilization denominator.
-        for bad in [Value::Str("x".into()), Value::Num(-1.0), Value::Num(1.5)] {
-            let mut doc = LinkStats::default().to_json();
-            let Value::Obj(fields) = &mut doc else {
-                panic!("link stats serialize as an object");
-            };
-            fields.last_mut().expect("window_ns is the last field").1 = bad;
-            let err = LinkStats::from_json(&doc).unwrap_err();
-            assert_eq!(err.path, "window_ns");
-        }
     }
 
     #[test]

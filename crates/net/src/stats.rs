@@ -13,9 +13,6 @@
 //! [`ProcStats`] collects the raw records on each processor;
 //! [`ClusterStats::breakdown`] derives the figures.
 
-use serde::json::Value;
-use serde::{field_arr, field_u64, FromJson, JsonSchemaError, ToJson};
-
 use crate::msg::{ControlTally, DiffExchange, FaultRecord, MsgKind, ProcId, MSG_HEADER_BYTES};
 
 /// Statistics gathered by one processor during a run.
@@ -42,10 +39,6 @@ pub struct ProcStats {
     pub diffs_created: u64,
     /// Total payload bytes of the diffs created.
     pub diff_bytes_created: u64,
-    /// Home-based protocol only: home-update messages this processor sent
-    /// (one per home contacted per interval close; always 0 under the
-    /// multi-writer protocol).
-    pub home_updates: u64,
     /// Home-based protocol only: whole pages this processor fetched from a
     /// *remote* home while servicing faults (self-homed refreshes are local
     /// and not counted; always 0 under the multi-writer protocol).
@@ -131,6 +124,17 @@ impl SignatureHistogram {
         }
     }
 
+    /// The histogram whose bucket `k` is `buckets[k]`.
+    pub fn from_buckets(buckets: Vec<SignatureBucket>) -> Self {
+        SignatureHistogram { buckets }
+    }
+
+    /// Every bucket, indexed by the number of concurrent writers (index 0
+    /// holds the faults that needed no exchange).
+    pub fn buckets(&self) -> &[SignatureBucket] {
+        &self.buckets
+    }
+
     /// Record one fault that contacted `writers` concurrent writers, of which
     /// `useful` exchanges were useful and `useless` were useless.
     pub fn record(&mut self, writers: u32, useful: u64, useless: u64) {
@@ -203,8 +207,8 @@ pub struct CommBreakdown {
     pub piggybacked_useless_data: u64,
     /// Total wire bytes (payload + headers + control traffic).
     pub total_wire_bytes: u64,
-    /// Home-update messages sent (home-based protocol only; 0 under the
-    /// multi-writer protocol).
+    /// Home-update messages sent, the [`MsgKind::HomeUpdate`] control tally
+    /// (home-based protocol only; 0 under the multi-writer protocol).
     pub home_updates: u64,
     /// Whole pages fetched from remote homes (home-based protocol only; 0
     /// under the multi-writer protocol).
@@ -340,7 +344,7 @@ impl ClusterStats {
         b.signature = SignatureHistogram::new(nprocs.saturating_sub(1));
         for p in &self.per_proc {
             b.faults += p.faults.len() as u64;
-            b.home_updates += p.home_updates;
+            b.home_updates += p.control[MsgKind::HomeUpdate as usize].messages;
             b.page_fetches += p.page_fetches;
             // Control messages are always necessary -> useful.  Home updates
             // are recorded as control messages: every flush is mandatory in
@@ -376,134 +380,6 @@ impl ClusterStats {
             }
         }
         b
-    }
-}
-
-impl ToJson for GcCounters {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("intervals_closed", Value::Num(self.intervals_closed as f64)),
-            (
-                "intervals_retired",
-                Value::Num(self.intervals_retired as f64),
-            ),
-            ("diffs_retired", Value::Num(self.diffs_retired as f64)),
-            ("pending_flushes", Value::Num(self.pending_flushes as f64)),
-        ])
-    }
-}
-
-impl FromJson for GcCounters {
-    fn from_json(v: &Value) -> Result<Self, JsonSchemaError> {
-        Ok(GcCounters {
-            intervals_closed: field_u64(v, "intervals_closed")?,
-            intervals_retired: field_u64(v, "intervals_retired")?,
-            diffs_retired: field_u64(v, "diffs_retired")?,
-            pending_flushes: field_u64(v, "pending_flushes")?,
-        })
-    }
-}
-
-impl ToJson for SignatureBucket {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("faults", Value::Num(self.faults as f64)),
-            ("useful_exchanges", Value::Num(self.useful_exchanges as f64)),
-            (
-                "useless_exchanges",
-                Value::Num(self.useless_exchanges as f64),
-            ),
-        ])
-    }
-}
-
-impl FromJson for SignatureBucket {
-    fn from_json(v: &Value) -> Result<Self, JsonSchemaError> {
-        Ok(SignatureBucket {
-            faults: field_u64(v, "faults")?,
-            useful_exchanges: field_u64(v, "useful_exchanges")?,
-            useless_exchanges: field_u64(v, "useless_exchanges")?,
-        })
-    }
-}
-
-impl ToJson for SignatureHistogram {
-    /// Bucket `k` of the emitted array is the bucket for `k` concurrent
-    /// writers (index 0 = faults that needed no exchange).
-    fn to_json(&self) -> Value {
-        Value::obj(vec![(
-            "buckets",
-            Value::Arr(self.buckets.iter().map(|b| b.to_json()).collect()),
-        )])
-    }
-}
-
-impl FromJson for SignatureHistogram {
-    fn from_json(v: &Value) -> Result<Self, JsonSchemaError> {
-        let mut buckets = Vec::new();
-        for (i, b) in field_arr(v, "buckets")?.iter().enumerate() {
-            buckets.push(
-                SignatureBucket::from_json(b)
-                    .map_err(|e| e.in_context(&format!("buckets[{i}]")))?,
-            );
-        }
-        Ok(SignatureHistogram { buckets })
-    }
-}
-
-impl ToJson for CommBreakdown {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("useful_messages", Value::Num(self.useful_messages as f64)),
-            ("useless_messages", Value::Num(self.useless_messages as f64)),
-            ("useful_data", Value::Num(self.useful_data as f64)),
-            (
-                "useless_data_in_useless_msgs",
-                Value::Num(self.useless_data_in_useless_msgs as f64),
-            ),
-            (
-                "piggybacked_useless_data",
-                Value::Num(self.piggybacked_useless_data as f64),
-            ),
-            ("total_wire_bytes", Value::Num(self.total_wire_bytes as f64)),
-            ("home_updates", Value::Num(self.home_updates as f64)),
-            ("page_fetches", Value::Num(self.page_fetches as f64)),
-            ("exec_time_ns", Value::Num(self.exec_time_ns as f64)),
-            ("faults", Value::Num(self.faults as f64)),
-            ("signature", self.signature.to_json()),
-        ])
-    }
-}
-
-impl FromJson for CommBreakdown {
-    fn from_json(v: &Value) -> Result<Self, JsonSchemaError> {
-        Ok(CommBreakdown {
-            useful_messages: field_u64(v, "useful_messages")?,
-            useless_messages: field_u64(v, "useless_messages")?,
-            useful_data: field_u64(v, "useful_data")?,
-            useless_data_in_useless_msgs: field_u64(v, "useless_data_in_useless_msgs")?,
-            piggybacked_useless_data: field_u64(v, "piggybacked_useless_data")?,
-            total_wire_bytes: field_u64(v, "total_wire_bytes")?,
-            // Additive v1 fields: documents emitted before the home-based
-            // protocol landed carry no per-protocol counters (their runs
-            // were all multi-writer, where both are 0 by definition).
-            home_updates: match v.get("home_updates") {
-                None => 0,
-                Some(_) => field_u64(v, "home_updates")?,
-            },
-            page_fetches: match v.get("page_fetches") {
-                None => 0,
-                Some(_) => field_u64(v, "page_fetches")?,
-            },
-            exec_time_ns: field_u64(v, "exec_time_ns")?,
-            faults: field_u64(v, "faults")?,
-            signature: {
-                let sig = v
-                    .get("signature")
-                    .ok_or_else(|| JsonSchemaError::new("signature", "object"))?;
-                SignatureHistogram::from_json(sig).map_err(|e| e.in_context("signature"))?
-            },
-        })
     }
 }
 
@@ -582,89 +458,6 @@ mod tests {
         h.record(9, 0, 9);
         assert_eq!(h.bucket(9).faults, 1);
         assert_eq!(h.max_writers(), 9);
-    }
-
-    #[test]
-    fn breakdown_json_roundtrip() {
-        let mut p = ProcStats::new(ProcId(0));
-        p.exchanges.push(exchange(100, 60));
-        p.exchanges.push(exchange(50, 0));
-        p.faults.push(FaultRecord { exchange_ids: 0..2 });
-        p.record_control(MsgKind::BarrierArrive, 8);
-        p.exec_time_ns = 1000;
-        let b = ClusterStats {
-            per_proc: vec![p],
-            ..Default::default()
-        }
-        .breakdown();
-
-        let text = b.to_json().pretty();
-        let parsed = CommBreakdown::from_json(&serde::json::parse(&text).unwrap()).unwrap();
-        assert_eq!(parsed, b);
-
-        // A missing field reports its path.
-        let err = CommBreakdown::from_json(&serde::json::parse("{}").unwrap()).unwrap_err();
-        assert_eq!(err.path, "useful_messages");
-    }
-
-    #[test]
-    fn gc_counters_aggregate_and_roundtrip() {
-        let mut a = ProcStats::new(ProcId(0));
-        a.intervals_closed = 10;
-        a.intervals_retired = 9;
-        a.diffs_retired = 20;
-        let mut b = ProcStats::new(ProcId(1));
-        b.intervals_closed = 4;
-        b.intervals_retired = 3;
-        b.diffs_retired = 5;
-        let gc = ClusterStats {
-            per_proc: vec![a, b],
-            ..Default::default()
-        }
-        .gc_counters();
-        assert_eq!(gc.intervals_closed, 14);
-        assert_eq!(gc.intervals_retired, 12);
-        assert_eq!(gc.diffs_retired, 25);
-        assert!((gc.retired_fraction() - 12.0 / 14.0).abs() < 1e-12);
-        assert_eq!(GcCounters::default().retired_fraction(), 0.0);
-
-        let parsed =
-            GcCounters::from_json(&serde::json::parse(&gc.to_json().pretty()).unwrap()).unwrap();
-        assert_eq!(parsed, gc);
-    }
-
-    #[test]
-    fn per_protocol_counters_aggregate_and_parse_additively() {
-        let mut a = ProcStats::new(ProcId(0));
-        a.home_updates = 3;
-        a.page_fetches = 7;
-        a.record_control(MsgKind::HomeUpdate, 128);
-        let mut b = ProcStats::new(ProcId(1));
-        b.home_updates = 1;
-        b.page_fetches = 2;
-        let stats = ClusterStats {
-            per_proc: vec![a, b],
-            ..Default::default()
-        };
-        let bd = stats.breakdown();
-        assert_eq!(bd.home_updates, 4);
-        assert_eq!(bd.page_fetches, 9);
-        // Home updates recorded as control traffic count as useful messages.
-        assert_eq!(bd.useful_messages, 1);
-
-        let text = bd.to_json().pretty();
-        let parsed = CommBreakdown::from_json(&serde::json::parse(&text).unwrap()).unwrap();
-        assert_eq!(parsed, bd);
-
-        // Pre-home-based documents carry neither field: both default to 0.
-        let legacy = text
-            .lines()
-            .filter(|l| !l.contains("home_updates") && !l.contains("page_fetches"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let parsed = CommBreakdown::from_json(&serde::json::parse(&legacy).unwrap()).unwrap();
-        assert_eq!(parsed.home_updates, 0);
-        assert_eq!(parsed.page_fetches, 0);
     }
 
     #[test]

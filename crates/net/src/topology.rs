@@ -35,9 +35,6 @@
 //! ([`CostModel::home_flush_cost_on`](crate::CostModel::home_flush_cost_on)
 //! is the one place that knows).
 
-use serde::json::Value;
-use serde::{FromJson, JsonSchemaError};
-
 /// The shape of the simulated interconnect (see the module docs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Topology {
@@ -94,14 +91,6 @@ impl std::fmt::Display for Topology {
     }
 }
 
-impl FromJson for Topology {
-    fn from_json(v: &Value) -> Result<Self, JsonSchemaError> {
-        v.as_str()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| JsonSchemaError::new("topology", "a known topology name"))
-    }
-}
-
 /// How write notices and diff flushes are packed onto the wire.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum AggregationPolicy {
@@ -149,14 +138,6 @@ impl std::fmt::Display for AggregationPolicy {
     }
 }
 
-impl FromJson for AggregationPolicy {
-    fn from_json(v: &Value) -> Result<Self, JsonSchemaError> {
-        v.as_str()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| JsonSchemaError::new("aggregation", "a known aggregation policy"))
-    }
-}
-
 /// A topology plus an aggregation policy — the network half of a run's
 /// configuration, grouped so sweeps can carry the pair as one axis value.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -192,54 +173,14 @@ impl NetworkConfig {
     }
 }
 
-impl FromJson for NetworkConfig {
-    fn from_json(v: &Value) -> Result<Self, JsonSchemaError> {
-        Ok(NetworkConfig {
-            // Both halves are additive: an absent field means the default,
-            // so pre-topology documents parse unchanged.
-            topology: match v.get("topology") {
-                None => Topology::default(),
-                Some(t) => Topology::from_json(t)?,
-            },
-            aggregation: match v.get("aggregation") {
-                None => AggregationPolicy::default(),
-                Some(a) => AggregationPolicy::from_json(a)?,
-            },
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A name as result documents write it.
-    fn name(s: &str) -> Value {
-        Value::Str(s.to_string())
-    }
-
-    #[test]
-    fn network_config_json_round_trips() {
-        for topology in [Topology::Ideal, Topology::SharedBus, Topology::Switched] {
-            for aggregation in [AggregationPolicy::PerMessage, AggregationPolicy::Batched] {
-                let doc = Value::obj(vec![
-                    ("topology", name(topology.as_str())),
-                    ("aggregation", name(aggregation.as_str())),
-                ]);
-                let n = NetworkConfig::new(topology, aggregation);
-                assert_eq!(NetworkConfig::from_json(&doc).unwrap(), n);
-            }
-        }
-        // An empty object parses to the compatibility default.
-        let empty = Value::obj(vec![]);
-        assert!(NetworkConfig::from_json(&empty).unwrap().is_default());
-    }
 
     #[test]
     fn topology_names_round_trip() {
         for t in [Topology::Ideal, Topology::SharedBus, Topology::Switched] {
             assert_eq!(t.as_str().parse::<Topology>().unwrap(), t);
-            assert_eq!(Topology::from_json(&name(t.as_str())).unwrap(), t);
             assert_eq!(t.to_string(), t.as_str());
         }
         assert_eq!(
@@ -254,7 +195,6 @@ mod tests {
     fn aggregation_names_round_trip() {
         for a in [AggregationPolicy::PerMessage, AggregationPolicy::Batched] {
             assert_eq!(a.as_str().parse::<AggregationPolicy>().unwrap(), a);
-            assert_eq!(AggregationPolicy::from_json(&name(a.as_str())).unwrap(), a);
         }
         assert_eq!(
             "batch".parse::<AggregationPolicy>().unwrap(),

@@ -181,17 +181,6 @@ impl PageLayout {
         ))
     }
 
-    /// Range of word indices within a page covered by the byte range
-    /// `[offset, offset + len)` of that page (any byte of a word counts).
-    #[inline]
-    pub fn words_covering(&self, offset: usize, len: usize) -> std::ops::Range<usize> {
-        if len == 0 {
-            return 0..0;
-        }
-        debug_assert!(offset + len <= self.page_size);
-        (offset / WORD_SIZE)..((offset + len - 1) / WORD_SIZE + 1)
-    }
-
     /// Split an access of `len` bytes at `addr` at the page boundaries: one
     /// `(page, offset in page, range of the source)` per page it touches, in
     /// address order.  An empty access yields nothing.
@@ -316,16 +305,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn words_covering_ranges() {
-        let l = PageLayout::new(4096, 1);
-        assert_eq!(l.words_covering(0, 4), 0..1);
-        assert_eq!(l.words_covering(0, 5), 0..2);
-        assert_eq!(l.words_covering(2, 4), 0..2);
-        assert_eq!(l.words_covering(8, 8), 2..4);
-        assert_eq!(l.words_covering(10, 0), 0..0);
     }
 
     #[test]

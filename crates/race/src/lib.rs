@@ -31,9 +31,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::json::Value;
-use serde::{field_str, field_u32, FromJson, JsonSchemaError, ToJson};
-
 mod oracle;
 pub use oracle::{FlatOracle, Mismatch};
 
@@ -216,45 +213,6 @@ impl std::fmt::Display for RaceRecord {
             self.second_rank,
             self.second_interval,
         )
-    }
-}
-
-impl ToJson for RaceRecord {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("page", Value::Num(self.page as f64)),
-            ("word_lo", Value::Num(self.word_lo as f64)),
-            ("word_hi", Value::Num(self.word_hi as f64)),
-            ("first_rank", Value::Num(self.first_rank as f64)),
-            ("first_kind", Value::Str(self.first_kind.name().to_string())),
-            ("first_interval", Value::Num(self.first_interval as f64)),
-            ("second_rank", Value::Num(self.second_rank as f64)),
-            (
-                "second_kind",
-                Value::Str(self.second_kind.name().to_string()),
-            ),
-            ("second_interval", Value::Num(self.second_interval as f64)),
-        ])
-    }
-}
-
-impl FromJson for RaceRecord {
-    fn from_json(v: &Value) -> Result<Self, JsonSchemaError> {
-        let kind = |field: &'static str| -> Result<AccessKind, JsonSchemaError> {
-            let s = field_str(v, field)?;
-            AccessKind::from_name(s).ok_or_else(|| JsonSchemaError::new(field, "read|write"))
-        };
-        Ok(RaceRecord {
-            page: field_u32(v, "page")?,
-            word_lo: field_u32(v, "word_lo")?,
-            word_hi: field_u32(v, "word_hi")?,
-            first_rank: field_u32(v, "first_rank")?,
-            first_kind: kind("first_kind")?,
-            first_interval: field_u32(v, "first_interval")?,
-            second_rank: field_u32(v, "second_rank")?,
-            second_kind: kind("second_kind")?,
-            second_interval: field_u32(v, "second_interval")?,
-        })
     }
 }
 
@@ -760,30 +718,5 @@ mod tests {
         assert_eq!(a, sorted);
         assert_eq!(a[0].page, 1);
         assert_eq!(a[1].page, 3);
-    }
-
-    #[test]
-    fn record_json_roundtrip_and_display() {
-        let r = RaceRecord {
-            page: 7,
-            word_lo: 3,
-            word_hi: 5,
-            first_rank: 0,
-            first_kind: AccessKind::Write,
-            first_interval: 2,
-            second_rank: 4,
-            second_kind: AccessKind::Read,
-            second_interval: 9,
-        };
-        let parsed =
-            RaceRecord::from_json(&serde::json::parse(&r.to_json().pretty()).unwrap()).unwrap();
-        assert_eq!(parsed, r);
-        assert!(r.to_string().contains("page#7"));
-        assert!(r.to_string().contains("words 3..=5"));
-
-        // A bad kind string names its field.
-        let bad = r.to_json().pretty().replace("\"write\"", "\"wrote\"");
-        let err = RaceRecord::from_json(&serde::json::parse(&bad).unwrap()).unwrap_err();
-        assert_eq!(err.path, "first_kind");
     }
 }
