@@ -515,6 +515,18 @@ fn render_csv(result: &ExperimentResult) -> String {
     out.push('\n');
     for r in &result.cells {
         let b = &r.breakdown;
+        // A parsed document may hold thousands of links: their sums
+        // saturate rather than overflow.
+        let busy = r
+            .links
+            .iter()
+            .map(|l| l.busy_ns)
+            .fold(0, u64::saturating_add);
+        let queued = r
+            .links
+            .iter()
+            .map(|l| l.queue_ns)
+            .fold(0, u64::saturating_add);
         let _ = write!(
             out,
             // Seeds are hex here as in JSON, so rows join across formats.
@@ -545,8 +557,8 @@ fn render_csv(result: &ExperimentResult) -> String {
             b.signature.mean_writers(),
             r.gc.intervals_closed,
             r.gc.intervals_retired,
-            r.links.iter().map(|l| l.busy_ns).sum::<u64>(),
-            r.links.iter().map(|l| l.queue_ns).sum::<u64>(),
+            busy,
+            queued,
             r.links
                 .iter()
                 .map(|l| l.utilization(r.exec_time_ns))
@@ -582,11 +594,12 @@ fn render_human(result: &ExperimentResult) -> String {
         // fig1, fig2 and any future policy sweep: per-workload panels.
         _ => render_panels(&mut out, result),
     }
+    // Saturating, like every sum over a parsed document's counters.
     let mut gc = GcCounters::default();
     for r in &result.cells {
-        gc.intervals_closed += r.gc.intervals_closed;
-        gc.intervals_retired += r.gc.intervals_retired;
-        gc.diffs_retired += r.gc.diffs_retired;
+        gc.intervals_closed = gc.intervals_closed.saturating_add(r.gc.intervals_closed);
+        gc.intervals_retired = gc.intervals_retired.saturating_add(r.gc.intervals_retired);
+        gc.diffs_retired = gc.diffs_retired.saturating_add(r.gc.diffs_retired);
     }
     let _ = writeln!(
         out,
@@ -1533,5 +1546,29 @@ mod tests {
         let nested = doc.replacen(&format!("\"{}\"", result.title), &deep, 1);
         assert_ne!(nested, doc);
         assert!(check(&nested).unwrap_err().contains("nested too deeply"));
+
+        // Counters each in range whose sums are not: 2 049 links, signature
+        // buckets and cells at 2^53, the largest count a document carries,
+        // add up past `u64::MAX` in every sum a renderer takes.
+        let (huge, many) = (1u64 << 53, 2049);
+        let mut wide = result.clone();
+        let mut cell = wide.cells.pop().unwrap();
+        cell.gc.intervals_closed = huge;
+        cell.gc.intervals_retired = huge;
+        cell.gc.diffs_retired = huge;
+        let link = LinkStats {
+            busy_ns: huge,
+            queue_ns: huge,
+            ..cell.links[0]
+        };
+        let bucket = SignatureBucket {
+            faults: huge,
+            ..SignatureBucket::default()
+        };
+        wide.cells = vec![cell.clone(); many];
+        cell.links = vec![link; many];
+        cell.breakdown.signature = SignatureHistogram::from_buckets(vec![bucket; many]);
+        wide.cells.push(cell);
+        assert!(check(&render(&wide, OutputFormat::Json)).is_ok());
     }
 }

@@ -14,7 +14,7 @@
 use crate::fasthash::FastHashMap;
 use std::sync::Arc;
 
-use tm_page::{Diff, PageId, RunSpan};
+use tm_page::{Diff, PageId};
 
 use crate::config::DiffTiming;
 use crate::vc::VectorClock;
@@ -112,17 +112,25 @@ pub struct IntervalLog {
     records: Vec<IntervalRecord>,
     diffs: FastHashMap<(PageId, u32), StoredDiff>,
     counters: LogCounters,
-    /// Span/payload buffers salvaged from retired diffs (the ones nobody
-    /// else still holds), fed back into diff encoding through
-    /// [`take_buffer_pool`](Self::take_buffer_pool).
-    buffer_pool: Vec<(Vec<RunSpan>, Vec<u8>)>,
+    /// Retired diffs nothing else held, emptied by [`recycle`], for the
+    /// owner's next interval closes to rebuild in place (see
+    /// [`take_diff_pool`](Self::take_diff_pool)).  Unbounded on purpose: a
+    /// close allocates a diff only when the pool is empty, and publishes it
+    /// here or hands it straight back, so pool plus live diffs never exceed
+    /// the log's own peak of live diffs, plus the one a close holds in hand.
+    diff_pool: Vec<Arc<Diff>>,
 }
 
-/// Bound on the recycled buffer pool: enough to cover the steady state of a
-/// barrier episode (each episode's publishes reuse the previous episode's
-/// retirements) without letting a one-off burst pin its high-water mark
-/// forever.
-const BUFFER_POOL_CAP: usize = 512;
+/// Put `diff` into `pool` emptied, if nothing else holds it (a diff still
+/// parked on a requester's page dies with its last holder instead).  The
+/// emptied diff keeps its buffers but drops any shared page image, so the
+/// pool never pins a page.
+pub(crate) fn recycle(pool: &mut Vec<Arc<Diff>>, mut diff: Arc<Diff>) {
+    if let Some(unshared) = Arc::get_mut(&mut diff) {
+        unshared.clear();
+        pool.push(diff);
+    }
+}
 
 impl IntervalLog {
     /// Create an empty log.
@@ -150,25 +158,18 @@ impl IntervalLog {
         self.counters
     }
 
-    /// Steal the whole recycled span/payload buffer pool (one lock instead
-    /// of one per dirty page): the owner pops pairs off it while encoding
-    /// an interval's diffs and hands the leftovers back through
-    /// [`restore_buffer_pool`](Self::restore_buffer_pool).
-    pub fn take_buffer_pool(&mut self) -> Vec<(Vec<RunSpan>, Vec<u8>)> {
-        std::mem::take(&mut self.buffer_pool)
+    /// Take the whole pool of emptied retired diffs (one borrow instead of
+    /// one per dirty page): the owner rebuilds an interval's diffs inside
+    /// them and hands the pool back through
+    /// [`restore_diff_pool`](Self::restore_diff_pool).
+    pub fn take_diff_pool(&mut self) -> Vec<Arc<Diff>> {
+        std::mem::take(&mut self.diff_pool)
     }
 
-    /// Return the unused remainder of a stolen buffer pool.  Pairs past the
-    /// pool cap (or arriving after retirements refilled the pool) are
-    /// dropped.
-    pub fn restore_buffer_pool(&mut self, pool: Vec<(Vec<RunSpan>, Vec<u8>)>) {
-        if self.buffer_pool.is_empty() {
-            self.buffer_pool = pool;
-            self.buffer_pool.truncate(BUFFER_POOL_CAP);
-        } else {
-            let room = BUFFER_POOL_CAP.saturating_sub(self.buffer_pool.len());
-            self.buffer_pool.extend(pool.into_iter().take(room));
-        }
+    /// Return a taken pool, together with anything retired meanwhile.
+    pub fn restore_diff_pool(&mut self, mut pool: Vec<Arc<Diff>>) {
+        pool.append(&mut self.diff_pool);
+        self.diff_pool = pool;
     }
 
     /// Publish a closed interval together with the diffs of the pages it
@@ -273,15 +274,7 @@ impl IntervalLog {
             for &page in &record.pages {
                 if let Some(stored) = self.diffs.remove(&(page, record.id.seq)) {
                     self.counters.diffs_retired += 1;
-                    // Salvage the retired diff's heap buffers for the next
-                    // publishes — best-effort: a diff still parked on a
-                    // requester's page is just dropped (its buffers die
-                    // with the last clone).
-                    if self.buffer_pool.len() < BUFFER_POOL_CAP {
-                        if let Ok(diff) = Arc::try_unwrap(stored.diff) {
-                            self.buffer_pool.push(diff.into_buffers());
-                        }
-                    }
+                    recycle(&mut self.diff_pool, stored.diff);
                 }
             }
             self.retired = record.id.seq;
@@ -401,6 +394,73 @@ mod tests {
         assert_eq!(log.retire_up_to(100), 3);
         assert!(log.is_empty());
         assert_eq!(log.stored_diffs(), 0);
+    }
+
+    /// Publish interval `seq` of `pages` dense one-word diffs of `image` the
+    /// way `close_interval` builds them: each rebuilt inside a pooled diff,
+    /// allocated only when the pool is empty.
+    fn publish_from_pool(log: &mut IntervalLog, image: &Arc<[u8]>, seq: u32, pages: u32) {
+        let mut pool = log.take_diff_pool();
+        let mut diffs = Vec::new();
+        for p in 0..pages {
+            let mut diff = pool
+                .pop()
+                .unwrap_or_else(|| Arc::new(Diff::empty(PageId(p))));
+            Arc::get_mut(&mut diff)
+                .unwrap()
+                .rebuild_from_changed(PageId(p), image, &[1]);
+            diffs.push((PageId(p), diff));
+        }
+        log.restore_diff_pool(pool);
+        let pages: Vec<u32> = (0..pages).collect();
+        log.publish_drain(record(0, seq, 1, &pages), &mut diffs);
+    }
+
+    #[test]
+    fn retirement_pools_every_unshared_diff_emptied_but_not_a_parked_one() {
+        let image: Arc<[u8]> = vec![1u8; 8].into();
+        let mut log = IntervalLog::new();
+        for seq in 1..=4 {
+            publish_from_pool(&mut log, &image, seq, 3);
+        }
+        // A delivery still parked on a requester's page holds one diff.
+        let parked = log.fetch_diff(PageId(1), 2).unwrap().diff;
+        // One burst retires four closes' worth of diffs.
+        assert_eq!(log.retire_up_to(4), 4);
+        assert_eq!(log.diff_pool.len(), 11, "every unshared diff is pooled");
+        assert!(log
+            .diff_pool
+            .iter()
+            .all(|d| d.is_empty() && !Arc::ptr_eq(d, &parked)));
+        assert_eq!(Arc::strong_count(&parked), 1, "the parked diff is not");
+        assert_eq!(
+            Arc::strong_count(&image),
+            2,
+            "only the parked diff still holds the page image"
+        );
+        // The next close rebuilds inside the pool.
+        publish_from_pool(&mut log, &image, 5, 3);
+        assert_eq!(log.diff_pool.len(), 8);
+    }
+
+    #[test]
+    fn pool_plus_live_diffs_never_exceed_the_peak_live_count() {
+        let image: Arc<[u8]> = vec![1u8; 8].into();
+        let mut log = IntervalLog::new();
+        let (mut peak, mut state) = (0, 7u64);
+        for seq in 1..=200 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            publish_from_pool(&mut log, &image, seq, (state >> 40) as u32 % 8);
+            peak = peak.max(log.stored_diffs());
+            if (state >> 20) % 4 == 0 {
+                log.retire_up_to(seq.saturating_sub((state >> 50) as u32 % 3));
+            }
+            let held = log.diff_pool.len() + log.stored_diffs();
+            assert!(held <= peak, "close {seq}: {held} diffs held, peak {peak}");
+        }
+        assert!(peak > 8, "retirement lags publication: {peak}");
     }
 
     #[test]

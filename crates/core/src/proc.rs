@@ -31,7 +31,7 @@ use tm_race::{AccessKind, SyncEvent};
 use crate::aggregation::DynamicAggregator;
 use crate::cluster::RunState;
 use crate::config::{DsmConfig, UnitPolicy};
-use crate::interval::{IntervalId, IntervalRecord, NOTICE_WIRE_BYTES};
+use crate::interval::{recycle, IntervalId, IntervalRecord, NOTICE_WIRE_BYTES};
 use crate::protocol::{round_robin_home, ProtocolMode};
 use crate::vc::VectorClock;
 
@@ -683,7 +683,7 @@ impl ProcCtx {
             );
         }
         // Let go of the fetched diffs now, not at the next fault: a diff the
-        // scratch still held could not be salvaged when its interval retires.
+        // scratch still held could not be pooled when its interval retires.
         xs.to_apply.clear();
         self.exchange = xs;
 
@@ -790,11 +790,11 @@ impl ProcCtx {
             return;
         }
         let page_size = self.layout.page_size() as u64;
-        // Recycle the span/payload buffers of the diffs this processor's
-        // own log retired in the previous episode, or flushed before.
+        // Rebuild inside the diffs this processor's own log retired, or
+        // that an earlier close flushed or found empty.
         let mut pool = self.shared.logs[self.rank.index()]
             .borrow_mut()
-            .take_buffer_pool();
+            .take_diff_pool();
         let mut pages = Vec::new();
         let mut diffs = std::mem::take(&mut self.diff_scratch);
         let mut flushes = std::mem::take(&mut self.flush_scratch);
@@ -812,11 +812,13 @@ impl ProcCtx {
                 pages.push(page);
                 continue;
             }
-            let (spans, packed) = pool.pop().unwrap_or_default();
+            let mut diff = pool.pop().unwrap_or_else(|| Arc::new(Diff::empty(page)));
             let lp = self.store.page_mut(page);
-            let diff = lp
-                .make_diff_in(page, spans, packed)
-                .expect("dirty page must have a twin at interval close");
+            let unshared = Arc::get_mut(&mut diff).expect("a pooled diff is held by its pool only");
+            assert!(
+                lp.make_diff_into(page, unshared),
+                "dirty page must have a twin at interval close"
+            );
             lp.drop_twin();
             if home.is_some() {
                 // Flushed at close, so nothing is left to create lazily.
@@ -824,13 +826,13 @@ impl ProcCtx {
             }
             if diff.is_empty() {
                 // The page was written with values identical to the twin's;
-                // nothing to propagate (the buffers go straight back).
-                pool.push(diff.into_buffers());
+                // nothing to propagate (the diff goes straight back).
+                pool.push(diff);
                 continue;
             }
             pages.push(page);
             match home {
-                None => diffs.push((page, Arc::new(diff))),
+                None => diffs.push((page, diff)),
                 Some(home) => {
                     self.stats.diffs_created += 1;
                     self.stats.diff_bytes_created += diff.payload_bytes();
@@ -840,7 +842,7 @@ impl ProcCtx {
                         Err(i) => flushes.insert(i, (home, bytes)),
                     }
                     self.shared.home().borrow_mut().apply_diff(&diff);
-                    pool.push(diff.into_buffers());
+                    recycle(&mut pool, diff);
                 }
             }
         }
@@ -848,7 +850,7 @@ impl ProcCtx {
         self.dirty_pages = dirty;
         self.shared.logs[self.rank.index()]
             .borrow_mut()
-            .restore_buffer_pool(pool);
+            .restore_diff_pool(pool);
 
         if !flushes.is_empty() {
             // One update message per home contacted, carrying that home's

@@ -158,9 +158,13 @@ impl SignatureHistogram {
         self.buckets.iter().rposition(|b| b.faults > 0).unwrap_or(0)
     }
 
-    /// Total number of faults recorded.
+    /// Total number of faults recorded (saturating: a parsed histogram may
+    /// hold any number of buckets).
     pub fn total_faults(&self) -> u64 {
-        self.buckets.iter().map(|b| b.faults).sum()
+        self.buckets
+            .iter()
+            .map(|b| b.faults)
+            .fold(0, u64::saturating_add)
     }
 
     /// Fraction of faults in bucket `writers` (0.0 when empty).
@@ -184,8 +188,8 @@ impl SignatureHistogram {
             .buckets
             .iter()
             .enumerate()
-            .map(|(k, b)| k as u64 * b.faults)
-            .sum();
+            .map(|(k, b)| (k as u64).saturating_mul(b.faults))
+            .fold(0, u64::saturating_add);
         weighted as f64 / total as f64
     }
 }

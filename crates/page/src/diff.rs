@@ -64,7 +64,7 @@ enum Payload {
     Packed(Vec<u8>),
     /// Borrowed from a shared snapshot of the whole page image; runs are
     /// sliced out of it at their page offsets.  Taken by
-    /// [`Diff::from_changed_shared_in`] for dense diffs, where sharing the
+    /// [`Diff::rebuild_from_changed`] for dense diffs, where sharing the
     /// 4 KB image beats copying most of it into a packed buffer.
     Page(Arc<[u8]>),
 }
@@ -94,7 +94,7 @@ impl Diff {
     ///
     /// This is the twin-compare *reference*: a plain word-by-word scan that
     /// the tests hold the simulator's constructor,
-    /// [`from_changed_shared_in`](Self::from_changed_shared_in), against.  No
+    /// [`rebuild_from_changed`](Self::rebuild_from_changed), against.  No
     /// run builds its diffs this way.
     ///
     /// # Panics
@@ -104,11 +104,7 @@ impl Diff {
         assert_eq!(twin.len(), current.len(), "twin/current size mismatch");
         assert_eq!(twin.len() % WORD_SIZE, 0, "page size must be word aligned");
         let words = twin.len() / WORD_SIZE;
-        let mut diff = Diff {
-            page,
-            spans: Vec::new(),
-            payload: Payload::Packed(Vec::new()),
-        };
+        let mut diff = Diff::empty(page);
         let mut w = 0;
         while w < words {
             let lo = w * WORD_SIZE;
@@ -133,70 +129,59 @@ impl Diff {
         diff
     }
 
-    /// Build a diff from an **exact** changed-word bitset (bit `w % 64` of
-    /// `changed[w / 64]` set ⇔ word `w` of `image` differs from its value
-    /// when the interval started) and an `Arc`-shared snapshot of the page
-    /// image.  No compare scan happens: runs are extracted straight from
-    /// the bits.  Dense diffs (payload at least half the page) borrow the
-    /// snapshot itself; sparse diffs copy their runs into one packed
-    /// buffer, so a few changed words never pin a whole page in memory.
-    /// With an exact bitset — as maintained by the write path's per-word
-    /// pre-image tracking — the encoded runs are bit-identical to
-    /// [`create`](Self::create) against the interval-start twin either way.
+    /// A diff of `page` recording no modifications, owning no buffer yet.
+    pub fn empty(page: PageId) -> Diff {
+        Diff {
+            page,
+            spans: Vec::new(),
+            payload: Payload::Packed(Vec::new()),
+        }
+    }
+
+    /// Rebuild this diff, in place, from an **exact** changed-word bitset
+    /// (bit `w % 64` of `changed[w / 64]` set ⇔ word `w` of `image` differs
+    /// from its value when the interval started) and an `Arc`-shared
+    /// snapshot of the page image.  No compare scan happens: runs are
+    /// extracted straight from the bits.  Dense diffs (payload at least
+    /// half the page) borrow the snapshot itself; sparse diffs copy their
+    /// runs into one packed buffer, so a few changed words never pin a
+    /// whole page in memory.  With an exact bitset — as maintained by the
+    /// write path's per-word pre-image tracking — the encoded runs are
+    /// bit-identical to [`create`](Self::create) against the interval-start
+    /// twin either way.
     ///
-    /// `spans` and `packed` are caller-recycled buffers (both logically
-    /// empty; any stale contents are cleared) that provide the capacity for
-    /// the span table and, if the diff packs, the payload.  Interval-log
-    /// pools feed retired diffs' buffers back through here, which removes
-    /// the two steady-state allocations of publishing a dirty page.
+    /// Whatever the diff held before is overwritten, but its span table
+    /// keeps its capacity, and so does a packed buffer the new runs pack
+    /// into: the interval close rebuilds retired diffs through here, so
+    /// publishing a dirty page allocates nothing in the steady state.
     ///
     /// # Panics
     /// Panics on an unaligned page size or a bitset shorter than the page's
     /// word count.
-    pub fn from_changed_shared_in(
-        page: PageId,
-        image: &Arc<[u8]>,
-        changed: &[u64],
-        mut spans: Vec<RunSpan>,
-        mut packed: Vec<u8>,
-    ) -> Diff {
+    pub fn rebuild_from_changed(&mut self, page: PageId, image: &Arc<[u8]>, changed: &[u64]) {
         assert_eq!(image.len() % WORD_SIZE, 0, "page size must be word aligned");
         let words = image.len() / WORD_SIZE;
         assert!(
             changed.len() * 64 >= words,
             "changed bitset shorter than page"
         );
-        spans_from_bits_into(changed, &mut spans);
-        let total: usize = spans.iter().map(|s| s.len as usize).sum();
-        let payload = if total * 2 >= image.len() && total > 0 {
-            Payload::Page(Arc::clone(image))
+        self.page = page;
+        spans_from_bits_into(changed, &mut self.spans);
+        let total: usize = self.spans.iter().map(|s| s.len as usize).sum();
+        if total * 2 >= image.len() && total > 0 {
+            self.payload = Payload::Page(Arc::clone(image));
         } else {
-            pack_payload_into(&spans, image, &mut packed);
-            Payload::Packed(packed)
-        };
-        Diff {
-            page,
-            spans,
-            payload,
+            pack_payload_into(&self.spans, image, packed(&mut self.payload));
         }
     }
 
-    /// Tear the diff into its reusable heap buffers — the span table and,
-    /// for owned payloads, the packed byte buffer — both cleared but with
-    /// their capacity intact, for pooling back into
-    /// [`from_changed_shared_in`](Self::from_changed_shared_in).  A shared
-    /// page-snapshot payload is simply dropped (releasing the snapshot) and
-    /// yields an empty byte buffer.
-    pub fn into_buffers(mut self) -> (Vec<RunSpan>, Vec<u8>) {
+    /// Empty the diff for reuse: no runs and no shared page image (a pooled
+    /// diff never pins a page), while the span table and packed buffer keep
+    /// their capacity for the next
+    /// [`rebuild_from_changed`](Self::rebuild_from_changed).
+    pub fn clear(&mut self) {
         self.spans.clear();
-        let packed = match self.payload {
-            Payload::Packed(mut v) => {
-                v.clear();
-                v
-            }
-            Payload::Page(_) => Vec::new(),
-        };
-        (self.spans, packed)
+        packed(&mut self.payload).clear();
     }
 
     /// The shared page snapshot, when this diff rewrites the *entire* page
@@ -347,14 +332,10 @@ impl Diff {
                 buf[lo..lo + bytes.len()].copy_from_slice(bytes)
             });
         }
-        let (mut spans, mut packed) = (Vec::new(), Vec::new());
-        spans_from_bits_into(&cover, &mut spans);
-        pack_payload_into(&spans, &buf, &mut packed);
-        Diff {
-            page,
-            spans,
-            payload: Payload::Packed(packed),
-        }
+        let mut merged = Diff::empty(page);
+        spans_from_bits_into(&cover, &mut merged.spans);
+        pack_payload_into(&merged.spans, &buf, packed(&mut merged.payload));
+        merged
     }
 }
 
@@ -448,15 +429,38 @@ fn for_each_bit_run(blocks: impl Iterator<Item = (usize, u64)>, mut f: impl FnMu
 }
 
 /// The maximal runs of set-bit words of `bits` as a span table, written
-/// into a recycled buffer (cleared first).
+/// into a recycled buffer (cleared first, then reserved to the run count in
+/// one step: a run starts at each set bit whose lower neighbour is clear).
 fn spans_from_bits_into(bits: &[u64], spans: &mut Vec<RunSpan>) {
     spans.clear();
+    let mut below = 0;
+    let runs: u32 = bits
+        .iter()
+        .map(|&m| {
+            let starts = m & !(m << 1 | below);
+            below = m >> 63;
+            starts.count_ones()
+        })
+        .sum();
+    spans.reserve(runs as usize);
     for_each_bit_run(bits.iter().copied().enumerate(), |offset, end| {
         spans.push(RunSpan {
             offset,
             len: end - offset,
         })
     });
+}
+
+/// The packed buffer of `payload`, replacing a shared page image (and
+/// releasing it) with an empty one.
+fn packed(payload: &mut Payload) -> &mut Vec<u8> {
+    if let Payload::Page(_) = payload {
+        *payload = Payload::Packed(Vec::new());
+    }
+    match payload {
+        Payload::Packed(bytes) => bytes,
+        Payload::Page(_) => unreachable!("replaced above"),
+    }
 }
 
 /// Copy the spans' bytes out of `source` (indexed by page offset) into one
@@ -581,7 +585,8 @@ mod tests {
             changed[w / 64] |= 1 << (w % 64);
         }
         let image: Arc<[u8]> = cur.as_slice().into();
-        let d = Diff::from_changed_shared_in(PageId(2), &image, &changed, Vec::new(), Vec::new());
+        let mut d = Diff::empty(PageId(0));
+        d.rebuild_from_changed(PageId(2), &image, &changed);
         assert_eq!(d, Diff::create(PageId(2), &twin, &cur));
     }
 
@@ -589,7 +594,7 @@ mod tests {
     #[should_panic(expected = "shorter than page")]
     fn short_dirty_bitset_panics() {
         let image: Arc<[u8]> = [0u8; 512].as_slice().into();
-        Diff::from_changed_shared_in(PageId(0), &image, &[0u64; 1], Vec::new(), Vec::new());
+        Diff::empty(PageId(0)).rebuild_from_changed(PageId(0), &image, &[0u64; 1]);
     }
 
     /// Words of the merge test page: four 64-word blocks, so runs straddle

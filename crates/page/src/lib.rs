@@ -204,7 +204,7 @@ mod proptests {
         /// borrow the page image) and once eagerly from a twin copy
         /// ([`Diff::create`]) — and both must encode the same runs, apply to
         /// the same bytes, and deliver identically through the whole-page
-        /// adoption, deferred-park and recycled-buffer paths.  Published
+        /// adoption, deferred-park and recycled-diff paths.  Published
         /// diffs are retired (dropped) pseudo-randomly between intervals so
         /// the owning page flips between shared and uniquely-owned images,
         /// exercising the detach ("copy" of copy-on-next-write) and the
@@ -240,7 +240,7 @@ mod proptests {
             // Simulated interval log: published diffs stay alive (pinning
             // the writer's image) until "GC" drops them below.
             let mut log: Vec<Arc<Diff>> = Vec::new();
-            let mut pool: Vec<(Vec<RunSpan>, Vec<u8>)> = Vec::new();
+            let mut pool: Vec<Arc<Diff>> = Vec::new();
             let mut scratch = vec![0u8; page_size];
             // Deliberately dirty delivery scratch: its contents must not matter.
             let mut cov = vec![!0u64; 3];
@@ -268,11 +268,13 @@ mod proptests {
                 let eager = Diff::create(PageId(0), &twin, writer.bytes());
                 if let Some(shared) = writer.make_diff(PageId(0)) {
                     prop_assert_eq!(&shared, &eager);
-                    // Recycled span/payload buffers change nothing.
-                    let (spans, packed) = pool.pop().unwrap_or_default();
-                    let recycled = writer.make_diff_in(PageId(0), spans, packed).unwrap();
-                    prop_assert_eq!(&recycled, &eager);
-                    pool.push(recycled.into_buffers());
+                    // Rebuilding a recycled diff in place changes nothing.
+                    let mut recycled = pool.pop().unwrap_or_else(|| Arc::new(Diff::empty(PageId(0))));
+                    let rebuilt = Arc::get_mut(&mut recycled).unwrap();
+                    prop_assert!(writer.make_diff_into(PageId(0), rebuilt));
+                    prop_assert_eq!(&*rebuilt, &eager);
+                    rebuilt.clear();
+                    pool.push(recycled);
 
                     // Delivery: alternate the eager and the parked
                     // (deferred) apply paths; both must land the receiver on
@@ -296,12 +298,13 @@ mod proptests {
                 writer.drop_twin();
 
                 // GC: retire a pseudo-random prefix of the published diffs,
-                // salvaging their buffers exactly as the interval log does.
+                // pooling the unshared ones emptied, as the interval log does.
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 let keep = (state % (log.len() as u64 + 1)) as usize;
-                for retired in log.drain(..log.len() - keep) {
-                    if let Ok(diff) = Arc::try_unwrap(retired) {
-                        pool.push(diff.into_buffers());
+                for mut retired in log.drain(..log.len() - keep) {
+                    if let Some(diff) = Arc::get_mut(&mut retired) {
+                        diff.clear();
+                        pool.push(retired);
                     }
                 }
             }

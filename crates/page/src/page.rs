@@ -7,7 +7,7 @@
 //! (useful data) or never read before being overwritten or the end of the run
 //! (useless data).
 
-use crate::diff::{Diff, RunSpan};
+use crate::diff::Diff;
 use crate::layout::{GlobalAddr, PageId, PageLayout, WORD_SIZE};
 use std::sync::Arc;
 
@@ -31,7 +31,7 @@ pub const NO_EXCHANGE: u32 = u32::MAX;
 ///
 /// The page image itself is `Arc`-shared so a dense diff published at
 /// interval close can borrow it outright (no payload copy; see
-/// [`Diff::from_changed_shared_in`]).  The image is copy-on-next-write: any
+/// [`Diff::rebuild_from_changed`]).  The image is copy-on-next-write: any
 /// later mutation detaches it first — except a *whole-page* store, which
 /// builds the new image straight from the source, and so never pays the
 /// detach copy.  While the image is still shared at `ensure_twin` time it
@@ -227,27 +227,24 @@ impl LocalPage {
     /// straight run extraction — no page scan — and a dense diff borrows
     /// the page image itself instead of packing a payload copy.
     pub fn make_diff(&self, page: PageId) -> Option<Diff> {
-        self.make_diff_in(page, Vec::new(), Vec::new())
+        let mut diff = Diff::empty(page);
+        self.make_diff_into(page, &mut diff).then_some(diff)
     }
 
-    /// [`make_diff`](Self::make_diff) with caller-recycled span/payload
-    /// buffers (see [`Diff::from_changed_shared_in`]); the interval close
-    /// path feeds retired diffs' buffers back through here.
-    pub fn make_diff_in(&self, page: PageId, spans: Vec<RunSpan>, packed: Vec<u8>) -> Option<Diff> {
+    /// [`make_diff`](Self::make_diff) rebuilt inside `diff`, whatever it
+    /// held, keeping its buffers (see [`Diff::rebuild_from_changed`]): the
+    /// interval close rebuilds retired diffs through here.  Returns `false`,
+    /// leaving `diff` alone, if the page has no twin.
+    pub fn make_diff_into(&self, page: PageId, diff: &mut Diff) -> bool {
         if !self.twinned {
-            return None;
+            return false;
         }
         debug_assert!(
             self.deferred.is_none(),
             "twinned page with deferred content"
         );
-        Some(Diff::from_changed_shared_in(
-            page,
-            &self.data,
-            &self.changed_words,
-            spans,
-            packed,
-        ))
+        diff.rebuild_from_changed(page, &self.data, &self.changed_words);
+        true
     }
 
     /// Retire the twin (the interval's modifications have been encoded; the
@@ -1075,7 +1072,21 @@ mod tests {
             }
         }
 
-        fn next(&mut self, (shape, (start, len), exchange, packed): Member) -> (Arc<Diff>, u32) {
+        fn next(&mut self, (shape, run, exchange, packed): Member) -> (Arc<Diff>, u32) {
+            let twin = self.write(shape, run);
+            let diff = if packed {
+                Diff::create(PageId(0), &twin, self.page.bytes())
+            } else {
+                self.page.make_diff(PageId(0)).unwrap()
+            };
+            self.page.drop_twin();
+            let exchange = if exchange == 0 { NO_EXCHANGE } else { exchange };
+            (Arc::new(diff), exchange)
+        }
+
+        /// Write the words of one interval of `shape` and return the
+        /// interval-start bytes, leaving the page twinned.
+        fn write(&mut self, shape: u8, (start, len): (usize, usize)) -> Vec<u8> {
             let run = |marks: &mut [bool; 256], lo: usize, n: usize, on: bool| {
                 marks[lo.min(256)..(lo + n).min(256)].fill(on)
             };
@@ -1104,14 +1115,7 @@ mod tests {
                 self.page.write_bytes(w * WORD_SIZE, &value.to_le_bytes());
                 self.written[w] = true;
             }
-            let diff = if packed {
-                Diff::create(PageId(0), &twin, self.page.bytes())
-            } else {
-                self.page.make_diff(PageId(0)).unwrap()
-            };
-            self.page.drop_twin();
-            let exchange = if exchange == 0 { NO_EXCHANGE } else { exchange };
-            (Arc::new(diff), exchange)
+            twin
         }
     }
 
@@ -1332,6 +1336,31 @@ mod tests {
                 let (got, want) = (observe(&mut page, &[]), observe(&mut reference, &[]));
                 prop_assert!(got == want, "park {park}: {got:?} != {want:?}");
             }
+        }
+
+        /// A diff rebuilt in place over a recycled one of any earlier shape
+        /// — packed or borrowing the page image, any span count, emptied
+        /// first or not — encodes what a fresh `make_diff` and the twin
+        /// compare encode.  An emptied diff holds no page image, so it pins
+        /// none.
+        #[test]
+        fn a_diff_rebuilt_in_place_equals_a_fresh_one(
+            earlier in member(),
+            later in member(),
+            emptied in any::<bool>(),
+        ) {
+            let mut writer = Writer::new();
+            let mut recycled = Arc::try_unwrap(writer.next(earlier).0).unwrap();
+            if emptied {
+                recycled.clear();
+                prop_assert!(recycled.is_empty());
+                // The only image the diff could hold is the writer's.
+                prop_assert_eq!(Arc::strong_count(&writer.page.data), 1);
+            }
+            let twin = writer.write(later.0, later.1);
+            prop_assert!(writer.page.make_diff_into(PageId(1), &mut recycled));
+            prop_assert_eq!(&recycled, &writer.page.make_diff(PageId(1)).unwrap());
+            prop_assert_eq!(&recycled, &Diff::create(PageId(1), &twin, writer.page.bytes()));
         }
     }
 }

@@ -14,6 +14,10 @@ Prints, as shares of the samples kept:
     libc called from `f`, i.e. memcpy/memset/malloc);
   * inclusive time by function.
 
+allocprof.c writes the same format with one sample per sixteen allocator
+calls instead of per 2 ms of CPU, so the same views attribute allocator
+calls by call site (`ALLOCPROF_OUT` names its dump).
+
 `--under FUNC` keeps only the samples with a function whose name contains
 FUNC on the stack (the benchmark's timed repetitions are `--under
 measure::run_rep`, its set-up `--under measure::set_up`).  `--lines` prints
