@@ -175,7 +175,7 @@ mod tests {
         assert_eq!(dsm.unit, UnitPolicy::Static { pages: 2 });
         assert_eq!(dsm.protocol, ProtocolMode::home_based());
         assert_eq!(dsm.sched, SchedConfig::seeded(0xfeed));
-        dsm.validate();
+        assert_eq!(dsm.validate(), Ok(()));
         assert_eq!(
             AppConfig::paper_default().protocol,
             ProtocolMode::MultiWriter

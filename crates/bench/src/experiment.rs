@@ -215,6 +215,18 @@ impl Experiment {
         ]
     }
 
+    /// Check every cell's cluster configuration before anything runs: the
+    /// first cell whose configuration `DsmConfig::validate` rejects, by
+    /// key, with the field at fault.
+    pub fn validate(&self) -> Result<(), String> {
+        for cell in &self.cells {
+            if let Err(e) = cell.config().validate() {
+                return Err(format!("invalid configuration of cell {}: {e}", cell.key()));
+            }
+        }
+        Ok(())
+    }
+
     /// Look up a named experiment under the given options.
     pub fn named(name: &str, args: &BenchArgs) -> Option<Experiment> {
         match name {

@@ -315,10 +315,14 @@ impl BenchArgs {
     /// Run `exp` on the worker pool and emit the results as these options
     /// request: the `--format` rendering to stdout, plus a machine-readable
     /// copy to `--out` when given (the binary's single driver entry point).
-    /// Returns the result for further inspection, or — naming the path —
-    /// the error that kept the `--out` file from being written.
+    /// Returns the result for further inspection, or the error that kept
+    /// it from running (a cell configuration `DsmConfig::validate` rejects,
+    /// naming the field) or the `--out` file from being written (naming the
+    /// path).  Both are found before any cell runs.
     pub fn run_and_emit(&self, exp: &Experiment) -> std::io::Result<ExperimentResult> {
         use std::io::Write as _;
+        exp.validate()
+            .map_err(|msg| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))?;
         let cannot_write = |path: &str, e: std::io::Error| {
             std::io::Error::new(e.kind(), format!("cannot write '{path}': {e}"))
         };
@@ -558,19 +562,81 @@ mod tests {
             let cfg = config(flags);
             assert!(!reached(&base, &base), "{flags:?} is not the default");
             assert!(reached(&cfg, &base), "{flags:?} did not reach {cfg:?}");
-            cfg.validate();
+            assert_eq!(cfg.validate(), Ok(()));
         }
         assert_eq!((base.nprocs, config(&["4"]).nprocs), (8, 4));
         // The command line takes exactly the cluster sizes `validate` does.
         let (largest, too_large) = (MAX_PROCS.to_string(), (MAX_PROCS + 1).to_string());
         let cfg = config(&[&largest]);
         assert_eq!(cfg.nprocs, MAX_PROCS);
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()));
         let line = ["fig1".to_string(), too_large].into_iter();
         assert_eq!(
             BenchArgs::command_from_iter(line).unwrap_err(),
             "processor count 1025 outside 1-1024"
         );
+    }
+
+    /// Input reaches `DsmConfig::validate` two ways: the processor count on
+    /// the command line (rejected while parsing, as a usage error naming
+    /// it) and every cell's configuration (checked before any cell runs or
+    /// any `--out` file is created, the error naming the cell and field).
+    /// Neither panics.
+    #[test]
+    fn invalid_input_fails_by_name_before_anything_runs() {
+        use tdsm_core::UnitPolicy;
+        let command = |line: &[&str]| {
+            let line = ["fig1"].iter().chain(line).map(|s| s.to_string());
+            BenchArgs::command_from_iter(line)
+        };
+        let rejected: [(&str, &str); 5] = [
+            ("0", "processor count 0 outside 1-1024"),
+            ("1025", "processor count 1025 outside 1-1024"),
+            ("18446744073709551616", "unrecognized argument"),
+            ("-4", "unrecognized argument"),
+            ("4.5", "unrecognized argument"),
+        ];
+        for (nprocs, message) in rejected {
+            let err = command(&[nprocs]).unwrap_err();
+            assert!(err.contains(message), "{nprocs}: {err}");
+        }
+        for nprocs in ["1", "1024"] {
+            let (exp, _) = command(&[nprocs, "--tiny"]).unwrap();
+            assert_eq!(exp.validate(), Ok(()), "{nprocs}");
+        }
+
+        let out =
+            std::env::temp_dir().join(format!("tm-bench-invalid-{}.json", std::process::id()));
+        let (exp, mut args) = command(&["--tiny"]).unwrap();
+        args.out = Some(out.to_string_lossy().into_owned());
+        type Break = fn(&mut Cell);
+        let broken: [(Break, &str); 2] = [
+            (
+                |c| c.unit = UnitPolicy::Static { pages: 0 },
+                ": unit: static consistency unit",
+            ),
+            (
+                |c| c.unit = UnitPolicy::Dynamic { max_group_pages: 0 },
+                ": unit: dynamic page groups",
+            ),
+        ];
+        for (spoil, message) in broken {
+            let mut spoilt = exp.clone();
+            spoil(spoilt.cells.last_mut().unwrap());
+            let err = args.run_and_emit(&spoilt).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            let key = spoilt.cells.last().unwrap().key();
+            assert!(
+                err.to_string()
+                    .starts_with(&format!("invalid configuration of cell {key}")),
+                "{err}"
+            );
+            assert!(err.to_string().contains(message), "{err}");
+            assert!(
+                !out.exists(),
+                "no --out file before the configuration is checked"
+            );
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 use tm_net::{ClusterStats, NetworkState, ProcStats};
-use tm_page::{Align, GlobalAddr, HomeStore, PageLayout, RegionAllocator};
+use tm_page::{Align, GlobalAddr, HomeStore, PageLayout, RegionAllocator, Salvage};
 use tm_race::{FlatOracle, Observer, RaceDetector};
 
 use crate::config::DsmConfig;
@@ -64,6 +64,12 @@ pub(crate) struct RunState {
     /// the ideal default's owns no links, so it allocates nothing, queues
     /// nothing and reports no link statistics.
     pub(crate) net: RefCell<NetworkState>,
+    /// The page images and emptied diffs every processor's retirements,
+    /// deliveries and interval closes let go of unshared, for the next
+    /// image build or close anywhere in the run to reuse.  One per run, not
+    /// per processor: what one rank frees another builds (DESIGN.md,
+    /// "Retirement and reuse").
+    pub(crate) salvage: RefCell<Salvage>,
 }
 
 impl RunState {
@@ -104,9 +110,13 @@ impl Dsm {
     /// Create a cluster with the given configuration.
     ///
     /// # Panics
-    /// Panics if the configuration is invalid (see [`DsmConfig::validate`]).
+    /// Panics, naming the field at fault, if the configuration is invalid
+    /// (see [`DsmConfig::validate`], which callers handling input should
+    /// consult first).
     pub fn new(config: DsmConfig) -> Self {
-        config.validate();
+        if let Err(e) = config.validate() {
+            panic!("invalid DsmConfig: {e}");
+        }
         let allocator = RegionAllocator::new(config.layout());
         Dsm { config, allocator }
     }
@@ -223,6 +233,7 @@ impl Dsm {
                 .is_home_based()
                 .then(|| RefCell::new(HomeStore::new(layout))),
             net: RefCell::new(NetworkState::new(self.config.topology, nprocs)),
+            salvage: RefCell::new(Salvage::new()),
         });
 
         let continuations = (0..nprocs)

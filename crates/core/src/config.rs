@@ -262,34 +262,63 @@ impl DsmConfig {
         PageLayout::new(self.page_size, self.shared_pages)
     }
 
-    /// Validate the configuration, panicking with a descriptive message on
-    /// nonsensical combinations.
-    pub fn validate(&self) {
-        assert!(self.nprocs >= 1, "need at least one processor");
-        assert!(
-            self.nprocs <= MAX_PROCS,
-            "simulated cluster limited to {MAX_PROCS} processors"
-        );
+    /// Validate the configuration: the first field whose value makes no
+    /// sense, and why.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let fail = |field, reason: String| Err(ConfigError { field, reason });
+        if self.nprocs < 1 {
+            return fail("nprocs", "need at least one processor".into());
+        }
+        if self.nprocs > MAX_PROCS {
+            return fail(
+                "nprocs",
+                format!("simulated cluster limited to {MAX_PROCS} processors"),
+            );
+        }
         // Lock ids key the scheduler's `WaitKey::Lock(u32)`; a larger table
         // would let two ids share a wait key.
-        assert!(
-            self.max_locks <= u32::MAX as usize,
-            "lock table limited to {} locks",
-            u32::MAX
-        );
-        if let UnitPolicy::Static { pages } = self.unit {
-            assert!(
-                pages >= 1,
-                "static consistency unit must be at least one page"
+        if self.max_locks > u32::MAX as usize {
+            return fail(
+                "max_locks",
+                format!("lock table limited to {} locks", u32::MAX),
             );
         }
-        if let UnitPolicy::Dynamic { max_group_pages } = self.unit {
-            assert!(
-                max_group_pages >= 1,
-                "dynamic page groups must allow at least one page"
-            );
+        match self.unit {
+            UnitPolicy::Static { pages: 0 } => {
+                return fail(
+                    "unit",
+                    "static consistency unit must be at least one page".into(),
+                )
+            }
+            UnitPolicy::Dynamic { max_group_pages: 0 } => {
+                return fail(
+                    "unit",
+                    "dynamic page groups must allow at least one page".into(),
+                )
+            }
+            _ => {}
         }
-        let _ = self.layout(); // validates page size / page count
+        match PageLayout::try_new(self.page_size, self.shared_pages) {
+            Ok(_) => Ok(()),
+            Err(("page_size", reason)) => fail("page_size", reason),
+            Err((_, reason)) => fail("shared_pages", reason),
+        }
+    }
+}
+
+/// Why [`DsmConfig::validate`] rejected a configuration.  Displays as
+/// `field: reason`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The [`DsmConfig`] field at fault.
+    pub field: &'static str,
+    /// What is wrong with its value.
+    pub reason: String,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.field, self.reason)
     }
 }
 
@@ -339,45 +368,109 @@ mod tests {
     #[test]
     fn paper_default_is_valid() {
         let cfg = DsmConfig::paper_default();
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()));
         assert_eq!(cfg.nprocs, 8);
         assert_eq!(cfg.layout().page_size(), 4096);
     }
 
     #[test]
     fn large_clusters_validate_up_to_1024() {
-        DsmConfig::with_procs(MAX_PROCS).validate();
+        assert_eq!(DsmConfig::with_procs(MAX_PROCS).validate(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "limited to 1024 processors")]
+    #[should_panic(expected = "nprocs: simulated cluster limited to 1024 processors")]
     fn oversized_cluster_rejected() {
-        DsmConfig::with_procs(MAX_PROCS + 1).validate();
+        crate::Dsm::new(DsmConfig::with_procs(MAX_PROCS + 1));
     }
 
     #[test]
     #[cfg(target_pointer_width = "64")]
-    #[should_panic(expected = "lock table limited to 4294967295 locks")]
+    #[should_panic(expected = "max_locks: lock table limited to 4294967295 locks")]
     fn oversized_lock_table_rejected() {
-        DsmConfig::paper_default()
-            .max_locks(u32::MAX as usize + 1)
-            .validate();
+        crate::Dsm::new(DsmConfig::paper_default().max_locks(u32::MAX as usize + 1));
     }
 
     #[test]
     fn lock_table_bound_is_inclusive() {
-        DsmConfig::paper_default()
-            .max_locks(u32::MAX as usize)
-            .validate();
+        let cfg = DsmConfig::paper_default().max_locks(u32::MAX as usize);
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "at least one processor")]
+    #[should_panic(expected = "nprocs: need at least one processor")]
     fn zero_procs_rejected() {
-        DsmConfig {
+        crate::Dsm::new(DsmConfig {
             nprocs: 0,
             ..DsmConfig::paper_default()
+        });
+    }
+
+    /// Every condition `validate` checks, at its boundary: the value just
+    /// outside is rejected naming the field, the value just inside passes.
+    #[test]
+    fn validate_names_the_field_of_every_condition() {
+        type Edit = fn(&mut DsmConfig);
+        let cases: [(&str, &str, Edit, Edit); 9] = [
+            ("nprocs", "at least one", |c| c.nprocs = 0, |c| c.nprocs = 1),
+            (
+                "nprocs",
+                "limited to 1024",
+                |c| c.nprocs = MAX_PROCS + 1,
+                |c| c.nprocs = MAX_PROCS,
+            ),
+            (
+                "max_locks",
+                "lock table limited",
+                |c| c.max_locks = u32::MAX as usize + 1,
+                |c| c.max_locks = u32::MAX as usize,
+            ),
+            (
+                "unit",
+                "static consistency unit",
+                |c| c.unit = UnitPolicy::Static { pages: 0 },
+                |c| c.unit = UnitPolicy::Static { pages: 1 },
+            ),
+            (
+                "unit",
+                "dynamic page groups",
+                |c| c.unit = UnitPolicy::Dynamic { max_group_pages: 0 },
+                |c| c.unit = UnitPolicy::Dynamic { max_group_pages: 1 },
+            ),
+            (
+                "shared_pages",
+                "at least one page",
+                |c| c.shared_pages = 0,
+                |c| c.shared_pages = 1,
+            ),
+            (
+                "page_size",
+                "non-zero",
+                |c| c.page_size = 0,
+                |c| c.page_size = 4,
+            ),
+            (
+                "page_size",
+                "multiple of",
+                |c| c.page_size = 2,
+                |c| c.page_size = 8,
+            ),
+            (
+                "page_size",
+                "power of two",
+                |c| c.page_size = 12,
+                |c| c.page_size = 16,
+            ),
+        ];
+        for (field, reason, outside, inside) in cases {
+            let mut cfg = DsmConfig::paper_default();
+            outside(&mut cfg);
+            let err = cfg.validate().unwrap_err();
+            assert_eq!(err.field, field, "{err}");
+            assert!(err.to_string().starts_with(&format!("{field}: ")), "{err}");
+            assert!(err.reason.contains(reason), "{err}");
+            inside(&mut cfg);
+            assert_eq!(cfg.validate(), Ok(()), "{field} just inside its bound");
         }
-        .validate();
     }
 }

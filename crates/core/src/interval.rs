@@ -14,7 +14,7 @@
 use crate::fasthash::FastHashMap;
 use std::sync::Arc;
 
-use tm_page::{Diff, PageId};
+use tm_page::{Diff, PageId, Salvage};
 
 use crate::config::DiffTiming;
 use crate::vc::VectorClock;
@@ -122,12 +122,12 @@ pub struct IntervalLog {
 }
 
 /// Put `diff` into `pool` emptied, if nothing else holds it (a diff still
-/// parked on a requester's page dies with its last holder instead).  The
-/// emptied diff keeps its buffers but drops any shared page image, so the
-/// pool never pins a page.
-pub(crate) fn recycle(pool: &mut Vec<Arc<Diff>>, mut diff: Arc<Diff>) {
-    if let Some(unshared) = Arc::get_mut(&mut diff) {
-        unshared.clear();
+/// parked on a requester's page is left to its last holder instead).  The
+/// emptied diff keeps its buffers but not its shared page image, which goes
+/// to `salvage` when nothing else holds it either, so the pool never pins a
+/// page.
+pub(crate) fn recycle(pool: &mut Vec<Arc<Diff>>, mut diff: Arc<Diff>, salvage: &mut Salvage) {
+    if salvage.strip(&mut diff) {
         pool.push(diff);
     }
 }
@@ -261,8 +261,18 @@ impl IntervalLog {
     /// diffs.  Callers must have established the GC invariant first: every
     /// processor's vector clock covers `seq` and no processor still has a
     /// pending (unapplied) write notice at or below it.  Returns the number
-    /// of records retired by this call.
+    /// of records retired by this call.  The page images the retired diffs
+    /// borrowed are freed; a run retires through
+    /// [`retire_salvaging`](Self::retire_salvaging) instead.
     pub fn retire_up_to(&mut self, seq: u32) -> u64 {
+        self.retire_salvaging(seq, &mut Salvage::new())
+    }
+
+    /// [`retire_up_to`](Self::retire_up_to), handing every page image a
+    /// retired diff borrowed to `salvage`, which keeps it if nothing else
+    /// holds it (a reader that adopted the image, or the writer's page
+    /// still showing it, keeps it from reuse).
+    pub fn retire_salvaging(&mut self, seq: u32, salvage: &mut Salvage) -> u64 {
         if seq <= self.retired {
             return 0;
         }
@@ -274,7 +284,7 @@ impl IntervalLog {
             for &page in &record.pages {
                 if let Some(stored) = self.diffs.remove(&(page, record.id.seq)) {
                     self.counters.diffs_retired += 1;
-                    recycle(&mut self.diff_pool, stored.diff);
+                    recycle(&mut self.diff_pool, stored.diff, salvage);
                 }
             }
             self.retired = record.id.seq;
@@ -461,6 +471,46 @@ mod tests {
             assert!(held <= peak, "close {seq}: {held} diffs held, peak {peak}");
         }
         assert!(peak > 8, "retirement lags publication: {peak}");
+    }
+
+    #[test]
+    fn retirement_salvages_an_unshared_image_but_not_one_still_seen() {
+        // Three dense diffs, each borrowing an image of its own: the first
+        // is held by nothing else, the second's diff is still parked on a
+        // reader, and a reader adopted the third's image.
+        let mut log = IntervalLog::new();
+        let mut adopted = None;
+        for seq in 1..=3 {
+            let image: Arc<[u8]> = vec![seq as u8; 8].into();
+            let mut diff = Diff::empty(PageId(0));
+            diff.rebuild_from_changed(PageId(0), &image, &[0b11]);
+            assert!(diff.whole_page_shared_image().is_some());
+            if seq == 3 {
+                adopted = Some(image);
+            }
+            let diffs = vec![(PageId(0), Arc::new(diff))];
+            log.publish(record(0, seq, 1, &[0]), diffs, DiffTiming::Lazy);
+        }
+        let parked = log.fetch_diff(PageId(0), 2).unwrap().diff;
+        let mut salvage = Salvage::new();
+        assert_eq!(log.retire_salvaging(3, &mut salvage), 3);
+
+        let salvaged = salvage.take_image(8).expect("the unshared diff's image");
+        assert_eq!(&*salvaged, &[1u8; 8]);
+        assert!(salvage.take_image(8).is_none(), "only that one");
+        assert_eq!(log.diff_pool.len(), 2, "both unshared diffs are pooled");
+        assert!(log.diff_pool.iter().all(|d| d.is_empty()));
+        let parked_image = parked.whole_page_shared_image().unwrap();
+        assert_eq!(
+            &parked_image[..],
+            &[2u8; 8],
+            "the parked diff keeps its image"
+        );
+        assert_eq!(
+            Arc::strong_count(&adopted.unwrap()),
+            1,
+            "the reader keeps its"
+        );
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub mod vc;
 
 pub use aggregation::DynamicAggregator;
 pub use cluster::{Dsm, RunOutput};
-pub use config::{DiffTiming, DsmConfig, EngineKind, UnitPolicy, MAX_PROCS};
+pub use config::{ConfigError, DiffTiming, DsmConfig, EngineKind, UnitPolicy, MAX_PROCS};
 pub use handle::{GArray, GMatrix, GScalar, SharedVal};
 pub use interval::{
     FetchedDiff, IntervalId, IntervalLog, IntervalRecord, LogCounters, NOTICE_WIRE_BYTES,

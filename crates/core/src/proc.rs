@@ -437,7 +437,10 @@ impl ProcCtx {
             // whose writes go straight into the master copy.  A non-home
             // writer still twins: the flush at interval close is a diff.
             if self.home_of(page) != Some(self.rank.0) {
-                let created = self.store.page_mut(page).ensure_twin();
+                let created = self
+                    .store
+                    .page_mut(page)
+                    .ensure_twin_from(&mut self.shared.salvage.borrow_mut());
                 debug_assert!(created, "twin already present on a clean page");
                 self.stats.twins_created += 1;
                 self.clock
@@ -676,12 +679,15 @@ impl ProcCtx {
         xs.to_apply
             .sort_unstable_by_key(|f| (f.diff.page, f.weight, f.writer, f.seq, f.ord));
         let rounds = xs.to_apply.chunk_by(|a, b| a.diff.page == b.diff.page);
+        let mut salvage = self.shared.salvage.borrow_mut();
         for round in rounds.rev() {
             self.store.page_mut(round[0].diff.page).deliver(
                 round.iter().rev().map(|f| (&f.diff, f.exchange)),
                 &mut xs.cover,
+                &mut salvage,
             );
         }
+        drop(salvage);
         // Let go of the fetched diffs now, not at the next fault: a diff the
         // scratch still held could not be pooled when its interval retires.
         xs.to_apply.clear();
@@ -791,10 +797,12 @@ impl ProcCtx {
         }
         let page_size = self.layout.page_size() as u64;
         // Rebuild inside the diffs this processor's own log retired, or
-        // that an earlier close flushed or found empty.
+        // that an earlier close flushed or found empty, then inside the
+        // run's salvage.
         let mut pool = self.shared.logs[self.rank.index()]
             .borrow_mut()
             .take_diff_pool();
+        let mut salvage = self.shared.salvage.borrow_mut();
         let mut pages = Vec::new();
         let mut diffs = std::mem::take(&mut self.diff_scratch);
         let mut flushes = std::mem::take(&mut self.flush_scratch);
@@ -812,7 +820,10 @@ impl ProcCtx {
                 pages.push(page);
                 continue;
             }
-            let mut diff = pool.pop().unwrap_or_else(|| Arc::new(Diff::empty(page)));
+            let mut diff = pool
+                .pop()
+                .or_else(|| salvage.take_diff())
+                .unwrap_or_else(|| Arc::new(Diff::empty(page)));
             let lp = self.store.page_mut(page);
             let unshared = Arc::get_mut(&mut diff).expect("a pooled diff is held by its pool only");
             assert!(
@@ -842,10 +853,11 @@ impl ProcCtx {
                         Err(i) => flushes.insert(i, (home, bytes)),
                     }
                     self.shared.home().borrow_mut().apply_diff(&diff);
-                    recycle(&mut pool, diff);
+                    recycle(&mut pool, diff, &mut salvage);
                 }
             }
         }
+        drop(salvage);
         dirty.clear();
         self.dirty_pages = dirty;
         self.shared.logs[self.rank.index()]
@@ -1122,7 +1134,7 @@ impl ProcCtx {
         if watermark > 0 {
             self.shared.logs[self.rank.index()]
                 .borrow_mut()
-                .retire_up_to(watermark);
+                .retire_salvaging(watermark, &mut self.shared.salvage.borrow_mut());
         }
 
         if self.rank.0 != 0 {

@@ -178,10 +178,18 @@ impl Diff {
     /// Empty the diff for reuse: no runs and no shared page image (a pooled
     /// diff never pins a page), while the span table and packed buffer keep
     /// their capacity for the next
-    /// [`rebuild_from_changed`](Self::rebuild_from_changed).
-    pub fn clear(&mut self) {
+    /// [`rebuild_from_changed`](Self::rebuild_from_changed).  Returns the
+    /// page image the diff borrowed, if any, for the caller to salvage.
+    pub fn clear(&mut self) -> Option<Arc<[u8]>> {
         self.spans.clear();
-        packed(&mut self.payload).clear();
+        match std::mem::replace(&mut self.payload, Payload::Packed(Vec::new())) {
+            Payload::Page(image) => Some(image),
+            Payload::Packed(mut bytes) => {
+                bytes.clear();
+                self.payload = Payload::Packed(bytes);
+                None
+            }
+        }
     }
 
     /// The shared page snapshot, when this diff rewrites the *entire* page

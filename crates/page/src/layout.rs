@@ -70,23 +70,38 @@ impl PageLayout {
     ///
     /// # Panics
     /// Panics if `page_size` is zero, not a multiple of [`WORD_SIZE`], or not
-    /// a power of two, or if `total_pages` is zero.
+    /// a power of two, or if `total_pages` is zero (see
+    /// [`try_new`](Self::try_new)).
     pub fn new(page_size: usize, total_pages: u32) -> Self {
-        assert!(page_size > 0, "page size must be non-zero");
-        assert!(
-            page_size % WORD_SIZE == 0,
-            "page size must be a multiple of the {WORD_SIZE}-byte word"
-        );
-        assert!(
-            page_size.is_power_of_two(),
-            "page size must be a power of two"
-        );
-        assert!(total_pages > 0, "layout must contain at least one page");
-        PageLayout {
+        Self::try_new(page_size, total_pages).unwrap_or_else(|(_, reason)| panic!("{reason}"))
+    }
+
+    /// [`new`](Self::new), returning the argument at fault (`"page_size"`
+    /// or `"total_pages"`) and what is wrong with it instead of panicking.
+    pub fn try_new(page_size: usize, total_pages: u32) -> Result<Self, (&'static str, String)> {
+        let page_size_err = |reason: String| Err(("page_size", reason));
+        if page_size == 0 {
+            return page_size_err("page size must be non-zero".into());
+        }
+        if !page_size.is_multiple_of(WORD_SIZE) {
+            return page_size_err(format!(
+                "page size must be a multiple of the {WORD_SIZE}-byte word"
+            ));
+        }
+        if !page_size.is_power_of_two() {
+            return page_size_err("page size must be a power of two".into());
+        }
+        if total_pages == 0 {
+            return Err((
+                "total_pages",
+                "layout must contain at least one page".into(),
+            ));
+        }
+        Ok(PageLayout {
             page_size,
             page_shift: page_size.trailing_zeros(),
             total_pages,
-        }
+        })
     }
 
     /// Hardware page size in bytes.

@@ -9,7 +9,8 @@
 //! * per-processor **local copies** of the shared pages ([`PageStore`],
 //!   [`LocalPage`]),
 //! * **twinning and diffing** — the multiple-writer protocol's write
-//!   detection ([`Diff`], [`RunSpan`]),
+//!   detection ([`Diff`], [`RunSpan`]), with a run's **salvage** of the
+//!   page images and diffs that come back unshared ([`Salvage`]),
 //! * **home copies** — the authoritative per-page master copies of the
 //!   home-based single-writer protocol, kept current by applying flushed
 //!   diffs in place without twinning ([`HomeStore`]),
@@ -57,12 +58,14 @@ pub mod diff;
 pub mod home;
 pub mod layout;
 pub mod page;
+pub mod salvage;
 
 pub use alloc::{Align, OutOfSharedMemory, RegionAllocator};
 pub use diff::{Diff, RunSpan, DIFF_HEADER_BYTES, RUN_HEADER_BYTES};
 pub use home::HomeStore;
 pub use layout::{GlobalAddr, PageId, PageLayout, WORD_SIZE};
 pub use page::{LocalPage, PageStore, NO_EXCHANGE};
+pub use salvage::Salvage;
 
 #[cfg(test)]
 mod proptests {
@@ -205,10 +208,13 @@ mod proptests {
         /// ([`Diff::create`]) — and both must encode the same runs, apply to
         /// the same bytes, and deliver identically through the whole-page
         /// adoption, deferred-park and recycled-diff paths.  Published
-        /// diffs are retired (dropped) pseudo-randomly between intervals so
-        /// the owning page flips between shared and uniquely-owned images,
+        /// diffs are retired pseudo-randomly between intervals so the
+        /// owning page flips between shared and uniquely-owned images,
         /// exercising the detach ("copy" of copy-on-next-write) and the
-        /// free exact pre-image it enables.
+        /// free exact pre-image it enables.  Everything goes through one
+        /// salvage as in a run: twins take their spare from it, retired
+        /// and replaced diffs feed it, and closes rebuild inside the diffs
+        /// it holds.
         #[test]
         fn snapshot_sharing_matches_eager_payloads(
             seed in any::<u64>(),
@@ -241,13 +247,14 @@ mod proptests {
             // the writer's image) until "GC" drops them below.
             let mut log: Vec<Arc<Diff>> = Vec::new();
             let mut pool: Vec<Arc<Diff>> = Vec::new();
+            let mut salvage = Salvage::new();
             let mut scratch = vec![0u8; page_size];
             // Deliberately dirty delivery scratch: its contents must not matter.
             let mut cov = vec![!0u64; 3];
 
             for (k, writes) in intervals.iter().enumerate() {
                 let twin = writer.bytes().to_vec();
-                writer.ensure_twin();
+                writer.ensure_twin_from(&mut salvage);
                 for (off0, data) in writes {
                     // Occasionally blast the whole page so dense diffs (the
                     // ones that actually share the image) occur often.
@@ -269,12 +276,14 @@ mod proptests {
                 if let Some(shared) = writer.make_diff(PageId(0)) {
                     prop_assert_eq!(&shared, &eager);
                     // Rebuilding a recycled diff in place changes nothing.
-                    let mut recycled = pool.pop().unwrap_or_else(|| Arc::new(Diff::empty(PageId(0))));
+                    let mut recycled = pool
+                        .pop()
+                        .or_else(|| salvage.take_diff())
+                        .unwrap_or_else(|| Arc::new(Diff::empty(PageId(0))));
                     let rebuilt = Arc::get_mut(&mut recycled).unwrap();
                     prop_assert!(writer.make_diff_into(PageId(0), rebuilt));
                     prop_assert_eq!(&*rebuilt, &eager);
-                    rebuilt.clear();
-                    pool.push(recycled);
+                    salvage.put_diff(recycled);
 
                     // Delivery: alternate the eager and the parked
                     // (deferred) apply paths; both must land the receiver on
@@ -284,7 +293,7 @@ mod proptests {
                     if k % 2 == 0 {
                         receiver.apply_diff(&shared, NO_EXCHANGE);
                     } else {
-                        receiver.deliver([(&shared, NO_EXCHANGE)], &mut cov);
+                        receiver.deliver([(&shared, NO_EXCHANGE)], &mut cov, &mut salvage);
                         // Force materialization (bytes() asserts no parked
                         // content) through the read path.
                         receiver.read_bytes(0, &mut scratch, |_, _| {});
@@ -298,12 +307,12 @@ mod proptests {
                 writer.drop_twin();
 
                 // GC: retire a pseudo-random prefix of the published diffs,
-                // pooling the unshared ones emptied, as the interval log does.
+                // pooling the unshared ones emptied and salvaging their
+                // unshared images, as the interval log does.
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 let keep = (state % (log.len() as u64 + 1)) as usize;
                 for mut retired in log.drain(..log.len() - keep) {
-                    if let Some(diff) = Arc::get_mut(&mut retired) {
-                        diff.clear();
+                    if salvage.strip(&mut retired) {
                         pool.push(retired);
                     }
                 }

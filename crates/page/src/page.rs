@@ -9,6 +9,7 @@
 
 use crate::diff::Diff;
 use crate::layout::{GlobalAddr, PageId, PageLayout, WORD_SIZE};
+use crate::salvage::Salvage;
 use std::sync::Arc;
 
 /// Sentinel attribution meaning "this word was not delivered by any exchange
@@ -39,6 +40,14 @@ pub const NO_EXCHANGE: u32 = u32::MAX;
 /// a free whole-page pre-image (`PreImage::Exact`): the write path then
 /// skips all per-word pre-image saves and derives changed bits by direct
 /// comparison.
+///
+/// A whole-page store into a shared image still needs a fresh one.  The
+/// protocol layer hands an exact twin one **spare** image out of the run's
+/// [`Salvage`] when it creates the twin
+/// ([`ensure_twin_from`](Self::ensure_twin_from)), and the store builds
+/// into that instead of allocating.  The access paths themselves
+/// ([`write_bytes`](Self::write_bytes), [`read_bytes`](Self::read_bytes))
+/// never touch the salvage.
 #[derive(Debug)]
 pub struct LocalPage {
     data: Arc<[u8]>,
@@ -96,8 +105,25 @@ enum PreImage {
     /// [`ARC_HEADER_BYTES`] of unused tail.
     Lazy(Box<[u8]>),
     /// A complete snapshot of the pre-interval image, shared with the diff
-    /// the previous interval published.
-    Exact(Arc<[u8]>),
+    /// the previous interval published; and a **spare**, an unshared
+    /// page-sized image the interval's first store builds into instead of
+    /// allocating (the snapshot is shared, so that store needs a fresh
+    /// image).  An exact pre-image, and so a spare, exists only while the
+    /// page is twinned.
+    Exact {
+        snapshot: Arc<[u8]>,
+        spare: Option<Arc<[u8]>>,
+    },
+}
+
+impl PreImage {
+    /// Take an exact twin's spare image, if it has one.
+    fn take_spare(&mut self) -> Option<Arc<[u8]>> {
+        match self {
+            PreImage::Exact { spare, .. } => spare.take(),
+            PreImage::Lazy(_) => None,
+        }
+    }
 }
 
 /// What an `Arc<[u8]>` allocation carries besides its payload: the strong
@@ -144,22 +170,31 @@ impl LocalPage {
         self.data.len() / WORD_SIZE
     }
 
+    /// Whether the spare rule holds: a spare only while twinned.
+    fn spare_rule_holds(&self) -> bool {
+        self.twinned || !matches!(self.preimage, PreImage::Exact { spare: Some(_), .. })
+    }
+
     /// Mutable access to the page image, detaching (copying) it first if a
-    /// published diff still shares it — the "copy" of copy-on-next-write.
-    /// The uniqueness check is an atomic read-modify-write, so loops
-    /// establish it once and keep the slice.
+    /// published diff still shares it — the "copy" of copy-on-next-write,
+    /// into the spare when the page holds one.  The uniqueness check is an
+    /// atomic read-modify-write, so loops establish it once and keep the
+    /// slice.
     fn data_mut(&mut self) -> &mut [u8] {
-        Arc::make_mut(&mut self.data)
+        debug_assert!(self.spare_rule_holds(), "a spare beside no twin");
+        detached(&mut self.data, || self.preimage.take_spare())
     }
 
     /// Replace the whole image with `src`.  When the current image is still
     /// shared with a published diff, the new image is built straight from
-    /// `src` — the detach copy a partial write would pay never happens.
+    /// `src`, into the spare when the page holds one — the detach copy a
+    /// partial write would pay never happens.
     fn replace_data(&mut self, src: &[u8]) {
         debug_assert_eq!(src.len(), self.data.len());
+        debug_assert!(self.spare_rule_holds(), "a spare beside no twin");
         match Arc::get_mut(&mut self.data) {
             Some(data) => data.copy_from_slice(src),
-            None => self.data = Arc::from(src),
+            None => self.data = filled(self.preimage.take_spare(), src),
         }
     }
 
@@ -212,13 +247,30 @@ impl LocalPage {
         }
         self.materialize_content();
         if Arc::get_mut(&mut self.data).is_none() {
-            self.preimage = PreImage::Exact(Arc::clone(&self.data));
+            self.preimage = PreImage::Exact {
+                snapshot: Arc::clone(&self.data),
+                spare: None,
+            };
         } else if !matches!(&self.preimage, PreImage::Lazy(buf) if buf.len() >= self.data.len()) {
             // No lazy buffer from an earlier interval to reuse.
             self.preimage = PreImage::Lazy(vec![0u8; self.data.len() + ARC_HEADER_BYTES].into());
         }
         self.changed_words.fill(0);
         self.twinned = true;
+        true
+    }
+
+    /// [`ensure_twin`](Self::ensure_twin), handing a new exact twin one
+    /// spare image from `salvage`: its image is shared, so the interval's
+    /// first store needs a fresh one, and builds it there.  The protocol
+    /// layer's write trap twins through here.
+    pub fn ensure_twin_from(&mut self, salvage: &mut Salvage) -> bool {
+        if !self.ensure_twin() {
+            return false;
+        }
+        if let PreImage::Exact { spare, .. } = &mut self.preimage {
+            *spare = salvage.take_image(self.data.len());
+        }
         true
     }
 
@@ -249,11 +301,16 @@ impl LocalPage {
 
     /// Retire the twin (the interval's modifications have been encoded; the
     /// twin is dead weight from here on — under lazy diff timing the stored
-    /// encoding, not the twin, is what later requests serve from). The
+    /// encoding, not the twin, is what later requests serve from). A lazy
     /// pre-image buffer is kept for reuse by the next
-    /// [`ensure_twin`](Self::ensure_twin).
+    /// [`ensure_twin`](Self::ensure_twin); an exact snapshot is let go (the
+    /// next twin takes a new one either way), so that retiring the diff that
+    /// shares it can salvage it.
     pub fn drop_twin(&mut self) {
         self.twinned = false;
+        if matches!(self.preimage, PreImage::Exact { .. }) {
+            self.preimage = PreImage::Lazy(Box::default());
+        }
     }
 
     /// Store `src` at byte `offset` while a twin is live, keeping the
@@ -267,7 +324,7 @@ impl LocalPage {
             return;
         }
         match self.preimage {
-            PreImage::Exact(_) => self.store_exact(offset, src),
+            PreImage::Exact { .. } => self.store_exact(offset, src),
             PreImage::Lazy(_) => self.store_lazy(offset, src),
         }
     }
@@ -285,7 +342,7 @@ impl LocalPage {
         } else {
             self.data_mut()[offset..end].copy_from_slice(src);
         }
-        let PreImage::Exact(pre) = &self.preimage else {
+        let PreImage::Exact { snapshot: pre, .. } = &self.preimage else {
             unreachable!("exact-mode store without a snapshot");
         };
         // Words `src` covers fully get their changed bits straight from the
@@ -348,7 +405,9 @@ impl LocalPage {
         }
 
         let end = offset + src.len();
-        let data = Arc::make_mut(&mut self.data);
+        // A lazy twin found its image unshared, and nothing shares it
+        // before the interval closes.
+        let data = written(&mut self.data);
         let PreImage::Lazy(pre) = &mut self.preimage else {
             unreachable!("lazy-mode store against an exact snapshot");
         };
@@ -589,11 +648,15 @@ impl LocalPage {
     /// just parks.
     ///
     /// `cover` is caller scratch (contents ignored and clobbered), kept
-    /// across rounds so that a delivery allocates nothing.
+    /// across rounds so that a delivery allocates nothing.  Painting onto a
+    /// shared image detaches it into an image from `salvage`, and a parked
+    /// diff the round replaces goes there, emptied, when this page held it
+    /// last.
     pub fn deliver<'a>(
         &mut self,
         newest_first: impl IntoIterator<Item = (&'a Arc<Diff>, u32)>,
         cover: &mut Vec<u64>,
+        salvage: &mut Salvage,
     ) {
         debug_assert!(!self.twinned, "delivery onto a twinned page");
         let mut round = newest_first.into_iter();
@@ -608,18 +671,20 @@ impl LocalPage {
             .map(|(d, e)| (&**d, e))
             .chain(parked.as_ref().map(|(d, e)| (&**d, *e)))
             .peekable();
-        if older.peek().is_none() {
-            return;
-        }
-        let words = self.words();
-        cover.clear();
-        cover.resize(words.div_ceil(64), 0);
-        let mut covered = newest.for_each_uncovered(cover, &mut |_, _| {});
-        for (diff, exchange) in older {
-            if covered == words {
-                break;
+        if older.peek().is_some() {
+            let words = self.words();
+            cover.clear();
+            cover.resize(words.div_ceil(64), 0);
+            let mut covered = newest.for_each_uncovered(cover, &mut |_, _| {});
+            for (diff, exchange) in older {
+                if covered == words {
+                    break;
+                }
+                covered += self.paint_uncovered(diff, exchange, cover, salvage);
             }
-            covered += self.paint_uncovered(diff, exchange, cover);
+        }
+        if let Some((replaced, _)) = parked {
+            salvage.put_diff(replaced);
         }
     }
 
@@ -627,7 +692,13 @@ impl LocalPage {
     /// attribution, as [`apply_diff`](Self::apply_diff) would — adding them
     /// to it, and return how many there were.  Each interval is painted as
     /// the cover walk finds it.
-    fn paint_uncovered(&mut self, diff: &Diff, exchange: u32, cover: &mut [u64]) -> usize {
+    fn paint_uncovered(
+        &mut self,
+        diff: &Diff,
+        exchange: u32,
+        cover: &mut [u64],
+        salvage: &mut Salvage,
+    ) -> usize {
         let words = self.words();
         // As in `attribute`: nothing to clear and nothing to credit skips
         // the attribution, and nothing held skips the per-word count.
@@ -651,7 +722,9 @@ impl LocalPage {
         diff.for_each_uncovered(cover, &mut |lo, bytes| {
             let hi = lo + bytes.len();
             let image = image.get_or_insert_with(|| {
-                Arc::make_mut(data.take().expect("the image is detached once"))
+                let data = data.take().expect("the image is detached once");
+                let len = data.len();
+                detached(data, || salvage.take_image(len))
             });
             copy_bytes(&mut image[lo..hi], bytes);
             if let Some((attribution, uniform, attr_dirty)) = attr_state.take() {
@@ -683,6 +756,39 @@ impl LocalPage {
         }
         self.pending as usize
     }
+}
+
+/// `image` for writing, detached first if anything else holds it: copied
+/// into `spare()`'s image, or into a fresh allocation when that has none.
+/// (No image is ever held weakly, so a strong count of one — a plain load,
+/// where `Arc::get_mut` is an atomic read-modify-write — means unshared.)
+#[inline]
+fn detached(image: &mut Arc<[u8]>, spare: impl FnOnce() -> Option<Arc<[u8]>>) -> &mut [u8] {
+    if Arc::strong_count(image) != 1 {
+        let copy = filled(spare(), image);
+        *image = copy;
+    }
+    written(image)
+}
+
+/// An unshared image holding `src`: `spare`, overwritten, or a fresh
+/// allocation when there is none.
+fn filled(spare: Option<Arc<[u8]>>, src: &[u8]) -> Arc<[u8]> {
+    match spare {
+        Some(mut image) => {
+            written(&mut image).copy_from_slice(src);
+            image
+        }
+        None => Arc::from(src),
+    }
+}
+
+/// The bytes of `image` for writing.  Nothing else may hold it: a page
+/// writes only into images no published diff, reader or salvage can see.
+#[inline(always)]
+fn written(image: &mut Arc<[u8]>) -> &mut [u8] {
+    debug_assert!(Arc::get_mut(image).is_some(), "a write into a shared image");
+    Arc::make_mut(image)
 }
 
 /// [`LocalPage::materialize_attr`] over the fields it touches, handing back
@@ -1012,10 +1118,18 @@ mod tests {
     fn a_twin_over_a_shared_image_is_exact_and_over_an_owned_one_lazy() {
         let (mut page, published, image) = page_sharing_its_image_with_a_published_diff();
         page.ensure_twin();
-        assert!(matches!(&page.preimage, PreImage::Exact(snap) if snap[..] == image[..]));
+        assert!(
+            matches!(&page.preimage, PreImage::Exact { snapshot, .. } if snapshot[..] == image[..])
+        );
         page.write_bytes(8, &[0; 8]);
         let exact = page.make_diff(PageId(0)).unwrap();
         page.drop_twin();
+        // Dropping the twin let go of the snapshot: the published diff holds
+        // the pre-interval image alone, so its retirement can salvage it.
+        assert_eq!(
+            Arc::strong_count(published.whole_page_shared_image().unwrap()),
+            1
+        );
         drop(published);
 
         // Nothing shares the (detached) image any more: the same interval
@@ -1031,11 +1145,21 @@ mod tests {
     fn visible_apply_detaches_a_shared_image_once_and_leaves_the_diff_alone() {
         let (mut page, published, image) = page_sharing_its_image_with_a_published_diff();
         let sparse = every_other_word();
-        assert_eq!(page.paint_uncovered(&sparse, 3, &mut [0; 1]), 32);
+        let mut salvage = Salvage::new();
+        let salvaged: Arc<[u8]> = vec![0xEE; 256].into();
+        let at = Arc::as_ptr(&salvaged) as *const u8;
+        salvage.put_image(salvaged);
+        assert_eq!(
+            page.paint_uncovered(&sparse, 3, &mut [0; 1], &mut salvage),
+            32
+        );
 
         // The published diff still holds the pre-apply image, byte for byte.
         assert_eq!(published.runs().next().unwrap(), (0, &image[..]));
-        // The page detached: it owns its image again and holds the overlay.
+        // The page detached into the salvaged image: it owns its image again
+        // and holds the overlay.
+        assert_eq!(salvage.images(), 0);
+        assert_eq!(Arc::as_ptr(&page.data) as *const u8, at);
         assert_eq!(Arc::strong_count(&page.data), 1);
         let mut want = image.clone();
         sparse.apply(&mut want);
@@ -1054,13 +1178,15 @@ mod tests {
         (0u8..5, (0usize..256, 1usize..120), 0u32..10, any::<bool>())
     }
 
-    /// One writer's successive intervals on a 256-word page.  Every word an
-    /// interval marks gets a value no earlier interval wrote, so the diff's
-    /// words are exactly the marked ones.
+    /// One writer's successive intervals on a 256-word page, twinned from
+    /// its own salvage as the write trap does.  Every
+    /// word an interval marks gets a value no earlier interval wrote, so
+    /// the diff's words are exactly the marked ones.
     struct Writer {
         page: LocalPage,
         stamp: u32,
         written: [bool; 256],
+        salvage: Salvage,
     }
 
     impl Writer {
@@ -1069,6 +1195,7 @@ mod tests {
                 page: LocalPage::new_zeroed(1024),
                 stamp: 0,
                 written: [false; 256],
+                salvage: Salvage::new(),
             }
         }
 
@@ -1109,7 +1236,7 @@ mod tests {
             }
             self.stamp += 1;
             let twin = self.page.bytes().to_vec();
-            self.page.ensure_twin();
+            self.page.ensure_twin_from(&mut self.salvage);
             for w in (0..256).filter(|&w| marks[w]) {
                 let value = self.stamp << 16 | w as u32;
                 self.page.write_bytes(w * WORD_SIZE, &value.to_le_bytes());
@@ -1223,7 +1350,7 @@ mod tests {
                 let shared = held.as_ref().is_some_and(|d| d.whole_page_shared_image().is_some());
                 page.ensure_twin();
                 match &page.preimage {
-                    PreImage::Exact(snapshot) => {
+                    PreImage::Exact { snapshot, .. } => {
                         prop_assert!(shared);
                         prop_assert_eq!(&snapshot[..], &twin[..]);
                         exact += 1;
@@ -1288,10 +1415,10 @@ mod tests {
                 // Dirty scratch: its contents must not matter.
                 let mut cover = vec![!0u64; 2];
                 if let Some((d, e)) = &parked {
-                    page.deliver([(d, *e)], &mut cover);
+                    page.deliver([(d, *e)], &mut cover, &mut writer.salvage);
                     prop_assert!(page.deferred.is_some());
                 }
-                page.deliver(round.iter().rev().map(|(d, e)| (d, *e)), &mut cover);
+                page.deliver(round.iter().rev().map(|(d, e)| (d, *e)), &mut cover, &mut writer.salvage);
                 prop_assert!(Arc::ptr_eq(&page.deferred.as_ref().unwrap().0, &round.last().unwrap().0));
                 let (got, want) = (observe(&mut page, &all), observe(&mut reference, &all));
                 prop_assert!(got == want, "park {park}: {got:?} != {want:?}");
@@ -1328,9 +1455,9 @@ mod tests {
                 page.apply_diff(&earlier.0, earlier.1);
                 let mut cover = Vec::new();
                 if let Some((d, e)) = &parked {
-                    page.deliver([(d, *e)], &mut cover);
+                    page.deliver([(d, *e)], &mut cover, &mut writer.salvage);
                 }
-                page.deliver(chain.iter().rev().map(|d| (d, exchange)), &mut cover);
+                page.deliver(chain.iter().rev().map(|d| (d, exchange)), &mut cover, &mut writer.salvage);
                 // No image is offered for the adoption check: the packed
                 // merge adopts none.
                 let (got, want) = (observe(&mut page, &[]), observe(&mut reference, &[]));
@@ -1340,9 +1467,10 @@ mod tests {
 
         /// A diff rebuilt in place over a recycled one of any earlier shape
         /// — packed or borrowing the page image, any span count, emptied
-        /// first or not — encodes what a fresh `make_diff` and the twin
-        /// compare encode.  An emptied diff holds no page image, so it pins
-        /// none.
+        /// through the salvage first or not — encodes what a fresh
+        /// `make_diff` and the twin compare encode.  An emptied diff holds
+        /// no page image, so it pins none, and the image it borrowed stays
+        /// out of the salvage while the writer's page still shows it.
         #[test]
         fn a_diff_rebuilt_in_place_equals_a_fresh_one(
             earlier in member(),
@@ -1350,17 +1478,117 @@ mod tests {
             emptied in any::<bool>(),
         ) {
             let mut writer = Writer::new();
-            let mut recycled = Arc::try_unwrap(writer.next(earlier).0).unwrap();
+            let mut recycled = writer.next(earlier).0;
             if emptied {
-                recycled.clear();
+                writer.salvage.put_diff(recycled);
+                recycled = writer.salvage.take_diff().unwrap();
                 prop_assert!(recycled.is_empty());
                 // The only image the diff could hold is the writer's.
                 prop_assert_eq!(Arc::strong_count(&writer.page.data), 1);
+                prop_assert_eq!(writer.salvage.images(), 0);
             }
             let twin = writer.write(later.0, later.1);
-            prop_assert!(writer.page.make_diff_into(PageId(1), &mut recycled));
-            prop_assert_eq!(&recycled, &writer.page.make_diff(PageId(1)).unwrap());
-            prop_assert_eq!(&recycled, &Diff::create(PageId(1), &twin, writer.page.bytes()));
+            let recycled = Arc::get_mut(&mut recycled).unwrap();
+            prop_assert!(writer.page.make_diff_into(PageId(1), recycled));
+            prop_assert_eq!(&*recycled, &writer.page.make_diff(PageId(1)).unwrap());
+            prop_assert_eq!(&*recycled, &Diff::create(PageId(1), &twin, writer.page.bytes()));
+        }
+
+        /// A writer whose image builds draw on a salvage fed as in a run:
+        /// published diffs retire in random order, one reader adopts
+        /// whole-page images by `apply_diff` now and then, another keeps
+        /// rounds parked by `deliver`.  Every diff encodes what
+        /// `Diff::create` encodes, both readers land what ordered
+        /// `apply_diff` lands, and an image a reader adopted keeps its bytes
+        /// across the writer's next whole-page store: the salvage never
+        /// hands out an image anybody still sees.
+        #[test]
+        fn salvaged_images_are_never_ones_anybody_still_sees(
+            seed in any::<u64>(),
+            intervals in prop::collection::vec((0u8..4, 0usize..256, 1usize..64), 2..24),
+        ) {
+            let mut state = seed | 1;
+            let mut next = move || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 33) as usize
+            };
+            let mut salvage = Salvage::new();
+            let mut writer = LocalPage::new_zeroed(1024);
+            let mut reference = LocalPage::new_zeroed(1024);
+            let (mut adopter, mut parker) = (LocalPage::new_zeroed(1024), LocalPage::new_zeroed(1024));
+            // Published diffs the log still holds, the emptied ones it
+            // pooled, and what each reader has not received yet.
+            let (mut log, mut pool) = (Vec::<Arc<Diff>>::new(), Vec::<Arc<Diff>>::new());
+            let (mut unadopted, mut unparked) = (Vec::new(), Vec::new());
+            let mut cover = Vec::new();
+            for (k, &(shape, word, words)) in intervals.iter().enumerate() {
+                let shown = adopter.bytes().to_vec();
+                let twin = writer.bytes().to_vec();
+                writer.ensure_twin_from(&mut salvage);
+                let spare = match &writer.preimage {
+                    PreImage::Exact { spare: Some(s), .. } => Some(Arc::as_ptr(s) as *const u8),
+                    _ => None,
+                };
+                let (lo, hi) = match shape {
+                    // Whole-page stores, the dense diffs that borrow the image.
+                    0 | 1 => (0, 1024),
+                    2 => (word * WORD_SIZE, (word + words) * WORD_SIZE),
+                    // A store of the value already there: an empty diff.
+                    _ => (word * WORD_SIZE, word * WORD_SIZE + WORD_SIZE),
+                };
+                let hi = hi.min(1024);
+                let src: Vec<u8> = if shape == 3 {
+                    twin[lo..hi].to_vec()
+                } else {
+                    (lo..hi).map(|_| next() as u8).collect()
+                };
+                writer.write_bytes(lo, &src);
+                if let Some(at) = spare {
+                    prop_assert!(Arc::as_ptr(&writer.data) as *const u8 == at, "the store built into the spare");
+                }
+                prop_assert!(adopter.bytes() == &shown[..], "an adopted image changed under the writer's store");
+
+                let mut diff = pool
+                    .pop()
+                    .or_else(|| salvage.take_diff())
+                    .unwrap_or_else(|| Arc::new(Diff::empty(PageId(0))));
+                prop_assert!(writer.make_diff_into(PageId(0), Arc::get_mut(&mut diff).unwrap()));
+                writer.drop_twin();
+                prop_assert_eq!(&*diff, &Diff::create(PageId(0), &twin, writer.bytes()));
+                if diff.is_empty() {
+                    pool.push(diff);
+                    continue;
+                }
+                let exchange = k as u32;
+                reference.apply_diff(&diff, exchange);
+                unadopted.push((Arc::clone(&diff), exchange));
+                unparked.push((Arc::clone(&diff), exchange));
+                log.push(diff);
+                if next() % 2 == 0 {
+                    for (d, e) in unadopted.drain(..) {
+                        adopter.apply_diff(&d, e);
+                    }
+                }
+                if next() % 2 == 0 {
+                    parker.deliver(unparked.iter().rev().map(|(d, e)| (d, *e)), &mut cover, &mut salvage);
+                    unparked.clear();
+                }
+                // Retire a random selection in random order.
+                while !log.is_empty() && next() % 3 != 0 {
+                    let mut retired = log.swap_remove(next() % log.len());
+                    if salvage.strip(&mut retired) {
+                        pool.push(retired);
+                    }
+                }
+            }
+            for (d, e) in unadopted.drain(..) {
+                adopter.apply_diff(&d, e);
+            }
+            parker.deliver(unparked.iter().rev().map(|(d, e)| (d, *e)), &mut cover, &mut salvage);
+            let want = observe(&mut reference, &[]);
+            let (adopted, parked) = (observe(&mut adopter, &[]), observe(&mut parker, &[]));
+            prop_assert!(adopted == want, "{adopted:?} != {want:?}");
+            prop_assert!(parked == want, "{parked:?} != {want:?}");
         }
     }
 }
