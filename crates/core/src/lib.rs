@@ -53,6 +53,7 @@ pub mod config;
 pub mod fasthash;
 pub mod handle;
 pub mod interval;
+mod notice;
 pub mod proc;
 pub mod protocol;
 pub mod sync;

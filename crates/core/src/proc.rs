@@ -17,7 +17,6 @@
 //! * the instrumentation: exchange records, per-word useful-data credit, and
 //!   the false-sharing signature.
 
-use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -32,18 +31,9 @@ use crate::aggregation::DynamicAggregator;
 use crate::cluster::RunState;
 use crate::config::{DsmConfig, UnitPolicy};
 use crate::interval::{recycle, IntervalId, IntervalRecord, NOTICE_WIRE_BYTES};
+use crate::notice::NoticeSlab;
 use crate::protocol::{round_robin_home, ProtocolMode};
 use crate::vc::VectorClock;
-
-/// Per-page protocol metadata kept privately by each processor — the part
-/// only the trap path reads.  The protection bits every access checks live
-/// in the dense [`ProcCtx::prot`] table instead.
-#[derive(Debug, Clone, Default)]
-struct PageMeta {
-    /// Write notices received but whose diffs have not been applied yet:
-    /// `(writer, interval seq)`.
-    pending: Vec<(u32, u32)>,
-}
 
 /// Protection-table bit: the page may not be accessed without running the
 /// fault handler.  Set by write-notice invalidation, cleared by the fault
@@ -138,7 +128,11 @@ pub struct ProcCtx {
     /// access checks it inline; only a failed check enters the trap path.
     /// Host-only state: no bit of it ever reaches a result document.
     prot: Vec<u8>,
-    meta: Vec<PageMeta>,
+    /// Write notices received whose diffs have not been applied yet, as
+    /// `(writer, interval seq)` per page — the slow-changing per-page state
+    /// only the trap path reads.  Its size is also the GC validation flush's
+    /// trigger, and its notices are this processor's GC floors.
+    notices: NoticeSlab,
     dirty_pages: Vec<PageId>,
     vc: VectorClock,
     clock: LogicalClock,
@@ -160,27 +154,10 @@ pub struct ProcCtx {
     /// Never affects the simulation itself.
     benign_race_depth: u32,
     gc_flush_pending_limit: usize,
-    /// The multiset of intervals this processor still has pending:
-    /// `(writer, seq)` -> number of pages whose notice is unapplied.  The
-    /// smallest `seq` of each writer present is that writer's pending floor
-    /// reported to the barrier's interval GC.  One ordered map, so it is
-    /// sized by what is pending, never by the cluster.
-    pending_seqs: BTreeMap<(u32, u32), u32>,
-    /// Total notice count across `pending_seqs`, maintained incrementally so
-    /// the barrier's memory-pressure check is O(1) instead of a walk over
-    /// the multiset.
-    pending_total: usize,
-    /// Reusable buffer for the `(writer, floor)` pairs sent with each
-    /// barrier arrival; refilled in place every episode.
-    pending_floors: Vec<(u32, u32)>,
     /// The vector time a lock grant carries, copied out of the lock table by
     /// every acquire of a lock that has been released before.
     grant_vc: VectorClock,
     notices_since_barrier: u64,
-    /// Reusable staging buffer for `(seq, page)` write notices copied out of
-    /// a writer's log while it is borrowed; avoids cloning each record's
-    /// page list on every incorporation.
-    notice_scratch: Vec<(u32, PageId)>,
     /// Reusable `(page, diff)` staging vector for interval publication; the
     /// log drains it in place so its capacity survives across closes.
     diff_scratch: Vec<(PageId, Arc<Diff>)>,
@@ -227,7 +204,7 @@ impl ProcCtx {
             cost: config.cost.clone(),
             store: PageStore::new(layout),
             prot: vec![0; layout.total_pages() as usize],
-            meta: vec![PageMeta::default(); layout.total_pages() as usize],
+            notices: NoticeSlab::new(layout.total_pages() as usize),
             dirty_pages: Vec::new(),
             vc: VectorClock::zero(config.nprocs),
             clock: LogicalClock::zero(),
@@ -238,12 +215,8 @@ impl ProcCtx {
             aggregation: config.aggregation,
             benign_race_depth: 0,
             gc_flush_pending_limit: config.gc_flush_pending_limit,
-            pending_seqs: BTreeMap::new(),
-            pending_total: 0,
-            pending_floors: Vec::new(),
             grant_vc: VectorClock::default(),
             notices_since_barrier: 0,
-            notice_scratch: Vec::new(),
             diff_scratch: Vec::new(),
             flush_scratch: Vec::new(),
             byte_scratch: Vec::new(),
@@ -570,10 +543,9 @@ impl ProcCtx {
         // Gather what every page we are fetching lacks, grouped (by the
         // sort) by the processor that must serve it.
         for &p in fetch_pages {
-            let pending = &self.meta[p.index()].pending;
             match self.home_of(p) {
                 None => {
-                    for &(writer, seq) in pending {
+                    for (writer, seq) in self.notices.iter(p) {
                         xs.wants.push(Want {
                             responder: writer,
                             ord: xs.wants.len() as u32,
@@ -584,7 +556,7 @@ impl ProcCtx {
                 }
                 // Only pages with pending notices are stale; the others are
                 // validated without traffic, as under multi-writer.
-                Some(_) if pending.is_empty() => {}
+                Some(_) if self.notices.is_clear(p) => {}
                 Some(home) if home == self.rank.0 => {
                     self.load_from_home(p, tm_page::NO_EXCHANGE);
                     total_payload += page_size;
@@ -693,22 +665,10 @@ impl ProcCtx {
         xs.to_apply.clear();
         self.exchange = xs;
 
-        // Fetched pages have no pending notices left; their entries also
-        // leave the per-writer pending multiset the barrier GC reads its
-        // floors from.
+        // Fetched pages have no pending notices left, so they no longer
+        // hold back the barrier GC's floors either.
         for &p in fetch_pages {
-            for &(writer, seq) in &self.meta[p.index()].pending {
-                if let std::collections::btree_map::Entry::Occupied(mut e) =
-                    self.pending_seqs.entry((writer, seq))
-                {
-                    *e.get_mut() -= 1;
-                    if *e.get() == 0 {
-                        e.remove();
-                    }
-                    self.pending_total -= 1;
-                }
-            }
-            self.meta[p.index()].pending.clear();
+            self.notices.clear(p);
         }
 
         PendingExchangeOutcome {
@@ -735,12 +695,9 @@ impl ProcCtx {
     /// accounted messages; below the trigger it never runs and the run is
     /// bit-identical to one with the flush disabled.
     async fn flush_pending_for_gc(&mut self) {
-        let pages: Vec<PageId> = self
-            .meta
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| !m.pending.is_empty())
-            .map(|(i, _)| PageId(i as u32))
+        let pages: Vec<PageId> = (0..self.layout.total_pages())
+            .map(PageId)
+            .filter(|&p| !self.notices.is_clear(p))
             .collect();
         if pages.is_empty() {
             return;
@@ -918,25 +875,18 @@ impl ProcCtx {
             return 0;
         }
         let mut incorporated = 0u64;
-        // Stage the notices through a reusable flat buffer: the page lists
-        // are copied out so the writer's log is not borrowed while we mutate
-        // our own state below, but not one Vec clone per record.
-        let mut scratch = std::mem::take(&mut self.notice_scratch);
-        scratch.clear();
-        {
-            let log = self.shared.logs[writer].borrow();
-            for r in log.records_between(already, up_to) {
-                scratch.extend(r.pages.iter().map(|&p| (r.id.seq, p)));
+        // The records' page lists are read in place: the run state is held
+        // through a second handle, so the writer's log stays borrowed while
+        // our own state changes.
+        let shared = Rc::clone(&self.shared);
+        let log = shared.logs[writer].borrow();
+        for r in log.records_between(already, up_to) {
+            for &page in &r.pages {
+                self.notices.push(page, writer as u32, r.id.seq);
+                self.invalidate_unit_of(page);
+                incorporated += 1;
             }
         }
-        for &(seq, page) in &scratch {
-            self.meta[page.index()].pending.push((writer as u32, seq));
-            *self.pending_seqs.entry((writer as u32, seq)).or_insert(0) += 1;
-            self.pending_total += 1;
-            self.invalidate_unit_of(page);
-            incorporated += 1;
-        }
-        self.notice_scratch = scratch;
         self.vc.set(writer, up_to);
         incorporated
     }
@@ -1073,29 +1023,13 @@ impl ProcCtx {
         // logs (their floors block retirement forever if the pages are never
         // accessed again), so past the configured limit we run TreadMarks'
         // GC validation and fetch them all before arriving.
-        debug_assert_eq!(
-            self.pending_total,
-            self.pending_seqs
-                .values()
-                .map(|&c| c as usize)
-                .sum::<usize>(),
-            "incrementally maintained pending total drifted from the multiset"
-        );
-        if self.pending_total > self.gc_flush_pending_limit {
+        if self.notices.len() > self.gc_flush_pending_limit {
             self.flush_pending_for_gc().await;
         }
 
-        // This processor's contribution to the episode's GC watermark: for
-        // every writer we have something pending of, the oldest interval we
-        // have incorporated but not applied — each writer's first key, found
-        // by seeking past the previous writer's entries.
-        self.pending_floors.clear();
-        let mut from = 0u32;
-        while let Some((&(writer, floor), _)) = self.pending_seqs.range((from, 0)..).next() {
-            self.pending_floors.push((writer, floor));
-            from = writer + 1;
-        }
-
+        // This processor's contribution to the episode's GC watermark is
+        // every notice it has incorporated but not applied: the barrier
+        // min-merges them into each writer's floor.
         let my_published = self.vc.get(self.rank.index());
         self.observe_sync(SyncEvent::BarrierArrive);
         let epoch = self
@@ -1106,7 +1040,7 @@ impl ProcCtx {
                 self.clock.now_ns(),
                 self.cost.barrier_latency(self.nprocs as u32),
                 my_published,
-                &self.pending_floors,
+                self.notices.live(),
             )
             .await;
         self.clock.wait_until(epoch.depart_clock_ns);
@@ -1136,6 +1070,14 @@ impl ProcCtx {
                 .borrow_mut()
                 .retire_salvaging(watermark, &mut self.shared.salvage.borrow_mut());
         }
+        // No interval anybody still has a notice of pending is retired.
+        debug_assert!(
+            self.notices
+                .live()
+                .all(|(w, seq)| self.shared.logs[w as usize].borrow().record(seq).is_some()),
+            "rank {} holds a pending notice of a retired interval",
+            self.rank.0
+        );
 
         if self.rank.0 != 0 {
             self.stats

@@ -155,9 +155,9 @@ pub struct CentralBarrier {
     arrived: usize,
     max_clock_ns: u64,
     lens: Vec<u32>,
-    /// Elementwise minimum, over this episode's arrivers so far, of each
-    /// arriver's smallest pending notice sequence number per writer
-    /// (`u32::MAX` for a writer nobody has pending).
+    /// Per writer, the smallest sequence number of any write notice this
+    /// episode's arrivers so far hold pending (`u32::MAX` for a writer
+    /// nobody has pending).
     pending_floor: Vec<u32>,
     /// The most recently sealed episode.  Its published-interval snapshot is
     /// the coverage bound of the next episode's GC watermark.
@@ -201,10 +201,10 @@ impl CentralBarrier {
     }
 
     /// Record the arrival of processor `rank` without blocking.
-    /// `my_pending_floors` lists `(writer, floor)` for every writer `rank`
-    /// has a write notice of incorporated but not applied yet, `floor` being
-    /// the smallest sequence number among them — the arriver's contribution
-    /// to the episode's GC watermark.  Writers it has nothing pending of are
+    /// `my_pending` yields `(writer, seq)` for every write notice `rank` has
+    /// incorporated but not applied yet, in any order and any multiplicity —
+    /// the arriver's contribution to the episode's GC watermark, min-merged
+    /// into each writer's floor.  Writers it has nothing pending of are
     /// simply absent.
     fn arrive(
         &mut self,
@@ -212,14 +212,14 @@ impl CentralBarrier {
         my_clock_ns: u64,
         barrier_latency_ns: u64,
         my_published_intervals: u32,
-        my_pending_floors: &[(u32, u32)],
+        my_pending: impl IntoIterator<Item = (u32, u32)>,
     ) -> Arrival {
         let generation = self.generation;
         self.max_clock_ns = self.max_clock_ns.max(my_clock_ns);
         self.lens[rank] = my_published_intervals;
-        for &(writer, floor) in my_pending_floors {
+        for (writer, seq) in my_pending {
             let acc = &mut self.pending_floor[writer as usize];
-            *acc = (*acc).min(floor);
+            *acc = (*acc).min(seq);
         }
         self.arrived += 1;
         if self.arrived == self.nprocs {
@@ -415,18 +415,18 @@ impl GlobalSync {
 
     /// Arrive at the barrier as processor `rank`, announcing the caller's
     /// modeled clock, the number of intervals it has published so far, and
-    /// the `(writer, floor)` pairs of the writers it has notices pending of
-    /// (the GC contribution; see [`gc_thresholds`]).  Parks (on the
-    /// scheduler) until everyone has arrived and returns the barrier episode
-    /// (common departure time + published-interval snapshot + retirement
-    /// watermarks).
+    /// the `(writer, seq)` of every write notice it has pending (the GC
+    /// contribution, read when the arrival is recorded; see
+    /// [`gc_thresholds`]).  Parks (on the scheduler) until everyone has
+    /// arrived and returns the barrier episode (common departure time +
+    /// published-interval snapshot + retirement watermarks).
     pub async fn barrier_arrive(
         &self,
         rank: usize,
         clock_ns: u64,
         barrier_latency_ns: u64,
         published_intervals: u32,
-        pending_floors: &[(u32, u32)],
+        pending: impl IntoIterator<Item = (u32, u32)>,
     ) -> Rc<BarrierEpoch> {
         self.yield_turn(rank, clock_ns).await;
         let arrival = self.barrier.borrow_mut().arrive(
@@ -434,7 +434,7 @@ impl GlobalSync {
             clock_ns,
             barrier_latency_ns,
             published_intervals,
-            pending_floors,
+            pending,
         );
         match arrival {
             Arrival::Sealed { generation, epoch } => {
@@ -556,7 +556,7 @@ mod tests {
         let sync = GlobalSync::new(3, 1, SchedConfig::fifo());
         let departs = run(&sync, 3, async |rank| {
             let clock = [100u64, 900, 400][rank];
-            sync.barrier_arrive(rank, clock, 50, 0, &[])
+            sync.barrier_arrive(rank, clock, 50, 0, [])
                 .await
                 .depart_clock_ns
         });
@@ -569,12 +569,12 @@ mod tests {
         let results = run(&sync, 2, async |rank| {
             let first = [20u64, 10][rank];
             let a = sync
-                .barrier_arrive(rank, first, 5, 0, &[])
+                .barrier_arrive(rank, first, 5, 0, [])
                 .await
                 .depart_clock_ns;
             let second = if rank == 0 { a + 1 } else { a + 100 };
             let b = sync
-                .barrier_arrive(rank, second, 5, 0, &[])
+                .barrier_arrive(rank, second, 5, 0, [])
                 .await
                 .depart_clock_ns;
             (a, b)
@@ -587,7 +587,7 @@ mod tests {
     fn barrier_snapshots_published_intervals() {
         let sync = GlobalSync::new(3, 1, SchedConfig::seeded(3));
         let epochs = run(&sync, 3, async |rank| {
-            sync.barrier_arrive(rank, 10 * rank as u64, 7, rank as u32 * 2, &[])
+            sync.barrier_arrive(rank, 10 * rank as u64, 7, rank as u32 * 2, [])
                 .await
         });
         for e in epochs {
@@ -620,13 +620,18 @@ mod tests {
             // pending.
             let published = [4u32, 2][rank];
             let first = sync
-                .barrier_arrive(rank, 10, 5, published, &[])
+                .barrier_arrive(rank, 10, 5, published, [])
                 .await
                 .retire_below
                 .clone();
-            let floors: &[(u32, u32)] = if rank == 1 { &[(0, 3)] } else { &[] };
+            // Rank 1 holds two notices of that interval and one of the next.
+            let pending: &[(u32, u32)] = if rank == 1 {
+                &[(0, 4), (0, 3), (0, 3)]
+            } else {
+                &[]
+            };
             let second = sync
-                .barrier_arrive(rank, 100, 5, published + 1, floors)
+                .barrier_arrive(rank, 100, 5, published + 1, pending.iter().copied())
                 .await
                 .retire_below
                 .clone();
@@ -641,12 +646,13 @@ mod tests {
         }
     }
 
-    /// Sparse `(writer, floor)` arrivals must seal the watermarks the dense
-    /// form sealed: `gc_thresholds` of the previous snapshot and the
-    /// elementwise minimum of every arriver's dense floor vector (`u32::MAX`
-    /// where it has nothing pending).  Every case has a writer pending at
-    /// several arrivers (writer 0, at all but itself) and one pending at none
-    /// (the last).
+    /// Arrivals that hand over their pending notices one by one, several per
+    /// writer and in any order, must seal the watermarks the dense form
+    /// sealed: `gc_thresholds` of the previous snapshot and the elementwise
+    /// minimum of every arriver's dense floor vector (its smallest pending
+    /// `seq` per writer, `u32::MAX` where it has nothing pending).  Every
+    /// case has a writer pending at several arrivers (writer 0, at all but
+    /// itself) and one pending at none (the last).
     #[test]
     fn sparse_arrivals_seal_the_dense_watermarks() {
         let mut rng = proptest::rng::TestRng::new(0xf100);
@@ -654,24 +660,30 @@ mod tests {
             let n = 3 + rng.below(7) as usize;
             let first: Vec<u32> = (0..n).map(|_| rng.below(6) as u32).collect();
             let second: Vec<u32> = first.iter().map(|&p| p + rng.below(3) as u32).collect();
-            // What each arriver of the second episode has pending.
+            // What each arriver of the second episode has pending: one to
+            // three notices per writer at or above its floor, shuffled.
             let pending: Vec<Vec<(u32, u32)>> = (0..n)
                 .map(|rank| {
-                    (0..n - 1)
-                        .filter(|&w| w != rank)
-                        .filter_map(|w| {
-                            let floor = 1 + rng.below(8) as u32;
-                            (w == 0 || floor <= 3).then_some((w as u32, floor))
-                        })
-                        .collect()
+                    let mut notices = Vec::new();
+                    for w in (0..n as u32 - 1).filter(|&w| w != rank as u32) {
+                        let floor = 1 + rng.below(8) as u32;
+                        if w == 0 || floor <= 3 {
+                            let above = rng.below(3) as u32;
+                            notices.extend((0..=above).map(|k| (w, floor + k * (k + 1) / 2)));
+                        }
+                    }
+                    for i in (1..notices.len()).rev() {
+                        notices.swap(i, rng.below(i as u128 + 1) as usize);
+                    }
+                    notices
                 })
                 .collect();
 
             let mut dense_min = vec![u32::MAX; n];
-            for floors in &pending {
+            for notices in &pending {
                 let mut dense = vec![u32::MAX; n];
-                for &(w, floor) in floors {
-                    dense[w as usize] = floor;
+                for &(w, seq) in notices {
+                    dense[w as usize] = dense[w as usize].min(seq);
                 }
                 for (acc, floor) in dense_min.iter_mut().zip(dense) {
                     *acc = (*acc).min(floor);
@@ -681,7 +693,7 @@ mod tests {
 
             let mut barrier = CentralBarrier::new(n);
             for (rank, &published) in first.iter().enumerate() {
-                barrier.arrive(rank, 0, 0, published, &[]);
+                barrier.arrive(rank, 0, 0, published, []);
             }
             // The second episode's arrivals come in a shuffled order.
             let mut order: Vec<usize> = (0..n).collect();
@@ -691,7 +703,7 @@ mod tests {
             let mut sealed = None;
             for rank in order {
                 if let Arrival::Sealed { epoch, .. } =
-                    barrier.arrive(rank, 0, 0, second[rank], &pending[rank])
+                    barrier.arrive(rank, 0, 0, second[rank], pending[rank].iter().copied())
                 {
                     sealed = Some(epoch);
                 }

@@ -12,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use tdsm_core::{Dsm, DsmConfig};
+use tdsm_core::{Align, Dsm, DsmConfig};
 
 thread_local! {
     /// `(bytes requested, allocator calls)` of this thread.  Const-initialized
@@ -64,25 +64,31 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 const MIB: u64 = 1 << 20;
 
+/// `(bytes, calls)` this thread requests while running `run`.
+fn requested(run: impl FnOnce()) -> (u64, u64) {
+    let before = REQUESTED.with(Cell::get);
+    run();
+    let after = REQUESTED.with(Cell::get);
+    (after.0 - before.0, after.1 - before.1)
+}
+
 /// `(bytes, calls)` one run of `barriers` barriers followed by `handoffs`
 /// acquire/release pairs of lock 0 per rank requests, cluster construction
 /// included.
 fn requested_by(nprocs: usize, barriers: usize, handoffs: usize) -> (u64, u64) {
-    let before = REQUESTED.with(Cell::get);
-    let dsm = Dsm::new(DsmConfig::with_procs(nprocs));
-    let out = dsm.run(async |ctx| {
-        for _ in 0..barriers {
-            ctx.barrier().await;
-        }
-        for _ in 0..handoffs {
-            ctx.acquire(0).await;
-            ctx.release(0).await;
-        }
-    });
-    assert_eq!(out.results.len(), nprocs);
-    drop(out);
-    let after = REQUESTED.with(Cell::get);
-    (after.0 - before.0, after.1 - before.1)
+    requested(|| {
+        let dsm = Dsm::new(DsmConfig::with_procs(nprocs));
+        let out = dsm.run(async |ctx| {
+            for _ in 0..barriers {
+                ctx.barrier().await;
+            }
+            for _ in 0..handoffs {
+                ctx.acquire(0).await;
+                ctx.release(0).await;
+            }
+        });
+        assert_eq!(out.results.len(), nprocs);
+    })
 }
 
 /// At PR 16 an empty body on 1024 processors requested 46.7 MiB in 10 263
@@ -124,5 +130,49 @@ fn a_lock_handoff_allocates_nothing() {
     assert_eq!(
         many, few,
         "8 x 10 hand-offs: {few} calls, 8 x 1000 hand-offs: {many} calls"
+    );
+}
+
+/// `(bytes, calls)` of a run in which rank 0 writes one word of each of
+/// `pages` pages and every rank then crosses one barrier, so each of the
+/// other ranks incorporates `pages` write notices at departure.
+fn requested_by_one_episode(nprocs: usize, pages: u64) -> (u64, u64) {
+    const PAGE: u64 = 4096;
+    requested(|| {
+        let mut dsm = Dsm::new(DsmConfig::with_procs(nprocs));
+        let base = dsm.alloc_bytes(pages * PAGE, Align::Page);
+        let out = dsm.run(async |ctx| {
+            if ctx.rank() == 0 {
+                for page in 0..pages {
+                    ctx.write_bytes(base.add(page * PAGE), &[1; 8]).await;
+                }
+            }
+            ctx.barrier().await;
+        });
+        assert_eq!(out.results.len(), nprocs);
+    })
+}
+
+/// Each receiving rank files a barrier episode's notices in its notice slab,
+/// which grows by one fixed block per 64 notices pending at once.  A
+/// receiver's first notice costs it two calls (the first block and the
+/// table of blocks), and 31 more cost it none.  When every notice went into
+/// a per-page `Vec` and an ordered-map entry, those 31 extra notices on each
+/// of 1 023 receivers cost 31 974 more calls; now the difference is 261,
+/// all the writer's own: each extra page's twin, diff and first-touch state
+/// on rank 0.
+#[test]
+fn a_barrier_episode_files_notices_in_blocks_not_one_call_per_notice() {
+    let receivers = 1023;
+    let (_, none) = requested_by_one_episode(1024, 0);
+    let (_, one) = requested_by_one_episode(1024, 1);
+    let (_, many) = requested_by_one_episode(1024, 32);
+    assert!(
+        one - none < 3 * receivers,
+        "no notice: {none} calls, one per receiver: {one} calls"
+    );
+    assert!(
+        many - one < receivers,
+        "one notice per receiver: {one} calls, 32 per receiver: {many} calls"
     );
 }
