@@ -32,10 +32,11 @@ use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::rc::Rc;
+use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
 use tm_net::{ClusterStats, NetworkState, ProcStats};
-use tm_page::{Align, GlobalAddr, HomeStore, PageLayout, RegionAllocator, Salvage};
+use tm_page::{zero_image, Align, GlobalAddr, HomeStore, PageLayout, RegionAllocator, Salvage};
 use tm_race::{FlatOracle, Observer, RaceDetector};
 
 use crate::config::DsmConfig;
@@ -70,6 +71,10 @@ pub(crate) struct RunState {
     /// per processor: what one rank frees another builds (DESIGN.md,
     /// "Retirement and reuse").
     pub(crate) salvage: RefCell<Salvage>,
+    /// The all-zero page image every rank's pages start on (see
+    /// `PageStore::with_zero_image`).  One per run, not per rank: a
+    /// 1 024-rank run would otherwise build 1 024 of them.
+    pub(crate) zero_image: Arc<[u8]>,
 }
 
 impl RunState {
@@ -234,6 +239,7 @@ impl Dsm {
                 .then(|| RefCell::new(HomeStore::new(layout))),
             net: RefCell::new(NetworkState::new(self.config.topology, nprocs)),
             salvage: RefCell::new(Salvage::new()),
+            zero_image: zero_image(layout.page_size()),
         });
 
         let continuations = (0..nprocs)
@@ -249,6 +255,19 @@ impl Dsm {
             })
             .collect();
         let per_proc = drive(&shared.sync, continuations);
+        // Every rank's store died with its continuation, and no diff or
+        // salvage ever holds the zero image (a page that differs from zero
+        // shows an image of its own), so the run holds it alone — and
+        // nothing wrote it while it was shared.
+        debug_assert_eq!(
+            Arc::strong_count(&shared.zero_image),
+            1,
+            "the zero image outlived every store"
+        );
+        debug_assert!(
+            shared.zero_image.iter().all(|&b| b == 0),
+            "a write landed in the shared zero image"
+        );
 
         let mut results = Vec::with_capacity(nprocs);
         let mut stats = ClusterStats {

@@ -202,7 +202,7 @@ impl ProcCtx {
             layout,
             unit: config.unit,
             cost: config.cost.clone(),
-            store: PageStore::new(layout),
+            store: PageStore::with_zero_image(layout, Arc::clone(&shared.zero_image)),
             prot: vec![0; layout.total_pages() as usize],
             notices: NoticeSlab::new(layout.total_pages() as usize),
             dirty_pages: Vec::new(),

@@ -64,7 +64,7 @@ pub use alloc::{Align, OutOfSharedMemory, RegionAllocator};
 pub use diff::{Diff, RunSpan, DIFF_HEADER_BYTES, RUN_HEADER_BYTES};
 pub use home::HomeStore;
 pub use layout::{GlobalAddr, PageId, PageLayout, WORD_SIZE};
-pub use page::{LocalPage, PageStore, NO_EXCHANGE};
+pub use page::{zero_image, LocalPage, PageStore, NO_EXCHANGE};
 pub use salvage::Salvage;
 
 #[cfg(test)]

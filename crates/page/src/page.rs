@@ -41,6 +41,11 @@ pub const NO_EXCHANGE: u32 = u32::MAX;
 /// skips all per-word pre-image saves and derives changed bits by direct
 /// comparison.
 ///
+/// A [`PageStore`]'s page starts on the store's all-zero image, shared, so
+/// the same rules give it its first image of its own: a read reads zeros,
+/// a whole-page delivery adopts the diff's image, the first twin is exact,
+/// and the first store detaches.
+///
 /// A whole-page store into a shared image still needs a fresh one.  The
 /// protocol layer hands an exact twin one **spare** image out of the run's
 /// [`Salvage`] when it creates the twin
@@ -59,7 +64,9 @@ pub struct LocalPage {
     /// except that a lazy buffer is kept for the next twin to reuse.
     preimage: PreImage,
     /// One bit per word, set iff the word's current value differs from its
-    /// value when the twin was made.  Meaningless while not twinned.
+    /// value when the twin was made.  Meaningless while not twinned, and
+    /// empty until the page's first twin: a page only read never pays for
+    /// it.
     changed_words: Box<[u64]>,
     /// For each 32-bit word: the exchange id that last delivered it and has
     /// not yet been read or overwritten locally, or [`NO_EXCHANGE`].
@@ -148,14 +155,20 @@ fn copy_bytes(dst: &mut [u8], src: &[u8]) {
 }
 
 impl LocalPage {
-    /// Create a zero-filled page of `page_size` bytes.
+    /// Create a zero-filled page of `page_size` bytes over a private image.
     pub fn new_zeroed(page_size: usize) -> Self {
-        let words = page_size / WORD_SIZE;
+        Self::showing(zero_image(page_size))
+    }
+
+    /// A page whose contents are `image`, which it may share: a
+    /// [`PageStore`]'s pages start on the store's one zero image, and the
+    /// copy-on-write rules give a page its own image when it first differs.
+    fn showing(image: Arc<[u8]>) -> Self {
         LocalPage {
-            data: vec![0u8; page_size].into(),
+            data: image,
             twinned: false,
             preimage: PreImage::Lazy(Box::default()),
-            changed_words: vec![0u64; words.div_ceil(64)].into_boxed_slice(),
+            changed_words: Box::default(),
             attribution: None,
             pending: 0,
             uniform: NO_EXCHANGE,
@@ -255,7 +268,11 @@ impl LocalPage {
             // No lazy buffer from an earlier interval to reuse.
             self.preimage = PreImage::Lazy(vec![0u8; self.data.len() + ARC_HEADER_BYTES].into());
         }
-        self.changed_words.fill(0);
+        if self.changed_words.is_empty() {
+            self.changed_words = vec![0u64; self.words().div_ceil(64)].into_boxed_slice();
+        } else {
+            self.changed_words.fill(0);
+        }
         self.twinned = true;
         true
     }
@@ -758,6 +775,11 @@ impl LocalPage {
     }
 }
 
+/// An all-zero page image of `len` bytes, built in one allocation.
+pub fn zero_image(len: usize) -> Arc<[u8]> {
+    std::iter::repeat_n(0, len).collect()
+}
+
 /// `image` for writing, detached first if anything else holds it: copied
 /// into `spare()`'s image, or into a fresh allocation when that has none.
 /// (No image is ever held weakly, so a strong count of one — a plain load,
@@ -882,18 +904,41 @@ fn exact_bits(src: &[u8], src_offset: usize, pre: &[u8], bits: &mut [u64], w0: u
 /// A processor's private view of the entire shared address space.
 ///
 /// Pages are materialized lazily: a page that was never touched by this
-/// processor costs nothing.
+/// processor costs nothing, and one it only reads costs its slot — every
+/// page starts on the store's one all-zero image, shared, and gets an image
+/// of its own only when a store or a delivery first makes it differ.
 #[derive(Debug)]
 pub struct PageStore {
     layout: PageLayout,
+    /// The image every page shows until it first differs from zero.  Never
+    /// written: it is always shared, so every write path detaches it first.
+    zero: Arc<[u8]>,
     pages: Vec<Option<Box<LocalPage>>>,
 }
 
 impl PageStore {
-    /// Create an empty store for the given layout.
+    /// Create an empty store for the given layout, over a zero image of its
+    /// own.
     pub fn new(layout: PageLayout) -> Self {
+        Self::with_zero_image(layout, zero_image(layout.page_size()))
+    }
+
+    /// Create an empty store whose pages start on `zero`, an all-zero image
+    /// of the layout's page size that other stores may share: a run builds
+    /// one for all its processors.
+    ///
+    /// # Panics
+    /// Panics if `zero` is not one page long.
+    pub fn with_zero_image(layout: PageLayout, zero: Arc<[u8]>) -> Self {
+        assert_eq!(
+            zero.len(),
+            layout.page_size(),
+            "zero image must be one page"
+        );
+        debug_assert!(zero.iter().all(|&b| b == 0), "zero image holds a set byte");
         PageStore {
             layout,
+            zero,
             pages: (0..layout.total_pages()).map(|_| None).collect(),
         }
     }
@@ -909,12 +954,11 @@ impl PageStore {
         self.pages.iter().filter(|p| p.is_some()).count()
     }
 
-    /// Get the page, materializing a zero-filled copy on its first use.
+    /// Get the page, materializing it over the zero image on its first use.
     pub fn page_mut(&mut self, page: PageId) -> &mut LocalPage {
         let idx = page.index();
         assert!(idx < self.pages.len(), "page {page} outside layout");
-        self.pages[idx]
-            .get_or_insert_with(|| Box::new(LocalPage::new_zeroed(self.layout.page_size())))
+        self.pages[idx].get_or_insert_with(|| Box::new(LocalPage::showing(Arc::clone(&self.zero))))
     }
 
     /// Get the page if it has been materialized.
@@ -1244,6 +1288,59 @@ mod tests {
             }
             twin
         }
+    }
+
+    /// One step of `a_page_over_the_shared_zero_image_acts_as_a_private_one`.
+    /// Stored bytes are all zeros for a value below 64.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// A store of (up to) `len` bytes at byte `offset`, of a value.
+        Store(usize, usize, u8),
+        /// A whole-page store of a value.
+        StoreWhole(u8),
+        /// Twin the page, with a spare from its salvage as the write trap
+        /// does.
+        Twin,
+        /// Encode the interval's diff and drop the twin, keeping the diff
+        /// (and so a dense one's image) alive into the next interval when
+        /// set.
+        Close(bool),
+        /// Apply another page's next diff.
+        Apply(Member),
+        /// Deliver another page's next diffs as one round.
+        Deliver(Vec<Member>),
+        /// Read (up to) `len` bytes at byte `offset`.
+        Read(usize, usize),
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        let fields = (
+            (0usize..1024, 1usize..1024),
+            any::<u8>(),
+            prop::collection::vec(member(), 1..4),
+        );
+        (0u8..8, fields).prop_map(|(kind, ((offset, len), value, mut round))| match kind {
+            0 => Step::Store(offset, len / 4 + 1, value),
+            1 => Step::StoreWhole(value),
+            2 => Step::Twin,
+            3 => Step::Close(value % 2 == 0),
+            4 => Step::Apply(round.pop().expect("a round has a member")),
+            5 => Step::Deliver(round),
+            _ => Step::Read(offset, len),
+        })
+    }
+
+    /// `len` stored bytes of `value` (see [`Step`]).
+    fn stored(len: usize, value: u8) -> Vec<u8> {
+        (0..len)
+            .map(|i| {
+                if value < 64 {
+                    0
+                } else {
+                    (i as u8).wrapping_mul(31) ^ value
+                }
+            })
+            .collect()
     }
 
     type Observed = (bool, usize, Vec<u8>, Vec<(u32, u32)>);
@@ -1589,6 +1686,98 @@ mod tests {
             let (adopted, parked) = (observe(&mut adopter, &[]), observe(&mut parker, &[]));
             prop_assert!(adopted == want, "{adopted:?} != {want:?}");
             prop_assert!(parked == want, "{parked:?} != {want:?}");
+        }
+
+        /// A store's page, which starts on the store's shared zero image,
+        /// and a private zero-filled page driven through the same stores,
+        /// twins, closes, applications, deliveries and reads show the same
+        /// bytes, encode the same diffs and credit the same useful words.
+        /// Afterwards the zero image is still all zeros, a page that was
+        /// written or delivered to no longer shows it, and a page only read
+        /// still does.
+        #[test]
+        fn a_page_over_the_shared_zero_image_acts_as_a_private_one(
+            steps in prop::collection::vec(step(), 1..40),
+        ) {
+            let zero = zero_image(1024);
+            let mut store = PageStore::with_zero_image(PageLayout::new(1024, 2), Arc::clone(&zero));
+            let mut private = LocalPage::new_zeroed(1024);
+            let mut writer = Writer::new();
+            let mut salvages = [Salvage::new(), Salvage::new()];
+            let mut covers = [Vec::new(), Vec::new()];
+            let mut held: [Option<Diff>; 2] = [None, None];
+            // Every diff delivered, held so that no salvage empties one.
+            let mut delivered: Vec<(Arc<Diff>, u32)> = Vec::new();
+            let mut written = false;
+            let shared = store.page_mut(PageId(0));
+            prop_assert!(Arc::ptr_eq(&shared.data, &zero));
+            let mut pages = [shared, &mut private];
+            for step in steps.iter().chain([&Step::Close(false)]) {
+                if matches!(step, Step::Close(_) | Step::Apply(_) | Step::Deliver(_)) && pages[0].twinned {
+                    let keep = matches!(step, Step::Close(true));
+                    let mut diffs = [Diff::empty(PageId(0)), Diff::empty(PageId(0))];
+                    for ((page, diff), held) in pages.iter_mut().zip(&mut diffs).zip(&mut held) {
+                        prop_assert!(page.make_diff_into(PageId(0), diff));
+                        page.drop_twin();
+                        *held = None;
+                    }
+                    prop_assert_eq!(&diffs[0], &diffs[1]);
+                    if keep {
+                        held = diffs.map(Some);
+                    }
+                }
+                match *step {
+                    Step::Store(offset, len, value) => {
+                        let src = stored(len.min(1024 - offset), value);
+                        pages.iter_mut().for_each(|page| page.write_bytes(offset, &src));
+                        written = true;
+                    }
+                    Step::StoreWhole(value) => {
+                        let src = stored(1024, value);
+                        pages.iter_mut().for_each(|page| page.write_bytes(0, &src));
+                        written = true;
+                    }
+                    Step::Twin => {
+                        for (page, salvage) in pages.iter_mut().zip(&mut salvages) {
+                            page.ensure_twin_from(salvage);
+                        }
+                    }
+                    Step::Close(_) => {}
+                    Step::Apply(m) => {
+                        let (diff, exchange) = writer.next(m);
+                        pages.iter_mut().for_each(|page| page.apply_diff(&diff, exchange));
+                        delivered.push((diff, exchange));
+                        written = true;
+                    }
+                    Step::Deliver(ref round) => {
+                        let round: Vec<_> = round.iter().map(|&m| writer.next(m)).collect();
+                        for ((page, salvage), cover) in pages.iter_mut().zip(&mut salvages).zip(&mut covers) {
+                            page.deliver(round.iter().rev().map(|(d, e)| (d, *e)), cover, salvage);
+                        }
+                        delivered.extend(round);
+                        written = true;
+                    }
+                    Step::Read(offset, len) => {
+                        let len = len.min(1024 - offset);
+                        let mut seen = [(vec![0u8; len], Vec::new()), (vec![0u8; len], Vec::new())];
+                        for (page, (bytes, credits)) in pages.iter_mut().zip(&mut seen) {
+                            page.read_bytes(offset, bytes, |e, words| credits.push((e, words)));
+                        }
+                        prop_assert_eq!(&seen[0], &seen[1]);
+                    }
+                }
+                prop_assert_eq!(pages[0].pending_attributions(), pages[1].pending_attributions());
+            }
+            let all: Vec<_> = delivered.iter().collect();
+            let [shared, private] = pages;
+            let (got, want) = (observe(shared, &all), observe(private, &all));
+            prop_assert!(got == want, "{got:?} != {want:?}");
+
+            prop_assert!(zero.iter().all(|&b| b == 0), "the zero image was written");
+            let shows_zero = |store: &PageStore, page| Arc::ptr_eq(&store.page(page).unwrap().data, &zero);
+            prop_assert!(!(written && shows_zero(&store, PageId(0))), "a written page shows the zero image");
+            store.read(GlobalAddr(1024), &mut [0u8; 1024], |_, _| {});
+            prop_assert!(shows_zero(&store, PageId(1)), "a read detached the zero image");
         }
     }
 }

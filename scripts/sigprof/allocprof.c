@@ -10,8 +10,15 @@
 //   ALLOCPROF_OUT=target/a.out LD_PRELOAD=$PWD/target/allocprof.so <exe> <args>
 //   scripts/sigprof/report.py <exe> target/a.out 25 --lines
 //
-// Each sample stands for 16 calls.  Allocations the hook makes itself
-// (backtrace() loading its unwinder) are neither counted nor sampled.
+// Each sample stands for 16 calls (EVERY; build with -DEVERY=1 to sample
+// every call).  With ALLOCPROF_EVERY_BYTES=N set, a sample stands for N
+// bytes requested instead (N=65536: one per 64 KiB), so the report's
+// shares attribute bytes, the benchmark's alloc_mib, rather than calls:
+// sizes count as benchmark/src/alloc_count.rs counts them (malloc size,
+// calloc n * size, realloc new size, posix_memalign size), and a call that
+// crosses k multiples of N records its backtrace k times.  Allocations the
+// hook makes itself (backtrace() loading its unwinder) are neither counted
+// nor sampled.
 #define _GNU_SOURCE
 #include <errno.h>
 #include <execinfo.h>
@@ -20,7 +27,9 @@
 #include <string.h>
 #include <unistd.h>
 
+#ifndef EVERY  // -DEVERY=1 samples every call
 #define EVERY 16
+#endif
 #define DEPTH 48
 
 // glibc's own entry points, which the hooks forward to.
@@ -31,7 +40,9 @@ extern void *__libc_memalign(size_t, size_t);
 
 #define TLS __thread __attribute__((tls_model("initial-exec")))
 static TLS unsigned long calls;
-static TLS int busy;  // inside a hook: the re-entry guard
+static TLS unsigned long long bytes;  // requested since the last sample, byte mode
+static TLS int busy;                  // inside a hook: the re-entry guard
+static unsigned long long every_bytes;  // 0: sample every EVERY-th call
 
 static int fd = -1;
 static char buf[1 << 16];
@@ -52,10 +63,10 @@ static void put(const char *s, size_t n) {
   used += n;
 }
 
-// One line of "0x<hex> " addresses, skipping frame 0 (this function): the
-// line starts at the hook, outside the executable, so the report shows
-// each row as `libc<-f`, an allocator call made by f.
-static void sample(void) {
+// `copies` lines of "0x<hex> " addresses, skipping frame 0 (this
+// function): the line starts at the hook, outside the executable, so the
+// report shows each row as `libc<-f`, an allocator call made by f.
+static void sample(unsigned long long copies) {
   void *frames[DEPTH];
   int depth = backtrace(frames, DEPTH);
   char line[DEPTH * 20 + 1];
@@ -70,42 +81,50 @@ static void sample(void) {
     line[n++] = ' ';
   }
   line[n++] = '\n';
-  put(line, n);
+  while (copies--) put(line, n);
 }
 
-// Count one call made by the program; sample every EVERY-th (one thread
-// at a time into the shared buffer).
+// Count one call of `size` bytes made by the program; sample every
+// EVERY-th call, or once per every_bytes bytes in byte mode (one thread at
+// a time into the shared buffer).
 static char lock;
-#define NOTE()                                                     \
-  do {                                                             \
-    if (!busy && fd >= 0 && ++calls % EVERY == 0) {                \
-      busy = 1;                                                    \
-      while (__atomic_test_and_set(&lock, __ATOMIC_ACQUIRE)) {     \
-      }                                                            \
-      sample();                                                    \
-      __atomic_clear(&lock, __ATOMIC_RELEASE);                     \
-      busy = 0;                                                    \
-    }                                                              \
-  } while (0)
+static void note(unsigned long long size) {
+  if (busy || fd < 0) return;
+  unsigned long long copies;
+  if (every_bytes) {
+    bytes += size;
+    copies = bytes / every_bytes;
+    bytes %= every_bytes;
+  } else {
+    copies = ++calls % EVERY == 0;
+  }
+  if (!copies) return;
+  busy = 1;
+  while (__atomic_test_and_set(&lock, __ATOMIC_ACQUIRE)) {
+  }
+  sample(copies);
+  __atomic_clear(&lock, __ATOMIC_RELEASE);
+  busy = 0;
+}
 
 void *malloc(size_t size) {
-  NOTE();
+  note(size);
   return __libc_malloc(size);
 }
 
 void *calloc(size_t n, size_t size) {
-  NOTE();
+  note((unsigned long long)n * size);
   return __libc_calloc(n, size);
 }
 
 void *realloc(void *p, size_t size) {
-  NOTE();
+  note(size);
   return __libc_realloc(p, size);
 }
 
 int posix_memalign(void **out, size_t align, size_t size) {
   if (align % sizeof(void *) != 0 || (align & (align - 1)) != 0) return EINVAL;
-  NOTE();
+  note(size);
   void *p = __libc_memalign(align, size);
   if (!p) return ENOMEM;
   *out = p;
@@ -141,6 +160,8 @@ __attribute__((constructor)) static void init(void) {
   busy = 1;
   void *warm[4];
   backtrace(warm, 4);  // load the unwinder before the first sample
+  const char *every = getenv("ALLOCPROF_EVERY_BYTES");
+  if (every) every_bytes = strtoull(every, NULL, 10);
   const char *path = getenv("ALLOCPROF_OUT");
   fd = open(path ? path : "allocprof.out", O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd >= 0) atexit(dump);

@@ -16,7 +16,14 @@ Prints, as shares of the samples kept:
 
 allocprof.c writes the same format with one sample per sixteen allocator
 calls instead of per 2 ms of CPU, so the same views attribute allocator
-calls by call site (`ALLOCPROF_OUT` names its dump).
+calls by call site (`ALLOCPROF_OUT` names its dump).  With
+`ALLOCPROF_EVERY_BYTES=65536` it takes one sample per 64 KiB requested
+instead, sizes counted as the benchmark's `alloc_mib` counts them, and the
+same views attribute bytes requested by call site:
+
+    ALLOCPROF_EVERY_BYTES=65536 ALLOCPROF_OUT=target/b.out \
+        LD_PRELOAD=$PWD/target/allocprof.so <exe> <args>
+    scripts/sigprof/report.py <exe> target/b.out 25 --lines
 
 `--under FUNC` keeps only the samples with a function whose name contains
 FUNC on the stack (the benchmark's timed repetitions are `--under

@@ -176,3 +176,58 @@ fn a_barrier_episode_files_notices_in_blocks_not_one_call_per_notice() {
         "one notice per receiver: {one} calls, 32 per receiver: {many} calls"
     );
 }
+
+/// `(bytes, calls)` of a run in which rank 0 overwrites each of `pages`
+/// pages whole, every rank crosses a barrier, and then, when `read`, every
+/// other rank reads each of those pages whole and one word of each of
+/// `pages` pages nobody wrote.  (A whole-page read consumes a whole-page
+/// delivery's attribution without the per-word array a partial read of it
+/// needs.)
+fn requested_by_readers(nprocs: usize, pages: u64, read: bool) -> (u64, u64) {
+    const PAGE: u64 = 4096;
+    requested(|| {
+        let mut dsm = Dsm::new(DsmConfig::with_procs(nprocs));
+        let unwritten = dsm.alloc_bytes(pages * PAGE, Align::Page);
+        let overwritten = dsm.alloc_bytes(pages * PAGE, Align::Page);
+        let out = dsm.run(async |ctx| {
+            if ctx.rank() == 0 {
+                for page in 0..pages {
+                    let image = [page as u8 + 1; PAGE as usize];
+                    ctx.write_bytes(overwritten.add(page * PAGE), &image).await;
+                }
+            }
+            ctx.barrier().await;
+            if read && ctx.rank() != 0 {
+                let (mut word, mut image) = ([0u8; 4], [0u8; PAGE as usize]);
+                for page in 0..pages {
+                    ctx.read_bytes(unwritten.add(page * PAGE), &mut word).await;
+                    assert_eq!(word, [0; 4]);
+                    ctx.read_bytes(overwritten.add(page * PAGE), &mut image)
+                        .await;
+                    assert_eq!(image, [page as u8 + 1; PAGE as usize]);
+                }
+            }
+        });
+        assert_eq!(out.results.len(), nprocs);
+    })
+}
+
+/// A page a rank only reads starts on the run's one zero image and, once
+/// fetched whole, adopts the writer's image: it costs its slot and the
+/// fault, never an image of its own.  When every page a rank touched began
+/// as a private zero-filled image (copied out of a throwaway `Vec`, so two
+/// page-sized requests) plus a changed-word set, each (rank, page) cost
+/// about 8.3 KiB; over the zero image it costs about 150 bytes.
+#[test]
+fn a_page_only_read_costs_no_image() {
+    const PAGE: u64 = 4096;
+    let (nprocs, pages) = (64, 16);
+    let (idle, _) = requested_by_readers(nprocs, pages, false);
+    let (reading, calls) = requested_by_readers(nprocs, pages, true);
+    let touched = (nprocs as u64 - 1) * 2 * pages;
+    let per_page = (reading - idle) / touched;
+    assert!(
+        per_page < PAGE / 2,
+        "{per_page} bytes per (rank, page) read ({reading} bytes in {calls} calls, {idle} without the reads)"
+    );
+}
