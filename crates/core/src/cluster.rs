@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
 use tm_net::{ClusterStats, NetworkState, ProcStats};
-use tm_page::{zero_image, Align, GlobalAddr, HomeStore, PageLayout, RegionAllocator, Salvage};
+use tm_page::{Align, Diff, GlobalAddr, HomeStore, Image, PageLayout, RegionAllocator};
 use tm_race::{FlatOracle, Observer, RaceDetector};
 
 use crate::config::DsmConfig;
@@ -65,16 +65,15 @@ pub(crate) struct RunState {
     /// the ideal default's owns no links, so it allocates nothing, queues
     /// nothing and reports no link statistics.
     pub(crate) net: RefCell<NetworkState>,
-    /// The page images and emptied diffs every processor's retirements,
-    /// deliveries and interval closes let go of unshared, for the next
-    /// image build or close anywhere in the run to reuse.  One per run, not
-    /// per processor: what one rank frees another builds (DESIGN.md,
-    /// "Retirement and reuse").
-    pub(crate) salvage: RefCell<Salvage>,
+    /// Emptied diffs that a delivery round displaced from a page, for an
+    /// interval close anywhere in the run to rebuild in place when its own
+    /// log's pool is empty (DESIGN.md, "Retirement and reuse").
+    pub(crate) displaced: RefCell<Vec<Arc<Diff>>>,
     /// The all-zero page image every rank's pages start on (see
     /// `PageStore::with_zero_image`).  One per run, not per rank: a
-    /// 1 024-rank run would otherwise build 1 024 of them.
-    pub(crate) zero_image: Arc<[u8]>,
+    /// 1 024-rank run would otherwise build 1 024 of them.  Every image of
+    /// the run is built from it, so its pool is the run's.
+    pub(crate) zero_image: Image,
 }
 
 impl RunState {
@@ -238,8 +237,8 @@ impl Dsm {
                 .is_home_based()
                 .then(|| RefCell::new(HomeStore::new(layout))),
             net: RefCell::new(NetworkState::new(self.config.topology, nprocs)),
-            salvage: RefCell::new(Salvage::new()),
-            zero_image: zero_image(layout.page_size()),
+            displaced: RefCell::default(),
+            zero_image: Image::zeroed(layout.page_size()),
         });
 
         let continuations = (0..nprocs)
@@ -255,13 +254,12 @@ impl Dsm {
             })
             .collect();
         let per_proc = drive(&shared.sync, continuations);
-        // Every rank's store died with its continuation, and no diff or
-        // salvage ever holds the zero image (a page that differs from zero
-        // shows an image of its own), so the run holds it alone — and
-        // nothing wrote it while it was shared.
-        debug_assert_eq!(
-            Arc::strong_count(&shared.zero_image),
-            1,
+        // Every rank's store died with its continuation, and no diff ever
+        // holds the zero image (a page that differs from zero shows an
+        // image of its own), so the run holds it alone — and nothing wrote
+        // it while it was shared.
+        debug_assert!(
+            !shared.zero_image.is_shared(),
             "the zero image outlived every store"
         );
         debug_assert!(

@@ -14,7 +14,7 @@
 use crate::fasthash::FastHashMap;
 use std::sync::Arc;
 
-use tm_page::{Diff, PageId, Salvage};
+use tm_page::{Diff, PageId};
 
 use crate::config::DiffTiming;
 use crate::vc::VectorClock;
@@ -124,10 +124,12 @@ pub struct IntervalLog {
 /// Put `diff` into `pool` emptied, if nothing else holds it (a diff still
 /// parked on a requester's page is left to its last holder instead).  The
 /// emptied diff keeps its buffers but not its shared page image, which goes
-/// to `salvage` when nothing else holds it either, so the pool never pins a
-/// page.
-pub(crate) fn recycle(pool: &mut Vec<Arc<Diff>>, mut diff: Arc<Diff>, salvage: &mut Salvage) {
-    if salvage.strip(&mut diff) {
+/// back to its pool if the diff held it last, so no pooled diff pins a page.
+/// Retirement feeds the log's pool through here, and a delivery the run's
+/// stack of displaced diffs.
+pub(crate) fn recycle(pool: &mut Vec<Arc<Diff>>, mut diff: Arc<Diff>) {
+    if let Some(unshared) = Arc::get_mut(&mut diff) {
+        unshared.clear();
         pool.push(diff);
     }
 }
@@ -261,18 +263,11 @@ impl IntervalLog {
     /// diffs.  Callers must have established the GC invariant first: every
     /// processor's vector clock covers `seq` and no processor still has a
     /// pending (unapplied) write notice at or below it.  Returns the number
-    /// of records retired by this call.  The page images the retired diffs
-    /// borrowed are freed; a run retires through
-    /// [`retire_salvaging`](Self::retire_salvaging) instead.
+    /// of records retired by this call.  A page image a retired diff
+    /// borrowed goes back to its pool if nothing else holds it (a reader
+    /// that adopted the image, or the writer's page still showing it, keeps
+    /// it from reuse).
     pub fn retire_up_to(&mut self, seq: u32) -> u64 {
-        self.retire_salvaging(seq, &mut Salvage::new())
-    }
-
-    /// [`retire_up_to`](Self::retire_up_to), handing every page image a
-    /// retired diff borrowed to `salvage`, which keeps it if nothing else
-    /// holds it (a reader that adopted the image, or the writer's page
-    /// still showing it, keeps it from reuse).
-    pub fn retire_salvaging(&mut self, seq: u32, salvage: &mut Salvage) -> u64 {
         if seq <= self.retired {
             return 0;
         }
@@ -284,7 +279,7 @@ impl IntervalLog {
             for &page in &record.pages {
                 if let Some(stored) = self.diffs.remove(&(page, record.id.seq)) {
                     self.counters.diffs_retired += 1;
-                    recycle(&mut self.diff_pool, stored.diff, salvage);
+                    recycle(&mut self.diff_pool, stored.diff);
                 }
             }
             self.retired = record.id.seq;
@@ -303,6 +298,7 @@ impl IntervalLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tm_page::Image;
 
     fn record(proc: u32, seq: u32, n: usize, pages: &[u32]) -> IntervalRecord {
         let mut vc = VectorClock::zero(n);
@@ -409,7 +405,7 @@ mod tests {
     /// Publish interval `seq` of `pages` dense one-word diffs of `image` the
     /// way `close_interval` builds them: each rebuilt inside a pooled diff,
     /// allocated only when the pool is empty.
-    fn publish_from_pool(log: &mut IntervalLog, image: &Arc<[u8]>, seq: u32, pages: u32) {
+    fn publish_from_pool(log: &mut IntervalLog, image: &Image, seq: u32, pages: u32) {
         let mut pool = log.take_diff_pool();
         let mut diffs = Vec::new();
         for p in 0..pages {
@@ -428,7 +424,7 @@ mod tests {
 
     #[test]
     fn retirement_pools_every_unshared_diff_emptied_but_not_a_parked_one() {
-        let image: Arc<[u8]> = vec![1u8; 8].into();
+        let image = Image::zeroed(8).filled(&[1; 8]);
         let mut log = IntervalLog::new();
         for seq in 1..=4 {
             publish_from_pool(&mut log, &image, seq, 3);
@@ -443,10 +439,10 @@ mod tests {
             .iter()
             .all(|d| d.is_empty() && !Arc::ptr_eq(d, &parked)));
         assert_eq!(Arc::strong_count(&parked), 1, "the parked diff is not");
-        assert_eq!(
-            Arc::strong_count(&image),
-            2,
-            "only the parked diff still holds the page image"
+        drop(parked);
+        assert!(
+            !image.is_shared(),
+            "only the parked diff still held the page image"
         );
         // The next close rebuilds inside the pool.
         publish_from_pool(&mut log, &image, 5, 3);
@@ -455,7 +451,7 @@ mod tests {
 
     #[test]
     fn pool_plus_live_diffs_never_exceed_the_peak_live_count() {
-        let image: Arc<[u8]> = vec![1u8; 8].into();
+        let image = Image::zeroed(8).filled(&[1; 8]);
         let mut log = IntervalLog::new();
         let (mut peak, mut state) = (0, 7u64);
         for seq in 1..=200 {
@@ -474,14 +470,17 @@ mod tests {
     }
 
     #[test]
-    fn retirement_salvages_an_unshared_image_but_not_one_still_seen() {
+    fn retirement_pools_an_unshared_image_but_not_one_still_seen() {
         // Three dense diffs, each borrowing an image of its own: the first
         // is held by nothing else, the second's diff is still parked on a
         // reader, and a reader adopted the third's image.
+        let zero = Image::zeroed(8);
         let mut log = IntervalLog::new();
+        let mut images = Vec::new();
         let mut adopted = None;
         for seq in 1..=3 {
-            let image: Arc<[u8]> = vec![seq as u8; 8].into();
+            let image = zero.filled(&[seq as u8; 8]);
+            images.push(image.as_ptr());
             let mut diff = Diff::empty(PageId(0));
             diff.rebuild_from_changed(PageId(0), &image, &[0b11]);
             assert!(diff.whole_page_shared_image().is_some());
@@ -492,12 +491,13 @@ mod tests {
             log.publish(record(0, seq, 1, &[0]), diffs, DiffTiming::Lazy);
         }
         let parked = log.fetch_diff(PageId(0), 2).unwrap().diff;
-        let mut salvage = Salvage::new();
-        assert_eq!(log.retire_salvaging(3, &mut salvage), 3);
+        assert_eq!(log.retire_up_to(3), 3);
 
-        let salvaged = salvage.take_image(8).expect("the unshared diff's image");
-        assert_eq!(&*salvaged, &[1u8; 8]);
-        assert!(salvage.take_image(8).is_none(), "only that one");
+        // The unshared diff's image went back to the pool, and only it.
+        let reused = zero.filled(&[9; 8]);
+        assert_eq!(reused.as_ptr(), images[0]);
+        let fresh = zero.filled(&[9; 8]);
+        assert!(!images.contains(&fresh.as_ptr()), "only that one");
         assert_eq!(log.diff_pool.len(), 2, "both unshared diffs are pooled");
         assert!(log.diff_pool.iter().all(|d| d.is_empty()));
         let parked_image = parked.whole_page_shared_image().unwrap();
@@ -506,11 +506,7 @@ mod tests {
             &[2u8; 8],
             "the parked diff keeps its image"
         );
-        assert_eq!(
-            Arc::strong_count(&adopted.unwrap()),
-            1,
-            "the reader keeps its"
-        );
+        assert!(!adopted.unwrap().is_shared(), "the reader keeps its");
     }
 
     #[test]

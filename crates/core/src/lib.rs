@@ -46,6 +46,10 @@
 // (RUSTDOCFLAGS="-D warnings").
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+// A diff may borrow a page image, whose pool handle is an `Rc`, so an
+// `Arc<Diff>` is neither `Send` nor `Sync`.  A run stays on one thread, and
+// `Arc<Diff>` is the type the interval log publishes and serves.
+#![allow(clippy::arc_with_non_send_sync)]
 
 pub mod aggregation;
 pub mod cluster;

@@ -202,7 +202,7 @@ impl ProcCtx {
             layout,
             unit: config.unit,
             cost: config.cost.clone(),
-            store: PageStore::with_zero_image(layout, Arc::clone(&shared.zero_image)),
+            store: PageStore::with_zero_image(layout, shared.zero_image.clone()),
             prot: vec![0; layout.total_pages() as usize],
             notices: NoticeSlab::new(layout.total_pages() as usize),
             dirty_pages: Vec::new(),
@@ -410,10 +410,7 @@ impl ProcCtx {
             // whose writes go straight into the master copy.  A non-home
             // writer still twins: the flush at interval close is a diff.
             if self.home_of(page) != Some(self.rank.0) {
-                let created = self
-                    .store
-                    .page_mut(page)
-                    .ensure_twin_from(&mut self.shared.salvage.borrow_mut());
+                let created = self.store.page_mut(page).ensure_twin();
                 debug_assert!(created, "twin already present on a clean page");
                 self.stats.twins_created += 1;
                 self.clock
@@ -651,15 +648,17 @@ impl ProcCtx {
         xs.to_apply
             .sort_unstable_by_key(|f| (f.diff.page, f.weight, f.writer, f.seq, f.ord));
         let rounds = xs.to_apply.chunk_by(|a, b| a.diff.page == b.diff.page);
-        let mut salvage = self.shared.salvage.borrow_mut();
+        let mut displaced = self.shared.displaced.borrow_mut();
         for round in rounds.rev() {
-            self.store.page_mut(round[0].diff.page).deliver(
+            let page = self.store.page_mut(round[0].diff.page);
+            if let Some(diff) = page.deliver(
                 round.iter().rev().map(|f| (&f.diff, f.exchange)),
                 &mut xs.cover,
-                &mut salvage,
-            );
+            ) {
+                recycle(&mut displaced, diff);
+            }
         }
-        drop(salvage);
+        drop(displaced);
         // Let go of the fetched diffs now, not at the next fault: a diff the
         // scratch still held could not be pooled when its interval retires.
         xs.to_apply.clear();
@@ -755,11 +754,11 @@ impl ProcCtx {
         let page_size = self.layout.page_size() as u64;
         // Rebuild inside the diffs this processor's own log retired, or
         // that an earlier close flushed or found empty, then inside the
-        // run's salvage.
+        // ones a delivery displaced anywhere in the run.
         let mut pool = self.shared.logs[self.rank.index()]
             .borrow_mut()
             .take_diff_pool();
-        let mut salvage = self.shared.salvage.borrow_mut();
+        let mut displaced = self.shared.displaced.borrow_mut();
         let mut pages = Vec::new();
         let mut diffs = std::mem::take(&mut self.diff_scratch);
         let mut flushes = std::mem::take(&mut self.flush_scratch);
@@ -779,7 +778,7 @@ impl ProcCtx {
             }
             let mut diff = pool
                 .pop()
-                .or_else(|| salvage.take_diff())
+                .or_else(|| displaced.pop())
                 .unwrap_or_else(|| Arc::new(Diff::empty(page)));
             let lp = self.store.page_mut(page);
             let unshared = Arc::get_mut(&mut diff).expect("a pooled diff is held by its pool only");
@@ -810,11 +809,11 @@ impl ProcCtx {
                         Err(i) => flushes.insert(i, (home, bytes)),
                     }
                     self.shared.home().borrow_mut().apply_diff(&diff);
-                    recycle(&mut pool, diff, &mut salvage);
+                    recycle(&mut pool, diff);
                 }
             }
         }
-        drop(salvage);
+        drop(displaced);
         dirty.clear();
         self.dirty_pages = dirty;
         self.shared.logs[self.rank.index()]
@@ -1068,7 +1067,7 @@ impl ProcCtx {
         if watermark > 0 {
             self.shared.logs[self.rank.index()]
                 .borrow_mut()
-                .retire_salvaging(watermark, &mut self.shared.salvage.borrow_mut());
+                .retire_up_to(watermark);
         }
         // No interval anybody still has a notice of pending is retired.
         debug_assert!(

@@ -24,6 +24,9 @@
 //!   `std::thread` / `thread::`.  One host thread runs a whole simulated
 //!   cluster and shares its state through `Rc`/`RefCell`; host threading
 //!   lives only in `tm-bench`'s worker pool, which runs independent cells.
+//! * **`raw-image`** — `Arc<[u8]>` outside `crates/page/src/image.rs`.  A
+//!   page image is a `tm_page::Image`, whose last drop hands its buffer
+//!   back to the run's pool; a bare `Arc<[u8]>` would bypass the pool.
 //!
 //! The scanner is plain text, line-oriented, and dependency-free by design
 //! (it has to run in CI before anything else builds).  It skips comment
@@ -40,6 +43,9 @@ use std::process::ExitCode;
 /// they run *around* the simulation (host-side timing, test harnesses) and
 /// may use wall clocks for progress reporting.
 const SCANNED_CRATES: &[&str] = &["core", "page", "net", "sched", "apps"];
+
+/// The one module that may name a page image's raw buffer type.
+const IMAGE_MODULE: &str = "crates/page/src/image.rs";
 
 /// One finding: a rule violated at a specific line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -184,7 +190,7 @@ fn scan_source(file: &Path, text: &str) -> Vec<Finding> {
         }
 
         for (rule, message) in check_line(line) {
-            if has_allow(raw, rule) {
+            if has_allow(raw, rule) || (rule == "raw-image" && file.ends_with(IMAGE_MODULE)) {
                 continue;
             }
             findings.push(Finding {
@@ -261,6 +267,13 @@ fn check_line(line: &str) -> Vec<(&'static str, String)> {
         out.push((
             "host-sync",
             format!("`{name}`: a simulation runs on one host thread; share state through `Rc`/`RefCell`"),
+        ));
+    }
+
+    if line.contains("Arc<[u8]>") {
+        out.push((
+            "raw-image",
+            "`Arc<[u8]>` bypasses the page-image pool; use `tm_page::Image`".to_string(),
         ));
     }
 
@@ -397,6 +410,17 @@ let c = Condvar::new(); // lint:allow(host-sync)
         let findings = scan_source(Path::new("x.rs"), src);
         let got: Vec<(usize, &str)> = findings.iter().map(|f| (f.line, f.rule)).collect();
         assert_eq!(got, [(2, "host-sync")]);
+    }
+
+    #[test]
+    fn raw_image_rule_fires_outside_the_image_module_only() {
+        assert_eq!(rules("data: Arc<[u8]>,"), ["raw-image"]);
+        assert!(rules("data: Image,").is_empty());
+        assert!(rules("diffs: Vec<Arc<Diff>>,").is_empty());
+        let src = "    bytes: Arc<[u8]>,\n";
+        let flagged = scan_source(Path::new("crates/page/src/page.rs"), src);
+        assert_eq!(flagged.len(), 1);
+        assert!(scan_source(Path::new(IMAGE_MODULE), src).is_empty());
     }
 
     #[test]

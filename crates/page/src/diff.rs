@@ -14,15 +14,14 @@
 //!
 //! Dense diffs go one step further and skip the payload copy entirely: a
 //! diff published at interval close can *borrow* the page image itself
-//! (`Payload::Page`, an `Arc`-shared snapshot) with its spans indexing
+//! (`Payload::Page`, a shared [`Image`]) with its spans indexing
 //! the image by page offset.  The owning processor detaches
 //! (copy-on-next-write) only if it writes the page again in a later
 //! interval, so the common publish-then-move-on pattern never copies the
 //! payload at all.  Both representations encode the same logical runs —
 //! equality, application, accounting and merging are representation-blind.
 
-use std::sync::Arc;
-
+use crate::image::Image;
 use crate::layout::{PageId, WORD_SIZE};
 
 /// One maximal run of consecutive modified words: the byte offset of the
@@ -66,7 +65,7 @@ enum Payload {
     /// sliced out of it at their page offsets.  Taken by
     /// [`Diff::rebuild_from_changed`] for dense diffs, where sharing the
     /// 4 KB image beats copying most of it into a packed buffer.
-    Page(Arc<[u8]>),
+    Page(Image),
 }
 
 /// Two diffs are equal when they record the same logical modifications —
@@ -158,7 +157,7 @@ impl Diff {
     /// # Panics
     /// Panics on an unaligned page size or a bitset shorter than the page's
     /// word count.
-    pub fn rebuild_from_changed(&mut self, page: PageId, image: &Arc<[u8]>, changed: &[u64]) {
+    pub fn rebuild_from_changed(&mut self, page: PageId, image: &Image, changed: &[u64]) {
         assert_eq!(image.len() % WORD_SIZE, 0, "page size must be word aligned");
         let words = image.len() / WORD_SIZE;
         assert!(
@@ -169,37 +168,30 @@ impl Diff {
         spans_from_bits_into(changed, &mut self.spans);
         let total: usize = self.spans.iter().map(|s| s.len as usize).sum();
         if total * 2 >= image.len() && total > 0 {
-            self.payload = Payload::Page(Arc::clone(image));
+            self.payload = Payload::Page(image.clone());
         } else {
             pack_payload_into(&self.spans, image, packed(&mut self.payload));
         }
     }
 
     /// Empty the diff for reuse: no runs and no shared page image (a pooled
-    /// diff never pins a page), while the span table and packed buffer keep
-    /// their capacity for the next
-    /// [`rebuild_from_changed`](Self::rebuild_from_changed).  Returns the
-    /// page image the diff borrowed, if any, for the caller to salvage.
-    pub fn clear(&mut self) -> Option<Arc<[u8]>> {
+    /// diff never pins a page; the image goes back to its pool if the diff
+    /// held it last), while the span table and packed buffer keep their
+    /// capacity for the next
+    /// [`rebuild_from_changed`](Self::rebuild_from_changed).
+    pub fn clear(&mut self) {
         self.spans.clear();
-        match std::mem::replace(&mut self.payload, Payload::Packed(Vec::new())) {
-            Payload::Page(image) => Some(image),
-            Payload::Packed(mut bytes) => {
-                bytes.clear();
-                self.payload = Payload::Packed(bytes);
-                None
-            }
-        }
+        packed(&mut self.payload).clear();
     }
 
     /// The shared page snapshot, when this diff rewrites the *entire* page
     /// out of one: a single run at offset 0 covering every byte of a
-    /// `Payload::Page` image.  Receivers then adopt the snapshot `Arc`
+    /// `Payload::Page` image.  Receivers then adopt the snapshot
     /// wholesale instead of copying the page — their contents after
     /// adoption are bit-identical to an [`apply`](Self::apply), because the
     /// lone run *is* the image.
     #[inline]
-    pub fn whole_page_shared_image(&self) -> Option<&Arc<[u8]>> {
+    pub fn whole_page_shared_image(&self) -> Option<&Image> {
         match &self.payload {
             Payload::Page(image) if self.covers_page(image.len()) => Some(image),
             _ => None,
@@ -592,7 +584,7 @@ mod tests {
         for w in [0usize, 1, 62, 63, 64, 120, 255] {
             changed[w / 64] |= 1 << (w % 64);
         }
-        let image: Arc<[u8]> = cur.as_slice().into();
+        let image = Image::zeroed(1024).filled(&cur);
         let mut d = Diff::empty(PageId(0));
         d.rebuild_from_changed(PageId(2), &image, &changed);
         assert_eq!(d, Diff::create(PageId(2), &twin, &cur));
@@ -601,8 +593,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "shorter than page")]
     fn short_dirty_bitset_panics() {
-        let image: Arc<[u8]> = [0u8; 512].as_slice().into();
+        let image = Image::zeroed(512);
         Diff::empty(PageId(0)).rebuild_from_changed(PageId(0), &image, &[0u64; 1]);
+    }
+
+    #[test]
+    fn clearing_a_diff_lets_go_of_its_image() {
+        let zero = Image::zeroed(64);
+        let image = zero.filled(&[7; 64]);
+        let at = image.as_ptr();
+        let mut diff = Diff::empty(PageId(0));
+        diff.rebuild_from_changed(PageId(0), &image, &[(1 << 16) - 1]);
+        assert!(diff.whole_page_shared_image().is_some());
+        drop(image);
+        diff.clear();
+        assert!(diff.is_empty() && diff.whole_page_shared_image().is_none());
+        assert_eq!(zero.pooled(), 1);
+        let next = zero.filled(&[0; 64]);
+        assert_eq!(next.as_ptr(), at, "the diff held its image last");
     }
 
     /// Words of the merge test page: four 64-word blocks, so runs straddle

@@ -9,8 +9,8 @@
 //! * per-processor **local copies** of the shared pages ([`PageStore`],
 //!   [`LocalPage`]),
 //! * **twinning and diffing** — the multiple-writer protocol's write
-//!   detection ([`Diff`], [`RunSpan`]), with a run's **salvage** of the
-//!   page images and diffs that come back unshared ([`Salvage`]),
+//!   detection ([`Diff`], [`RunSpan`]) over shared page images that go back
+//!   to their run's pool on their last drop ([`Image`]),
 //! * **home copies** — the authoritative per-page master copies of the
 //!   home-based single-writer protocol, kept current by applying flushed
 //!   diffs in place without twinning ([`HomeStore`]),
@@ -52,20 +52,24 @@
 // (RUSTDOCFLAGS="-D warnings").
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+// A diff may borrow a page image, whose pool handle is an `Rc`, so an
+// `Arc<Diff>` is neither `Send` nor `Sync`.  A run stays on one thread, and
+// `Arc<Diff>` is the type the interval log publishes and serves.
+#![allow(clippy::arc_with_non_send_sync)]
 
 pub mod alloc;
 pub mod diff;
 pub mod home;
+pub mod image;
 pub mod layout;
 pub mod page;
-pub mod salvage;
 
 pub use alloc::{Align, OutOfSharedMemory, RegionAllocator};
 pub use diff::{Diff, RunSpan, DIFF_HEADER_BYTES, RUN_HEADER_BYTES};
 pub use home::HomeStore;
+pub use image::Image;
 pub use layout::{GlobalAddr, PageId, PageLayout, WORD_SIZE};
-pub use page::{zero_image, LocalPage, PageStore, NO_EXCHANGE};
-pub use salvage::Salvage;
+pub use page::{LocalPage, PageStore, NO_EXCHANGE};
 
 #[cfg(test)]
 mod proptests {
@@ -211,10 +215,9 @@ mod proptests {
         /// diffs are retired pseudo-randomly between intervals so the
         /// owning page flips between shared and uniquely-owned images,
         /// exercising the detach ("copy" of copy-on-next-write) and the
-        /// free exact pre-image it enables.  Everything goes through one
-        /// salvage as in a run: twins take their spare from it, retired
-        /// and replaced diffs feed it, and closes rebuild inside the diffs
-        /// it holds.
+        /// free exact pre-image it enables.  Retired diffs and the ones a
+        /// delivery displaced are emptied into two stacks, as in a run, and
+        /// closes rebuild inside them.
         #[test]
         fn snapshot_sharing_matches_eager_payloads(
             seed in any::<u64>(),
@@ -246,15 +249,20 @@ mod proptests {
             // Simulated interval log: published diffs stay alive (pinning
             // the writer's image) until "GC" drops them below.
             let mut log: Vec<Arc<Diff>> = Vec::new();
-            let mut pool: Vec<Arc<Diff>> = Vec::new();
-            let mut salvage = Salvage::new();
+            let (mut pool, mut displaced) = (Vec::<Arc<Diff>>::new(), Vec::<Arc<Diff>>::new());
+            let recycle = |pool: &mut Vec<Arc<Diff>>, mut diff: Arc<Diff>| {
+                if let Some(unshared) = Arc::get_mut(&mut diff) {
+                    unshared.clear();
+                    pool.push(diff);
+                }
+            };
             let mut scratch = vec![0u8; page_size];
             // Deliberately dirty delivery scratch: its contents must not matter.
             let mut cov = vec![!0u64; 3];
 
             for (k, writes) in intervals.iter().enumerate() {
                 let twin = writer.bytes().to_vec();
-                writer.ensure_twin_from(&mut salvage);
+                writer.ensure_twin();
                 for (off0, data) in writes {
                     // Occasionally blast the whole page so dense diffs (the
                     // ones that actually share the image) occur often.
@@ -278,12 +286,12 @@ mod proptests {
                     // Rebuilding a recycled diff in place changes nothing.
                     let mut recycled = pool
                         .pop()
-                        .or_else(|| salvage.take_diff())
+                        .or_else(|| displaced.pop())
                         .unwrap_or_else(|| Arc::new(Diff::empty(PageId(0))));
                     let rebuilt = Arc::get_mut(&mut recycled).unwrap();
                     prop_assert!(writer.make_diff_into(PageId(0), rebuilt));
                     prop_assert_eq!(&*rebuilt, &eager);
-                    salvage.put_diff(recycled);
+                    recycle(&mut displaced, recycled);
 
                     // Delivery: alternate the eager and the parked
                     // (deferred) apply paths; both must land the receiver on
@@ -293,7 +301,9 @@ mod proptests {
                     if k % 2 == 0 {
                         receiver.apply_diff(&shared, NO_EXCHANGE);
                     } else {
-                        receiver.deliver([(&shared, NO_EXCHANGE)], &mut cov, &mut salvage);
+                        if let Some(d) = receiver.deliver([(&shared, NO_EXCHANGE)], &mut cov) {
+                            recycle(&mut displaced, d);
+                        }
                         // Force materialization (bytes() asserts no parked
                         // content) through the read path.
                         receiver.read_bytes(0, &mut scratch, |_, _| {});
@@ -307,14 +317,12 @@ mod proptests {
                 writer.drop_twin();
 
                 // GC: retire a pseudo-random prefix of the published diffs,
-                // pooling the unshared ones emptied and salvaging their
-                // unshared images, as the interval log does.
+                // pooling the unshared ones emptied, as the interval log
+                // does.
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 let keep = (state % (log.len() as u64 + 1)) as usize;
-                for mut retired in log.drain(..log.len() - keep) {
-                    if salvage.strip(&mut retired) {
-                        pool.push(retired);
-                    }
+                for retired in log.drain(..log.len() - keep) {
+                    recycle(&mut pool, retired);
                 }
             }
             // Final contents agree across all three representations.

@@ -8,8 +8,8 @@
 //! (useless data).
 
 use crate::diff::Diff;
+use crate::image::Image;
 use crate::layout::{GlobalAddr, PageId, PageLayout, WORD_SIZE};
-use crate::salvage::Salvage;
 use std::sync::Arc;
 
 /// Sentinel attribution meaning "this word was not delivered by any exchange
@@ -30,7 +30,7 @@ pub const NO_EXCHANGE: u32 = u32::MAX;
 /// bit-identical to a twin-compare: a word is in the diff iff its content
 /// differs from the page content at `ensure_twin` time.
 ///
-/// The page image itself is `Arc`-shared so a dense diff published at
+/// The page image itself is a shared [`Image`] so a dense diff published at
 /// interval close can borrow it outright (no payload copy; see
 /// [`Diff::rebuild_from_changed`]).  The image is copy-on-next-write: any
 /// later mutation detaches it first — except a *whole-page* store, which
@@ -44,24 +44,16 @@ pub const NO_EXCHANGE: u32 = u32::MAX;
 /// A [`PageStore`]'s page starts on the store's all-zero image, shared, so
 /// the same rules give it its first image of its own: a read reads zeros,
 /// a whole-page delivery adopts the diff's image, the first twin is exact,
-/// and the first store detaches.
-///
-/// A whole-page store into a shared image still needs a fresh one.  The
-/// protocol layer hands an exact twin one **spare** image out of the run's
-/// [`Salvage`] when it creates the twin
-/// ([`ensure_twin_from`](Self::ensure_twin_from)), and the store builds
-/// into that instead of allocating.  The access paths themselves
-/// ([`write_bytes`](Self::write_bytes), [`read_bytes`](Self::read_bytes))
-/// never touch the salvage.
+/// and the first store detaches.  Every image a page builds — a detach, a
+/// whole-page store into a shared image, a lazy pre-image — comes from the
+/// pool of the image it replaces, and goes back there on its last drop.
 #[derive(Debug)]
 pub struct LocalPage {
-    data: Arc<[u8]>,
-    /// Whether a virtual twin is live (the page is in the current interval's
-    /// write set).
-    twinned: bool,
+    data: Image,
     /// Pre-interval word values of the live twin (see
-    /// [`ensure_twin`](Self::ensure_twin)).  Meaningless while not twinned,
-    /// except that a lazy buffer is kept for the next twin to reuse.
+    /// [`ensure_twin`](Self::ensure_twin)), or `None`: a twin is live (the
+    /// page is in the current interval's write set) exactly when this is
+    /// not `None`.
     preimage: PreImage,
     /// One bit per word, set iff the word's current value differs from its
     /// value when the twin was made.  Meaningless while not twinned, and
@@ -98,7 +90,7 @@ pub struct LocalPage {
     /// instead of paying the page-sized content and attribution traffic;
     /// the work happens lazily on the first access that needs it, and the
     /// next round lands the parked one only where it stays visible.
-    /// Invariant: `deferred.is_some()` implies `!twinned` — a twin is only
+    /// Invariant: a parked delivery implies no live twin — a twin is only
     /// created by the write path, which materialises first.
     deferred: Option<(Arc<Diff>, u32)>,
 }
@@ -106,41 +98,16 @@ pub struct LocalPage {
 /// The pre-interval word values a live twin compares stores against.
 #[derive(Debug)]
 enum PreImage {
-    /// A privately owned buffer filled in per word: only the words whose
-    /// `changed_words` bit is set are valid (saved on their first change).
-    /// Empty until the page's first lazy twin, then one page plus
-    /// [`ARC_HEADER_BYTES`] of unused tail.
-    Lazy(Box<[u8]>),
+    /// No live twin.
+    None,
+    /// An unshared image from the pool filled in per word: only the words
+    /// whose `changed_words` bit is set are valid (saved on their first
+    /// change).
+    Lazy(Image),
     /// A complete snapshot of the pre-interval image, shared with the diff
-    /// the previous interval published; and a **spare**, an unshared
-    /// page-sized image the interval's first store builds into instead of
-    /// allocating (the snapshot is shared, so that store needs a fresh
-    /// image).  An exact pre-image, and so a spare, exists only while the
-    /// page is twinned.
-    Exact {
-        snapshot: Arc<[u8]>,
-        spare: Option<Arc<[u8]>>,
-    },
+    /// the previous interval published.
+    Exact(Image),
 }
-
-impl PreImage {
-    /// Take an exact twin's spare image, if it has one.
-    fn take_spare(&mut self) -> Option<Arc<[u8]>> {
-        match self {
-            PreImage::Exact { spare, .. } => spare.take(),
-            PreImage::Lazy(_) => None,
-        }
-    }
-}
-
-/// What an `Arc<[u8]>` allocation carries besides its payload: the strong
-/// and the weak count.  A lazy pre-image buffer is allocated this much
-/// longer than a page, so that it and the `Arc` page images are requests of
-/// one size and the allocator recycles retired ones into one another — pages
-/// flip between the two pre-image kinds as diffs retire, and with two sizes
-/// each kind's free chunks are useless to the other (measured: +20 % peak
-/// RSS on the paper-scale Shallow cells).
-const ARC_HEADER_BYTES: usize = 2 * std::mem::size_of::<usize>();
 
 /// `dst.copy_from_slice(src)` with the 4- and 8-byte cases — one shared word
 /// or double, the sizes of the typed element accessors — as constant-length
@@ -155,19 +122,19 @@ fn copy_bytes(dst: &mut [u8], src: &[u8]) {
 }
 
 impl LocalPage {
-    /// Create a zero-filled page of `page_size` bytes over a private image.
+    /// Create a zero-filled page of `page_size` bytes over a zero image of
+    /// its own, with a pool of its own.
     pub fn new_zeroed(page_size: usize) -> Self {
-        Self::showing(zero_image(page_size))
+        Self::showing(Image::zeroed(page_size))
     }
 
     /// A page whose contents are `image`, which it may share: a
     /// [`PageStore`]'s pages start on the store's one zero image, and the
     /// copy-on-write rules give a page its own image when it first differs.
-    fn showing(image: Arc<[u8]>) -> Self {
+    fn showing(image: Image) -> Self {
         LocalPage {
             data: image,
-            twinned: false,
-            preimage: PreImage::Lazy(Box::default()),
+            preimage: PreImage::None,
             changed_words: Box::default(),
             attribution: None,
             pending: 0,
@@ -183,31 +150,27 @@ impl LocalPage {
         self.data.len() / WORD_SIZE
     }
 
-    /// Whether the spare rule holds: a spare only while twinned.
-    fn spare_rule_holds(&self) -> bool {
-        self.twinned || !matches!(self.preimage, PreImage::Exact { spare: Some(_), .. })
+    /// Whether a twin is live.
+    #[inline]
+    fn twinned(&self) -> bool {
+        !matches!(self.preimage, PreImage::None)
     }
 
     /// Mutable access to the page image, detaching (copying) it first if a
-    /// published diff still shares it — the "copy" of copy-on-next-write,
-    /// into the spare when the page holds one.  The uniqueness check is an
-    /// atomic read-modify-write, so loops establish it once and keep the
-    /// slice.
+    /// published diff still shares it — the "copy" of copy-on-next-write.
+    /// Loops establish uniqueness once and keep the slice.
     fn data_mut(&mut self) -> &mut [u8] {
-        debug_assert!(self.spare_rule_holds(), "a spare beside no twin");
-        detached(&mut self.data, || self.preimage.take_spare())
+        self.data.detached()
     }
 
     /// Replace the whole image with `src`.  When the current image is still
     /// shared with a published diff, the new image is built straight from
-    /// `src`, into the spare when the page holds one — the detach copy a
-    /// partial write would pay never happens.
+    /// `src` — the detach copy a partial write would pay never happens.
     fn replace_data(&mut self, src: &[u8]) {
-        debug_assert_eq!(src.len(), self.data.len());
-        debug_assert!(self.spare_rule_holds(), "a spare beside no twin");
-        match Arc::get_mut(&mut self.data) {
-            Some(data) => data.copy_from_slice(src),
-            None => self.data = filled(self.preimage.take_spare(), src),
+        if self.data.is_shared() {
+            self.data = self.data.filled(src);
+        } else {
+            self.data.written().copy_from_slice(src);
         }
     }
 
@@ -247,46 +210,26 @@ impl LocalPage {
     /// was created by this call (the "first write to a shared page" event).
     /// No page copy happens here: the twin is virtual.
     ///
-    /// When the image is still `Arc`-shared with a diff published at a
-    /// previous close, it has provably not been mutated since (every
-    /// mutation path detaches first), so it *is* the exact pre-interval
-    /// snapshot — the snapshot becomes the pre-image for free and the write
-    /// path runs in exact mode, with no per-word pre-image saves at all.
-    /// Otherwise the write path fills a private pre-image buffer in per
-    /// word, lazily, as before.
+    /// When the image is still shared with a diff published at a previous
+    /// close, it has provably not been mutated since (every mutation path
+    /// detaches first), so it *is* the exact pre-interval snapshot — the
+    /// snapshot becomes the pre-image for free and the write path runs in
+    /// exact mode, with no per-word pre-image saves at all.  Otherwise the
+    /// write path fills a pooled pre-image buffer in per word, lazily.
     pub fn ensure_twin(&mut self) -> bool {
-        if self.twinned {
+        if self.twinned() {
             return false;
         }
         self.materialize_content();
-        if Arc::get_mut(&mut self.data).is_none() {
-            self.preimage = PreImage::Exact {
-                snapshot: Arc::clone(&self.data),
-                spare: None,
-            };
-        } else if !matches!(&self.preimage, PreImage::Lazy(buf) if buf.len() >= self.data.len()) {
-            // No lazy buffer from an earlier interval to reuse.
-            self.preimage = PreImage::Lazy(vec![0u8; self.data.len() + ARC_HEADER_BYTES].into());
-        }
+        self.preimage = if self.data.is_shared() {
+            PreImage::Exact(self.data.clone())
+        } else {
+            PreImage::Lazy(self.data.blank())
+        };
         if self.changed_words.is_empty() {
             self.changed_words = vec![0u64; self.words().div_ceil(64)].into_boxed_slice();
         } else {
             self.changed_words.fill(0);
-        }
-        self.twinned = true;
-        true
-    }
-
-    /// [`ensure_twin`](Self::ensure_twin), handing a new exact twin one
-    /// spare image from `salvage`: its image is shared, so the interval's
-    /// first store needs a fresh one, and builds it there.  The protocol
-    /// layer's write trap twins through here.
-    pub fn ensure_twin_from(&mut self, salvage: &mut Salvage) -> bool {
-        if !self.ensure_twin() {
-            return false;
-        }
-        if let PreImage::Exact { spare, .. } = &mut self.preimage {
-            *spare = salvage.take_image(self.data.len());
         }
         true
     }
@@ -305,7 +248,7 @@ impl LocalPage {
     /// interval close rebuilds retired diffs through here.  Returns `false`,
     /// leaving `diff` alone, if the page has no twin.
     pub fn make_diff_into(&self, page: PageId, diff: &mut Diff) -> bool {
-        if !self.twinned {
+        if !self.twinned() {
             return false;
         }
         debug_assert!(
@@ -318,16 +261,11 @@ impl LocalPage {
 
     /// Retire the twin (the interval's modifications have been encoded; the
     /// twin is dead weight from here on — under lazy diff timing the stored
-    /// encoding, not the twin, is what later requests serve from). A lazy
-    /// pre-image buffer is kept for reuse by the next
-    /// [`ensure_twin`](Self::ensure_twin); an exact snapshot is let go (the
-    /// next twin takes a new one either way), so that retiring the diff that
-    /// shares it can salvage it.
+    /// encoding, not the twin, is what later requests serve from).  Either
+    /// kind of pre-image is let go: a lazy buffer goes back to its pool, and
+    /// an exact snapshot is left to the diff that shares it.
     pub fn drop_twin(&mut self) {
-        self.twinned = false;
-        if matches!(self.preimage, PreImage::Exact { .. }) {
-            self.preimage = PreImage::Lazy(Box::default());
-        }
+        self.preimage = PreImage::None;
     }
 
     /// Store `src` at byte `offset` while a twin is live, keeping the
@@ -341,8 +279,9 @@ impl LocalPage {
             return;
         }
         match self.preimage {
-            PreImage::Exact { .. } => self.store_exact(offset, src),
+            PreImage::Exact(_) => self.store_exact(offset, src),
             PreImage::Lazy(_) => self.store_lazy(offset, src),
+            PreImage::None => unreachable!("a tracked store without a twin"),
         }
     }
 
@@ -359,7 +298,7 @@ impl LocalPage {
         } else {
             self.data_mut()[offset..end].copy_from_slice(src);
         }
-        let PreImage::Exact { snapshot: pre, .. } = &self.preimage else {
+        let PreImage::Exact(pre) = &self.preimage else {
             unreachable!("exact-mode store without a snapshot");
         };
         // Words `src` covers fully get their changed bits straight from the
@@ -424,10 +363,11 @@ impl LocalPage {
         let end = offset + src.len();
         // A lazy twin found its image unshared, and nothing shares it
         // before the interval closes.
-        let data = written(&mut self.data);
+        let data = self.data.written();
         let PreImage::Lazy(pre) = &mut self.preimage else {
             unreachable!("lazy-mode store against an exact snapshot");
         };
+        let pre = pre.written();
         let bits = &mut self.changed_words;
 
         // Partial head/tail words take the general path; full words in the
@@ -490,7 +430,7 @@ impl LocalPage {
                 self.materialize_content();
             }
         }
-        if self.twinned {
+        if self.twinned() {
             self.store_tracked(offset, src);
         } else if offset == 0 && end == self.data.len() {
             self.replace_data(src);
@@ -591,7 +531,7 @@ impl LocalPage {
     /// Panics if `src` is not exactly one page long.
     pub fn load_page(&mut self, src: &[u8], exchange: u32) {
         assert_eq!(src.len(), self.data.len(), "src must be one page");
-        debug_assert!(!self.twinned, "delivery onto a twinned page");
+        debug_assert!(!self.twinned(), "delivery onto a twinned page");
         // Whole-page replacement: any parked payload is dead.
         self.deferred = None;
         self.replace_data(src);
@@ -605,7 +545,7 @@ impl LocalPage {
     /// shared image is adopted by reference (the next local write detaches
     /// as usual); a whole-page diff shadows a parked delivery outright.
     pub fn apply_diff(&mut self, diff: &Diff, exchange: u32) {
-        debug_assert!(!self.twinned, "delivery onto a twinned page");
+        debug_assert!(!self.twinned(), "delivery onto a twinned page");
         if !diff.covers_page(self.data.len()) {
             self.materialize_content();
             diff.apply(self.data_mut());
@@ -613,7 +553,7 @@ impl LocalPage {
         }
         self.deferred = None;
         match diff.whole_page_shared_image() {
-            Some(image) => self.data = Arc::clone(image),
+            Some(image) => self.data = image.clone(),
             None => self.replace_data(diff.runs().next().expect("one span, one run").1),
         }
         self.attribute_page(exchange);
@@ -665,21 +605,16 @@ impl LocalPage {
     /// just parks.
     ///
     /// `cover` is caller scratch (contents ignored and clobbered), kept
-    /// across rounds so that a delivery allocates nothing.  Painting onto a
-    /// shared image detaches it into an image from `salvage`, and a parked
-    /// diff the round replaces goes there, emptied, when this page held it
-    /// last.
+    /// across rounds so that a delivery allocates nothing.  Returns the
+    /// parked diff the round displaced, for the caller to reuse.
     pub fn deliver<'a>(
         &mut self,
         newest_first: impl IntoIterator<Item = (&'a Arc<Diff>, u32)>,
         cover: &mut Vec<u64>,
-        salvage: &mut Salvage,
-    ) {
-        debug_assert!(!self.twinned, "delivery onto a twinned page");
+    ) -> Option<Arc<Diff>> {
+        debug_assert!(!self.twinned(), "delivery onto a twinned page");
         let mut round = newest_first.into_iter();
-        let Some((newest, exchange)) = round.next() else {
-            return;
-        };
+        let (newest, exchange) = round.next()?;
         // An empty newest member would leave an older whole-page image
         // visible everywhere, to be painted where `apply_diff` adopts it.
         debug_assert!(!newest.is_empty(), "a published diff writes a word");
@@ -697,25 +632,17 @@ impl LocalPage {
                 if covered == words {
                     break;
                 }
-                covered += self.paint_uncovered(diff, exchange, cover, salvage);
+                covered += self.paint_uncovered(diff, exchange, cover);
             }
         }
-        if let Some((replaced, _)) = parked {
-            salvage.put_diff(replaced);
-        }
+        parked.map(|(displaced, _)| displaced)
     }
 
     /// Land the words of `diff` that `cover` lacks — content and
     /// attribution, as [`apply_diff`](Self::apply_diff) would — adding them
     /// to it, and return how many there were.  Each interval is painted as
     /// the cover walk finds it.
-    fn paint_uncovered(
-        &mut self,
-        diff: &Diff,
-        exchange: u32,
-        cover: &mut [u64],
-        salvage: &mut Salvage,
-    ) -> usize {
+    fn paint_uncovered(&mut self, diff: &Diff, exchange: u32, cover: &mut [u64]) -> usize {
         let words = self.words();
         // As in `attribute`: nothing to clear and nothing to credit skips
         // the attribution, and nothing held skips the per-word count.
@@ -738,11 +665,8 @@ impl LocalPage {
         let mut attr: Option<&mut [u32]> = None;
         diff.for_each_uncovered(cover, &mut |lo, bytes| {
             let hi = lo + bytes.len();
-            let image = image.get_or_insert_with(|| {
-                let data = data.take().expect("the image is detached once");
-                let len = data.len();
-                detached(data, || salvage.take_image(len))
-            });
+            let image = image
+                .get_or_insert_with(|| data.take().expect("the image is detached once").detached());
             copy_bytes(&mut image[lo..hi], bytes);
             if let Some((attribution, uniform, attr_dirty)) = attr_state.take() {
                 attr = Some(materialized_attr(attribution, uniform, attr_dirty, words));
@@ -773,44 +697,6 @@ impl LocalPage {
         }
         self.pending as usize
     }
-}
-
-/// An all-zero page image of `len` bytes, built in one allocation.
-pub fn zero_image(len: usize) -> Arc<[u8]> {
-    std::iter::repeat_n(0, len).collect()
-}
-
-/// `image` for writing, detached first if anything else holds it: copied
-/// into `spare()`'s image, or into a fresh allocation when that has none.
-/// (No image is ever held weakly, so a strong count of one — a plain load,
-/// where `Arc::get_mut` is an atomic read-modify-write — means unshared.)
-#[inline]
-fn detached(image: &mut Arc<[u8]>, spare: impl FnOnce() -> Option<Arc<[u8]>>) -> &mut [u8] {
-    if Arc::strong_count(image) != 1 {
-        let copy = filled(spare(), image);
-        *image = copy;
-    }
-    written(image)
-}
-
-/// An unshared image holding `src`: `spare`, overwritten, or a fresh
-/// allocation when there is none.
-fn filled(spare: Option<Arc<[u8]>>, src: &[u8]) -> Arc<[u8]> {
-    match spare {
-        Some(mut image) => {
-            written(&mut image).copy_from_slice(src);
-            image
-        }
-        None => Arc::from(src),
-    }
-}
-
-/// The bytes of `image` for writing.  Nothing else may hold it: a page
-/// writes only into images no published diff, reader or salvage can see.
-#[inline(always)]
-fn written(image: &mut Arc<[u8]>) -> &mut [u8] {
-    debug_assert!(Arc::get_mut(image).is_some(), "a write into a shared image");
-    Arc::make_mut(image)
 }
 
 /// [`LocalPage::materialize_attr`] over the fields it touches, handing back
@@ -912,24 +798,24 @@ pub struct PageStore {
     layout: PageLayout,
     /// The image every page shows until it first differs from zero.  Never
     /// written: it is always shared, so every write path detaches it first.
-    zero: Arc<[u8]>,
+    zero: Image,
     pages: Vec<Option<Box<LocalPage>>>,
 }
 
 impl PageStore {
-    /// Create an empty store for the given layout, over a zero image of its
-    /// own.
+    /// Create an empty store for the given layout, over a zero image (and so
+    /// a pool) of its own.
     pub fn new(layout: PageLayout) -> Self {
-        Self::with_zero_image(layout, zero_image(layout.page_size()))
+        Self::with_zero_image(layout, Image::zeroed(layout.page_size()))
     }
 
     /// Create an empty store whose pages start on `zero`, an all-zero image
     /// of the layout's page size that other stores may share: a run builds
-    /// one for all its processors.
+    /// one for all its processors, and its pool is the run's.
     ///
     /// # Panics
     /// Panics if `zero` is not one page long.
-    pub fn with_zero_image(layout: PageLayout, zero: Arc<[u8]>) -> Self {
+    pub fn with_zero_image(layout: PageLayout, zero: Image) -> Self {
         assert_eq!(
             zero.len(),
             layout.page_size(),
@@ -958,7 +844,7 @@ impl PageStore {
     pub fn page_mut(&mut self, page: PageId) -> &mut LocalPage {
         let idx = page.index();
         assert!(idx < self.pages.len(), "page {page} outside layout");
-        self.pages[idx].get_or_insert_with(|| Box::new(LocalPage::showing(Arc::clone(&self.zero))))
+        self.pages[idx].get_or_insert_with(|| Box::new(LocalPage::showing(self.zero.clone())))
     }
 
     /// Get the page if it has been materialized.
@@ -1141,7 +1027,7 @@ mod tests {
         let published = writer.make_diff(PageId(0)).unwrap();
         writer.drop_twin();
         assert!(published.whole_page_shared_image().is_some());
-        assert_eq!(Arc::strong_count(&writer.data), 2, "diff borrows the image");
+        assert!(writer.data.is_shared(), "diff borrows the image");
         (writer, published, image)
     }
 
@@ -1162,25 +1048,20 @@ mod tests {
     fn a_twin_over_a_shared_image_is_exact_and_over_an_owned_one_lazy() {
         let (mut page, published, image) = page_sharing_its_image_with_a_published_diff();
         page.ensure_twin();
-        assert!(
-            matches!(&page.preimage, PreImage::Exact { snapshot, .. } if snapshot[..] == image[..])
-        );
+        assert!(matches!(&page.preimage, PreImage::Exact(snapshot) if snapshot[..] == image[..]));
         page.write_bytes(8, &[0; 8]);
         let exact = page.make_diff(PageId(0)).unwrap();
         page.drop_twin();
         // Dropping the twin let go of the snapshot: the published diff holds
-        // the pre-interval image alone, so its retirement can salvage it.
-        assert_eq!(
-            Arc::strong_count(published.whole_page_shared_image().unwrap()),
-            1
-        );
+        // the pre-interval image alone, so its last drop pools it.
+        assert!(!published.whole_page_shared_image().unwrap().is_shared());
         drop(published);
 
         // Nothing shares the (detached) image any more: the same interval
         // replayed against the lazily filled buffer encodes the same diff.
         page.write_bytes(8, &image[8..16]);
         page.ensure_twin();
-        assert!(matches!(&page.preimage, PreImage::Lazy(buf) if buf.len() >= 256));
+        assert!(matches!(&page.preimage, PreImage::Lazy(buf) if buf.len() == 256));
         page.write_bytes(8, &[0; 8]);
         assert_eq!(page.make_diff(PageId(0)).unwrap(), exact);
     }
@@ -1189,26 +1070,75 @@ mod tests {
     fn visible_apply_detaches_a_shared_image_once_and_leaves_the_diff_alone() {
         let (mut page, published, image) = page_sharing_its_image_with_a_published_diff();
         let sparse = every_other_word();
-        let mut salvage = Salvage::new();
-        let salvaged: Arc<[u8]> = vec![0xEE; 256].into();
-        let at = Arc::as_ptr(&salvaged) as *const u8;
-        salvage.put_image(salvaged);
-        assert_eq!(
-            page.paint_uncovered(&sparse, 3, &mut [0; 1], &mut salvage),
-            32
-        );
+        let pooled = page.data.filled(&[0xEE; 256]);
+        let at = pooled.as_ptr();
+        drop(pooled);
+        let before = page.data.pooled();
+        assert_eq!(page.paint_uncovered(&sparse, 3, &mut [0; 1]), 32);
 
         // The published diff still holds the pre-apply image, byte for byte.
         assert_eq!(published.runs().next().unwrap(), (0, &image[..]));
-        // The page detached into the salvaged image: it owns its image again
-        // and holds the overlay.
-        assert_eq!(salvage.images(), 0);
-        assert_eq!(Arc::as_ptr(&page.data) as *const u8, at);
-        assert_eq!(Arc::strong_count(&page.data), 1);
+        // The page detached once, into the pooled image: it owns its image
+        // again and holds the overlay.
+        assert_eq!((page.data.as_ptr(), page.data.pooled()), (at, before - 1));
+        assert!(!page.data.is_shared());
         let mut want = image.clone();
         sparse.apply(&mut want);
         assert_eq!(page.bytes(), &want[..]);
         assert_eq!(page.pending_attributions(), 32);
+    }
+
+    #[test]
+    fn a_readers_last_drop_reaches_the_pool() {
+        /// One interval of `writer` storing `value` over the whole page;
+        /// its diff borrows the image.
+        fn interval(writer: &mut LocalPage, value: u8) -> Diff {
+            writer.ensure_twin();
+            writer.write_bytes(0, &[value; 256]);
+            let diff = writer.make_diff(PageId(0)).unwrap();
+            writer.drop_twin();
+            diff
+        }
+        let zero = Image::zeroed(256);
+        let (mut writer, mut reader) = (
+            LocalPage::showing(zero.clone()),
+            LocalPage::showing(zero.clone()),
+        );
+        let first = interval(&mut writer, 1);
+        reader.apply_diff(&first, 0);
+        drop(first);
+        let adopted = reader.data.as_ptr();
+        let second = interval(&mut writer, 2);
+        reader.apply_diff(&second, 1);
+        drop(second);
+        // The reader let go of the first image last: the writer's next
+        // store into its (shared) image builds into that buffer.
+        assert_eq!(zero.pooled(), 1);
+        writer.ensure_twin();
+        writer.write_bytes(0, &[3; 256]);
+        assert_eq!((writer.data.as_ptr(), zero.pooled()), (adopted, 0));
+        assert_eq!(reader.bytes(), &[2; 256][..]);
+    }
+
+    #[test]
+    fn a_lazy_twin_buffer_goes_back_at_drop_twin() {
+        let zero = Image::zeroed(256);
+        let (mut page, mut other) = (
+            LocalPage::showing(zero.clone()),
+            LocalPage::showing(zero.clone()),
+        );
+        page.write_bytes(0, &[1; 4]);
+        page.ensure_twin();
+        let PreImage::Lazy(buffer) = &page.preimage else {
+            panic!("a page owning its image twins lazily");
+        };
+        let at = buffer.as_ptr();
+        page.drop_twin();
+        assert_eq!(zero.pooled(), 1);
+        other.write_bytes(8, &[2; 4]);
+        assert_eq!(other.data.as_ptr(), at, "the detach built into the buffer");
+        assert_eq!(zero.pooled(), 0);
+        assert_eq!(other.bytes()[..12], [0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 2]);
     }
 
     /// One generated delivery: a shape (0: one run, 1: two runs, 2: one run
@@ -1222,15 +1152,13 @@ mod tests {
         (0u8..5, (0usize..256, 1usize..120), 0u32..10, any::<bool>())
     }
 
-    /// One writer's successive intervals on a 256-word page, twinned from
-    /// its own salvage as the write trap does.  Every
-    /// word an interval marks gets a value no earlier interval wrote, so
-    /// the diff's words are exactly the marked ones.
+    /// One writer's successive intervals on a 256-word page.  Every word an
+    /// interval marks gets a value no earlier interval wrote, so the diff's
+    /// words are exactly the marked ones.
     struct Writer {
         page: LocalPage,
         stamp: u32,
         written: [bool; 256],
-        salvage: Salvage,
     }
 
     impl Writer {
@@ -1239,7 +1167,6 @@ mod tests {
                 page: LocalPage::new_zeroed(1024),
                 stamp: 0,
                 written: [false; 256],
-                salvage: Salvage::new(),
             }
         }
 
@@ -1280,7 +1207,7 @@ mod tests {
             }
             self.stamp += 1;
             let twin = self.page.bytes().to_vec();
-            self.page.ensure_twin_from(&mut self.salvage);
+            self.page.ensure_twin();
             for w in (0..256).filter(|&w| marks[w]) {
                 let value = self.stamp << 16 | w as u32;
                 self.page.write_bytes(w * WORD_SIZE, &value.to_le_bytes());
@@ -1298,8 +1225,7 @@ mod tests {
         Store(usize, usize, u8),
         /// A whole-page store of a value.
         StoreWhole(u8),
-        /// Twin the page, with a spare from its salvage as the write trap
-        /// does.
+        /// Twin the page.
         Twin,
         /// Encode the interval's diff and drop the twin, keeping the diff
         /// (and so a dense one's image) alive into the next interval when
@@ -1352,7 +1278,7 @@ mod tests {
         page.read_bytes(0, &mut [], |_, _| {}); // lands a parked delivery
         let adopted = diffs.iter().any(|(d, _)| {
             d.whole_page_shared_image()
-                .is_some_and(|image| Arc::ptr_eq(image, &page.data))
+                .is_some_and(|image| image.as_ptr() == page.data.as_ptr())
         });
         let (pending, bytes) = (page.pending_attributions(), page.bytes().to_vec());
         let mut credited = Vec::new();
@@ -1447,16 +1373,17 @@ mod tests {
                 let shared = held.as_ref().is_some_and(|d| d.whole_page_shared_image().is_some());
                 page.ensure_twin();
                 match &page.preimage {
-                    PreImage::Exact { snapshot, .. } => {
+                    PreImage::Exact(snapshot) => {
                         prop_assert!(shared);
                         prop_assert_eq!(&snapshot[..], &twin[..]);
                         exact += 1;
                     }
                     PreImage::Lazy(buf) => {
                         prop_assert!(!shared);
-                        prop_assert!(buf.len() >= page_size);
+                        prop_assert_eq!(buf.len(), page_size);
                         lazy += 1;
                     }
+                    PreImage::None => prop_assert!(false, "no twin after ensure_twin"),
                 }
                 for (off0, data) in writes {
                     let len = data.len().min(page_size);
@@ -1512,10 +1439,10 @@ mod tests {
                 // Dirty scratch: its contents must not matter.
                 let mut cover = vec![!0u64; 2];
                 if let Some((d, e)) = &parked {
-                    page.deliver([(d, *e)], &mut cover, &mut writer.salvage);
+                    page.deliver([(d, *e)], &mut cover);
                     prop_assert!(page.deferred.is_some());
                 }
-                page.deliver(round.iter().rev().map(|(d, e)| (d, *e)), &mut cover, &mut writer.salvage);
+                page.deliver(round.iter().rev().map(|(d, e)| (d, *e)), &mut cover);
                 prop_assert!(Arc::ptr_eq(&page.deferred.as_ref().unwrap().0, &round.last().unwrap().0));
                 let (got, want) = (observe(&mut page, &all), observe(&mut reference, &all));
                 prop_assert!(got == want, "park {park}: {got:?} != {want:?}");
@@ -1552,9 +1479,9 @@ mod tests {
                 page.apply_diff(&earlier.0, earlier.1);
                 let mut cover = Vec::new();
                 if let Some((d, e)) = &parked {
-                    page.deliver([(d, *e)], &mut cover, &mut writer.salvage);
+                    page.deliver([(d, *e)], &mut cover);
                 }
-                page.deliver(chain.iter().rev().map(|d| (d, exchange)), &mut cover, &mut writer.salvage);
+                page.deliver(chain.iter().rev().map(|d| (d, exchange)), &mut cover);
                 // No image is offered for the adoption check: the packed
                 // merge adopts none.
                 let (got, want) = (observe(&mut page, &[]), observe(&mut reference, &[]));
@@ -1564,10 +1491,9 @@ mod tests {
 
         /// A diff rebuilt in place over a recycled one of any earlier shape
         /// — packed or borrowing the page image, any span count, emptied
-        /// through the salvage first or not — encodes what a fresh
-        /// `make_diff` and the twin compare encode.  An emptied diff holds
-        /// no page image, so it pins none, and the image it borrowed stays
-        /// out of the salvage while the writer's page still shows it.
+        /// first or not — encodes what a fresh `make_diff` and the twin
+        /// compare encode.  An emptied diff holds no page image, so it pins
+        /// none.
         #[test]
         fn a_diff_rebuilt_in_place_equals_a_fresh_one(
             earlier in member(),
@@ -1577,12 +1503,10 @@ mod tests {
             let mut writer = Writer::new();
             let mut recycled = writer.next(earlier).0;
             if emptied {
-                writer.salvage.put_diff(recycled);
-                recycled = writer.salvage.take_diff().unwrap();
+                Arc::get_mut(&mut recycled).unwrap().clear();
                 prop_assert!(recycled.is_empty());
                 // The only image the diff could hold is the writer's.
-                prop_assert_eq!(Arc::strong_count(&writer.page.data), 1);
-                prop_assert_eq!(writer.salvage.images(), 0);
+                prop_assert!(!writer.page.data.is_shared());
             }
             let twin = writer.write(later.0, later.1);
             let recycled = Arc::get_mut(&mut recycled).unwrap();
@@ -1591,16 +1515,17 @@ mod tests {
             prop_assert_eq!(&*recycled, &Diff::create(PageId(1), &twin, writer.page.bytes()));
         }
 
-        /// A writer whose image builds draw on a salvage fed as in a run:
-        /// published diffs retire in random order, one reader adopts
-        /// whole-page images by `apply_diff` now and then, another keeps
-        /// rounds parked by `deliver`.  Every diff encodes what
-        /// `Diff::create` encodes, both readers land what ordered
-        /// `apply_diff` lands, and an image a reader adopted keeps its bytes
-        /// across the writer's next whole-page store: the salvage never
-        /// hands out an image anybody still sees.
+        /// A writer, a reference and two readers over one zero image, so
+        /// that every image they build comes from one pool and every last
+        /// drop feeds it, as in a run: published diffs retire in random
+        /// order, one reader adopts whole-page images by `apply_diff` now
+        /// and then, another keeps rounds parked by `deliver`.  Every diff
+        /// encodes what `Diff::create` encodes, both readers land what
+        /// ordered `apply_diff` lands, and an image a reader adopted keeps
+        /// its bytes across the writer's next whole-page store: the pool
+        /// never hands out an image anybody still sees.
         #[test]
-        fn salvaged_images_are_never_ones_anybody_still_sees(
+        fn pooled_images_are_never_ones_anybody_still_sees(
             seed in any::<u64>(),
             intervals in prop::collection::vec((0u8..4, 0usize..256, 1usize..64), 2..24),
         ) {
@@ -1609,23 +1534,27 @@ mod tests {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 (state >> 33) as usize
             };
-            let mut salvage = Salvage::new();
-            let mut writer = LocalPage::new_zeroed(1024);
-            let mut reference = LocalPage::new_zeroed(1024);
-            let (mut adopter, mut parker) = (LocalPage::new_zeroed(1024), LocalPage::new_zeroed(1024));
+            let zero = Image::zeroed(1024);
+            let page = || LocalPage::showing(zero.clone());
+            let (mut writer, mut reference) = (page(), page());
+            let (mut adopter, mut parker) = (page(), page());
             // Published diffs the log still holds, the emptied ones it
-            // pooled, and what each reader has not received yet.
+            // pooled, the ones a delivery displaced, and what each reader
+            // has not received yet.
             let (mut log, mut pool) = (Vec::<Arc<Diff>>::new(), Vec::<Arc<Diff>>::new());
+            let mut displaced = Vec::<Arc<Diff>>::new();
             let (mut unadopted, mut unparked) = (Vec::new(), Vec::new());
             let mut cover = Vec::new();
+            let recycle = |pool: &mut Vec<Arc<Diff>>, mut diff: Arc<Diff>| {
+                if let Some(unshared) = Arc::get_mut(&mut diff) {
+                    unshared.clear();
+                    pool.push(diff);
+                }
+            };
             for (k, &(shape, word, words)) in intervals.iter().enumerate() {
                 let shown = adopter.bytes().to_vec();
                 let twin = writer.bytes().to_vec();
-                writer.ensure_twin_from(&mut salvage);
-                let spare = match &writer.preimage {
-                    PreImage::Exact { spare: Some(s), .. } => Some(Arc::as_ptr(s) as *const u8),
-                    _ => None,
-                };
+                writer.ensure_twin();
                 let (lo, hi) = match shape {
                     // Whole-page stores, the dense diffs that borrow the image.
                     0 | 1 => (0, 1024),
@@ -1640,14 +1569,11 @@ mod tests {
                     (lo..hi).map(|_| next() as u8).collect()
                 };
                 writer.write_bytes(lo, &src);
-                if let Some(at) = spare {
-                    prop_assert!(Arc::as_ptr(&writer.data) as *const u8 == at, "the store built into the spare");
-                }
                 prop_assert!(adopter.bytes() == &shown[..], "an adopted image changed under the writer's store");
 
                 let mut diff = pool
                     .pop()
-                    .or_else(|| salvage.take_diff())
+                    .or_else(|| displaced.pop())
                     .unwrap_or_else(|| Arc::new(Diff::empty(PageId(0))));
                 prop_assert!(writer.make_diff_into(PageId(0), Arc::get_mut(&mut diff).unwrap()));
                 writer.drop_twin();
@@ -1667,21 +1593,20 @@ mod tests {
                     }
                 }
                 if next() % 2 == 0 {
-                    parker.deliver(unparked.iter().rev().map(|(d, e)| (d, *e)), &mut cover, &mut salvage);
+                    if let Some(d) = parker.deliver(unparked.iter().rev().map(|(d, e)| (d, *e)), &mut cover) {
+                        recycle(&mut displaced, d);
+                    }
                     unparked.clear();
                 }
                 // Retire a random selection in random order.
                 while !log.is_empty() && next() % 3 != 0 {
-                    let mut retired = log.swap_remove(next() % log.len());
-                    if salvage.strip(&mut retired) {
-                        pool.push(retired);
-                    }
+                    recycle(&mut pool, log.swap_remove(next() % log.len()));
                 }
             }
             for (d, e) in unadopted.drain(..) {
                 adopter.apply_diff(&d, e);
             }
-            parker.deliver(unparked.iter().rev().map(|(d, e)| (d, *e)), &mut cover, &mut salvage);
+            parker.deliver(unparked.iter().rev().map(|(d, e)| (d, *e)), &mut cover);
             let want = observe(&mut reference, &[]);
             let (adopted, parked) = (observe(&mut adopter, &[]), observe(&mut parker, &[]));
             prop_assert!(adopted == want, "{adopted:?} != {want:?}");
@@ -1699,21 +1624,20 @@ mod tests {
         fn a_page_over_the_shared_zero_image_acts_as_a_private_one(
             steps in prop::collection::vec(step(), 1..40),
         ) {
-            let zero = zero_image(1024);
-            let mut store = PageStore::with_zero_image(PageLayout::new(1024, 2), Arc::clone(&zero));
+            let zero = Image::zeroed(1024);
+            let mut store = PageStore::with_zero_image(PageLayout::new(1024, 2), zero.clone());
             let mut private = LocalPage::new_zeroed(1024);
             let mut writer = Writer::new();
-            let mut salvages = [Salvage::new(), Salvage::new()];
             let mut covers = [Vec::new(), Vec::new()];
             let mut held: [Option<Diff>; 2] = [None, None];
-            // Every diff delivered, held so that no salvage empties one.
+            // Every diff delivered, held so that none is emptied.
             let mut delivered: Vec<(Arc<Diff>, u32)> = Vec::new();
             let mut written = false;
             let shared = store.page_mut(PageId(0));
-            prop_assert!(Arc::ptr_eq(&shared.data, &zero));
+            prop_assert!(shared.data.as_ptr() == zero.as_ptr());
             let mut pages = [shared, &mut private];
             for step in steps.iter().chain([&Step::Close(false)]) {
-                if matches!(step, Step::Close(_) | Step::Apply(_) | Step::Deliver(_)) && pages[0].twinned {
+                if matches!(step, Step::Close(_) | Step::Apply(_) | Step::Deliver(_)) && pages[0].twinned() {
                     let keep = matches!(step, Step::Close(true));
                     let mut diffs = [Diff::empty(PageId(0)), Diff::empty(PageId(0))];
                     for ((page, diff), held) in pages.iter_mut().zip(&mut diffs).zip(&mut held) {
@@ -1738,8 +1662,8 @@ mod tests {
                         written = true;
                     }
                     Step::Twin => {
-                        for (page, salvage) in pages.iter_mut().zip(&mut salvages) {
-                            page.ensure_twin_from(salvage);
+                        for page in pages.iter_mut() {
+                            page.ensure_twin();
                         }
                     }
                     Step::Close(_) => {}
@@ -1751,8 +1675,8 @@ mod tests {
                     }
                     Step::Deliver(ref round) => {
                         let round: Vec<_> = round.iter().map(|&m| writer.next(m)).collect();
-                        for ((page, salvage), cover) in pages.iter_mut().zip(&mut salvages).zip(&mut covers) {
-                            page.deliver(round.iter().rev().map(|(d, e)| (d, *e)), cover, salvage);
+                        for (page, cover) in pages.iter_mut().zip(&mut covers) {
+                            page.deliver(round.iter().rev().map(|(d, e)| (d, *e)), cover);
                         }
                         delivered.extend(round);
                         written = true;
@@ -1774,7 +1698,7 @@ mod tests {
             prop_assert!(got == want, "{got:?} != {want:?}");
 
             prop_assert!(zero.iter().all(|&b| b == 0), "the zero image was written");
-            let shows_zero = |store: &PageStore, page| Arc::ptr_eq(&store.page(page).unwrap().data, &zero);
+            let shows_zero = |store: &PageStore, page| store.page(page).unwrap().data.as_ptr() == zero.as_ptr();
             prop_assert!(!(written && shows_zero(&store, PageId(0))), "a written page shows the zero image");
             store.read(GlobalAddr(1024), &mut [0u8; 1024], |_, _| {});
             prop_assert!(shows_zero(&store, PageId(1)), "a read detached the zero image");
