@@ -510,6 +510,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "contiguous")]
     fn non_contiguous_publish_is_rejected_in_debug() {
         let mut log = IntervalLog::new();

@@ -144,8 +144,8 @@ impl Diff {
     /// extracted straight from the bits.  Dense diffs (payload at least
     /// half the page) borrow the snapshot itself; sparse diffs copy their
     /// runs into one packed buffer, so a few changed words never pin a
-    /// whole page in memory.  With an exact bitset — as maintained by the
-    /// write path's per-word pre-image tracking — the encoded runs are
+    /// whole page in memory.  With an exact bitset — as the interval
+    /// close's compare of page and twin produces — the encoded runs are
     /// bit-identical to [`create`](Self::create) against the interval-start
     /// twin either way.
     ///

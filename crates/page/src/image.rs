@@ -4,11 +4,12 @@
 //! dense diff borrows its writer's image (see
 //! [`Diff::rebuild_from_changed`](crate::Diff::rebuild_from_changed)),
 //! readers adopt it whole, and the writer's next store into a shared image
-//! needs a fresh one.  An [`Image`] is an `Arc`-shared image plus a handle
-//! to the pool it came from.  Whoever drops it last — a page, a pre-image, a
-//! diff, a retirement — hands its buffer back to that pool, and the next
-//! build (a detach, a whole-page store, a lazy twin's pre-image) takes it
-//! from there before it allocates.
+//! needs a fresh one.  A twin is the page's image too: it shares the image
+//! at the interval's first write, and the page detaches from it.  An
+//! [`Image`] is an `Arc`-shared image plus a handle to the pool it came
+//! from.  Whoever drops it last — a page, a twin, a diff, a retirement —
+//! hands its buffer back to that pool, and the next build (a detach or a
+//! whole-page store) takes it from there before it allocates.
 //!
 //! Nothing another holder can see is ever reused: no image is ever held
 //! weakly, and the pool handle is an `Rc`, so every holder of an image is on
@@ -59,16 +60,6 @@ impl Image {
         let mut image = Image { bytes, pool };
         image.written().copy_from_slice(src);
         image
-    }
-
-    /// An unshared image of this image's length and unspecified contents,
-    /// taken from its pool, or allocated zeroed when the pool is empty.
-    pub(crate) fn blank(&self) -> Image {
-        let pooled = self.pool.borrow_mut().pop();
-        Image {
-            bytes: pooled.unwrap_or_else(|| std::iter::repeat_n(0, self.len()).collect()),
-            pool: Rc::clone(&self.pool),
-        }
     }
 
     /// Whether another holder shares this image.  (A plain load: no image is

@@ -9,8 +9,10 @@
 //! * per-processor **local copies** of the shared pages ([`PageStore`],
 //!   [`LocalPage`]),
 //! * **twinning and diffing** — the multiple-writer protocol's write
-//!   detection ([`Diff`], [`RunSpan`]) over shared page images that go back
-//!   to their run's pool on their last drop ([`Image`]),
+//!   detection ([`Diff`], [`RunSpan`]): a twin is a copy-on-write snapshot
+//!   of the page image taken at an interval's first write, and the diff is
+//!   the compare of page and twin at the interval's close, over shared page
+//!   images that go back to their run's pool on their last drop ([`Image`]),
 //! * **home copies** — the authoritative per-page master copies of the
 //!   home-based single-writer protocol, kept current by applying flushed
 //!   diffs in place without twinning ([`HomeStore`]),
@@ -157,11 +159,11 @@ mod proptests {
             }
         }
 
-        /// The virtual-twin write path (per-word pre-image tracking) must
-        /// yield diffs bit-identical to an eager twin copy plus compare
-        /// scan, under any sequence of overlapping, unaligned and
-        /// value-restoring writes — including words whose original value is
-        /// restored across several partial writes.
+        /// The snapshot twin and the compare at close must yield diffs
+        /// bit-identical to an eager twin copy plus compare scan, under any
+        /// sequence of overlapping, unaligned and value-restoring writes —
+        /// including words whose original value is restored across several
+        /// partial writes.
         #[test]
         fn tracked_writes_match_eager_twin_compare(
             seed in any::<u64>(),
@@ -189,7 +191,7 @@ mod proptests {
                 let off = (*off0).min(page_size - len);
                 state = state.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
                 // A third of the writes restore the pre-interval bytes, so
-                // the exact-tracking bit-clearing path is exercised.
+                // words that change and change back must stay out of it.
                 let src: Vec<u8> = if state % 3 == 0 {
                     twin[off..off + len].to_vec()
                 } else {
@@ -214,8 +216,9 @@ mod proptests {
         /// adoption, deferred-park and recycled-diff paths.  Published
         /// diffs are retired pseudo-randomly between intervals so the
         /// owning page flips between shared and uniquely-owned images,
-        /// exercising the detach ("copy" of copy-on-next-write) and the
-        /// free exact pre-image it enables.  Retired diffs and the ones a
+        /// exercising the detach ("copy" of copy-on-next-write) of a twin
+        /// over an image a diff shares and over one the page owns.  Retired
+        /// diffs and the ones a
         /// delivery displaced are emptied into two stacks, as in a run, and
         /// closes rebuild inside them.
         #[test]

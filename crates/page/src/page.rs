@@ -17,46 +17,38 @@ use std::sync::Arc;
 pub const NO_EXCHANGE: u32 = u32::MAX;
 
 /// One hardware page as held by one processor: current contents, the
-/// interval's write-detection state (a *virtual twin*), and per-word
-/// delivery attribution.
+/// interval's twin, and per-word delivery attribution.
 ///
-/// The twin of the multiple-writer protocol is maintained lazily: instead of
-/// copying the whole page at the first write, the write path compares each
-/// stored word against its previous contents and saves the pre-interval
-/// value of exactly the words that change.  The changed-word bitset is
-/// therefore *exact* (a word whose original value is later restored leaves
-/// the set again), so diff creation never has to re-scan the page — it
-/// extracts runs straight from the bitset.  The resulting diffs are
-/// bit-identical to a twin-compare: a word is in the diff iff its content
-/// differs from the page content at `ensure_twin` time.
+/// The twin of the multiple-writer protocol is a copy-on-write snapshot: at
+/// the first write of an interval, [`ensure_twin`](Self::ensure_twin) shares
+/// the page image instead of copying it, and the first store after it pays
+/// the copy as an ordinary detach — or, when it rewrites the whole page,
+/// builds the new image straight from the source and never copies at all.
+/// The write path therefore does not know whether a twin is live.  At
+/// interval close, [`make_diff_into`](Self::make_diff_into) compares page
+/// and twin once and encodes the words that differ: the TreadMarks twin and
+/// compare, bit-identical to [`Diff::create`] against the interval-start
+/// bytes.
 ///
 /// The page image itself is a shared [`Image`] so a dense diff published at
 /// interval close can borrow it outright (no payload copy; see
-/// [`Diff::rebuild_from_changed`]).  The image is copy-on-next-write: any
-/// later mutation detaches it first — except a *whole-page* store, which
-/// builds the new image straight from the source, and so never pays the
-/// detach copy.  While the image is still shared at `ensure_twin` time it
-/// is, by construction, exactly the pre-interval contents, so it doubles as
-/// a free whole-page pre-image (`PreImage::Exact`): the write path then
-/// skips all per-word pre-image saves and derives changed bits by direct
-/// comparison.
-///
-/// A [`PageStore`]'s page starts on the store's all-zero image, shared, so
-/// the same rules give it its first image of its own: a read reads zeros,
-/// a whole-page delivery adopts the diff's image, the first twin is exact,
-/// and the first store detaches.  Every image a page builds — a detach, a
-/// whole-page store into a shared image, a lazy pre-image — comes from the
-/// pool of the image it replaces, and goes back there on its last drop.
+/// [`Diff::rebuild_from_changed`]).  Any later mutation detaches it first,
+/// as the twin's does.  A [`PageStore`]'s page starts on the store's all-zero
+/// image, shared, so the same rules give it its first image of its own: a
+/// read reads zeros, a whole-page delivery adopts the diff's image, and the
+/// first store detaches.  Every image a page builds — a detach or a
+/// whole-page store into a shared image — comes from the pool of the image
+/// it replaces, and goes back there on its last drop.
 #[derive(Debug)]
 pub struct LocalPage {
     data: Image,
-    /// Pre-interval word values of the live twin (see
-    /// [`ensure_twin`](Self::ensure_twin)), or `None`: a twin is live (the
-    /// page is in the current interval's write set) exactly when this is
-    /// not `None`.
-    preimage: PreImage,
-    /// One bit per word, set iff the word's current value differs from its
-    /// value when the twin was made.  Meaningless while not twinned, and
+    /// The page image as it was at [`ensure_twin`](Self::ensure_twin), or
+    /// `None`: a twin is live (the page is in the current interval's write
+    /// set) exactly when this is not `None`.
+    twin: Option<Image>,
+    /// The close's changed-word bitset: one bit per word, set iff the word
+    /// differs from the twin.  Scratch of
+    /// [`make_diff_into`](Self::make_diff_into), kept across intervals, and
     /// empty until the page's first twin: a page only read never pays for
     /// it.
     changed_words: Box<[u64]>,
@@ -95,20 +87,6 @@ pub struct LocalPage {
     deferred: Option<(Arc<Diff>, u32)>,
 }
 
-/// The pre-interval word values a live twin compares stores against.
-#[derive(Debug)]
-enum PreImage {
-    /// No live twin.
-    None,
-    /// An unshared image from the pool filled in per word: only the words
-    /// whose `changed_words` bit is set are valid (saved on their first
-    /// change).
-    Lazy(Image),
-    /// A complete snapshot of the pre-interval image, shared with the diff
-    /// the previous interval published.
-    Exact(Image),
-}
-
 /// `dst.copy_from_slice(src)` with the 4- and 8-byte cases — one shared word
 /// or double, the sizes of the typed element accessors — as constant-length
 /// copies (a load and a store) instead of a `memcpy` call.
@@ -134,7 +112,7 @@ impl LocalPage {
     fn showing(image: Image) -> Self {
         LocalPage {
             data: image,
-            preimage: PreImage::None,
+            twin: None,
             changed_words: Box::default(),
             attribution: None,
             pending: 0,
@@ -153,19 +131,21 @@ impl LocalPage {
     /// Whether a twin is live.
     #[inline]
     fn twinned(&self) -> bool {
-        !matches!(self.preimage, PreImage::None)
+        self.twin.is_some()
     }
 
     /// Mutable access to the page image, detaching (copying) it first if a
-    /// published diff still shares it — the "copy" of copy-on-next-write.
-    /// Loops establish uniqueness once and keep the slice.
+    /// twin, a published diff or a reader still shares it — the "copy" of
+    /// copy-on-next-write.  Loops establish uniqueness once and keep the
+    /// slice.
     fn data_mut(&mut self) -> &mut [u8] {
         self.data.detached()
     }
 
     /// Replace the whole image with `src`.  When the current image is still
-    /// shared with a published diff, the new image is built straight from
-    /// `src` — the detach copy a partial write would pay never happens.
+    /// shared (with a twin, a published diff or a reader), the new image is
+    /// built straight from `src` — the detach copy a partial write would pay
+    /// never happens.
     fn replace_data(&mut self, src: &[u8]) {
         if self.data.is_shared() {
             self.data = self.data.filled(src);
@@ -208,208 +188,58 @@ impl LocalPage {
 
     /// Create the twin if it does not exist yet.  Returns `true` if a twin
     /// was created by this call (the "first write to a shared page" event).
-    /// No page copy happens here: the twin is virtual.
-    ///
-    /// When the image is still shared with a diff published at a previous
-    /// close, it has provably not been mutated since (every mutation path
-    /// detaches first), so it *is* the exact pre-interval snapshot — the
-    /// snapshot becomes the pre-image for free and the write path runs in
-    /// exact mode, with no per-word pre-image saves at all.  Otherwise the
-    /// write path fills a pooled pre-image buffer in per word, lazily.
+    /// No page copy happens here: the twin shares the image, and the first
+    /// store of the interval detaches the page from it (a whole-page store
+    /// builds its image from the stored bytes instead).
     pub fn ensure_twin(&mut self) -> bool {
         if self.twinned() {
             return false;
         }
         self.materialize_content();
-        self.preimage = if self.data.is_shared() {
-            PreImage::Exact(self.data.clone())
-        } else {
-            PreImage::Lazy(self.data.blank())
-        };
+        self.twin = Some(self.data.clone());
         if self.changed_words.is_empty() {
             self.changed_words = vec![0u64; self.words().div_ceil(64)].into_boxed_slice();
-        } else {
-            self.changed_words.fill(0);
         }
         true
     }
 
     /// Produce the diff of the current writing interval.  Returns `None` if
-    /// the page has no twin.  The changed-word bitset is exact, so this is a
-    /// straight run extraction — no page scan — and a dense diff borrows
-    /// the page image itself instead of packing a payload copy.
+    /// the page has no twin.  The page is compared with its twin word by
+    /// word, and a dense diff borrows the page image itself instead of
+    /// packing a payload copy.
     pub fn make_diff(&self, page: PageId) -> Option<Diff> {
+        let twin = self.twin.as_ref()?;
+        let mut changed = vec![0u64; self.words().div_ceil(64)];
+        changed_bits(&self.data, twin, &mut changed);
         let mut diff = Diff::empty(page);
-        self.make_diff_into(page, &mut diff).then_some(diff)
+        diff.rebuild_from_changed(page, &self.data, &changed);
+        Some(diff)
     }
 
     /// [`make_diff`](Self::make_diff) rebuilt inside `diff`, whatever it
-    /// held, keeping its buffers (see [`Diff::rebuild_from_changed`]): the
-    /// interval close rebuilds retired diffs through here.  Returns `false`,
-    /// leaving `diff` alone, if the page has no twin.
-    pub fn make_diff_into(&self, page: PageId, diff: &mut Diff) -> bool {
-        if !self.twinned() {
+    /// held, keeping its buffers (see [`Diff::rebuild_from_changed`]) and
+    /// comparing into the page's own bitset: the interval close rebuilds
+    /// retired diffs through here.  Returns `false`, leaving `diff` alone,
+    /// if the page has no twin.
+    pub fn make_diff_into(&mut self, page: PageId, diff: &mut Diff) -> bool {
+        let Some(twin) = &self.twin else {
             return false;
-        }
+        };
         debug_assert!(
             self.deferred.is_none(),
             "twinned page with deferred content"
         );
+        changed_bits(&self.data, twin, &mut self.changed_words);
         diff.rebuild_from_changed(page, &self.data, &self.changed_words);
         true
     }
 
     /// Retire the twin (the interval's modifications have been encoded; the
     /// twin is dead weight from here on — under lazy diff timing the stored
-    /// encoding, not the twin, is what later requests serve from).  Either
-    /// kind of pre-image is let go: a lazy buffer goes back to its pool, and
-    /// an exact snapshot is left to the diff that shares it.
+    /// encoding, not the twin, is what later requests serve from).  The
+    /// pre-interval image goes back to its pool if the twin held it last.
     pub fn drop_twin(&mut self) {
-        self.preimage = PreImage::None;
-    }
-
-    /// Store `src` at byte `offset` while a twin is live, keeping the
-    /// changed-word bitset exact: in exact mode the touched words' bits are
-    /// recomputed against the whole-page snapshot; in lazy mode the
-    /// pre-interval value of a word is saved on its first change.  Either
-    /// way a word whose original value is restored by a later store leaves
-    /// the set again.
-    fn store_tracked(&mut self, offset: usize, src: &[u8]) {
-        if src.is_empty() {
-            return;
-        }
-        match self.preimage {
-            PreImage::Exact(_) => self.store_exact(offset, src),
-            PreImage::Lazy(_) => self.store_lazy(offset, src),
-            PreImage::None => unreachable!("a tracked store without a twin"),
-        }
-    }
-
-    /// Exact-mode store: the pre-image is a complete snapshot of the
-    /// pre-interval image, so no per-word saves happen at all — the store
-    /// lands and the touched words' changed bits are recomputed by direct
-    /// comparison against the snapshot.  A whole-page store into a
-    /// still-shared image skips even the detach copy: the new image is
-    /// built straight from `src`.
-    fn store_exact(&mut self, offset: usize, src: &[u8]) {
-        let end = offset + src.len();
-        if offset == 0 && end == self.data.len() {
-            self.replace_data(src);
-        } else {
-            self.data_mut()[offset..end].copy_from_slice(src);
-        }
-        let PreImage::Exact(pre) = &self.preimage else {
-            unreachable!("exact-mode store without a snapshot");
-        };
-        // Words `src` covers fully get their changed bits straight from the
-        // still-cache-hot source in one pass; only ragged head/tail words
-        // (whose untouched bytes live in the page, not in `src`) re-read the
-        // stored data.  `src` equals the stored range, so the bits are the
-        // same either way.
-        let w0 = offset / WORD_SIZE;
-        let w1 = (end - 1) / WORD_SIZE + 1;
-        let wf0 = offset.div_ceil(WORD_SIZE);
-        let wf1 = end / WORD_SIZE;
-        let bits = &mut self.changed_words;
-        if wf0 >= wf1 {
-            exact_bits(&self.data, 0, pre, bits, w0, w1);
-            return;
-        }
-        if w0 < wf0 {
-            exact_bits(&self.data, 0, pre, bits, w0, wf0);
-        }
-        exact_bits(src, offset, pre, bits, wf0, wf1);
-        if wf1 < w1 {
-            exact_bits(&self.data, 0, pre, bits, wf1, w1);
-        }
-    }
-
-    /// Lazy-mode store: save the pre-interval value of a word on its first
-    /// change, compare on every store to keep the bitset exact.
-    fn store_lazy(&mut self, offset: usize, src: &[u8]) {
-        /// General per-word store: handles partial-word ranges and words
-        /// whose changed bit may already be set (compare against the saved
-        /// pre-image, clearing the bit when the original value returns).
-        fn word(
-            data: &mut [u8],
-            pre: &mut [u8],
-            bits: &mut [u64],
-            w: usize,
-            lo: usize,
-            hi: usize,
-            src: &[u8],
-            src_off: usize,
-        ) {
-            let wlo = w * WORD_SIZE;
-            let whi = wlo + WORD_SIZE;
-            let (blk, bit) = (w / 64, 1u64 << (w % 64));
-            if bits[blk] & bit == 0 {
-                // Word still holds its pre-interval value: snapshot it, then
-                // apply the store and flag the word only if it truly changed
-                // (a store of the unchanged value stays invisible).
-                pre[wlo..whi].copy_from_slice(&data[wlo..whi]);
-                data[lo..hi].copy_from_slice(&src[lo - src_off..hi - src_off]);
-                if data[wlo..whi] != pre[wlo..whi] {
-                    bits[blk] |= bit;
-                }
-            } else {
-                data[lo..hi].copy_from_slice(&src[lo - src_off..hi - src_off]);
-                if data[wlo..whi] == pre[wlo..whi] {
-                    bits[blk] &= !bit;
-                }
-            }
-        }
-
-        let end = offset + src.len();
-        // A lazy twin found its image unshared, and nothing shares it
-        // before the interval closes.
-        let data = self.data.written();
-        let PreImage::Lazy(pre) = &mut self.preimage else {
-            unreachable!("lazy-mode store against an exact snapshot");
-        };
-        let pre = pre.written();
-        let bits = &mut self.changed_words;
-
-        // Partial head/tail words take the general path; full words in the
-        // middle take the bulk path below.
-        let mut lo = offset;
-        if lo % WORD_SIZE != 0 {
-            let w = lo / WORD_SIZE;
-            let hi = end.min((w + 1) * WORD_SIZE);
-            word(data, pre, bits, w, lo, hi, src, offset);
-            lo = hi;
-        }
-        let mid_end = lo + (end - lo) / WORD_SIZE * WORD_SIZE;
-        if mid_end < end {
-            word(data, pre, bits, end / WORD_SIZE, mid_end, end, src, offset);
-        }
-
-        let mut w = lo / WORD_SIZE;
-        let w1 = mid_end / WORD_SIZE;
-        while w < w1 {
-            let blk = w / 64;
-            let seg_end = ((blk + 1) * 64).min(w1);
-            if bits[blk] == 0 {
-                // No word of this 64-word block has changed yet — the
-                // common case for a fresh interval.  A clear bit means the
-                // word still holds its pre-interval value, so the whole
-                // segment is snapshotted and stored with two straight-line
-                // copies (which the compiler vectorises), and its changed
-                // bits come from the exact scan of the cache-hot source.
-                let base = w * WORD_SIZE;
-                let seg_bytes = (seg_end - w) * WORD_SIZE;
-                let sb = base - offset;
-                pre[base..base + seg_bytes].copy_from_slice(&data[base..base + seg_bytes]);
-                data[base..base + seg_bytes].copy_from_slice(&src[sb..sb + seg_bytes]);
-                exact_bits(src, offset, pre, bits, w, seg_end);
-            } else {
-                for wi in w..seg_end {
-                    let db = wi * WORD_SIZE;
-                    word(data, pre, bits, wi, db, db + WORD_SIZE, src, offset);
-                }
-            }
-            w = seg_end;
-        }
+        self.twin = None;
     }
 
     /// Write `src` at byte `offset`.  Any delivered-but-unread words covered
@@ -430,9 +260,7 @@ impl LocalPage {
                 self.materialize_content();
             }
         }
-        if self.twinned() {
-            self.store_tracked(offset, src);
-        } else if offset == 0 && end == self.data.len() {
+        if offset == 0 && end == self.data.len() {
             self.replace_data(src);
         } else {
             copy_bytes(&mut self.data_mut()[offset..end], src);
@@ -733,57 +561,28 @@ fn attribute_words(words: &mut [u32], pending: &mut u32, none_held: bool, exchan
     words.fill(exchange);
 }
 
-/// Recompute the changed-word bits of page words `[w0, w1)` by direct
-/// comparison against the pre-interval words in `pre` (valid over the
-/// range: the whole snapshot of an exact twin, or the segment a lazy twin
-/// has just saved): `bit(w) = (fresh word w != pre word w)`, set *or
-/// cleared*; words outside the range keep their bits.  The fresh words are
-/// read from `src`, whose first byte is page byte `src_offset` and which
-/// covers the whole range — the page image itself (`src_offset == 0`), or
-/// the bytes just stored over the range, which saves re-reading the page.
-/// Pairs of words are compared as one `u64` XOR with an endian split.  This
-/// is the write path's one changed-word scan.
-fn exact_bits(src: &[u8], src_offset: usize, pre: &[u8], bits: &mut [u64], w0: usize, w1: usize) {
-    /// Bits of the lower-addressed word within a native-endian `u64` read
-    /// across two consecutive words.
-    const FIRST: u64 = if cfg!(target_endian = "little") {
-        0x0000_0000_FFFF_FFFF
-    } else {
-        0xFFFF_FFFF_0000_0000
-    };
-    let mut w = w0;
-    while w < w1 {
-        let blk = w / 64;
-        let seg_end = ((blk + 1) * 64).min(w1);
-        let lo = w % 64;
-        let n = seg_end - w;
-        let mask = if n == 64 {
-            !0u64
-        } else {
-            ((1u64 << n) - 1) << lo
-        };
+/// Set bit `w % 64` of `bits[w / 64]` iff word `w` of `page` differs from
+/// word `w` of `twin`, for every word of the page: the close's one compare
+/// scan.  A 64-word block that is unchanged, as most of a sparsely written
+/// page are, is settled by one slice compare.
+fn changed_bits(page: &[u8], twin: &[u8], bits: &mut [u64]) {
+    const BLOCK: usize = 64 * WORD_SIZE;
+    let word = |b: &[u8]| u32::from_ne_bytes(b.try_into().expect("a whole word"));
+    for ((blk, page), twin) in bits
+        .iter_mut()
+        .zip(page.chunks(BLOCK))
+        .zip(twin.chunks(BLOCK))
+    {
         let mut new_bits = 0u64;
-        let mut wi = w;
-        while wi + 1 < seg_end {
-            let b = wi * WORD_SIZE;
-            let s = b - src_offset;
-            let s8 = u64::from_ne_bytes(src[s..s + 8].try_into().unwrap());
-            let p8 = u64::from_ne_bytes(pre[b..b + 8].try_into().unwrap());
-            let x = s8 ^ p8;
-            let sh = wi % 64;
-            new_bits |=
-                ((((x & FIRST) != 0) as u64) << sh) | ((((x & !FIRST) != 0) as u64) << (sh + 1));
-            wi += 2;
-        }
-        if wi < seg_end {
-            let b = wi * WORD_SIZE;
-            let s = b - src_offset;
-            if src[s..s + WORD_SIZE] != pre[b..b + WORD_SIZE] {
-                new_bits |= 1u64 << (wi % 64);
+        if page != twin {
+            let words = page
+                .chunks_exact(WORD_SIZE)
+                .zip(twin.chunks_exact(WORD_SIZE));
+            for (k, (p, t)) in words.enumerate() {
+                new_bits |= ((word(p) != word(t)) as u64) << k;
             }
         }
-        bits[blk] = (bits[blk] & !mask) | new_bits;
-        w = seg_end;
+        *blk = new_bits;
     }
 }
 
@@ -1045,25 +844,70 @@ mod tests {
     }
 
     #[test]
-    fn a_twin_over_a_shared_image_is_exact_and_over_an_owned_one_lazy() {
+    fn a_twin_over_a_shared_image_and_over_an_owned_one_is_a_snapshot() {
         let (mut page, published, image) = page_sharing_its_image_with_a_published_diff();
         page.ensure_twin();
-        assert!(matches!(&page.preimage, PreImage::Exact(snapshot) if snapshot[..] == image[..]));
+        let shared = published.whole_page_shared_image().unwrap().as_ptr();
+        assert_eq!(page.twin.as_ref().unwrap().as_ptr(), shared);
         page.write_bytes(8, &[0; 8]);
-        let exact = page.make_diff(PageId(0)).unwrap();
+        let over_shared = page.make_diff(PageId(0)).unwrap();
         page.drop_twin();
         // Dropping the twin let go of the snapshot: the published diff holds
         // the pre-interval image alone, so its last drop pools it.
         assert!(!published.whole_page_shared_image().unwrap().is_shared());
         drop(published);
 
-        // Nothing shares the (detached) image any more: the same interval
-        // replayed against the lazily filled buffer encodes the same diff.
+        // Nothing shares the (detached) image any more: the twin shares the
+        // page's own, and the same interval replayed encodes the same diff.
         page.write_bytes(8, &image[8..16]);
+        assert!(!page.data.is_shared());
         page.ensure_twin();
-        assert!(matches!(&page.preimage, PreImage::Lazy(buf) if buf.len() == 256));
+        assert_eq!(page.twin.as_ref().unwrap().as_ptr(), page.data.as_ptr());
         page.write_bytes(8, &[0; 8]);
-        assert_eq!(page.make_diff(PageId(0)).unwrap(), exact);
+        assert_eq!(page.make_diff(PageId(0)).unwrap(), over_shared);
+    }
+
+    #[test]
+    fn a_twin_over_an_owned_image_shares_it_until_the_first_store() {
+        let zero = Image::zeroed(256);
+        let mut page = LocalPage::showing(zero.clone());
+        page.write_bytes(0, &[1; 4]);
+        let owned = page.data.as_ptr();
+        let spare = zero.filled(&[0xEE; 256]);
+        let spare_at = spare.as_ptr();
+        drop(spare);
+        assert_eq!(zero.pooled(), 1);
+
+        // Twinning takes nothing from the pool: the twin is the page's image.
+        page.ensure_twin();
+        assert_eq!(
+            (page.twin.as_ref().unwrap().as_ptr(), zero.pooled()),
+            (owned, 1)
+        );
+        // The first partial store takes exactly one buffer, the next none.
+        page.write_bytes(8, &[2; 4]);
+        assert_eq!((page.data.as_ptr(), zero.pooled()), (spare_at, 0));
+        page.write_bytes(13, &[3; 2]);
+        assert_eq!((page.data.as_ptr(), zero.pooled()), (spare_at, 0));
+        let twin = page.twin.as_ref().unwrap();
+        assert_eq!(twin.as_ptr(), owned);
+        assert_eq!(twin[..16], [1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        let diff = page.make_diff(PageId(0)).unwrap();
+        assert_eq!(
+            diff.runs().collect::<Vec<_>>(),
+            [(8, &[2, 2, 2, 2, 0, 3, 3, 0][..])]
+        );
+        page.drop_twin();
+        assert_eq!(zero.pooled(), 1, "the pre-interval image went back");
+
+        // A whole-page store leaves the pre-interval buffer to the twin and
+        // builds into the pooled one.
+        page.ensure_twin();
+        page.write_bytes(0, &[4; 256]);
+        let twin = page.twin.as_ref().unwrap();
+        assert_eq!((twin.as_ptr(), twin[8]), (spare_at, 2));
+        assert_eq!((page.data.as_ptr(), zero.pooled()), (owned, 0));
+        assert_eq!(page.make_diff(PageId(0)).unwrap().payload_bytes(), 256);
     }
 
     #[test]
@@ -1121,7 +965,7 @@ mod tests {
     }
 
     #[test]
-    fn a_lazy_twin_buffer_goes_back_at_drop_twin() {
+    fn a_twins_image_goes_back_at_drop_twin() {
         let zero = Image::zeroed(256);
         let (mut page, mut other) = (
             LocalPage::showing(zero.clone()),
@@ -1129,14 +973,17 @@ mod tests {
         );
         page.write_bytes(0, &[1; 4]);
         page.ensure_twin();
-        let PreImage::Lazy(buffer) = &page.preimage else {
-            panic!("a page owning its image twins lazily");
-        };
-        let at = buffer.as_ptr();
+        let at = page.twin.as_ref().unwrap().as_ptr();
+        page.write_bytes(4, &[5; 4]);
+        assert_ne!(page.data.as_ptr(), at, "the store detached from the twin");
         page.drop_twin();
         assert_eq!(zero.pooled(), 1);
         other.write_bytes(8, &[2; 4]);
-        assert_eq!(other.data.as_ptr(), at, "the detach built into the buffer");
+        assert_eq!(
+            other.data.as_ptr(),
+            at,
+            "the detach built into the twin's image"
+        );
         assert_eq!(zero.pooled(), 0);
         assert_eq!(other.bytes()[..12], [0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 2]);
     }
@@ -1346,69 +1193,85 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Whichever pre-image a twin gets — the previous interval's shared
-        /// snapshot (exact) or the lazily filled private buffer — the
-        /// interval's diff is `Diff::create(twin, current)`, and both kinds
-        /// occur.  Dense intervals publish a diff that borrows the image, so
-        /// the next twin is exact; dropping that diff first makes it lazy.
+        /// Whatever the twin is taken over — the zero image, an image shared
+        /// with the previous interval's diff, the page's own image, an image
+        /// adopted whole from another writer's diff or a parked delivery
+        /// that `ensure_twin` lands first — the interval's diff is
+        /// `Diff::create(twin, current)` under any mix of ragged, sub-word,
+        /// value-restoring and whole-page stores, through `make_diff` and
+        /// through `make_diff_into` a recycled diff alike, and the twin
+        /// shares the page's image until a store detaches it.
         #[test]
-        fn lazy_and_exact_preimages_yield_the_twin_compare_diff(
-            seed in any::<u64>(),
+        fn a_close_encodes_the_twin_compare_diff(
             intervals in prop::collection::vec(
-                prop::collection::vec(
-                    (0usize..4096, prop::collection::vec(any::<u8>(), 1..96)),
-                    1..6,
+                (
+                    0u8..3,
+                    member(),
+                    any::<bool>(),
+                    prop::collection::vec((0u8..4, 0usize..1024, 1usize..64, any::<u8>()), 1..6),
                 ),
-                2..8,
+                1..8,
             ),
         ) {
-            let page_size = 4096usize;
-            let mut page = LocalPage::new_zeroed(page_size);
-            let mut state = seed | 1;
-            let mut blast = vec![0u8; page_size];
-            let mut held: Option<Diff> = None;
-            let (mut exact, mut lazy) = (0, 0);
-            for (k, writes) in intervals.iter().enumerate() {
-                let twin = page.bytes().to_vec();
-                let shared = held.as_ref().is_some_and(|d| d.whole_page_shared_image().is_some());
+            let zero = Image::zeroed(1024);
+            let mut page = LocalPage::showing(zero.clone());
+            let mut writer = Writer::new();
+            let mut mirror = vec![0u8; 1024];
+            let mut cover = Vec::new();
+            let mut recycled = Diff::empty(PageId(0));
+            for (k, (origin, delivered, hold, stores)) in intervals.iter().enumerate() {
+                let adopted = match origin {
+                    // Adopt a whole-page image another writer published.
+                    1 => {
+                        let (diff, exchange) = writer.next((3, (0, 1), 1, false));
+                        page.apply_diff(&diff, exchange);
+                        diff.apply(&mut mirror);
+                        diff.whole_page_shared_image().map(|image| image.as_ptr())
+                    }
+                    // Park a delivery, for the twin to land.
+                    2 => {
+                        let (diff, exchange) = writer.next(*delivered);
+                        page.deliver([(&diff, exchange)], &mut cover);
+                        diff.apply(&mut mirror);
+                        prop_assert!(page.deferred.is_some());
+                        None
+                    }
+                    _ => None,
+                };
                 page.ensure_twin();
-                match &page.preimage {
-                    PreImage::Exact(snapshot) => {
-                        prop_assert!(shared);
-                        prop_assert_eq!(&snapshot[..], &twin[..]);
-                        exact += 1;
-                    }
-                    PreImage::Lazy(buf) => {
-                        prop_assert!(!shared);
-                        prop_assert_eq!(buf.len(), page_size);
-                        lazy += 1;
-                    }
-                    PreImage::None => prop_assert!(false, "no twin after ensure_twin"),
+                let twin = page.twin.as_ref().unwrap().as_ptr();
+                prop_assert!(twin == page.data.as_ptr(), "the twin does not share the page image");
+                if k == 0 && *origin == 0 {
+                    prop_assert!(twin == zero.as_ptr(), "the first twin is not the zero image");
                 }
-                for (off0, data) in writes {
-                    let len = data.len().min(page_size);
-                    let off = (*off0).min(page_size - len);
-                    page.write_bytes(off, &data[..len]);
+                if let Some(image) = adopted {
+                    prop_assert!(twin == image, "the twin is not the adopted image");
                 }
-                // Every other interval rewrites the whole page, so its diff
-                // is dense and borrows the image.
-                if k % 2 == 0 {
-                    for (i, b) in blast.iter_mut().enumerate() {
-                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        *b = (state >> 25) as u8 ^ i as u8;
-                    }
-                    page.write_bytes(0, &blast);
+                let start = mirror.clone();
+                prop_assert_eq!(page.bytes(), &start[..]);
+                for &(kind, offset, len, value) in stores {
+                    let (offset, src) = match kind {
+                        0 => (offset, stored(len.min(1024 - offset), value)),
+                        1 => (offset, start[offset..(offset + len).min(1024)].to_vec()),
+                        2 => (0, stored(1024, value)),
+                        _ => (0, start.clone()),
+                    };
+                    page.write_bytes(offset, &src);
+                    mirror[offset..offset + src.len()].copy_from_slice(&src);
                 }
-                let diff = page.make_diff(PageId(0)).unwrap();
-                prop_assert_eq!(&diff, &Diff::create(PageId(0), &twin, page.bytes()));
+                prop_assert_eq!(page.bytes(), &mirror[..]);
+                let want = Diff::create(PageId(0), &start, &mirror);
+                prop_assert_eq!(&page.make_diff(PageId(0)).unwrap(), &want);
+                prop_assert!(page.make_diff_into(PageId(0), &mut recycled));
+                prop_assert_eq!(&recycled, &want);
                 page.drop_twin();
-                // Keep the dense diff alive into the next interval two times
-                // out of three.
-                state = state.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-                held = (state % 3 != 0).then_some(diff);
+                // A diff kept into the next interval keeps a dense one's
+                // image shared at the next twin; an emptied one leaves the
+                // page its image alone.
+                if !*hold {
+                    recycled.clear();
+                }
             }
-            prop_assert!(lazy >= 1, "the first twin is always lazy");
-            prop_assert_eq!(exact + lazy, intervals.len());
         }
 
         /// A round of 1–8 diffs delivered newest first, onto a page with or
