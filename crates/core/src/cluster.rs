@@ -32,11 +32,10 @@ use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
 use tm_net::{ClusterStats, NetworkState, ProcStats};
-use tm_page::{Align, Diff, GlobalAddr, HomeStore, Image, PageLayout, RegionAllocator};
+use tm_page::{Align, GlobalAddr, HomeStore, Image, PageLayout, RegionAllocator};
 use tm_race::{FlatOracle, Observer, RaceDetector};
 
 use crate::config::DsmConfig;
@@ -65,10 +64,6 @@ pub(crate) struct RunState {
     /// the ideal default's owns no links, so it allocates nothing, queues
     /// nothing and reports no link statistics.
     pub(crate) net: RefCell<NetworkState>,
-    /// Emptied diffs that a delivery round displaced from a page, for an
-    /// interval close anywhere in the run to rebuild in place when its own
-    /// log's pool is empty (DESIGN.md, "Retirement and reuse").
-    pub(crate) displaced: RefCell<Vec<Arc<Diff>>>,
     /// The all-zero page image every rank's pages start on (see
     /// `PageStore::with_zero_image`).  One per run, not per rank: a
     /// 1 024-rank run would otherwise build 1 024 of them.  Every image of
@@ -237,7 +232,6 @@ impl Dsm {
                 .is_home_based()
                 .then(|| RefCell::new(HomeStore::new(layout))),
             net: RefCell::new(NetworkState::new(self.config.topology, nprocs)),
-            displaced: RefCell::default(),
             zero_image: Image::zeroed(layout.page_size()),
         });
 

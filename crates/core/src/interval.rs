@@ -121,13 +121,12 @@ pub struct IntervalLog {
     diff_pool: Vec<Arc<Diff>>,
 }
 
-/// Put `diff` into `pool` emptied, if nothing else holds it (a diff still
-/// parked on a requester's page is left to its last holder instead).  The
-/// emptied diff keeps its buffers but not its shared page image, which goes
-/// back to its pool if the diff held it last, so no pooled diff pins a page.
-/// Retirement feeds the log's pool through here, and a delivery the run's
-/// stack of displaced diffs.
-pub(crate) fn recycle(pool: &mut Vec<Arc<Diff>>, mut diff: Arc<Diff>) {
+/// Put `diff` into `pool` emptied, if nothing else holds it (a holder
+/// outside the log keeps it instead).  The emptied diff keeps its buffers
+/// but not its shared page image, which goes back to its pool if the diff
+/// held it last, so no pooled diff pins a page.  Retirement feeds the log's
+/// pool through here.
+fn recycle(pool: &mut Vec<Arc<Diff>>, mut diff: Arc<Diff>) {
     if let Some(unshared) = Arc::get_mut(&mut diff) {
         unshared.clear();
         pool.push(diff);
@@ -293,12 +292,17 @@ impl IntervalLog {
     pub fn stored_diffs(&self) -> usize {
         self.diffs.len()
     }
+
+    /// Every diff the log holds: the stored live ones, then the pooled.
+    pub(crate) fn diffs(&self) -> impl Iterator<Item = &Arc<Diff>> {
+        self.diffs.values().map(|s| &s.diff).chain(&self.diff_pool)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_page::Image;
+    use tm_page::{Image, LocalPage};
 
     fn record(proc: u32, seq: u32, n: usize, pages: &[u32]) -> IntervalRecord {
         let mut vc = VectorClock::zero(n);
@@ -423,30 +427,55 @@ mod tests {
     }
 
     #[test]
-    fn retirement_pools_every_unshared_diff_emptied_but_not_a_parked_one() {
+    fn retirement_pools_every_unshared_diff_emptied_but_not_one_held_elsewhere() {
         let image = Image::zeroed(8).filled(&[1; 8]);
         let mut log = IntervalLog::new();
         for seq in 1..=4 {
             publish_from_pool(&mut log, &image, seq, 3);
         }
-        // A delivery still parked on a requester's page holds one diff.
-        let parked = log.fetch_diff(PageId(1), 2).unwrap().diff;
+        // A holder outside the log keeps one diff.
+        let held = log.fetch_diff(PageId(1), 2).unwrap().diff;
         // One burst retires four closes' worth of diffs.
         assert_eq!(log.retire_up_to(4), 4);
         assert_eq!(log.diff_pool.len(), 11, "every unshared diff is pooled");
         assert!(log
             .diff_pool
             .iter()
-            .all(|d| d.is_empty() && !Arc::ptr_eq(d, &parked)));
-        assert_eq!(Arc::strong_count(&parked), 1, "the parked diff is not");
-        drop(parked);
+            .all(|d| d.is_empty() && !Arc::ptr_eq(d, &held)));
+        assert_eq!(Arc::strong_count(&held), 1, "the held diff is not");
+        drop(held);
         assert!(
             !image.is_shared(),
-            "only the parked diff still held the page image"
+            "only the held diff still held the page image"
         );
         // The next close rebuilds inside the pool.
         publish_from_pool(&mut log, &image, 5, 3);
         assert_eq!(log.diff_pool.len(), 8);
+    }
+
+    #[test]
+    fn a_delivered_round_is_pooled_at_its_retirement() {
+        let image = Image::zeroed(8).filled(&[1; 8]);
+        let mut log = IntervalLog::new();
+        for seq in 1..=2 {
+            publish_from_pool(&mut log, &image, seq, 1);
+        }
+        // A reader fetches both diffs of page 0 and delivers them as one
+        // round, newest first, then lets go of what it fetched.
+        let fetched: Vec<_> = [2, 1]
+            .map(|seq| log.fetch_diff(PageId(0), seq).unwrap().diff)
+            .into();
+        let mut reader = LocalPage::new_zeroed(8);
+        reader.deliver(fetched.iter().map(|d| (d, 0)), &mut Vec::new());
+        assert_eq!(reader.bytes(), &[1, 1, 1, 1, 0, 0, 0, 0]);
+        let delivered: Vec<_> = fetched.into_iter().map(|d| Arc::as_ptr(&d)).collect();
+        assert_eq!(log.retire_up_to(2), 2);
+        for diff in delivered {
+            assert!(
+                log.diff_pool.iter().any(|d| Arc::as_ptr(d) == diff),
+                "a delivered diff outlived its retirement outside the pool"
+            );
+        }
     }
 
     #[test]
@@ -472,8 +501,8 @@ mod tests {
     #[test]
     fn retirement_pools_an_unshared_image_but_not_one_still_seen() {
         // Three dense diffs, each borrowing an image of its own: the first
-        // is held by nothing else, the second's diff is still parked on a
-        // reader, and a reader adopted the third's image.
+        // is held by nothing else, the second's diff is still held outside
+        // the log, and a reader adopted the third's image.
         let zero = Image::zeroed(8);
         let mut log = IntervalLog::new();
         let mut images = Vec::new();
@@ -490,7 +519,7 @@ mod tests {
             let diffs = vec![(PageId(0), Arc::new(diff))];
             log.publish(record(0, seq, 1, &[0]), diffs, DiffTiming::Lazy);
         }
-        let parked = log.fetch_diff(PageId(0), 2).unwrap().diff;
+        let held = log.fetch_diff(PageId(0), 2).unwrap().diff;
         assert_eq!(log.retire_up_to(3), 3);
 
         // The unshared diff's image went back to the pool, and only it.
@@ -500,12 +529,8 @@ mod tests {
         assert!(!images.contains(&fresh.as_ptr()), "only that one");
         assert_eq!(log.diff_pool.len(), 2, "both unshared diffs are pooled");
         assert!(log.diff_pool.iter().all(|d| d.is_empty()));
-        let parked_image = parked.whole_page_shared_image().unwrap();
-        assert_eq!(
-            &parked_image[..],
-            &[2u8; 8],
-            "the parked diff keeps its image"
-        );
+        let held_image = held.whole_page_shared_image().unwrap();
+        assert_eq!(&held_image[..], &[2u8; 8], "the held diff keeps its image");
         assert!(!adopted.unwrap().is_shared(), "the reader keeps its");
     }
 

@@ -30,7 +30,7 @@ use tm_race::{AccessKind, SyncEvent};
 use crate::aggregation::DynamicAggregator;
 use crate::cluster::RunState;
 use crate::config::{DsmConfig, UnitPolicy};
-use crate::interval::{recycle, IntervalId, IntervalRecord, NOTICE_WIRE_BYTES};
+use crate::interval::{IntervalId, IntervalRecord, NOTICE_WIRE_BYTES};
 use crate::notice::NoticeSlab;
 use crate::protocol::{round_robin_home, ProtocolMode};
 use crate::vc::VectorClock;
@@ -101,7 +101,9 @@ struct ExchangeScratch {
     /// endpoint when replies are routed through a contended topology.
     responder_ranks: Vec<u32>,
     to_apply: Vec<Fetched>,
-    /// Scratch lent to `LocalPage::deliver`.
+    /// Word bitset lent to `LocalPage::deliver` and, at an interval close,
+    /// to `LocalPage::make_diff_into`: a close and a fetch never run at
+    /// once.
     cover: Vec<u64>,
 }
 
@@ -648,17 +650,12 @@ impl ProcCtx {
         xs.to_apply
             .sort_unstable_by_key(|f| (f.diff.page, f.weight, f.writer, f.seq, f.ord));
         let rounds = xs.to_apply.chunk_by(|a, b| a.diff.page == b.diff.page);
-        let mut displaced = self.shared.displaced.borrow_mut();
         for round in rounds.rev() {
-            let page = self.store.page_mut(round[0].diff.page);
-            if let Some(diff) = page.deliver(
+            self.store.page_mut(round[0].diff.page).deliver(
                 round.iter().rev().map(|f| (&f.diff, f.exchange)),
                 &mut xs.cover,
-            ) {
-                recycle(&mut displaced, diff);
-            }
+            );
         }
-        drop(displaced);
         // Let go of the fetched diffs now, not at the next fault: a diff the
         // scratch still held could not be pooled when its interval retires.
         xs.to_apply.clear();
@@ -753,12 +750,10 @@ impl ProcCtx {
         }
         let page_size = self.layout.page_size() as u64;
         // Rebuild inside the diffs this processor's own log retired, or
-        // that an earlier close flushed or found empty, then inside the
-        // ones a delivery displaced anywhere in the run.
+        // that an earlier close flushed or found empty.
         let mut pool = self.shared.logs[self.rank.index()]
             .borrow_mut()
             .take_diff_pool();
-        let mut displaced = self.shared.displaced.borrow_mut();
         let mut pages = Vec::new();
         let mut diffs = std::mem::take(&mut self.diff_scratch);
         let mut flushes = std::mem::take(&mut self.flush_scratch);
@@ -776,14 +771,11 @@ impl ProcCtx {
                 pages.push(page);
                 continue;
             }
-            let mut diff = pool
-                .pop()
-                .or_else(|| displaced.pop())
-                .unwrap_or_else(|| Arc::new(Diff::empty(page)));
+            let mut diff = pool.pop().unwrap_or_else(|| Arc::new(Diff::empty(page)));
             let lp = self.store.page_mut(page);
             let unshared = Arc::get_mut(&mut diff).expect("a pooled diff is held by its pool only");
             assert!(
-                lp.make_diff_into(page, unshared),
+                lp.make_diff_into(page, unshared, &mut self.exchange.cover),
                 "dirty page must have a twin at interval close"
             );
             lp.drop_twin();
@@ -791,7 +783,7 @@ impl ProcCtx {
                 // Flushed at close, so nothing is left to create lazily.
                 self.clock.advance(self.cost.diff_create_cost(page_size));
             }
-            if diff.is_empty() {
+            if unshared.is_empty() {
                 // The page was written with values identical to the twin's;
                 // nothing to propagate (the diff goes straight back).
                 pool.push(diff);
@@ -802,18 +794,20 @@ impl ProcCtx {
                 None => diffs.push((page, diff)),
                 Some(home) => {
                     self.stats.diffs_created += 1;
-                    self.stats.diff_bytes_created += diff.payload_bytes();
-                    let bytes = diff.wire_bytes();
+                    self.stats.diff_bytes_created += unshared.payload_bytes();
+                    let bytes = unshared.wire_bytes();
                     match flushes.binary_search_by_key(&home, |&(h, _)| h) {
                         Ok(i) => flushes[i].1 += bytes,
                         Err(i) => flushes.insert(i, (home, bytes)),
                     }
-                    self.shared.home().borrow_mut().apply_diff(&diff);
-                    recycle(&mut pool, diff);
+                    self.shared.home().borrow_mut().apply_diff(unshared);
+                    // Flushed, so nothing serves it: it goes straight back,
+                    // emptied, and pins no page image.
+                    unshared.clear();
+                    pool.push(diff);
                 }
             }
         }
-        drop(displaced);
         dirty.clear();
         self.dirty_pages = dirty;
         self.shared.logs[self.rank.index()]
@@ -1069,6 +1063,16 @@ impl ProcCtx {
                 .borrow_mut()
                 .retire_up_to(watermark);
         }
+        // A delivery lands its diffs at once and keeps none, so past its
+        // retirement the log is every diff's last holder.
+        debug_assert!(
+            self.shared.logs[self.rank.index()]
+                .borrow()
+                .diffs()
+                .all(|d| Arc::strong_count(d) == 1),
+            "rank {}'s log shares a diff with a holder outside it",
+            self.rank.0
+        );
         // No interval anybody still has a notice of pending is retired.
         debug_assert!(
             self.notices

@@ -212,15 +212,14 @@ mod proptests {
         /// the copy-on-next-write path ([`LocalPage::make_diff`], which may
         /// borrow the page image) and once eagerly from a twin copy
         /// ([`Diff::create`]) — and both must encode the same runs, apply to
-        /// the same bytes, and deliver identically through the whole-page
-        /// adoption, deferred-park and recycled-diff paths.  Published
-        /// diffs are retired pseudo-randomly between intervals so the
-        /// owning page flips between shared and uniquely-owned images,
+        /// the same bytes, and deliver identically through `apply_diff` (and
+        /// its whole-page adoption), `deliver` and the recycled-diff path.
+        /// Published diffs are retired pseudo-randomly between intervals so
+        /// the owning page flips between shared and uniquely-owned images,
         /// exercising the detach ("copy" of copy-on-next-write) of a twin
         /// over an image a diff shares and over one the page owns.  Retired
-        /// diffs and the ones a
-        /// delivery displaced are emptied into two stacks, as in a run, and
-        /// closes rebuild inside them.
+        /// diffs are emptied into one pool, as in a run, and closes rebuild
+        /// inside it.
         #[test]
         fn snapshot_sharing_matches_eager_payloads(
             seed in any::<u64>(),
@@ -252,7 +251,7 @@ mod proptests {
             // Simulated interval log: published diffs stay alive (pinning
             // the writer's image) until "GC" drops them below.
             let mut log: Vec<Arc<Diff>> = Vec::new();
-            let (mut pool, mut displaced) = (Vec::<Arc<Diff>>::new(), Vec::<Arc<Diff>>::new());
+            let mut pool = Vec::<Arc<Diff>>::new();
             let recycle = |pool: &mut Vec<Arc<Diff>>, mut diff: Arc<Diff>| {
                 if let Some(unshared) = Arc::get_mut(&mut diff) {
                     unshared.clear();
@@ -260,8 +259,8 @@ mod proptests {
                 }
             };
             let mut scratch = vec![0u8; page_size];
-            // Deliberately dirty delivery scratch: its contents must not matter.
-            let mut cov = vec![!0u64; 3];
+            // Deliberately dirty scratch: its contents must not matter.
+            let (mut cov, mut changed) = (vec![!0u64; 3], vec![!0u64; 70]);
 
             for (k, writes) in intervals.iter().enumerate() {
                 let twin = writer.bytes().to_vec();
@@ -287,28 +286,21 @@ mod proptests {
                 if let Some(shared) = writer.make_diff(PageId(0)) {
                     prop_assert_eq!(&shared, &eager);
                     // Rebuilding a recycled diff in place changes nothing.
-                    let mut recycled = pool
-                        .pop()
-                        .or_else(|| displaced.pop())
-                        .unwrap_or_else(|| Arc::new(Diff::empty(PageId(0))));
+                    let mut recycled = pool.pop().unwrap_or_else(|| Arc::new(Diff::empty(PageId(0))));
                     let rebuilt = Arc::get_mut(&mut recycled).unwrap();
-                    prop_assert!(writer.make_diff_into(PageId(0), rebuilt));
+                    prop_assert!(writer.make_diff_into(PageId(0), rebuilt, &mut changed));
                     prop_assert_eq!(&*rebuilt, &eager);
-                    recycle(&mut displaced, recycled);
+                    recycle(&mut pool, recycled);
 
-                    // Delivery: alternate the eager and the parked
-                    // (deferred) apply paths; both must land the receiver on
-                    // the mirror that eager application produces.
+                    // Delivery: alternate `apply_diff` and a one-member
+                    // `deliver` round; both must land the receiver on the
+                    // mirror that eager application produces.
                     eager.apply(&mut mirror);
                     let shared = Arc::new(shared);
                     if k % 2 == 0 {
                         receiver.apply_diff(&shared, NO_EXCHANGE);
                     } else {
-                        if let Some(d) = receiver.deliver([(&shared, NO_EXCHANGE)], &mut cov) {
-                            recycle(&mut displaced, d);
-                        }
-                        // Force materialization (bytes() asserts no parked
-                        // content) through the read path.
+                        receiver.deliver([(&shared, NO_EXCHANGE)], &mut cov);
                         receiver.read_bytes(0, &mut scratch, |_, _| {});
                         prop_assert_eq!(&scratch[..], &mirror[..]);
                     }

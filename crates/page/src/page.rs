@@ -46,12 +46,6 @@ pub struct LocalPage {
     /// `None`: a twin is live (the page is in the current interval's write
     /// set) exactly when this is not `None`.
     twin: Option<Image>,
-    /// The close's changed-word bitset: one bit per word, set iff the word
-    /// differs from the twin.  Scratch of
-    /// [`make_diff_into`](Self::make_diff_into), kept across intervals, and
-    /// empty until the page's first twin: a page only read never pays for
-    /// it.
-    changed_words: Box<[u64]>,
     /// For each 32-bit word: the exchange id that last delivered it and has
     /// not yet been read or overwritten locally, or [`NO_EXCHANGE`].
     /// Authoritative only in the *mixed* representation (`uniform ==
@@ -75,16 +69,6 @@ pub struct LocalPage {
     /// uniform attribution (pending is 0 but the array is not all
     /// [`NO_EXCHANGE`]).  It must be wiped before per-word use.
     attr_dirty: bool,
-    /// A delivered diff (and its exchange id) whose application — content
-    /// *and* attribution — has not been performed yet.  Flush deliveries are
-    /// frequently shadowed by the next flush before any local access, so
-    /// [`deliver`](Self::deliver) parks the newest diff of a round here
-    /// instead of paying the page-sized content and attribution traffic;
-    /// the work happens lazily on the first access that needs it, and the
-    /// next round lands the parked one only where it stays visible.
-    /// Invariant: a parked delivery implies no live twin — a twin is only
-    /// created by the write path, which materialises first.
-    deferred: Option<(Arc<Diff>, u32)>,
 }
 
 /// `dst.copy_from_slice(src)` with the 4- and 8-byte cases — one shared word
@@ -113,12 +97,10 @@ impl LocalPage {
         LocalPage {
             data: image,
             twin: None,
-            changed_words: Box::default(),
             attribution: None,
             pending: 0,
             uniform: NO_EXCHANGE,
             attr_dirty: false,
-            deferred: None,
         }
     }
 
@@ -154,15 +136,6 @@ impl LocalPage {
         }
     }
 
-    /// Perform a parked diff application — content and attribution.  Called
-    /// before any access that needs the page's contents or attribution
-    /// state; a no-op in the common case.
-    fn materialize_content(&mut self) {
-        if let Some((d, e)) = self.deferred.take() {
-            self.apply_diff(&d, e);
-        }
-    }
-
     /// Drop out of the compact uniform/stale attribution representations
     /// into the mixed one, making the per-word `attribution` array
     /// authoritative (allocating it on first use).  Called before any
@@ -177,12 +150,9 @@ impl LocalPage {
         );
     }
 
-    /// Current contents of the page.  Callers must not hold a deferred
-    /// whole-page delivery (every protocol access path materialises first;
-    /// this accessor is used by tests that drive `LocalPage` directly).
+    /// Current contents of the page.
     #[inline]
     pub fn bytes(&self) -> &[u8] {
-        debug_assert!(self.deferred.is_none(), "bytes() with deferred content");
         &self.data
     }
 
@@ -195,11 +165,7 @@ impl LocalPage {
         if self.twinned() {
             return false;
         }
-        self.materialize_content();
         self.twin = Some(self.data.clone());
-        if self.changed_words.is_empty() {
-            self.changed_words = vec![0u64; self.words().div_ceil(64)].into_boxed_slice();
-        }
         true
     }
 
@@ -208,29 +174,25 @@ impl LocalPage {
     /// word, and a dense diff borrows the page image itself instead of
     /// packing a payload copy.
     pub fn make_diff(&self, page: PageId) -> Option<Diff> {
-        let twin = self.twin.as_ref()?;
-        let mut changed = vec![0u64; self.words().div_ceil(64)];
-        changed_bits(&self.data, twin, &mut changed);
         let mut diff = Diff::empty(page);
-        diff.rebuild_from_changed(page, &self.data, &changed);
-        Some(diff)
+        self.make_diff_into(page, &mut diff, &mut Vec::new())
+            .then_some(diff)
     }
 
     /// [`make_diff`](Self::make_diff) rebuilt inside `diff`, whatever it
-    /// held, keeping its buffers (see [`Diff::rebuild_from_changed`]) and
-    /// comparing into the page's own bitset: the interval close rebuilds
-    /// retired diffs through here.  Returns `false`, leaving `diff` alone,
-    /// if the page has no twin.
-    pub fn make_diff_into(&mut self, page: PageId, diff: &mut Diff) -> bool {
+    /// held, keeping its buffers (see [`Diff::rebuild_from_changed`]): the
+    /// interval close rebuilds retired diffs through here.  `changed` is
+    /// caller scratch for the compare's changed-word bitset (contents
+    /// ignored and clobbered), kept across closes so that a close allocates
+    /// no bitset.  Returns `false`, leaving `diff` alone, if the page has no
+    /// twin.
+    pub fn make_diff_into(&self, page: PageId, diff: &mut Diff, changed: &mut Vec<u64>) -> bool {
         let Some(twin) = &self.twin else {
             return false;
         };
-        debug_assert!(
-            self.deferred.is_none(),
-            "twinned page with deferred content"
-        );
-        changed_bits(&self.data, twin, &mut self.changed_words);
-        diff.rebuild_from_changed(page, &self.data, &self.changed_words);
+        changed.resize(self.words().div_ceil(64), 0);
+        changed_bits(&self.data, twin, changed);
+        diff.rebuild_from_changed(page, &self.data, changed);
         true
     }
 
@@ -250,15 +212,6 @@ impl LocalPage {
         assert!(end <= self.data.len(), "write outside page bounds");
         if src.is_empty() {
             return;
-        }
-        if self.deferred.is_some() {
-            if offset == 0 && end == self.data.len() {
-                // Whole-page overwrite: the parked payload would be copied in
-                // only to be clobbered by `src` — drop it instead.
-                self.deferred = None;
-            } else {
-                self.materialize_content();
-            }
         }
         if offset == 0 && end == self.data.len() {
             self.replace_data(src);
@@ -299,7 +252,6 @@ impl LocalPage {
     ) {
         let end = offset + dst.len();
         assert!(end <= self.data.len(), "read outside page bounds");
-        self.materialize_content();
         copy_bytes(dst, &self.data[offset..end]);
         if !dst.is_empty() && self.pending != 0 {
             let first = offset / WORD_SIZE;
@@ -360,26 +312,22 @@ impl LocalPage {
     pub fn load_page(&mut self, src: &[u8], exchange: u32) {
         assert_eq!(src.len(), self.data.len(), "src must be one page");
         debug_assert!(!self.twinned(), "delivery onto a twinned page");
-        // Whole-page replacement: any parked payload is dead.
-        self.deferred = None;
         self.replace_data(src);
         self.attribute_page(exchange);
     }
 
-    /// Apply a diff received from another processor — what a parked
-    /// delivery runs at its first access.  Every word the diff overwrites
-    /// is attributed to `exchange`, or left unattributed for
+    /// Apply a diff received from another processor — how the newest
+    /// member of a [`deliver`](Self::deliver)ed round lands.  Every word the
+    /// diff overwrites is attributed to `exchange`, or left unattributed for
     /// [`NO_EXCHANGE`] (a delivery that crossed no wire).  A whole-page
     /// shared image is adopted by reference (the next local write detaches
-    /// as usual); a whole-page diff shadows a parked delivery outright.
+    /// as usual).
     pub fn apply_diff(&mut self, diff: &Diff, exchange: u32) {
         debug_assert!(!self.twinned(), "delivery onto a twinned page");
         if !diff.covers_page(self.data.len()) {
-            self.materialize_content();
             diff.apply(self.data_mut());
             return self.attribute(exchange, diff.spans().iter().map(|s| (s.offset, s.end())));
         }
-        self.deferred = None;
         match diff.whole_page_shared_image() {
             Some(image) => self.data = image.clone(),
             None => self.replace_data(diff.runs().next().expect("one span, one run").1),
@@ -419,38 +367,30 @@ impl LocalPage {
     }
 
     /// Deliver one round of this page's fetched diffs, given newest first
-    /// (reverse happens-before order) with their exchange ids.  The newest
-    /// is parked in `deferred`: its content and attribution land at the
-    /// first access that needs them, or never, if the next round or a
-    /// whole-page write shadows it.  Every older member — and, as the
-    /// oldest, a delivery still parked from an earlier round — lands now,
-    /// but only on the words no newer member writes: a reverse painter over
-    /// one word-cover bitset, so the memory traffic is the union of the
-    /// payloads, not their sum.  Page bytes, per-word attribution, pending
-    /// count and whole-page adoption are exactly those of
-    /// [`apply_diff`](Self::apply_diff) of the parked diff and then of every
-    /// member, oldest first.  A lone diff onto a page with nothing parked
-    /// just parks.
+    /// (reverse happens-before order) with their exchange ids, and land it
+    /// whole.  Every older member lands only on the words no newer member
+    /// writes: a reverse painter over one word-cover bitset, so the memory
+    /// traffic is the union of the payloads, not their sum.  The newest
+    /// then lands through [`apply_diff`](Self::apply_diff).  Page bytes,
+    /// per-word attribution, pending count and whole-page adoption are
+    /// exactly those of `apply_diff` of every member, oldest first.
     ///
     /// `cover` is caller scratch (contents ignored and clobbered), kept
-    /// across rounds so that a delivery allocates nothing.  Returns the
-    /// parked diff the round displaced, for the caller to reuse.
+    /// across rounds so that a delivery allocates nothing.
     pub fn deliver<'a>(
         &mut self,
         newest_first: impl IntoIterator<Item = (&'a Arc<Diff>, u32)>,
         cover: &mut Vec<u64>,
-    ) -> Option<Arc<Diff>> {
+    ) {
         debug_assert!(!self.twinned(), "delivery onto a twinned page");
         let mut round = newest_first.into_iter();
-        let (newest, exchange) = round.next()?;
+        let Some((newest, exchange)) = round.next() else {
+            return;
+        };
         // An empty newest member would leave an older whole-page image
         // visible everywhere, to be painted where `apply_diff` adopts it.
         debug_assert!(!newest.is_empty(), "a published diff writes a word");
-        let parked = self.deferred.replace((Arc::clone(newest), exchange));
-        let mut older = round
-            .map(|(d, e)| (&**d, e))
-            .chain(parked.as_ref().map(|(d, e)| (&**d, *e)))
-            .peekable();
+        let mut older = round.peekable();
         if older.peek().is_some() {
             let words = self.words();
             cover.clear();
@@ -463,7 +403,7 @@ impl LocalPage {
                 covered += self.paint_uncovered(diff, exchange, cover);
             }
         }
-        parked.map(|(displaced, _)| displaced)
+        self.apply_diff(newest, exchange);
     }
 
     /// Land the words of `diff` that `cover` lacks — content and
@@ -1122,7 +1062,6 @@ mod tests {
     /// `diffs`' whole-page images by reference, its pending count, its bytes
     /// and the useful credit a whole-page read reports.
     fn observe(page: &mut LocalPage, diffs: &[&(Arc<Diff>, u32)]) -> Observed {
-        page.read_bytes(0, &mut [], |_, _| {}); // lands a parked delivery
         let adopted = diffs.iter().any(|(d, _)| {
             d.whole_page_shared_image()
                 .is_some_and(|image| image.as_ptr() == page.data.as_ptr())
@@ -1195,12 +1134,12 @@ mod tests {
 
         /// Whatever the twin is taken over — the zero image, an image shared
         /// with the previous interval's diff, the page's own image, an image
-        /// adopted whole from another writer's diff or a parked delivery
-        /// that `ensure_twin` lands first — the interval's diff is
-        /// `Diff::create(twin, current)` under any mix of ragged, sub-word,
-        /// value-restoring and whole-page stores, through `make_diff` and
-        /// through `make_diff_into` a recycled diff alike, and the twin
-        /// shares the page's image until a store detaches it.
+        /// adopted whole from another writer's diff or one a delivered round
+        /// just painted — the interval's diff is `Diff::create(twin,
+        /// current)` under any mix of ragged, sub-word, value-restoring and
+        /// whole-page stores, through `make_diff` and through
+        /// `make_diff_into` a recycled diff over dirty scratch alike, and
+        /// the twin shares the page's image until a store detaches it.
         #[test]
         fn a_close_encodes_the_twin_compare_diff(
             intervals in prop::collection::vec(
@@ -1218,6 +1157,8 @@ mod tests {
             let mut writer = Writer::new();
             let mut mirror = vec![0u8; 1024];
             let mut cover = Vec::new();
+            // Dirty compare scratch of the wrong length: neither may matter.
+            let mut changed = vec![!0u64; 3];
             let mut recycled = Diff::empty(PageId(0));
             for (k, (origin, delivered, hold, stores)) in intervals.iter().enumerate() {
                 let adopted = match origin {
@@ -1228,12 +1169,12 @@ mod tests {
                         diff.apply(&mut mirror);
                         diff.whole_page_shared_image().map(|image| image.as_ptr())
                     }
-                    // Park a delivery, for the twin to land.
+                    // Deliver a round, which lands before the twin is taken.
                     2 => {
                         let (diff, exchange) = writer.next(*delivered);
                         page.deliver([(&diff, exchange)], &mut cover);
                         diff.apply(&mut mirror);
-                        prop_assert!(page.deferred.is_some());
+                        prop_assert_eq!(page.bytes(), &mirror[..]);
                         None
                     }
                     _ => None,
@@ -1262,7 +1203,7 @@ mod tests {
                 prop_assert_eq!(page.bytes(), &mirror[..]);
                 let want = Diff::create(PageId(0), &start, &mirror);
                 prop_assert_eq!(&page.make_diff(PageId(0)).unwrap(), &want);
-                prop_assert!(page.make_diff_into(PageId(0), &mut recycled));
+                prop_assert!(page.make_diff_into(PageId(0), &mut recycled, &mut changed));
                 prop_assert_eq!(&recycled, &want);
                 page.drop_twin();
                 // A diff kept into the next interval keeps a dense one's
@@ -1275,23 +1216,23 @@ mod tests {
         }
 
         /// A round of 1–8 diffs delivered newest first, onto a page with or
-        /// without a delivery still parked from an earlier round, shows
-        /// exactly what applying the parked diff and then every member,
-        /// oldest first, shows: bytes, pending count, read credit and
-        /// whole-page adoption.  The page already holds an earlier delivery,
-        /// so painting replaces attributions as well as adding them.
+        /// without an earlier round already landed, shows exactly what
+        /// applying every diff, oldest first, shows: bytes, pending count,
+        /// read credit and whole-page adoption.  The page already holds an
+        /// earlier delivery, so painting replaces attributions as well as
+        /// adding them, and it keeps no member of either round.
         #[test]
         fn a_delivered_round_lands_as_ordered_application(
             earlier in member(),
-            parked in member(),
+            landed in member(),
             round in prop::collection::vec(member(), 1..9),
         ) {
-            for park in [false, true] {
+            for land in [false, true] {
                 let mut writer = Writer::new();
                 let earlier = writer.next(earlier);
-                let parked = park.then(|| writer.next(parked));
+                let landed = land.then(|| writer.next(landed));
                 let round: Vec<_> = round.iter().map(|&m| writer.next(m)).collect();
-                let all: Vec<_> = [&earlier].into_iter().chain(&parked).chain(&round).collect();
+                let all: Vec<_> = [&earlier].into_iter().chain(&landed).chain(&round).collect();
 
                 let mut reference = LocalPage::new_zeroed(1024);
                 for (d, e) in &all {
@@ -1301,14 +1242,13 @@ mod tests {
                 page.apply_diff(&earlier.0, earlier.1);
                 // Dirty scratch: its contents must not matter.
                 let mut cover = vec![!0u64; 2];
-                if let Some((d, e)) = &parked {
+                if let Some((d, e)) = &landed {
                     page.deliver([(d, *e)], &mut cover);
-                    prop_assert!(page.deferred.is_some());
                 }
                 page.deliver(round.iter().rev().map(|(d, e)| (d, *e)), &mut cover);
-                prop_assert!(Arc::ptr_eq(&page.deferred.as_ref().unwrap().0, &round.last().unwrap().0));
+                prop_assert!(all.iter().all(|(d, _)| Arc::strong_count(d) == 1), "the page keeps a member");
                 let (got, want) = (observe(&mut page, &all), observe(&mut reference, &all));
-                prop_assert!(got == want, "park {park}: {got:?} != {want:?}");
+                prop_assert!(got == want, "landed {land}: {got:?} != {want:?}");
             }
         }
 
@@ -1317,38 +1257,38 @@ mod tests {
         /// that id: bytes, pending count and read credit.  Members that
         /// contain their predecessors (shape 2), only partly overlap them
         /// (shapes 0, 1, 4) or rewrite the whole page, shared or packed
-        /// (shape 3), mix freely; each round lands with and without a
-        /// delivery still parked from an earlier round.
+        /// (shape 3), mix freely; each round lands with and without an
+        /// earlier round already landed.
         #[test]
         fn a_single_writer_round_lands_as_its_merged_chain(
             earlier in member(),
-            parked in member(),
+            landed in member(),
             chain in prop::collection::vec(member(), 1..9),
             exchange in 1u32..10,
         ) {
-            for park in [false, true] {
+            for land in [false, true] {
                 let mut writer = Writer::new();
                 let earlier = writer.next(earlier);
-                let parked = park.then(|| writer.next(parked));
+                let landed = land.then(|| writer.next(landed));
                 let chain: Vec<_> = chain.iter().map(|&m| writer.next(m).0).collect();
                 let refs: Vec<&Diff> = chain.iter().map(|d| &**d).collect();
 
                 let mut reference = LocalPage::new_zeroed(1024);
-                for (d, e) in [&earlier].into_iter().chain(&parked) {
+                for (d, e) in [&earlier].into_iter().chain(&landed) {
                     reference.apply_diff(d, *e);
                 }
                 reference.apply_diff(&Diff::merge(PageId(0), &refs), exchange);
                 let mut page = LocalPage::new_zeroed(1024);
                 page.apply_diff(&earlier.0, earlier.1);
                 let mut cover = Vec::new();
-                if let Some((d, e)) = &parked {
+                if let Some((d, e)) = &landed {
                     page.deliver([(d, *e)], &mut cover);
                 }
                 page.deliver(chain.iter().rev().map(|d| (d, exchange)), &mut cover);
                 // No image is offered for the adoption check: the packed
                 // merge adopts none.
                 let (got, want) = (observe(&mut page, &[]), observe(&mut reference, &[]));
-                prop_assert!(got == want, "park {park}: {got:?} != {want:?}");
+                prop_assert!(got == want, "landed {land}: {got:?} != {want:?}");
             }
         }
 
@@ -1373,7 +1313,7 @@ mod tests {
             }
             let twin = writer.write(later.0, later.1);
             let recycled = Arc::get_mut(&mut recycled).unwrap();
-            prop_assert!(writer.page.make_diff_into(PageId(1), recycled));
+            prop_assert!(writer.page.make_diff_into(PageId(1), recycled, &mut Vec::new()));
             prop_assert_eq!(&*recycled, &writer.page.make_diff(PageId(1)).unwrap());
             prop_assert_eq!(&*recycled, &Diff::create(PageId(1), &twin, writer.page.bytes()));
         }
@@ -1382,11 +1322,12 @@ mod tests {
         /// that every image they build comes from one pool and every last
         /// drop feeds it, as in a run: published diffs retire in random
         /// order, one reader adopts whole-page images by `apply_diff` now
-        /// and then, another keeps rounds parked by `deliver`.  Every diff
-        /// encodes what `Diff::create` encodes, both readers land what
-        /// ordered `apply_diff` lands, and an image a reader adopted keeps
-        /// its bytes across the writer's next whole-page store: the pool
-        /// never hands out an image anybody still sees.
+        /// and then, another lands rounds by `deliver`.  Every diff encodes
+        /// what `Diff::create` encodes, both readers land what ordered
+        /// `apply_diff` lands, and an image a reader adopted keeps its bytes
+        /// across the writer's next whole-page store: the pool never hands
+        /// out an image anybody still sees.  No reader keeps a diff, so every
+        /// retired diff is pooled.
         #[test]
         fn pooled_images_are_never_ones_anybody_still_sees(
             seed in any::<u64>(),
@@ -1400,20 +1341,12 @@ mod tests {
             let zero = Image::zeroed(1024);
             let page = || LocalPage::showing(zero.clone());
             let (mut writer, mut reference) = (page(), page());
-            let (mut adopter, mut parker) = (page(), page());
+            let (mut adopter, mut deliverer) = (page(), page());
             // Published diffs the log still holds, the emptied ones it
-            // pooled, the ones a delivery displaced, and what each reader
-            // has not received yet.
+            // pooled, and what each reader has not received yet.
             let (mut log, mut pool) = (Vec::<Arc<Diff>>::new(), Vec::<Arc<Diff>>::new());
-            let mut displaced = Vec::<Arc<Diff>>::new();
-            let (mut unadopted, mut unparked) = (Vec::new(), Vec::new());
-            let mut cover = Vec::new();
-            let recycle = |pool: &mut Vec<Arc<Diff>>, mut diff: Arc<Diff>| {
-                if let Some(unshared) = Arc::get_mut(&mut diff) {
-                    unshared.clear();
-                    pool.push(diff);
-                }
-            };
+            let (mut unadopted, mut undelivered) = (Vec::new(), Vec::new());
+            let (mut cover, mut changed) = (Vec::new(), Vec::new());
             for (k, &(shape, word, words)) in intervals.iter().enumerate() {
                 let shown = adopter.bytes().to_vec();
                 let twin = writer.bytes().to_vec();
@@ -1434,11 +1367,8 @@ mod tests {
                 writer.write_bytes(lo, &src);
                 prop_assert!(adopter.bytes() == &shown[..], "an adopted image changed under the writer's store");
 
-                let mut diff = pool
-                    .pop()
-                    .or_else(|| displaced.pop())
-                    .unwrap_or_else(|| Arc::new(Diff::empty(PageId(0))));
-                prop_assert!(writer.make_diff_into(PageId(0), Arc::get_mut(&mut diff).unwrap()));
+                let mut diff = pool.pop().unwrap_or_else(|| Arc::new(Diff::empty(PageId(0))));
+                prop_assert!(writer.make_diff_into(PageId(0), Arc::get_mut(&mut diff).unwrap(), &mut changed));
                 writer.drop_twin();
                 prop_assert_eq!(&*diff, &Diff::create(PageId(0), &twin, writer.bytes()));
                 if diff.is_empty() {
@@ -1448,7 +1378,7 @@ mod tests {
                 let exchange = k as u32;
                 reference.apply_diff(&diff, exchange);
                 unadopted.push((Arc::clone(&diff), exchange));
-                unparked.push((Arc::clone(&diff), exchange));
+                undelivered.push((Arc::clone(&diff), exchange));
                 log.push(diff);
                 if next() % 2 == 0 {
                     for (d, e) in unadopted.drain(..) {
@@ -1456,24 +1386,31 @@ mod tests {
                     }
                 }
                 if next() % 2 == 0 {
-                    if let Some(d) = parker.deliver(unparked.iter().rev().map(|(d, e)| (d, *e)), &mut cover) {
-                        recycle(&mut displaced, d);
-                    }
-                    unparked.clear();
+                    deliverer.deliver(undelivered.iter().rev().map(|(d, e)| (d, *e)), &mut cover);
+                    undelivered.clear();
                 }
-                // Retire a random selection in random order.
+                // Retire a random selection in random order: a diff no
+                // reader still has to receive is pooled, emptied.
                 while !log.is_empty() && next() % 3 != 0 {
-                    recycle(&mut pool, log.swap_remove(next() % log.len()));
+                    let mut diff = log.swap_remove(next() % log.len());
+                    let pending = unadopted.iter().chain(&undelivered).any(|(d, _)| Arc::ptr_eq(d, &diff));
+                    match Arc::get_mut(&mut diff) {
+                        Some(unshared) => {
+                            unshared.clear();
+                            pool.push(diff);
+                        }
+                        None => prop_assert!(pending, "a reader kept a diff it received"),
+                    }
                 }
             }
             for (d, e) in unadopted.drain(..) {
                 adopter.apply_diff(&d, e);
             }
-            parker.deliver(unparked.iter().rev().map(|(d, e)| (d, *e)), &mut cover);
+            deliverer.deliver(undelivered.iter().rev().map(|(d, e)| (d, *e)), &mut cover);
             let want = observe(&mut reference, &[]);
-            let (adopted, parked) = (observe(&mut adopter, &[]), observe(&mut parker, &[]));
+            let (adopted, delivered) = (observe(&mut adopter, &[]), observe(&mut deliverer, &[]));
             prop_assert!(adopted == want, "{adopted:?} != {want:?}");
-            prop_assert!(parked == want, "{parked:?} != {want:?}");
+            prop_assert!(delivered == want, "{delivered:?} != {want:?}");
         }
 
         /// A store's page, which starts on the store's shared zero image,
@@ -1504,7 +1441,7 @@ mod tests {
                     let keep = matches!(step, Step::Close(true));
                     let mut diffs = [Diff::empty(PageId(0)), Diff::empty(PageId(0))];
                     for ((page, diff), held) in pages.iter_mut().zip(&mut diffs).zip(&mut held) {
-                        prop_assert!(page.make_diff_into(PageId(0), diff));
+                        prop_assert!(page.make_diff_into(PageId(0), diff, &mut Vec::new()));
                         page.drop_twin();
                         *held = None;
                     }
