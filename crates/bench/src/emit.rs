@@ -590,8 +590,8 @@ fn render_human(result: &ExperimentResult) -> String {
     match result.name.as_str() {
         "table1" => render_table1(&mut out, result),
         "fig3" => render_signatures(&mut out, result),
-        "fig_dyn_group" => render_ablation(&mut out, result),
-        // fig1, fig2 and any future policy sweep: per-workload panels.
+        // fig1, fig2, fig_dyn_group and any future policy sweep:
+        // per-workload panels.
         _ => render_panels(&mut out, result),
     }
     // Saturating, like every sum over a parsed document's counters.
@@ -767,42 +767,6 @@ fn render_signatures(out: &mut String, result: &ExperimentResult) {
                 sig.frequency(k),
                 b.useful_exchanges,
                 b.useless_exchanges
-            );
-        }
-    }
-}
-
-fn render_ablation(out: &mut String, result: &ExperimentResult) {
-    for group in workload_groups(result) {
-        let Some(base) = group.iter().find(|r| r.cell.policy_label == "4K") else {
-            render_panel(out, group);
-            continue;
-        };
-        let base_msgs = base.breakdown.total_messages();
-        let _ = writeln!(
-            out,
-            "\n=== {} {} (baseline 4K: {:.1} ms, {} msgs) ===",
-            base.cell.app.name(),
-            base.cell.size_label,
-            base.exec_time_ns as f64 / 1e6,
-            base_msgs
-        );
-        let _ = writeln!(
-            out,
-            "{:<10} {:>12} {:>12} {:>14}",
-            "max group", "time", "msgs", "useless msgs"
-        );
-        for r in group {
-            let UnitPolicy::Dynamic { max_group_pages } = r.cell.unit else {
-                continue; // the baseline row itself
-            };
-            let _ = writeln!(
-                out,
-                "{:<10} {:>12.3} {:>12.3} {:>14.3}",
-                max_group_pages,
-                r.exec_time_ns as f64 / base.exec_time_ns as f64,
-                r.breakdown.total_messages() as f64 / base_msgs.max(1) as f64,
-                r.breakdown.useless_messages as f64 / base_msgs.max(1) as f64,
             );
         }
     }

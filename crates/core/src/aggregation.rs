@@ -17,11 +17,13 @@ use tm_page::PageId;
 #[derive(Debug, Clone)]
 pub struct DynamicAggregator {
     max_group: usize,
-    /// Current page groups (rebuilt at every synchronization).
-    groups: Vec<Vec<PageId>>,
-    /// Page → index into `groups`.  Deterministically hashed (the workspace
-    /// lint forbids `RandomState` maps in simulation crates), though only
-    /// ever probed, never iterated.
+    /// The faults of the last synchronization interval that had any, in
+    /// first-fault order: its `max_group`-page chunks are the page groups,
+    /// except a chunk of one page, which is no group.
+    order: Vec<PageId>,
+    /// Page → index of its chunk of `order`, for the pages of a group.
+    /// Deterministically hashed (the workspace lint forbids `RandomState`
+    /// maps in simulation crates), though only ever probed, never iterated.
     page_to_group: FastHashMap<PageId, usize>,
     /// Pages faulted on during the current interval, in first-fault order.
     faulted: Vec<PageId>,
@@ -34,7 +36,7 @@ impl DynamicAggregator {
     pub fn new(max_group_pages: u32) -> Self {
         DynamicAggregator {
             max_group: max_group_pages.max(1) as usize,
-            groups: Vec::new(),
+            order: Vec::new(),
             page_to_group: FastHashMap::default(),
             faulted: Vec::new(),
             faulted_set: FastHashMap::default(),
@@ -54,9 +56,10 @@ impl DynamicAggregator {
     ///
     /// Pages faulted on consecutively end up in the same group — exactly the
     /// "pages accessed together before the synchronization" heuristic of the
-    /// paper — and the group list is rebuilt from scratch, which is what
-    /// makes the scheme adapt (with one interval of hysteresis) when the
-    /// access pattern changes.
+    /// paper — and the groups are rebuilt from scratch, which is what makes
+    /// the scheme adapt (with one interval of hysteresis) when the access
+    /// pattern changes.  The fault list becomes the group list and the two
+    /// buffers trade places, so a rebuild allocates nothing once both grew.
     ///
     /// A synchronization interval during which the processor faulted on
     /// nothing teaches the algorithm nothing, so the existing groups are kept
@@ -66,35 +69,36 @@ impl DynamicAggregator {
         if self.faulted.is_empty() {
             return;
         }
-        self.groups.clear();
+        std::mem::swap(&mut self.order, &mut self.faulted);
+        self.faulted.clear();
+        self.faulted_set.clear();
         self.page_to_group.clear();
-        for chunk in self.faulted.chunks(self.max_group) {
+        for (g, chunk) in self.order.chunks(self.max_group).enumerate() {
             // Singleton groups carry no aggregation benefit; skip them so the
             // fast path (no group) stays cheap.
             if chunk.len() > 1 {
-                let idx = self.groups.len();
-                self.groups.push(chunk.to_vec());
                 for &p in chunk {
-                    self.page_to_group.insert(p, idx);
+                    self.page_to_group.insert(p, g);
                 }
             }
         }
-        self.faulted.clear();
-        self.faulted_set.clear();
     }
 
     /// Every member of `page`'s group, `page` included, in fault order
     /// (empty if the page is ungrouped).
     pub fn group_of(&self, page: PageId) -> &[PageId] {
-        match self.page_to_group.get(&page) {
-            Some(&g) => &self.groups[g],
-            None => &[],
-        }
+        self.page_to_group
+            .get(&page)
+            .and_then(|&g| self.order.chunks(self.max_group).nth(g))
+            .unwrap_or(&[])
     }
 
     /// Current number of (non-singleton) groups.
     pub fn group_count(&self) -> usize {
-        self.groups.len()
+        self.order
+            .chunks(self.max_group)
+            .filter(|chunk| chunk.len() > 1)
+            .count()
     }
 }
 
@@ -159,6 +163,32 @@ mod tests {
         assert_eq!(agg.group_of(PageId(0)), pages(&[0, 1]));
         assert_eq!(agg.group_of(PageId(3)), pages(&[2, 3]));
         assert!(agg.group_of(PageId(4)).is_empty());
+    }
+
+    #[test]
+    fn a_faultless_interval_keeps_the_groups_and_only_chunks_of_two_count() {
+        let mut agg = DynamicAggregator::new(3);
+        for &p in &[4u32, 8, 15, 16, 23, 42, 7] {
+            agg.note_fault(PageId(p));
+        }
+        agg.rebuild_groups();
+        // Chunks {4,8,15}, {16,23,42} and the trailing singleton {7}.
+        assert_eq!(agg.group_count(), 2);
+        assert_eq!(agg.group_of(PageId(42)), pages(&[16, 23, 42]));
+        assert!(agg.group_of(PageId(7)).is_empty());
+
+        // An interval without a fault teaches nothing: the groups stay.
+        agg.rebuild_groups();
+        assert_eq!(agg.group_count(), 2);
+        assert_eq!(agg.group_of(PageId(4)), pages(&[4, 8, 15]));
+
+        // One page per group makes every chunk a singleton: no group.
+        let mut single = DynamicAggregator::new(1);
+        single.note_fault(PageId(1));
+        single.note_fault(PageId(2));
+        single.rebuild_groups();
+        assert_eq!(single.group_count(), 0);
+        assert!(single.group_of(PageId(1)).is_empty());
     }
 
     #[test]

@@ -365,7 +365,6 @@ mod tests {
     fn small_config(nprocs: usize) -> DsmConfig {
         DsmConfig {
             nprocs,
-            page_size: 4096,
             shared_pages: 64,
             unit: UnitPolicy::Static { pages: 1 },
             protocol: crate::protocol::ProtocolMode::MultiWriter,

@@ -100,8 +100,6 @@ pub const DEFAULT_GC_FLUSH_PENDING_LIMIT: usize = 16_384;
 pub struct DsmConfig {
     /// Number of simulated processors (the cluster nodes).
     pub nprocs: usize,
-    /// Hardware page size in bytes (4096 on the paper's platform).
-    pub page_size: usize,
     /// Number of hardware pages in the shared address space.
     pub shared_pages: u32,
     /// Consistency-unit policy under study.
@@ -150,6 +148,10 @@ pub struct DsmConfig {
     pub racecheck: bool,
 }
 
+/// Hardware page size in bytes of every run: 4096, as on the paper's
+/// platform.
+const PAGE_SIZE: usize = 4096;
+
 /// The largest simulated cluster [`DsmConfig::validate`] accepts; every
 /// entry point that takes a processor count (the command line, a result
 /// document) checks against it.
@@ -161,7 +163,6 @@ impl DsmConfig {
     pub fn paper_default() -> Self {
         DsmConfig {
             nprocs: 8,
-            page_size: 4096,
             // 64 MB of shared space.  Only a bound: a run sizes its page
             // tables by what the program allocated.
             shared_pages: 16 * 1024,
@@ -259,7 +260,7 @@ impl DsmConfig {
 
     /// The page layout implied by this configuration.
     pub fn layout(&self) -> PageLayout {
-        PageLayout::new(self.page_size, self.shared_pages)
+        PageLayout::new(PAGE_SIZE, self.shared_pages)
     }
 
     /// Validate the configuration: the first field whose value makes no
@@ -298,9 +299,8 @@ impl DsmConfig {
             }
             _ => {}
         }
-        match PageLayout::try_new(self.page_size, self.shared_pages) {
+        match PageLayout::try_new(PAGE_SIZE, self.shared_pages) {
             Ok(_) => Ok(()),
-            Err(("page_size", reason)) => fail("page_size", reason),
             Err((_, reason)) => fail("shared_pages", reason),
         }
     }
@@ -411,7 +411,7 @@ mod tests {
     #[test]
     fn validate_names_the_field_of_every_condition() {
         type Edit = fn(&mut DsmConfig);
-        let cases: [(&str, &str, Edit, Edit); 9] = [
+        let cases: [(&str, &str, Edit, Edit); 6] = [
             ("nprocs", "at least one", |c| c.nprocs = 0, |c| c.nprocs = 1),
             (
                 "nprocs",
@@ -442,24 +442,6 @@ mod tests {
                 "at least one page",
                 |c| c.shared_pages = 0,
                 |c| c.shared_pages = 1,
-            ),
-            (
-                "page_size",
-                "non-zero",
-                |c| c.page_size = 0,
-                |c| c.page_size = 4,
-            ),
-            (
-                "page_size",
-                "multiple of",
-                |c| c.page_size = 2,
-                |c| c.page_size = 8,
-            ),
-            (
-                "page_size",
-                "power of two",
-                |c| c.page_size = 12,
-                |c| c.page_size = 16,
             ),
         ];
         for (field, reason, outside, inside) in cases {

@@ -1,6 +1,7 @@
 //! What a run asks the allocator for, exactly: per-rank state is sized by
 //! what the rank has pending and per-run state by what the program uses —
-//! never by `nprocs` per rank or by `max_locks`.
+//! never by `nprocs` per rank or by `max_locks` — and once warm, a round of
+//! a program allocates only the records it leaves behind.
 //!
 //! An integration test is its own binary, so it can install a counting
 //! `#[global_allocator]` without touching the crates it measures.  A
@@ -12,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use tdsm_core::{Align, Dsm, DsmConfig};
+use tdsm_core::{Align, Dsm, DsmConfig, GlobalAddr, ProtocolMode, UnitPolicy};
 
 thread_local! {
     /// `(bytes requested, allocator calls)` of this thread.  Const-initialized
@@ -63,6 +64,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 const MIB: u64 = 1 << 20;
+const PAGE: u64 = 4096;
 
 /// `(bytes, calls)` this thread requests while running `run`.
 fn requested(run: impl FnOnce()) -> (u64, u64) {
@@ -137,7 +139,6 @@ fn a_lock_handoff_allocates_nothing() {
 /// `pages` pages and every rank then crosses one barrier, so each of the
 /// other ranks incorporates `pages` write notices at departure.
 fn requested_by_one_episode(nprocs: usize, pages: u64) -> (u64, u64) {
-    const PAGE: u64 = 4096;
     requested(|| {
         let mut dsm = Dsm::new(DsmConfig::with_procs(nprocs));
         let base = dsm.alloc_bytes(pages * PAGE, Align::Page);
@@ -184,7 +185,6 @@ fn a_barrier_episode_files_notices_in_blocks_not_one_call_per_notice() {
 /// delivery's attribution without the per-word array a partial read of it
 /// needs.)
 fn requested_by_readers(nprocs: usize, pages: u64, read: bool) -> (u64, u64) {
-    const PAGE: u64 = 4096;
     requested(|| {
         let mut dsm = Dsm::new(DsmConfig::with_procs(nprocs));
         let unwritten = dsm.alloc_bytes(pages * PAGE, Align::Page);
@@ -220,7 +220,6 @@ fn requested_by_readers(nprocs: usize, pages: u64, read: bool) -> (u64, u64) {
 /// about 8.3 KiB; over the zero image it costs about 150 bytes.
 #[test]
 fn a_page_only_read_costs_no_image() {
-    const PAGE: u64 = 4096;
     let (nprocs, pages) = (64, 16);
     let (idle, _) = requested_by_readers(nprocs, pages, false);
     let (reading, calls) = requested_by_readers(nprocs, pages, true);
@@ -229,5 +228,172 @@ fn a_page_only_read_costs_no_image() {
     assert!(
         per_page < PAGE / 2,
         "{per_page} bytes per (rank, page) read ({reading} bytes in {calls} calls, {idle} without the reads)"
+    );
+}
+
+/// What one run of [`steady_program`] asks the allocator for, and the run's
+/// own counters the steady-state bound is computed from.
+#[derive(Default)]
+struct RunTally {
+    calls: u64,
+    /// Published intervals, all ranks (`intervals_closed`).
+    intervals: u64,
+    /// Barrier episodes (every rank crosses each one).
+    episodes: u64,
+    /// Growth steps of every rank's exchange and fault logs, from their
+    /// lengths (see [`growth_steps`]).
+    log_growth: u64,
+    gc_flushes: u64,
+    prefetched_faults: u64,
+}
+
+/// The allocator calls a `Vec` makes growing by `push` from empty to `len`
+/// elements of at most 1 KiB each: the first push reserves four, and every
+/// push past the capacity doubles it.
+fn growth_steps(len: usize) -> u64 {
+    if len == 0 {
+        0
+    } else {
+        1 + u64::from(len.div_ceil(4).next_power_of_two().trailing_zeros())
+    }
+}
+
+const STEADY_PROCS: usize = 8;
+
+/// `rounds` rounds of a program with barriers, a lock and sparse sharing on
+/// eight processors.  Each round, every rank writes one word of each of the
+/// six pages of its own block and its own word of a page all ranks share
+/// (an interval of seven pages), crosses a barrier, reads four pages of its
+/// right neighbour's block and every rank's word of the shared page, then
+/// under lock 0 bumps a counter and writes its own word of each of five
+/// pages the lock protects (an interval of five pages), and crosses a
+/// second barrier.  The other two pages of every block are never read, so
+/// their notices pile up until a GC validation flush fetches them.
+fn steady_program(config: DsmConfig, rounds: u32) -> RunTally {
+    const BLOCK: u64 = 6;
+    const LOCKED: u64 = 5;
+    let mut tally = RunTally::default();
+    let (_, calls) = requested(|| {
+        let mut dsm = Dsm::new(config);
+        let blocks = dsm.alloc_bytes(STEADY_PROCS as u64 * BLOCK * PAGE, Align::Page);
+        let shared = dsm.alloc_bytes(PAGE, Align::Page);
+        let locked = dsm.alloc_bytes(LOCKED * PAGE, Align::Page);
+        let out = dsm.run(async |ctx| {
+            let (rank, nprocs) = (ctx.rank() as u64, ctx.nprocs() as u64);
+            let word = |base: GlobalAddr, page: u64, w: u64| base.add(page * PAGE + 4 * w);
+            let mut buf = [0u8; 4];
+            for round in 1..=rounds {
+                let value = (round + rank as u32).to_le_bytes();
+                for page in 0..BLOCK {
+                    ctx.write_bytes(word(blocks, rank * BLOCK + page, 0), &value)
+                        .await;
+                }
+                ctx.write_bytes(word(shared, 0, rank), &value).await;
+                ctx.barrier().await;
+                let right = (rank + 1) % nprocs;
+                for page in 0..4 {
+                    ctx.read_bytes(word(blocks, right * BLOCK + page, 0), &mut buf)
+                        .await;
+                    assert_eq!(u32::from_le_bytes(buf), round + right as u32);
+                }
+                for w in 0..nprocs {
+                    ctx.read_bytes(word(shared, 0, w), &mut buf).await;
+                    assert_eq!(u32::from_le_bytes(buf), round + w as u32);
+                }
+                ctx.acquire(0).await;
+                ctx.read_bytes(word(locked, 0, 0), &mut buf).await;
+                let count = u32::from_le_bytes(buf) + 1;
+                ctx.write_bytes(word(locked, 0, 0), &count.to_le_bytes())
+                    .await;
+                for page in 0..LOCKED {
+                    ctx.write_bytes(word(locked, page, rank + 1), &value).await;
+                }
+                ctx.release(0).await;
+                ctx.barrier().await;
+            }
+        });
+        assert_eq!(out.results.len(), STEADY_PROCS);
+        for p in &out.stats.per_proc {
+            tally.intervals += p.intervals_closed;
+            tally.log_growth += growth_steps(p.exchanges.len()) + growth_steps(p.faults.len());
+            tally.gc_flushes += p.gc_pending_flushes;
+            tally.prefetched_faults += p.prefetched_faults;
+        }
+        tally.episodes = out.stats.per_proc[0].barriers;
+    });
+    tally.calls = calls;
+    tally
+}
+
+/// What sealing one barrier episode allocates when all eight processors
+/// published since the previous one: the `Rc` the departing processors
+/// share, the `BarrierEpoch`'s published-interval snapshot, its GC
+/// watermarks, and its changed-writer list, which is collected by `push`
+/// and so takes two calls to reach eight writers.
+const EPISODE_CALLS: u64 = 5;
+
+/// Rounds of [`steady_program`] before the measured window: by then every
+/// pool, table, scratch buffer and notice slab has reached the size the
+/// program's GC flush cycle needs (under Dyn, rounds 33 to 40 still made one
+/// call of growth).
+const WARM_UP: u32 = 48;
+/// Rounds in the measured window.
+const MEASURED: u32 = 16;
+
+/// Once warm, a round allocates only what it leaves behind: per published
+/// interval its record's page list and vector-clock clone, per barrier
+/// episode its sealed `BarrierEpoch`, and the growth steps of each rank's
+/// exchange and fault logs — exactly, in both write protocols, with static
+/// units of one and four pages and with dynamic page groups, and with GC
+/// validation flushes and group prefetches inside the window.  A container
+/// built again per fault, per flush, per close or per synchronization shows
+/// up as an excess here.
+#[test]
+fn a_steady_state_round_allocates_only_its_records() {
+    let base = DsmConfig::with_procs(STEADY_PROCS).gc_flush_pending_limit(128);
+    let configs = [
+        ("multi-writer 4K", base.clone()),
+        (
+            "multi-writer 16K",
+            base.clone().unit(UnitPolicy::Static { pages: 4 }),
+        ),
+        (
+            "multi-writer Dyn",
+            base.clone()
+                .unit(UnitPolicy::Dynamic { max_group_pages: 4 }),
+        ),
+        ("home-based 4K", base.protocol(ProtocolMode::HomeBased)),
+    ];
+    let mut report = String::new();
+    let mut exact = true;
+    for (name, config) in configs {
+        let short = steady_program(config.clone(), WARM_UP + MEASURED);
+        let long = steady_program(config.clone(), WARM_UP + 2 * MEASURED);
+        let calls = long.calls - short.calls;
+        let intervals = long.intervals - short.intervals;
+        let episodes = long.episodes - short.episodes;
+        let log_growth = long.log_growth - short.log_growth;
+        let flushes = long.gc_flushes - short.gc_flushes;
+        let allowed = 2 * intervals + EPISODE_CALLS * episodes + log_growth;
+        report += &format!(
+            "\n  {name}: {calls} calls, allowed {allowed} = 2 x {intervals} intervals \
+             + {EPISODE_CALLS} x {episodes} episodes + {log_growth} log growth steps \
+             ({flushes} GC flushes)"
+        );
+        exact &= calls == allowed;
+        assert!(
+            flushes > 0,
+            "{name}: no GC validation flush in the measured window"
+        );
+        if matches!(config.unit, UnitPolicy::Dynamic { .. }) {
+            assert!(
+                long.prefetched_faults > short.prefetched_faults,
+                "{name}: no page-group prefetch in the measured window"
+            );
+        }
+    }
+    assert!(
+        exact,
+        "{MEASURED} steady-state rounds past {WARM_UP} allocate beyond their records:{report}"
     );
 }
