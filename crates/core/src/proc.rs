@@ -45,18 +45,6 @@ const PROT_INVALID: u8 = 1;
 /// the interval closes.
 const PROT_DIRTY: u8 = 2;
 
-/// What one round of pending fetches produced (see
-/// [`ProcCtx::exchange_pending`]).  The per-responder reply sizes it was
-/// charged from stay in the [`ExchangeScratch`].
-struct PendingExchangeOutcome {
-    /// Requester-local ids of the exchanges issued, one per responder
-    /// (concurrent writer, or home) contacted; they are logged
-    /// consecutively.
-    exchange_ids: std::ops::Range<u32>,
-    /// Total diff payload applied.
-    total_payload: u64,
-}
-
 /// One pending write notice a fetch has to make good.  The derived order
 /// sorts by responder and, `ord` being unique, keeps gather order within
 /// one: a stable sort by responder that allocates nothing.
@@ -84,16 +72,25 @@ struct Fetched {
     exchange: u32,
 }
 
-/// Working storage of one round of pending fetches.  Nothing in it outlives
-/// the round — what does (the `DiffExchange` records) is allocated as
-/// before — so one instance per processor is
-/// cleared and refilled by every fault instead of a dozen containers being
-/// built and dropped.  Sized by what a round touches, never by the cluster
-/// or the address space; the capacity of the largest round (a GC validation
-/// flush) is kept, because re-growing it after every flush allocates more
-/// than the flush's own containers used to.
+/// Working storage of the fetch step and of the interval close, one per
+/// processor (a close and a fetch never run at once).  Nothing in it
+/// outlives the round or the close that fills it, so it is refilled by
+/// every one instead of a dozen containers being built and dropped.  Sized
+/// by what a round or a close touches, never by the cluster or the address
+/// space; the capacity of the largest round (a GC validation flush) is
+/// kept, because re-growing it after every flush allocates more than the
+/// flush's own containers used to.
 #[derive(Debug, Default)]
 struct ExchangeScratch {
+    /// An interval close's `(page, diff)` staging vector; the log drains it
+    /// in place at publication.
+    diffs: Vec<(PageId, Arc<Diff>)>,
+    /// Home-based protocol: the diff wire bytes an interval close flushes
+    /// to each home, as `(home, bytes)` in home order.
+    flushes: Vec<(u32, u64)>,
+    /// The pages the fault or GC validation flush being served fetches,
+    /// filled by it before [`ProcCtx::exchange_pending`].
+    pages: Vec<PageId>,
     wants: Vec<Want>,
     /// Per responder contacted: reply size and serve-side extras.
     responder_costs: Vec<ResponderCost>,
@@ -102,19 +99,8 @@ struct ExchangeScratch {
     responder_ranks: Vec<u32>,
     to_apply: Vec<Fetched>,
     /// Word bitset lent to `LocalPage::deliver` and, at an interval close,
-    /// to `LocalPage::make_diff_into`: a close and a fetch never run at
-    /// once.
+    /// to `LocalPage::make_diff_into`.
     cover: Vec<u64>,
-}
-
-impl ExchangeScratch {
-    /// Empty every container, keeping its capacity.
-    fn clear(&mut self) {
-        self.wants.clear();
-        self.responder_costs.clear();
-        self.responder_ranks.clear();
-        self.to_apply.clear();
-    }
 }
 
 /// The application-facing handle for one simulated processor.
@@ -160,23 +146,19 @@ pub struct ProcCtx {
     /// every acquire of a lock that has been released before.
     grant_vc: VectorClock,
     notices_since_barrier: u64,
-    /// Reusable `(page, diff)` staging vector for interval publication; the
-    /// log drains it in place so its capacity survives across closes.
-    diff_scratch: Vec<(PageId, Arc<Diff>)>,
-    /// Home-based protocol: the diff wire bytes an interval close flushes
-    /// to each home, as `(home, bytes)` in home order.
-    flush_scratch: Vec<(u32, u64)>,
+    /// See [`ExchangeScratch`]; detached around each round of fetches and
+    /// each interval close.  Declared, and so dropped, before
+    /// `byte_scratch`, with the close's buffers first: the byte buffer
+    /// dropped first and the close's buffers last measured a 0.5 MiB higher
+    /// peak resident set on the lock-heavy benchmark workload, whose cells
+    /// reuse one heap one after another.
+    exchange: ExchangeScratch,
     /// Reusable byte staging buffer for the typed accessors in `handle.rs`.
     /// Lives on the context (taken/restored around each access) rather than
     /// in a thread-local: every simulated processor shares one host thread,
     /// so a thread-local scratch would be re-entered across suspension
     /// points.
     byte_scratch: Vec<u8>,
-    /// The pages the fault or GC validation flush being served fetches;
-    /// refilled by every one.
-    fault_pages: Vec<PageId>,
-    /// See [`ExchangeScratch`]; detached around each round of fetches.
-    exchange: ExchangeScratch,
     marked_end_ns: Option<u64>,
 }
 
@@ -220,11 +202,8 @@ impl ProcCtx {
             gc_flush_pending_limit: config.gc_flush_pending_limit,
             grant_vc: VectorClock::default(),
             notices_since_barrier: 0,
-            diff_scratch: Vec::new(),
-            flush_scratch: Vec::new(),
-            byte_scratch: Vec::new(),
-            fault_pages: Vec::new(),
             exchange: ExchangeScratch::default(),
+            byte_scratch: Vec::new(),
             marked_end_ns: None,
         }
     }
@@ -424,9 +403,16 @@ impl ProcCtx {
             }
             self.prot[page.index()] |= PROT_DIRTY;
             self.dirty_pages.push(page);
-            self.stats.protection_ops += 1;
-            self.clock.advance(self.cost.protection_op_ns);
+            self.protect();
         }
+    }
+
+    /// Count and charge one protection operation: the `mprotect` a
+    /// validation, an invalidation, write detection or a close's
+    /// re-protection costs.  (A fault's own is priced inside its stall.)
+    fn protect(&mut self) {
+        self.stats.protection_ops += 1;
+        self.clock.advance(self.cost.protection_op_ns);
     }
 
     /// The home of `page` under the home-based protocol; `None` under the
@@ -458,7 +444,7 @@ impl ProcCtx {
         // The pages whose diffs this fault fetches, the first `validated`
         // of which become valid afterwards: the whole static consistency
         // unit, or of a dynamic page group the faulting page alone.
-        let mut pages = std::mem::take(&mut self.fault_pages);
+        let pages = &mut self.exchange.pages;
         pages.clear();
         let validated = match self.unit {
             UnitPolicy::Static { .. } => {
@@ -473,61 +459,42 @@ impl ProcCtx {
                 1
             }
         };
-
-        let outcome = self.exchange_pending(&pages);
-        for &p in &pages[..validated] {
-            self.prot[p.index()] &= !PROT_INVALID;
-        }
-        self.fault_pages = pages;
-
-        if outcome.exchange_ids.is_empty() {
+        let first_exchange = self.stats.exchanges.len() as u32;
+        let stall = self.exchange_pending(validated);
+        // One exchange per responder (concurrent writer, or home)
+        // contacted.  Under the home-based protocol they count the *homes*
+        // — the signature then reads "responders per fault", which is
+        // exactly the quantity the two protocols trade against each other.
+        let exchange_ids = first_exchange..self.stats.exchanges.len() as u32;
+        if exchange_ids.is_empty() {
             self.stats.prefetched_faults += 1;
         }
-        let stall = self.fetch_stall(outcome.total_payload);
-        // Under the home-based protocol the exchanges count the *homes*
-        // contacted — the signature then reads "responders per fault",
-        // which is exactly the quantity the two protocols trade against
-        // each other.
-        self.stats.faults.push(FaultRecord {
-            exchange_ids: outcome.exchange_ids,
-        });
+        self.stats.faults.push(FaultRecord { exchange_ids });
         self.stats.protection_ops += 1;
 
         self.clock.advance(stall);
     }
 
-    /// The stall one round of pending fetches costs, per protocol.  The
-    /// replies are routed through the run's link state, where they queue
-    /// behind concurrent traffic on every link the topology has.
-    fn fetch_stall(&self, total_payload: u64) -> u64 {
-        let stall_on = match self.protocol {
-            ProtocolMode::MultiWriter => CostModel::fault_stall_served_on,
-            ProtocolMode::HomeBased => CostModel::home_fetch_stall_on,
-        };
-        stall_on(
-            &self.cost,
-            &self.exchange.responder_costs,
-            &self.exchange.responder_ranks,
-            total_payload,
-            self.rank.0,
-            self.clock.now_ns(),
-            &mut self.shared.net.borrow_mut(),
-        )
-    }
-
-    /// Make the pending notices of `fetch_pages` good: one aggregated
-    /// exchange per responder, pending notices cleared.  Shared by the fault
-    /// handler and the GC validation flush; the caller decides what the
-    /// operation *is* (a fault or a flush) and charges its stall.
+    /// The fetch step of a fault and of a GC validation flush: make the
+    /// pending notices of the scratch's `pages` good — one aggregated
+    /// exchange per responder, pending notices cleared — validate the
+    /// first `validated` of them and return the round's stall.  The caller
+    /// decides what the operation *is* (a fault or a flush), keeps its
+    /// records and charges the stall.  Not `async`: nothing it holds lives
+    /// across a suspension point.  The exchanges it issues, one per
+    /// responder, are logged consecutively; the per-responder reply sizes
+    /// the stall was priced from stay in the [`ExchangeScratch`].
     ///
-    /// The write protocol decides three things here and nothing else:
+    /// The write protocol decides four things here and nothing else:
     /// * *who serves* a pending page: each notice's writer, or under the
     ///   home-based protocol the page's home, once per page;
     /// * *what a reply carries*: the stored diffs, or the master page the
     ///   home lends;
     /// * *how it lands*: a page's diffs as one `LocalPage::deliver` round
     ///   in a linear extension of happens-before, a master page by
-    ///   `load_page` as the home serves it.
+    ///   `load_page` as the home serves it;
+    /// * *what the round stalls*: the diff-serve or the page-serve
+    ///   constants of one stall formula.
     ///
     /// A page homed at this processor is refreshed from the co-resident
     /// master copy: no exchange and no attribution (nothing crossed a
@@ -535,14 +502,18 @@ impl ProcCtx {
     /// page fetched from a remote home is delivered and attributed to the
     /// exchange, so the useful/useless classifier sees the whole page — the
     /// false-sharing exposure the single-writer organization pays for.
-    fn exchange_pending(&mut self, fetch_pages: &[PageId]) -> PendingExchangeOutcome {
+    fn exchange_pending(&mut self, validated: usize) -> u64 {
         let mut xs = std::mem::take(&mut self.exchange);
-        xs.clear();
+        // The last round's diffs are gone already (see below); its reply
+        // sizes are not.
+        xs.wants.clear();
+        xs.responder_costs.clear();
+        xs.responder_ranks.clear();
         let page_size = self.layout.page_size() as u64;
         let mut total_payload = 0u64;
         // Gather what every page we are fetching lacks, grouped (by the
         // sort) by the processor that must serve it.
-        for &p in fetch_pages {
+        for &p in &xs.pages {
             match self.home_of(p) {
                 None => {
                     for (writer, seq) in self.notices.iter(p) {
@@ -573,7 +544,6 @@ impl ProcCtx {
         }
         xs.wants.sort_unstable();
 
-        let first_exchange = self.stats.exchanges.len() as u32;
         for wants in xs.wants.chunk_by(|a, b| a.responder == b.responder) {
             let responder = wants[0].responder;
             debug_assert_ne!(responder, self.rank.0, "a processor never serves itself");
@@ -660,18 +630,33 @@ impl ProcCtx {
         // Let go of the fetched diffs now, not at the next fault: a diff the
         // scratch still held could not be pooled when its interval retires.
         xs.to_apply.clear();
-        self.exchange = xs;
 
         // Fetched pages have no pending notices left, so they no longer
         // hold back the barrier GC's floors either.
-        for &p in fetch_pages {
+        for &p in &xs.pages {
             self.notices.clear(p);
         }
-
-        PendingExchangeOutcome {
-            exchange_ids: first_exchange..self.stats.exchanges.len() as u32,
-            total_payload,
+        for &p in &xs.pages[..validated] {
+            self.prot[p.index()] &= !PROT_INVALID;
         }
+
+        // The replies are routed through the run's link state, where they
+        // queue behind concurrent traffic on every link the topology has.
+        let stall_on = match self.protocol {
+            ProtocolMode::MultiWriter => CostModel::fault_stall_served_on,
+            ProtocolMode::HomeBased => CostModel::home_fetch_stall_on,
+        };
+        let stall = stall_on(
+            &self.cost,
+            &xs.responder_costs,
+            &xs.responder_ranks,
+            total_payload,
+            self.rank.0,
+            self.clock.now_ns(),
+            &mut self.shared.net.borrow_mut(),
+        );
+        self.exchange = xs;
+        stall
     }
 
     /// Home-based protocol: load the master copy of `page`, lent by its
@@ -686,13 +671,14 @@ impl ProcCtx {
 
     /// TreadMarks' garbage-collection validation, triggered by memory
     /// pressure (`DsmConfig::gc_flush_pending_limit`): fetch *every* pending
-    /// diff — one aggregated exchange per writer — and validate the pages,
+    /// diff through the fault handler's own step, `exchange_pending` — one
+    /// aggregated exchange per writer — and validate the pages,
     /// so that no pending floor pins the interval logs any more and the next
     /// barrier episode can retire them wholesale.  This sends real,
     /// accounted messages; below the trigger it never runs and the run is
     /// bit-identical to one with the flush disabled.
     async fn flush_pending_for_gc(&mut self) {
-        let mut pages = std::mem::take(&mut self.fault_pages);
+        let pages = &mut self.exchange.pages;
         pages.clear();
         pages.extend(
             (0..self.layout.total_pages())
@@ -700,27 +686,20 @@ impl ProcCtx {
                 .filter(|&p| !self.notices.is_clear(p)),
         );
         if pages.is_empty() {
-            self.fault_pages = pages;
             return;
         }
         self.shared
             .sync
             .yield_turn(self.rank.index(), self.clock.now_ns())
             .await;
-        // Fetch through the protocol's own service path: per-writer diff
-        // exchanges, or whole-page fetches from the homes.
-        let outcome = self.exchange_pending(&pages);
-        // The flushed pages are now up to date: validate them (one batched
-        // protection operation, as in a multi-page fault).
-        for &p in &pages {
-            self.prot[p.index()] &= !PROT_INVALID;
-        }
-        self.fault_pages = pages;
-        self.stats.protection_ops += 1;
-        self.clock.advance(self.cost.protection_op_ns);
+        // Every flushed page is validated by one batched protection
+        // operation, as in a multi-page fault.  It is charged before the
+        // stall is priced: link transmissions are timed from the clock.
+        self.protect();
+        let validated = self.exchange.pages.len();
+        let stall = self.exchange_pending(validated);
         // Not a fault: no fault record, no signature contribution — but the
         // fetch stall is real.
-        let stall = self.fetch_stall(outcome.total_payload);
         self.clock.advance(stall);
         self.stats.gc_pending_flushes += 1;
     }
@@ -760,8 +739,7 @@ impl ProcCtx {
         let mut pool = self.shared.logs[self.rank.index()]
             .borrow_mut()
             .take_diff_pool();
-        let mut diffs = std::mem::take(&mut self.diff_scratch);
-        let mut flushes = std::mem::take(&mut self.flush_scratch);
+        let mut xs = std::mem::take(&mut self.exchange);
         // Detach the dirty list instead of copying it; nothing in the filter
         // re-dirties a page, and the buffer (and its capacity) goes back
         // afterwards.  It keeps the pages that publish a notice, in order.
@@ -769,8 +747,7 @@ impl ProcCtx {
         dirty.retain(|&page| {
             self.prot[page.index()] &= !PROT_DIRTY;
             // Re-protect the page so the next write re-arms write detection.
-            self.stats.protection_ops += 1;
-            self.clock.advance(self.cost.protection_op_ns);
+            self.protect();
             let home = self.home_of(page);
             if home == Some(self.rank.0) {
                 return true;
@@ -779,7 +756,7 @@ impl ProcCtx {
             let lp = self.store.page_mut(page);
             let unshared = Arc::get_mut(&mut diff).expect("a pooled diff is held by its pool only");
             assert!(
-                lp.make_diff_into(page, unshared, &mut self.exchange.cover),
+                lp.make_diff_into(page, unshared, &mut xs.cover),
                 "dirty page must have a twin at interval close"
             );
             lp.drop_twin();
@@ -794,14 +771,14 @@ impl ProcCtx {
                 return false;
             }
             match home {
-                None => diffs.push((page, diff)),
+                None => xs.diffs.push((page, diff)),
                 Some(home) => {
                     self.stats.diffs_created += 1;
                     self.stats.diff_bytes_created += unshared.payload_bytes();
                     let bytes = unshared.wire_bytes();
-                    match flushes.binary_search_by_key(&home, |&(h, _)| h) {
-                        Ok(i) => flushes[i].1 += bytes,
-                        Err(i) => flushes.insert(i, (home, bytes)),
+                    match xs.flushes.binary_search_by_key(&home, |&(h, _)| h) {
+                        Ok(i) => xs.flushes[i].1 += bytes,
+                        Err(i) => xs.flushes.insert(i, (home, bytes)),
                     }
                     self.shared.home().borrow_mut().apply_diff(unshared);
                     // Flushed, so nothing serves it: it goes straight back,
@@ -822,26 +799,25 @@ impl ProcCtx {
             .borrow_mut()
             .restore_diff_pool(pool);
 
-        if !flushes.is_empty() {
+        if !xs.flushes.is_empty() {
             // One update message per home contacted, carrying that home's
             // diffs.  The message and byte *counters* are identical whatever
             // the topology or aggregation policy — only the modeled flush
             // time changes — so breakdowns stay comparable across network
             // cells.
-            for &(_, wire_bytes) in &flushes {
+            for &(_, wire_bytes) in &xs.flushes {
                 self.stats.record_control(MsgKind::HomeUpdate, wire_bytes);
             }
             let cost = self.cost.home_flush_cost_on(
-                &flushes,
+                &xs.flushes,
                 self.aggregation,
                 self.rank.0,
                 self.clock.now_ns(),
                 &mut self.shared.net.borrow_mut(),
             );
             self.clock.advance(cost);
-            flushes.clear();
+            xs.flushes.clear();
         }
-        self.flush_scratch = flushes;
 
         if !pages.is_empty() {
             let seq = self.vc.get(self.rank.index()) + 1;
@@ -858,10 +834,19 @@ impl ProcCtx {
             };
             self.shared.logs[self.rank.index()]
                 .borrow_mut()
-                .publish_drain(record, &mut diffs);
+                .publish_drain(record, &mut xs.diffs);
         }
-        debug_assert!(diffs.is_empty(), "diffs without write notices");
-        self.diff_scratch = diffs;
+        debug_assert!(xs.diffs.is_empty(), "diffs without write notices");
+        self.exchange = xs;
+    }
+
+    /// Where every synchronization operation starts: close the interval,
+    /// then rebuild the dynamic page groups (no-op under a static policy).
+    fn close_interval_at_sync(&mut self) {
+        self.close_interval();
+        if let Some(agg) = self.agg.as_mut() {
+            agg.rebuild_groups();
+        }
     }
 
     /// Incorporate the write notices of every interval of processor `writer`
@@ -909,15 +894,7 @@ impl ProcCtx {
             }
         }
         if changed {
-            self.stats.protection_ops += 1;
-            self.clock.advance(self.cost.protection_op_ns);
-        }
-    }
-
-    /// Rebuild the dynamic page groups (no-op under a static policy).
-    fn resync_aggregator(&mut self) {
-        if let Some(agg) = self.agg.as_mut() {
-            agg.rebuild_groups();
+            self.protect();
         }
     }
 
@@ -928,8 +905,7 @@ impl ProcCtx {
     /// Acquire global lock `lock_id`, incorporating the write notices that
     /// the last releaser's critical section makes visible.
     pub async fn acquire(&mut self, lock_id: usize) {
-        self.close_interval();
-        self.resync_aggregator();
+        self.close_interval_at_sync();
 
         let stall_start = self.clock.now_ns();
         let grant = self
@@ -943,11 +919,11 @@ impl ProcCtx {
         // (much less when we still cache the lock from our own last release).
         self.clock.wait_until(grant.clock_ns);
         let reacquire = grant.releaser == Some(self.rank.0);
-        if reacquire {
-            self.clock.advance(self.cost.protection_op_ns.max(1_000));
+        self.clock.advance(if reacquire {
+            self.cost.protection_op_ns.max(1_000)
         } else {
-            self.clock.advance(self.cost.lock_latency());
-        }
+            self.cost.lock_latency()
+        });
 
         // Incorporate every interval covered by the releaser but not by us.
         // A lock nobody has released yet carries the zero clock: nothing to
@@ -993,8 +969,7 @@ impl ProcCtx {
     /// Release global lock `lock_id`, making this processor's modifications
     /// visible to the next acquirer.
     pub async fn release(&mut self, lock_id: usize) {
-        self.close_interval();
-        self.resync_aggregator();
+        self.close_interval_at_sync();
         // Before the lock becomes grantable: the next acquirer's event must
         // follow this one.
         self.observe_sync(SyncEvent::Release(lock_id));
@@ -1009,8 +984,7 @@ impl ProcCtx {
     /// the watermark the episode sealed (see DESIGN.md, "Interval garbage
     /// collection").
     pub async fn barrier(&mut self) {
-        self.close_interval();
-        self.resync_aggregator();
+        self.close_interval_at_sync();
 
         if self.rank.0 != 0 {
             self.stats.record_control(

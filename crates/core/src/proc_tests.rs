@@ -461,3 +461,55 @@ fn an_access_outside_the_space_fails_the_range_check_even_when_its_end_overflows
         ctx.read_bytes(GlobalAddr(u64::MAX), &mut []).await;
     });
 }
+
+/// TreadMarks' GC validation flush, under both protocols: a rank holding
+/// more pending notices than `gc_flush_pending_limit` fetches them all at its
+/// next barrier, as one flush that is not a fault — one exchange per writer,
+/// or per remote home — and leaves every flushed page valid.
+#[test]
+fn a_gc_flush_fetches_every_pending_notice_and_validates_its_pages() {
+    for protocol in [ProtocolMode::MultiWriter, ProtocolMode::home_based()] {
+        let label = format!("{protocol:?}");
+        let mut dsm = Dsm::new(
+            DsmConfig::with_procs(4)
+                .shared_pages(64)
+                .protocol(protocol)
+                .gc_flush_pending_limit(2),
+        );
+        let base = dsm.alloc_bytes(8 * PAGE as u64, Align::Page);
+        assert_eq!(base, GlobalAddr(0), "homes are `page % 4`");
+        let word = |page: u64| base.add(page * PAGE as u64 + 64);
+        // `(writer, page)`: rank 0 then holds three notices of two writers,
+        // on pages homed at ranks 1, 3 and 2.  Rank 2 holds two (not past
+        // the limit), rank 3 three (it flushes too).
+        let writes = [(1, 1), (1, 3), (2, 2)];
+        let exchanges = if protocol.is_home_based() { 3 } else { 2 };
+        dsm.run(async |ctx| {
+            for (writer, page) in writes {
+                if ctx.rank() == writer {
+                    ctx.write_bytes(word(page), &[page as u8; 4]).await;
+                }
+            }
+            ctx.barrier().await;
+            if ctx.rank() != 0 {
+                ctx.barrier().await;
+                return;
+            }
+            assert_eq!(ctx.notices.len(), 3, "{label}");
+            let flushes = ctx.stats.gc_pending_flushes;
+            let faults = ctx.stats.faults.len();
+            let first = ctx.stats.exchanges.len();
+            ctx.barrier().await;
+            assert_eq!(ctx.stats.gc_pending_flushes, flushes + 1, "{label}");
+            assert_eq!(ctx.stats.exchanges.len(), first + exchanges, "{label}");
+            assert_eq!(ctx.stats.faults.len(), faults, "{label}: no fault record");
+            assert_eq!(ctx.notices.len(), 0, "{label}");
+            for (_, page) in writes {
+                let mut got = [0u8; 4];
+                ctx.read_bytes(word(page), &mut got).await;
+                assert_eq!(got, [page as u8; 4], "{label}");
+            }
+            assert_eq!(ctx.stats.faults.len(), faults, "{label}: the reads hit");
+        });
+    }
+}

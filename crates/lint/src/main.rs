@@ -27,6 +27,10 @@
 //! * **`raw-image`** — `Arc<[u8]>` outside `crates/page/src/image.rs`.  A
 //!   page image is a `tm_page::Image`, whose last drop hands its buffer
 //!   back to the run's pool; a bare `Arc<[u8]>` would bypass the pool.
+//! * **`clock-site`** — a `.advance(` or `.wait_until(` call outside
+//!   `crates/core/src/proc.rs`.  A processor's modeled clock moves in the
+//!   protocol engine alone, at one site per time category, so every
+//!   nanosecond of `exec_time` has a named cause.
 //!
 //! The scanner is plain text, line-oriented, and dependency-free by design
 //! (it has to run in CI before anything else builds).  It skips comment
@@ -46,6 +50,9 @@ const SCANNED_CRATES: &[&str] = &["core", "page", "net", "sched", "apps"];
 
 /// The one module that may name a page image's raw buffer type.
 const IMAGE_MODULE: &str = "crates/page/src/image.rs";
+
+/// The one module that may move a processor's modeled clock.
+const CLOCK_MODULE: &str = "crates/core/src/proc.rs";
 
 /// One finding: a rule violated at a specific line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -190,7 +197,12 @@ fn scan_source(file: &Path, text: &str) -> Vec<Finding> {
         }
 
         for (rule, message) in check_line(line) {
-            if has_allow(raw, rule) || (rule == "raw-image" && file.ends_with(IMAGE_MODULE)) {
+            let home = match rule {
+                "raw-image" => Some(IMAGE_MODULE),
+                "clock-site" => Some(CLOCK_MODULE),
+                _ => None,
+            };
+            if has_allow(raw, rule) || home.is_some_and(|m| file.ends_with(m)) {
                 continue;
             }
             findings.push(Finding {
@@ -274,6 +286,16 @@ fn check_line(line: &str) -> Vec<(&'static str, String)> {
         out.push((
             "raw-image",
             "`Arc<[u8]>` bypasses the page-image pool; use `tm_page::Image`".to_string(),
+        ));
+    }
+
+    if let Some(call) = [".advance(", ".wait_until("]
+        .into_iter()
+        .find(|call| line.contains(call))
+    {
+        out.push((
+            "clock-site",
+            format!("`{call}` moves the modeled clock outside `{CLOCK_MODULE}`, its one home"),
         ));
     }
 
@@ -421,6 +443,21 @@ let c = Condvar::new(); // lint:allow(host-sync)
         let flagged = scan_source(Path::new("crates/page/src/page.rs"), src);
         assert_eq!(flagged.len(), 1);
         assert!(scan_source(Path::new(IMAGE_MODULE), src).is_empty());
+    }
+
+    #[test]
+    fn clock_site_rule_fires_outside_the_protocol_engine_only() {
+        assert_eq!(rules("self.clock.advance(ns);"), ["clock-site"]);
+        assert_eq!(rules("clock.wait_until(t);"), ["clock-site"]);
+        assert_eq!(rules("    .advance(cost);"), ["clock-site"]);
+        // The definitions are not calls, and neither is a free function.
+        assert!(rules("pub fn advance(&mut self, delta_ns: u64) {").is_empty());
+        assert!(rules("pub fn wait_until(&mut self, other_ns: u64) {").is_empty());
+        assert!(rules("advance(&mut grid, dt);").is_empty());
+        let src = "        self.clock.wait_until(epoch.depart_clock_ns);\n";
+        let flagged = scan_source(Path::new("crates/core/src/sync.rs"), src);
+        assert_eq!(flagged.len(), 1);
+        assert!(scan_source(Path::new(CLOCK_MODULE), src).is_empty());
     }
 
     #[test]
