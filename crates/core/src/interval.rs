@@ -416,9 +416,11 @@ mod tests {
             let mut diff = pool
                 .pop()
                 .unwrap_or_else(|| Arc::new(Diff::empty(PageId(p))));
-            Arc::get_mut(&mut diff)
-                .unwrap()
-                .rebuild_from_changed(PageId(p), image, &[1]);
+            Arc::get_mut(&mut diff).unwrap().rebuild_from_compare(
+                PageId(p),
+                image,
+                &[0, 0, 0, 0, 1, 1, 1, 1],
+            );
             diffs.push((PageId(p), diff));
         }
         log.restore_diff_pool(pool);
@@ -511,7 +513,7 @@ mod tests {
             let image = zero.filled(&[seq as u8; 8]);
             images.push(image.as_ptr());
             let mut diff = Diff::empty(PageId(0));
-            diff.rebuild_from_changed(PageId(0), &image, &[0b11]);
+            diff.rebuild_from_compare(PageId(0), &image, &[0; 8]);
             assert!(diff.whole_page_shared_image().is_some());
             if seq == 3 {
                 adopted = Some(image);

@@ -98,8 +98,7 @@ struct ExchangeScratch {
     /// endpoint when replies are routed through a contended topology.
     responder_ranks: Vec<u32>,
     to_apply: Vec<Fetched>,
-    /// Word bitset lent to `LocalPage::deliver` and, at an interval close,
-    /// to `LocalPage::make_diff_into`.
+    /// Word bitset lent to `LocalPage::deliver`.
     cover: Vec<u64>,
 }
 
@@ -756,7 +755,7 @@ impl ProcCtx {
             let lp = self.store.page_mut(page);
             let unshared = Arc::get_mut(&mut diff).expect("a pooled diff is held by its pool only");
             assert!(
-                lp.make_diff_into(page, unshared, &mut xs.cover),
+                lp.make_diff_into(page, unshared),
                 "dirty page must have a twin at interval close"
             );
             lp.drop_twin();

@@ -24,9 +24,10 @@
 //!   `std::thread` / `thread::`.  One host thread runs a whole simulated
 //!   cluster and shares its state through `Rc`/`RefCell`; host threading
 //!   lives only in `tm-bench`'s worker pool, which runs independent cells.
-//! * **`raw-image`** — `Arc<[u8]>` outside `crates/page/src/image.rs`.  A
-//!   page image is a `tm_page::Image`, whose last drop hands its buffer
-//!   back to the run's pool; a bare `Arc<[u8]>` would bypass the pool.
+//! * **`raw-image`** — `Arc<[u8]>` or `Rc<[u8]>` outside
+//!   `crates/page/src/image.rs`.  A page image is a `tm_page::Image`, whose
+//!   last drop hands its buffer back to the run's pool; a bare shared byte
+//!   slice would bypass the pool.
 //! * **`clock-site`** — a `.advance(` or `.wait_until(` call outside
 //!   `crates/core/src/proc.rs`.  A processor's modeled clock moves in the
 //!   protocol engine alone, at one site per time category, so every
@@ -282,10 +283,10 @@ fn check_line(line: &str) -> Vec<(&'static str, String)> {
         ));
     }
 
-    if line.contains("Arc<[u8]>") {
+    if line.contains("Arc<[u8]>") || line.contains("Rc<[u8]>") {
         out.push((
             "raw-image",
-            "`Arc<[u8]>` bypasses the page-image pool; use `tm_page::Image`".to_string(),
+            "a shared `[u8]` bypasses the page-image pool; use `tm_page::Image`".to_string(),
         ));
     }
 
@@ -437,12 +438,16 @@ let c = Condvar::new(); // lint:allow(host-sync)
     #[test]
     fn raw_image_rule_fires_outside_the_image_module_only() {
         assert_eq!(rules("data: Arc<[u8]>,"), ["raw-image"]);
+        assert_eq!(rules("data: Rc<[u8]>,"), ["raw-image"]);
+        assert_eq!(rules("pool: Vec<std::rc::Rc<[u8]>>,"), ["raw-image"]);
         assert!(rules("data: Image,").is_empty());
         assert!(rules("diffs: Vec<Arc<Diff>>,").is_empty());
-        let src = "    bytes: Arc<[u8]>,\n";
-        let flagged = scan_source(Path::new("crates/page/src/page.rs"), src);
-        assert_eq!(flagged.len(), 1);
-        assert!(scan_source(Path::new(IMAGE_MODULE), src).is_empty());
+        assert!(rules("pool: Rc<RefCell<Vec<u8>>>,").is_empty());
+        for src in ["    bytes: Arc<[u8]>,\n", "    bytes: Rc<[u8]>,\n"] {
+            let flagged = scan_source(Path::new("crates/page/src/page.rs"), src);
+            assert_eq!(flagged.len(), 1);
+            assert!(scan_source(Path::new(IMAGE_MODULE), src).is_empty());
+        }
     }
 
     #[test]

@@ -7,42 +7,25 @@
 //! wire actually carries in response to page-fault requests, so their encoded
 //! size is what the paper's "data" metric measures.
 //!
-//! The in-memory layout is flat: one packed payload buffer per diff plus a
-//! small span table, rather than one allocation per run.  A diff with a
-//! dozen runs costs two allocations, not thirteen — diff creation and
-//! retirement are both on the simulator's hot path.
+//! In memory a diff is the compare's changed-word mask — one `u64` per 64
+//! page words — plus one payload buffer.  The runs the wire carries are the
+//! mask's maximal runs of set bits, and a packed payload holds their bytes
+//! back to back, so a word's bytes sit after those of the mask bits below
+//! it.  The close writes its compare straight into the mask of a pooled
+//! diff, whose buffers keep their capacity: publishing a page allocates
+//! nothing in the steady state.
 //!
 //! Dense diffs go one step further and skip the payload copy entirely: a
 //! diff published at interval close can *borrow* the page image itself
-//! (`Payload::Page`, a shared [`Image`]) with its spans indexing
-//! the image by page offset.  The owning processor detaches
-//! (copy-on-next-write) only if it writes the page again in a later
-//! interval, so the common publish-then-move-on pattern never copies the
-//! payload at all.  Both representations encode the same logical runs —
-//! equality, application, accounting and merging are representation-blind.
+//! (`Payload::Page`, a shared [`Image`]), its runs sliced out of it at their
+//! page offsets.  The owning processor detaches (copy-on-next-write) only if
+//! it writes the page again in a later interval, so the common
+//! publish-then-move-on pattern never copies the payload at all.  Both
+//! representations encode the same logical runs — equality, application,
+//! accounting and merging are representation-blind.
 
 use crate::image::Image;
 use crate::layout::{PageId, WORD_SIZE};
-
-/// One maximal run of consecutive modified words: the byte offset of the
-/// first modified word within the page, and the run's payload length in
-/// bytes.  The payload bytes of a diff's runs are packed back to back in
-/// its payload buffer, in span order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunSpan {
-    /// Byte offset of the first modified word within the page.
-    pub offset: u32,
-    /// Number of payload bytes (always a multiple of the word size).
-    pub len: u32,
-}
-
-impl RunSpan {
-    /// Exclusive end offset of the run within the page.
-    #[inline]
-    pub fn end(&self) -> u32 {
-        self.offset + self.len
-    }
-}
 
 /// A record of the modifications made to one hardware page, encoded as
 /// maximal runs of changed 32-bit words.
@@ -50,8 +33,11 @@ impl RunSpan {
 pub struct Diff {
     /// Page this diff applies to.
     pub page: PageId,
-    /// Maximal runs of modified words, in increasing offset order.
-    spans: Vec<RunSpan>,
+    /// The changed-word mask: bit `w % 64` of `mask[w / 64]` is set iff
+    /// the diff writes word `w`.  One block per 64 page words, at most up
+    /// to the page's last word; a rebuilt mask stops at the block of the
+    /// last word the diff writes.
+    mask: Vec<u64>,
     /// The runs' new contents.
     payload: Payload,
 }
@@ -59,23 +45,21 @@ pub struct Diff {
 /// Where a diff's run contents live.
 #[derive(Debug, Clone)]
 enum Payload {
-    /// Packed back to back in span order, owned by the diff.
+    /// Packed back to back in page order, owned by the diff.
     Packed(Vec<u8>),
     /// Borrowed from a shared snapshot of the whole page image; runs are
     /// sliced out of it at their page offsets.  Taken by
-    /// [`Diff::rebuild_from_changed`] for dense diffs, where sharing the
+    /// [`Diff::rebuild_from_compare`] for dense diffs, where sharing the
     /// 4 KB image beats copying most of it into a packed buffer.
     Page(Image),
 }
 
 /// Two diffs are equal when they record the same logical modifications —
-/// same page, same span table, same run bytes — regardless of whether the
+/// same page, same runs, same run bytes — regardless of whether the
 /// payload is packed or borrows a shared page image.
 impl PartialEq for Diff {
     fn eq(&self, other: &Self) -> bool {
-        self.page == other.page
-            && self.spans == other.spans
-            && self.runs().zip(other.runs()).all(|(a, b)| a.1 == b.1)
+        self.page == other.page && self.runs().eq(other.runs())
     }
 }
 
@@ -86,6 +70,9 @@ pub const RUN_HEADER_BYTES: u64 = 8;
 /// Per-diff wire header: page id + run count + interval identification.
 pub const DIFF_HEADER_BYTES: u64 = 16;
 
+/// Bytes of page covered by one mask block.
+const BLOCK: usize = 64 * WORD_SIZE;
+
 impl Diff {
     /// Compare `twin` (the page contents when the current writing interval
     /// started) against `current` (the contents now) and encode the changed
@@ -93,7 +80,7 @@ impl Diff {
     ///
     /// This is the twin-compare *reference*: a plain word-by-word scan that
     /// the tests hold the simulator's constructor,
-    /// [`rebuild_from_changed`](Self::rebuild_from_changed), against.  No
+    /// [`rebuild_from_compare`](Self::rebuild_from_compare), against.  No
     /// run builds its diffs this way.
     ///
     /// # Panics
@@ -103,84 +90,78 @@ impl Diff {
         assert_eq!(twin.len(), current.len(), "twin/current size mismatch");
         assert_eq!(twin.len() % WORD_SIZE, 0, "page size must be word aligned");
         let words = twin.len() / WORD_SIZE;
-        let mut diff = Diff::empty(page);
-        let mut w = 0;
-        while w < words {
-            let lo = w * WORD_SIZE;
-            let hi = lo + WORD_SIZE;
+        let mut mask = vec![0u64; words.div_ceil(64)];
+        for w in 0..words {
+            let (lo, hi) = (w * WORD_SIZE, (w + 1) * WORD_SIZE);
             if twin[lo..hi] != current[lo..hi] {
-                // start of a run; extend while words keep differing
-                let start = w;
-                while w < words
-                    && twin[w * WORD_SIZE..(w + 1) * WORD_SIZE]
-                        != current[w * WORD_SIZE..(w + 1) * WORD_SIZE]
-                {
-                    w += 1;
-                }
-                diff.push_run(
-                    (start * WORD_SIZE) as u32,
-                    &current[start * WORD_SIZE..w * WORD_SIZE],
-                );
-            } else {
-                w += 1;
+                mask[w / 64] |= 1 << (w % 64);
             }
         }
-        diff
+        Diff::packed_from(page, mask, current)
+    }
+
+    /// A diff of `page` writing the words `mask` sets, their bytes packed
+    /// out of `source` (indexed by page offset).
+    fn packed_from(page: PageId, mask: Vec<u64>, source: &[u8]) -> Diff {
+        let mut payload = Vec::new();
+        pack_payload_into(&mask, source, &mut payload);
+        let payload = Payload::Packed(payload);
+        Diff {
+            page,
+            mask,
+            payload,
+        }
     }
 
     /// A diff of `page` recording no modifications, owning no buffer yet.
     pub fn empty(page: PageId) -> Diff {
         Diff {
             page,
-            spans: Vec::new(),
+            mask: Vec::new(),
             payload: Payload::Packed(Vec::new()),
         }
     }
 
-    /// Rebuild this diff, in place, from an **exact** changed-word bitset
-    /// (bit `w % 64` of `changed[w / 64]` set ⇔ word `w` of `image` differs
-    /// from its value when the interval started) and an `Arc`-shared
-    /// snapshot of the page image.  No compare scan happens: runs are
-    /// extracted straight from the bits.  Dense diffs (payload at least
-    /// half the page) borrow the snapshot itself; sparse diffs copy their
-    /// runs into one packed buffer, so a few changed words never pin a
-    /// whole page in memory.  With an exact bitset — as the interval
-    /// close's compare of page and twin produces — the encoded runs are
-    /// bit-identical to [`create`](Self::create) against the interval-start
-    /// twin either way.
+    /// Rebuild this diff, in place, as the twin compare of `image` (the
+    /// page now) against `twin` (the page when the interval started): the
+    /// compare writes the mask, and the runs are the mask's.  Dense diffs
+    /// (payload at least half the page) borrow the image itself; sparse
+    /// diffs copy their runs into one packed buffer, so a few changed words
+    /// never pin a whole page in memory.  The encoded runs are
+    /// bit-identical to [`create`](Self::create) either way.
     ///
-    /// Whatever the diff held before is overwritten, but its span table
-    /// keeps its capacity, and so does a packed buffer the new runs pack
-    /// into: the interval close rebuilds retired diffs through here, so
-    /// publishing a dirty page allocates nothing in the steady state.
+    /// Whatever the diff held before is overwritten, but its mask keeps its
+    /// buffer (grown only to the highest block a rebuild has needed), and
+    /// so does a packed buffer the new runs pack into: the interval close
+    /// rebuilds retired diffs through here, so publishing a dirty page
+    /// allocates nothing in the steady state.
     ///
     /// # Panics
-    /// Panics on an unaligned page size or a bitset shorter than the page's
-    /// word count.
-    pub fn rebuild_from_changed(&mut self, page: PageId, image: &Image, changed: &[u64]) {
+    /// Panics on an unaligned page size or a twin of another size.
+    pub fn rebuild_from_compare(&mut self, page: PageId, image: &Image, twin: &[u8]) {
         assert_eq!(image.len() % WORD_SIZE, 0, "page size must be word aligned");
-        let words = image.len() / WORD_SIZE;
-        assert!(
-            changed.len() * 64 >= words,
-            "changed bitset shorter than page"
-        );
+        assert_eq!(image.len(), twin.len(), "twin/page size mismatch");
         self.page = page;
-        spans_from_bits_into(changed, &mut self.spans);
-        let total: usize = self.spans.iter().map(|s| s.len as usize).sum();
+        // The mask ends at the block of the last changed word: a sparse
+        // diff low in the page gets a short one.
+        let mut blocks = image.chunks(BLOCK).zip(twin.chunks(BLOCK));
+        let last = blocks.rposition(|(page, twin)| page != twin);
+        self.mask.resize(last.map_or(0, |b| b + 1), 0);
+        changed_bits(image, twin, &mut self.mask);
+        let total = self.payload_words() * WORD_SIZE;
         if total * 2 >= image.len() && total > 0 {
             self.payload = Payload::Page(image.clone());
         } else {
-            pack_payload_into(&self.spans, image, packed(&mut self.payload));
+            pack_payload_into(&self.mask, image, packed(&mut self.payload));
         }
     }
 
     /// Empty the diff for reuse: no runs and no shared page image (a pooled
     /// diff never pins a page; the image goes back to its pool if the diff
-    /// held it last), while the span table and packed buffer keep their
-    /// capacity for the next
-    /// [`rebuild_from_changed`](Self::rebuild_from_changed).
+    /// held it last), while the mask and packed buffer keep their capacity
+    /// for the next [`rebuild_from_compare`](Self::rebuild_from_compare).
     pub fn clear(&mut self) {
-        self.spans.clear();
+        self.mask.clear();
         packed(&mut self.payload).clear();
     }
 
@@ -202,38 +183,27 @@ impl Diff {
     /// single run at offset 0 of the page's length.
     #[inline]
     pub fn covers_page(&self, page_len: usize) -> bool {
-        matches!(self.spans.as_slice(), [s] if s.offset == 0 && s.len as usize == page_len)
-    }
-
-    /// Append a run to the diff (spans must arrive in increasing offset
-    /// order and never touch — callers produce maximal runs).  Only the
-    /// packed representation grows incrementally.
-    fn push_run(&mut self, offset: u32, bytes: &[u8]) {
-        debug_assert!(!bytes.is_empty());
-        debug_assert!(self.spans.last().map_or(true, |s| s.end() < offset));
-        self.spans.push(RunSpan {
-            offset,
-            len: bytes.len() as u32,
-        });
-        match &mut self.payload {
-            Payload::Packed(payload) => payload.extend_from_slice(bytes),
-            Payload::Page(_) => unreachable!("page-backed diffs are built whole"),
-        }
+        self.payload_words() * WORD_SIZE == page_len
     }
 
     /// Iterate over the runs as `(page byte offset, payload bytes)` pairs.
     pub fn runs(&self) -> Runs<'_> {
         Runs {
-            spans: self.spans.iter(),
+            words: BitRuns::new(self.mask.iter().copied()),
             payload: &self.payload,
             cursor: 0,
         }
     }
 
-    /// The run span table (offsets and lengths, no payload).
+    /// The runs as `[lo, hi)` page word intervals, without their bytes.
+    pub(crate) fn word_runs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        BitRuns::new(self.mask.iter().copied())
+    }
+
+    /// The changed-word mask (see the field), for a delivery's cover.
     #[inline]
-    pub fn spans(&self) -> &[RunSpan] {
-        &self.spans
+    pub(crate) fn mask(&self) -> &[u64] {
+        &self.mask
     }
 
     /// Apply the diff to `target`, overwriting the words it records.
@@ -252,24 +222,38 @@ impl Diff {
     /// True if the diff records no modifications.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.mask.iter().all(|&m| m == 0)
+    }
+
+    /// Number of words the diff writes: the mask's set bits.
+    #[inline]
+    pub(crate) fn payload_words(&self) -> usize {
+        self.mask.iter().map(|m| m.count_ones() as usize).sum()
     }
 
     /// Number of payload bytes (modified word contents only).  Identical
-    /// for both representations: a page-backed diff's payload is the sum of
-    /// its span lengths, exactly the bytes a packed copy would hold.
+    /// for both representations: a page-backed diff's payload is the words
+    /// its mask sets, exactly the bytes a packed copy would hold.
     #[inline]
     pub fn payload_bytes(&self) -> u64 {
-        match &self.payload {
-            Payload::Packed(payload) => payload.len() as u64,
-            Payload::Page(_) => self.spans.iter().map(|s| s.len as u64).sum(),
-        }
+        (self.payload_words() * WORD_SIZE) as u64
     }
 
     /// Size of the diff as it would travel on the wire: payload plus the
-    /// per-run and per-diff headers of the TreadMarks encoding.
+    /// per-run and per-diff headers of the TreadMarks encoding.  A run
+    /// starts at each set bit of the mask whose lower neighbour is clear.
     pub fn wire_bytes(&self) -> u64 {
-        DIFF_HEADER_BYTES + self.spans.len() as u64 * RUN_HEADER_BYTES + self.payload_bytes()
+        let mut below = 0;
+        let runs: u64 = self
+            .mask
+            .iter()
+            .map(|&m| {
+                let starts = m & !(m << 1 | below);
+                below = m >> 63;
+                starts.count_ones() as u64
+            })
+            .sum();
+        DIFF_HEADER_BYTES + runs * RUN_HEADER_BYTES + self.payload_bytes()
     }
 
     /// Call `paint(offset, bytes)` for each maximal interval of the words
@@ -278,33 +262,55 @@ impl Diff {
     /// how many words there were.  Walking diffs newest first over one
     /// cover is the "reverse painter" of [`merge`](Self::merge) and
     /// `LocalPage::deliver`: each diff lands only where no newer one
-    /// writes, so the work is the union of the payloads, not their sum.
-    /// (`paint` is a `dyn` callback: a painter inlined into the cover walk
-    /// measured slower on the delivery-heavy Jacobi sweep.)
+    /// writes, so the work is the union of the payloads, not their sum.  A
+    /// diff wholly under the cover is settled by one pass over the two
+    /// masks and calls nothing.  (`paint` is a `dyn` callback: a painter
+    /// inlined into the cover walk measured slower on the delivery-heavy
+    /// Jacobi sweep.)
     pub(crate) fn for_each_uncovered(
         &self,
         cover: &mut [u64],
         paint: &mut dyn FnMut(usize, &[u8]),
     ) -> usize {
+        debug_assert!(
+            self.mask.len() <= cover.len(),
+            "a cover shorter than the page"
+        );
+        let fresh = self
+            .mask
+            .iter()
+            .zip(&*cover)
+            .fold(0, |any, (m, c)| any | m & !c);
+        if fresh == 0 {
+            return 0;
+        }
         let (payload, packed) = match &self.payload {
             Payload::Packed(bytes) => (&bytes[..], true),
             Payload::Page(image) => (&image[..], false),
         };
-        // Where the current span's bytes start in a packed payload.
-        let mut cursor = 0;
-        let mut covered = 0;
-        for s in &self.spans {
-            let (offset, start) = (
-                s.offset as usize,
-                if packed { cursor } else { s.offset as usize },
-            );
-            covered += subtract_cover(s.offset, s.len as usize, cover, |lo, hi| {
-                let from = start + (lo as usize - offset);
-                paint(lo as usize, &payload[from..from + (hi - lo) as usize]);
-            });
-            cursor += s.len as usize;
+        let fresh = self.mask.iter().zip(cover.iter_mut()).map(|(&m, c)| {
+            let fresh = m & !*c;
+            *c |= m;
+            fresh
+        });
+        // A packed payload holds word `w` after the mask's bits below `w`:
+        // the blocks below it are counted once, as the runs go up the page.
+        let (mut counted, mut below) = (0, 0);
+        let mut painted = 0;
+        for (lo, hi) in BitRuns::new(fresh) {
+            let from = if packed {
+                for m in &self.mask[counted..lo / 64] {
+                    below += m.count_ones() as usize;
+                }
+                counted = lo / 64;
+                below + (self.mask[counted] & ((1 << (lo % 64)) - 1)).count_ones() as usize
+            } else {
+                lo
+            } * WORD_SIZE;
+            paint(lo * WORD_SIZE, &payload[from..from + (hi - lo) * WORD_SIZE]);
+            painted += hi - lo;
         }
-        covered
+        painted
     }
 
     /// Merge a chain of diffs of the same page into their union: every word
@@ -318,32 +324,24 @@ impl Diff {
     /// reference that round is held against, and stays public because the
     /// repository benchmark's `page.diff_merge_ns` probe times it.
     pub fn merge(page: PageId, chain: &[&Diff]) -> Diff {
-        let end = chain
-            .iter()
-            .flat_map(|d| d.spans.iter())
-            .map(|s| s.end() as usize)
-            .max()
-            .unwrap_or(0);
-        let mut cover = vec![0u64; (end / WORD_SIZE).div_ceil(64)];
-        let mut buf = vec![0u8; end];
+        let blocks = chain.iter().map(|d| d.mask.len()).max().unwrap_or(0);
+        let mut cover = vec![0u64; blocks];
+        let mut buf = vec![0u8; blocks * BLOCK];
         for diff in chain.iter().rev() {
             debug_assert_eq!(diff.page, page);
             diff.for_each_uncovered(&mut cover, &mut |lo, bytes| {
                 buf[lo..lo + bytes.len()].copy_from_slice(bytes)
             });
         }
-        let mut merged = Diff::empty(page);
-        spans_from_bits_into(&cover, &mut merged.spans);
-        pack_payload_into(&merged.spans, &buf, packed(&mut merged.payload));
-        merged
+        Diff::packed_from(page, cover, &buf)
     }
 }
 
 /// Iterator over a diff's `(page byte offset, payload bytes)` runs,
 /// representation-blind: packed payloads are walked with a cursor, shared
-/// page images are sliced at the span offsets.
+/// page images are sliced at the run offsets.
 pub struct Runs<'a> {
-    spans: std::slice::Iter<'a, RunSpan>,
+    words: BitRuns<std::iter::Copied<std::slice::Iter<'a, u64>>>,
     payload: &'a Payload,
     cursor: usize,
 }
@@ -352,103 +350,127 @@ impl<'a> Iterator for Runs<'a> {
     type Item = (u32, &'a [u8]);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let s = self.spans.next()?;
+        let (lo, hi) = self.words.next()?;
+        let (lo, len) = (lo * WORD_SIZE, (hi - lo) * WORD_SIZE);
         let bytes = match self.payload {
             Payload::Packed(payload) => {
-                let lo = self.cursor;
-                self.cursor += s.len as usize;
-                &payload[lo..lo + s.len as usize]
+                self.cursor += len;
+                &payload[self.cursor - len..self.cursor]
             }
-            Payload::Page(image) => &image[s.offset as usize..s.end() as usize],
+            Payload::Page(image) => &image[lo..lo + len],
         };
-        Some((s.offset, bytes))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.spans.size_hint()
+        Some((lo as u32, bytes))
     }
 }
 
-impl ExactSizeIterator for Runs<'_> {}
-
-/// Call `paint(lo, hi)` for each byte interval of the words of run
-/// `[offset, offset + len)` whose bits are not yet set in the word-cover
-/// bitset `cov`, setting them as it goes, and return how many words that
-/// was.  The bit kernel of [`Diff::for_each_uncovered`].
-fn subtract_cover(offset: u32, len: usize, cov: &mut [u64], paint: impl FnMut(u32, u32)) -> usize {
-    if len == 0 {
-        return 0;
-    }
-    let mut new_words = 0usize;
-    let w0 = offset as usize / WORD_SIZE;
-    let w1 = w0 + len / WORD_SIZE; // exclusive
-    let (first_b, last_b) = (w0 / 64, (w1 - 1) / 64);
-    let fresh = (first_b..=last_b).map(|b| {
-        let lo = if b == first_b { w0 % 64 } else { 0 };
-        let hi = if b == last_b { (w1 - 1) % 64 } else { 63 };
-        let mask = (!0u64 >> (63 - (hi - lo))) << lo;
-        let fresh = mask & !cov[b];
-        cov[b] |= mask;
-        new_words += fresh.count_ones() as usize;
-        (b, fresh)
-    });
-    for_each_bit_run(fresh, paint);
-    new_words
+/// The maximal runs of set bits of a sequence of 64-bit blocks (bit `w %
+/// 64` of block `w / 64` stands for word `w`), as `[lo, hi)` word
+/// intervals in ascending order.  A run that crosses a block boundary
+/// arrives whole, so the intervals are exactly what a word-by-word scan of
+/// the same set would find.
+struct BitRuns<I> {
+    blocks: I,
+    /// The bits of the current block not reported yet.
+    bits: u64,
+    /// The word of the current block's bit 0, and of the next block's.
+    base: usize,
+    next: usize,
 }
 
-/// Call `f(lo, hi)` for each maximal byte interval of set-bit words in
-/// `blocks`, `(block index, 64 word bits)` pairs in ascending block order.
-/// A run that crosses a block boundary arrives whole, so the intervals are
-/// exactly what a word-by-word scan of the same set would find.
-fn for_each_bit_run(blocks: impl Iterator<Item = (usize, u64)>, mut f: impl FnMut(u32, u32)) {
-    // The run found last, reported once the next one does not extend it.
-    let mut open: Option<(u32, u32)> = None;
-    for (b, mut m) in blocks {
-        while m != 0 {
-            let start = m.trailing_zeros();
-            let len = (m >> start).trailing_ones();
-            let from = ((b * 64 + start as usize) * WORD_SIZE) as u32;
-            let to = from + len * WORD_SIZE as u32;
-            match &mut open {
-                Some((_, end)) if *end == from => *end = to,
-                _ => {
-                    if let Some((lo, hi)) = open.replace((from, to)) {
-                        f(lo, hi);
-                    }
-                }
-            }
-            if start + len >= 64 {
-                break;
-            }
-            m &= !(((1u64 << len) - 1) << start);
+impl<I: Iterator<Item = u64>> BitRuns<I> {
+    fn new(blocks: I) -> Self {
+        BitRuns {
+            blocks,
+            bits: 0,
+            base: 0,
+            next: 0,
         }
     }
-    if let Some((lo, hi)) = open {
-        f(lo, hi);
+
+    /// Take the next block as the current one.
+    fn take_block(&mut self) -> Option<u64> {
+        let block = self.blocks.next()?;
+        (self.base, self.next) = (self.next, self.next + 64);
+        Some(block)
     }
 }
 
-/// The maximal runs of set-bit words of `bits` as a span table, written
-/// into a recycled buffer (cleared first, then reserved to the run count in
-/// one step: a run starts at each set bit whose lower neighbour is clear).
-fn spans_from_bits_into(bits: &[u64], spans: &mut Vec<RunSpan>) {
-    spans.clear();
-    let mut below = 0;
-    let runs: u32 = bits
-        .iter()
-        .map(|&m| {
-            let starts = m & !(m << 1 | below);
-            below = m >> 63;
-            starts.count_ones()
+impl<I: Iterator<Item = u64>> Iterator for BitRuns<I> {
+    type Item = (usize, usize);
+
+    fn next(&mut self) -> Option<(usize, usize)> {
+        while self.bits == 0 {
+            self.bits = self.take_block()?;
+        }
+        let low = self.bits.trailing_zeros();
+        let ones = (self.bits >> low).trailing_ones();
+        let lo = self.base + low as usize;
+        let mut hi = lo + ones as usize;
+        // Adding the run's lowest bit carries through the run and clears it.
+        self.bits &= self.bits.wrapping_add(1 << low);
+        if low + ones == 64 {
+            // The run reaches the block's top bit: it goes on through the
+            // low bits of the blocks after it.
+            while let Some(block) = self.take_block() {
+                let ones = block.trailing_ones();
+                hi += ones as usize;
+                if ones < 64 {
+                    self.bits = block & (!0 << ones);
+                    break;
+                }
+            }
+        }
+        Some((lo, hi))
+    }
+}
+
+/// Write into `bits` the compare of `page` against `twin`: bit `w % 64` of
+/// `bits[w / 64]` set iff word `w` differs, for every word of the page.  A
+/// block of 64 words is compared in byte lanes, one per word, that the
+/// compiler vectorises on baseline x86-64, and gathered eight lanes at a
+/// time into the block's bits by a multiply.  A block that is unchanged,
+/// as most of a sparsely written page are, is settled by one slice compare.
+fn changed_bits(page: &[u8], twin: &[u8], bits: &mut [u64]) {
+    for ((blk, page), twin) in bits
+        .iter_mut()
+        .zip(page.chunks(BLOCK))
+        .zip(twin.chunks(BLOCK))
+    {
+        *blk = if page == twin {
+            0
+        } else if let (Ok(page), Ok(twin)) = (page.try_into(), twin.try_into()) {
+            block_bits(page, twin)
+        } else {
+            // A page's partial last block, compared as a whole one whose
+            // missing words are equal.
+            let (mut p, mut t) = ([0; BLOCK], [0; BLOCK]);
+            p[..page.len()].copy_from_slice(page);
+            t[..twin.len()].copy_from_slice(twin);
+            block_bits(&p, &t)
+        };
+    }
+}
+
+/// Bit `k` set iff word `k` of the 64-word `page` block differs from
+/// `twin`'s (see [`changed_bits`]).
+fn block_bits(page: &[u8; BLOCK], twin: &[u8; BLOCK]) -> u64 {
+    let word = |b: &[u8]| u32::from_ne_bytes(b.try_into().expect("a whole word"));
+    let mut lanes = [0u8; 64];
+    let words = page
+        .chunks_exact(WORD_SIZE)
+        .zip(twin.chunks_exact(WORD_SIZE));
+    for (lane, (p, t)) in lanes.iter_mut().zip(words) {
+        *lane = (word(p) != word(t)) as u8;
+    }
+    // Lane `j` of eight, a byte of 0 or 1 at bit `8 j`, moves to bit `56 +
+    // j` of the product; no other partial product reaches the top byte.
+    lanes
+        .chunks_exact(8)
+        .enumerate()
+        .fold(0, |bits, (i, eight)| {
+            let eight = u64::from_le_bytes(eight.try_into().expect("eight lanes"));
+            bits | (eight.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i)
         })
-        .sum();
-    spans.reserve(runs as usize);
-    for_each_bit_run(bits.iter().copied().enumerate(), |offset, end| {
-        spans.push(RunSpan {
-            offset,
-            len: end - offset,
-        })
-    });
 }
 
 /// The packed buffer of `payload`, replacing a shared page image (and
@@ -463,15 +485,15 @@ fn packed(payload: &mut Payload) -> &mut Vec<u8> {
     }
 }
 
-/// Copy the spans' bytes out of `source` (indexed by page offset) into one
-/// packed payload buffer, a recycled one (cleared, then reserved to the
-/// payload's final size in one step).
-fn pack_payload_into(spans: &[RunSpan], source: &[u8], payload: &mut Vec<u8>) {
-    let total: usize = spans.iter().map(|s| s.len as usize).sum();
+/// Copy the bytes of the words `mask` sets out of `source` (indexed by
+/// page offset) into one packed payload buffer, a recycled one (cleared,
+/// then reserved to the payload's final size in one step).
+fn pack_payload_into(mask: &[u64], source: &[u8], payload: &mut Vec<u8>) {
+    let total: usize = mask.iter().map(|m| m.count_ones() as usize).sum();
     payload.clear();
-    payload.reserve(total);
-    for s in spans {
-        let run = &source[s.offset as usize..s.end() as usize];
+    payload.reserve(total * WORD_SIZE);
+    for (lo, hi) in BitRuns::new(mask.iter().copied()) {
+        let run = &source[lo * WORD_SIZE..hi * WORD_SIZE];
         // Sparse diffs are mostly one- and two-word runs: append those as
         // constant-length copies, not `memcpy` calls.
         if let Ok(two_words) = <&[u8; 2 * WORD_SIZE]>::try_from(run) {
@@ -511,9 +533,7 @@ mod tests {
         let mut cur = twin.clone();
         cur[8] = 0xAB;
         let d = Diff::create(PageId(1), &twin, &cur);
-        assert_eq!(d.spans().len(), 1);
-        assert_eq!(d.spans()[0].offset, 8);
-        assert_eq!(d.spans()[0].len as usize, WORD_SIZE);
+        assert_eq!(run_vec(&d), vec![(8, vec![0xAB, 0, 0, 0])]);
         assert_eq!(d.payload_bytes(), 4);
 
         let mut target = twin.clone();
@@ -529,9 +549,7 @@ mod tests {
             cur[b] = 1;
         }
         let d = Diff::create(PageId(0), &twin, &cur);
-        assert_eq!(d.spans().len(), 1);
-        assert_eq!(d.spans()[0].offset, 16);
-        assert_eq!(d.spans()[0].len, 16);
+        assert_eq!(run_vec(&d), vec![(16, vec![1; 16])]);
     }
 
     #[test]
@@ -541,9 +559,8 @@ mod tests {
         cur[0] = 1;
         cur[64] = 2;
         let d = Diff::create(PageId(0), &twin, &cur);
-        assert_eq!(d.spans().len(), 2);
-        assert_eq!(d.spans()[0].offset, 0);
-        assert_eq!(d.spans()[1].offset, 64);
+        let offsets: Vec<u32> = d.runs().map(|(offset, _)| offset).collect();
+        assert_eq!(offsets, [0, 64]);
     }
 
     #[test]
@@ -551,7 +568,7 @@ mod tests {
         let twin = vec![0u8; 256];
         let cur = vec![0xFFu8; 256];
         let d = Diff::create(PageId(0), &twin, &cur);
-        assert_eq!(d.spans().len(), 1);
+        assert_eq!(d.runs().count(), 1);
         assert_eq!(d.payload_bytes(), 256);
         assert_eq!(d.wire_bytes(), DIFF_HEADER_BYTES + RUN_HEADER_BYTES + 256);
     }
@@ -580,21 +597,22 @@ mod tests {
         for w in [0usize, 1, 62, 63, 64, 120, 255] {
             cur[w * WORD_SIZE + 1] ^= 0x11;
         }
-        let mut changed = vec![0u64; 4];
+        let mut changed = [0u64; 4];
         for w in [0usize, 1, 62, 63, 64, 120, 255] {
             changed[w / 64] |= 1 << (w % 64);
         }
         let image = Image::zeroed(1024).filled(&cur);
         let mut d = Diff::empty(PageId(0));
-        d.rebuild_from_changed(PageId(2), &image, &changed);
+        d.rebuild_from_compare(PageId(2), &image, &twin);
+        assert_eq!(d.mask(), &changed[..]);
         assert_eq!(d, Diff::create(PageId(2), &twin, &cur));
     }
 
     #[test]
-    #[should_panic(expected = "shorter than page")]
-    fn short_dirty_bitset_panics() {
+    #[should_panic(expected = "size mismatch")]
+    fn a_twin_of_another_size_panics() {
         let image = Image::zeroed(512);
-        Diff::empty(PageId(0)).rebuild_from_changed(PageId(0), &image, &[0u64; 1]);
+        Diff::empty(PageId(0)).rebuild_from_compare(PageId(0), &image, &[0; 256]);
     }
 
     #[test]
@@ -603,7 +621,7 @@ mod tests {
         let image = zero.filled(&[7; 64]);
         let at = image.as_ptr();
         let mut diff = Diff::empty(PageId(0));
-        diff.rebuild_from_changed(PageId(0), &image, &[(1 << 16) - 1]);
+        diff.rebuild_from_compare(PageId(0), &image, &[0; 64]);
         assert!(diff.whole_page_shared_image().is_some());
         drop(image);
         diff.clear();
@@ -669,6 +687,74 @@ mod tests {
             refs.iter().for_each(|d| d.apply(&mut page));
             let ordered = Diff::create(PageId(0), &[0u8; WORDS * WORD_SIZE], &page);
             prop_assert_eq!(Diff::merge(PageId(0), &refs), ordered);
+        }
+
+        /// On any page of 8 B to 4 KiB (so with and without a partial last
+        /// mask block), a diff rebuilt from the compare — over a recycled
+        /// diff that held a dense, a sparse or no encoding — has the runs of
+        /// a word-by-word scan, the wire and payload sizes they imply, and
+        /// equals `Diff::create`, under sub-word, value-restoring and
+        /// whole-page stores.
+        #[test]
+        fn a_rebuilt_diff_encodes_the_word_by_word_compare(
+            words in 2usize..=1024,
+            seed in any::<u64>(),
+            earlier in 0u8..3,
+            stores in prop::collection::vec((0u8..4, 0usize..4096, 1usize..64), 0..12),
+        ) {
+            let len = words * WORD_SIZE;
+            let mut state = seed | 1;
+            let mut bytes = |n: usize| -> Vec<u8> {
+                (0..n)
+                    .map(|_| {
+                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        (state >> 59) as u8
+                    })
+                    .collect()
+            };
+            let twin = bytes(len);
+            let mut cur = twin.clone();
+            for &(kind, offset, n) in &stores {
+                let offset = offset % len;
+                let n = n.min(len - offset);
+                match kind {
+                    0 => cur[offset..offset + n].copy_from_slice(&bytes(n)),
+                    1 => cur[offset..offset + n].copy_from_slice(&twin[offset..offset + n]),
+                    2 => cur = bytes(len),
+                    _ => cur.copy_from_slice(&twin),
+                }
+            }
+            let zero = Image::zeroed(len);
+            let mut diff = Diff::empty(PageId(0));
+            if earlier > 0 {
+                let mut other = twin.clone();
+                other[..len / (1 + 3 * (earlier as usize - 1))].fill(0xFF);
+                diff.rebuild_from_compare(PageId(0), &zero.filled(&other), &twin);
+            }
+            diff.rebuild_from_compare(PageId(1), &zero.filled(&cur), &twin);
+
+            let mut scanned: Vec<(u32, Vec<u8>)> = Vec::new();
+            for (w, (t, c)) in twin.chunks(WORD_SIZE).zip(cur.chunks(WORD_SIZE)).enumerate() {
+                let at = (w * WORD_SIZE) as u32;
+                match scanned.last_mut() {
+                    _ if t == c => {}
+                    Some((o, run)) if *o as usize + run.len() == at as usize => run.extend_from_slice(c),
+                    _ => scanned.push((at, c.to_vec())),
+                }
+            }
+            let payload: usize = scanned.iter().map(|(_, run)| run.len()).sum();
+            let reference = Diff::create(PageId(1), &twin, &cur);
+            prop_assert_eq!(&run_vec(&reference), &scanned);
+            prop_assert_eq!(&run_vec(&diff), &scanned);
+            prop_assert_eq!(diff.payload_bytes(), payload as u64);
+            prop_assert_eq!(
+                diff.wire_bytes(),
+                DIFF_HEADER_BYTES + scanned.len() as u64 * RUN_HEADER_BYTES + payload as u64
+            );
+            prop_assert_eq!(reference.wire_bytes(), diff.wire_bytes());
+            prop_assert_eq!(diff.is_empty(), scanned.is_empty());
+            prop_assert_eq!(diff.covers_page(len), payload == len);
+            prop_assert_eq!(&diff, &reference);
         }
     }
 }

@@ -2,34 +2,33 @@
 //!
 //! The multiple-writer protocol makes and drops page images all the time: a
 //! dense diff borrows its writer's image (see
-//! [`Diff::rebuild_from_changed`](crate::Diff::rebuild_from_changed)),
+//! [`Diff::rebuild_from_compare`](crate::Diff::rebuild_from_compare)),
 //! readers adopt it whole, and the writer's next store into a shared image
 //! needs a fresh one.  A twin is the page's image too: it shares the image
 //! at the interval's first write, and the page detaches from it.  An
-//! [`Image`] is an `Arc`-shared image plus a handle to the pool it came
+//! [`Image`] is an `Rc`-shared image plus a handle to the pool it came
 //! from.  Whoever drops it last — a page, a twin, a diff, a retirement —
 //! hands its buffer back to that pool, and the next build (a detach or a
 //! whole-page store) takes it from there before it allocates.
 //!
 //! Nothing another holder can see is ever reused: no image is ever held
-//! weakly, and the pool handle is an `Rc`, so every holder of an image is on
-//! one thread and a strong count of one means the dropping holder is the
-//! last.  A run builds every image from its one zero image, so the run's
+//! weakly, and the image and its pool handle are `Rc`s, so every holder of
+//! an image is on one thread, a store checks uniqueness without an atomic,
+//! and a strong count of one means the dropping holder is the last.  A run builds every image from its one zero image, so the run's
 //! pool is that image's pool, and it dies with the last image of the run.
 
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::Deref;
 use std::rc::Rc;
-use std::sync::Arc;
 
-/// An `Arc`-shared page image that returns its buffer to its pool when its
+/// An `Rc`-shared page image that returns its buffer to its pool when its
 /// last holder drops it (see the module documentation).
 #[derive(Clone)]
 pub struct Image {
-    bytes: Arc<[u8]>,
+    bytes: Rc<[u8]>,
     /// Unshared buffers of this image's length, for the next build.
-    pool: Rc<RefCell<Vec<Arc<[u8]>>>>,
+    pool: Rc<RefCell<Vec<Rc<[u8]>>>>,
 }
 
 impl Image {
@@ -53,7 +52,7 @@ impl Image {
         let pooled = pool.borrow_mut().pop();
         let Some(bytes) = pooled else {
             return Image {
-                bytes: Arc::from(src),
+                bytes: Rc::from(src),
                 pool,
             };
         };
@@ -66,7 +65,7 @@ impl Image {
     /// ever held weakly.)
     #[inline]
     pub fn is_shared(&self) -> bool {
-        Arc::strong_count(&self.bytes) != 1
+        Rc::strong_count(&self.bytes) != 1
     }
 
     /// Number of buffers in this image's pool.
@@ -80,7 +79,7 @@ impl Image {
     #[inline(always)]
     pub(crate) fn written(&mut self) -> &mut [u8] {
         debug_assert!(!self.is_shared(), "a write into a shared image");
-        Arc::make_mut(&mut self.bytes)
+        Rc::make_mut(&mut self.bytes)
     }
 
     /// The bytes for writing, detached first — copied into an image from
@@ -99,7 +98,7 @@ impl Drop for Image {
         if !self.is_shared() {
             // Moving the field out would need `unsafe`: the pool keeps a
             // clone, which is alone once the field drops.
-            self.pool.borrow_mut().push(Arc::clone(&self.bytes));
+            self.pool.borrow_mut().push(Rc::clone(&self.bytes));
         }
     }
 }

@@ -9,10 +9,11 @@
 //! * per-processor **local copies** of the shared pages ([`PageStore`],
 //!   [`LocalPage`]),
 //! * **twinning and diffing** — the multiple-writer protocol's write
-//!   detection ([`Diff`], [`RunSpan`]): a twin is a copy-on-write snapshot
-//!   of the page image taken at an interval's first write, and the diff is
-//!   the compare of page and twin at the interval's close, over shared page
-//!   images that go back to their run's pool on their last drop ([`Image`]),
+//!   detection ([`Diff`]): a twin is a copy-on-write snapshot of the page
+//!   image taken at an interval's first write, and the diff is the compare
+//!   of page and twin at the interval's close — its changed-word mask and
+//!   the bytes of the words it sets — over shared page images that go back
+//!   to their run's pool on their last drop ([`Image`]),
 //! * **home copies** — the authoritative per-page master copies of the
 //!   home-based single-writer protocol, kept current by applying flushed
 //!   diffs in place without twinning ([`HomeStore`]),
@@ -67,7 +68,7 @@ pub mod layout;
 pub mod page;
 
 pub use alloc::{Align, OutOfSharedMemory, RegionAllocator};
-pub use diff::{Diff, RunSpan, DIFF_HEADER_BYTES, RUN_HEADER_BYTES};
+pub use diff::{Diff, DIFF_HEADER_BYTES, RUN_HEADER_BYTES};
 pub use home::HomeStore;
 pub use image::Image;
 pub use layout::{GlobalAddr, PageId, PageLayout, WORD_SIZE};
@@ -260,7 +261,7 @@ mod proptests {
             };
             let mut scratch = vec![0u8; page_size];
             // Deliberately dirty scratch: its contents must not matter.
-            let (mut cov, mut changed) = (vec![!0u64; 3], vec![!0u64; 70]);
+            let mut cov = vec![!0u64; 3];
 
             for (k, writes) in intervals.iter().enumerate() {
                 let twin = writer.bytes().to_vec();
@@ -288,7 +289,7 @@ mod proptests {
                     // Rebuilding a recycled diff in place changes nothing.
                     let mut recycled = pool.pop().unwrap_or_else(|| Arc::new(Diff::empty(PageId(0))));
                     let rebuilt = Arc::get_mut(&mut recycled).unwrap();
-                    prop_assert!(writer.make_diff_into(PageId(0), rebuilt, &mut changed));
+                    prop_assert!(writer.make_diff_into(PageId(0), rebuilt));
                     prop_assert_eq!(&*rebuilt, &eager);
                     recycle(&mut pool, recycled);
 

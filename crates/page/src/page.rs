@@ -32,7 +32,7 @@ pub const NO_EXCHANGE: u32 = u32::MAX;
 ///
 /// The page image itself is a shared [`Image`] so a dense diff published at
 /// interval close can borrow it outright (no payload copy; see
-/// [`Diff::rebuild_from_changed`]).  Any later mutation detaches it first,
+/// [`Diff::rebuild_from_compare`]).  Any later mutation detaches it first,
 /// as the twin's does.  A [`PageStore`]'s page starts on the store's all-zero
 /// image, shared, so the same rules give it its first image of its own: a
 /// read reads zeros, a whole-page delivery adopts the diff's image, and the
@@ -175,24 +175,19 @@ impl LocalPage {
     /// packing a payload copy.
     pub fn make_diff(&self, page: PageId) -> Option<Diff> {
         let mut diff = Diff::empty(page);
-        self.make_diff_into(page, &mut diff, &mut Vec::new())
-            .then_some(diff)
+        self.make_diff_into(page, &mut diff).then_some(diff)
     }
 
     /// [`make_diff`](Self::make_diff) rebuilt inside `diff`, whatever it
-    /// held, keeping its buffers (see [`Diff::rebuild_from_changed`]): the
-    /// interval close rebuilds retired diffs through here.  `changed` is
-    /// caller scratch for the compare's changed-word bitset (contents
-    /// ignored and clobbered), kept across closes so that a close allocates
-    /// no bitset.  Returns `false`, leaving `diff` alone, if the page has no
-    /// twin.
-    pub fn make_diff_into(&self, page: PageId, diff: &mut Diff, changed: &mut Vec<u64>) -> bool {
+    /// held, keeping its buffers (see [`Diff::rebuild_from_compare`]): the
+    /// interval close rebuilds retired diffs through here, and the compare
+    /// writes straight into the diff's changed-word mask.  Returns `false`,
+    /// leaving `diff` alone, if the page has no twin.
+    pub fn make_diff_into(&self, page: PageId, diff: &mut Diff) -> bool {
         let Some(twin) = &self.twin else {
             return false;
         };
-        changed.resize(self.words().div_ceil(64), 0);
-        changed_bits(&self.data, twin, changed);
-        diff.rebuild_from_changed(page, &self.data, changed);
+        diff.rebuild_from_compare(page, &self.data, twin);
         true
     }
 
@@ -326,7 +321,7 @@ impl LocalPage {
         debug_assert!(!self.twinned(), "delivery onto a twinned page");
         if !diff.covers_page(self.data.len()) {
             diff.apply(self.data_mut());
-            return self.attribute(exchange, diff.spans().iter().map(|s| (s.offset, s.end())));
+            return self.attribute(exchange, diff.word_runs());
         }
         match diff.whole_page_shared_image() {
             Some(image) => self.data = image.clone(),
@@ -349,9 +344,9 @@ impl LocalPage {
         self.attr_dirty = true;
     }
 
-    /// Attribute the words of the word-aligned byte intervals `runs`
-    /// (disjoint) to `exchange`, or clear them for [`NO_EXCHANGE`].
-    fn attribute(&mut self, exchange: u32, runs: impl Iterator<Item = (u32, u32)>) {
+    /// Attribute the words of the word intervals `runs` (disjoint) to
+    /// `exchange`, or clear them for [`NO_EXCHANGE`].
+    fn attribute(&mut self, exchange: u32, runs: impl Iterator<Item = (usize, usize)>) {
         if exchange == NO_EXCHANGE && self.pending == 0 {
             return;
         }
@@ -361,7 +356,7 @@ impl LocalPage {
         let none_held = self.pending == 0;
         let attribution = self.attribution.as_mut().expect("materialized");
         for (lo, hi) in runs {
-            let words = &mut attribution[lo as usize / WORD_SIZE..hi as usize / WORD_SIZE];
+            let words = &mut attribution[lo..hi];
             attribute_words(words, &mut self.pending, none_held, exchange);
         }
     }
@@ -369,9 +364,11 @@ impl LocalPage {
     /// Deliver one round of this page's fetched diffs, given newest first
     /// (reverse happens-before order) with their exchange ids, and land it
     /// whole.  Every older member lands only on the words no newer member
-    /// writes: a reverse painter over one word-cover bitset, so the memory
-    /// traffic is the union of the payloads, not their sum.  The newest
-    /// then lands through [`apply_diff`](Self::apply_diff).  Page bytes,
+    /// writes: a reverse painter over one word-cover bitset, which starts
+    /// as the newest member's changed-word mask, so the memory traffic is
+    /// the union of the payloads, not their sum, and a member wholly under
+    /// newer ones costs one pass over its mask.  The newest then lands
+    /// through [`apply_diff`](Self::apply_diff).  Page bytes,
     /// per-word attribution, pending count and whole-page adoption are
     /// exactly those of `apply_diff` of every member, oldest first.
     ///
@@ -394,8 +391,9 @@ impl LocalPage {
         if older.peek().is_some() {
             let words = self.words();
             cover.clear();
+            cover.extend_from_slice(newest.mask());
             cover.resize(words.div_ceil(64), 0);
-            let mut covered = newest.for_each_uncovered(cover, &mut |_, _| {});
+            let mut covered = newest.payload_words();
             for (diff, exchange) in older {
                 if covered == words {
                     break;
@@ -493,37 +491,16 @@ fn materialized_attr<'a>(
 /// says no word of them holds an attribution, which skips the count.
 fn attribute_words(words: &mut [u32], pending: &mut u32, none_held: bool, exchange: u32) {
     if !none_held {
-        *pending -= words.iter().filter(|&&a| a != NO_EXCHANGE).count() as u32;
+        // Summed as 0/1, which vectorises, where a `filter` count does not.
+        *pending -= words
+            .iter()
+            .map(|&a| (a != NO_EXCHANGE) as u32)
+            .sum::<u32>();
     }
     if exchange != NO_EXCHANGE {
         *pending += words.len() as u32;
     }
     words.fill(exchange);
-}
-
-/// Set bit `w % 64` of `bits[w / 64]` iff word `w` of `page` differs from
-/// word `w` of `twin`, for every word of the page: the close's one compare
-/// scan.  A 64-word block that is unchanged, as most of a sparsely written
-/// page are, is settled by one slice compare.
-fn changed_bits(page: &[u8], twin: &[u8], bits: &mut [u64]) {
-    const BLOCK: usize = 64 * WORD_SIZE;
-    let word = |b: &[u8]| u32::from_ne_bytes(b.try_into().expect("a whole word"));
-    for ((blk, page), twin) in bits
-        .iter_mut()
-        .zip(page.chunks(BLOCK))
-        .zip(twin.chunks(BLOCK))
-    {
-        let mut new_bits = 0u64;
-        if page != twin {
-            let words = page
-                .chunks_exact(WORD_SIZE)
-                .zip(twin.chunks_exact(WORD_SIZE));
-            for (k, (p, t)) in words.enumerate() {
-                new_bits |= ((word(p) != word(t)) as u64) << k;
-            }
-        }
-        *blk = new_bits;
-    }
 }
 
 /// A processor's private view of the entire shared address space.
@@ -661,7 +638,7 @@ mod tests {
         assert!(!p.ensure_twin());
         p.write_bytes(8, &[1, 2, 3, 4]);
         let diff = p.make_diff(page).unwrap();
-        assert_eq!(diff.spans().len(), 1);
+        assert_eq!(diff.runs().collect::<Vec<_>>(), [(8, &[1, 2, 3, 4][..])]);
         assert_eq!(diff.payload_bytes(), 4);
         p.drop_twin();
         assert!(
@@ -734,8 +711,7 @@ mod tests {
         p.write_bytes(0, &[3, 3, 3, 3]); // dirty bit set, contents unchanged
         p.write_bytes(12, &[1, 2, 3, 4]);
         let diff = p.make_diff(page).unwrap();
-        assert_eq!(diff.spans().len(), 1);
-        assert_eq!(diff.spans()[0].offset, 12);
+        assert_eq!(diff.runs().collect::<Vec<_>>(), [(12, &[1, 2, 3, 4][..])]);
     }
 
     #[test]
@@ -745,15 +721,14 @@ mod tests {
         p.ensure_twin();
         p.write_bytes(0, &[1, 1, 1, 1]);
         let d1 = p.make_diff(PageId(0)).unwrap();
-        assert_eq!(d1.spans()[0].offset, 0);
+        assert_eq!(d1.runs().next().unwrap().0, 0);
         p.drop_twin();
         // The recycled buffer must be re-seeded from the *current* contents,
         // not carry stale bytes from the previous interval.
         assert!(p.ensure_twin());
         p.write_bytes(8, &[2, 2, 2, 2]);
         let d2 = p.make_diff(PageId(0)).unwrap();
-        assert_eq!(d2.spans().len(), 1);
-        assert_eq!(d2.runs().next().unwrap(), (8, &[2u8, 2, 2, 2][..]));
+        assert_eq!(d2.runs().collect::<Vec<_>>(), [(8, &[2u8, 2, 2, 2][..])]);
     }
 
     /// A dense diff whose payload *is* the writer's page image, the image
@@ -779,7 +754,7 @@ mod tests {
             cur[w * 4..w * 4 + 4].copy_from_slice(&[0xA0 | w as u8; 4]);
         }
         let diff = Diff::create(PageId(0), &twin, &cur);
-        assert_eq!(diff.spans().len(), 32);
+        assert_eq!(diff.runs().count(), 32);
         diff
     }
 
@@ -870,6 +845,51 @@ mod tests {
         sparse.apply(&mut want);
         assert_eq!(page.bytes(), &want[..]);
         assert_eq!(page.pending_attributions(), 32);
+    }
+
+    #[test]
+    fn a_member_under_newer_ones_is_skipped_and_a_fresh_word_is_painted() {
+        // A diff writing `value + w` into each byte of word `w` of `words`.
+        let diff = |words: std::ops::Range<usize>, value: u8| {
+            let mut cur = vec![0u8; 256];
+            for w in words {
+                cur[w * WORD_SIZE..(w + 1) * WORD_SIZE].fill(value + w as u8);
+            }
+            Arc::new(Diff::create(PageId(0), &[0; 256], &cur))
+        };
+        let (newest, under, one_fresh) = (diff(0..8, 30), diff(2..6, 20), diff(5..9, 10));
+        let zero = Image::zeroed(256);
+
+        // A covered older member attributes nothing: the round's only
+        // attribution is the newest's, which crossed no wire.
+        let mut page = LocalPage::showing(zero.clone());
+        page.deliver([(&newest, NO_EXCHANGE), (&under, 4)], &mut Vec::new());
+        assert!(page.attribution.is_none(), "a covered member attributed");
+        assert_eq!(
+            page.bytes()[..32],
+            (0..32).map(|b| 30 + b as u8 / 4).collect::<Vec<_>>()
+        );
+
+        // Painted step by step over the newest's cover: the covered member
+        // leaves the image shared and the attribution unmaterialised, and
+        // the one with a fresh word paints and attributes exactly that word.
+        let mut page = LocalPage::showing(zero.clone());
+        let mut cover = newest.mask().to_vec();
+        assert_eq!(page.paint_uncovered(&under, 4, &mut cover), 0);
+        assert_eq!(
+            page.data.as_ptr(),
+            zero.as_ptr(),
+            "a covered member detached"
+        );
+        assert!(page.attribution.is_none() && cover == newest.mask());
+        assert_eq!(page.paint_uncovered(&one_fresh, 5, &mut cover), 1);
+        let mut want = [0u8; 256];
+        want[8 * WORD_SIZE..9 * WORD_SIZE].fill(18);
+        assert_eq!(page.bytes(), &want[..]);
+        let attribution = page.attribution.as_deref().unwrap();
+        let attributed: Vec<_> = (0..64).filter(|&w| attribution[w] != NO_EXCHANGE).collect();
+        assert_eq!((attributed, attribution[8]), (vec![8], 5));
+        assert_eq!(page.pending_attributions(), 1);
     }
 
     #[test]
@@ -1157,8 +1177,6 @@ mod tests {
             let mut writer = Writer::new();
             let mut mirror = vec![0u8; 1024];
             let mut cover = Vec::new();
-            // Dirty compare scratch of the wrong length: neither may matter.
-            let mut changed = vec![!0u64; 3];
             let mut recycled = Diff::empty(PageId(0));
             for (k, (origin, delivered, hold, stores)) in intervals.iter().enumerate() {
                 let adopted = match origin {
@@ -1203,7 +1221,7 @@ mod tests {
                 prop_assert_eq!(page.bytes(), &mirror[..]);
                 let want = Diff::create(PageId(0), &start, &mirror);
                 prop_assert_eq!(&page.make_diff(PageId(0)).unwrap(), &want);
-                prop_assert!(page.make_diff_into(PageId(0), &mut recycled, &mut changed));
+                prop_assert!(page.make_diff_into(PageId(0), &mut recycled));
                 prop_assert_eq!(&recycled, &want);
                 page.drop_twin();
                 // A diff kept into the next interval keeps a dense one's
@@ -1313,7 +1331,7 @@ mod tests {
             }
             let twin = writer.write(later.0, later.1);
             let recycled = Arc::get_mut(&mut recycled).unwrap();
-            prop_assert!(writer.page.make_diff_into(PageId(1), recycled, &mut Vec::new()));
+            prop_assert!(writer.page.make_diff_into(PageId(1), recycled));
             prop_assert_eq!(&*recycled, &writer.page.make_diff(PageId(1)).unwrap());
             prop_assert_eq!(&*recycled, &Diff::create(PageId(1), &twin, writer.page.bytes()));
         }
@@ -1346,7 +1364,7 @@ mod tests {
             // pooled, and what each reader has not received yet.
             let (mut log, mut pool) = (Vec::<Arc<Diff>>::new(), Vec::<Arc<Diff>>::new());
             let (mut unadopted, mut undelivered) = (Vec::new(), Vec::new());
-            let (mut cover, mut changed) = (Vec::new(), Vec::new());
+            let mut cover = Vec::new();
             for (k, &(shape, word, words)) in intervals.iter().enumerate() {
                 let shown = adopter.bytes().to_vec();
                 let twin = writer.bytes().to_vec();
@@ -1368,7 +1386,7 @@ mod tests {
                 prop_assert!(adopter.bytes() == &shown[..], "an adopted image changed under the writer's store");
 
                 let mut diff = pool.pop().unwrap_or_else(|| Arc::new(Diff::empty(PageId(0))));
-                prop_assert!(writer.make_diff_into(PageId(0), Arc::get_mut(&mut diff).unwrap(), &mut changed));
+                prop_assert!(writer.make_diff_into(PageId(0), Arc::get_mut(&mut diff).unwrap()));
                 writer.drop_twin();
                 prop_assert_eq!(&*diff, &Diff::create(PageId(0), &twin, writer.bytes()));
                 if diff.is_empty() {
@@ -1441,7 +1459,7 @@ mod tests {
                     let keep = matches!(step, Step::Close(true));
                     let mut diffs = [Diff::empty(PageId(0)), Diff::empty(PageId(0))];
                     for ((page, diff), held) in pages.iter_mut().zip(&mut diffs).zip(&mut held) {
-                        prop_assert!(page.make_diff_into(PageId(0), diff, &mut Vec::new()));
+                        prop_assert!(page.make_diff_into(PageId(0), diff));
                         page.drop_twin();
                         *held = None;
                     }

@@ -4,7 +4,7 @@ debug info (the workspace's release profile has `debug = true`).
 
     gcc -O2 -shared -fPIC -o target/sigprof.so scripts/sigprof/sigprof.c
     SIGPROF_OUT=target/run.out LD_PRELOAD=$PWD/target/sigprof.so <exe> <args>
-    scripts/sigprof/report.py <exe> target/run.out [rows] [--under FUNC] [--lines]
+    scripts/sigprof/report.py <exe> target/run.out [rows] [--under FUNC] [--lines | --layers]
 
 Prints, as shares of the samples kept:
   * categories — the three costs EXPERIMENTS.md tracks across PRs: allocator
@@ -30,6 +30,11 @@ FUNC on the stack (the benchmark's timed repetitions are `--under
 measure::run_rep`, its set-up `--under measure::set_up`).  `--lines` prints
 instead the self time by source file and by `file:line` of that same nearest
 non-std frame, which is how a hot loop is told from the function around it.
+`--layers` prints instead the self time by crate of that frame — `tm_page`,
+`tdsm_core`, `tm_sched`, `tm_net`, `tm_apps`, `tm_bench`, the benchmark
+(`tm_benchmark`) and `other` (the rest, and samples with no such frame),
+every row always, summing to 100 % — which is how an optimisation shows the
+layer it targets moving; `libc<-f` counts in `f`'s crate.
 """
 import argparse
 import collections
@@ -41,12 +46,13 @@ import sys
 
 signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # `report.py ... | head` ends quietly
 
-cli = argparse.ArgumentParser(usage='report.py <exe> <dump> [rows] [--under FUNC] [--lines]')
+cli = argparse.ArgumentParser(usage='report.py <exe> <dump> [rows] [--under FUNC] [--lines | --layers]')
 cli.add_argument('exe')
 cli.add_argument('dump')
 cli.add_argument('rows', nargs='?', type=int, default=25)
 cli.add_argument('--under', metavar='FUNC')
 cli.add_argument('--lines', action='store_true')
+cli.add_argument('--layers', action='store_true')
 args = cli.parse_args()
 exe, dump, rows = args.exe, args.dump, args.rows
 real = os.path.realpath(exe)
@@ -117,7 +123,9 @@ def chain(sample):
 ALLOCATOR = ('alloc_count', '__rust_alloc', '__rust_dealloc', '__rust_realloc', '__rdl_')
 UNIQUE = ('is_unique', 'Arc<..>::get_mut', 'Arc<..>::make_mut')
 VALIDITY = ('ensure_valid_range', 'pages_of_range', 'page_span', 'access_trap')
+LAYERS = ('tm_page', 'tdsm_core', 'tm_sched', 'tm_net', 'tm_apps', 'tm_bench', 'tm_benchmark', 'other')
 cats, owner, inclusive = collections.Counter(), collections.Counter(), collections.Counter()
+layers = collections.Counter({layer: 0 for layer in LAYERS})
 by_file, by_line = collections.Counter(), collections.Counter()
 n = 0
 for s in samples:
@@ -128,6 +136,8 @@ for s in samples:
     n += 1
     own, at = next(((f, w) for f, w in found if f != '[libc]' and not is_std(f)), ('?', '?'))
     owner[('libc<-' if names[0] == '[libc]' else '') + own] += 1
+    crate = own.split('::')[0]
+    layers[crate if crate in LAYERS else 'other'] += 1
     by_file[at.rsplit(':', 1)[0]] += 1
     by_line[f'{at}  {own}'] += 1
     for f in set(names):
@@ -142,9 +152,13 @@ for s in samples:
 print(f'{n} samples' + (f' under {args.under} (of {len(samples)})' if args.under else ''))
 if not n:
     sys.exit('no samples to report')
-tables = ((('self by file', by_file, rows), ('self by line', by_line, rows)) if args.lines else
-          (('categories', cats, len(cats)), ('self', owner, rows), ('inclusive', inclusive, rows)))
+if args.layers:
+    tables = (('self by crate', layers, None),)
+elif args.lines:
+    tables = (('self by file', by_file, rows), ('self by line', by_line, rows))
+else:
+    tables = (('categories', cats, len(cats)), ('self', owner, rows), ('inclusive', inclusive, rows))
 for title, counter, k in tables:
     print(f'--- {title}')
-    for name, count in counter.most_common(k):
+    for name, count in (counter.items() if k is None else counter.most_common(k)):
         print(f'{100 * count / n:6.2f}%  {count:6d}  {name}')
