@@ -195,12 +195,8 @@ impl Diff {
         }
     }
 
-    /// The runs as `[lo, hi)` page word intervals, without their bytes.
-    pub(crate) fn word_runs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        BitRuns::new(self.mask.iter().copied())
-    }
-
-    /// The changed-word mask (see the field), for a delivery's cover.
+    /// The changed-word mask (see the field), for a delivery's cover and
+    /// attribution.
     #[inline]
     pub(crate) fn mask(&self) -> &[u64] {
         &self.mask

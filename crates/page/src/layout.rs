@@ -12,6 +12,10 @@
 /// useful/useless data per word.
 pub const WORD_SIZE: usize = 4;
 
+/// Largest hardware page a layout accepts, in bytes: a page's delivery
+/// attribution is a word mask of this many bits over 32-bit words.
+pub const MAX_PAGE_SIZE: usize = 4096;
+
 /// Identifier of one hardware page of the global address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageId(pub u32);
@@ -69,9 +73,9 @@ impl PageLayout {
     /// number of pages.
     ///
     /// # Panics
-    /// Panics if `page_size` is zero, not a multiple of [`WORD_SIZE`], or not
-    /// a power of two, or if `total_pages` is zero (see
-    /// [`try_new`](Self::try_new)).
+    /// Panics if `page_size` is zero, not a multiple of [`WORD_SIZE`], not a
+    /// power of two or larger than [`MAX_PAGE_SIZE`], or if `total_pages` is
+    /// zero (see [`try_new`](Self::try_new)).
     pub fn new(page_size: usize, total_pages: u32) -> Self {
         Self::try_new(page_size, total_pages).unwrap_or_else(|(_, reason)| panic!("{reason}"))
     }
@@ -90,6 +94,11 @@ impl PageLayout {
         }
         if !page_size.is_power_of_two() {
             return page_size_err("page size must be a power of two".into());
+        }
+        if page_size > MAX_PAGE_SIZE {
+            return page_size_err(format!(
+                "page size must be at most {MAX_PAGE_SIZE} bytes, the reach of a page's attribution mask"
+            ));
         }
         if total_pages == 0 {
             return Err((
@@ -286,7 +295,7 @@ mod tests {
 
     #[test]
     fn shift_and_mask_agree_with_division_for_every_page_size() {
-        for shift in 6..=16u32 {
+        for shift in 6..=MAX_PAGE_SIZE.trailing_zeros() {
             let page_size = 1usize << shift;
             let l = PageLayout::new(page_size, 5);
             let ps = page_size as u64;
@@ -340,6 +349,14 @@ mod tests {
                 (PageId(2), 0, 262..300)
             ]
         );
+    }
+
+    #[test]
+    fn a_page_past_the_attribution_mask_is_rejected_by_name() {
+        let (arg, reason) = PageLayout::try_new(8192, 4).unwrap_err();
+        assert_eq!(arg, "page_size");
+        assert!(reason.contains("at most 4096 bytes"), "{reason}");
+        assert!(PageLayout::try_new(MAX_PAGE_SIZE, 4).is_ok());
     }
 
     #[test]

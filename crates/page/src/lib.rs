@@ -18,9 +18,11 @@
 //!   home-based single-writer protocol, kept current by applying flushed
 //!   diffs in place without twinning ([`HomeStore`]),
 //! * a shared-region **bump allocator** ([`RegionAllocator`]), and
-//! * the per-word **delivery attribution** used by the paper's
-//!   instrumentation to classify delivered data as *useful* (read before
-//!   overwritten) or *useless*.
+//! * the **delivery attribution** used by the paper's instrumentation to
+//!   classify delivered words as *useful* (read before overwritten) or
+//!   *useless*: per page, one word mask per exchange that still holds
+//!   delivered words, which deliveries, reads and writes update block by
+//!   block (so a page is at most [`layout::MAX_PAGE_SIZE`] bytes).
 //!
 //! The crate knows nothing about consistency models, synchronization, or the
 //! network; those live in `tdsm-core` and `tm-net`.

@@ -2,22 +2,85 @@
 //!
 //! Every DSM processor holds its own [`PageStore`]: the local copies of the
 //! shared pages, the twins used by the multiple-writer protocol, and the
-//! per-word *delivery attribution* used by the paper's instrumentation to
-//! decide, for every word a diff delivered, whether it was eventually read
-//! (useful data) or never read before being overwritten or the end of the run
-//! (useless data).
+//! *delivery attribution* used by the paper's instrumentation to decide,
+//! for every word a diff delivered, whether it was eventually read (useful
+//! data) or never read before being overwritten or the end of the run
+//! (useless data).  A page keeps that attribution as one word mask per
+//! exchange that still holds delivered words, so every delivery, read and
+//! write settles it in a few block-wise mask operations.
 
 use crate::diff::Diff;
 use crate::image::Image;
-use crate::layout::{GlobalAddr, PageId, PageLayout, WORD_SIZE};
+use crate::layout::{GlobalAddr, PageId, PageLayout, MAX_PAGE_SIZE, WORD_SIZE};
 use std::sync::Arc;
 
 /// Sentinel attribution meaning "this word was not delivered by any exchange
 /// (or its delivery has already been classified)".
 pub const NO_EXCHANGE: u32 = u32::MAX;
 
+/// Blocks of 64 words in an attribution mask: enough for a page of
+/// [`MAX_PAGE_SIZE`] bytes.
+const BLOCKS: usize = MAX_PAGE_SIZE / WORD_SIZE / 64;
+
+/// Masks a page's first spill past its inline one makes room for, at
+/// once: the benchmark's runs hold up to eight masks on a page (seven in
+/// the eight-processor Ilink cells, one per other writer), and a `Vec`
+/// growing from four would cost every page that reaches six a second
+/// allocation.
+const SPILL: usize = 7;
+
+/// The words of a page that one exchange delivered and that have been
+/// neither read nor overwritten since: bit `w % 64` of `bits[w / 64]` stands
+/// for word `w`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Delivered {
+    exchange: u32,
+    bits: [u64; BLOCKS],
+}
+
+impl Delivered {
+    /// No exchange and no word: the inline slot of a page that holds no
+    /// mask.
+    const NONE: Delivered = Delivered {
+        exchange: NO_EXCHANGE,
+        bits: [0; BLOCKS],
+    };
+
+    /// The words `bits` sets (a diff's mask, at most [`BLOCKS`] long),
+    /// delivered by `exchange`.
+    fn of(exchange: u32, bits: &[u64]) -> Delivered {
+        let mut mask = Delivered {
+            exchange,
+            bits: [0; BLOCKS],
+        };
+        mask.bits.iter_mut().zip(bits).for_each(|(m, &b)| *m = b);
+        mask
+    }
+
+    /// Every word of a page of `words` words, delivered by `exchange`.
+    fn whole(exchange: u32, words: usize) -> Delivered {
+        let mut mask = Delivered {
+            exchange,
+            bits: [0; BLOCKS],
+        };
+        for (b, m) in mask.bits.iter_mut().enumerate() {
+            let below = words.saturating_sub(b * 64);
+            *m = if below >= 64 { !0 } else { (1 << below) - 1 };
+        }
+        mask
+    }
+
+    fn is_empty(&self) -> bool {
+        self.bits.iter().fold(0, |any, &b| any | b) == 0
+    }
+
+    fn words(&self) -> usize {
+        self.bits.iter().map(|b| b.count_ones() as usize).sum()
+    }
+}
+
 /// One hardware page as held by one processor: current contents, the
-/// interval's twin, and per-word delivery attribution.
+/// interval's twin, and delivery attribution.
 ///
 /// The twin of the multiple-writer protocol is a copy-on-write snapshot: at
 /// the first write of an interval, [`ensure_twin`](Self::ensure_twin) shares
@@ -46,29 +109,14 @@ pub struct LocalPage {
     /// `None`: a twin is live (the page is in the current interval's write
     /// set) exactly when this is not `None`.
     twin: Option<Image>,
-    /// For each 32-bit word: the exchange id that last delivered it and has
-    /// not yet been read or overwritten locally, or [`NO_EXCHANGE`].
-    /// Authoritative only in the *mixed* representation (`uniform ==
-    /// NO_EXCHANGE && !attr_dirty`); see `uniform`.  Allocated lazily on
-    /// the first partial-range attribution access: pages that only ever see
-    /// whole-page deliveries (the dominant pattern) ride the compact
-    /// `uniform` representation and never pay for the array.
-    attribution: Option<Box<[u32]>>,
-    /// Number of words whose attribution is not [`NO_EXCHANGE`]. Read and
-    /// write paths skip their per-word attribution loops entirely while this
-    /// is zero — the overwhelmingly common case.
-    pending: u32,
-    /// Compact attribution representation for the dominant delivery pattern
-    /// (a diff covering the whole page, later read or overwritten whole).
-    /// When not [`NO_EXCHANGE`], *every* word of the page is attributed to
-    /// this exchange and the `attribution` array contents are stale; the
-    /// array is only materialised when a partial access needs per-word
-    /// state.
-    uniform: u32,
-    /// True when the `attribution` array holds stale values from a consumed
-    /// uniform attribution (pending is 0 but the array is not all
-    /// [`NO_EXCHANGE`]).  It must be wiped before per-word use.
-    attr_dirty: bool,
+    /// The delivery attribution: one mask per exchange that delivered words
+    /// not yet read or overwritten here.  The masks are pairwise disjoint,
+    /// none is empty, no two share an exchange and none is
+    /// [`NO_EXCHANGE`]'s.  The first is held inline — a page that holds
+    /// none has [`Delivered::NONE`] here — and the others in `more`, which
+    /// keeps its capacity.
+    first: Delivered,
+    more: Vec<Delivered>,
 }
 
 /// `dst.copy_from_slice(src)` with the 4- and 8-byte cases — one shared word
@@ -86,6 +134,9 @@ fn copy_bytes(dst: &mut [u8], src: &[u8]) {
 impl LocalPage {
     /// Create a zero-filled page of `page_size` bytes over a zero image of
     /// its own, with a pool of its own.
+    ///
+    /// # Panics
+    /// Panics if `page_size` exceeds [`MAX_PAGE_SIZE`].
     pub fn new_zeroed(page_size: usize) -> Self {
         Self::showing(Image::zeroed(page_size))
     }
@@ -94,13 +145,16 @@ impl LocalPage {
     /// [`PageStore`]'s pages start on the store's one zero image, and the
     /// copy-on-write rules give a page its own image when it first differs.
     fn showing(image: Image) -> Self {
+        assert!(
+            image.len() <= MAX_PAGE_SIZE,
+            "a page of {} bytes exceeds the {MAX_PAGE_SIZE}-byte attribution mask",
+            image.len()
+        );
         LocalPage {
             data: image,
             twin: None,
-            attribution: None,
-            pending: 0,
-            uniform: NO_EXCHANGE,
-            attr_dirty: false,
+            first: Delivered::NONE,
+            more: Vec::new(),
         }
     }
 
@@ -134,20 +188,6 @@ impl LocalPage {
         } else {
             self.data.written().copy_from_slice(src);
         }
-    }
-
-    /// Drop out of the compact uniform/stale attribution representations
-    /// into the mixed one, making the per-word `attribution` array
-    /// authoritative (allocating it on first use).  Called before any
-    /// partial-range attribution access.
-    fn materialize_attr(&mut self) {
-        let words = self.words();
-        materialized_attr(
-            &mut self.attribution,
-            &mut self.uniform,
-            &mut self.attr_dirty,
-            words,
-        );
     }
 
     /// Current contents of the page.
@@ -213,85 +253,22 @@ impl LocalPage {
         } else {
             copy_bytes(&mut self.data_mut()[offset..end], src);
         }
-        let first = offset / WORD_SIZE;
-        let last = (end - 1) / WORD_SIZE;
-        if self.pending != 0 {
-            if first == 0 && last + 1 == self.words() {
-                // Whole-page overwrite discards every attribution; the array
-                // (which may hold live or stale values) is left as-is and
-                // flagged for a wipe before its next per-word use.
-                self.pending = 0;
-                self.attr_dirty = true;
-                self.uniform = NO_EXCHANGE;
-            } else {
-                self.materialize_attr();
-                let attribution = self.attribution.as_mut().expect("materialized");
-                let words = &mut attribution[first..=last];
-                attribute_words(words, &mut self.pending, false, NO_EXCHANGE);
-            }
-        }
+        self.take_words(offset / WORD_SIZE, (end - 1) / WORD_SIZE, |_, _| {});
     }
 
     /// Read `dst.len()` bytes at byte `offset` into `dst`.  For every covered
     /// word that still carries a delivery attribution, the word counts as
     /// read-before-overwritten (⇒ useful data) and the attribution is
     /// cleared so the word is only credited once.  `on_useful(exchange,
-    /// words)` is invoked once per run of consecutive words credited to the
-    /// same exchange — per-exchange word totals are identical to a per-word
-    /// callback, without the call per word.
-    pub fn read_bytes(
-        &mut self,
-        offset: usize,
-        dst: &mut [u8],
-        mut on_useful: impl FnMut(u32, u32),
-    ) {
+    /// words)` is invoked once per exchange with words in the range, in no
+    /// particular order: per-exchange word totals are what a per-word
+    /// callback would sum.
+    pub fn read_bytes(&mut self, offset: usize, dst: &mut [u8], on_useful: impl FnMut(u32, u32)) {
         let end = offset + dst.len();
         assert!(end <= self.data.len(), "read outside page bounds");
         copy_bytes(dst, &self.data[offset..end]);
-        if !dst.is_empty() && self.pending != 0 {
-            let first = offset / WORD_SIZE;
-            let last = (end - 1) / WORD_SIZE;
-            if self.uniform != NO_EXCHANGE {
-                let e = self.uniform;
-                let count = (last - first + 1) as u32;
-                on_useful(e, count);
-                if count as usize == self.words() {
-                    // Whole-page read consumes the uniform attribution
-                    // without ever materialising the array.
-                    self.pending = 0;
-                    self.uniform = NO_EXCHANGE;
-                    self.attr_dirty = true;
-                } else {
-                    self.materialize_attr();
-                    let attribution = self.attribution.as_mut().expect("materialized");
-                    attribution[first..=last].fill(NO_EXCHANGE);
-                    self.pending -= count;
-                }
-            } else {
-                self.materialize_attr();
-                let attribution = self.attribution.as_mut().expect("materialized");
-                let mut run_e = NO_EXCHANGE;
-                let mut run_len = 0u32;
-                for w in first..=last {
-                    let e = attribution[w];
-                    if e != NO_EXCHANGE {
-                        attribution[w] = NO_EXCHANGE;
-                        self.pending -= 1;
-                    }
-                    if e == run_e {
-                        run_len += 1;
-                    } else {
-                        if run_e != NO_EXCHANGE && run_len > 0 {
-                            on_useful(run_e, run_len);
-                        }
-                        run_e = e;
-                        run_len = 1;
-                    }
-                }
-                if run_e != NO_EXCHANGE && run_len > 0 {
-                    on_useful(run_e, run_len);
-                }
-            }
+        if !dst.is_empty() {
+            self.take_words(offset / WORD_SIZE, (end - 1) / WORD_SIZE, on_useful);
         }
     }
 
@@ -321,7 +298,7 @@ impl LocalPage {
         debug_assert!(!self.twinned(), "delivery onto a twinned page");
         if !diff.covers_page(self.data.len()) {
             diff.apply(self.data_mut());
-            return self.attribute(exchange, diff.word_runs());
+            return self.attribute(exchange, diff.mask());
         }
         match diff.whole_page_shared_image() {
             Some(image) => self.data = image.clone(),
@@ -330,34 +307,142 @@ impl LocalPage {
         self.attribute_page(exchange);
     }
 
-    /// Attribute every word of the page to `exchange` ([`NO_EXCHANGE`]:
-    /// to none) in the compact uniform representation — the dominant
-    /// delivery shape for the grid applications pays no array traffic.
-    fn attribute_page(&mut self, exchange: u32) {
-        self.pending = if exchange == NO_EXCHANGE {
-            0
-        } else {
-            self.words() as u32
-        };
-        self.uniform = exchange;
-        // The array, live or stale, is wiped before its next per-word use.
-        self.attr_dirty = true;
+    /// Every mask the page holds.
+    fn masks(&self) -> impl Iterator<Item = &Delivered> {
+        let first = (self.first.exchange != NO_EXCHANGE).then_some(&self.first);
+        first.into_iter().chain(&self.more)
     }
 
-    /// Attribute the words of the word intervals `runs` (disjoint) to
-    /// `exchange`, or clear them for [`NO_EXCHANGE`].
-    fn attribute(&mut self, exchange: u32, runs: impl Iterator<Item = (usize, usize)>) {
-        if exchange == NO_EXCHANGE && self.pending == 0 {
+    /// [`masks`](Self::masks), mutably.
+    fn masks_mut(&mut self) -> impl Iterator<Item = &mut Delivered> {
+        let first = (self.first.exchange != NO_EXCHANGE).then_some(&mut self.first);
+        first.into_iter().chain(&mut self.more)
+    }
+
+    /// Attribute every word of the page to `exchange` ([`NO_EXCHANGE`]:
+    /// to none): one whole mask in place of any the page held.
+    fn attribute_page(&mut self, exchange: u32) {
+        self.more.clear();
+        self.first = if exchange == NO_EXCHANGE {
+            Delivered::NONE
+        } else {
+            Delivered::whole(exchange, self.words())
+        };
+        self.check_masks();
+    }
+
+    /// Attribute the words `bits` sets (a diff's mask) to `exchange`, or
+    /// clear them for [`NO_EXCHANGE`]: they leave every other exchange's
+    /// mask and join the exchange's own.
+    fn attribute(&mut self, exchange: u32, bits: &[u64]) {
+        let mut held = exchange == NO_EXCHANGE;
+        let mut emptied = false;
+        for mask in self.masks_mut() {
+            let own = mask.exchange == exchange;
+            for (m, &b) in mask.bits.iter_mut().zip(bits) {
+                *m = if own { *m | b } else { *m & !b };
+            }
+            held |= own;
+            emptied |= !own && mask.is_empty();
+        }
+        if !held {
+            let mask = Delivered::of(exchange, bits);
+            if self.first.exchange == NO_EXCHANGE {
+                self.first = mask;
+            } else {
+                if self.more.capacity() == 0 {
+                    self.more.reserve_exact(SPILL);
+                }
+                self.more.push(mask);
+            }
+            emptied |= mask.is_empty();
+        }
+        if emptied {
+            self.drop_empty();
+        }
+        self.check_masks();
+    }
+
+    /// Take the words `first..=last` out of every mask, calling
+    /// `on_taken(exchange, words)` for each mask that held some of them.
+    fn take_words(&mut self, first: usize, last: usize, mut on_taken: impl FnMut(u32, u32)) {
+        if self.first.exchange == NO_EXCHANGE {
             return;
         }
-        self.materialize_attr();
-        // When nothing is attributed yet, no touched word holds an
-        // attribution and the per-word scan can be skipped.
-        let none_held = self.pending == 0;
-        let attribution = self.attribution.as_mut().expect("materialized");
-        for (lo, hi) in runs {
-            let words = &mut attribution[lo..hi];
-            attribute_words(words, &mut self.pending, none_held, exchange);
+        let (lo, hi) = (first / 64, last / 64);
+        let mut emptied = false;
+        for mask in self.masks_mut() {
+            let mut words = 0;
+            for (b, m) in mask.bits[lo..=hi].iter_mut().enumerate() {
+                let mut range = !0u64;
+                if b == 0 {
+                    range &= !0 << (first % 64);
+                }
+                if b == hi - lo {
+                    range &= !0 >> (63 - last % 64);
+                }
+                words += (*m & range).count_ones();
+                *m &= !range;
+            }
+            if words > 0 {
+                on_taken(mask.exchange, words);
+                emptied |= mask.is_empty();
+            }
+        }
+        if emptied {
+            self.drop_empty();
+        }
+        self.check_masks();
+    }
+
+    /// Drop the masks that emptied, refilling the inline slot from `more`
+    /// if it was one of them.
+    fn drop_empty(&mut self) {
+        self.more.retain(|mask| !mask.is_empty());
+        if self.first.is_empty() {
+            self.first = self.more.pop().unwrap_or(Delivered::NONE);
+        }
+    }
+
+    /// The masks' invariant (see the field), asserted after every change
+    /// in builds with debug assertions; `first` is [`Delivered::NONE`]
+    /// exactly when no mask is held, and no mask sets a bit past the page's
+    /// last word.  It allocates nothing, so the steady-state allocation
+    /// bounds hold in those builds too.
+    fn check_masks(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        if self.first.exchange == NO_EXCHANGE {
+            assert!(
+                self.first == Delivered::NONE && self.more.is_empty(),
+                "masks held past an empty inline slot: {:?}",
+                (&self.first, &self.more)
+            );
+        }
+        let page = Delivered::whole(NO_EXCHANGE, self.words());
+        let mut union = [0u64; BLOCKS];
+        for (k, mask) in self.masks().enumerate() {
+            assert!(
+                mask.exchange != NO_EXCHANGE && !mask.is_empty(),
+                "a held mask is empty or attributes to no exchange: {mask:?}"
+            );
+            assert!(
+                self.masks()
+                    .skip(k + 1)
+                    .all(|m| m.exchange != mask.exchange),
+                "two masks of exchange {}",
+                mask.exchange
+            );
+            for ((u, &m), &p) in union.iter_mut().zip(&mask.bits).zip(&page.bits) {
+                assert!(
+                    *u & m == 0,
+                    "masks overlap: {:?}",
+                    (&self.first, &self.more)
+                );
+                assert!(m & !p == 0, "a mask sets a word past the page: {mask:?}");
+                *u |= m;
+            }
         }
     }
 
@@ -369,8 +454,8 @@ impl LocalPage {
     /// the union of the payloads, not their sum, and a member wholly under
     /// newer ones costs one pass over its mask.  The newest then lands
     /// through [`apply_diff`](Self::apply_diff).  Page bytes,
-    /// per-word attribution, pending count and whole-page adoption are
-    /// exactly those of `apply_diff` of every member, oldest first.
+    /// attribution and whole-page adoption are exactly those of
+    /// `apply_diff` of every member, oldest first.
     ///
     /// `cover` is caller scratch (contents ignored and clobbered), kept
     /// across rounds so that a delivery allocates nothing.
@@ -406,101 +491,29 @@ impl LocalPage {
 
     /// Land the words of `diff` that `cover` lacks — content and
     /// attribution, as [`apply_diff`](Self::apply_diff) would — adding them
-    /// to it, and return how many there were.  Each interval is painted as
-    /// the cover walk finds it.
+    /// to it, and return how many there were.  A member wholly under the
+    /// cover detaches no image and attributes nothing.
     fn paint_uncovered(&mut self, diff: &Diff, exchange: u32, cover: &mut [u64]) -> usize {
-        let words = self.words();
-        // As in `attribute`: nothing to clear and nothing to credit skips
-        // the attribution, and nothing held skips the per-word count.
-        let none_held = self.pending == 0;
-        let attributes = exchange != NO_EXCHANGE || !none_held;
-        let LocalPage {
-            data,
-            attribution,
-            pending,
-            uniform,
-            attr_dirty,
-            ..
-        } = self;
-        // Both are established at the first painted interval, so a diff
-        // that paints nothing detaches no image and materialises no
-        // attribution, and one that does checks uniqueness once.
-        let mut data = Some(data);
-        let mut image: Option<&mut [u8]> = None;
-        let mut attr_state = attributes.then_some((attribution, uniform, attr_dirty));
-        let mut attr: Option<&mut [u32]> = None;
-        diff.for_each_uncovered(cover, &mut |lo, bytes| {
-            let hi = lo + bytes.len();
-            let image = image
-                .get_or_insert_with(|| data.take().expect("the image is detached once").detached());
-            copy_bytes(&mut image[lo..hi], bytes);
-            if let Some((attribution, uniform, attr_dirty)) = attr_state.take() {
-                attr = Some(materialized_attr(attribution, uniform, attr_dirty, words));
-            }
-            if let Some(attr) = attr.as_deref_mut() {
-                let words = &mut attr[lo / WORD_SIZE..hi / WORD_SIZE];
-                attribute_words(words, pending, none_held, exchange);
-            }
-        })
+        let mut fresh = [0u64; BLOCKS];
+        for ((f, &m), &c) in fresh.iter_mut().zip(diff.mask()).zip(&*cover) {
+            *f = m & !c;
+        }
+        if fresh.iter().fold(0, |any, &f| any | f) == 0 {
+            return 0;
+        }
+        let image = self.data.detached();
+        let painted = diff.for_each_uncovered(cover, &mut |lo, bytes| {
+            copy_bytes(&mut image[lo..lo + bytes.len()], bytes)
+        });
+        self.attribute(exchange, &fresh);
+        painted
     }
 
     /// Number of words currently carrying a delivery attribution (delivered
     /// but neither read nor overwritten yet).
     pub fn pending_attributions(&self) -> usize {
-        if self.uniform == NO_EXCHANGE && !self.attr_dirty {
-            // Only the mixed representation keeps the array authoritative
-            // (an unallocated array is all NO_EXCHANGE by definition).
-            debug_assert_eq!(
-                self.pending as usize,
-                self.attribution
-                    .as_deref()
-                    .unwrap_or(&[])
-                    .iter()
-                    .filter(|&&a| a != NO_EXCHANGE)
-                    .count(),
-                "pending-attribution counter out of sync"
-            );
-        }
-        self.pending as usize
+        self.masks().map(Delivered::words).sum()
     }
-}
-
-/// [`LocalPage::materialize_attr`] over the fields it touches, handing back
-/// the array, so that a delivery can hold it and the page image at once.
-fn materialized_attr<'a>(
-    attribution: &'a mut Option<Box<[u32]>>,
-    uniform: &mut u32,
-    attr_dirty: &mut bool,
-    words: usize,
-) -> &'a mut [u32] {
-    let attribution =
-        attribution.get_or_insert_with(|| vec![NO_EXCHANGE; words].into_boxed_slice());
-    if *uniform != NO_EXCHANGE {
-        attribution.fill(*uniform);
-        *uniform = NO_EXCHANGE;
-        *attr_dirty = false;
-    } else if *attr_dirty {
-        attribution.fill(NO_EXCHANGE);
-        *attr_dirty = false;
-    }
-    attribution
-}
-
-/// Attribute `words` of the mixed-representation array to `exchange`, or
-/// clear them for [`NO_EXCHANGE`], keeping `pending` exact.  `none_held`
-/// says no word of them holds an attribution, which skips the count.
-fn attribute_words(words: &mut [u32], pending: &mut u32, none_held: bool, exchange: u32) {
-    if !none_held {
-        // Summed as 0/1, which vectorises, where a `filter` count does not.
-        *pending -= words
-            .iter()
-            .map(|&a| (a != NO_EXCHANGE) as u32)
-            .sum::<u32>();
-    }
-    if exchange != NO_EXCHANGE {
-        *pending += words.len() as u32;
-    }
-    words.fill(exchange);
 }
 
 /// A processor's private view of the entire shared address space.
@@ -603,6 +616,7 @@ impl PageStore {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn layout() -> PageLayout {
         PageLayout::new(256, 8)
@@ -864,15 +878,15 @@ mod tests {
         // attribution is the newest's, which crossed no wire.
         let mut page = LocalPage::showing(zero.clone());
         page.deliver([(&newest, NO_EXCHANGE), (&under, 4)], &mut Vec::new());
-        assert!(page.attribution.is_none(), "a covered member attributed");
+        assert_eq!(page.masks().count(), 0, "a covered member attributed");
         assert_eq!(
             page.bytes()[..32],
             (0..32).map(|b| 30 + b as u8 / 4).collect::<Vec<_>>()
         );
 
         // Painted step by step over the newest's cover: the covered member
-        // leaves the image shared and the attribution unmaterialised, and
-        // the one with a fresh word paints and attributes exactly that word.
+        // leaves the image shared and holds no mask, and the one with a
+        // fresh word paints and attributes exactly that word.
         let mut page = LocalPage::showing(zero.clone());
         let mut cover = newest.mask().to_vec();
         assert_eq!(page.paint_uncovered(&under, 4, &mut cover), 0);
@@ -881,14 +895,13 @@ mod tests {
             zero.as_ptr(),
             "a covered member detached"
         );
-        assert!(page.attribution.is_none() && cover == newest.mask());
+        assert!(page.masks().count() == 0 && cover == newest.mask());
         assert_eq!(page.paint_uncovered(&one_fresh, 5, &mut cover), 1);
         let mut want = [0u8; 256];
         want[8 * WORD_SIZE..9 * WORD_SIZE].fill(18);
         assert_eq!(page.bytes(), &want[..]);
-        let attribution = page.attribution.as_deref().unwrap();
-        let attributed: Vec<_> = (0..64).filter(|&w| attribution[w] != NO_EXCHANGE).collect();
-        assert_eq!((attributed, attribution[8]), (vec![8], 5));
+        let masks: Vec<_> = page.masks().copied().collect();
+        assert_eq!(masks, [Delivered::of(5, &[1 << 8])]);
         assert_eq!(page.pending_attributions(), 1);
     }
 
@@ -1076,19 +1089,24 @@ mod tests {
             .collect()
     }
 
-    type Observed = (bool, usize, Vec<u8>, Vec<(u32, u32)>);
+    type Observed = (bool, usize, Vec<u8>, BTreeMap<u32, u32>);
 
     /// What a page shows after a delivery: whether it adopted one of
     /// `diffs`' whole-page images by reference, its pending count, its bytes
-    /// and the useful credit a whole-page read reports.
+    /// and the useful words a whole-page read credits to each exchange.
+    /// Per-exchange totals, not the list of credits: a read credits each
+    /// mask once, in the order the page holds them, and only the totals
+    /// reach a run's statistics.
     fn observe(page: &mut LocalPage, diffs: &[&(Arc<Diff>, u32)]) -> Observed {
         let adopted = diffs.iter().any(|(d, _)| {
             d.whole_page_shared_image()
                 .is_some_and(|image| image.as_ptr() == page.data.as_ptr())
         });
         let (pending, bytes) = (page.pending_attributions(), page.bytes().to_vec());
-        let mut credited = Vec::new();
-        page.read_bytes(0, &mut [0u8; 1024], |e, words| credited.push((e, words)));
+        let mut credited = BTreeMap::new();
+        page.read_bytes(0, &mut [0u8; 1024], |e, words| {
+            *credited.entry(e).or_default() += words
+        });
         (adopted, pending, bytes, credited)
     }
 
@@ -1147,6 +1165,84 @@ mod tests {
         assert_eq!(p.pending_attributions(), 64);
         p.load_page(&vec![7u8; 256], NO_EXCHANGE);
         assert_eq!(p.pending_attributions(), 0);
+    }
+
+    /// The words a generated diff writes on a page of `words` words: one
+    /// run (shape 0) of `len` words from `start`, every `stride`th word
+    /// from `start`, `len` of them (shape 1), or the whole page (shape 2).
+    type Words = (u8, usize, usize, usize);
+
+    fn words() -> impl Strategy<Value = Words> {
+        (0u8..3, 0usize..1024, 1usize..300, 1usize..9)
+    }
+
+    /// An exchange: [`NO_EXCHANGE`] or one of three ids.
+    fn exchange() -> impl Strategy<Value = u32> {
+        (0u32..4).prop_map(|e| if e == 0 { NO_EXCHANGE } else { e })
+    }
+
+    /// One step of `attribution_matches_a_per_word_model`.
+    #[derive(Debug, Clone)]
+    enum Classify {
+        Apply(Words, u32),
+        /// A round, oldest member first.
+        Deliver(Vec<(Words, u32)>),
+        Load(u32),
+        /// `read_bytes` of (up to) `len` bytes at byte `offset`.
+        Read(usize, usize),
+        Write(usize, usize),
+    }
+
+    fn classify() -> impl Strategy<Value = Classify> {
+        let fields = (
+            (words(), exchange()),
+            prop::collection::vec((words(), exchange()), 1..5),
+            (0usize..4096, 1usize..600),
+        );
+        (0u8..6, fields).prop_map(|(kind, (member, round, (offset, len)))| match kind {
+            0 => Classify::Apply(member.0, member.1),
+            1 => Classify::Deliver(round),
+            2 => Classify::Load(member.1),
+            3 => Classify::Write(offset, len),
+            _ => Classify::Read(offset, len),
+        })
+    }
+
+    /// The paper's classification word by word: the exchange that last
+    /// delivered each word not read or overwritten since, and the words
+    /// each exchange has had read.
+    struct PerWord {
+        attr: Vec<u32>,
+        credited: BTreeMap<u32, u64>,
+    }
+
+    impl PerWord {
+        fn deliver(&mut self, words: &[bool], exchange: u32) {
+            for (a, _) in self.attr.iter_mut().zip(words).filter(|(_, &w)| w) {
+                *a = exchange;
+            }
+        }
+
+        /// Take the words `first..=last`, crediting them if `read`.
+        fn take(&mut self, first: usize, last: usize, read: bool) {
+            for a in &mut self.attr[first..=last] {
+                if *a != NO_EXCHANGE && read {
+                    *self.credited.entry(*a).or_default() += 1;
+                }
+                *a = NO_EXCHANGE;
+            }
+        }
+
+        /// The words each exchange holds, as masks.
+        fn masks(&self) -> BTreeMap<u32, [u64; BLOCKS]> {
+            let mut masks = BTreeMap::new();
+            for (w, &a) in self.attr.iter().enumerate() {
+                if a != NO_EXCHANGE {
+                    masks.entry(a).or_insert([0u64; BLOCKS])[w / 64] |= 1 << (w % 64);
+                }
+            }
+            masks
+        }
     }
 
     proptest! {
@@ -1429,6 +1525,104 @@ mod tests {
             let (adopted, delivered) = (observe(&mut adopter, &[]), observe(&mut deliverer, &[]));
             prop_assert!(adopted == want, "{adopted:?} != {want:?}");
             prop_assert!(delivered == want, "{delivered:?} != {want:?}");
+        }
+
+        /// The masks classify every delivered word as the paper does, word
+        /// by word: under any mix of partial and whole-page applications,
+        /// multi-member rounds, whole-page loads, reads and writes over
+        /// three exchanges and [`NO_EXCHANGE`], on a 256 B and a 4 KiB page,
+        /// each exchange is credited the words a per-word model credits it,
+        /// the pending count is the model's, and the page holds one mask per
+        /// exchange with words, setting exactly those words, after every
+        /// step.
+        #[test]
+        fn attribution_matches_a_per_word_model(
+            steps in prop::collection::vec(classify(), 1..40),
+        ) {
+            for page_size in [256, MAX_PAGE_SIZE] {
+                let words = page_size / WORD_SIZE;
+                let mut page = LocalPage::new_zeroed(page_size);
+                let mut writer = LocalPage::new_zeroed(page_size);
+                let mut model = PerWord { attr: vec![NO_EXCHANGE; words], credited: BTreeMap::new() };
+                let mut mirror = vec![0u8; page_size];
+                let mut credited = BTreeMap::new();
+                let mut cover = Vec::new();
+                let mut stamp = 0u32;
+                // The next diff of `writer`, writing exactly the words of
+                // `shape`, each to a value it never held.
+                let mut next = |(shape, start, len, stride): Words| {
+                    let start = start % words;
+                    let mut marks = vec![false; words];
+                    match shape {
+                        0 => marks[start..(start + len).min(words)].fill(true),
+                        1 => (start..words).step_by(stride).take(len).for_each(|w| marks[w] = true),
+                        _ => marks.fill(true),
+                    }
+                    stamp += 1;
+                    writer.ensure_twin();
+                    for w in (0..words).filter(|&w| marks[w]) {
+                        let value = stamp << 16 | w as u32;
+                        writer.write_bytes(w * WORD_SIZE, &value.to_le_bytes());
+                    }
+                    let diff = writer.make_diff(PageId(0)).unwrap();
+                    writer.drop_twin();
+                    (Arc::new(diff), marks)
+                };
+                for (k, step) in steps.iter().enumerate() {
+                    let range = |offset: usize, len: usize| {
+                        let offset = offset % page_size;
+                        (offset, len.min(page_size - offset))
+                    };
+                    match *step {
+                        Classify::Apply(shape, exchange) => {
+                            let (diff, marks) = next(shape);
+                            page.apply_diff(&diff, exchange);
+                            diff.apply(&mut mirror);
+                            model.deliver(&marks, exchange);
+                        }
+                        Classify::Deliver(ref round) => {
+                            let round: Vec<_> = round.iter().map(|&(shape, e)| (next(shape), e)).collect();
+                            page.deliver(round.iter().rev().map(|((d, _), e)| (d, *e)), &mut cover);
+                            for ((diff, marks), exchange) in &round {
+                                diff.apply(&mut mirror);
+                                model.deliver(marks, *exchange);
+                            }
+                        }
+                        Classify::Load(exchange) => {
+                            let src: Vec<u8> = (0..page_size).map(|b| (b ^ k) as u8 | 1).collect();
+                            page.load_page(&src, exchange);
+                            mirror.copy_from_slice(&src);
+                            model.deliver(&vec![true; words], exchange);
+                        }
+                        Classify::Read(offset, len) => {
+                            let (offset, len) = range(offset, len);
+                            let mut dst = vec![0u8; len];
+                            page.read_bytes(offset, &mut dst, |e, words| {
+                                *credited.entry(e).or_default() += words as u64
+                            });
+                            prop_assert_eq!(&dst[..], &mirror[offset..offset + len]);
+                            model.take(offset / WORD_SIZE, (offset + len - 1) / WORD_SIZE, true);
+                        }
+                        Classify::Write(offset, len) => {
+                            let (offset, len) = range(offset, len);
+                            let src = vec![len as u8; len];
+                            page.write_bytes(offset, &src);
+                            mirror[offset..offset + len].copy_from_slice(&src);
+                            model.take(offset / WORD_SIZE, (offset + len - 1) / WORD_SIZE, false);
+                        }
+                    }
+                    prop_assert_eq!(page.bytes(), &mirror[..]);
+                    prop_assert!(credited == model.credited, "{page_size} B page, after {step:?}: credited {credited:?}, per word {:?}", model.credited);
+                    let pending = model.attr.iter().filter(|&&a| a != NO_EXCHANGE).count();
+                    prop_assert_eq!(page.pending_attributions(), pending);
+                    let mut masks = BTreeMap::new();
+                    for mask in page.masks() {
+                        prop_assert!(masks.insert(mask.exchange, mask.bits).is_none(), "two masks of one exchange");
+                    }
+                    let want = model.masks();
+                    prop_assert!(masks == want, "{page_size} B page, after {step:?}: masks {masks:?}, per word {want:?}");
+                }
+            }
         }
 
         /// A store's page, which starts on the store's shared zero image,

@@ -181,9 +181,9 @@ fn a_barrier_episode_files_notices_in_blocks_not_one_call_per_notice() {
 /// `(bytes, calls)` of a run in which rank 0 overwrites each of `pages`
 /// pages whole, every rank crosses a barrier, and then, when `read`, every
 /// other rank reads each of those pages whole and one word of each of
-/// `pages` pages nobody wrote.  (A whole-page read consumes a whole-page
-/// delivery's attribution without the per-word array a partial read of it
-/// needs.)
+/// `pages` pages nobody wrote.  (A read, whole or partial, consumes a
+/// delivery's attribution in its exchange's word mask and allocates
+/// nothing.)
 fn requested_by_readers(nprocs: usize, pages: u64, read: bool) -> (u64, u64) {
     requested(|| {
         let mut dsm = Dsm::new(DsmConfig::with_procs(nprocs));
