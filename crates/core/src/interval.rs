@@ -514,7 +514,7 @@ mod tests {
             images.push(image.as_ptr());
             let mut diff = Diff::empty(PageId(0));
             diff.rebuild_from_compare(PageId(0), &image, &[0; 8]);
-            assert!(diff.whole_page_shared_image().is_some());
+            assert!(diff.image().is_some());
             if seq == 3 {
                 adopted = Some(image);
             }
@@ -531,7 +531,7 @@ mod tests {
         assert!(!images.contains(&fresh.as_ptr()), "only that one");
         assert_eq!(log.diff_pool.len(), 2, "both unshared diffs are pooled");
         assert!(log.diff_pool.iter().all(|d| d.is_empty()));
-        let held_image = held.whole_page_shared_image().unwrap();
+        let held_image = held.image().unwrap();
         assert_eq!(&held_image[..], &[2u8; 8], "the held diff keeps its image");
         assert!(!adopted.unwrap().is_shared(), "the reader keeps its");
     }

@@ -146,18 +146,8 @@ pub struct ProcCtx {
     grant_vc: VectorClock,
     notices_since_barrier: u64,
     /// See [`ExchangeScratch`]; detached around each round of fetches and
-    /// each interval close.  Declared, and so dropped, before
-    /// `byte_scratch`, with the close's buffers first: the byte buffer
-    /// dropped first and the close's buffers last measured a 0.5 MiB higher
-    /// peak resident set on the lock-heavy benchmark workload, whose cells
-    /// reuse one heap one after another.
+    /// each interval close.
     exchange: ExchangeScratch,
-    /// Reusable byte staging buffer for the typed accessors in `handle.rs`.
-    /// Lives on the context (taken/restored around each access) rather than
-    /// in a thread-local: every simulated processor shares one host thread,
-    /// so a thread-local scratch would be re-entered across suspension
-    /// points.
-    byte_scratch: Vec<u8>,
     marked_end_ns: Option<u64>,
 }
 
@@ -202,23 +192,8 @@ impl ProcCtx {
             grant_vc: VectorClock::default(),
             notices_since_barrier: 0,
             exchange: ExchangeScratch::default(),
-            byte_scratch: Vec::new(),
             marked_end_ns: None,
         }
-    }
-
-    /// Detach the reusable byte staging buffer (see `byte_scratch`); the
-    /// caller must hand it back with
-    /// [`restore_byte_scratch`](Self::restore_byte_scratch).
-    pub(crate) fn take_byte_scratch(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.byte_scratch)
-    }
-
-    /// Return the byte staging buffer taken by
-    /// [`take_byte_scratch`](Self::take_byte_scratch), keeping its capacity
-    /// for the next access.
-    pub(crate) fn restore_byte_scratch(&mut self, buf: Vec<u8>) {
-        self.byte_scratch = buf;
     }
 
     // ------------------------------------------------------------------
@@ -268,39 +243,102 @@ impl ProcCtx {
 
     /// Read `dst.len()` bytes of shared memory starting at `addr`.
     pub async fn read_bytes(&mut self, addr: GlobalAddr, dst: &mut [u8]) {
-        self.charge_access(dst.len());
-        self.ensure_valid_range(addr, dst.len() as u64, false).await;
-        let ProcCtx { store, stats, .. } = self;
-        store.read(addr, dst, |exch, bytes| {
-            if let Some(e) = stats.exchanges.get_mut(exch as usize) {
-                e.useful_payload += bytes;
-            }
+        self.access(addr, dst.len(), false).await;
+        let mut at = 0;
+        self.read_with(addr, dst.len(), |bytes| {
+            dst[at..at + bytes.len()].copy_from_slice(bytes);
+            at += bytes.len();
         });
-        self.observe_access(addr, dst, AccessKind::Read);
     }
 
     /// Write `src` to shared memory starting at `addr`.
     pub async fn write_bytes(&mut self, addr: GlobalAddr, src: &[u8]) {
-        self.charge_access(src.len());
-        self.ensure_valid_range(addr, src.len() as u64, true).await;
-        self.store.write(addr, src);
-        if self.protocol.is_home_based() {
-            // Write-through to the master copy at the *home*; the observer
-            // hears of the write as this client rank's alone — the home's
-            // memory changing is an artifact of the protocol, not a program
-            // access.
-            self.write_through_home(addr, src);
-        }
-        self.observe_access(addr, src, AccessKind::Write);
+        self.access(addr, src.len(), true).await;
+        let mut at = 0;
+        self.write_with(addr, src.len(), |bytes| {
+            bytes.copy_from_slice(&src[at..at + bytes.len()]);
+            at += bytes.len();
+        });
     }
 
-    /// Report a served shared access to the run's observer, if any.
-    fn observe_access(&self, addr: GlobalAddr, bytes: &[u8], kind: AccessKind) {
-        if let Some(observer) = &self.shared.sync.observer {
-            let benign = self.benign_race_depth > 0;
-            observer
-                .borrow_mut()
-                .access(self.rank.0, addr.offset(), bytes, kind, benign);
+    /// Charge an access of `len` bytes at `addr` and make every page of it
+    /// valid for it: the first half of every shared access, before
+    /// [`read_with`](Self::read_with) or [`write_with`](Self::write_with).
+    /// (Kept apart from them so that the awaited part is one
+    /// non-generic future: folded into a generic one, an element's access
+    /// measured about 30 % slower.)
+    pub(crate) async fn access(&mut self, addr: GlobalAddr, len: usize, for_write: bool) {
+        self.charge_access(len);
+        self.ensure_valid_range(addr, len as u64, for_write).await;
+    }
+
+    /// The read path, over a range [`access`](Self::access) made valid:
+    /// hand `each` the page's bytes of every page segment of the `len`
+    /// bytes at `addr`, in address order, with nothing copied.  Delivered
+    /// words read for the first time are credited to their exchange, and
+    /// the observer hears of every segment.
+    pub(crate) fn read_with(&mut self, addr: GlobalAddr, len: usize, mut each: impl FnMut(&[u8])) {
+        let (store, stats) = (&mut self.store, &mut self.stats);
+        let mut observer = self.shared.sync.observer.as_ref().map(|o| o.borrow_mut());
+        let benign = self.benign_race_depth > 0;
+        for (page, offset, piece) in self.layout.segments(addr, len) {
+            debug_assert!(
+                self.prot[page.index()] & PROT_INVALID == 0,
+                "a read of an invalid page"
+            );
+            let bytes = store
+                .page_mut(page)
+                .read_in_place(offset, piece.len(), |exch, words| {
+                    if let Some(e) = stats.exchanges.get_mut(exch as usize) {
+                        e.useful_payload += u64::from(words) * WORD_SIZE as u64;
+                    }
+                });
+            if let Some(observer) = &mut observer {
+                let at = addr.add(piece.start as u64).offset();
+                observer.access(self.rank.0, at, bytes, AccessKind::Read, benign);
+            }
+            each(bytes);
+        }
+    }
+
+    /// The write path, over a range [`access`](Self::access) made valid:
+    /// `fill` writes every byte of each page segment of the `len` bytes at
+    /// `addr`, in address order, straight into the page.  A segment of a page homed here under the home-based
+    /// protocol is written through to the master copy, at no modeled cost
+    /// (that is why the home needs no twin; whole pages copied at close
+    /// would revert concurrently flushed diffs).  The observer hears of
+    /// every segment as this rank's write alone.
+    pub(crate) fn write_with(
+        &mut self,
+        addr: GlobalAddr,
+        len: usize,
+        mut fill: impl FnMut(&mut [u8]),
+    ) {
+        let shared = &self.shared;
+        // Borrowed only when a segment lands on a page homed here: this is
+        // every shared write's path.
+        let mut masters = None;
+        let mut observer = shared.sync.observer.as_ref().map(|o| o.borrow_mut());
+        let benign = self.benign_race_depth > 0;
+        for (page, offset, piece) in self.layout.segments(addr, len) {
+            debug_assert!(
+                self.prot[page.index()] & (PROT_INVALID | PROT_DIRTY) == PROT_DIRTY,
+                "a write outside the interval's write set"
+            );
+            let bytes = self
+                .store
+                .page_mut(page)
+                .write_in_place(offset, piece.len());
+            fill(bytes);
+            if self.protocol.is_home_based() && round_robin_home(page, self.nprocs) == self.rank.0 {
+                masters
+                    .get_or_insert_with(|| shared.home().borrow_mut())
+                    .write_through(page, offset, bytes);
+            }
+            if let Some(observer) = &mut observer {
+                let at = addr.add(piece.start as u64).offset();
+                observer.access(self.rank.0, at, bytes, AccessKind::Write, benign);
+            }
         }
     }
 
@@ -333,27 +371,6 @@ impl ProcCtx {
             "end_benign_race without a matching begin_benign_race"
         );
         self.benign_race_depth -= 1;
-    }
-
-    /// Home-based protocol: the home's own writes go straight into the
-    /// master copy (that is why the home needs no twin).  Word-granular
-    /// write-through — copying whole pages at interval close instead would
-    /// revert concurrently flushed remote diffs on falsely shared pages.
-    /// Free of modeled cost: the master copy *is* the home's memory.
-    ///
-    /// This sits on the simulator's hottest path (every shared write), so
-    /// it borrows the master copies only when a segment actually lands in
-    /// them.
-    fn write_through_home(&mut self, addr: GlobalAddr, src: &[u8]) {
-        let home = self.shared.home();
-        let mut masters = None;
-        for (page, off, piece) in self.layout.segments(addr, src.len()) {
-            if self.home_of(page) == Some(self.rank.0) {
-                masters
-                    .get_or_insert_with(|| home.borrow_mut())
-                    .write_through(page, off, &src[piece]);
-            }
-        }
     }
 
     /// The hit path: check the protection table for every page of the

@@ -165,25 +165,31 @@ impl Diff {
         packed(&mut self.payload).clear();
     }
 
-    /// The shared page snapshot, when this diff rewrites the *entire* page
-    /// out of one: a single run at offset 0 covering every byte of a
-    /// `Payload::Page` image.  Receivers then adopt the snapshot
-    /// wholesale instead of copying the page — their contents after
-    /// adoption are bit-identical to an [`apply`](Self::apply), because the
-    /// lone run *is* the image.
+    /// The page image this diff borrows, if it borrows one.
     #[inline]
-    pub fn whole_page_shared_image(&self) -> Option<&Image> {
+    pub fn image(&self) -> Option<&Image> {
         match &self.payload {
-            Payload::Page(image) if self.covers_page(image.len()) => Some(image),
-            _ => None,
+            Payload::Page(image) => Some(image),
+            Payload::Packed(_) => None,
         }
     }
 
-    /// True if the diff rewrites every byte of a `page_len`-byte page: a
-    /// single run at offset 0 of the page's length.
-    #[inline]
-    pub fn covers_page(&self, page_len: usize) -> bool {
-        self.payload_words() * WORD_SIZE == page_len
+    /// The page image this diff borrows, if `page` already holds that
+    /// image's bytes on every word the diff does not write: a page that
+    /// adopts it shows exactly what [`apply`](Self::apply) would leave.  A
+    /// diff that writes every word agrees with any page; otherwise only the
+    /// words off the mask are compared — run by run, up to the page's last
+    /// word past a trimmed mask, stopping at the first run that differs.
+    pub(crate) fn image_over(&self, page: &[u8]) -> Option<&Image> {
+        let image = self.image()?;
+        debug_assert_eq!(image.len(), page.len(), "a diff of another page size");
+        let words = image.len() / WORD_SIZE;
+        let untouched = self.mask.iter().map(|m| !m).chain(std::iter::repeat(!0));
+        let agrees = BitRuns::new(untouched.take(words.div_ceil(64))).all(|(lo, hi)| {
+            let (lo, hi) = (lo * WORD_SIZE, hi.min(words) * WORD_SIZE);
+            lo >= hi || page[lo..hi] == image[lo..hi]
+        });
+        agrees.then_some(image)
     }
 
     /// Iterate over the runs as `(page byte offset, payload bytes)` pairs.
@@ -618,10 +624,10 @@ mod tests {
         let at = image.as_ptr();
         let mut diff = Diff::empty(PageId(0));
         diff.rebuild_from_compare(PageId(0), &image, &[0; 64]);
-        assert!(diff.whole_page_shared_image().is_some());
+        assert!(diff.image().is_some());
         drop(image);
         diff.clear();
-        assert!(diff.is_empty() && diff.whole_page_shared_image().is_none());
+        assert!(diff.is_empty() && diff.image().is_none());
         assert_eq!(zero.pooled(), 1);
         let next = zero.filled(&[0; 64]);
         assert_eq!(next.as_ptr(), at, "the diff held its image last");
@@ -749,7 +755,6 @@ mod tests {
             );
             prop_assert_eq!(reference.wire_bytes(), diff.wire_bytes());
             prop_assert_eq!(diff.is_empty(), scanned.is_empty());
-            prop_assert_eq!(diff.covers_page(len), payload == len);
             prop_assert_eq!(&diff, &reference);
         }
     }

@@ -3,8 +3,8 @@
 //! The multiple-writer protocol makes and drops page images all the time: a
 //! dense diff borrows its writer's image (see
 //! [`Diff::rebuild_from_compare`](crate::Diff::rebuild_from_compare)),
-//! readers adopt it whole, and the writer's next store into a shared image
-//! needs a fresh one.  A twin is the page's image too: it shares the image
+//! readers adopt it wherever they already agree with it, and the writer's
+//! next store into a shared image needs a fresh one.  A twin is the page's image too: it shares the image
 //! at the interval's first write, and the page detaches from it.  An
 //! [`Image`] is an `Rc`-shared image plus a handle to the pool it came
 //! from.  Whoever drops it last — a page, a twin, a diff, a retirement —
@@ -48,17 +48,19 @@ impl Image {
     /// Panics if `src` is not as long as this image.
     pub fn filled(&self, src: &[u8]) -> Image {
         assert_eq!(src.len(), self.len(), "an image holds one page");
-        let pool = Rc::clone(&self.pool);
-        let pooled = pool.borrow_mut().pop();
-        let Some(bytes) = pooled else {
-            return Image {
-                bytes: Rc::from(src),
-                pool,
-            };
-        };
-        let mut image = Image { bytes, pool };
+        let mut image = self.blank();
         image.written().copy_from_slice(src);
         image
+    }
+
+    /// An unshared image of this image's length for a caller that
+    /// overwrites every byte of it: taken from the pool as its last holder
+    /// left it, or allocated zeroed when the pool is empty.
+    pub(crate) fn blank(&self) -> Image {
+        let pool = Rc::clone(&self.pool);
+        let pooled = pool.borrow_mut().pop();
+        let bytes = pooled.unwrap_or_else(|| std::iter::repeat_n(0, self.len()).collect());
+        Image { bytes, pool }
     }
 
     /// Whether another holder shares this image.  (A plain load: no image is

@@ -216,7 +216,8 @@ mod proptests {
         /// borrow the page image) and once eagerly from a twin copy
         /// ([`Diff::create`]) — and both must encode the same runs, apply to
         /// the same bytes, and deliver identically through `apply_diff` (and
-        /// its whole-page adoption), `deliver` and the recycled-diff path.
+        /// its adoption of a borrowed image), `deliver` and the
+        /// recycled-diff path.
         /// Published diffs are retired pseudo-randomly between intervals so
         /// the owning page flips between shared and uniquely-owned images,
         /// exercising the detach ("copy" of copy-on-next-write) of a twin

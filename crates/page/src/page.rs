@@ -86,7 +86,7 @@ impl Delivered {
 /// the first write of an interval, [`ensure_twin`](Self::ensure_twin) shares
 /// the page image instead of copying it, and the first store after it pays
 /// the copy as an ordinary detach — or, when it rewrites the whole page,
-/// builds the new image straight from the source and never copies at all.
+/// writes into a pooled image as it is and never copies at all.
 /// The write path therefore does not know whether a twin is live.  At
 /// interval close, [`make_diff_into`](Self::make_diff_into) compares page
 /// and twin once and encodes the words that differ: the TreadMarks twin and
@@ -98,10 +98,11 @@ impl Delivered {
 /// [`Diff::rebuild_from_compare`]).  Any later mutation detaches it first,
 /// as the twin's does.  A [`PageStore`]'s page starts on the store's all-zero
 /// image, shared, so the same rules give it its first image of its own: a
-/// read reads zeros, a whole-page delivery adopts the diff's image, and the
-/// first store detaches.  Every image a page builds — a detach or a
-/// whole-page store into a shared image — comes from the pool of the image
-/// it replaces, and goes back there on its last drop.
+/// read reads zeros, a delivery adopts the diff's image where the page
+/// already agrees with it, and the first store detaches.  Every image a
+/// page builds — a detach or a whole-page store into a shared image — comes
+/// from the pool of the image it replaces, and goes back there on its last
+/// drop.
 #[derive(Debug)]
 pub struct LocalPage {
     data: Image,
@@ -170,24 +171,15 @@ impl LocalPage {
         self.twin.is_some()
     }
 
-    /// Mutable access to the page image, detaching (copying) it first if a
-    /// twin, a published diff or a reader still shares it — the "copy" of
-    /// copy-on-next-write.  Loops establish uniqueness once and keep the
-    /// slice.
-    fn data_mut(&mut self) -> &mut [u8] {
-        self.data.detached()
-    }
-
-    /// Replace the whole image with `src`.  When the current image is still
-    /// shared (with a twin, a published diff or a reader), the new image is
-    /// built straight from `src` — the detach copy a partial write would pay
-    /// never happens.
-    fn replace_data(&mut self, src: &[u8]) {
+    /// The whole page image for a caller that overwrites every byte of it.
+    /// When the current image is still shared (with a twin, a published
+    /// diff or a reader), the page takes a pooled image as it is instead —
+    /// the detach copy a partial write would pay never happens.
+    fn overwritten(&mut self) -> &mut [u8] {
         if self.data.is_shared() {
-            self.data = self.data.filled(src);
-        } else {
-            self.data.written().copy_from_slice(src);
+            self.data = self.data.blank();
         }
+        self.data.written()
     }
 
     /// Current contents of the page.
@@ -239,37 +231,58 @@ impl LocalPage {
         self.twin = None;
     }
 
-    /// Write `src` at byte `offset`.  Any delivered-but-unread words covered
-    /// by the write lose their attribution: the paper counts them as useless
-    /// data ("overwritten before being read").
+    /// Write `src` at byte `offset` (see
+    /// [`write_in_place`](Self::write_in_place)).
     pub fn write_bytes(&mut self, offset: usize, src: &[u8]) {
-        let end = offset + src.len();
-        assert!(end <= self.data.len(), "write outside page bounds");
-        if src.is_empty() {
-            return;
-        }
-        if offset == 0 && end == self.data.len() {
-            self.replace_data(src);
-        } else {
-            copy_bytes(&mut self.data_mut()[offset..end], src);
-        }
-        self.take_words(offset / WORD_SIZE, (end - 1) / WORD_SIZE, |_, _| {});
+        copy_bytes(self.write_in_place(offset, src.len()), src);
     }
 
-    /// Read `dst.len()` bytes at byte `offset` into `dst`.  For every covered
+    /// The `len` bytes at byte `offset`, for a store that overwrites every
+    /// one of them.  Any delivered-but-unread words they cover lose their
+    /// attribution: the paper counts them as useless data ("overwritten
+    /// before being read").  The image is detached first if anything else
+    /// holds it, except for a whole-page store, which gets a pooled image
+    /// as it is.
+    #[inline]
+    pub fn write_in_place(&mut self, offset: usize, len: usize) -> &mut [u8] {
+        let end = offset + len;
+        assert!(end <= self.data.len(), "write outside page bounds");
+        if len == 0 {
+            return &mut [];
+        }
+        self.take_words(offset / WORD_SIZE, (end - 1) / WORD_SIZE, |_, _| {});
+        if len == self.data.len() {
+            self.overwritten()
+        } else {
+            &mut self.data.detached()[offset..end]
+        }
+    }
+
+    /// Read `dst.len()` bytes at byte `offset` into `dst` (see
+    /// [`read_in_place`](Self::read_in_place)).
+    pub fn read_bytes(&mut self, offset: usize, dst: &mut [u8], on_useful: impl FnMut(u32, u32)) {
+        copy_bytes(dst, self.read_in_place(offset, dst.len(), on_useful));
+    }
+
+    /// The `len` bytes at byte `offset`, for a load.  For every covered
     /// word that still carries a delivery attribution, the word counts as
     /// read-before-overwritten (⇒ useful data) and the attribution is
     /// cleared so the word is only credited once.  `on_useful(exchange,
     /// words)` is invoked once per exchange with words in the range, in no
     /// particular order: per-exchange word totals are what a per-word
     /// callback would sum.
-    pub fn read_bytes(&mut self, offset: usize, dst: &mut [u8], on_useful: impl FnMut(u32, u32)) {
-        let end = offset + dst.len();
+    pub fn read_in_place(
+        &mut self,
+        offset: usize,
+        len: usize,
+        on_useful: impl FnMut(u32, u32),
+    ) -> &[u8] {
+        let end = offset + len;
         assert!(end <= self.data.len(), "read outside page bounds");
-        copy_bytes(dst, &self.data[offset..end]);
-        if !dst.is_empty() {
+        if len > 0 {
             self.take_words(offset / WORD_SIZE, (end - 1) / WORD_SIZE, on_useful);
         }
+        &self.data[offset..end]
     }
 
     /// Replace the whole page with `src` — the home-based protocol's
@@ -284,27 +297,26 @@ impl LocalPage {
     pub fn load_page(&mut self, src: &[u8], exchange: u32) {
         assert_eq!(src.len(), self.data.len(), "src must be one page");
         debug_assert!(!self.twinned(), "delivery onto a twinned page");
-        self.replace_data(src);
+        self.overwritten().copy_from_slice(src);
         self.attribute_page(exchange);
     }
 
     /// Apply a diff received from another processor — how the newest
     /// member of a [`deliver`](Self::deliver)ed round lands.  Every word the
     /// diff overwrites is attributed to `exchange`, or left unattributed for
-    /// [`NO_EXCHANGE`] (a delivery that crossed no wire).  A whole-page
-    /// shared image is adopted by reference (the next local write detaches
-    /// as usual).
+    /// [`NO_EXCHANGE`] (a delivery that crossed no wire).  A diff that
+    /// borrows its writer's image lands by adopting that image by reference
+    /// when the page already holds its bytes on every word the diff does
+    /// not write — a whole-page diff always does — and the next local
+    /// write detaches as usual.  Otherwise the diff's runs overwrite the
+    /// page.
     pub fn apply_diff(&mut self, diff: &Diff, exchange: u32) {
         debug_assert!(!self.twinned(), "delivery onto a twinned page");
-        if !diff.covers_page(self.data.len()) {
-            diff.apply(self.data_mut());
-            return self.attribute(exchange, diff.mask());
-        }
-        match diff.whole_page_shared_image() {
+        match diff.image_over(&self.data) {
             Some(image) => self.data = image.clone(),
-            None => self.replace_data(diff.runs().next().expect("one span, one run").1),
+            None => diff.apply(self.data.detached()),
         }
-        self.attribute_page(exchange);
+        self.attribute(exchange, diff.mask());
     }
 
     /// Every mask the page holds.
@@ -453,8 +465,10 @@ impl LocalPage {
     /// as the newest member's changed-word mask, so the memory traffic is
     /// the union of the payloads, not their sum, and a member wholly under
     /// newer ones costs one pass over its mask.  The newest then lands
-    /// through [`apply_diff`](Self::apply_diff).  Page bytes,
-    /// attribution and whole-page adoption are exactly those of
+    /// through [`apply_diff`](Self::apply_diff), adopting its image if the
+    /// page agrees with it off its words — as in a single writer's round,
+    /// whose older members paint only words the writer's image already
+    /// holds.  Page bytes, attribution and adoption are exactly those of
     /// `apply_diff` of every member, oldest first.
     ///
     /// `cover` is caller scratch (contents ignored and clobbered), kept
@@ -469,8 +483,8 @@ impl LocalPage {
         let Some((newest, exchange)) = round.next() else {
             return;
         };
-        // An empty newest member would leave an older whole-page image
-        // visible everywhere, to be painted where `apply_diff` adopts it.
+        // An empty newest member would leave an older member's image
+        // visible, to be painted where `apply_diff` adopts it.
         debug_assert!(!newest.is_empty(), "a published diff writes a word");
         let mut older = round.peekable();
         if older.peek().is_some() {
@@ -570,6 +584,7 @@ impl PageStore {
     }
 
     /// Get the page, materializing it over the zero image on its first use.
+    #[inline]
     pub fn page_mut(&mut self, page: PageId) -> &mut LocalPage {
         let idx = page.index();
         assert!(idx < self.pages.len(), "page {page} outside layout");
@@ -754,7 +769,7 @@ mod tests {
         writer.write_bytes(0, &image);
         let published = writer.make_diff(PageId(0)).unwrap();
         writer.drop_twin();
-        assert!(published.whole_page_shared_image().is_some());
+        assert!(published.image().is_some());
         assert!(writer.data.is_shared(), "diff borrows the image");
         (writer, published, image)
     }
@@ -776,14 +791,14 @@ mod tests {
     fn a_twin_over_a_shared_image_and_over_an_owned_one_is_a_snapshot() {
         let (mut page, published, image) = page_sharing_its_image_with_a_published_diff();
         page.ensure_twin();
-        let shared = published.whole_page_shared_image().unwrap().as_ptr();
+        let shared = published.image().unwrap().as_ptr();
         assert_eq!(page.twin.as_ref().unwrap().as_ptr(), shared);
         page.write_bytes(8, &[0; 8]);
         let over_shared = page.make_diff(PageId(0)).unwrap();
         page.drop_twin();
         // Dropping the twin let go of the snapshot: the published diff holds
         // the pre-interval image alone, so its last drop pools it.
-        assert!(!published.whole_page_shared_image().unwrap().is_shared());
+        assert!(!published.image().unwrap().is_shared());
         drop(published);
 
         // Nothing shares the (detached) image any more: the twin shares the
@@ -1099,7 +1114,7 @@ mod tests {
     /// reach a run's statistics.
     fn observe(page: &mut LocalPage, diffs: &[&(Arc<Diff>, u32)]) -> Observed {
         let adopted = diffs.iter().any(|(d, _)| {
-            d.whole_page_shared_image()
+            d.image()
                 .is_some_and(|image| image.as_ptr() == page.data.as_ptr())
         });
         let (pending, bytes) = (page.pending_attributions(), page.bytes().to_vec());
@@ -1169,11 +1184,50 @@ mod tests {
 
     /// The words a generated diff writes on a page of `words` words: one
     /// run (shape 0) of `len` words from `start`, every `stride`th word
-    /// from `start`, `len` of them (shape 1), or the whole page (shape 2).
+    /// from `start`, `len` of them (shape 1), the whole page (shape 2), the
+    /// whole page but a hole of up to eight words at `start` (shape 3), or
+    /// a prefix of at least half the page that ends `len` words early
+    /// (shape 4).  Shapes 2–4 are dense, so a close's diff of them borrows
+    /// the writer's image, and shape 4's mask stops short of a large page's
+    /// last block.
     type Words = (u8, usize, usize, usize);
 
     fn words() -> impl Strategy<Value = Words> {
-        (0u8..3, 0usize..1024, 1usize..300, 1usize..9)
+        (0u8..5, 0usize..1024, 1usize..300, 1usize..9)
+    }
+
+    /// The words `shape` marks on a page of `words` words (see [`Words`]).
+    fn marked(words: usize, (shape, start, len, stride): Words) -> Vec<bool> {
+        let start = start % words;
+        let mut marks = vec![false; words];
+        match shape {
+            0 => marks[start..(start + len).min(words)].fill(true),
+            1 => (start..words)
+                .step_by(stride)
+                .take(len)
+                .for_each(|w| marks[w] = true),
+            2 => marks.fill(true),
+            3 => {
+                marks.fill(true);
+                marks[start..(start + len % 8 + 1).min(words)].fill(false);
+            }
+            _ => marks[..words.saturating_sub(len).max(words.div_ceil(2))].fill(true),
+        }
+        marks
+    }
+
+    /// The diff of one interval of `writer` that writes exactly the words
+    /// `marks` sets, word `w` to `stamp << 16 | w` — a value it never held
+    /// if every interval has a stamp of its own.
+    fn interval(writer: &mut LocalPage, marks: &[bool], stamp: u32) -> Arc<Diff> {
+        writer.ensure_twin();
+        for w in (0..marks.len()).filter(|&w| marks[w]) {
+            let value = stamp << 16 | w as u32;
+            writer.write_bytes(w * WORD_SIZE, &value.to_le_bytes());
+        }
+        let diff = writer.make_diff(PageId(0)).unwrap();
+        writer.drop_twin();
+        Arc::new(diff)
     }
 
     /// An exchange: [`NO_EXCHANGE`] or one of three ids.
@@ -1243,6 +1297,128 @@ mod tests {
             }
             masks
         }
+
+        /// Whether `page`, whose reads credited `credited`, classifies as
+        /// this model does: the same credit, pending count and one mask per
+        /// exchange with words, setting exactly those words.
+        fn check(&self, page: &LocalPage, credited: &BTreeMap<u32, u64>) -> Result<(), String> {
+            if *credited != self.credited {
+                return Err(format!(
+                    "credited {credited:?}, per word {:?}",
+                    self.credited
+                ));
+            }
+            let pending = self.attr.iter().filter(|&&a| a != NO_EXCHANGE).count();
+            if page.pending_attributions() != pending {
+                return Err(format!(
+                    "{} pending, per word {pending}",
+                    page.pending_attributions()
+                ));
+            }
+            let mut masks = BTreeMap::new();
+            for mask in page.masks() {
+                if masks.insert(mask.exchange, mask.bits).is_some() {
+                    return Err(format!("two masks of exchange {}", mask.exchange));
+                }
+            }
+            let want = self.masks();
+            if masks != want {
+                return Err(format!("masks {masks:?}, per word {want:?}"));
+            }
+            Ok(())
+        }
+    }
+
+    /// One step of `an_adopted_image_lands_what_a_copy_apply_lands`: a
+    /// round of one or more diffs, oldest first, each the next interval of
+    /// writer 0 or 1 with its exchange; or a local store or load of (up to)
+    /// `len` bytes at byte `offset`.
+    #[derive(Debug, Clone)]
+    enum Land {
+        Round(Vec<(usize, Words, u32)>),
+        Write(usize, usize),
+        Read(usize, usize),
+    }
+
+    fn land() -> impl Strategy<Value = Land> {
+        let fields = (
+            prop::collection::vec((0usize..2, words(), exchange()), 1..4),
+            (0usize..4096, 1usize..600),
+        );
+        (0u8..4, fields).prop_map(|(kind, (round, (offset, len)))| match kind {
+            0 | 1 => Land::Round(round),
+            2 => Land::Write(offset, len),
+            _ => Land::Read(offset, len),
+        })
+    }
+
+    /// Whether `page` shows `diff`'s borrowed image itself.
+    fn shows(page: &LocalPage, diff: &Diff) -> bool {
+        diff.image()
+            .is_some_and(|image| image.as_ptr() == page.data.as_ptr())
+    }
+
+    #[test]
+    fn a_page_adopts_an_image_exactly_where_it_already_agrees() {
+        const WORDS: usize = 100;
+        let zero = Image::zeroed(WORDS * WORD_SIZE);
+        let page = || LocalPage::showing(zero.clone());
+        let (mut reader, mut a, mut b) = (page(), page(), page());
+        let all_but = |hole: std::ops::Range<usize>| {
+            let mut marks = [true; WORDS];
+            marks[hole].fill(false);
+            marks
+        };
+        // A first touch over the zero image adopts a near-whole diff whose
+        // writer never wrote the hole: zeros agree with zeros.
+        let first = interval(&mut a, &all_but(10..12), 1);
+        reader.apply_diff(&first, 1);
+        assert!(shows(&reader, &first), "a first touch copied");
+        assert_eq!(reader.pending_attributions(), WORDS - 2);
+
+        // A single-writer round adopts: its older members paint only words
+        // the newest image holds too.
+        let mut cover = Vec::new();
+        let older = interval(&mut a, &all_but(0..90), 2);
+        let newest = interval(&mut a, &all_but(90..100), 3);
+        reader.deliver([(&newest, 3), (&older, 2)], &mut cover);
+        assert!(shows(&reader, &newest), "a single writer's round copied");
+        assert_eq!(reader.bytes(), a.bytes());
+
+        // A concurrent writer's words are not in `a`'s image: a round with
+        // one of them under `a`'s newest falls back to copying.
+        let other = interval(&mut b, &all_but(4..100), 4);
+        let next = interval(&mut a, &all_but(0..8), 5);
+        reader.deliver([(&next, 5), (&other, 4)], &mut cover);
+        assert!(!shows(&reader, &next), "a concurrent round adopted");
+        let mut want = a.bytes().to_vec();
+        want[..4 * WORD_SIZE].copy_from_slice(&b.bytes()[..4 * WORD_SIZE]);
+        assert_eq!(reader.bytes(), &want[..]);
+
+        // A mask that stops short of the page's last block still has every
+        // word past it compared: a reader whose last word differs copies.
+        let mut big = (LocalPage::new_zeroed(1024), LocalPage::new_zeroed(1024));
+        let mut prefix = [false; 256];
+        prefix[..150].fill(true);
+        let trimmed = interval(&mut big.0, &prefix, 6);
+        assert!(trimmed.image().is_some() && trimmed.mask().len() < 4);
+        big.1.write_bytes(1020, &[1; 4]);
+        big.1.apply_diff(&trimmed, 6);
+        assert!(
+            !shows(&big.1, &trimmed),
+            "a word past a trimmed mask went unchecked"
+        );
+        assert_eq!(big.1.bytes()[1020..], [1; 4]);
+
+        // A local store after an adoption detaches the reader; the diff and
+        // its writer keep their bytes.
+        reader.apply_diff(&interval(&mut a, &all_but(0..0), 7), 7);
+        let adopted = a.bytes().to_vec();
+        reader.write_bytes(40, &[9; 4]);
+        assert_eq!(
+            (a.bytes(), &reader.bytes()[40..44]),
+            (&adopted[..], &[9; 4][..])
+        );
     }
 
     proptest! {
@@ -1281,7 +1457,7 @@ mod tests {
                         let (diff, exchange) = writer.next((3, (0, 1), 1, false));
                         page.apply_diff(&diff, exchange);
                         diff.apply(&mut mirror);
-                        diff.whole_page_shared_image().map(|image| image.as_ptr())
+                        diff.image().map(|image| image.as_ptr())
                     }
                     // Deliver a round, which lands before the twin is taken.
                     2 => {
@@ -1528,7 +1704,8 @@ mod tests {
         }
 
         /// The masks classify every delivered word as the paper does, word
-        /// by word: under any mix of partial and whole-page applications,
+        /// by word: under any mix of partial, near-whole and whole-page
+        /// applications (a page-backed one adopted or copied),
         /// multi-member rounds, whole-page loads, reads and writes over
         /// three exchanges and [`NO_EXCHANGE`], on a 256 B and a 4 KiB page,
         /// each exchange is credited the words a per-word model credits it,
@@ -1550,23 +1727,10 @@ mod tests {
                 let mut stamp = 0u32;
                 // The next diff of `writer`, writing exactly the words of
                 // `shape`, each to a value it never held.
-                let mut next = |(shape, start, len, stride): Words| {
-                    let start = start % words;
-                    let mut marks = vec![false; words];
-                    match shape {
-                        0 => marks[start..(start + len).min(words)].fill(true),
-                        1 => (start..words).step_by(stride).take(len).for_each(|w| marks[w] = true),
-                        _ => marks.fill(true),
-                    }
+                let mut next = |shape: Words| {
+                    let marks = marked(words, shape);
                     stamp += 1;
-                    writer.ensure_twin();
-                    for w in (0..words).filter(|&w| marks[w]) {
-                        let value = stamp << 16 | w as u32;
-                        writer.write_bytes(w * WORD_SIZE, &value.to_le_bytes());
-                    }
-                    let diff = writer.make_diff(PageId(0)).unwrap();
-                    writer.drop_twin();
-                    (Arc::new(diff), marks)
+                    (interval(&mut writer, &marks, stamp), marks)
                 };
                 for (k, step) in steps.iter().enumerate() {
                     let range = |offset: usize, len: usize| {
@@ -1612,16 +1776,94 @@ mod tests {
                         }
                     }
                     prop_assert_eq!(page.bytes(), &mirror[..]);
-                    prop_assert!(credited == model.credited, "{page_size} B page, after {step:?}: credited {credited:?}, per word {:?}", model.credited);
-                    let pending = model.attr.iter().filter(|&&a| a != NO_EXCHANGE).count();
-                    prop_assert_eq!(page.pending_attributions(), pending);
-                    let mut masks = BTreeMap::new();
-                    for mask in page.masks() {
-                        prop_assert!(masks.insert(mask.exchange, mask.bits).is_none(), "two masks of one exchange");
-                    }
-                    let want = model.masks();
-                    prop_assert!(masks == want, "{page_size} B page, after {step:?}: masks {masks:?}, per word {want:?}");
+                    model.check(&page, &credited).map_err(|e| TestCaseError::fail(format!("{page_size} B page, after {step:?}: {e}")))?;
                 }
+            }
+        }
+
+        /// On a page of 2 to 1 024 words (so with partial last mask blocks
+        /// and masks that stop short of the last block), from its first
+        /// touch over the zero image on, every diff lands — applied alone or
+        /// as the newest of a round, from one writer or two concurrent ones,
+        /// between local stores and loads — exactly as a copy-apply of every
+        /// member in order lands it: the same bytes, credit, pending count
+        /// and masks.  The page shows the newest member's image itself
+        /// exactly when that member borrows one and the page already held
+        /// the image's bytes on every word the member does not write, and a
+        /// local store after an adoption changes no byte of the image.
+        #[test]
+        fn an_adopted_image_lands_what_a_copy_apply_lands(
+            words in 2usize..=1024,
+            steps in prop::collection::vec(land(), 1..24),
+        ) {
+            let len = words * WORD_SIZE;
+            let zero = Image::zeroed(len);
+            let mut page = LocalPage::showing(zero.clone());
+            let mut writers = [LocalPage::showing(zero.clone()), LocalPage::showing(zero.clone())];
+            let mut model = PerWord { attr: vec![NO_EXCHANGE; words], credited: BTreeMap::new() };
+            let (mut mirror, mut credited, mut cover) = (vec![0u8; len], BTreeMap::new(), Vec::new());
+            // The last image the page adopted, with its bytes then.
+            let mut adopted: Option<(Arc<Diff>, Vec<u8>)> = None;
+            let mut stamp = 0;
+            for step in &steps {
+                match step {
+                    Land::Round(members) => {
+                        let round: Vec<_> = members
+                            .iter()
+                            .map(|&(w, shape, exchange)| {
+                                let marks = marked(words, shape);
+                                stamp += 1;
+                                (interval(&mut writers[w], &marks, stamp), marks, exchange)
+                            })
+                            .collect();
+                        let (newest, older) = round.split_last().expect("a round has a member");
+                        for (diff, marks, exchange) in older {
+                            diff.apply(&mut mirror);
+                            model.deliver(marks, *exchange);
+                        }
+                        let (diff, marks, exchange) = newest;
+                        let agrees = diff.image().is_some_and(|image| {
+                            (0..words).filter(|&w| !marks[w]).all(|w| {
+                                let at = w * WORD_SIZE..(w + 1) * WORD_SIZE;
+                                mirror[at.clone()] == image[at]
+                            })
+                        });
+                        diff.apply(&mut mirror);
+                        model.deliver(marks, *exchange);
+                        if older.is_empty() {
+                            page.apply_diff(diff, *exchange);
+                        } else {
+                            page.deliver(round.iter().rev().map(|(d, _, e)| (d, *e)), &mut cover);
+                        }
+                        prop_assert!(shows(&page, diff) == agrees, "adopted: {}, agrees: {agrees}", !agrees);
+                        if agrees {
+                            adopted = Some((Arc::clone(diff), mirror.clone()));
+                        }
+                    }
+                    &Land::Write(offset, n) => {
+                        let offset = offset % len;
+                        let n = n.min(len - offset);
+                        let src = vec![0xA5; n];
+                        page.write_bytes(offset, &src);
+                        mirror[offset..offset + n].copy_from_slice(&src);
+                        model.take(offset / WORD_SIZE, (offset + n - 1) / WORD_SIZE, false);
+                        if let Some((diff, bytes)) = adopted.take() {
+                            prop_assert!(!shows(&page, &diff), "a store wrote into an adopted image");
+                            prop_assert_eq!(&diff.image().unwrap()[..], &bytes[..]);
+                        }
+                    }
+                    &Land::Read(offset, n) => {
+                        let offset = offset % len;
+                        let mut dst = vec![0u8; n.min(len - offset)];
+                        page.read_bytes(offset, &mut dst, |e, words| {
+                            *credited.entry(e).or_default() += words as u64
+                        });
+                        prop_assert_eq!(&dst[..], &mirror[offset..offset + dst.len()]);
+                        model.take(offset / WORD_SIZE, (offset + dst.len() - 1) / WORD_SIZE, true);
+                    }
+                }
+                prop_assert_eq!(page.bytes(), &mirror[..]);
+                model.check(&page, &credited).map_err(|e| TestCaseError::fail(format!("after {step:?}: {e}")))?;
             }
         }
 

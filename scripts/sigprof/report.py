@@ -7,8 +7,12 @@ debug info (the workspace's release profile has `debug = true`).
     scripts/sigprof/report.py <exe> target/run.out [rows] [--under FUNC] [--lines | --layers]
 
 Prints, as shares of the samples kept:
-  * categories — the three costs EXPERIMENTS.md tracks across PRs: allocator
-    time, `Arc` uniqueness checks, and the shared-access validity check;
+  * categories — the four costs EXPERIMENTS.md tracks across PRs, every row
+    always, in a fixed order: allocator time, `Arc` uniqueness checks, the
+    shared-access validity check, and page-byte copies (time in libc —
+    memcpy, memcmp, memset; libc is not symbolised — called from `tm_page`
+    or from the typed accessors in `tdsm_core::handle`, outside the
+    allocator);
   * self time charged to the nearest function that is not std/core/alloc
     (inlined std helpers are folded into their caller; `libc<-f` is time in
     libc called from `f`, i.e. memcpy/memset/malloc);
@@ -123,8 +127,14 @@ def chain(sample):
 ALLOCATOR = ('alloc_count', '__rust_alloc', '__rust_dealloc', '__rust_realloc', '__rdl_')
 UNIQUE = ('is_unique', 'Arc<..>::get_mut', 'Arc<..>::make_mut')
 VALIDITY = ('ensure_valid_range', 'pages_of_range', 'page_span', 'access_trap')
+COPIERS = ('tm_page::', 'tdsm_core::handle::')
+CATEGORIES = ('allocator (any frame under the global allocator)',
+              'Arc uniqueness check (is_unique / get_mut / make_mut)',
+              'shared-access validity check (ensure_valid_range and its page split)',
+              'page-byte copies (libc<- tm_page or tdsm_core::handle, outside the allocator)')
 LAYERS = ('tm_page', 'tdsm_core', 'tm_sched', 'tm_net', 'tm_apps', 'tm_bench', 'tm_benchmark', 'other')
-cats, owner, inclusive = collections.Counter(), collections.Counter(), collections.Counter()
+cats = collections.Counter({category: 0 for category in CATEGORIES})
+owner, inclusive = collections.Counter(), collections.Counter()
 layers = collections.Counter({layer: 0 for layer in LAYERS})
 by_file, by_line = collections.Counter(), collections.Counter()
 n = 0
@@ -143,11 +153,13 @@ for s in samples:
     for f in set(names):
         inclusive[f] += 1
     if any(k in f for f in names for k in ALLOCATOR):
-        cats['allocator (any frame under the global allocator)'] += 1
+        cats[CATEGORIES[0]] += 1
     elif any(k in f for f in names[:4] for k in UNIQUE):
-        cats['Arc uniqueness check (is_unique / get_mut / make_mut)'] += 1
+        cats[CATEGORIES[1]] += 1
     elif any(k in own for k in VALIDITY):
-        cats['shared-access validity check (ensure_valid_range and its page split)'] += 1
+        cats[CATEGORIES[2]] += 1
+    elif names[0] == '[libc]' and own.startswith(COPIERS):
+        cats[CATEGORIES[3]] += 1
 
 print(f'{n} samples' + (f' under {args.under} (of {len(samples)})' if args.under else ''))
 if not n:
@@ -157,7 +169,7 @@ if args.layers:
 elif args.lines:
     tables = (('self by file', by_file, rows), ('self by line', by_line, rows))
 else:
-    tables = (('categories', cats, len(cats)), ('self', owner, rows), ('inclusive', inclusive, rows))
+    tables = (('categories', cats, None), ('self', owner, rows), ('inclusive', inclusive, rows))
 for title, counter, k in tables:
     print(f'--- {title}')
     for name, count in (counter.items() if k is None else counter.most_common(k)):
