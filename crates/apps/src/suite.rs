@@ -263,7 +263,7 @@ pub fn paper_unit_policies() -> Vec<(String, UnitPolicy)> {
         UnitPolicy::Dynamic { max_group_pages: 4 },
     ]
     .into_iter()
-    .map(|unit| (unit.label(4096), unit))
+    .map(|unit| (unit.label(), unit))
     .collect()
 }
 

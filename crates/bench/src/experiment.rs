@@ -379,7 +379,7 @@ impl Experiment {
                 cells.push(cell(
                     args,
                     &w,
-                    &unit.label(4096),
+                    &unit.label(),
                     unit,
                     args.nprocs,
                     args.protocol,

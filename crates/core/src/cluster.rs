@@ -35,7 +35,9 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 use tm_net::{ClusterStats, NetworkState, ProcStats};
-use tm_page::{Align, GlobalAddr, HomeStore, Image, PageLayout, RegionAllocator};
+use tm_page::{
+    Align, GlobalAddr, HomeStore, Image, PageLayout, RegionAllocator, PAGE_SIZE, WORD_SIZE,
+};
 use tm_race::{FlatOracle, Observer, RaceDetector};
 
 use crate::config::DsmConfig;
@@ -132,8 +134,11 @@ impl Dsm {
             .expect("shared address space exhausted; raise DsmConfig::shared_pages")
     }
 
-    /// Allocate a shared array of `len` elements of `T`.
+    /// Allocate a shared array of `len` elements of `T`.  Its base is a
+    /// multiple of `T::BYTES` whatever `align` asks for, so no element
+    /// straddles a page (see [`GArray::from_raw`]).
     pub fn alloc_array<T: SharedVal>(&mut self, len: usize, align: Align) -> GArray<T> {
+        let align = Align::Bytes(align.bytes().max(T::BYTES));
         let base = self.alloc_bytes((len * T::BYTES) as u64, align);
         GArray::from_raw(base, len)
     }
@@ -145,10 +150,10 @@ impl Dsm {
         GMatrix::from_array(arr, rows, cols)
     }
 
-    /// Allocate a single shared scalar of `T`.
+    /// Allocate a single shared scalar of `T`, placed as a one-element
+    /// [`alloc_array`](Self::alloc_array).
     pub fn alloc_scalar<T: SharedVal>(&mut self, align: Align) -> GScalar<T> {
-        let base = self.alloc_bytes(T::BYTES as u64, align);
-        GScalar::from_raw(base)
+        GScalar::from_raw(self.alloc_array::<T>(1, align).base())
     }
 
     /// Run `body` on every simulated processor in parallel and collect the
@@ -177,8 +182,8 @@ impl Dsm {
             return self.run_inner(None, body);
         }
         let layout = self.run_layout();
-        let (pages, words) = (layout.total_pages(), layout.words_per_page());
-        let detector = RaceDetector::new(self.config.nprocs, pages, words);
+        let words = PAGE_SIZE / WORD_SIZE;
+        let detector = RaceDetector::new(self.config.nprocs, layout.total_pages(), words);
         let oracle = FlatOracle::new(layout.total_bytes() as usize);
         let (mut out, (mut detector, oracle)) = self.run_observed((detector, oracle), body);
         out.stats.races = detector.take_races();
@@ -232,7 +237,7 @@ impl Dsm {
                 .is_home_based()
                 .then(|| RefCell::new(HomeStore::new(layout))),
             net: RefCell::new(NetworkState::new(self.config.topology, nprocs)),
-            zero_image: Image::zeroed(layout.page_size()),
+            zero_image: Image::zeroed(),
         });
 
         let continuations = (0..nprocs)

@@ -1,7 +1,7 @@
 //! DSM configuration: cluster geometry and the consistency-unit policy.
 
 use tm_net::{AggregationPolicy, CostModel, Topology};
-use tm_page::{PageId, PageLayout};
+use tm_page::{PageId, PageLayout, PAGE_SIZE};
 use tm_sched::SchedConfig;
 
 use crate::protocol::ProtocolMode;
@@ -60,10 +60,10 @@ impl UnitPolicy {
     /// policies other than the paper's group size of 4 carry their size
     /// ("Dyn8"), so the points of the group-size ablation stay
     /// distinguishable.
-    pub fn label(&self, page_size: usize) -> String {
+    pub fn label(&self) -> String {
         match self {
             UnitPolicy::Static { pages } => {
-                format!("{}K", *pages as usize * page_size / 1024)
+                format!("{}K", *pages as usize * PAGE_SIZE / 1024)
             }
             UnitPolicy::Dynamic { max_group_pages: 4 } => "Dyn".to_string(),
             UnitPolicy::Dynamic { max_group_pages } => format!("Dyn{max_group_pages}"),
@@ -147,10 +147,6 @@ pub struct DsmConfig {
     /// statistic; only the emitted documents gain `races` when it is on.
     pub racecheck: bool,
 }
-
-/// Hardware page size in bytes of every run: 4096, as on the paper's
-/// platform.
-const PAGE_SIZE: usize = 4096;
 
 /// The largest simulated cluster [`DsmConfig::validate`] accepts; every
 /// entry point that takes a processor count (the command line, a result
@@ -299,9 +295,9 @@ impl DsmConfig {
             }
             _ => {}
         }
-        match PageLayout::try_new(PAGE_SIZE, self.shared_pages) {
+        match PageLayout::try_new(self.shared_pages) {
             Ok(_) => Ok(()),
-            Err((_, reason)) => fail("shared_pages", reason),
+            Err(reason) => fail("shared_pages", reason),
         }
     }
 }
@@ -334,18 +330,12 @@ mod tests {
 
     #[test]
     fn unit_labels() {
-        assert_eq!(UnitPolicy::Static { pages: 1 }.label(4096), "4K");
-        assert_eq!(UnitPolicy::Static { pages: 2 }.label(4096), "8K");
-        assert_eq!(UnitPolicy::Static { pages: 4 }.label(4096), "16K");
+        assert_eq!(UnitPolicy::Static { pages: 1 }.label(), "4K");
+        assert_eq!(UnitPolicy::Static { pages: 2 }.label(), "8K");
+        assert_eq!(UnitPolicy::Static { pages: 4 }.label(), "16K");
         // Only the paper's group size keeps the plain label.
-        assert_eq!(
-            UnitPolicy::Dynamic { max_group_pages: 4 }.label(4096),
-            "Dyn"
-        );
-        assert_eq!(
-            UnitPolicy::Dynamic { max_group_pages: 8 }.label(4096),
-            "Dyn8"
-        );
+        assert_eq!(UnitPolicy::Dynamic { max_group_pages: 4 }.label(), "Dyn");
+        assert_eq!(UnitPolicy::Dynamic { max_group_pages: 8 }.label(), "Dyn8");
     }
 
     #[test]
@@ -370,7 +360,7 @@ mod tests {
         let cfg = DsmConfig::paper_default();
         assert_eq!(cfg.validate(), Ok(()));
         assert_eq!(cfg.nprocs, 8);
-        assert_eq!(cfg.layout().page_size(), 4096);
+        assert_eq!(cfg.layout().total_bytes(), cfg.shared_pages as u64 * 4096);
     }
 
     #[test]

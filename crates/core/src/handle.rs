@@ -9,7 +9,7 @@
 
 use std::marker::PhantomData;
 
-use tm_page::GlobalAddr;
+use tm_page::{GlobalAddr, PAGE_SIZE};
 
 use crate::proc::ProcCtx;
 
@@ -57,7 +57,17 @@ pub struct GArray<T: SharedVal> {
 impl<T: SharedVal> GArray<T> {
     /// Create a handle over `len` elements starting at `base`.  Normally
     /// produced by [`Dsm::alloc_array`](crate::cluster::Dsm::alloc_array).
+    ///
+    /// # Panics
+    /// Panics unless `base` is a multiple of `T::BYTES` and `T::BYTES`
+    /// divides [`PAGE_SIZE`]: then no element straddles a page, so every
+    /// element is read and written in place, within one page.
     pub fn from_raw(base: GlobalAddr, len: usize) -> Self {
+        assert!(
+            base.offset().is_multiple_of(T::BYTES as u64) && PAGE_SIZE.is_multiple_of(T::BYTES),
+            "an array of {}-byte elements at {base}: its base must be a multiple of the element size, which must divide the {PAGE_SIZE}-byte page",
+            T::BYTES
+        );
         GArray {
             base,
             len,
@@ -89,20 +99,18 @@ impl<T: SharedVal> GArray<T> {
     /// Read element `i`.
     pub async fn get(&self, ctx: &mut ProcCtx, i: usize) -> T {
         assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
-        let (mut carry, mut value) = (Carry::default(), Slot(T::default()));
-        let at = self.addr(i);
+        let (at, mut value) = (self.addr(i), T::default());
         ctx.access(at, T::BYTES, false).await;
-        ctx.read_with(at, T::BYTES, |bytes| carry.decode(bytes, &mut value));
-        value.0
+        ctx.read_with(at, T::BYTES, |bytes| value = T::load(bytes));
+        value
     }
 
     /// Write element `i`.
     pub async fn set(&self, ctx: &mut ProcCtx, i: usize, v: T) {
         assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
-        let (mut carry, mut value) = (Carry::default(), &[v][..]);
         let at = self.addr(i);
         ctx.access(at, T::BYTES, true).await;
-        ctx.write_with(at, T::BYTES, |bytes| carry.encode(bytes, &mut value));
+        ctx.write_with(at, T::BYTES, |bytes| v.store(bytes));
     }
 
     /// Read `count` elements starting at `start` into a vector (one bulk
@@ -121,18 +129,26 @@ impl<T: SharedVal> GArray<T> {
         assert!(start + count <= self.len, "range out of bounds");
         out.clear();
         out.reserve(count);
-        let (mut carry, at, len) = (Carry::default(), self.addr(start), count * T::BYTES);
+        let (at, len) = (self.addr(start), count * T::BYTES);
         ctx.access(at, len, false).await;
-        ctx.read_with(at, len, |bytes| carry.decode::<T>(bytes, out));
+        ctx.read_with(at, len, |bytes| {
+            out.extend(bytes.chunks_exact(T::BYTES).map(T::load))
+        });
     }
 
     /// Write the elements of `values` starting at index `start` (one bulk
     /// shared access), encoded straight into the pages.
     pub async fn write_slice(&self, ctx: &mut ProcCtx, start: usize, mut values: &[T]) {
         assert!(start + values.len() <= self.len, "range out of bounds");
-        let (mut carry, at, len) = (Carry::default(), self.addr(start), values.len() * T::BYTES);
+        let (at, len) = (self.addr(start), values.len() * T::BYTES);
         ctx.access(at, len, true).await;
-        ctx.write_with(at, len, |bytes| carry.encode(bytes, &mut values));
+        ctx.write_with(at, len, |bytes| {
+            let (now, later) = values.split_at(bytes.len() / T::BYTES);
+            for (chunk, v) in bytes.chunks_exact_mut(T::BYTES).zip(now) {
+                v.store(chunk);
+            }
+            values = later;
+        });
     }
 
     /// Narrow the handle to a sub-range `[start, start + len)`.
@@ -142,85 +158,6 @@ impl<T: SharedVal> GArray<T> {
             base: self.addr(start),
             len,
             _marker: PhantomData,
-        }
-    }
-}
-
-/// The bytes of one element that straddles a page boundary — an 8-byte
-/// element at a word-aligned address — on its way between the access's page
-/// segments.  Every other element is decoded from, or encoded into, the page
-/// in place.
-#[derive(Default)]
-struct Carry {
-    bytes: [u8; 16],
-    /// Decoding: how many of the element's bytes are gathered.  Encoding:
-    /// how many of its bytes, at the end of its encoding, are still to be
-    /// written.
-    held: usize,
-}
-
-impl Carry {
-    /// Decode the elements of `segment`, the next page segment of a read,
-    /// into `out`, in order, completing an element the previous segment
-    /// began.
-    fn decode<T: SharedVal>(&mut self, mut segment: &[u8], out: &mut impl Extend<T>) {
-        if self.held > 0 {
-            let take = (T::BYTES - self.held).min(segment.len());
-            self.bytes[self.held..self.held + take].copy_from_slice(&segment[..take]);
-            (self.held, segment) = (self.held + take, &segment[take..]);
-            if self.held < T::BYTES {
-                return;
-            }
-            out.extend(Some(T::load(&self.bytes[..T::BYTES])));
-            self.held = 0;
-        }
-        let (whole, rest) = segment.split_at(segment.len() / T::BYTES * T::BYTES);
-        out.extend(whole.chunks_exact(T::BYTES).map(T::load));
-        self.bytes[..rest.len()].copy_from_slice(rest);
-        self.held = rest.len();
-    }
-
-    /// Encode the first elements of `values` into every byte of `segment`,
-    /// the next page segment of a write, and drop them from `values`:
-    /// finishing an element the previous segment began, and beginning one
-    /// the next segment finishes.
-    fn encode<T: SharedVal>(&mut self, mut segment: &mut [u8], values: &mut &[T]) {
-        // One whole element, the shape of every `set`, stores without the
-        // loop below, which the compiler turns into a `memcpy` call.
-        if let (0, [v, later @ ..]) = (self.held, *values) {
-            if segment.len() == T::BYTES {
-                v.store(segment);
-                return *values = later;
-            }
-        }
-        if self.held > 0 {
-            let (from, take) = (T::BYTES - self.held, self.held.min(segment.len()));
-            segment[..take].copy_from_slice(&self.bytes[from..from + take]);
-            self.held -= take;
-            segment = &mut segment[take..];
-        }
-        let (whole, rest) = segment.split_at_mut(segment.len() / T::BYTES * T::BYTES);
-        let (now, later) = values.split_at(whole.len() / T::BYTES);
-        for (chunk, v) in whole.chunks_exact_mut(T::BYTES).zip(now) {
-            v.store(chunk);
-        }
-        *values = later;
-        if !rest.is_empty() {
-            let (v, later) = values.split_first().expect("a value for every element");
-            v.store(&mut self.bytes[..T::BYTES]);
-            rest.copy_from_slice(&self.bytes[..rest.len()]);
-            (self.held, *values) = (T::BYTES - rest.len(), later);
-        }
-    }
-}
-
-/// The one element a single-element read decodes.
-struct Slot<T>(T);
-
-impl<T> Extend<T> for Slot<T> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, values: I) {
-        if let Some(v) = values.into_iter().last() {
-            self.0 = v;
         }
     }
 }
@@ -329,19 +266,20 @@ mod tests {
     use crate::protocol::ProtocolMode;
     use tm_page::Align;
 
-    /// Elements of the array, which starts four bytes before the end of
-    /// page 0: elements 0 and 512 straddle the ends of pages 0 and 1.
+    /// Elements of the array, which is asked for four bytes before the end
+    /// of page 0 and so starts at page 1: the end of page 1 falls between
+    /// elements 511 and 512.
     const LEN: usize = 600;
 
     /// Under both protocols, on two processors, with the race detector and
-    /// the flat-memory oracle watching: a word-aligned array of 8-byte
-    /// elements whose elements straddle page boundaries round-trips through
-    /// `write_slice`, `read_into`, `read_vec`, `get` and `set`.  Rank 1's
-    /// straddling `set` and `write_slice` land partly on the page it is home
-    /// to under the home-based protocol — written through to the master
-    /// copy — and partly on one homed at rank 0, flushed as a diff; rank 0
-    /// then reads both halves back from the homes.
-    fn straddling_elements_round_trip<T>(value: impl Fn(usize) -> T)
+    /// the flat-memory oracle watching: an array of 8-byte elements
+    /// allocated word-aligned, whose accesses cross a page boundary,
+    /// round-trips through `write_slice`, `read_into`, `read_vec`, `get` and
+    /// `set`.  Rank 1's `write_slice` across the boundary lands partly on
+    /// the page it is home to under the home-based protocol — written
+    /// through to the master copy — and partly on one homed at rank 0,
+    /// flushed as a diff; rank 0 then reads both halves back from the homes.
+    fn elements_across_a_page_boundary_round_trip<T>(value: impl Fn(usize) -> T)
     where
         T: SharedVal + PartialEq + std::fmt::Debug,
     {
@@ -351,10 +289,9 @@ mod tests {
                 .protocol(protocol)
                 .racecheck(true);
             let mut dsm = Dsm::new(config);
-            let page = dsm.config().layout().page_size();
-            dsm.alloc_bytes((page - 4) as u64, Align::Page);
+            dsm.alloc_bytes((PAGE_SIZE - 4) as u64, Align::Page);
             let array = dsm.alloc_array::<T>(LEN, Align::Word);
-            assert_eq!(array.base().offset(), (page - 4) as u64);
+            assert_eq!(array.base().offset(), PAGE_SIZE as u64);
             let first: Vec<T> = (0..LEN).map(&value).collect();
             let mut last = first.clone();
             last[0] = value(LEN);
@@ -372,6 +309,7 @@ mod tests {
                     assert_eq!(got, first);
                     assert_eq!(array.read_vec(ctx, 510, 5).await, first[510..515]);
                     assert_eq!(array.get(ctx, 0).await, first[0]);
+                    assert_eq!(array.get(ctx, 511).await, first[511]);
                     assert_eq!(array.get(ctx, 512).await, first[512]);
                     array.set(ctx, 0, last[0]).await;
                     array.write_slice(ctx, 508, &last[508..520]).await;
@@ -386,11 +324,60 @@ mod tests {
 
     #[test]
     fn u64_elements_across_page_boundaries_round_trip() {
-        straddling_elements_round_trip(|k| 0x0102_0304_0506_0708_u64.wrapping_mul(k as u64 + 1));
+        elements_across_a_page_boundary_round_trip(|k| {
+            0x0102_0304_0506_0708_u64.wrapping_mul(k as u64 + 1)
+        });
     }
 
     #[test]
     fn f64_elements_across_page_boundaries_round_trip() {
-        straddling_elements_round_trip(|k| -1.25e-3 * (k as f64 + 0.5));
+        elements_across_a_page_boundary_round_trip(|k| -1.25e-3 * (k as f64 + 0.5));
+    }
+
+    /// The bases of `T` arrays and scalars allocated under every `Align`,
+    /// after a bump to every residue mod 8, are multiples of `T::BYTES` and
+    /// of the boundary `align` asks for.
+    fn bases_are_naturally_aligned<T: SharedVal>() {
+        let aligns = [
+            Align::Word,
+            Align::Bytes(1),
+            Align::Bytes(2),
+            Align::Bytes(4),
+            Align::Bytes(8),
+            Align::Bytes(16),
+            Align::Page,
+        ];
+        for align in aligns {
+            for residue in 0..8 {
+                let mut dsm = Dsm::new(DsmConfig::with_procs(1).shared_pages(4));
+                dsm.alloc_bytes(residue, Align::Bytes(1));
+                let array = dsm.alloc_array::<T>(3, align).base().offset();
+                dsm.alloc_bytes(residue, Align::Bytes(1));
+                let scalar = dsm.alloc_scalar::<T>(align).addr().offset();
+                for base in [array, scalar] {
+                    let boundary = align.bytes().max(T::BYTES) as u64;
+                    assert!(
+                        base.is_multiple_of(boundary),
+                        "{}-byte element at {base} under {align:?} after {residue}",
+                        T::BYTES
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_element_type_is_naturally_aligned_under_every_align() {
+        bases_are_naturally_aligned::<u8>();
+        bases_are_naturally_aligned::<u16>();
+        bases_are_naturally_aligned::<u32>();
+        bases_are_naturally_aligned::<u64>();
+        bases_are_naturally_aligned::<f64>();
+    }
+
+    #[test]
+    #[should_panic(expected = "an array of 8-byte elements at g+0x1004")]
+    fn a_misaligned_array_is_rejected_by_its_element_size() {
+        GArray::<f64>::from_raw(GlobalAddr(4100), 2);
     }
 }

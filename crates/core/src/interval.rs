@@ -302,7 +302,12 @@ impl IntervalLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_page::{Image, LocalPage};
+    use tm_page::{Image, LocalPage, PAGE_SIZE};
+
+    /// An all-ones page image.
+    fn ones() -> Image {
+        Image::zeroed().filled(&[1; PAGE_SIZE])
+    }
 
     fn record(proc: u32, seq: u32, n: usize, pages: &[u32]) -> IntervalRecord {
         let mut vc = VectorClock::zero(n);
@@ -314,8 +319,8 @@ mod tests {
         }
     }
 
-    fn one_byte_diff(page: u32, bytes: usize) -> Arc<Diff> {
-        let twin = vec![0u8; bytes.max(4)];
+    fn one_byte_diff(page: u32) -> Arc<Diff> {
+        let twin = vec![0u8; PAGE_SIZE];
         let mut cur = twin.clone();
         cur[0] = 1;
         Arc::new(Diff::create(PageId(page), &twin, &cur))
@@ -325,7 +330,7 @@ mod tests {
     fn publish_and_lookup() {
         let mut log = IntervalLog::new();
         assert!(log.is_empty());
-        let diff = one_byte_diff(3, 8);
+        let diff = one_byte_diff(3);
         log.publish(
             record(0, 1, 2, &[3, 4]),
             vec![(PageId(3), diff.clone())],
@@ -344,7 +349,7 @@ mod tests {
     #[test]
     fn lazy_diffs_materialize_exactly_once() {
         let mut log = IntervalLog::new();
-        let diff = one_byte_diff(3, 8);
+        let diff = one_byte_diff(3);
         let payload = diff.payload_bytes();
         log.publish(
             record(0, 1, 2, &[3]),
@@ -379,7 +384,7 @@ mod tests {
         for seq in 1..=5 {
             log.publish(
                 record(1, seq, 2, &[seq]),
-                vec![(PageId(seq), one_byte_diff(seq, 8))],
+                vec![(PageId(seq), one_byte_diff(seq))],
                 DiffTiming::Lazy,
             );
         }
@@ -406,9 +411,10 @@ mod tests {
         assert_eq!(log.stored_diffs(), 0);
     }
 
-    /// Publish interval `seq` of `pages` dense one-word diffs of `image` the
-    /// way `close_interval` builds them: each rebuilt inside a pooled diff,
-    /// allocated only when the pool is empty.
+    /// Publish interval `seq` of `pages` dense diffs of `image`, each
+    /// writing the page's first half, the way `close_interval` builds them:
+    /// each rebuilt inside a pooled diff, allocated only when the pool is
+    /// empty.
     fn publish_from_pool(log: &mut IntervalLog, image: &Image, seq: u32, pages: u32) {
         let mut pool = log.take_diff_pool();
         let mut diffs = Vec::new();
@@ -416,11 +422,11 @@ mod tests {
             let mut diff = pool
                 .pop()
                 .unwrap_or_else(|| Arc::new(Diff::empty(PageId(p))));
-            Arc::get_mut(&mut diff).unwrap().rebuild_from_compare(
-                PageId(p),
-                image,
-                &[0, 0, 0, 0, 1, 1, 1, 1],
-            );
+            let mut twin = [1; PAGE_SIZE];
+            twin[..PAGE_SIZE / 2].fill(0);
+            Arc::get_mut(&mut diff)
+                .unwrap()
+                .rebuild_from_compare(PageId(p), image, &twin);
             diffs.push((PageId(p), diff));
         }
         log.restore_diff_pool(pool);
@@ -430,7 +436,7 @@ mod tests {
 
     #[test]
     fn retirement_pools_every_unshared_diff_emptied_but_not_one_held_elsewhere() {
-        let image = Image::zeroed(8).filled(&[1; 8]);
+        let image = ones();
         let mut log = IntervalLog::new();
         for seq in 1..=4 {
             publish_from_pool(&mut log, &image, seq, 3);
@@ -457,7 +463,7 @@ mod tests {
 
     #[test]
     fn a_delivered_round_is_pooled_at_its_retirement() {
-        let image = Image::zeroed(8).filled(&[1; 8]);
+        let image = ones();
         let mut log = IntervalLog::new();
         for seq in 1..=2 {
             publish_from_pool(&mut log, &image, seq, 1);
@@ -467,9 +473,10 @@ mod tests {
         let fetched: Vec<_> = [2, 1]
             .map(|seq| log.fetch_diff(PageId(0), seq).unwrap().diff)
             .into();
-        let mut reader = LocalPage::new_zeroed(8);
-        reader.deliver(fetched.iter().map(|d| (d, 0)), &mut Vec::new());
-        assert_eq!(reader.bytes(), &[1, 1, 1, 1, 0, 0, 0, 0]);
+        let mut reader = LocalPage::new_zeroed(PAGE_SIZE);
+        reader.deliver(fetched.iter().map(|d| (d, 0)));
+        let (written, rest) = reader.bytes().split_at(PAGE_SIZE / 2);
+        assert!(written.iter().all(|&b| b == 1) && rest.iter().all(|&b| b == 0));
         let delivered: Vec<_> = fetched.into_iter().map(|d| Arc::as_ptr(&d)).collect();
         assert_eq!(log.retire_up_to(2), 2);
         for diff in delivered {
@@ -482,7 +489,7 @@ mod tests {
 
     #[test]
     fn pool_plus_live_diffs_never_exceed_the_peak_live_count() {
-        let image = Image::zeroed(8).filled(&[1; 8]);
+        let image = ones();
         let mut log = IntervalLog::new();
         let (mut peak, mut state) = (0, 7u64);
         for seq in 1..=200 {
@@ -505,15 +512,15 @@ mod tests {
         // Three dense diffs, each borrowing an image of its own: the first
         // is held by nothing else, the second's diff is still held outside
         // the log, and a reader adopted the third's image.
-        let zero = Image::zeroed(8);
+        let zero = Image::zeroed();
         let mut log = IntervalLog::new();
         let mut images = Vec::new();
         let mut adopted = None;
         for seq in 1..=3 {
-            let image = zero.filled(&[seq as u8; 8]);
+            let image = zero.filled(&[seq as u8; PAGE_SIZE]);
             images.push(image.as_ptr());
             let mut diff = Diff::empty(PageId(0));
-            diff.rebuild_from_compare(PageId(0), &image, &[0; 8]);
+            diff.rebuild_from_compare(PageId(0), &image, &[0; PAGE_SIZE]);
             assert!(diff.image().is_some());
             if seq == 3 {
                 adopted = Some(image);
@@ -525,14 +532,18 @@ mod tests {
         assert_eq!(log.retire_up_to(3), 3);
 
         // The unshared diff's image went back to the pool, and only it.
-        let reused = zero.filled(&[9; 8]);
+        let reused = zero.filled(&[9; PAGE_SIZE]);
         assert_eq!(reused.as_ptr(), images[0]);
-        let fresh = zero.filled(&[9; 8]);
+        let fresh = zero.filled(&[9; PAGE_SIZE]);
         assert!(!images.contains(&fresh.as_ptr()), "only that one");
         assert_eq!(log.diff_pool.len(), 2, "both unshared diffs are pooled");
         assert!(log.diff_pool.iter().all(|d| d.is_empty()));
         let held_image = held.image().unwrap();
-        assert_eq!(&held_image[..], &[2u8; 8], "the held diff keeps its image");
+        assert_eq!(
+            &held_image[..],
+            &[2u8; PAGE_SIZE],
+            "the held diff keeps its image"
+        );
         assert!(!adopted.unwrap().is_shared(), "the reader keeps its");
     }
 

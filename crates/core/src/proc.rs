@@ -24,7 +24,7 @@ use tm_net::{
     AggregationPolicy, CostModel, DiffExchange, FaultRecord, LogicalClock, MsgKind, ProcId,
     ProcStats, ResponderCost, MSG_HEADER_BYTES,
 };
-use tm_page::{Diff, GlobalAddr, PageId, PageLayout, PageStore, WORD_SIZE};
+use tm_page::{Diff, GlobalAddr, PageId, PageLayout, PageStore, PAGE_SIZE, WORD_SIZE};
 use tm_race::{AccessKind, SyncEvent};
 
 use crate::aggregation::DynamicAggregator;
@@ -98,8 +98,6 @@ struct ExchangeScratch {
     /// endpoint when replies are routed through a contended topology.
     responder_ranks: Vec<u32>,
     to_apply: Vec<Fetched>,
-    /// Word bitset lent to `LocalPage::deliver`.
-    cover: Vec<u64>,
 }
 
 /// The application-facing handle for one simulated processor.
@@ -411,8 +409,7 @@ impl ProcCtx {
                 let created = self.store.page_mut(page).ensure_twin();
                 debug_assert!(created, "twin already present on a clean page");
                 self.stats.twins_created += 1;
-                self.clock
-                    .advance(self.cost.twin_cost(self.layout.page_size() as u64));
+                self.clock.advance(self.cost.twin_cost(PAGE_SIZE as u64));
             } else {
                 // Still materialize the local copy so the write lands.
                 self.store.page_mut(page);
@@ -525,7 +522,7 @@ impl ProcCtx {
         xs.wants.clear();
         xs.responder_costs.clear();
         xs.responder_ranks.clear();
-        let page_size = self.layout.page_size() as u64;
+        let page_size = PAGE_SIZE as u64;
         let mut total_payload = 0u64;
         // Gather what every page we are fetching lacks, grouped (by the
         // sort) by the processor that must serve it.
@@ -638,10 +635,9 @@ impl ProcCtx {
             .sort_unstable_by_key(|f| (f.diff.page, f.weight, f.writer, f.seq, f.ord));
         let rounds = xs.to_apply.chunk_by(|a, b| a.diff.page == b.diff.page);
         for round in rounds.rev() {
-            self.store.page_mut(round[0].diff.page).deliver(
-                round.iter().rev().map(|f| (&f.diff, f.exchange)),
-                &mut xs.cover,
-            );
+            self.store
+                .page_mut(round[0].diff.page)
+                .deliver(round.iter().rev().map(|f| (&f.diff, f.exchange)));
         }
         // Let go of the fetched diffs now, not at the next fault: a diff the
         // scratch still held could not be pooled when its interval retires.
@@ -749,7 +745,7 @@ impl ProcCtx {
         if self.dirty_pages.is_empty() {
             return;
         }
-        let page_size = self.layout.page_size() as u64;
+        let page_size = PAGE_SIZE as u64;
         // Rebuild inside the diffs this processor's own log retired, or
         // that an earlier close flushed or found empty.
         let mut pool = self.shared.logs[self.rank.index()]

@@ -7,7 +7,7 @@
 //! whether two logically distinct objects share a page — which the alignment
 //! options control.
 
-use crate::layout::{GlobalAddr, PageLayout};
+use crate::layout::{GlobalAddr, PageLayout, PAGE_SIZE, WORD_SIZE};
 
 /// Alignment policy for a shared allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,6 +19,23 @@ pub enum Align {
     Bytes(usize),
     /// Start the allocation on a fresh hardware page.
     Page,
+}
+
+impl Align {
+    /// The boundary, in bytes, an allocation of this alignment starts on.
+    ///
+    /// # Panics
+    /// Panics if an [`Align::Bytes`] boundary is not a power of two.
+    pub fn bytes(self) -> usize {
+        match self {
+            Align::Word => WORD_SIZE,
+            Align::Bytes(b) => {
+                assert!(b.is_power_of_two(), "alignment must be a power of two");
+                b
+            }
+            Align::Page => PAGE_SIZE,
+        }
+    }
 }
 
 /// Bump allocator over the global address space.
@@ -67,14 +84,7 @@ impl RegionAllocator {
 
     /// Allocate `bytes` bytes with the requested alignment.
     pub fn alloc(&mut self, bytes: u64, align: Align) -> Result<GlobalAddr, OutOfSharedMemory> {
-        let alignment = match align {
-            Align::Word => crate::layout::WORD_SIZE as u64,
-            Align::Bytes(b) => {
-                assert!(b.is_power_of_two(), "alignment must be a power of two");
-                b as u64
-            }
-            Align::Page => self.layout.page_size() as u64,
-        };
+        let alignment = align.bytes() as u64;
         let base = self.next.div_ceil(alignment) * alignment;
         let end = base.checked_add(bytes).ok_or(OutOfSharedMemory {
             requested: bytes,

@@ -25,7 +25,7 @@
 //! accounting and merging are representation-blind.
 
 use crate::image::Image;
-use crate::layout::{PageId, WORD_SIZE};
+use crate::layout::{PageId, PAGE_SIZE, WORD_SIZE};
 
 /// A record of the modifications made to one hardware page, encoded as
 /// maximal runs of changed 32-bit words.
@@ -34,9 +34,9 @@ pub struct Diff {
     /// Page this diff applies to.
     pub page: PageId,
     /// The changed-word mask: bit `w % 64` of `mask[w / 64]` is set iff
-    /// the diff writes word `w`.  One block per 64 page words, at most up
-    /// to the page's last word; a rebuilt mask stops at the block of the
-    /// last word the diff writes.
+    /// the diff writes word `w`.  One block per 64 page words, at most
+    /// [`BLOCKS`]; a rebuilt mask stops at the block of the last word the
+    /// diff writes.
     mask: Vec<u64>,
     /// The runs' new contents.
     payload: Payload,
@@ -73,6 +73,9 @@ pub const DIFF_HEADER_BYTES: u64 = 16;
 /// Bytes of page covered by one mask block.
 const BLOCK: usize = 64 * WORD_SIZE;
 
+/// Blocks of a whole page's word mask.
+pub(crate) const BLOCKS: usize = PAGE_SIZE / BLOCK;
+
 impl Diff {
     /// Compare `twin` (the page contents when the current writing interval
     /// started) against `current` (the contents now) and encode the changed
@@ -84,14 +87,14 @@ impl Diff {
     /// run builds its diffs this way.
     ///
     /// # Panics
-    /// Panics if the two buffers differ in length or are not word-aligned in
-    /// size.
+    /// Panics unless both buffers are one page long.
     pub fn create(page: PageId, twin: &[u8], current: &[u8]) -> Diff {
-        assert_eq!(twin.len(), current.len(), "twin/current size mismatch");
-        assert_eq!(twin.len() % WORD_SIZE, 0, "page size must be word aligned");
-        let words = twin.len() / WORD_SIZE;
-        let mut mask = vec![0u64; words.div_ceil(64)];
-        for w in 0..words {
+        assert!(
+            twin.len() == PAGE_SIZE && current.len() == PAGE_SIZE,
+            "twin/current size mismatch: a diff compares two pages of PAGE_SIZE bytes"
+        );
+        let mut mask = vec![0u64; BLOCKS];
+        for w in 0..PAGE_SIZE / WORD_SIZE {
             let (lo, hi) = (w * WORD_SIZE, (w + 1) * WORD_SIZE);
             if twin[lo..hi] != current[lo..hi] {
                 mask[w / 64] |= 1 << (w % 64);
@@ -137,10 +140,9 @@ impl Diff {
     /// allocates nothing in the steady state.
     ///
     /// # Panics
-    /// Panics on an unaligned page size or a twin of another size.
+    /// Panics on a twin that is not one page long.
     pub fn rebuild_from_compare(&mut self, page: PageId, image: &Image, twin: &[u8]) {
-        assert_eq!(image.len() % WORD_SIZE, 0, "page size must be word aligned");
-        assert_eq!(image.len(), twin.len(), "twin/page size mismatch");
+        assert_eq!(twin.len(), PAGE_SIZE, "twin/page size mismatch");
         self.page = page;
         // The mask ends at the block of the last changed word: a sparse
         // diff low in the page gets a short one.
@@ -149,7 +151,7 @@ impl Diff {
         self.mask.resize(last.map_or(0, |b| b + 1), 0);
         changed_bits(image, twin, &mut self.mask);
         let total = self.payload_words() * WORD_SIZE;
-        if total * 2 >= image.len() && total > 0 {
+        if total * 2 >= PAGE_SIZE && total > 0 {
             self.payload = Payload::Page(image.clone());
         } else {
             pack_payload_into(&self.mask, image, packed(&mut self.payload));
@@ -182,12 +184,10 @@ impl Diff {
     /// word past a trimmed mask, stopping at the first run that differs.
     pub(crate) fn image_over(&self, page: &[u8]) -> Option<&Image> {
         let image = self.image()?;
-        debug_assert_eq!(image.len(), page.len(), "a diff of another page size");
-        let words = image.len() / WORD_SIZE;
         let untouched = self.mask.iter().map(|m| !m).chain(std::iter::repeat(!0));
-        let agrees = BitRuns::new(untouched.take(words.div_ceil(64))).all(|(lo, hi)| {
-            let (lo, hi) = (lo * WORD_SIZE, hi.min(words) * WORD_SIZE);
-            lo >= hi || page[lo..hi] == image[lo..hi]
+        let agrees = BitRuns::new(untouched.take(BLOCKS)).all(|(lo, hi)| {
+            let (lo, hi) = (lo * WORD_SIZE, hi * WORD_SIZE);
+            page[lo..hi] == image[lo..hi]
         });
         agrees.then_some(image)
     }
@@ -271,13 +271,9 @@ impl Diff {
     /// Jacobi sweep.)
     pub(crate) fn for_each_uncovered(
         &self,
-        cover: &mut [u64],
+        cover: &mut [u64; BLOCKS],
         paint: &mut dyn FnMut(usize, &[u8]),
     ) -> usize {
-        debug_assert!(
-            self.mask.len() <= cover.len(),
-            "a cover shorter than the page"
-        );
         let fresh = self
             .mask
             .iter()
@@ -326,16 +322,14 @@ impl Diff {
     /// reference that round is held against, and stays public because the
     /// repository benchmark's `page.diff_merge_ns` probe times it.
     pub fn merge(page: PageId, chain: &[&Diff]) -> Diff {
-        let blocks = chain.iter().map(|d| d.mask.len()).max().unwrap_or(0);
-        let mut cover = vec![0u64; blocks];
-        let mut buf = vec![0u8; blocks * BLOCK];
+        let (mut cover, mut buf) = ([0u64; BLOCKS], [0u8; PAGE_SIZE]);
         for diff in chain.iter().rev() {
             debug_assert_eq!(diff.page, page);
             diff.for_each_uncovered(&mut cover, &mut |lo, bytes| {
                 buf[lo..lo + bytes.len()].copy_from_slice(bytes)
             });
         }
-        Diff::packed_from(page, cover, &buf)
+        Diff::packed_from(page, cover.to_vec(), &buf)
     }
 }
 
@@ -427,28 +421,19 @@ impl<I: Iterator<Item = u64>> Iterator for BitRuns<I> {
 }
 
 /// Write into `bits` the compare of `page` against `twin`: bit `w % 64` of
-/// `bits[w / 64]` set iff word `w` differs, for every word of the page.  A
-/// block of 64 words is compared in byte lanes, one per word, that the
-/// compiler vectorises on baseline x86-64, and gathered eight lanes at a
-/// time into the block's bits by a multiply.  A block that is unchanged,
-/// as most of a sparsely written page are, is settled by one slice compare.
+/// `bits[w / 64]` set iff word `w` differs, for the words of the blocks
+/// `bits` holds.  A block of 64 words is compared in byte lanes, one per
+/// word, that the compiler vectorises on baseline x86-64, and gathered eight
+/// lanes at a time into the block's bits by a multiply.  A block that is
+/// unchanged, as most of a sparsely written page are, is settled by one
+/// slice compare.
 fn changed_bits(page: &[u8], twin: &[u8], bits: &mut [u64]) {
-    for ((blk, page), twin) in bits
-        .iter_mut()
-        .zip(page.chunks(BLOCK))
-        .zip(twin.chunks(BLOCK))
-    {
+    let (page, twin) = (page.as_chunks::<BLOCK>().0, twin.as_chunks::<BLOCK>().0);
+    for ((blk, page), twin) in bits.iter_mut().zip(page).zip(twin) {
         *blk = if page == twin {
             0
-        } else if let (Ok(page), Ok(twin)) = (page.try_into(), twin.try_into()) {
-            block_bits(page, twin)
         } else {
-            // A page's partial last block, compared as a whole one whose
-            // missing words are equal.
-            let (mut p, mut t) = ([0; BLOCK], [0; BLOCK]);
-            p[..page.len()].copy_from_slice(page);
-            t[..twin.len()].copy_from_slice(twin);
-            block_bits(&p, &t)
+            block_bits(page, twin)
         };
     }
 }
@@ -513,8 +498,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn page_of(pattern: impl Fn(usize) -> u8, len: usize) -> Vec<u8> {
-        (0..len).map(pattern).collect()
+    fn page_of(pattern: impl Fn(usize) -> u8) -> Vec<u8> {
+        (0..PAGE_SIZE).map(pattern).collect()
     }
 
     fn run_vec(d: &Diff) -> Vec<(u32, Vec<u8>)> {
@@ -523,7 +508,7 @@ mod tests {
 
     #[test]
     fn identical_pages_produce_empty_diff() {
-        let a = page_of(|i| (i % 251) as u8, 4096);
+        let a = page_of(|i| (i % 251) as u8);
         let d = Diff::create(PageId(0), &a, &a);
         assert!(d.is_empty());
         assert_eq!(d.payload_bytes(), 0);
@@ -531,7 +516,7 @@ mod tests {
 
     #[test]
     fn single_word_change() {
-        let twin = vec![0u8; 64];
+        let twin = vec![0u8; PAGE_SIZE];
         let mut cur = twin.clone();
         cur[8] = 0xAB;
         let d = Diff::create(PageId(1), &twin, &cur);
@@ -545,7 +530,7 @@ mod tests {
 
     #[test]
     fn adjacent_changes_coalesce_into_one_run() {
-        let twin = vec![0u8; 64];
+        let twin = vec![0u8; PAGE_SIZE];
         let mut cur = twin.clone();
         for b in 16..32 {
             cur[b] = 1;
@@ -556,7 +541,7 @@ mod tests {
 
     #[test]
     fn disjoint_changes_produce_separate_runs() {
-        let twin = vec![0u8; 128];
+        let twin = vec![0u8; PAGE_SIZE];
         let mut cur = twin.clone();
         cur[0] = 1;
         cur[64] = 2;
@@ -567,19 +552,22 @@ mod tests {
 
     #[test]
     fn whole_page_change_is_one_full_run() {
-        let twin = vec![0u8; 256];
-        let cur = vec![0xFFu8; 256];
+        let twin = vec![0u8; PAGE_SIZE];
+        let cur = vec![0xFFu8; PAGE_SIZE];
         let d = Diff::create(PageId(0), &twin, &cur);
         assert_eq!(d.runs().count(), 1);
-        assert_eq!(d.payload_bytes(), 256);
-        assert_eq!(d.wire_bytes(), DIFF_HEADER_BYTES + RUN_HEADER_BYTES + 256);
+        assert_eq!(d.payload_bytes(), PAGE_SIZE as u64);
+        assert_eq!(
+            d.wire_bytes(),
+            DIFF_HEADER_BYTES + RUN_HEADER_BYTES + PAGE_SIZE as u64
+        );
     }
 
     #[test]
     fn sub_word_change_is_recorded_as_a_word() {
         // Changing a single byte dirties its whole 32-bit word, exactly as
         // the word-granular TreadMarks diff does.
-        let twin = vec![7u8; 32];
+        let twin = vec![7u8; PAGE_SIZE];
         let mut cur = twin.clone();
         cur[5] = 8;
         let d = Diff::create(PageId(0), &twin, &cur);
@@ -594,7 +582,7 @@ mod tests {
 
     #[test]
     fn from_changed_exact_bits_match_compare_scan() {
-        let twin = page_of(|i| (i % 241) as u8, 1024);
+        let twin = page_of(|i| (i % 241) as u8);
         let mut cur = twin.clone();
         for w in [0usize, 1, 62, 63, 64, 120, 255] {
             cur[w * WORD_SIZE + 1] ^= 0x11;
@@ -603,7 +591,7 @@ mod tests {
         for w in [0usize, 1, 62, 63, 64, 120, 255] {
             changed[w / 64] |= 1 << (w % 64);
         }
-        let image = Image::zeroed(1024).filled(&cur);
+        let image = Image::zeroed().filled(&cur);
         let mut d = Diff::empty(PageId(0));
         d.rebuild_from_compare(PageId(2), &image, &twin);
         assert_eq!(d.mask(), &changed[..]);
@@ -613,41 +601,41 @@ mod tests {
     #[test]
     #[should_panic(expected = "size mismatch")]
     fn a_twin_of_another_size_panics() {
-        let image = Image::zeroed(512);
+        let image = Image::zeroed();
         Diff::empty(PageId(0)).rebuild_from_compare(PageId(0), &image, &[0; 256]);
     }
 
     #[test]
     fn clearing_a_diff_lets_go_of_its_image() {
-        let zero = Image::zeroed(64);
-        let image = zero.filled(&[7; 64]);
+        let zero = Image::zeroed();
+        let image = zero.filled(&[7; PAGE_SIZE]);
         let at = image.as_ptr();
         let mut diff = Diff::empty(PageId(0));
-        diff.rebuild_from_compare(PageId(0), &image, &[0; 64]);
+        diff.rebuild_from_compare(PageId(0), &image, &[0; PAGE_SIZE]);
         assert!(diff.image().is_some());
         drop(image);
         diff.clear();
         assert!(diff.is_empty() && diff.image().is_none());
         assert_eq!(zero.pooled(), 1);
-        let next = zero.filled(&[0; 64]);
+        let next = zero.filled(&[0; PAGE_SIZE]);
         assert_eq!(next.as_ptr(), at, "the diff held its image last");
     }
 
-    /// Words of the merge test page: four 64-word blocks, so runs straddle
-    /// the blocks of the cover bitset.
+    /// Words of the merge test page that its diffs write: four 64-word
+    /// blocks, so runs straddle the blocks of the cover bitset.
     const WORDS: usize = 256;
 
     /// A diff of page 0 writing exactly the words set in `words`, each to a
     /// nonzero value drawn from `state`: a chain of such diffs applied to a
     /// zero page is nonzero exactly on the union of their words.
     fn diff_writing(words: &[bool], state: &mut u64) -> Diff {
-        let mut cur = vec![0u8; WORDS * WORD_SIZE];
+        let mut cur = vec![0u8; PAGE_SIZE];
         for w in (0..WORDS).filter(|&w| words[w]) {
             *state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             let v = (*state >> 32) as u32 | 1;
             cur[w * WORD_SIZE..(w + 1) * WORD_SIZE].copy_from_slice(&v.to_ne_bytes());
         }
-        Diff::create(PageId(0), &[0u8; WORDS * WORD_SIZE], &cur)
+        Diff::create(PageId(0), &[0u8; PAGE_SIZE], &cur)
     }
 
     proptest! {
@@ -685,26 +673,24 @@ mod tests {
                 chain.push(diff_writing(&words, &mut state));
             }
             let refs: Vec<&Diff> = chain.iter().collect();
-            let mut page = vec![0u8; WORDS * WORD_SIZE];
+            let mut page = vec![0u8; PAGE_SIZE];
             refs.iter().for_each(|d| d.apply(&mut page));
-            let ordered = Diff::create(PageId(0), &[0u8; WORDS * WORD_SIZE], &page);
+            let ordered = Diff::create(PageId(0), &[0u8; PAGE_SIZE], &page);
             prop_assert_eq!(Diff::merge(PageId(0), &refs), ordered);
         }
 
-        /// On any page of 8 B to 4 KiB (so with and without a partial last
-        /// mask block), a diff rebuilt from the compare — over a recycled
-        /// diff that held a dense, a sparse or no encoding — has the runs of
-        /// a word-by-word scan, the wire and payload sizes they imply, and
-        /// equals `Diff::create`, under sub-word, value-restoring and
-        /// whole-page stores.
+        /// A diff rebuilt from the compare — over a recycled diff that held
+        /// a dense, a sparse or no encoding — has the runs of a word-by-word
+        /// scan, the wire and payload sizes they imply, and equals
+        /// `Diff::create`, under sub-word, value-restoring and whole-page
+        /// stores.
         #[test]
         fn a_rebuilt_diff_encodes_the_word_by_word_compare(
-            words in 2usize..=1024,
             seed in any::<u64>(),
             earlier in 0u8..3,
             stores in prop::collection::vec((0u8..4, 0usize..4096, 1usize..64), 0..12),
         ) {
-            let len = words * WORD_SIZE;
+            let len = PAGE_SIZE;
             let mut state = seed | 1;
             let mut bytes = |n: usize| -> Vec<u8> {
                 (0..n)
@@ -726,7 +712,7 @@ mod tests {
                     _ => cur.copy_from_slice(&twin),
                 }
             }
-            let zero = Image::zeroed(len);
+            let zero = Image::zeroed();
             let mut diff = Diff::empty(PageId(0));
             if earlier > 0 {
                 let mut other = twin.clone();

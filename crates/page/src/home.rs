@@ -14,7 +14,7 @@
 //! zeroes.
 
 use crate::diff::Diff;
-use crate::layout::{PageId, PageLayout};
+use crate::layout::{PageId, PageLayout, PAGE_SIZE};
 
 /// The authoritative (home) copies of the shared pages.
 ///
@@ -24,7 +24,6 @@ use crate::layout::{PageId, PageLayout};
 /// through messages, whose costs the simulated network charges.
 #[derive(Debug)]
 pub struct HomeStore {
-    layout: PageLayout,
     pages: Vec<Option<Box<[u8]>>>,
 }
 
@@ -32,7 +31,6 @@ impl HomeStore {
     /// Create an empty (all-zero) store for the given layout.
     pub fn new(layout: PageLayout) -> Self {
         HomeStore {
-            layout,
             pages: (0..layout.total_pages()).map(|_| None).collect(),
         }
     }
@@ -40,7 +38,7 @@ impl HomeStore {
     fn page_mut(&mut self, page: PageId) -> &mut [u8] {
         let idx = page.index();
         assert!(idx < self.pages.len(), "{page} outside layout");
-        self.pages[idx].get_or_insert_with(|| vec![0u8; self.layout.page_size()].into_boxed_slice())
+        self.pages[idx].get_or_insert_with(|| vec![0u8; PAGE_SIZE].into_boxed_slice())
     }
 
     /// Apply a writer's flushed diff to the master copy — in place, without
@@ -78,7 +76,7 @@ impl HomeStore {
     /// # Panics
     /// Panics if `dst` is not exactly one page long.
     pub fn copy_page_into(&self, page: PageId, dst: &mut [u8]) {
-        assert_eq!(dst.len(), self.layout.page_size(), "dst must be one page");
+        assert_eq!(dst.len(), PAGE_SIZE, "dst must be one page");
         let idx = page.index();
         assert!(idx < self.pages.len(), "{page} outside layout");
         match &self.pages[idx] {
@@ -93,11 +91,11 @@ mod tests {
     use super::*;
 
     fn layout() -> PageLayout {
-        PageLayout::new(256, 4)
+        PageLayout::new(PAGE_SIZE, 4)
     }
 
     fn diff_writing(page: u32, offset: usize, bytes: &[u8]) -> Diff {
-        let twin = vec![0u8; 256];
+        let twin = vec![0u8; PAGE_SIZE];
         let mut cur = twin.clone();
         cur[offset..offset + bytes.len()].copy_from_slice(bytes);
         Diff::create(PageId(page), &twin, &cur)
@@ -107,9 +105,9 @@ mod tests {
     fn starts_empty_and_zeroed() {
         let store = HomeStore::new(layout());
         assert!((0..4).all(|p| store.page(PageId(p)).is_none()));
-        let mut buf = vec![0xFFu8; 256];
+        let mut buf = vec![0xFFu8; PAGE_SIZE];
         store.copy_page_into(PageId(2), &mut buf);
-        assert_eq!(buf, vec![0u8; 256]);
+        assert_eq!(buf, vec![0u8; PAGE_SIZE]);
     }
 
     #[test]
@@ -118,7 +116,7 @@ mod tests {
         store.apply_diff(&diff_writing(1, 0, &[1, 2, 3, 4]));
         store.apply_diff(&diff_writing(1, 8, &[9, 9, 9, 9]));
         assert!([0, 2, 3].iter().all(|&p| store.page(PageId(p)).is_none()));
-        let mut buf = vec![0u8; 256];
+        let mut buf = vec![0u8; PAGE_SIZE];
         store.copy_page_into(PageId(1), &mut buf);
         assert_eq!(&buf[0..4], &[1, 2, 3, 4]);
         assert_eq!(&buf[8..12], &[9, 9, 9, 9]);
@@ -138,7 +136,7 @@ mod tests {
         store.write_through(PageId(0), 0, &[7, 7, 7, 7]);
         store.apply_diff(&diff_writing(0, 8, &[5, 5, 5, 5]));
         store.write_through(PageId(0), 4, &[6, 6, 6, 6]);
-        let mut buf = vec![0u8; 256];
+        let mut buf = vec![0u8; PAGE_SIZE];
         store.copy_page_into(PageId(0), &mut buf);
         assert_eq!(&buf[0..12], &[7, 7, 7, 7, 6, 6, 6, 6, 5, 5, 5, 5]);
     }

@@ -22,21 +22,23 @@ use std::fmt;
 use std::ops::Deref;
 use std::rc::Rc;
 
-/// An `Rc`-shared page image that returns its buffer to its pool when its
-/// last holder drops it (see the module documentation).
+use crate::layout::PAGE_SIZE;
+
+/// An `Rc`-shared page image of [`PAGE_SIZE`] bytes that returns its buffer
+/// to its pool when its last holder drops it (see the module documentation).
 #[derive(Clone)]
 pub struct Image {
     bytes: Rc<[u8]>,
-    /// Unshared buffers of this image's length, for the next build.
+    /// Unshared buffers, for the next build.
     pool: Rc<RefCell<Vec<Rc<[u8]>>>>,
 }
 
 impl Image {
-    /// An all-zero image of `len` bytes, in one allocation, over a new and
-    /// empty pool that every image built from it shares.
-    pub fn zeroed(len: usize) -> Image {
+    /// An all-zero page image, in one allocation, over a new and empty pool
+    /// that every image built from it shares.
+    pub fn zeroed() -> Image {
         Image {
-            bytes: std::iter::repeat_n(0, len).collect(),
+            bytes: std::iter::repeat_n(0, PAGE_SIZE).collect(),
             pool: Rc::default(),
         }
     }
@@ -45,21 +47,21 @@ impl Image {
     /// allocated when the pool is empty.
     ///
     /// # Panics
-    /// Panics if `src` is not as long as this image.
+    /// Panics if `src` is not one page long.
     pub fn filled(&self, src: &[u8]) -> Image {
-        assert_eq!(src.len(), self.len(), "an image holds one page");
+        assert_eq!(src.len(), PAGE_SIZE, "an image holds one page");
         let mut image = self.blank();
         image.written().copy_from_slice(src);
         image
     }
 
-    /// An unshared image of this image's length for a caller that
-    /// overwrites every byte of it: taken from the pool as its last holder
-    /// left it, or allocated zeroed when the pool is empty.
+    /// An unshared image for a caller that overwrites every byte of it:
+    /// taken from the pool as its last holder left it, or allocated zeroed
+    /// when the pool is empty.
     pub(crate) fn blank(&self) -> Image {
         let pool = Rc::clone(&self.pool);
         let pooled = pool.borrow_mut().pop();
-        let bytes = pooled.unwrap_or_else(|| std::iter::repeat_n(0, self.len()).collect());
+        let bytes = pooled.unwrap_or_else(|| std::iter::repeat_n(0, PAGE_SIZE).collect());
         Image { bytes, pool }
     }
 
@@ -126,18 +128,18 @@ mod tests {
 
     #[test]
     fn only_a_last_drop_pools_the_buffer() {
-        let zero = Image::zeroed(64);
-        let image = zero.filled(&[7; 64]);
+        let zero = Image::zeroed();
+        let image = zero.filled(&[7; PAGE_SIZE]);
         let held = image.clone();
         drop(image);
         assert_eq!(zero.pooled(), 0, "a shared image is not pooled");
-        assert_eq!(&held[..], &[7; 64][..]);
+        assert_eq!(&held[..], &[7; PAGE_SIZE][..]);
         let at = held.as_ptr();
         drop(held);
         assert_eq!(zero.pooled(), 1, "the last drop pooled it");
-        let reused = zero.filled(&[2; 64]);
+        let reused = zero.filled(&[2; PAGE_SIZE]);
         assert_eq!(reused.as_ptr(), at);
-        assert_eq!(&reused[..], &[2; 64][..]);
+        assert_eq!(&reused[..], &[2; PAGE_SIZE][..]);
         assert!(!reused.is_shared());
         assert_eq!(zero.pooled(), 0);
     }

@@ -1,20 +1,32 @@
 //! Global address space layout: pages, words, and address arithmetic.
 //!
 //! The DSM exposes a single flat, byte-addressed *global* address space that
-//! every processor shares.  The space is carved into fixed-size *hardware
-//! pages*; the hardware page is the granularity at which twins and diffs are
-//! made, and the smallest possible consistency unit.  Word granularity
-//! (32-bit) is the granularity at which diffs record modifications and at
-//! which the useful/useless-data classifier attributes delivered data.
+//! every processor shares.  The space is carved into *hardware pages* of
+//! [`PAGE_SIZE`] bytes, as on the paper's platform; the hardware page is the
+//! granularity at which twins and diffs are made, and the smallest possible
+//! consistency unit (larger units group pages, they never resize one).
+//! Word granularity (32-bit) is the granularity at which diffs record
+//! modifications and at which the useful/useless-data classifier attributes
+//! delivered data.
 
 /// Size in bytes of the diff/attribution word.  TreadMarks diffs record
 /// modifications at 32-bit granularity; the paper's instrumentation counts
 /// useful/useless data per word.
 pub const WORD_SIZE: usize = 4;
 
-/// Largest hardware page a layout accepts, in bytes: a page's delivery
-/// attribution is a word mask of this many bits over 32-bit words.
-pub const MAX_PAGE_SIZE: usize = 4096;
+/// Size in bytes of every hardware page: 4096, as on the paper's platform.
+/// A page's delivery attribution and a diff's changed-word mask are word
+/// masks of `PAGE_SIZE / WORD_SIZE` bits.
+pub const PAGE_SIZE: usize = 4096;
+
+/// The check of the constructors that still take a page size: panic,
+/// naming [`PAGE_SIZE`], unless `page_size` is it.
+pub(crate) fn check_page_size(page_size: usize) {
+    assert!(
+        page_size == PAGE_SIZE,
+        "a page of {page_size} bytes: every page is PAGE_SIZE ({PAGE_SIZE} bytes)"
+    );
+}
 
 /// Identifier of one hardware page of the global address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -58,71 +70,33 @@ impl std::fmt::Display for GlobalAddr {
     }
 }
 
-/// Describes the geometry of the paged global address space.
+/// Describes the geometry of the paged global address space: how many
+/// [`PAGE_SIZE`]-byte pages it holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageLayout {
-    page_size: usize,
-    /// `log2(page_size)`: the page size is a power of two, so splitting an
-    /// address into page and offset is a shift and a mask.
-    page_shift: u32,
     total_pages: u32,
 }
 
 impl PageLayout {
-    /// Create a layout with the given hardware page size (bytes) and total
-    /// number of pages.
+    /// Create a layout of `total_pages` pages of `page_size` bytes, which
+    /// must be [`PAGE_SIZE`] (the parameter stays for the repository
+    /// benchmark's probes, which pass it).
     ///
     /// # Panics
-    /// Panics if `page_size` is zero, not a multiple of [`WORD_SIZE`], not a
-    /// power of two or larger than [`MAX_PAGE_SIZE`], or if `total_pages` is
-    /// zero (see [`try_new`](Self::try_new)).
+    /// Panics if `page_size` is not [`PAGE_SIZE`] or `total_pages` is zero
+    /// (see [`try_new`](Self::try_new)).
     pub fn new(page_size: usize, total_pages: u32) -> Self {
-        Self::try_new(page_size, total_pages).unwrap_or_else(|(_, reason)| panic!("{reason}"))
+        check_page_size(page_size);
+        Self::try_new(total_pages).unwrap_or_else(|reason| panic!("{reason}"))
     }
 
-    /// [`new`](Self::new), returning the argument at fault (`"page_size"`
-    /// or `"total_pages"`) and what is wrong with it instead of panicking.
-    pub fn try_new(page_size: usize, total_pages: u32) -> Result<Self, (&'static str, String)> {
-        let page_size_err = |reason: String| Err(("page_size", reason));
-        if page_size == 0 {
-            return page_size_err("page size must be non-zero".into());
-        }
-        if !page_size.is_multiple_of(WORD_SIZE) {
-            return page_size_err(format!(
-                "page size must be a multiple of the {WORD_SIZE}-byte word"
-            ));
-        }
-        if !page_size.is_power_of_two() {
-            return page_size_err("page size must be a power of two".into());
-        }
-        if page_size > MAX_PAGE_SIZE {
-            return page_size_err(format!(
-                "page size must be at most {MAX_PAGE_SIZE} bytes, the reach of a page's attribution mask"
-            ));
-        }
+    /// A layout of `total_pages` pages, or what is wrong with the count
+    /// instead of a panic.
+    pub fn try_new(total_pages: u32) -> Result<Self, String> {
         if total_pages == 0 {
-            return Err((
-                "total_pages",
-                "layout must contain at least one page".into(),
-            ));
+            return Err("layout must contain at least one page".into());
         }
-        Ok(PageLayout {
-            page_size,
-            page_shift: page_size.trailing_zeros(),
-            total_pages,
-        })
-    }
-
-    /// Hardware page size in bytes.
-    #[inline]
-    pub fn page_size(&self) -> usize {
-        self.page_size
-    }
-
-    /// Number of 32-bit words per hardware page.
-    #[inline]
-    pub fn words_per_page(&self) -> usize {
-        self.page_size / WORD_SIZE
+        Ok(PageLayout { total_pages })
     }
 
     /// Total number of hardware pages in the shared space.
@@ -134,7 +108,7 @@ impl PageLayout {
     /// Total size of the shared space in bytes.
     #[inline]
     pub fn total_bytes(&self) -> u64 {
-        self.page_size as u64 * self.total_pages as u64
+        PAGE_SIZE as u64 * self.total_pages as u64
     }
 
     /// The layout truncated to the pages that can actually be touched: the
@@ -153,11 +127,10 @@ impl PageLayout {
     /// unit shapes are bit-identical to the full layout.
     pub fn truncated_to(&self, used_bytes: u64, unit_pages: u32) -> PageLayout {
         let unit = unit_pages.max(1) as u64;
-        let used_pages = used_bytes.div_ceil(self.page_size as u64).max(1);
+        let used_pages = used_bytes.div_ceil(PAGE_SIZE as u64).max(1);
         let rounded = used_pages.div_ceil(unit) * unit;
         PageLayout {
             total_pages: rounded.min(self.total_pages as u64) as u32,
-            ..*self
         }
     }
 
@@ -172,13 +145,13 @@ impl PageLayout {
             "address {addr} outside shared space of {} bytes",
             self.total_bytes()
         );
-        PageId((addr.0 >> self.page_shift) as u32)
+        PageId((addr.0 / PAGE_SIZE as u64) as u32)
     }
 
     /// Byte offset of `addr` within its page.
     #[inline]
     pub fn offset_in_page(&self, addr: GlobalAddr) -> usize {
-        (addr.0 & (self.page_size as u64 - 1)) as usize
+        (addr.0 % PAGE_SIZE as u64) as usize
     }
 
     /// Indices of the first and last page the byte range
@@ -199,10 +172,8 @@ impl PageLayout {
             self.total_bytes()
         );
         let last = addr.0 + (len - 1);
-        Some((
-            (addr.0 >> self.page_shift) as u32,
-            (last >> self.page_shift) as u32,
-        ))
+        let page = |at: u64| (at / PAGE_SIZE as u64) as u32;
+        Some((page(addr.0), page(last)))
     }
 
     /// Split an access of `len` bytes at `addr` at the page boundaries: one
@@ -226,7 +197,7 @@ impl PageLayout {
             let at = addr.add(done as u64);
             let page = layout.page_of(at);
             let offset = layout.offset_in_page(at);
-            let piece = done..done + (layout.page_size - offset).min(len - done);
+            let piece = done..done + (PAGE_SIZE - offset).min(len - done);
             done = piece.end;
             Some((page, offset, piece))
         })
@@ -239,9 +210,7 @@ mod tests {
 
     #[test]
     fn layout_basic_geometry() {
-        let l = PageLayout::new(4096, 16);
-        assert_eq!(l.page_size(), 4096);
-        assert_eq!(l.words_per_page(), 1024);
+        let l = PageLayout::new(PAGE_SIZE, 16);
         assert_eq!(l.total_pages(), 16);
         assert_eq!(l.total_bytes(), 65536);
     }
@@ -294,38 +263,27 @@ mod tests {
     }
 
     #[test]
-    fn shift_and_mask_agree_with_division_for_every_page_size() {
-        for shift in 6..=MAX_PAGE_SIZE.trailing_zeros() {
-            let page_size = 1usize << shift;
-            let l = PageLayout::new(page_size, 5);
-            let ps = page_size as u64;
-            for boundary in 0..=5u64 {
-                for addr in [
-                    (boundary * ps).wrapping_sub(1),
-                    boundary * ps,
-                    boundary * ps + 1,
-                ] {
-                    if addr >= l.total_bytes() {
+    fn page_offset_and_span_agree_with_division() {
+        let l = PageLayout::new(PAGE_SIZE, 5);
+        let ps = PAGE_SIZE as u64;
+        for boundary in 0..=5u64 {
+            for addr in [
+                (boundary * ps).wrapping_sub(1),
+                boundary * ps,
+                boundary * ps + 1,
+            ] {
+                if addr >= l.total_bytes() {
+                    continue;
+                }
+                let a = GlobalAddr(addr);
+                assert_eq!(l.page_of(a), PageId((addr / ps) as u32), "{addr}");
+                assert_eq!(l.offset_in_page(a), (addr % ps) as usize);
+                for len in [1, 2, ps - 1, ps, ps + 1, 2 * ps + 1] {
+                    if addr + len > l.total_bytes() {
                         continue;
                     }
-                    let a = GlobalAddr(addr);
-                    assert_eq!(
-                        l.page_of(a),
-                        PageId((addr / ps) as u32),
-                        "{page_size}@{addr}"
-                    );
-                    assert_eq!(l.offset_in_page(a), (addr % ps) as usize);
-                    assert_eq!(
-                        l.page_of(a).0 as u64 * ps + l.offset_in_page(a) as u64,
-                        addr
-                    );
-                    for len in [1, 2, ps - 1, ps, ps + 1, 2 * ps + 1] {
-                        if addr + len > l.total_bytes() {
-                            continue;
-                        }
-                        let want = ((addr / ps) as u32, ((addr + len - 1) / ps) as u32);
-                        assert_eq!(l.page_span(a, len), Some(want), "{page_size}@{addr}+{len}");
-                    }
+                    let want = ((addr / ps) as u32, ((addr + len - 1) / ps) as u32);
+                    assert_eq!(l.page_span(a, len), Some(want), "{addr}+{len}");
                 }
             }
         }
@@ -333,34 +291,38 @@ mod tests {
 
     #[test]
     fn segments_split_an_access_at_page_boundaries() {
-        let l = PageLayout::new(256, 8);
+        let l = PageLayout::new(PAGE_SIZE, 8);
         let split = |addr: u64, len: usize| l.segments(GlobalAddr(addr), len).collect::<Vec<_>>();
         // Empty: nothing, wherever it starts.
         assert_eq!(split(100, 0), []);
         assert_eq!(split(u64::MAX, 0), []);
         // Ending exactly at a page end: one piece, no empty tail.
-        assert_eq!(split(256 + 56, 200), [(PageId(1), 56, 0..200)]);
+        assert_eq!(split(4096 + 896, 3200), [(PageId(1), 896, 0..3200)]);
         // Spanning three pages: head, one whole page, tail.
         assert_eq!(
-            split(250, 300),
+            split(4090, 4200),
             [
-                (PageId(0), 250, 0..6),
-                (PageId(1), 0, 6..262),
-                (PageId(2), 0, 262..300)
+                (PageId(0), 4090, 0..6),
+                (PageId(1), 0, 6..4102),
+                (PageId(2), 0, 4102..4200)
             ]
         );
     }
 
     #[test]
     fn a_page_past_the_attribution_mask_is_rejected_by_name() {
-        let (arg, reason) = PageLayout::try_new(8192, 4).unwrap_err();
-        assert_eq!(arg, "page_size");
-        assert!(reason.contains("at most 4096 bytes"), "{reason}");
-        assert!(PageLayout::try_new(MAX_PAGE_SIZE, 4).is_ok());
+        let err = std::panic::catch_unwind(|| PageLayout::new(8192, 4)).unwrap_err();
+        let reason = err.downcast_ref::<String>().expect("a formatted message");
+        assert!(reason.contains("PAGE_SIZE (4096 bytes)"), "{reason}");
+        assert_eq!(
+            PageLayout::try_new(0).unwrap_err(),
+            "layout must contain at least one page"
+        );
+        assert_eq!(PageLayout::try_new(4), Ok(PageLayout::new(PAGE_SIZE, 4)));
     }
 
     #[test]
-    #[should_panic(expected = "power of two")]
+    #[should_panic(expected = "every page is PAGE_SIZE")]
     fn non_power_of_two_page_size_rejected() {
         PageLayout::new(3000, 4);
     }

@@ -5,7 +5,8 @@
 //! operating system's virtual memory:
 //!
 //! * a paged **global address space** ([`PageLayout`], [`GlobalAddr`],
-//!   [`PageId`]),
+//!   [`PageId`]) of pages of [`PAGE_SIZE`] bytes, the paper's 4 KB
+//!   hardware page (a larger consistency unit groups pages),
 //! * per-processor **local copies** of the shared pages ([`PageStore`],
 //!   [`LocalPage`]),
 //! * **twinning and diffing** — the multiple-writer protocol's write
@@ -22,7 +23,7 @@
 //!   classify delivered words as *useful* (read before overwritten) or
 //!   *useless*: per page, one word mask per exchange that still holds
 //!   delivered words, which deliveries, reads and writes update block by
-//!   block (so a page is at most [`layout::MAX_PAGE_SIZE`] bytes).
+//!   block.
 //!
 //! The crate knows nothing about consistency models, synchronization, or the
 //! network; those live in `tdsm-core` and `tm-net`.
@@ -73,7 +74,7 @@ pub use alloc::{Align, OutOfSharedMemory, RegionAllocator};
 pub use diff::{Diff, DIFF_HEADER_BYTES, RUN_HEADER_BYTES};
 pub use home::HomeStore;
 pub use image::Image;
-pub use layout::{GlobalAddr, PageId, PageLayout, WORD_SIZE};
+pub use layout::{GlobalAddr, PageId, PageLayout, PAGE_SIZE, WORD_SIZE};
 pub use page::{LocalPage, PageStore, NO_EXCHANGE};
 
 #[cfg(test)]
@@ -81,12 +82,8 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    fn word_aligned_page() -> impl Strategy<Value = Vec<u8>> {
-        prop::collection::vec(any::<u8>(), 64..=256).prop_map(|mut v| {
-            let len = v.len() / WORD_SIZE * WORD_SIZE;
-            v.truncate(len.max(WORD_SIZE));
-            v
-        })
+    fn page() -> impl Strategy<Value = Vec<u8>> {
+        prop::collection::vec(any::<u8>(), PAGE_SIZE)
     }
 
     proptest! {
@@ -98,7 +95,7 @@ mod proptests {
         /// reconstruct `current` exactly — the fundamental multiple-writer
         /// protocol invariant.
         #[test]
-        fn diff_roundtrip(twin in word_aligned_page(), seed in any::<u64>()) {
+        fn diff_roundtrip(twin in page(), seed in any::<u64>()) {
             let mut current = twin.clone();
             // Mutate a pseudo-random subset of bytes.
             let mut state = seed | 1;
@@ -117,7 +114,7 @@ mod proptests {
         /// A diff never carries more payload than the page size and its runs
         /// are sorted, disjoint, word-aligned and maximal.
         #[test]
-        fn diff_runs_are_canonical(twin in word_aligned_page(), seed in any::<u64>()) {
+        fn diff_runs_are_canonical(twin in page(), seed in any::<u64>()) {
             let mut current = twin.clone();
             let mut state = seed | 1;
             for b in current.iter_mut() {
@@ -171,11 +168,11 @@ mod proptests {
         fn tracked_writes_match_eager_twin_compare(
             seed in any::<u64>(),
             writes in prop::collection::vec(
-                (0usize..256, prop::collection::vec(any::<u8>(), 1..40)),
+                (0usize..PAGE_SIZE, prop::collection::vec(any::<u8>(), 1..40)),
                 0..30,
             ),
         ) {
-            let page_size = 256usize;
+            let page_size = PAGE_SIZE;
             let mut store = PageStore::new(PageLayout::new(page_size, 1));
             let p = store.page_mut(PageId(0));
             let mut state = seed | 1;
@@ -237,7 +234,7 @@ mod proptests {
         ) {
             use std::sync::Arc;
 
-            let page_size = 4096usize;
+            let page_size = PAGE_SIZE;
             let mut writer = LocalPage::new_zeroed(page_size);
             let mut receiver = LocalPage::new_zeroed(page_size);
             let mut mirror = vec![0u8; page_size];
@@ -263,8 +260,6 @@ mod proptests {
                 }
             };
             let mut scratch = vec![0u8; page_size];
-            // Deliberately dirty scratch: its contents must not matter.
-            let mut cov = vec![!0u64; 3];
 
             for (k, writes) in intervals.iter().enumerate() {
                 let twin = writer.bytes().to_vec();
@@ -304,7 +299,7 @@ mod proptests {
                     if k % 2 == 0 {
                         receiver.apply_diff(&shared, NO_EXCHANGE);
                     } else {
-                        receiver.deliver([(&shared, NO_EXCHANGE)], &mut cov);
+                        receiver.deliver([(&shared, NO_EXCHANGE)]);
                         receiver.read_bytes(0, &mut scratch, |_, _| {});
                         prop_assert_eq!(&scratch[..], &mirror[..]);
                     }

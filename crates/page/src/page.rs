@@ -9,18 +9,14 @@
 //! exchange that still holds delivered words, so every delivery, read and
 //! write settles it in a few block-wise mask operations.
 
-use crate::diff::Diff;
+use crate::diff::{Diff, BLOCKS};
 use crate::image::Image;
-use crate::layout::{GlobalAddr, PageId, PageLayout, MAX_PAGE_SIZE, WORD_SIZE};
+use crate::layout::{GlobalAddr, PageId, PageLayout, PAGE_SIZE, WORD_SIZE};
 use std::sync::Arc;
 
 /// Sentinel attribution meaning "this word was not delivered by any exchange
 /// (or its delivery has already been classified)".
 pub const NO_EXCHANGE: u32 = u32::MAX;
-
-/// Blocks of 64 words in an attribution mask: enough for a page of
-/// [`MAX_PAGE_SIZE`] bytes.
-const BLOCKS: usize = MAX_PAGE_SIZE / WORD_SIZE / 64;
 
 /// Masks a page's first spill past its inline one makes room for, at
 /// once: the benchmark's runs hold up to eight masks on a page (seven in
@@ -46,8 +42,7 @@ impl Delivered {
         bits: [0; BLOCKS],
     };
 
-    /// The words `bits` sets (a diff's mask, at most [`BLOCKS`] long),
-    /// delivered by `exchange`.
+    /// The words `bits` sets (a diff's mask), delivered by `exchange`.
     fn of(exchange: u32, bits: &[u64]) -> Delivered {
         let mut mask = Delivered {
             exchange,
@@ -57,17 +52,12 @@ impl Delivered {
         mask
     }
 
-    /// Every word of a page of `words` words, delivered by `exchange`.
-    fn whole(exchange: u32, words: usize) -> Delivered {
-        let mut mask = Delivered {
+    /// Every word of the page, delivered by `exchange`.
+    fn whole(exchange: u32) -> Delivered {
+        Delivered {
             exchange,
-            bits: [0; BLOCKS],
-        };
-        for (b, m) in mask.bits.iter_mut().enumerate() {
-            let below = words.saturating_sub(b * 64);
-            *m = if below >= 64 { !0 } else { (1 << below) - 1 };
+            bits: [!0; BLOCKS],
         }
-        mask
     }
 
     fn is_empty(&self) -> bool {
@@ -133,36 +123,28 @@ fn copy_bytes(dst: &mut [u8], src: &[u8]) {
 }
 
 impl LocalPage {
-    /// Create a zero-filled page of `page_size` bytes over a zero image of
-    /// its own, with a pool of its own.
+    /// Create a zero-filled page of `page_size` bytes, which must be
+    /// [`PAGE_SIZE`] (the parameter stays for the repository benchmark's
+    /// probes, which pass it), over a zero image of its own, with a pool of
+    /// its own.
     ///
     /// # Panics
-    /// Panics if `page_size` exceeds [`MAX_PAGE_SIZE`].
+    /// Panics if `page_size` is not [`PAGE_SIZE`].
     pub fn new_zeroed(page_size: usize) -> Self {
-        Self::showing(Image::zeroed(page_size))
+        crate::layout::check_page_size(page_size);
+        Self::showing(Image::zeroed())
     }
 
     /// A page whose contents are `image`, which it may share: a
     /// [`PageStore`]'s pages start on the store's one zero image, and the
     /// copy-on-write rules give a page its own image when it first differs.
     fn showing(image: Image) -> Self {
-        assert!(
-            image.len() <= MAX_PAGE_SIZE,
-            "a page of {} bytes exceeds the {MAX_PAGE_SIZE}-byte attribution mask",
-            image.len()
-        );
         LocalPage {
             data: image,
             twin: None,
             first: Delivered::NONE,
             more: Vec::new(),
         }
-    }
-
-    /// Number of 32-bit words in the page.
-    #[inline]
-    fn words(&self) -> usize {
-        self.data.len() / WORD_SIZE
     }
 
     /// Whether a twin is live.
@@ -246,12 +228,12 @@ impl LocalPage {
     #[inline]
     pub fn write_in_place(&mut self, offset: usize, len: usize) -> &mut [u8] {
         let end = offset + len;
-        assert!(end <= self.data.len(), "write outside page bounds");
+        assert!(end <= PAGE_SIZE, "write outside page bounds");
         if len == 0 {
             return &mut [];
         }
         self.take_words(offset / WORD_SIZE, (end - 1) / WORD_SIZE, |_, _| {});
-        if len == self.data.len() {
+        if len == PAGE_SIZE {
             self.overwritten()
         } else {
             &mut self.data.detached()[offset..end]
@@ -278,7 +260,7 @@ impl LocalPage {
         on_useful: impl FnMut(u32, u32),
     ) -> &[u8] {
         let end = offset + len;
-        assert!(end <= self.data.len(), "read outside page bounds");
+        assert!(end <= PAGE_SIZE, "read outside page bounds");
         if len > 0 {
             self.take_words(offset / WORD_SIZE, (end - 1) / WORD_SIZE, on_useful);
         }
@@ -295,7 +277,7 @@ impl LocalPage {
     /// # Panics
     /// Panics if `src` is not exactly one page long.
     pub fn load_page(&mut self, src: &[u8], exchange: u32) {
-        assert_eq!(src.len(), self.data.len(), "src must be one page");
+        assert_eq!(src.len(), PAGE_SIZE, "src must be one page");
         debug_assert!(!self.twinned(), "delivery onto a twinned page");
         self.overwritten().copy_from_slice(src);
         self.attribute_page(exchange);
@@ -338,7 +320,7 @@ impl LocalPage {
         self.first = if exchange == NO_EXCHANGE {
             Delivered::NONE
         } else {
-            Delivered::whole(exchange, self.words())
+            Delivered::whole(exchange)
         };
         self.check_masks();
     }
@@ -418,9 +400,8 @@ impl LocalPage {
 
     /// The masks' invariant (see the field), asserted after every change
     /// in builds with debug assertions; `first` is [`Delivered::NONE`]
-    /// exactly when no mask is held, and no mask sets a bit past the page's
-    /// last word.  It allocates nothing, so the steady-state allocation
-    /// bounds hold in those builds too.
+    /// exactly when no mask is held.  It allocates nothing, so the
+    /// steady-state allocation bounds hold in those builds too.
     fn check_masks(&self) {
         if !cfg!(debug_assertions) {
             return;
@@ -432,7 +413,6 @@ impl LocalPage {
                 (&self.first, &self.more)
             );
         }
-        let page = Delivered::whole(NO_EXCHANGE, self.words());
         let mut union = [0u64; BLOCKS];
         for (k, mask) in self.masks().enumerate() {
             assert!(
@@ -446,13 +426,12 @@ impl LocalPage {
                 "two masks of exchange {}",
                 mask.exchange
             );
-            for ((u, &m), &p) in union.iter_mut().zip(&mask.bits).zip(&page.bits) {
+            for (u, &m) in union.iter_mut().zip(&mask.bits) {
                 assert!(
                     *u & m == 0,
                     "masks overlap: {:?}",
                     (&self.first, &self.more)
                 );
-                assert!(m & !p == 0, "a mask sets a word past the page: {mask:?}");
                 *u |= m;
             }
         }
@@ -470,14 +449,7 @@ impl LocalPage {
     /// whose older members paint only words the writer's image already
     /// holds.  Page bytes, attribution and adoption are exactly those of
     /// `apply_diff` of every member, oldest first.
-    ///
-    /// `cover` is caller scratch (contents ignored and clobbered), kept
-    /// across rounds so that a delivery allocates nothing.
-    pub fn deliver<'a>(
-        &mut self,
-        newest_first: impl IntoIterator<Item = (&'a Arc<Diff>, u32)>,
-        cover: &mut Vec<u64>,
-    ) {
+    pub fn deliver<'a>(&mut self, newest_first: impl IntoIterator<Item = (&'a Arc<Diff>, u32)>) {
         debug_assert!(!self.twinned(), "delivery onto a twinned page");
         let mut round = newest_first.into_iter();
         let Some((newest, exchange)) = round.next() else {
@@ -488,16 +460,14 @@ impl LocalPage {
         debug_assert!(!newest.is_empty(), "a published diff writes a word");
         let mut older = round.peekable();
         if older.peek().is_some() {
-            let words = self.words();
-            cover.clear();
-            cover.extend_from_slice(newest.mask());
-            cover.resize(words.div_ceil(64), 0);
+            let mut cover = [0; BLOCKS];
+            cover[..newest.mask().len()].copy_from_slice(newest.mask());
             let mut covered = newest.payload_words();
             for (diff, exchange) in older {
-                if covered == words {
+                if covered == PAGE_SIZE / WORD_SIZE {
                     break;
                 }
-                covered += self.paint_uncovered(diff, exchange, cover);
+                covered += self.paint_uncovered(diff, exchange, &mut cover);
             }
         }
         self.apply_diff(newest, exchange);
@@ -507,7 +477,7 @@ impl LocalPage {
     /// attribution, as [`apply_diff`](Self::apply_diff) would — adding them
     /// to it, and return how many there were.  A member wholly under the
     /// cover detaches no image and attributes nothing.
-    fn paint_uncovered(&mut self, diff: &Diff, exchange: u32, cover: &mut [u64]) -> usize {
+    fn paint_uncovered(&mut self, diff: &Diff, exchange: u32, cover: &mut [u64; BLOCKS]) -> usize {
         let mut fresh = [0u64; BLOCKS];
         for ((f, &m), &c) in fresh.iter_mut().zip(diff.mask()).zip(&*cover) {
             *f = m & !c;
@@ -549,21 +519,13 @@ impl PageStore {
     /// Create an empty store for the given layout, over a zero image (and so
     /// a pool) of its own.
     pub fn new(layout: PageLayout) -> Self {
-        Self::with_zero_image(layout, Image::zeroed(layout.page_size()))
+        Self::with_zero_image(layout, Image::zeroed())
     }
 
     /// Create an empty store whose pages start on `zero`, an all-zero image
-    /// of the layout's page size that other stores may share: a run builds
-    /// one for all its processors, and its pool is the run's.
-    ///
-    /// # Panics
-    /// Panics if `zero` is not one page long.
+    /// that other stores may share: a run builds one for all its
+    /// processors, and its pool is the run's.
     pub fn with_zero_image(layout: PageLayout, zero: Image) -> Self {
-        assert_eq!(
-            zero.len(),
-            layout.page_size(),
-            "zero image must be one page"
-        );
         debug_assert!(zero.iter().all(|&b| b == 0), "zero image holds a set byte");
         PageStore {
             layout,
@@ -633,8 +595,11 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
+    /// Words in a page.
+    const WORDS: usize = PAGE_SIZE / WORD_SIZE;
+
     fn layout() -> PageLayout {
-        PageLayout::new(256, 8)
+        PageLayout::new(PAGE_SIZE, 8)
     }
 
     #[test]
@@ -651,11 +616,11 @@ mod tests {
     fn write_then_read_roundtrip_across_pages() {
         let mut store = PageStore::new(layout());
         let data: Vec<u8> = (0..300).map(|i| (i % 255) as u8).collect();
-        store.write(GlobalAddr(200), &data);
+        store.write(GlobalAddr(4000), &data);
         let mut out = vec![0u8; 300];
-        store.read(GlobalAddr(200), &mut out, |_, _| {});
+        store.read(GlobalAddr(4000), &mut out, |_, _| {});
         assert_eq!(out, data);
-        assert_eq!(store.resident_pages(), 2); // bytes 200..500 touch pages 0 and 1
+        assert_eq!(store.resident_pages(), 2); // bytes 4000..4300 touch pages 0 and 1
     }
 
     #[test]
@@ -681,7 +646,7 @@ mod tests {
         let mut store = PageStore::new(layout());
         let page = PageId(0);
         // Build a diff that delivers words 2 and 3.
-        let twin = vec![0u8; 256];
+        let twin = vec![0u8; PAGE_SIZE];
         let mut cur = twin.clone();
         cur[8..16].copy_from_slice(&[9; 8]);
         let diff = Diff::create(page, &twin, &cur);
@@ -706,7 +671,7 @@ mod tests {
     fn attribution_overwrite_before_read_is_not_credited() {
         let mut store = PageStore::new(layout());
         let page = PageId(0);
-        let twin = vec![0u8; 256];
+        let twin = vec![0u8; PAGE_SIZE];
         let mut cur = twin.clone();
         cur[0..4].copy_from_slice(&[5; 4]);
         let diff = Diff::create(page, &twin, &cur);
@@ -763,9 +728,9 @@ mod tests {
     /// A dense diff whose payload *is* the writer's page image, the image
     /// bytes it was made from, and the writer page still sharing it.
     fn page_sharing_its_image_with_a_published_diff() -> (LocalPage, Diff, Vec<u8>) {
-        let mut writer = LocalPage::new_zeroed(256);
+        let mut writer = LocalPage::new_zeroed(PAGE_SIZE);
         writer.ensure_twin();
-        let image: Vec<u8> = (0..256).map(|i| i as u8 | 1).collect();
+        let image: Vec<u8> = (0..PAGE_SIZE).map(|i| i as u8 | 1).collect();
         writer.write_bytes(0, &image);
         let published = writer.make_diff(PageId(0)).unwrap();
         writer.drop_twin();
@@ -774,10 +739,10 @@ mod tests {
         (writer, published, image)
     }
 
-    /// A sparse diff touching every other word of a 256-byte page: 32
+    /// A sparse diff touching every other word of the page's first 64: 32
     /// one-word runs.
     fn every_other_word() -> Diff {
-        let twin = vec![0u8; 256];
+        let twin = vec![0u8; PAGE_SIZE];
         let mut cur = twin.clone();
         for w in (0..64).step_by(2) {
             cur[w * 4..w * 4 + 4].copy_from_slice(&[0xA0 | w as u8; 4]);
@@ -813,11 +778,11 @@ mod tests {
 
     #[test]
     fn a_twin_over_an_owned_image_shares_it_until_the_first_store() {
-        let zero = Image::zeroed(256);
+        let zero = Image::zeroed();
         let mut page = LocalPage::showing(zero.clone());
         page.write_bytes(0, &[1; 4]);
         let owned = page.data.as_ptr();
-        let spare = zero.filled(&[0xEE; 256]);
+        let spare = zero.filled(&[0xEE; PAGE_SIZE]);
         let spare_at = spare.as_ptr();
         drop(spare);
         assert_eq!(zero.pooled(), 1);
@@ -847,22 +812,25 @@ mod tests {
         // A whole-page store leaves the pre-interval buffer to the twin and
         // builds into the pooled one.
         page.ensure_twin();
-        page.write_bytes(0, &[4; 256]);
+        page.write_bytes(0, &[4; PAGE_SIZE]);
         let twin = page.twin.as_ref().unwrap();
         assert_eq!((twin.as_ptr(), twin[8]), (spare_at, 2));
         assert_eq!((page.data.as_ptr(), zero.pooled()), (owned, 0));
-        assert_eq!(page.make_diff(PageId(0)).unwrap().payload_bytes(), 256);
+        assert_eq!(
+            page.make_diff(PageId(0)).unwrap().payload_bytes(),
+            PAGE_SIZE as u64
+        );
     }
 
     #[test]
     fn visible_apply_detaches_a_shared_image_once_and_leaves_the_diff_alone() {
         let (mut page, published, image) = page_sharing_its_image_with_a_published_diff();
         let sparse = every_other_word();
-        let pooled = page.data.filled(&[0xEE; 256]);
+        let pooled = page.data.filled(&[0xEE; PAGE_SIZE]);
         let at = pooled.as_ptr();
         drop(pooled);
         let before = page.data.pooled();
-        assert_eq!(page.paint_uncovered(&sparse, 3, &mut [0; 1]), 32);
+        assert_eq!(page.paint_uncovered(&sparse, 3, &mut [0; BLOCKS]), 32);
 
         // The published diff still holds the pre-apply image, byte for byte.
         assert_eq!(published.runs().next().unwrap(), (0, &image[..]));
@@ -880,19 +848,19 @@ mod tests {
     fn a_member_under_newer_ones_is_skipped_and_a_fresh_word_is_painted() {
         // A diff writing `value + w` into each byte of word `w` of `words`.
         let diff = |words: std::ops::Range<usize>, value: u8| {
-            let mut cur = vec![0u8; 256];
+            let mut cur = vec![0u8; PAGE_SIZE];
             for w in words {
                 cur[w * WORD_SIZE..(w + 1) * WORD_SIZE].fill(value + w as u8);
             }
-            Arc::new(Diff::create(PageId(0), &[0; 256], &cur))
+            Arc::new(Diff::create(PageId(0), &[0; PAGE_SIZE], &cur))
         };
         let (newest, under, one_fresh) = (diff(0..8, 30), diff(2..6, 20), diff(5..9, 10));
-        let zero = Image::zeroed(256);
+        let zero = Image::zeroed();
 
         // A covered older member attributes nothing: the round's only
         // attribution is the newest's, which crossed no wire.
         let mut page = LocalPage::showing(zero.clone());
-        page.deliver([(&newest, NO_EXCHANGE), (&under, 4)], &mut Vec::new());
+        page.deliver([(&newest, NO_EXCHANGE), (&under, 4)]);
         assert_eq!(page.masks().count(), 0, "a covered member attributed");
         assert_eq!(
             page.bytes()[..32],
@@ -903,7 +871,7 @@ mod tests {
         // leaves the image shared and holds no mask, and the one with a
         // fresh word paints and attributes exactly that word.
         let mut page = LocalPage::showing(zero.clone());
-        let mut cover = newest.mask().to_vec();
+        let mut cover: [u64; BLOCKS] = newest.mask().try_into().unwrap();
         assert_eq!(page.paint_uncovered(&under, 4, &mut cover), 0);
         assert_eq!(
             page.data.as_ptr(),
@@ -912,7 +880,7 @@ mod tests {
         );
         assert!(page.masks().count() == 0 && cover == newest.mask());
         assert_eq!(page.paint_uncovered(&one_fresh, 5, &mut cover), 1);
-        let mut want = [0u8; 256];
+        let mut want = [0u8; PAGE_SIZE];
         want[8 * WORD_SIZE..9 * WORD_SIZE].fill(18);
         assert_eq!(page.bytes(), &want[..]);
         let masks: Vec<_> = page.masks().copied().collect();
@@ -926,12 +894,12 @@ mod tests {
         /// its diff borrows the image.
         fn interval(writer: &mut LocalPage, value: u8) -> Diff {
             writer.ensure_twin();
-            writer.write_bytes(0, &[value; 256]);
+            writer.write_bytes(0, &[value; PAGE_SIZE]);
             let diff = writer.make_diff(PageId(0)).unwrap();
             writer.drop_twin();
             diff
         }
-        let zero = Image::zeroed(256);
+        let zero = Image::zeroed();
         let (mut writer, mut reader) = (
             LocalPage::showing(zero.clone()),
             LocalPage::showing(zero.clone()),
@@ -947,14 +915,14 @@ mod tests {
         // store into its (shared) image builds into that buffer.
         assert_eq!(zero.pooled(), 1);
         writer.ensure_twin();
-        writer.write_bytes(0, &[3; 256]);
+        writer.write_bytes(0, &[3; PAGE_SIZE]);
         assert_eq!((writer.data.as_ptr(), zero.pooled()), (adopted, 0));
-        assert_eq!(reader.bytes(), &[2; 256][..]);
+        assert_eq!(reader.bytes(), &[2; PAGE_SIZE][..]);
     }
 
     #[test]
     fn a_twins_image_goes_back_at_drop_twin() {
-        let zero = Image::zeroed(256);
+        let zero = Image::zeroed();
         let (mut page, mut other) = (
             LocalPage::showing(zero.clone()),
             LocalPage::showing(zero.clone()),
@@ -984,24 +952,29 @@ mod tests {
     type Member = (u8, (usize, usize), u32, bool);
 
     fn member() -> impl Strategy<Value = Member> {
-        (0u8..5, (0usize..256, 1usize..120), 0u32..10, any::<bool>())
+        (
+            0u8..5,
+            (0usize..WORDS, 1usize..480),
+            0u32..10,
+            any::<bool>(),
+        )
     }
 
-    /// One writer's successive intervals on a 256-word page.  Every word an
+    /// One writer's successive intervals on a page.  Every word an
     /// interval marks gets a value no earlier interval wrote, so the diff's
     /// words are exactly the marked ones.
     struct Writer {
         page: LocalPage,
         stamp: u32,
-        written: [bool; 256],
+        written: [bool; WORDS],
     }
 
     impl Writer {
         fn new() -> Self {
             Writer {
-                page: LocalPage::new_zeroed(1024),
+                page: LocalPage::new_zeroed(PAGE_SIZE),
                 stamp: 0,
-                written: [false; 256],
+                written: [false; WORDS],
             }
         }
 
@@ -1020,30 +993,30 @@ mod tests {
         /// Write the words of one interval of `shape` and return the
         /// interval-start bytes, leaving the page twinned.
         fn write(&mut self, shape: u8, (start, len): (usize, usize)) -> Vec<u8> {
-            let run = |marks: &mut [bool; 256], lo: usize, n: usize, on: bool| {
-                marks[lo.min(256)..(lo + n).min(256)].fill(on)
+            let run = |marks: &mut [bool; WORDS], lo: usize, n: usize, on: bool| {
+                marks[lo.min(WORDS)..(lo + n).min(WORDS)].fill(on)
             };
-            let mut marks = [false; 256];
+            let mut marks = [false; WORDS];
             match shape {
                 0 => run(&mut marks, start, len, true),
                 1 => {
                     run(&mut marks, start, len, true);
-                    run(&mut marks, (start + len + 3) % 256, len / 2 + 1, true);
+                    run(&mut marks, (start + len + 3) % WORDS, len / 2 + 1, true);
                 }
                 2 => {
                     marks = self.written;
                     run(&mut marks, start, len, true);
                 }
-                3 => marks = [true; 256],
+                3 => marks = [true; WORDS],
                 _ => {
-                    marks = [true; 256];
+                    marks = [true; WORDS];
                     run(&mut marks, start, len / 4 + 1, false);
                 }
             }
             self.stamp += 1;
             let twin = self.page.bytes().to_vec();
             self.page.ensure_twin();
-            for w in (0..256).filter(|&w| marks[w]) {
+            for w in (0..WORDS).filter(|&w| marks[w]) {
                 let value = self.stamp << 16 | w as u32;
                 self.page.write_bytes(w * WORD_SIZE, &value.to_le_bytes());
                 self.written[w] = true;
@@ -1076,7 +1049,7 @@ mod tests {
 
     fn step() -> impl Strategy<Value = Step> {
         let fields = (
-            (0usize..1024, 1usize..1024),
+            (0usize..PAGE_SIZE, 1usize..PAGE_SIZE),
             any::<u8>(),
             prop::collection::vec(member(), 1..4),
         );
@@ -1119,7 +1092,7 @@ mod tests {
         });
         let (pending, bytes) = (page.pending_attributions(), page.bytes().to_vec());
         let mut credited = BTreeMap::new();
-        page.read_bytes(0, &mut [0u8; 1024], |e, words| {
+        page.read_bytes(0, &mut [0u8; PAGE_SIZE], |e, words| {
             *credited.entry(e).or_default() += words
         });
         (adopted, pending, bytes, credited)
@@ -1127,14 +1100,14 @@ mod tests {
 
     #[test]
     fn four_and_eight_byte_accesses_match_a_flat_model_at_any_offset() {
-        let mut page = LocalPage::new_zeroed(256);
-        let mut model = vec![0u8; 256];
-        for (i, off) in [0usize, 1, 3, 4, 100, 247, 248, 252]
+        let mut page = LocalPage::new_zeroed(PAGE_SIZE);
+        let mut model = vec![0u8; PAGE_SIZE];
+        for (i, off) in [0usize, 1, 3, 4, 100, 4087, 4088, 4092]
             .into_iter()
             .enumerate()
         {
             for len in [4usize, 8] {
-                if off + len > 256 {
+                if off + len > PAGE_SIZE {
                     continue;
                 }
                 let src: Vec<u8> = (0..len).map(|k| (i * 16 + k + 1) as u8).collect();
@@ -1156,7 +1129,7 @@ mod tests {
     fn pending_attribution_counter_tracks_reads_writes_and_loads() {
         let mut store = PageStore::new(layout());
         let page = PageId(0);
-        let twin = vec![0u8; 256];
+        let twin = vec![0u8; PAGE_SIZE];
         let mut cur = twin.clone();
         cur[0..12].copy_from_slice(&[4; 12]);
         let diff = Diff::create(page, &twin, &cur);
@@ -1176,42 +1149,41 @@ mod tests {
         p.write_bytes(4, &[9; 4]);
         assert_eq!(p.pending_attributions(), 1);
         // ...and a whole-page load resets the slate.
-        p.load_page(&vec![7u8; 256], 9);
-        assert_eq!(p.pending_attributions(), 64);
-        p.load_page(&vec![7u8; 256], NO_EXCHANGE);
+        p.load_page(&[7u8; PAGE_SIZE], 9);
+        assert_eq!(p.pending_attributions(), WORDS);
+        p.load_page(&[7u8; PAGE_SIZE], NO_EXCHANGE);
         assert_eq!(p.pending_attributions(), 0);
     }
 
-    /// The words a generated diff writes on a page of `words` words: one
-    /// run (shape 0) of `len` words from `start`, every `stride`th word
-    /// from `start`, `len` of them (shape 1), the whole page (shape 2), the
-    /// whole page but a hole of up to eight words at `start` (shape 3), or
-    /// a prefix of at least half the page that ends `len` words early
-    /// (shape 4).  Shapes 2–4 are dense, so a close's diff of them borrows
-    /// the writer's image, and shape 4's mask stops short of a large page's
-    /// last block.
+    /// The words a generated diff writes: one run (shape 0) of `len` words
+    /// from `start`, every `stride`th word from `start`, `len` of them
+    /// (shape 1), the whole page (shape 2), the whole page but a hole of up
+    /// to eight words at `start` (shape 3), or a prefix of at least half the
+    /// page that ends `len` words early (shape 4).  Shapes 2–4 are dense, so
+    /// a close's diff of them borrows the writer's image, and shape 4's mask
+    /// stops short of the page's last block.
     type Words = (u8, usize, usize, usize);
 
     fn words() -> impl Strategy<Value = Words> {
         (0u8..5, 0usize..1024, 1usize..300, 1usize..9)
     }
 
-    /// The words `shape` marks on a page of `words` words (see [`Words`]).
-    fn marked(words: usize, (shape, start, len, stride): Words) -> Vec<bool> {
-        let start = start % words;
-        let mut marks = vec![false; words];
+    /// The words `shape` marks (see [`Words`]).
+    fn marked((shape, start, len, stride): Words) -> Vec<bool> {
+        let start = start % WORDS;
+        let mut marks = vec![false; WORDS];
         match shape {
-            0 => marks[start..(start + len).min(words)].fill(true),
-            1 => (start..words)
+            0 => marks[start..(start + len).min(WORDS)].fill(true),
+            1 => (start..WORDS)
                 .step_by(stride)
                 .take(len)
                 .for_each(|w| marks[w] = true),
             2 => marks.fill(true),
             3 => {
                 marks.fill(true);
-                marks[start..(start + len % 8 + 1).min(words)].fill(false);
+                marks[start..(start + len % 8 + 1).min(WORDS)].fill(false);
             }
-            _ => marks[..words.saturating_sub(len).max(words.div_ceil(2))].fill(true),
+            _ => marks[..(WORDS - len).max(WORDS / 2)].fill(true),
         }
         marks
     }
@@ -1360,8 +1332,7 @@ mod tests {
 
     #[test]
     fn a_page_adopts_an_image_exactly_where_it_already_agrees() {
-        const WORDS: usize = 100;
-        let zero = Image::zeroed(WORDS * WORD_SIZE);
+        let zero = Image::zeroed();
         let page = || LocalPage::showing(zero.clone());
         let (mut reader, mut a, mut b) = (page(), page(), page());
         let all_but = |hole: std::ops::Range<usize>| {
@@ -1378,18 +1349,17 @@ mod tests {
 
         // A single-writer round adopts: its older members paint only words
         // the newest image holds too.
-        let mut cover = Vec::new();
         let older = interval(&mut a, &all_but(0..90), 2);
         let newest = interval(&mut a, &all_but(90..100), 3);
-        reader.deliver([(&newest, 3), (&older, 2)], &mut cover);
+        reader.deliver([(&newest, 3), (&older, 2)]);
         assert!(shows(&reader, &newest), "a single writer's round copied");
         assert_eq!(reader.bytes(), a.bytes());
 
         // A concurrent writer's words are not in `a`'s image: a round with
         // one of them under `a`'s newest falls back to copying.
-        let other = interval(&mut b, &all_but(4..100), 4);
+        let other = interval(&mut b, &all_but(4..WORDS), 4);
         let next = interval(&mut a, &all_but(0..8), 5);
-        reader.deliver([(&next, 5), (&other, 4)], &mut cover);
+        reader.deliver([(&next, 5), (&other, 4)]);
         assert!(!shows(&reader, &next), "a concurrent round adopted");
         let mut want = a.bytes().to_vec();
         want[..4 * WORD_SIZE].copy_from_slice(&b.bytes()[..4 * WORD_SIZE]);
@@ -1397,18 +1367,18 @@ mod tests {
 
         // A mask that stops short of the page's last block still has every
         // word past it compared: a reader whose last word differs copies.
-        let mut big = (LocalPage::new_zeroed(1024), LocalPage::new_zeroed(1024));
-        let mut prefix = [false; 256];
-        prefix[..150].fill(true);
-        let trimmed = interval(&mut big.0, &prefix, 6);
-        assert!(trimmed.image().is_some() && trimmed.mask().len() < 4);
-        big.1.write_bytes(1020, &[1; 4]);
-        big.1.apply_diff(&trimmed, 6);
+        let (mut short, mut last) = (page(), page());
+        let mut prefix = [false; WORDS];
+        prefix[..600].fill(true);
+        let trimmed = interval(&mut short, &prefix, 6);
+        assert!(trimmed.image().is_some() && trimmed.mask().len() < BLOCKS);
+        last.write_bytes(PAGE_SIZE - 4, &[1; 4]);
+        last.apply_diff(&trimmed, 6);
         assert!(
-            !shows(&big.1, &trimmed),
+            !shows(&last, &trimmed),
             "a word past a trimmed mask went unchecked"
         );
-        assert_eq!(big.1.bytes()[1020..], [1; 4]);
+        assert_eq!(last.bytes()[PAGE_SIZE - 4..], [1; 4]);
 
         // A local store after an adoption detaches the reader; the diff and
         // its writer keep their bytes.
@@ -1439,16 +1409,15 @@ mod tests {
                     0u8..3,
                     member(),
                     any::<bool>(),
-                    prop::collection::vec((0u8..4, 0usize..1024, 1usize..64, any::<u8>()), 1..6),
+                    prop::collection::vec((0u8..4, 0usize..PAGE_SIZE, 1usize..256, any::<u8>()), 1..6),
                 ),
                 1..8,
             ),
         ) {
-            let zero = Image::zeroed(1024);
+            let zero = Image::zeroed();
             let mut page = LocalPage::showing(zero.clone());
             let mut writer = Writer::new();
-            let mut mirror = vec![0u8; 1024];
-            let mut cover = Vec::new();
+            let mut mirror = vec![0u8; PAGE_SIZE];
             let mut recycled = Diff::empty(PageId(0));
             for (k, (origin, delivered, hold, stores)) in intervals.iter().enumerate() {
                 let adopted = match origin {
@@ -1462,7 +1431,7 @@ mod tests {
                     // Deliver a round, which lands before the twin is taken.
                     2 => {
                         let (diff, exchange) = writer.next(*delivered);
-                        page.deliver([(&diff, exchange)], &mut cover);
+                        page.deliver([(&diff, exchange)]);
                         diff.apply(&mut mirror);
                         prop_assert_eq!(page.bytes(), &mirror[..]);
                         None
@@ -1482,9 +1451,9 @@ mod tests {
                 prop_assert_eq!(page.bytes(), &start[..]);
                 for &(kind, offset, len, value) in stores {
                     let (offset, src) = match kind {
-                        0 => (offset, stored(len.min(1024 - offset), value)),
-                        1 => (offset, start[offset..(offset + len).min(1024)].to_vec()),
-                        2 => (0, stored(1024, value)),
+                        0 => (offset, stored(len.min(PAGE_SIZE - offset), value)),
+                        1 => (offset, start[offset..(offset + len).min(PAGE_SIZE)].to_vec()),
+                        2 => (0, stored(PAGE_SIZE, value)),
                         _ => (0, start.clone()),
                     };
                     page.write_bytes(offset, &src);
@@ -1524,18 +1493,16 @@ mod tests {
                 let round: Vec<_> = round.iter().map(|&m| writer.next(m)).collect();
                 let all: Vec<_> = [&earlier].into_iter().chain(&landed).chain(&round).collect();
 
-                let mut reference = LocalPage::new_zeroed(1024);
+                let mut reference = LocalPage::new_zeroed(PAGE_SIZE);
                 for (d, e) in &all {
                     reference.apply_diff(d, *e);
                 }
-                let mut page = LocalPage::new_zeroed(1024);
+                let mut page = LocalPage::new_zeroed(PAGE_SIZE);
                 page.apply_diff(&earlier.0, earlier.1);
-                // Dirty scratch: its contents must not matter.
-                let mut cover = vec![!0u64; 2];
                 if let Some((d, e)) = &landed {
-                    page.deliver([(d, *e)], &mut cover);
+                    page.deliver([(d, *e)]);
                 }
-                page.deliver(round.iter().rev().map(|(d, e)| (d, *e)), &mut cover);
+                page.deliver(round.iter().rev().map(|(d, e)| (d, *e)));
                 prop_assert!(all.iter().all(|(d, _)| Arc::strong_count(d) == 1), "the page keeps a member");
                 let (got, want) = (observe(&mut page, &all), observe(&mut reference, &all));
                 prop_assert!(got == want, "landed {land}: {got:?} != {want:?}");
@@ -1563,18 +1530,17 @@ mod tests {
                 let chain: Vec<_> = chain.iter().map(|&m| writer.next(m).0).collect();
                 let refs: Vec<&Diff> = chain.iter().map(|d| &**d).collect();
 
-                let mut reference = LocalPage::new_zeroed(1024);
+                let mut reference = LocalPage::new_zeroed(PAGE_SIZE);
                 for (d, e) in [&earlier].into_iter().chain(&landed) {
                     reference.apply_diff(d, *e);
                 }
                 reference.apply_diff(&Diff::merge(PageId(0), &refs), exchange);
-                let mut page = LocalPage::new_zeroed(1024);
+                let mut page = LocalPage::new_zeroed(PAGE_SIZE);
                 page.apply_diff(&earlier.0, earlier.1);
-                let mut cover = Vec::new();
                 if let Some((d, e)) = &landed {
-                    page.deliver([(d, *e)], &mut cover);
+                    page.deliver([(d, *e)]);
                 }
-                page.deliver(chain.iter().rev().map(|d| (d, exchange)), &mut cover);
+                page.deliver(chain.iter().rev().map(|d| (d, exchange)));
                 // No image is offered for the adoption check: the packed
                 // merge adopts none.
                 let (got, want) = (observe(&mut page, &[]), observe(&mut reference, &[]));
@@ -1621,14 +1587,14 @@ mod tests {
         #[test]
         fn pooled_images_are_never_ones_anybody_still_sees(
             seed in any::<u64>(),
-            intervals in prop::collection::vec((0u8..4, 0usize..256, 1usize..64), 2..24),
+            intervals in prop::collection::vec((0u8..4, 0usize..WORDS, 1usize..256), 2..24),
         ) {
             let mut state = seed | 1;
             let mut next = move || {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 (state >> 33) as usize
             };
-            let zero = Image::zeroed(1024);
+            let zero = Image::zeroed();
             let page = || LocalPage::showing(zero.clone());
             let (mut writer, mut reference) = (page(), page());
             let (mut adopter, mut deliverer) = (page(), page());
@@ -1636,19 +1602,18 @@ mod tests {
             // pooled, and what each reader has not received yet.
             let (mut log, mut pool) = (Vec::<Arc<Diff>>::new(), Vec::<Arc<Diff>>::new());
             let (mut unadopted, mut undelivered) = (Vec::new(), Vec::new());
-            let mut cover = Vec::new();
             for (k, &(shape, word, words)) in intervals.iter().enumerate() {
                 let shown = adopter.bytes().to_vec();
                 let twin = writer.bytes().to_vec();
                 writer.ensure_twin();
                 let (lo, hi) = match shape {
                     // Whole-page stores, the dense diffs that borrow the image.
-                    0 | 1 => (0, 1024),
+                    0 | 1 => (0, PAGE_SIZE),
                     2 => (word * WORD_SIZE, (word + words) * WORD_SIZE),
                     // A store of the value already there: an empty diff.
                     _ => (word * WORD_SIZE, word * WORD_SIZE + WORD_SIZE),
                 };
-                let hi = hi.min(1024);
+                let hi = hi.min(PAGE_SIZE);
                 let src: Vec<u8> = if shape == 3 {
                     twin[lo..hi].to_vec()
                 } else {
@@ -1676,7 +1641,7 @@ mod tests {
                     }
                 }
                 if next() % 2 == 0 {
-                    deliverer.deliver(undelivered.iter().rev().map(|(d, e)| (d, *e)), &mut cover);
+                    deliverer.deliver(undelivered.iter().rev().map(|(d, e)| (d, *e)));
                     undelivered.clear();
                 }
                 // Retire a random selection in random order: a diff no
@@ -1696,7 +1661,7 @@ mod tests {
             for (d, e) in unadopted.drain(..) {
                 adopter.apply_diff(&d, e);
             }
-            deliverer.deliver(undelivered.iter().rev().map(|(d, e)| (d, *e)), &mut cover);
+            deliverer.deliver(undelivered.iter().rev().map(|(d, e)| (d, *e)));
             let want = observe(&mut reference, &[]);
             let (adopted, delivered) = (observe(&mut adopter, &[]), observe(&mut deliverer, &[]));
             prop_assert!(adopted == want, "{adopted:?} != {want:?}");
@@ -1707,8 +1672,8 @@ mod tests {
         /// by word: under any mix of partial, near-whole and whole-page
         /// applications (a page-backed one adopted or copied),
         /// multi-member rounds, whole-page loads, reads and writes over
-        /// three exchanges and [`NO_EXCHANGE`], on a 256 B and a 4 KiB page,
-        /// each exchange is credited the words a per-word model credits it,
+        /// three exchanges and [`NO_EXCHANGE`], each exchange is credited
+        /// the words a per-word model credits it,
         /// the pending count is the model's, and the page holds one mask per
         /// exchange with words, setting exactly those words, after every
         /// step.
@@ -1716,73 +1681,68 @@ mod tests {
         fn attribution_matches_a_per_word_model(
             steps in prop::collection::vec(classify(), 1..40),
         ) {
-            for page_size in [256, MAX_PAGE_SIZE] {
-                let words = page_size / WORD_SIZE;
-                let mut page = LocalPage::new_zeroed(page_size);
-                let mut writer = LocalPage::new_zeroed(page_size);
-                let mut model = PerWord { attr: vec![NO_EXCHANGE; words], credited: BTreeMap::new() };
-                let mut mirror = vec![0u8; page_size];
-                let mut credited = BTreeMap::new();
-                let mut cover = Vec::new();
-                let mut stamp = 0u32;
-                // The next diff of `writer`, writing exactly the words of
-                // `shape`, each to a value it never held.
-                let mut next = |shape: Words| {
-                    let marks = marked(words, shape);
-                    stamp += 1;
-                    (interval(&mut writer, &marks, stamp), marks)
+            let mut page = LocalPage::new_zeroed(PAGE_SIZE);
+            let mut writer = LocalPage::new_zeroed(PAGE_SIZE);
+            let mut model = PerWord { attr: vec![NO_EXCHANGE; WORDS], credited: BTreeMap::new() };
+            let mut mirror = vec![0u8; PAGE_SIZE];
+            let mut credited = BTreeMap::new();
+            let mut stamp = 0u32;
+            // The next diff of `writer`, writing exactly the words of
+            // `shape`, each to a value it never held.
+            let mut next = |shape: Words| {
+                let marks = marked(shape);
+                stamp += 1;
+                (interval(&mut writer, &marks, stamp), marks)
+            };
+            for (k, step) in steps.iter().enumerate() {
+                let range = |offset: usize, len: usize| {
+                    let offset = offset % PAGE_SIZE;
+                    (offset, len.min(PAGE_SIZE - offset))
                 };
-                for (k, step) in steps.iter().enumerate() {
-                    let range = |offset: usize, len: usize| {
-                        let offset = offset % page_size;
-                        (offset, len.min(page_size - offset))
-                    };
-                    match *step {
-                        Classify::Apply(shape, exchange) => {
-                            let (diff, marks) = next(shape);
-                            page.apply_diff(&diff, exchange);
+                match *step {
+                    Classify::Apply(shape, exchange) => {
+                        let (diff, marks) = next(shape);
+                        page.apply_diff(&diff, exchange);
+                        diff.apply(&mut mirror);
+                        model.deliver(&marks, exchange);
+                    }
+                    Classify::Deliver(ref round) => {
+                        let round: Vec<_> = round.iter().map(|&(shape, e)| (next(shape), e)).collect();
+                        page.deliver(round.iter().rev().map(|((d, _), e)| (d, *e)));
+                        for ((diff, marks), exchange) in &round {
                             diff.apply(&mut mirror);
-                            model.deliver(&marks, exchange);
-                        }
-                        Classify::Deliver(ref round) => {
-                            let round: Vec<_> = round.iter().map(|&(shape, e)| (next(shape), e)).collect();
-                            page.deliver(round.iter().rev().map(|((d, _), e)| (d, *e)), &mut cover);
-                            for ((diff, marks), exchange) in &round {
-                                diff.apply(&mut mirror);
-                                model.deliver(marks, *exchange);
-                            }
-                        }
-                        Classify::Load(exchange) => {
-                            let src: Vec<u8> = (0..page_size).map(|b| (b ^ k) as u8 | 1).collect();
-                            page.load_page(&src, exchange);
-                            mirror.copy_from_slice(&src);
-                            model.deliver(&vec![true; words], exchange);
-                        }
-                        Classify::Read(offset, len) => {
-                            let (offset, len) = range(offset, len);
-                            let mut dst = vec![0u8; len];
-                            page.read_bytes(offset, &mut dst, |e, words| {
-                                *credited.entry(e).or_default() += words as u64
-                            });
-                            prop_assert_eq!(&dst[..], &mirror[offset..offset + len]);
-                            model.take(offset / WORD_SIZE, (offset + len - 1) / WORD_SIZE, true);
-                        }
-                        Classify::Write(offset, len) => {
-                            let (offset, len) = range(offset, len);
-                            let src = vec![len as u8; len];
-                            page.write_bytes(offset, &src);
-                            mirror[offset..offset + len].copy_from_slice(&src);
-                            model.take(offset / WORD_SIZE, (offset + len - 1) / WORD_SIZE, false);
+                            model.deliver(marks, *exchange);
                         }
                     }
-                    prop_assert_eq!(page.bytes(), &mirror[..]);
-                    model.check(&page, &credited).map_err(|e| TestCaseError::fail(format!("{page_size} B page, after {step:?}: {e}")))?;
+                    Classify::Load(exchange) => {
+                        let src: Vec<u8> = (0..PAGE_SIZE).map(|b| (b ^ k) as u8 | 1).collect();
+                        page.load_page(&src, exchange);
+                        mirror.copy_from_slice(&src);
+                        model.deliver(&[true; WORDS], exchange);
+                    }
+                    Classify::Read(offset, len) => {
+                        let (offset, len) = range(offset, len);
+                        let mut dst = vec![0u8; len];
+                        page.read_bytes(offset, &mut dst, |e, words| {
+                            *credited.entry(e).or_default() += words as u64
+                        });
+                        prop_assert_eq!(&dst[..], &mirror[offset..offset + len]);
+                        model.take(offset / WORD_SIZE, (offset + len - 1) / WORD_SIZE, true);
+                    }
+                    Classify::Write(offset, len) => {
+                        let (offset, len) = range(offset, len);
+                        let src = vec![len as u8; len];
+                        page.write_bytes(offset, &src);
+                        mirror[offset..offset + len].copy_from_slice(&src);
+                        model.take(offset / WORD_SIZE, (offset + len - 1) / WORD_SIZE, false);
+                    }
                 }
+                prop_assert_eq!(page.bytes(), &mirror[..]);
+                model.check(&page, &credited).map_err(|e| TestCaseError::fail(format!("after {step:?}: {e}")))?;
             }
         }
 
-        /// On a page of 2 to 1 024 words (so with partial last mask blocks
-        /// and masks that stop short of the last block), from its first
+        /// With masks that stop short of the last block, from a page's first
         /// touch over the zero image on, every diff lands — applied alone or
         /// as the newest of a round, from one writer or two concurrent ones,
         /// between local stores and loads — exactly as a copy-apply of every
@@ -1793,15 +1753,14 @@ mod tests {
         /// local store after an adoption changes no byte of the image.
         #[test]
         fn an_adopted_image_lands_what_a_copy_apply_lands(
-            words in 2usize..=1024,
             steps in prop::collection::vec(land(), 1..24),
         ) {
-            let len = words * WORD_SIZE;
-            let zero = Image::zeroed(len);
+            let len = PAGE_SIZE;
+            let zero = Image::zeroed();
             let mut page = LocalPage::showing(zero.clone());
             let mut writers = [LocalPage::showing(zero.clone()), LocalPage::showing(zero.clone())];
-            let mut model = PerWord { attr: vec![NO_EXCHANGE; words], credited: BTreeMap::new() };
-            let (mut mirror, mut credited, mut cover) = (vec![0u8; len], BTreeMap::new(), Vec::new());
+            let mut model = PerWord { attr: vec![NO_EXCHANGE; WORDS], credited: BTreeMap::new() };
+            let (mut mirror, mut credited) = (vec![0u8; len], BTreeMap::new());
             // The last image the page adopted, with its bytes then.
             let mut adopted: Option<(Arc<Diff>, Vec<u8>)> = None;
             let mut stamp = 0;
@@ -1811,7 +1770,7 @@ mod tests {
                         let round: Vec<_> = members
                             .iter()
                             .map(|&(w, shape, exchange)| {
-                                let marks = marked(words, shape);
+                                let marks = marked(shape);
                                 stamp += 1;
                                 (interval(&mut writers[w], &marks, stamp), marks, exchange)
                             })
@@ -1823,7 +1782,7 @@ mod tests {
                         }
                         let (diff, marks, exchange) = newest;
                         let agrees = diff.image().is_some_and(|image| {
-                            (0..words).filter(|&w| !marks[w]).all(|w| {
+                            (0..WORDS).filter(|&w| !marks[w]).all(|w| {
                                 let at = w * WORD_SIZE..(w + 1) * WORD_SIZE;
                                 mirror[at.clone()] == image[at]
                             })
@@ -1833,7 +1792,7 @@ mod tests {
                         if older.is_empty() {
                             page.apply_diff(diff, *exchange);
                         } else {
-                            page.deliver(round.iter().rev().map(|(d, _, e)| (d, *e)), &mut cover);
+                            page.deliver(round.iter().rev().map(|(d, _, e)| (d, *e)));
                         }
                         prop_assert!(shows(&page, diff) == agrees, "adopted: {}, agrees: {agrees}", !agrees);
                         if agrees {
@@ -1878,11 +1837,10 @@ mod tests {
         fn a_page_over_the_shared_zero_image_acts_as_a_private_one(
             steps in prop::collection::vec(step(), 1..40),
         ) {
-            let zero = Image::zeroed(1024);
-            let mut store = PageStore::with_zero_image(PageLayout::new(1024, 2), zero.clone());
-            let mut private = LocalPage::new_zeroed(1024);
+            let zero = Image::zeroed();
+            let mut store = PageStore::with_zero_image(PageLayout::new(PAGE_SIZE, 2), zero.clone());
+            let mut private = LocalPage::new_zeroed(PAGE_SIZE);
             let mut writer = Writer::new();
-            let mut covers = [Vec::new(), Vec::new()];
             let mut held: [Option<Diff>; 2] = [None, None];
             // Every diff delivered, held so that none is emptied.
             let mut delivered: Vec<(Arc<Diff>, u32)> = Vec::new();
@@ -1906,12 +1864,12 @@ mod tests {
                 }
                 match *step {
                     Step::Store(offset, len, value) => {
-                        let src = stored(len.min(1024 - offset), value);
+                        let src = stored(len.min(PAGE_SIZE - offset), value);
                         pages.iter_mut().for_each(|page| page.write_bytes(offset, &src));
                         written = true;
                     }
                     Step::StoreWhole(value) => {
-                        let src = stored(1024, value);
+                        let src = stored(PAGE_SIZE, value);
                         pages.iter_mut().for_each(|page| page.write_bytes(0, &src));
                         written = true;
                     }
@@ -1929,14 +1887,14 @@ mod tests {
                     }
                     Step::Deliver(ref round) => {
                         let round: Vec<_> = round.iter().map(|&m| writer.next(m)).collect();
-                        for (page, cover) in pages.iter_mut().zip(&mut covers) {
-                            page.deliver(round.iter().rev().map(|(d, e)| (d, *e)), cover);
+                        for page in pages.iter_mut() {
+                            page.deliver(round.iter().rev().map(|(d, e)| (d, *e)));
                         }
                         delivered.extend(round);
                         written = true;
                     }
                     Step::Read(offset, len) => {
-                        let len = len.min(1024 - offset);
+                        let len = len.min(PAGE_SIZE - offset);
                         let mut seen = [(vec![0u8; len], Vec::new()), (vec![0u8; len], Vec::new())];
                         for (page, (bytes, credits)) in pages.iter_mut().zip(&mut seen) {
                             page.read_bytes(offset, bytes, |e, words| credits.push((e, words)));
@@ -1954,7 +1912,7 @@ mod tests {
             prop_assert!(zero.iter().all(|&b| b == 0), "the zero image was written");
             let shows_zero = |store: &PageStore, page| store.page(page).unwrap().data.as_ptr() == zero.as_ptr();
             prop_assert!(!(written && shows_zero(&store, PageId(0))), "a written page shows the zero image");
-            store.read(GlobalAddr(1024), &mut [0u8; 1024], |_, _| {});
+            store.read(GlobalAddr(PAGE_SIZE as u64), &mut [0u8; PAGE_SIZE], |_, _| {});
             prop_assert!(shows_zero(&store, PageId(1)), "a read detached the zero image");
         }
     }

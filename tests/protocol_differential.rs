@@ -218,10 +218,10 @@ proptest! {
         ] {
             let pages: Vec<PageId> = unit.unit_range(page, &layout).map(PageId).collect();
             prop_assert!(!pages.is_empty());
-            prop_assert!(pages.contains(&page), "{} lost the probed page", unit.label(4096));
+            prop_assert!(pages.contains(&page), "{} lost the probed page", unit.label());
             prop_assert!(pages.len() <= unit.protection_pages() as usize);
             for p in &pages {
-                prop_assert!(p.0 < total_pages, "{} escaped the layout", unit.label(4096));
+                prop_assert!(p.0 < total_pages, "{} escaped the layout", unit.label());
             }
             if let UnitPolicy::Static { pages: k } = unit {
                 // Aligned group: first member sits on a k-page boundary.

@@ -81,7 +81,7 @@ fn paper_unit_policies_match_the_section3_and_4_policy_set() {
         assert_eq!(label, exp_label);
         assert_eq!(unit, exp_unit);
         // Labels agree with the units' own rendering at 4 KB pages.
-        assert_eq!(&unit.label(4096), label);
+        assert_eq!(&unit.label(), label);
     }
 }
 
